@@ -665,10 +665,6 @@ def real_stratify(d, xi):
 # generators (all deterministic in the seed)
 # ---------------------------------------------------------------------------
 
-def _row_matrix(entries):
-    return Matrix(1, len(entries), [list(entries)])
-
-
 def c1_generator(r, seed):
     """Random solution with c = 1: scalar B's are unconstrained, and the
     residuals reduce to three bilinear equations on the vectors

@@ -9,9 +9,15 @@ Three scalar types, each immutable and structural-equality:
 * ``QRat``          -- the fraction field of QLaurent, kept reduced with a
   canonical denominator (valuation 0, constant term 1).
 
-Plus dense exact matrices (rank / kernel / solve / det), linear pencils in
-named formal variables, homogeneous bivariate gcd over Q(i), and the quantum
-integers [n], braces {n}, their factorials and the q-binomial coefficients.
+Plus exact matrices whose rank, kernel and solve all run through one sparse
+row echelon over the fraction field of the entries (QLaurent entries are
+lifted to QRat), linear pencils in named formal variables, homogeneous
+bivariate gcd over Q(i), and the quantum integers [n], braces {n}, their
+factorials and the q-binomial coefficients.
+
+Equal scalars hash alike across types: a GaussRational with zero imaginary
+part hashes as its real part, a constant QLaurent as its coefficient, and a
+QRat with denominator 1 as its numerator.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import re as _re
 __all__ = [
     "GaussRational", "QLaurent", "QRat", "Matrix", "Pencil", "BiPoly",
     "qint", "qbrace", "qfact", "qbinom",
-    "rank", "kernel", "solve", "homogeneous_gcd",
+    "homogeneous_gcd",
     "parse_gauss", "random_gauss",
 ]
 
@@ -255,6 +261,10 @@ class QLaurent:
         return NotImplemented
 
     def __hash__(self):
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1 and 0 in self.terms:
+            return hash(self.terms[0])
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
@@ -532,10 +542,6 @@ class QRat:
     def one(cls):
         return cls(_QL_ONE)
 
-    @classmethod
-    def from_qlaurent(cls, x):
-        return cls(x)
-
     def __bool__(self):
         return bool(self.num)
 
@@ -549,6 +555,8 @@ class QRat:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if self.den == _QL_ONE:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __add__(self, other):
@@ -672,6 +680,55 @@ def qbinom(n: int, r: int) -> QLaurent:
 
 
 # ---------------------------------------------------------------------------
+# sparse elimination over a field
+# ---------------------------------------------------------------------------
+
+def _echelon(rows, ncols, reduced=False):
+    """Row echelon form of sparse rows over a field.
+
+    ``rows`` are {col: nonzero field element} dicts; they are not modified.
+    Columns 0..ncols-1 are eliminated from left to right, and each column
+    pivots on the shortest live row that contains it, which keeps fill-in
+    low.  Returns the pivots in column order as (col, index of the input
+    row, row normalised to 1 at col).  With ``reduced`` each pivot column
+    is also cleared from the earlier pivot rows, which gives the reduced
+    row echelon form.  Rank, pivot columns and the reduced form depend only
+    on the rows, not on the pivoting rule.
+    """
+    work = [dict(r) for r in rows]
+    live = [i for i, r in enumerate(work) if r]
+    pivots = []
+    one = None
+    for j in range(ncols):
+        cand = [i for i in live if j in work[i]]
+        if not cand:
+            continue
+        p = min(cand, key=lambda i: len(work[i]))
+        live.remove(p)
+        row = work[p]
+        lead = row.pop(j)
+        if one is None:
+            one = lead / lead     # the field's 1, built once per call
+        inv = one / lead
+        norm = {k: v * inv for k, v in row.items()}
+        targets = [work[i] for i in cand if i != p]
+        if reduced:
+            targets += [r for _, _, r in pivots if j in r]
+        for r in targets:
+            f = r.pop(j)
+            for k, v in norm.items():
+                cur = r.get(k)
+                val = -(f * v) if cur is None else cur - f * v
+                if val:
+                    r[k] = val
+                elif cur is not None:
+                    del r[k]
+        norm[j] = one
+        pivots.append((j, p, norm))
+    return pivots
+
+
+# ---------------------------------------------------------------------------
 # dense exact matrices
 # ---------------------------------------------------------------------------
 
@@ -679,7 +736,8 @@ class Matrix:
     """Dense matrix over an exact scalar type (GaussRational/QLaurent/QRat).
 
     Entries are stored row-major as a list of lists; instances are treated as
-    immutable (operations return fresh matrices).
+    immutable (operations return fresh matrices).  Rank, kernel and solve
+    hand the nonzero entries to ``_echelon``.
     """
 
     __slots__ = ("rows", "cols", "a")
@@ -816,115 +874,43 @@ class Matrix:
 
     # -- elimination --------------------------------------------------------
 
+    def _field_rows(self):
+        """Sparse rows {col: nonzero entry}, QLaurent entries lifted to QRat."""
+        return [{j: QRat(x) if isinstance(x, QLaurent) else x
+                 for j, x in enumerate(r) if x} for r in self.a]
+
+    def _field_zero_one(self):
+        zero, one = self._zero_elt(), self._one_elt()
+        if isinstance(zero, QLaurent):
+            return QRat(zero), QRat(one)
+        return zero, one
+
     def rank(self) -> int:
-        """Exact rank by fraction-free (Bareiss) elimination with full pivoting.
-
-        Divisions in the Bareiss recurrence are exact in the coefficient ring,
-        so this works for QLaurent entries as well as field entries.
-        """
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        a = [list(r) for r in self.a]
-        m, n = self.rows, self.cols
-        prev = None
-        r = 0
-        for k in range(min(m, n)):
-            piv = None
-            for i in range(r, m):
-                for j in range(r, n):
-                    if a[i][j]:
-                        piv = (i, j)
-                        break
-                if piv:
-                    break
-            if piv is None:
-                break
-            pi, pj = piv
-            if pi != r:
-                a[r], a[pi] = a[pi], a[r]
-            if pj != r:
-                for row in a:
-                    row[r], row[pj] = row[pj], row[r]
-            for i in range(r + 1, m):
-                for j in range(r + 1, n):
-                    num = a[r][r] * a[i][j] - a[i][r] * a[r][j]
-                    a[i][j] = num / prev if prev is not None else num
-                a[i][r] = a[r][r] - a[r][r]  # zero of the right type
-            prev = a[r][r]
-            r += 1
-        return r
-
-    def det(self):
-        if self.rows != self.cols:
-            raise ValueError("det of non-square matrix")
-        n = self.rows
-        if n == 0:
-            raise ValueError("det of empty matrix")
-        a = [list(r) for r in self.a]
-        prev = None
-        sign = 1
-        for k in range(n - 1):
-            if not a[k][k]:
-                swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-                if swap is None:
-                    return self._zero_elt()
-                a[k], a[swap] = a[swap], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                    a[i][j] = num / prev if prev is not None else num
-            prev = a[k][k]
-        d = a[n - 1][n - 1]
-        return -d if sign < 0 else d
-
-    def _field_lift(self):
-        """Lift QLaurent entries into QRat so Gauss-Jordan division works."""
-        if self.rows and self.cols and isinstance(self.a[0][0], QLaurent):
-            return self.map(QRat)
-        return self
-
-    def rref(self):
-        """Reduced row echelon form over a field; returns (matrix, pivot cols)."""
-        m = self._field_lift()
-        a = [list(r) for r in m.a]
-        rows, cols = m.rows, m.cols
-        pivots = []
-        r = 0
-        for j in range(cols):
-            piv = next((i for i in range(r, rows) if a[i][j]), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = a[r][j]
-            a[r] = [x / inv for x in a[r]]
-            for i in range(rows):
-                if i != r and a[i][j]:
-                    f = a[i][j]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivots.append(j)
-            r += 1
-            if r == rows:
-                break
-        return Matrix(rows, cols, a), pivots
+        """Exact rank over the fraction field of the entries."""
+        return len(_echelon(self._field_rows(), self.cols))
 
     def kernel(self):
-        """Columns spanning {v : self*v = 0}, over the fraction field."""
+        """Columns spanning {v : self*v = 0}, over the fraction field,
+        read off the reduced row echelon form (one column per free
+        variable)."""
         if self.cols == 0:
             return Matrix(0, 0, [])
         if self.rows == 0:
             raise ValueError("kernel of a 0-row matrix is everything; "
                              "build an identity explicitly")
-        ech, pivots = self.rref()
-        one = ech._one_elt()
-        zero = ech._zero_elt()
-        free = [j for j in range(self.cols) if j not in pivots]
+        zero, one = self._field_zero_one()
+        pivots = _echelon(self._field_rows(), self.cols, reduced=True)
+        pivot_cols = {j for j, _, _ in pivots}
         vecs = []
-        for f in free:
+        for f in range(self.cols):
+            if f in pivot_cols:
+                continue
             v = [zero] * self.cols
             v[f] = one
-            for r, pj in enumerate(pivots):
-                v[pj] = -ech.a[r][f]
+            for pj, _, row in pivots:
+                x = row.get(f)
+                if x is not None:
+                    v[pj] = -x
             vecs.append(v)
         if not vecs:
             return Matrix(self.cols, 0, [[] for _ in range(self.cols)])
@@ -933,21 +919,18 @@ class Matrix:
 
     def solve(self, rhs):
         """One exact solution of self*x = rhs (Matrix with rhs.cols columns),
-        or None when inconsistent."""
+        or None when inconsistent.  Free variables are set to zero."""
         if rhs.rows != self.rows:
             raise ValueError("solve: shape mismatch")
         aug = Matrix.hstack([self, rhs])
-        ech, pivots = aug.rref()
-        zero = ech._zero_elt()
-        for r in range(ech.rows):
-            lead = next((j for j in range(aug.cols) if ech.a[r][j]), None)
-            if lead is not None and lead >= self.cols:
-                return None  # inconsistent
+        zero, _ = aug._field_zero_one()
+        pivots = _echelon(aug._field_rows(), aug.cols, reduced=True)
         out = [[zero] * rhs.cols for _ in range(self.cols)]
-        for r, pj in enumerate(pivots):
-            if pj < self.cols:
-                for k in range(rhs.cols):
-                    out[pj][k] = ech.a[r][self.cols + k]
+        for pj, _, row in pivots:
+            if pj >= self.cols:
+                return None  # a pivot on the right-hand side: inconsistent
+            for k in range(rhs.cols):
+                out[pj][k] = row.get(self.cols + k, zero)
         return Matrix(self.cols, rhs.cols, out)
 
     # -- serialization ------------------------------------------------------
@@ -966,18 +949,6 @@ class Matrix:
     def __str__(self):
         return "\n".join("[" + ", ".join(str(x) for x in r) + "]"
                          for r in self.a)
-
-
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def kernel(m: Matrix) -> Matrix:
-    return m.kernel()
-
-
-def solve(m: Matrix, rhs: Matrix):
-    return m.solve(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -1015,26 +986,6 @@ class Pencil:
         for v in self.vars:
             out = out + self.coeffs[v].scale(point[v])
         return out
-
-    def entry_bipoly(self, i, j, var_pair):
-        """Entry (i,j) as a BiPoly in the two named variables of var_pair
-        (all other variables must have zero coefficient there)."""
-        z, w = var_pair
-        terms = {}
-        for v in self.vars:
-            c = self.coeffs[v].a[i][j]
-            if not c:
-                continue
-            if v == z:
-                terms[(1, 0)] = terms.get((1, 0), _GR_ZERO) + c
-            elif v == w:
-                terms[(0, 1)] = terms.get((0, 1), _GR_ZERO) + c
-            else:
-                raise ValueError(f"entry depends on {v}, not in {var_pair}")
-        c = self.const.a[i][j]
-        if c:
-            terms[(0, 0)] = c
-        return BiPoly(terms)
 
     def to_json(self):
         obj = {v: self.coeffs[v].to_json() for v in self.vars}

@@ -58,7 +58,8 @@ Conventions:
     degree-2 star is not defined and raises.
 """
 
-from .exactcore import (GaussRational, Matrix, QLaurent, QRat, qint)
+from .exactcore import (GaussRational, Matrix, QLaurent, QRat, _echelon,
+                        qint)
 from .qspacetime import (CHART_I_RULES, HarmonicIndex, NCPoly, X_NAMES,
                          det_x, engine, harmonic)
 
@@ -110,63 +111,29 @@ class _Nonlinear(Exception):
 
 
 def _solve_system(equations):
-    """Row-reduce (lin: {var: QRat}, const: QRat, name) equations.
+    """Solve (lin: {var: QRat}, const: QRat, name) equations exactly.
 
     Each equation asserts sum(lin[v] * v) + const = 0.  Returns the dict of
     uniquely determined variables; raises CalculusError on inconsistency.
+    Variables are the columns of a reduced row echelon in sorted order, with
+    the constant as the last column: a pivot there is an inconsistency, and
+    a variable is determined when its pivot row holds no other variable.
     """
-    rows = []    # [lin dict with pivot coeff 1, const, name]
-    pivots = {}  # pivot var -> index into rows
-    for lin0, const, name in equations:
-        lin = {v: c for v, c in lin0.items() if c}
-        # reduce against existing pivot rows until none of them appear
-        again = True
-        while again:
-            again = False
-            for v in list(lin):
-                idx = pivots.get(v)
-                if idx is None:
-                    continue
-                c = lin.pop(v)
-                plin, pconst, _ = rows[idx]
-                for v2, cf in plin.items():
-                    if v2 == v:
-                        continue
-                    nv = lin.get(v2, _R_ZERO) - c * cf
-                    if nv:
-                        lin[v2] = nv
-                    else:
-                        lin.pop(v2, None)
-                const = const - c * pconst
-                again = True
-        if not lin:
-            if const:
-                raise CalculusError(f"inconsistent constraints: {name}")
-            continue
-        pv = sorted(lin)[0]
-        inv = _R_ONE / lin[pv]
-        lin = {v: c * inv for v, c in lin.items()}
-        const = const * inv
-        # eliminate the new pivot from all earlier rows (keeps RREF)
-        for r in rows:
-            c = r[0].pop(pv, None)
-            if c:
-                for v2, cf in lin.items():
-                    if v2 == pv:
-                        continue
-                    nv = r[0].get(v2, _R_ZERO) - c * cf
-                    if nv:
-                        r[0][v2] = nv
-                    else:
-                        r[0].pop(v2, None)
-                r[1] = r[1] - c * const
-        rows.append([lin, const, name])
-        pivots[pv] = len(rows) - 1
+    names = sorted({v for lin, _, _ in equations for v, c in lin.items() if c})
+    col = {v: j for j, v in enumerate(names)}
+    const_col = len(names)
+    rows = []
+    for lin, const, _ in equations:
+        row = {col[v]: c for v, c in lin.items() if c}
+        if const:
+            row[const_col] = const
+        rows.append(row)
     solved = {}
-    for pv, idx in pivots.items():
-        lin, const, _ = rows[idx]
-        if len(lin) == 1:
-            solved[pv] = -const
+    for j, i, row in _echelon(rows, const_col + 1, reduced=True):
+        if j == const_col:
+            raise CalculusError(f"inconsistent constraints: {equations[i][2]}")
+        if all(k == j or k == const_col for k in row):
+            solved[names[j]] = -row.get(const_col, _R_ZERO)
     return solved
 
 

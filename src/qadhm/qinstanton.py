@@ -17,9 +17,8 @@ the matrix equations.  On top of that this module provides:
 * the leading-term certificate for Xi (degree-2 part equals det(x) times
   the identity of V),
 * degree-truncated slice ranks deciding surjectivity of beta_P (and
-  injectivity of alpha_Q) on capped-degree module slices, with a sound fast
-  path: full rank after evaluating q at 3 forces full generic rank, while
-  non-full answers fall back to exact fraction-free ranks,
+  injectivity of alpha_Q) on capped-degree module slices, by exact sparse
+  echelon over the rational function field,
 * the curvature block matrix d(alpha) ^ d(beta-bar) in wedge normal form,
   audited entry by entry against the self-dual/anti-self-dual split.  Under
   the derived wedge rules the (1,1) block keeps a self-dual remainder with
@@ -35,7 +34,7 @@ the matrix equations.  On top of that this module provides:
 from fractions import Fraction
 
 from .adhm import classify, complex_residuals, is_complex_solution
-from .exactcore import GaussRational, Matrix, QLaurent, QRat
+from .exactcore import GaussRational, Matrix, QLaurent, QRat, _echelon
 from .qcalculus import NCForm, asd_membership, d as exterior_d, derive_table
 from .qspacetime import NCPoly, X_NAMES, Y_NAMES, det_x, monomials_of_degree
 
@@ -49,7 +48,6 @@ __all__ = [
 ]
 
 _ZMONO = (0, 0, 0, 0)
-_Q3 = GaussRational(3)
 
 
 class QInstantonError(ValueError):
@@ -366,23 +364,14 @@ def truncated_matrix(op, src_degree, tgt_degree):
     return Matrix(rows, cols, grid)
 
 
-def _rank_with_certificate(mat, full):
-    """(rank, method).  Full rank of the q=3 specialization certifies full
-    generic rank (a nonzero specialized minor lifts to a nonzero Laurent
-    minor); anything less is decided by an exact fraction-free rank."""
-    spec = mat.map(lambda c: c.evaluate(_Q3))
-    if len(spec.rref()[1]) == full:
-        return full, "specialization at q=3 certifies full rank"
-    return mat.rank(), "exact fraction-free rank"
-
-
 def _sparse_containment(bp, dmax):
     """(image_rank, missed): echelon of [image | slice embedding] with
     sparse rows over the rational function field.
 
     Columns are eliminated left to right, image block first, so a pivot
     landing in the embedding block is exactly a slice direction missed by
-    the image of the capped source."""
+    the image of the capped source: image_rank = rank(image) and
+    missed = rank([image | embedding]) - rank(image)."""
     src = _monomials_upto(dmax)
     tgt = _monomials_upto(dmax + 1)
     tpos = {m: k for k, m in enumerate(tgt)}
@@ -411,32 +400,9 @@ def _sparse_containment(bp, dmax):
     for v in range(bp.rows):
         for k in range(n_s):
             rows[v * n_t + k][a_cols + v * n_s + k] = r_one
-    live = [r for r in rows if r]
-    image_rank = missed = 0
-    for j in range(a_cols + bp.rows * n_s):
-        cand = [r for r in live if j in r]
-        if not cand:
-            continue
-        piv = min(cand, key=len)
-        live.remove(piv)
-        inv = r_one / piv.pop(j)
-        norm = {k: v * inv for k, v in piv.items()}
-        for r in cand:
-            if r is piv:
-                continue
-            f = r.pop(j)
-            for k, v in norm.items():
-                cur = r.get(k)
-                val = -(f * v) if cur is None else cur - f * v
-                if val:
-                    r[k] = val
-                elif cur is not None:
-                    del r[k]
-        if j < a_cols:
-            image_rank += 1
-        else:
-            missed += 1
-    return image_rank, missed
+    pivots = _echelon(rows, a_cols + bp.rows * n_s)
+    image_rank = sum(1 for j, _, _ in pivots if j < a_cols)
+    return image_rank, len(pivots) - image_rank
 
 
 def slice_rank_report(d, P, dmax, chart="I"):
@@ -515,7 +481,8 @@ def alpha_slice_report(d, Q, dmax, chart="I"):
     """Rank of alpha_Q out of the degree <= dmax slice (injectivity test).
 
     The target cap dmax+1 captures every term of the image, so full column
-    rank is exactly injectivity of alpha_Q on the capped slice."""
+    rank is exactly injectivity of alpha_Q on the capped slice.  The rank
+    is the exact sparse echelon rank over the rational function field."""
     q1, q2 = (_gauss(v) for v in Q)
     if not q1 and not q2:
         raise QInstantonError("pencil parameters must not both vanish")
@@ -523,7 +490,7 @@ def alpha_slice_report(d, Q, dmax, chart="I"):
     aq = a1.scale(q1) + a2.scale(q2)
     mat = truncated_matrix(aq, dmax, dmax + 1)
     full = d.c * len(_monomials_upto(dmax))
-    rank, method = _rank_with_certificate(mat, full)
+    rank = mat.rank()
     return {
         "chart": chart,
         "Q": [str(q1), str(q2)],
@@ -532,7 +499,7 @@ def alpha_slice_report(d, Q, dmax, chart="I"):
         "target_dim": mat.rows,
         "rank": rank,
         "injective": rank == full,
-        "method": method,
+        "method": "exact sparse echelon over the rational function field",
     }
 
 

@@ -297,9 +297,6 @@ class NCPoly:
         return NCPoly(self.chart,
                       {m: c for m, c in self.terms.items() if sum(m) == d})
 
-    def degrees_present(self):
-        return sorted({sum(m) for m in self.terms})
-
     def subs_q1(self):
         """Classical limit: {monomial: GaussRational}, q = 1."""
         out = {}
@@ -451,8 +448,8 @@ def det_mult_rank(d) -> bool:
        monomial to its lead target (n11+1, n12, n21, n22+1) is injective and
        the lead coefficient is a unit, so the slice matrix is echelon after
        ordering rows by descending n11 -- full rank over the fraction field.
-    2. numeric cross-check: exact rank of the specialized matrix at q = 3
-       (full rank at a sample point implies full generic rank).
+    2. exact cross-check: the rank of the slice matrix itself over the
+       rational function field Q(i)(q).
     """
     det = det_x()
     monos = monomials_of_degree(d)
@@ -468,9 +465,7 @@ def det_mult_rank(d) -> bool:
                 return False
         cols.append(img)
     mat = slice_matrix(cols, d + 2)
-    q0 = GaussRational(3)
-    num = mat.map(lambda c: c.evaluate(q0))
-    return num.rank() == len(monos)
+    return mat.rank() == len(monos)
 
 
 # ---------------------------------------------------------------------------
@@ -620,18 +615,17 @@ def basis_indices_for_degree(d):
 def basis_independence(d) -> bool:
     """The elements det^k X^l with 2k+2l = d: right count and full slice rank.
 
-    Rank is certified at the specialization q = 3 (full rank at a point
-    implies full rank over the fraction field, and the count matches the
-    slice dimension, so they form a basis).
+    The rank is the exact rank of the slice matrix over the rational
+    function field Q(i)(q); full rank with a count equal to the slice
+    dimension makes them a basis.  The classical limit q = 1 is checked
+    separately.
     """
     idxs = basis_indices_for_degree(d)
     if len(idxs) != dimension_of_degree(d):
         return False
     polys = [basis_element(i) for i in idxs]
     mat = slice_matrix(polys, d)
-    q0 = GaussRational(3)
-    num = mat.map(lambda c: c.evaluate(q0))
-    if num.rank() != len(idxs):
+    if mat.rank() != len(idxs):
         return False
     # classical limit q = 1: same matrices must keep full rank
     cls = mat.map(lambda c: c.subs_q1())

@@ -438,7 +438,8 @@ class TestDeterminism:
                                                          "0": "1/1"}
 
     def test_module_invocation(self):
-        proc = run_python(["-m", "qadhm.cli", "monad", "chern",
-                           "-r", "2", "-c", "1", "-k", "-1"])
-        assert proc.returncode == 0
-        assert proc.stdout == "-1\n"
+        for module in ("qadhm.cli", "qadhm"):
+            proc = run_python(["-m", module, "monad", "chern",
+                               "-r", "2", "-c", "1", "-k", "-1"])
+            assert proc.returncode == 0, (module, proc.stderr)
+            assert proc.stdout == "-1\n"

@@ -141,6 +141,51 @@ def test_qrat_field_axioms(a, b, c):
         assert (A / B) * B == A
 
 
+def as_scalar(kind, v):
+    """The rational v as an int, GaussRational, QLaurent or QRat."""
+    if kind == "int":
+        return int(v)
+    if kind == "gauss":
+        return GaussRational(v)
+    if kind == "laurent":
+        return QLaurent({0: v})
+    # a QRat written with a common factor that its canonical form cancels
+    extra = QLaurent({0: 1, 1: 2})
+    return QRat(QLaurent({0: v}) * extra, extra)
+
+
+scalar_kinds = st.sampled_from(["int", "gauss", "laurent", "qrat"])
+
+
+@given(st.integers(min_value=-3, max_value=3), scalar_kinds, scalar_kinds)
+@settings(max_examples=80, deadline=None)
+def test_equal_scalars_hash_alike(v, k1, k2):
+    a, b = as_scalar(k1, v), as_scalar(k2, v)
+    assert a == b
+    assert hash(a) == hash(b)
+
+
+mixed_scalar_st = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    gauss_st,
+    qlaurent_st,
+    st.tuples(qlaurent_st, qlaurent_st.filter(bool)).map(lambda nd: QRat(*nd)),
+)
+
+
+@given(mixed_scalar_st, mixed_scalar_st)
+@settings(max_examples=150, deadline=None)
+def test_eq_implies_equal_hash(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_constant_scalars_share_a_set_entry():
+    assert len({QLaurent({0: 5}), 5}) == 1
+    assert hash(QLaurent()) == hash(0) == hash(QRat(0))
+    assert hash(QRat(5)) == hash(QLaurent({0: 5})) == hash(G(5))
+
+
 def test_qrat_canonical_form():
     # (q^3 - q)/(q^2 - 1) reduces to q with denominator 1
     num = QLaurent({3: 1, 1: -1})
@@ -237,11 +282,106 @@ def test_solve_consistent_and_inconsistent():
     assert m.solve(bad) is None
 
 
-def test_det_bareiss():
-    m = Matrix.from_rows([[G(2), G(1)], [G(1), G(1)]])
-    assert m.det() == G(1)
-    s = Matrix.from_rows([[G(0), G(1)], [G(1), G(0)]])
-    assert s.det() == G(-1)
+def bareiss_rank(m):
+    """Reference rank: fraction-free (Bareiss) elimination with full
+    pivoting, exact in the coefficient ring, so it needs no field lift for
+    QLaurent entries."""
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    a = [list(r) for r in m.a]
+    rows, cols = m.rows, m.cols
+    prev = None
+    r = 0
+    for _ in range(min(rows, cols)):
+        piv = next(((i, j) for i in range(r, rows) for j in range(r, cols)
+                    if a[i][j]), None)
+        if piv is None:
+            break
+        pi, pj = piv
+        a[r], a[pi] = a[pi], a[r]
+        for row in a:
+            row[r], row[pj] = row[pj], row[r]
+        for i in range(r + 1, rows):
+            for j in range(r + 1, cols):
+                num = a[r][r] * a[i][j] - a[i][r] * a[r][j]
+                a[i][j] = num / prev if prev is not None else num
+            a[i][r] = a[r][r] - a[r][r]  # zero of the right type
+        prev = a[r][r]
+        r += 1
+    return r
+
+
+def random_laurent_entry(rng):
+    return QLaurent({rng.randint(-1, 1): random_gauss(rng, 2, False)
+                     for _ in range(rng.randint(0, 2))})
+
+
+def random_matrix(rng, entry, zero):
+    """rows x cols with rank at most k (a product of random factors), and
+    sometimes one column zeroed."""
+    rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+    k = rng.randint(0, min(rows, cols))
+    left = [[entry(rng) for _ in range(k)] for _ in range(rows)]
+    right = [[entry(rng) for _ in range(cols)] for _ in range(k)]
+    grid = [[sum((left[i][t] * right[t][j] for t in range(k)), zero)
+             for j in range(cols)] for i in range(rows)]
+    if rng.random() < 0.3:
+        dead = rng.randrange(cols)
+        for row in grid:
+            row[dead] = zero
+    return Matrix(rows, cols, grid)
+
+
+def check_against_oracle(m, rng, entry):
+    rank = m.rank()
+    assert rank == bareiss_rank(m)
+    k = m.kernel()
+    assert k.rows == m.cols and k.cols == m.cols - rank
+    assert (m * k).is_zero()
+    if k.cols:
+        assert k.rank() == k.cols
+    for consistent in (True, False):
+        if consistent:
+            x0 = Matrix(m.cols, 1, [[entry(rng)] for _ in range(m.cols)])
+            rhs = m * x0
+        else:
+            rhs = Matrix(m.rows, 1, [[entry(rng)] for _ in range(m.rows)])
+        sol = m.solve(rhs)
+        if bareiss_rank(Matrix.hstack([m, rhs])) == rank:
+            assert sol is not None and m * sol == rhs
+        else:
+            assert sol is None
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_echelon_matches_bareiss_on_gauss_matrices(seed):
+    rng = random.Random(seed)
+    m = random_matrix(rng, random_gauss, G(0))
+    check_against_oracle(m, rng, random_gauss)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_echelon_matches_bareiss_on_laurent_matrices(seed):
+    rng = random.Random(seed)
+    m = random_matrix(rng, random_laurent_entry, QLaurent.zero())
+    check_against_oracle(m, rng, random_laurent_entry)
+
+
+def test_echelon_fixed_shapes():
+    # the all-zero matrix, a zero column between independent ones, and a
+    # rank-one block with a pivot-free first column
+    rng = random.Random(3)
+    shapes = [
+        Matrix.zero(3, 4, G(0)),
+        Matrix.from_rows([[G(1), G(0), G(2)], [G(0), G(0), G(1)]]),
+        Matrix.from_rows([[G(0), G(1), G(2)], [G(0), G(2), G(4)],
+                          [G(0), G(-1), G(-2)]]),
+    ]
+    for m in shapes:
+        check_against_oracle(m, rng, random_gauss)
+    assert [m.rank() for m in shapes] == [0, 2, 1]
 
 
 def test_dagger_is_conjugate_transpose():

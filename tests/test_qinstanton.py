@@ -362,6 +362,31 @@ class TestTruncatedSlices:
         assert missed == 0
         assert slice_rank_report(d, (1, 0), 1)["surjective"]
 
+    def test_sparse_containment_matches_dense_ranks(self):
+        # image_rank = rank(A) and missed = rank([A|E]) - rank(A), where A
+        # is the truncated image matrix and E embeds the degree <= dmax
+        # slice into the degree <= dmax+1 target.
+        from qadhm.qinstanton import _sparse_containment
+        c1r1 = random_c1r1_solution(0)
+        cases = [(c1r1, (c1r1.i2[0, 0], -c1r1.i1[0, 0])),
+                 (random_stable_solution(2, 3, 0), (ONE, Z))]
+        dmax = 1
+        n_s = len([m for k in range(dmax + 1) for m in monomials_of_degree(k)])
+        for d, P in cases:
+            a1, a2, b1, b2 = build_q_ops(d)
+            bp = b1.scale(P[0]) + b2.scale(P[1])
+            a = truncated_matrix(bp, dmax, dmax + 1)
+            n_t = a.rows // bp.rows
+            zero, one = QLaurent.zero(), QLaurent.one()
+            e = Matrix.zero(a.rows, bp.rows * n_s, zero)
+            for v in range(bp.rows):
+                for k in range(n_s):
+                    e.a[v * n_t + k][v * n_s + k] = one
+            rank_a = a.rank()
+            missed = Matrix.hstack([a, e]).rank() - rank_a
+            assert _sparse_containment(bp, dmax) == (rank_a, missed)
+            assert missed > 0
+
     def test_degree_zero_slice_reads_the_constant_block(self):
         # At dmax = 0 coverage is exactly the rank of i~(P): generator
         # coefficients of the source must vanish, leaving only the W block.

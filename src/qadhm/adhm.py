@@ -21,7 +21,12 @@ transpose-dual notion with ker j.  Pointwise stability of the pencil for every
 length <= c-1 in (B~1, B~2) applied to the columns of i~ has full rank at
 [z0:w0] iff the evaluated triple is stable there, so the common projective
 roots of its c x c minors - the roots of their homogeneous gcd - are precisely
-the unstable points.  The taxonomy reported by ``classify`` is:
+the unstable points.  No minor is expanded: the gcd is the c-th determinantal
+divisor of the module the Krylov columns span over Q(i)[t], the product of
+the pivots of a Hermite basis of at most c columns.  The module is built in
+the chart w = 1 (t = z), where B~k = t*Bzk + Bwk, one word length per round;
+the multiplicity of [1:0] comes from the same reduction in the chart z = 1
+(t = w).  The taxonomy reported by ``classify`` is:
 
   stable_everywhere    minor gcd has degree 0
   semistable           some minor is not identically zero
@@ -48,14 +53,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 from .exactcore import (
     BiPoly,
     GaussRational,
     Matrix,
+    _uni_divmod,
     gcd_projective_roots,
-    homogeneous_gcd,
     parse_gauss,
     random_gauss,
 )
@@ -224,9 +228,12 @@ class StabilityReport:
 
     failing_points lists (side, (z0, w0), multiplicity) with side "stable" or
     "costable"; points outside Q(i) appear in leftover_factors as (side,
-    factor string).  The gcd strings record the minor gcd of each side, with
-    "0" meaning every minor vanishes identically (that side fails at every
-    point, and no individual points are enumerated).  witness_subspace, when
+    factor string).  The gcd strings record the minor gcd of each side,
+    monic in z: the product of the pivots of a Hermite basis of the Krylov
+    module in the chart w = 1, times w^v for the multiplicity v of [1:0]
+    found in the chart z = 1.  "0" means every minor vanishes identically
+    (the basis has fewer than c pivots: that side fails at every point, and
+    no individual points are enumerated).  witness_subspace, when
     present, is a column basis of a violating invariant subspace at the first
     recorded failing point.
     """
@@ -400,26 +407,124 @@ def ordered_monomial_rank(B1, B2, i):
 # global stability over the projective line
 # ---------------------------------------------------------------------------
 
-def _bipoly_entry(zc, wc):
-    return BiPoly({(1, 0): zc, (0, 1): wc})
+def _trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
 
 
-def _bipoly_det(cols):
-    """Determinant of a square matrix given as a list of columns of BiPoly,
-    by cofactor expansion (no division, so exact for polynomial entries)."""
-    def rec(ci, rows):
-        if len(rows) == 1:
-            return cols[ci][rows[0]]
-        acc = BiPoly.zero()
-        sign = 1
-        for k, a in enumerate(rows):
-            e = cols[ci][a]
-            if e:
-                term = e * rec(ci + 1, rows[:k] + rows[k + 1:])
-                acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        return acc
-    return rec(0, tuple(range(len(cols))))
+def _poly_mul(f, g):
+    """Product of univariate coefficient lists over Q(i) (index = degree)."""
+    out = [_ZERO] * (len(f) + len(g) - 1) if f and g else []
+    for k, a in enumerate(f):
+        if a:
+            for m, b in enumerate(g):
+                if b:
+                    out[k + m] = out[k + m] + a * b
+    return _trim(out)
+
+
+def _col_sub_mul(u, q, v):
+    """The polynomial column u - q*v."""
+    out = []
+    for x, y in zip(u, v):
+        x = list(x) + [_ZERO] * (len(q) + len(y) - 1 - len(x))
+        for k, a in enumerate(_poly_mul(q, y)):
+            x[k] = x[k] - a
+        out.append(_trim(x))
+    return out
+
+
+def _hermite_diagonal(cols, c):
+    """Pivots of a column Hermite basis of the module spanned by cols, which
+    has rank c: each new column is reduced by Euclid on the columns at each
+    pivot row in turn, and each pivot is made monic.  Their product is the
+    gcd of the c x c minors of cols."""
+    basis = {}
+    for col in cols:
+        for p in range(c):
+            if not col[p]:
+                continue
+            h = basis.get(p)
+            if h is not None:
+                while col[p]:
+                    q, _ = _uni_divmod(h[p], col[p])
+                    h, col = col, _col_sub_mul(h, q, col) if q else h
+            else:
+                h, col = col, None
+            lead = h[p][-1]
+            basis[p] = [[x / lead for x in e] for e in h]
+            if col is None:
+                break
+    return [basis[p][p] for p in range(c)]
+
+
+def _krylov_pivots(ops, seed):
+    """Hermite pivots of the Q(i)[t]-module spanned by all words of length
+    <= c-1 in the operators applied to the seed columns, or None when that
+    module has rank < c.
+
+    ops and seed are (t-part, constant part) pairs of matrices.  The module
+    is kept as a weak Popov basis: at most c columns, each with a distinct
+    leading position (the last row where the column reaches its degree); a
+    new column is reduced by subtracting c*t^k times the basis column with
+    its leading position until it vanishes or takes a free one.  Each round
+    adds B~1*H and B~2*H for the basis H; since the B~ are Q(i)[t]-linear,
+    c-1 rounds span the words of length <= c-1.  The column degrees of a
+    full-rank weak Popov basis sum to the degree of its determinant, so the
+    rounds stop once they are all 0 (the module is all of Q(i)[t]^c).
+    Otherwise the basis, of small degree, goes to ``_hermite_diagonal``;
+    reducing every column there instead lets the coefficients of the Euclid
+    remainders grow to tens of thousands of bits at c = 6.
+    """
+    st, s0 = seed
+    c, basis = st.rows, {}
+
+    def insert(col):
+        while any(col):
+            d = max(map(len, col)) - 1
+            p = max(k for k, e in enumerate(col) if len(e) == d + 1)
+            h = basis.get(p)
+            if h is not None and len(h[p]) <= d + 1:
+                col = _col_sub_mul(col, [_ZERO] * (d + 1 - len(h[p]))
+                                   + [col[p][d]], h)
+                continue
+            lead = col[p][d]
+            basis[p] = [[x / lead for x in e] for e in col]
+            if h is None:
+                return
+            col = h
+
+    def apply(op, col):
+        (bt, b0), out = op, []
+        n = max(map(len, col)) + 1
+        for a in range(c):
+            acc = [_ZERO] * n
+            for b, e in enumerate(col):
+                x, y = bt.a[a][b], b0.a[a][b]
+                for k, coef in enumerate(e):
+                    if x:
+                        acc[k + 1] = acc[k + 1] + x * coef
+                    if y:
+                        acc[k] = acc[k] + y * coef
+            out.append(_trim(acc))
+        return out
+
+    def done():
+        return len(basis) == c and all(len(h[p]) == 1
+                                       for p, h in basis.items())
+
+    for k in range(st.cols):
+        insert([_trim([s0[a, k], st[a, k]]) for a in range(c)])
+    for _ in range(c - 1):
+        for h in list(basis.values()):
+            for op in ops:
+                if done():
+                    return [[_ONE]] * c
+                insert(apply(op, h))
+    if len(basis) < c:
+        return None
+    return _hermite_diagonal(list(basis.values()), c)
 
 
 def _krylov_minor_gcd(Bz1, Bw1, Bz2, Bw2, Sz, Sw):
@@ -428,41 +533,24 @@ def _krylov_minor_gcd(Bz1, Bw1, Bz2, Bw2, Sz, Sw):
 
     Returns (all_zero, gcd): all_zero is True when every c x c minor of the
     Krylov matrix vanishes identically (gcd is then None); otherwise gcd is
-    the monic-in-z homogeneous gcd of the minors, with an early exit once the
-    accumulated gcd reaches degree 0.  Minor enumeration is combinatorial in
-    the number of columns, fine for the small c this library targets.
+    the monic-in-z homogeneous gcd of the minors.  That gcd is the c-th
+    determinantal divisor of the module the Krylov columns span, read off a
+    Hermite basis in the chart w = 1 (t = z).  The multiplicity v of [1:0]
+    is the t-adic valuation of the divisor in the chart z = 1 (t = w), needed
+    only when the triple at [1:0] is not stable; gcd = w^v * g(z, w).
     """
-    c = Bz1.rows
-    op1 = [[_bipoly_entry(Bz1[a, b], Bw1[a, b]) for b in range(c)]
-           for a in range(c)]
-    op2 = [[_bipoly_entry(Bz2[a, b], Bw2[a, b]) for b in range(c)]
-           for a in range(c)]
-
-    def apply(op, u):
-        return [sum((op[a][b] * u[b] for b in range(c) if u[b]),
-                    BiPoly.zero()) for a in range(c)]
-
-    frontier = [[_bipoly_entry(Sz[a, t], Sw[a, t]) for a in range(c)]
-                for t in range(Sz.cols)]
-    cols = list(frontier)
-    for _ in range(c - 1):
-        frontier = [apply(op, u) for u in frontier for op in (op1, op2)]
-        cols.extend(frontier)
-    cols = [u for u in cols if any(u)]
-    if len(cols) < c:
+    pivots = _krylov_pivots(((Bz1, Bw1), (Bz2, Bw2)), (Sz, Sw))
+    if pivots is None:
         return True, None
-
-    g = None
-    for combo in combinations(cols, c):
-        minor = _bipoly_det(list(combo))
-        if not minor:
-            continue
-        g = minor if g is None else homogeneous_gcd([g, minor])
-        if g.total_degree() == 0:
-            break
-    if g is None:
-        return True, None
-    return False, homogeneous_gcd([g])
+    g = [_ONE]
+    for p in pivots:
+        g = _poly_mul(g, p)
+    v = 0
+    if not is_stable(Bz1, Bz2, Sz)[0]:
+        for p in _krylov_pivots(((Bw1, Bz1), (Bw2, Bz2)), (Sw, Sz)):
+            v += next(k for k, x in enumerate(p) if x)
+    dg = len(g) - 1
+    return False, BiPoly({(k, v + dg - k): g[k] for k in range(dg + 1)})
 
 
 def classify(d):

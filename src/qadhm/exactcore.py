@@ -11,9 +11,9 @@ Three scalar types, each immutable and structural-equality:
 
 Plus exact matrices whose rank, kernel and solve all run through one sparse
 row echelon over the fraction field of the entries (QLaurent entries are
-lifted to QRat), linear pencils in named formal variables, homogeneous
-bivariate gcd over Q(i), and the quantum integers [n], braces {n}, their
-factorials and the q-binomial coefficients.
+lifted to QRat), linear pencils in named formal variables, the projective
+roots of homogeneous bivariate polynomials over Q(i), and the quantum
+integers [n], braces {n}, their factorials and the q-binomial coefficients.
 
 Equal scalars hash alike across types: a GaussRational with zero imaginary
 part hashes as its real part, a constant QLaurent as its coefficient, and a
@@ -23,12 +23,12 @@ QRat with denominator 1 as its numerator.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 import re as _re
 
 __all__ = [
     "GaussRational", "QLaurent", "QRat", "Matrix", "Pencil", "BiPoly",
     "qint", "qbrace", "qfact", "qbinom",
-    "homogeneous_gcd",
     "parse_gauss", "random_gauss",
 ]
 
@@ -1000,7 +1000,7 @@ class Pencil:
 
 
 # ---------------------------------------------------------------------------
-# bivariate polynomials over Q(i) and the homogeneous gcd
+# homogeneous bivariate polynomials over Q(i) and their projective roots
 # ---------------------------------------------------------------------------
 
 class BiPoly:
@@ -1020,75 +1020,13 @@ class BiPoly:
     def __setattr__(self, *a):
         raise AttributeError("BiPoly is immutable")
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({(0, 0): 1})
-
-    @classmethod
-    def variable(cls, which):
-        return cls({(1, 0) if which == "z" else (0, 1): 1})
-
     def __bool__(self):
         return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, BiPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            s = t.get(k, _GR_ZERO) + c
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
-        return BiPoly(t)
-
-    def __neg__(self):
-        return BiPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            g = _as_gauss(other)
-            return BiPoly({k: c * g for k, c in self.terms.items()}) if g \
-                else BiPoly()
-        t = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                s = t.get(k, _GR_ZERO) + c1 * c2
-                if s:
-                    t[k] = s
-                else:
-                    t.pop(k, None)
-        return BiPoly(t)
-
-    __rmul__ = __mul__
-
-    def is_homogeneous(self):
-        degs = {a + b for (a, b) in self.terms}
-        return len(degs) <= 1
 
     def total_degree(self):
         if not self.terms:
             return -1
         return max(a + b for (a, b) in self.terms)
-
-    def evaluate(self, z0, w0):
-        acc = _GR_ZERO
-        for (a, b), c in self.terms.items():
-            acc = acc + c * (z0 ** a if a else _GR_ONE) * (w0 ** b if b else _GR_ONE)
-        return acc
 
     def __str__(self):
         if not self.terms:
@@ -1126,48 +1064,10 @@ def _uni_divmod(a, b):
     return quo, a
 
 
-def _uni_gcd(a, b):
-    a, b = list(a), list(b)
-    while any(c for c in b):
-        _, r = _uni_divmod(a, b)
-        a, b = b, r
-    while a and not a[-1]:
-        a.pop()
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def homogeneous_gcd(polys) -> BiPoly:
-    """gcd of homogeneous bivariate polynomials over Q(i), monic in z.
-
-    Strategy: split off the common monomial factor z^a*w^b, dehomogenize the
-    rest at t = z/w, run the Euclidean algorithm over Q(i), rehomogenize.
-    """
-    polys = [p for p in polys if p]
-    if not polys:
-        raise ValueError("homogeneous_gcd of an all-zero (or empty) family")
-    for p in polys:
-        if not p.is_homogeneous():
-            raise ValueError(f"not homogeneous: {p}")
-    za = min(min(a for (a, b) in p.terms) for p in polys)
-    wb = min(min(b for (a, b) in p.terms) for p in polys)
-    unis = []
-    for p in polys:
-        d = p.total_degree() - za - wb
-        coeffs = [_GR_ZERO] * (d + 1)
-        for (a, b), c in p.terms.items():
-            coeffs[a - za] = c      # exponent of z (shifted) indexes t-degree
-        unis.append(coeffs)
-    g = unis[0]
-    for u in unis[1:]:
-        g = _uni_gcd(g, u)
-        if len(g) == 1:
-            break
-    dg = len(g) - 1
-    terms = {(za + k, wb + dg - k): g[k] for k in range(dg + 1) if g[k]}
-    return BiPoly(terms)
+def _gauss_from_sympy(x):
+    re_, im_ = x.as_real_imag()
+    return GaussRational(Fraction(int(re_.p), int(re_.q)),
+                         Fraction(int(im_.p), int(im_.q)))
 
 
 def gcd_projective_roots(g: BiPoly):
@@ -1175,11 +1075,12 @@ def gcd_projective_roots(g: BiPoly):
     and leftover irreducible factors (as display strings).
 
     Returns (roots, leftovers): roots are ([z0:w0], multiplicity) pairs with
-    GaussRational coordinates; leftovers are strings for factors with no
-    Q(i) root.  Uses sympy factorization over QQ_I for the dehomogenized part.
+    GaussRational coordinates, z = 0 first, then w = 0, then the rest;
+    leftovers are strings for factors with no Q(i) root.  The dehomogenized
+    part (t = z/w) is checked exactly against lc*(t - a)^d with
+    a = -g_(d-1)/(d*g_d), which gives its one root without sympy; any other
+    part is factored by sympy over QQ_I.
     """
-    import sympy
-
     if not g:
         raise ValueError("zero polynomial has every root")
     za = min(a for (a, b) in g.terms)
@@ -1192,24 +1093,31 @@ def gcd_projective_roots(g: BiPoly):
     d = g.total_degree() - za - wb
     if d == 0:
         return roots, []
+    coeffs = [_GR_ZERO] * (d + 1)
+    for (a, b), c in g.terms.items():
+        coeffs[a - za] = c
+    lead = coeffs[d]
+    root = -coeffs[d - 1] / (lead * d)
+    if all(coeffs[k] == lead * comb(d, k) * (-root) ** (d - k)
+           for k in range(d - 1)):
+        roots.append(((root, GaussRational(1)), d))
+        return roots, []
+
+    import sympy
+
     t = sympy.Symbol("t")
     expr = sympy.Integer(0)
-    for (a, b), c in g.terms.items():
+    for k, c in enumerate(coeffs):
         coef = sympy.Rational(c.re.numerator, c.re.denominator) \
             + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
-        expr += coef * t ** (a - za)
+        expr += coef * t ** k
     poly = sympy.Poly(expr, t, domain="QQ_I")
     _, factors = poly.factor_list()
     leftovers = []
     for fac, mult in factors:
         if fac.degree() == 1:
-            c1, c0 = fac.all_coeffs()
-            root = sympy.simplify(-sympy.sympify(c0.as_expr() if hasattr(c0, "as_expr") else c0)
-                                  / sympy.sympify(c1.as_expr() if hasattr(c1, "as_expr") else c1))
-            re_, im_ = root.as_real_imag()
-            z0 = GaussRational(Fraction(int(sympy.numer(re_)), int(sympy.denom(re_))),
-                               Fraction(int(sympy.numer(im_)), int(sympy.denom(im_))))
-            roots.append(((z0, GaussRational(1)), mult))
+            c1, c0 = (_gauss_from_sympy(x) for x in fac.all_coeffs())
+            roots.append(((-c0 / c1, GaussRational(1)), mult))
         else:
             leftovers.append(sympy.sstr(fac.as_expr()))
     return roots, leftovers

@@ -1,9 +1,11 @@
 """Tests for the instanton-type matrix data and stability taxonomy."""
 
 import random
+from itertools import combinations
 
 import pytest
 
+from qadhm import adhm
 from qadhm.adhm import (
     ADHMError,
     ComplexADHMDatum,
@@ -34,7 +36,7 @@ from qadhm.adhm import (
     real_stratify,
     stabilizer_dim,
 )
-from qadhm.exactcore import GaussRational, Matrix
+from qadhm.exactcore import GaussRational, Matrix, _uni_divmod, random_gauss
 
 Z = GaussRational(0)
 ONE = GaussRational(1)
@@ -534,3 +536,229 @@ class TestJSON:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ADHMError):
             datum_from_json({"kind": "other"})
+
+
+# ---------------------------------------------------------------------------
+# oracle: every c x c Krylov minor by cofactors, then their gcd
+# ---------------------------------------------------------------------------
+# The enumeration classify used before the Hermite reduction, kept as the
+# reference for _krylov_minor_gcd.  Homogeneous polynomials in (z, w) are
+# dicts {(deg_z, deg_w): GaussRational} with no zero values.
+
+def _acc(out, k, c):
+    s = out.get(k, Z) + c
+    if s:
+        out[k] = s
+    else:
+        out.pop(k, None)
+
+
+def _padd(p, q, sign=1):
+    out = dict(p)
+    for k, c in q.items():
+        _acc(out, k, c if sign > 0 else -c)
+    return out
+
+
+def _pmul(p, q):
+    out = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            _acc(out, (a1 + a2, b1 + b2), c1 * c2)
+    return out
+
+
+def _bipoly_det(cols):
+    """Determinant of a square matrix given as a list of polynomial columns."""
+    def rec(ci, rows):
+        if len(rows) == 1:
+            return cols[ci][rows[0]]
+        acc, sign = {}, 1
+        for k, a in enumerate(rows):
+            e = cols[ci][a]
+            if e:
+                acc = _padd(acc, _pmul(e, rec(ci + 1, rows[:k] + rows[k + 1:])),
+                            sign)
+            sign = -sign
+        return acc
+    return rec(0, tuple(range(len(cols))))
+
+
+def _uni_gcd(a, b):
+    a, b = list(a), list(b)
+    while any(b):
+        _, r = _uni_divmod(a, b)
+        a, b = b, r
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def homogeneous_gcd(polys):
+    """gcd of homogeneous polynomials, monic in z (also for one input)."""
+    polys = [p for p in polys if p]
+    if not polys:
+        raise ValueError("homogeneous_gcd of an all-zero (or empty) family")
+    for p in polys:
+        if len({a + b for (a, b) in p}) > 1:
+            raise ValueError(f"not homogeneous: {p}")
+    za = min(min(a for (a, b) in p) for p in polys)
+    wb = min(min(b for (a, b) in p) for p in polys)
+    g = None
+    for p in polys:
+        u = [Z] * (max(a + b for (a, b) in p) - za - wb + 1)
+        for (a, b), c in p.items():
+            u[a - za] = c
+        g = u if g is None else _uni_gcd(g, u)
+    lead, dg = g[-1], len(g) - 1
+    return {(za + k, wb + dg - k): g[k] / lead for k in range(dg + 1) if g[k]}
+
+
+def minor_gcd_oracle(Bz1, Bw1, Bz2, Bw2, Sz, Sw):
+    """(all_zero, gcd as a dict) from every c x c minor of the Krylov matrix."""
+    c = Bz1.rows
+
+    def entry(zc, wc):
+        return {k: v for k, v in (((1, 0), zc), ((0, 1), wc)) if v}
+
+    ops = [[[entry(Bz[a, b], Bw[a, b]) for b in range(c)] for a in range(c)]
+           for Bz, Bw in ((Bz1, Bw1), (Bz2, Bw2))]
+
+    def apply(op, u):
+        out = []
+        for a in range(c):
+            acc = {}
+            for b in range(c):
+                for k, v in _pmul(op[a][b], u[b]).items():
+                    _acc(acc, k, v)
+            out.append(acc)
+        return out
+
+    frontier = [[entry(Sz[a, t], Sw[a, t]) for a in range(c)]
+                for t in range(Sz.cols)]
+    cols = list(frontier)
+    for _ in range(c - 1):
+        frontier = [apply(op, u) for u in frontier for op in ops]
+        cols.extend(frontier)
+    cols = [u for u in cols if any(u)]
+    g = None
+    for combo in combinations(cols, c):
+        minor = _bipoly_det(list(combo))
+        if minor:
+            g = homogeneous_gcd([minor] if g is None else [g, minor])
+            if max(a + b for (a, b) in g) == 0:
+                break
+    return (True, None) if g is None else (False, g)
+
+
+def _side_args(d, side):
+    if side == "stable":
+        return d.B11, d.B21, d.B12, d.B22, d.i1, d.i2
+    return (d.B11.transpose(), d.B21.transpose(), d.B12.transpose(),
+            d.B22.transpose(), d.j1.transpose(), d.j2.transpose())
+
+
+def _oracle_datum(seed):
+    """Seeded datum with c <= 3 and r in {1, 2}: sparse entries, and seeds
+    i~ (and j~) vanishing at [1:0], at [0:1], at a planted point, or
+    identically, by seed modulo 5.  A non-stable c = 3 datum makes the
+    oracle expand every minor (35 at r = 1, 364 at r = 2), so c = 3 is drawn
+    less often, and with r = 2 only for a few planted points."""
+    rng = random.Random(seed)
+    c, r = rng.choice((1, 1, 2, 2, 2, 3)), rng.choice((1, 2))
+    if (r, c) == (2, 3) and seed % 5 in (1, 2, 3) and seed % 50 != 3:
+        r = 1
+    density = rng.choice((0.0, 0.4, 0.7, 1.0))
+
+    def m(rows, cols, fill=density):
+        return Matrix(rows, cols, [[random_gauss(rng)
+                                    if rng.random() < fill else Z
+                                    for _ in range(cols)]
+                                   for _ in range(rows)])
+
+    def seeds(rows, cols):
+        a, b = m(rows, cols), m(rows, cols, 1.0)
+        kind = seed % 5
+        if kind == 1:       # z*0 + w*b vanishes at [1:0]
+            a = a.scale(Z)
+        elif kind == 2:     # z*b + w*0 vanishes at [0:1]
+            a, b = b, b.scale(Z)
+        elif kind == 3:     # (z + lam*w)*b vanishes at [-lam:1]
+            a, b = b, b.scale(random_gauss(rng))
+        elif kind == 4:
+            a, b = a.scale(Z), b.scale(Z)
+        return a, b
+
+    i1, i2 = seeds(c, r)
+    j1, j2 = seeds(c, r)
+    return ComplexADHMDatum(c, r, m(c, c), m(c, c), m(c, c), m(c, c),
+                            i1, i2, j1.transpose(), j2.transpose())
+
+
+def test_gcd_coprime_coordinates():
+    assert homogeneous_gcd([{(1, 0): ONE}, {(0, 1): ONE}]) == {(0, 0): ONE}
+
+
+def test_gcd_common_monomial_factor():
+    z = {(1, 0): ONE}
+    assert homogeneous_gcd([{(1, 1): ONE}, {(2, 0): ONE}]) == z
+
+
+def test_gcd_gaussian_factor():
+    # z^2 + w^2 = (z + iw)(z - iw); gcd with z + iw is z + iw
+    f = {(1, 0): ONE, (0, 1): gr(0, 1)}
+    assert homogeneous_gcd([{(2, 0): ONE, (0, 2): ONE}, f]) == f
+
+
+def test_gcd_rejects_empty_and_inhomogeneous():
+    with pytest.raises(ValueError):
+        homogeneous_gcd([{}])
+    with pytest.raises(ValueError):
+        homogeneous_gcd([{(1, 0): ONE, (0, 0): ONE}])
+
+
+def _oracle_gcd(*args):
+    all_zero, g = minor_gcd_oracle(*args)
+    return all_zero, None if all_zero else adhm.BiPoly(g)
+
+
+class TestKrylovMinorGcd:
+    def test_matches_minor_enumeration(self):
+        for seed in range(300):
+            d = _oracle_datum(seed)
+            for side in ("stable", "costable"):
+                args = _side_args(d, side)
+                all_zero, g = adhm._krylov_minor_gcd(*args)
+                expect_zero, expect = minor_gcd_oracle(*args)
+                assert all_zero == expect_zero, (seed, side)
+                assert all_zero or g.terms == expect, (seed, side)
+
+    def test_classify_matches_enumeration(self, monkeypatch):
+        data = [random_c1r1_solution(s) for s in range(4)]
+        data += [c1_generator(r, s) for r in (2, 3) for s in range(2)]
+        data += [random_stable_solution(r, c, s)
+                 for r, c in ((2, 2), (2, 3), (3, 3)) for s in range(2)]
+        data += [random_nonstable_solution(r, c, s)[0]
+                 for r, c in ((1, 2), (2, 2), (1, 3)) for s in range(2)]
+        data += [embed_real(random_real_solution(2, s, "regular")[0])
+                 for s in range(2)]
+        data += [stable_not_semiregular(), semiregular_not_regular()]
+        reports = [classify(d).to_json() for d in data]
+        monkeypatch.setattr(adhm, "_krylov_minor_gcd", _oracle_gcd)
+        assert reports == [classify(d).to_json() for d in data]
+
+    def test_c1r1_gcd_is_monic_in_z(self):
+        for seed in range(4):
+            d = random_c1r1_solution(seed)
+            a = d.i2[0, 0] / d.i1[0, 0]
+            rep = classify(d)
+            assert rep.stability_gcd == f"(1/1)*z + ({a})*w"
+            assert rep.failing_points == [("stable", (-a, ONE), 1)]
+
+    def test_planted_root_beyond_c3(self):
+        for r, c in ((2, 4), (2, 5)):
+            d, pt = random_nonstable_solution(r, c, 1)
+            rep = classify(d)
+            assert not rep.stable_everywhere and rep.semistable
+            assert any(side == "stable" and proj_equal(p, pt) and m >= c
+                       for side, p, m in rep.failing_points)

@@ -149,6 +149,19 @@ class TestAdhmCommands:
         assert all(all(x == "0/1" for row in m for x in row)
                    for m in rep["residuals"])
 
+    def test_check_reports_a_monic_gcd_for_c_r_1(self, tmp_path, capsys):
+        # one nonzero Krylov minor, i~ = (-1+3i)*z + (1/2+i/3)*w
+        d = ComplexADHMDatum(1, 1, [["3/2+3/2*i"]], [["-3/2+1/2*i"]], [[0]],
+                             [["1/1+1/1*i"]], [["-1/1+3/1*i"]],
+                             [["1/2+1/3*i"]], [[0]], [[0]])
+        f = write_json(tmp_path / "d.json", d.to_json())
+        code, out = invoke(["adhm", "check", f], capsys)
+        cls = json.loads(out)["classification"]
+        assert code == 0
+        assert cls["stability_gcd"] == "(1/1)*z + (1/20-11/60*i)*w"
+        assert cls["failing_points"] == [{"side": "stable", "z": "-1/20+11/60*i",
+                                          "w": "1/1", "multiplicity": 1}]
+
     def test_check_non_solution_exits_one(self, tmp_path, capsys):
         f = write_json(tmp_path / "d.json",
                        random_complex_datum(2, 1, 3).to_json())

@@ -1,14 +1,21 @@
 """Exact scalar and linear algebra tests, including the hand-derived oracles."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qadhm
+
 from qadhm.exactcore import (
     BiPoly, GaussRational, Matrix, Pencil, QLaurent, QRat,
-    gcd_projective_roots, homogeneous_gcd, parse_gauss, qbinom, qbrace,
+    gcd_projective_roots, parse_gauss, qbinom, qbrace,
     qfact, qint, random_gauss,
 )
 
@@ -405,7 +412,7 @@ def test_pencil_evaluation_matches_naive_sum():
 
 
 # ---------------------------------------------------------------------------
-# homogeneous bivariate gcd
+# projective roots of homogeneous bivariate polynomials
 # ---------------------------------------------------------------------------
 
 def zpw(*coeffs):
@@ -414,38 +421,9 @@ def zpw(*coeffs):
     return BiPoly({(d - k, k): coeffs[k] for k in range(len(coeffs))})
 
 
-def test_gcd_coprime_coordinates():
-    z = BiPoly.variable("z")
-    w = BiPoly.variable("w")
-    g = homogeneous_gcd([z, w])
-    assert g == BiPoly.one()
-
-
-def test_gcd_common_monomial_factor():
-    z = BiPoly.variable("z")
-    w = BiPoly.variable("w")
-    g = homogeneous_gcd([z * w, z * z])
-    assert g == z
-
-
-def test_gcd_gaussian_factor():
-    # z^2 + w^2 = (z + iw)(z - iw); gcd with z + iw is z + iw
-    p = zpw(G(1), G(0), G(1))
-    f = zpw(G(1), G(0, 1))
-    g = homogeneous_gcd([p, f])
-    assert g == f  # already monic in z
-
-
-def test_gcd_rejects_empty_and_inhomogeneous():
-    with pytest.raises(ValueError):
-        homogeneous_gcd([BiPoly.zero()])
-    with pytest.raises(ValueError):
-        homogeneous_gcd([BiPoly({(1, 0): G(1), (0, 0): G(1)})])
-
-
 def test_projective_roots_split():
     # z * (z - 2w) * (z^2 + 2 w^2): two rational roots + irreducible quadratic
-    p = BiPoly.variable("z") * zpw(G(1), G(-2)) * zpw(G(1), G(0), G(2))
+    p = zpw(G(1), G(-2), G(2), G(-4), G(0))
     roots, leftovers = gcd_projective_roots(p)
     pts = {(str(z0), str(w0)) for (z0, w0), _ in roots}
     assert ("0/1", "1/1") in pts
@@ -459,3 +437,47 @@ def test_projective_roots_gaussian_point():
     assert not leftovers
     vals = {str(z0) for (z0, w0), _ in roots}
     assert vals == {"0/1+1/1*i", "0/1-1/1*i"}
+
+
+def test_projective_roots_single_root_powers_match_sympy():
+    """z^m * w^n * lc*(z - a*w)^d takes the path without sympy; its roots
+    and multiplicities equal those of sympy's factorisation over QQ_I."""
+    import sympy
+
+    def to_sympy(x):
+        return (sympy.Rational(x.re.numerator, x.re.denominator)
+                + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator))
+
+    rng = random.Random(11)
+    t = sympy.Symbol("t")
+    for _ in range(30):
+        d, za, wb = rng.randint(1, 4), rng.randint(0, 2), rng.randint(0, 2)
+        a, lc = random_gauss(rng), random_gauss(rng) or G(1)
+        coeffs = [lc * comb(d, k) * (-a) ** (d - k) for k in range(d + 1)]
+        p = BiPoly({(za + k, wb + d - k): x for k, x in enumerate(coeffs)})
+        roots, leftovers = gcd_projective_roots(p)
+        poly = sympy.Poly(sum(to_sympy(x) * t ** k
+                              for k, x in enumerate(coeffs)), t, domain="QQ_I")
+        (fac, mult), = poly.factor_list()[1]
+        c1, c0 = fac.all_coeffs()
+        assert leftovers == []
+        assert [m for _, m in roots] == [m for m in (za, wb) if m] + [mult]
+        (z0, w0), _ = roots[-1]
+        assert w0 == G(1)
+        assert sympy.expand(to_sympy(z0) + c0 / c1, complex=True) == 0
+
+
+def test_single_root_path_imports_no_sympy():
+    # z*w*(z + (1+2i)*w)^2
+    code = ("import sys\n"
+            "from qadhm.exactcore import BiPoly, GaussRational as G, "
+            "gcd_projective_roots\n"
+            "p = BiPoly({(3, 1): G(1), (2, 2): G(2, 4), (1, 3): G(-3, 4)})\n"
+            "roots, _ = gcd_projective_roots(p)\n"
+            "print([m for _, m in roots], roots[-1][0][0], "
+            "'sympy' in sys.modules)")
+    root = str(Path(qadhm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=root)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out == "[1, 1, 2] -1/1-2/1*i False\n"

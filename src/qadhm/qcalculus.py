@@ -61,7 +61,8 @@ Conventions:
 from .exactcore import (GaussRational, Matrix, QLaurent, QRat, _echelon,
                         qint)
 from .qspacetime import (CHART_I_RULES, HarmonicIndex, NCPoly, X_NAMES,
-                         det_x, engine, harmonic)
+                         add_to, apply_rule, det_x, engine, feed, harmonic,
+                         mono_word, split_first)
 
 _ONE = QLaurent.one()
 _ZERO = QLaurent.zero()
@@ -96,10 +97,6 @@ def _charge_targets(a, b):
                        tuple(sorted((_COLS[c], _COLS[d])))):
                 out.append((c, d))
     return tuple(out)
-
-
-def _mono_word(mono):
-    return sum(((g,) * mono[g] for g in range(4)), ())
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +250,7 @@ def _dx_det_equations(g, p2, rules):
     det = det_x()
     for mono, c in det.terms.items():
         rc = QRat(c)
-        for key, expr in _dx_word_sym(g, _mono_word(mono), rules).items():
+        for key, expr in _dx_word_sym(g, mono_word(mono), rules).items():
             _lin_add(acc, key, _lin_scale(expr, rc))
     scale = -p2 * QRat(QLaurent.q_power(DX_DET_TWIST[g]))
     for key, expr in _poly_dx_terms(det.terms, g, scale).items():
@@ -348,10 +345,9 @@ def _solve_wedge_rules(x_rules):
         for b in range(4):
             # d(x_a x_b) = (dx_a . x_b) + x_a dx_b, then d again
             coeffs = {}  # ordered wedge pair (f, e) -> QRat
-            for coeff, (c, d) in x_rules[(a, b)]:
-                cur = coeffs.get((c, d), _R_ZERO) + QRat(coeff)
-                coeffs[(c, d)] = cur
-            coeffs[(a, b)] = coeffs.get((a, b), _R_ZERO) + _R_ONE
+            for coeff, pair in x_rules[(a, b)]:
+                add_to(coeffs, pair, QRat(coeff))
+            add_to(coeffs, (a, b), _R_ONE)
             # substitute unknowns for unsorted pairs, identity for sorted
             acc = {}  # sorted pair -> {var or None: QRat}
             for (f, e), cf in coeffs.items():
@@ -420,25 +416,16 @@ class CalculusTable:
         hit = self._cross_memo.get(key)
         if hit is not None:
             return hit
-        first = None
-        for i in range(4):
-            if mono[i]:
-                first = i
-                break
-        if first is None:
+        split = split_first(mono)
+        if split is None:
             out = {(_ZMONO, g): _ONE}
         else:
-            rest = list(mono)
-            rest[first] -= 1
-            rest = tuple(rest)
+            first, rest = split
             acc = {}
             for coeff, (c, d) in self.x_rules[(g, first)]:
                 for (m1, e), c1 in self.cross(d, rest).items():
                     for m2, c2 in _ENG.mul_gen_mono(c, m1).items():
-                        cc = coeff * c1 * c2
-                        k = (m2, e)
-                        s = acc.get(k)
-                        acc[k] = cc if s is None else s + cc
+                        add_to(acc, (m2, e), coeff * c1 * c2)
             out = {k: c for k, c in acc.items() if c}
         self._cross_memo[key] = out
         return out
@@ -448,24 +435,15 @@ class CalculusTable:
         hit = self._dmono_memo.get(mono)
         if hit is not None:
             return hit
-        first = None
-        for i in range(4):
-            if mono[i]:
-                first = i
-                break
-        if first is None:
+        split = split_first(mono)
+        if split is None:
             out = {}
         else:
-            rest = list(mono)
-            rest[first] -= 1
-            rest = tuple(rest)
+            first, rest = split
             acc = dict(self.cross(first, rest))
             for (m1, e), c1 in self.d_mono(rest).items():
                 for m2, c2 in _ENG.mul_gen_mono(first, m1).items():
-                    k = (m2, e)
-                    cc = c1 * c2
-                    s = acc.get(k)
-                    acc[k] = cc if s is None else s + cc
+                    add_to(acc, (m2, e), c1 * c2)
             out = {k: c for k, c in acc.items() if c}
         self._dmono_memo[mono] = out
         return out
@@ -487,31 +465,14 @@ class CalculusTable:
             elif g == h:
                 out = {}
             else:
-                acc = {}
-                for coeff, (c, d) in self.wedge_rules[(g, h)]:
-                    for w1, c1 in self.insert_wedge(d, word[1:]).items():
-                        for w2, c2 in self.insert_wedge(c, w1).items():
-                            cc = coeff * c1 * c2
-                            s = acc.get(w2)
-                            acc[w2] = cc if s is None else s + cc
-                out = {w: c for w, c in acc.items() if c}
+                out = apply_rule(self.insert_wedge, self.wedge_rules[(g, h)],
+                                 word[1:])
         self._insert_memo[key] = out
         return out
 
     def wedge_norm(self, word):
         """Any wedge word as {strictly sorted word: QLaurent}."""
-        if not word:
-            return {(): _ONE}
-        acc = {(): _ONE}
-        for g in reversed(word):
-            nxt = {}
-            for w, c in acc.items():
-                for w2, c2 in self.insert_wedge(g, w).items():
-                    cc = c * c2
-                    s = nxt.get(w2)
-                    nxt[w2] = cc if s is None else s + cc
-            acc = {w: c for w, c in nxt.items() if c}
-        return acc
+        return feed(self.insert_wedge, word, {(): _ONE})
 
     def word_past_mono(self, word, mono):
         """(wedge word) . mono as {(mono', word'): QLaurent}, words unsorted."""
@@ -525,10 +486,7 @@ class CalculusTable:
         acc = {}
         for (m1, e), c1 in self.cross(last, mono).items():
             for (m0, w0), c0 in self.word_past_mono(head, m1).items():
-                k = (m0, w0 + (e,))
-                cc = c1 * c0
-                s = acc.get(k)
-                acc[k] = cc if s is None else s + cc
+                add_to(acc, (m0, w0 + (e,)), c1 * c0)
         out = {k: c for k, c in acc.items() if c}
         self._word_mono_memo[key] = out
         return out
@@ -575,9 +533,8 @@ class CalculusTable:
         out = {}
         for (b, a) in ((2, 1), (2, 0), (3, 1), (3, 0)):
             acc = {(a, b): _ONE}
-            for coeff, (c, d) in self.wedge_rules[(b, a)]:
-                s = acc.get((c, d))
-                acc[(c, d)] = coeff if s is None else s + coeff
+            for coeff, pair in self.wedge_rules[(b, a)]:
+                add_to(acc, pair, coeff)
             residual = {k: c for k, c in acc.items() if c}
             out[f"d{X_NAMES[b]}^d{X_NAMES[a]}"] = {
                 "anticommutes": not residual,
@@ -626,24 +583,24 @@ def derive_table(p_choice="q") -> CalculusTable:
     return table
 
 
+def _classical(rule):
+    """The q = 1 limit of a rule [(coeff, pair)] as {pair: GaussRational}."""
+    cls = {}
+    for coeff, pair in rule:
+        add_to(cls, pair, coeff.subs_q1())
+    return {pair: c for pair, c in cls.items() if c}
+
+
 def _verify_table(table):
     """Recheck the defining constraints through the final engines."""
     # classical limit: every rule degenerates to plain (anti)commutation
     for (g, a), rule in table.x_rules.items():
-        cls = {}
-        for coeff, t in rule:
-            cls[t] = cls.get(t, GaussRational.zero()) + coeff.subs_q1()
-        cls = {t: c for t, c in cls.items() if c}
-        if cls != {(a, g): GaussRational.one()}:
+        if _classical(rule) != {(a, g): GaussRational.one()}:
             raise CalculusError(
                 f"classical limit broken for d{X_NAMES[g]}.{X_NAMES[a]}")
     for (b, a), rule in table.wedge_rules.items():
-        cls = {}
-        for coeff, t in rule:
-            cls[t] = cls.get(t, GaussRational.zero()) + coeff.subs_q1()
-        cls = {t: c for t, c in cls.items() if c}
         want = {} if b == a else {(a, b): -GaussRational.one()}
-        if cls != want:
+        if _classical(rule) != want:
             raise CalculusError(
                 f"classical limit broken for d{X_NAMES[b]}^d{X_NAMES[a]}")
     # d(det) and the determinant covariances, recomputed with the engines
@@ -663,11 +620,8 @@ def _verify_table(table):
     for g in range(4):
         lhs = {}
         for mono, c in det.terms.items():
-            for (m1, e), c1 in table.cross(g, mono).items():
-                k = (m1, e)
-                cc = c * c1
-                s = lhs.get(k)
-                lhs[k] = cc if s is None else s + cc
+            for k, c1 in table.cross(g, mono).items():
+                add_to(lhs, k, c * c1)
         scale = QLaurent.q_power(2 * p_exp + DX_DET_TWIST[g])
         rhs = {(m, g): c * scale for m, c in det.terms.items()}
         if {k: c for k, c in lhs.items() if c} != rhs:
@@ -740,12 +694,7 @@ class NCForm:
         self._check(other)
         t = dict(self.terms)
         for k, c in other.terms.items():
-            s = t.get(k)
-            s = c if s is None else s + c
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
+            add_to(t, k, c)
         return NCForm(self.table, self.degree, t)
 
     def __neg__(self):
@@ -771,10 +720,7 @@ class NCForm:
         for (w, m), c in self.terms.items():
             for m1, c1 in poly.terms.items():
                 for m2, c2 in _ENG.mul_mono_mono(m1, m).items():
-                    k = (w, m2)
-                    cc = c * QRat(c1 * c2)
-                    s = acc.get(k)
-                    acc[k] = cc if s is None else s + cc
+                    add_to(acc, (w, m2), c * QRat(c1 * c2))
         return NCForm(self.table, self.degree, acc)
 
     def wedge(self, other):
@@ -793,10 +739,7 @@ class NCForm:
                     for wn, cw in table.wedge_norm(w1p + w2).items():
                         base = c12 * QRat(cm * cw)
                         for mn, cx in _ENG.mul_mono_mono(m1, mm).items():
-                            k = (wn, mn)
-                            cc = base * QRat(cx)
-                            s = acc.get(k)
-                            acc[k] = cc if s is None else s + cc
+                            add_to(acc, (wn, mn), base * QRat(cx))
         return NCForm(table, deg, acc)
 
     def as_poly(self):
@@ -805,10 +748,6 @@ class NCForm:
             raise ValueError("not a degree-0 form")
         return NCPoly("I", {m: c.as_qlaurent()
                             for (_, m), c in self.terms.items()})
-
-    def map_coeff(self, fn):
-        return NCForm(self.table, self.degree,
-                      {k: fn(c) for k, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:
@@ -846,37 +785,17 @@ def d(x, table=None):
     if isinstance(x, NCPoly):
         if table is None:
             raise ValueError("d(poly) needs a table")
-        acc = {}
-        for mono, c in x.terms.items():
-            rc = QRat(c)
-            for (m1, e), c1 in table.d_mono(mono).items():
-                k = ((e,), m1)
-                cc = rc * QRat(c1)
-                s = acc.get(k)
-                acc[k] = cc if s is None else s + cc
-        return NCForm(table, 1, acc)
+        x = NCForm.from_poly(table, x)
     if not isinstance(x, NCForm):
         raise TypeError("d expects an NCPoly or NCForm")
     table = x.table
-    if x.degree == 0:
-        acc = {}
-        for (_, mono), c in x.terms.items():
-            for (m1, e), c1 in table.d_mono(mono).items():
-                k = ((e,), m1)
-                cc = c * QRat(c1)
-                s = acc.get(k)
-                acc[k] = cc if s is None else s + cc
-        return NCForm(table, 1, acc)
     if x.degree == 4:
         return NCForm(table, 4)  # nothing above top degree
     acc = {}
     for (w, mono), c in x.terms.items():
         for (m1, e), c1 in table.d_mono(mono).items():
             for wn, cw in table.wedge_norm((e,) + w).items():
-                k = (wn, m1)
-                cc = c * QRat(c1 * cw)
-                s = acc.get(k)
-                acc[k] = cc if s is None else s + cc
+                add_to(acc, (wn, m1), c * QRat(c1 * cw))
     return NCForm(table, x.degree + 1, acc)
 
 
@@ -887,10 +806,7 @@ def partials(f: NCPoly, table) -> tuple:
     acc = [{}, {}, {}, {}]
     for mono, c in f.terms.items():
         for (m1, e), c1 in table.d_mono(mono).items():
-            t = acc[e]
-            cc = c * c1
-            s = t.get(m1)
-            t[m1] = cc if s is None else s + cc
+            add_to(acc[e], m1, c * c1)
     return tuple(NCPoly("I", t) for t in acc)
 
 
@@ -943,20 +859,14 @@ def hodge_star(omega: NCForm) -> NCForm:
         acc = {}
         for ((g,), m), c in omega.terms.items():
             for w, cw in star[g].items():
-                k = (w, m)
-                cc = c * cw
-                s = acc.get(k)
-                acc[k] = cc if s is None else s + cc
+                add_to(acc, (w, m), c * cw)
         return NCForm(table, 3, acc)
     if deg == 3:
         star = table.star3_words()
         acc = {}
         for (w, m), c in omega.terms.items():
             for g, cg in star[w].items():
-                k = ((g,), m)
-                cc = c * cg
-                s = acc.get(k)
-                acc[k] = cc if s is None else s + cc
+                add_to(acc, ((g,), m), c * cg)
         return NCForm(table, 1, acc)
     if deg == 4:
         scale = QRat(QLaurent.q_power(1))

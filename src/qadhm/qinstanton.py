@@ -334,19 +334,20 @@ def _monomials_upto(dmax):
     return [m for deg in range(dmax + 1) for m in monomials_of_degree(deg)]
 
 
-def truncated_matrix(op, src_degree, tgt_degree):
-    """Matrix of an operator between capped-degree slices of free modules.
+def _slice_rows(op, src_degree, tgt_degree):
+    """Sparse rows {col: QLaurent} of an operator between capped-degree
+    slices of free modules, with the two slice sizes.
 
     Source basis: (component, monomial of degree <= src_degree); target
-    basis: (component, monomial of degree <= tgt_degree); entries are
-    Laurent coefficients, image terms above the target cap are dropped.
+    basis: (component, monomial of degree <= tgt_degree); image terms above
+    the target cap are dropped.  Each entry is one product term: the column
+    fixes (component, source monomial) and the row fixes (component, image
+    monomial).
     """
     src = _monomials_upto(src_degree)
     tgt = _monomials_upto(tgt_degree)
     tpos = {m: k for k, m in enumerate(tgt)}
-    rows, cols = op.rows * len(tgt), op.cols * len(src)
-    zero = QLaurent.zero()
-    grid = [[zero] * cols for _ in range(rows)]
+    rows = [{} for _ in range(op.rows * len(tgt))]
     one = QLaurent.one()
     for a in range(op.cols):
         for s, mono in enumerate(src):
@@ -359,9 +360,18 @@ def truncated_matrix(op, src_degree, tgt_degree):
                 for m2, c2 in (p * basis).terms.items():
                     k = tpos.get(m2)
                     if k is not None:
-                        row = v * len(tgt) + k
-                        grid[row][col] = grid[row][col] + c2
-    return Matrix(rows, cols, grid)
+                        rows[v * len(tgt) + k][col] = c2
+    return rows, len(src), len(tgt)
+
+
+def truncated_matrix(op, src_degree, tgt_degree):
+    """Matrix of an operator between capped-degree slices of free modules,
+    with Laurent entries (see _slice_rows for the bases)."""
+    rows, n_s, _ = _slice_rows(op, src_degree, tgt_degree)
+    zero = QLaurent.zero()
+    cols = op.cols * n_s
+    return Matrix(len(rows), cols,
+                  [[row.get(j, zero) for j in range(cols)] for row in rows])
 
 
 def _sparse_containment(bp, dmax):
@@ -372,29 +382,9 @@ def _sparse_containment(bp, dmax):
     landing in the embedding block is exactly a slice direction missed by
     the image of the capped source: image_rank = rank(image) and
     missed = rank([image | embedding]) - rank(image)."""
-    src = _monomials_upto(dmax)
-    tgt = _monomials_upto(dmax + 1)
-    tpos = {m: k for k, m in enumerate(tgt)}
-    n_t, n_s = len(tgt), len(src)
+    laurent_rows, n_s, n_t = _slice_rows(bp, dmax, dmax + 1)
+    rows = [{j: QRat(c) for j, c in row.items()} for row in laurent_rows]
     a_cols = bp.cols * n_s
-    one = QLaurent.one()
-    rows = [{} for _ in range(bp.rows * n_t)]
-    for a in range(bp.cols):
-        for s, mono in enumerate(src):
-            col = a * n_s + s
-            basis = NCPoly(bp.chart, {mono: one})
-            for v in range(bp.rows):
-                p = bp.entries[v][a]
-                if p.is_zero():
-                    continue
-                for m2, c2 in (p * basis).terms.items():
-                    row = rows[v * n_t + tpos[m2]]
-                    val = row.get(col)
-                    val = QRat(c2) if val is None else val + QRat(c2)
-                    if val:
-                        row[col] = val
-                    elif col in row:
-                        del row[col]
     # the first n_s target monomials are exactly the degree <= dmax ones
     r_one = QRat.one()
     for v in range(bp.rows):

@@ -10,7 +10,12 @@ and the ordered monomials x11^a x12^b x21^c x22^d form a PBW basis.  Chart J
 mirrors it in generators y11', y12', y21', y22' (with the roles of rows and
 columns swapped in the q-commutation pattern).  Both charts share one sorting
 engine driven by a six-rule rewrite table; every rewrite strictly decreases
-the inversion count of a word, so normalization terminates.
+the inversion count of a word, so normalization terminates.  The engine is
+one letter-insertion loop: ``feed`` multiplies letters into a sparse sum of
+normal forms from the right, and ``apply_rule`` substitutes a rule's
+(coefficient, pair) terms through it.  The differential calculus runs its
+wedge words through the same two functions, and its dx-x crossings through
+the engine's ``split_first``, ``add_to`` and chart-I products.
 
 Harmonic polynomials are produced by the residue formula
 
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactcore import (
-    GaussRational, Matrix, QLaurent, QRat, qbinom, qfact,
+    GaussRational, Matrix, QLaurent, QRat, qfact,
 )
 
 __all__ = [
@@ -79,10 +84,49 @@ def _inc(mono, g):
     return tuple(lst)
 
 
-def _dec(mono, g):
-    lst = list(mono)
-    lst[g] -= 1
-    return tuple(lst)
+def add_to(acc, key, c):
+    """acc[key] += c in a sparse sum; zeros are pruned by the caller."""
+    s = acc.get(key)
+    acc[key] = c if s is None else s + c
+
+
+def mono_word(mono):
+    """The word of an ordered monomial: generator g repeated mono[g] times."""
+    return sum(((g,) * mono[g] for g in range(4)), ())
+
+
+def split_first(mono):
+    """(first generator of mono, mono with it removed); None for mono = 1."""
+    for i, e in enumerate(mono):
+        if e:
+            return i, mono[:i] + (e - 1,) + mono[i + 1:]
+    return None
+
+
+def feed(insert, letters, start):
+    """letters[0] ... letters[-1] * start as a sparse sum of normal forms.
+
+    ``insert(g, key)`` is letter g times the normal form ``key``, as
+    {key': coefficient}; ``start`` is {key: coefficient}.  The letters are
+    multiplied in from the right end, one at a time.
+    """
+    acc = start
+    for g in reversed(letters):
+        nxt = {}
+        for key, c in acc.items():
+            for k2, c2 in insert(g, key).items():
+                add_to(nxt, k2, c * c2)
+        acc = {k: c for k, c in nxt.items() if c}
+    return acc
+
+
+def apply_rule(insert, rule, rest):
+    """sum coeff * (pair[0] pair[1] rest) over a rule [(coeff, pair)]."""
+    acc = {}
+    for coeff, pair in rule:
+        for k, c in feed(insert, pair, {rest: coeff}).items():
+            add_to(acc, k, c)
+    return {k: c for k, c in acc.items() if c}
 
 
 class SortEngine:
@@ -98,53 +142,22 @@ class SortEngine:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        first = None
-        for i in range(4):
-            if mono[i]:
-                first = i
-                break
-        if first is None or g <= first:
+        split = split_first(mono)
+        if split is None or g <= split[0]:
             out = {_inc(mono, g): _ONE}
         else:
-            rest = _dec(mono, first)
-            acc = {}
-            for coeff, (w1, w2) in self.rules[(g, first)]:
-                for m2, c2 in self.mul_gen_mono(w2, rest).items():
-                    for m3, c3 in self.mul_gen_mono(w1, m2).items():
-                        c = coeff * c2 * c3
-                        s = acc.get(m3)
-                        acc[m3] = c if s is None else s + c
-            out = {m: c for m, c in acc.items() if c}
+            first, rest = split
+            out = apply_rule(self.mul_gen_mono, self.rules[(g, first)], rest)
         self._memo[key] = out
         return out
 
     def mul_mono_mono(self, m1, m2):
         """(ordered m1) * (ordered m2) as {ordered monomial: QLaurent}."""
-        acc = {m2: _ONE}
-        # feed m1's letters from its right end into the accumulator
-        for g in range(3, -1, -1):
-            for _ in range(m1[g]):
-                nxt = {}
-                for mono, c in acc.items():
-                    for m3, c3 in self.mul_gen_mono(g, mono).items():
-                        cc = c * c3
-                        s = nxt.get(m3)
-                        nxt[m3] = cc if s is None else s + cc
-                acc = {m: c for m, c in nxt.items() if c}
-        return acc
+        return feed(self.mul_gen_mono, mono_word(m1), {m2: _ONE})
 
     def normalize_word(self, word):
         """A word (tuple of generator indices) as {ordered monomial: QLaurent}."""
-        acc = {(0, 0, 0, 0): _ONE}
-        for g in reversed(word):
-            nxt = {}
-            for mono, c in acc.items():
-                for m3, c3 in self.mul_gen_mono(g, mono).items():
-                    cc = c * c3
-                    s = nxt.get(m3)
-                    nxt[m3] = cc if s is None else s + cc
-            acc = {m: c for m, c in nxt.items() if c}
-        return acc
+        return feed(self.mul_gen_mono, word, {(0, 0, 0, 0): _ONE})
 
 
 _ENGINES = {"I": SortEngine(CHART_I_RULES), "J": SortEngine(CHART_J_RULES)}
@@ -223,12 +236,7 @@ class NCPoly:
         self._check(other)
         t = dict(self.terms)
         for m, c in other.terms.items():
-            s = t.get(m)
-            s = c if s is None else s + c
-            if s:
-                t[m] = s
-            else:
-                t.pop(m, None)
+            add_to(t, m, c)
         return NCPoly(self.chart, t)
 
     def __neg__(self):
@@ -257,9 +265,7 @@ class NCPoly:
             for m2, c2 in other.terms.items():
                 c12 = c1 * c2
                 for m3, c3 in eng.mul_mono_mono(m1, m2).items():
-                    c = c12 * c3
-                    s = acc.get(m3)
-                    acc[m3] = c if s is None else s + c
+                    add_to(acc, m3, c12 * c3)
         return NCPoly(self.chart, acc)
 
     def __rmul__(self, other):
@@ -305,9 +311,6 @@ class NCPoly:
             if v:
                 out[m] = v
         return out
-
-    def map_coeff(self, fn):
-        return NCPoly(self.chart, {m: fn(c) for m, c in self.terms.items()})
 
     # -- display / serialization ---------------------------------------------
 
@@ -676,9 +679,7 @@ def oast_check(idx: HarmonicIndex):
     for mono, c in Y.terms.items():
         qexp, detpow, xmono = y_mono_to_x(mono)
         assert detpow == -sum(mono)
-        cc = c * QLaurent({qexp: 1})
-        s = sub.get(xmono)
-        sub[xmono] = cc if s is None else s + cc
+        add_to(sub, xmono, c * QLaurent({qexp: 1}))
     B = NCPoly("I", sub)
     if set(X.terms) != set(B.terms):
         extra = set(X.terms) ^ set(B.terms)

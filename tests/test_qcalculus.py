@@ -378,6 +378,16 @@ class TestExteriorDerivative:
         omega = NCForm(t, 4, {(VOL_WORD, mono(1, 1, 0, 0)): 3})
         assert d(omega).is_zero()
 
+    def test_d_rejects_chart_j(self):
+        # forms live over chart I; a chart-J polynomial must not be read as
+        # the chart-I polynomial with the same exponents
+        t = derive_table("q")
+        y11y22 = NCPoly("J", {mono(1, 0, 0, 1): 1})
+        with pytest.raises(ValueError, match="chart I"):
+            d(y11y22, t)
+        with pytest.raises(ValueError, match="chart I"):
+            partials(y11y22, t)
+
 
 class TestPartials:
     def test_partials_of_generators(self):

@@ -68,7 +68,7 @@ __all__ = [
     "ADHMError", "ComplexADHMDatum", "RealADHMDatum", "StabilityReport",
     "complex_residuals", "is_complex_solution", "quadratic_pencil_value",
     "real_residuals", "is_real_solution",
-    "is_stable", "is_costable", "closure_rank", "ordered_monomial_rank",
+    "is_stable", "is_costable", "closure_rank",
     "classify", "derivative_rank", "stabilizer_dim",
     "dagger_involution", "is_dagger_fixed", "embed_real", "real_stratify",
     "c1_generator", "random_complex_datum", "random_stable_solution",
@@ -383,24 +383,6 @@ def is_costable(B1, B2, j):
 def closure_rank(B1, B2, i):
     """Dimension of the full word closure of Im i under (B1, B2)."""
     return _closure_basis([B1, B2], i).cols
-
-
-def ordered_monomial_rank(B1, B2, i):
-    """Rank of the columns B1^m * B2^n * i for 0 <= m, n <= c-1.
-
-    Always <= closure_rank(B1, B2, i); the inequality can be strict (the
-    ordered monomials omit words such as B2*B1*B2), so the word closure is
-    the ground truth for stability and this map is kept as a comparison
-    oracle only.
-    """
-    c = B1.rows
-    ident = Matrix.identity(c, _ONE, _ZERO)
-    pows1, pows2 = [ident], [ident]
-    for _ in range(c - 1):
-        pows1.append(pows1[-1] * B1)
-        pows2.append(pows2[-1] * B2)
-    blocks = [pows1[m] * (pows2[n] * i) for m in range(c) for n in range(c)]
-    return Matrix.hstack(blocks).rank()
 
 
 # ---------------------------------------------------------------------------

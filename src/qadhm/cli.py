@@ -70,6 +70,7 @@ __all__ = ["CLIError", "ExprParser", "RunConfig", "main", "parse_expr", "run"]
 
 P_CHOICES = ("q", "qinv")
 MAX_DEGREE_CAP = 8
+MAX_GRID_SIZE = 64
 _SEED_BOUND = 1 << 63
 
 
@@ -91,8 +92,9 @@ class RunConfig:
         if not isinstance(degree_cap, int) \
                 or not 0 <= degree_cap <= MAX_DEGREE_CAP:
             raise CLIError(f"degree_cap must lie in 0..{MAX_DEGREE_CAP}")
-        if not isinstance(grid_size, int) or grid_size < 1:
-            raise CLIError("grid_size must be a positive integer")
+        if not isinstance(grid_size, int) \
+                or not 1 <= grid_size <= MAX_GRID_SIZE:
+            raise CLIError(f"grid_size must lie in 1..{MAX_GRID_SIZE}")
         self.p_choice = p_choice
         self.seed = seed
         self.degree_cap = degree_cap
@@ -530,7 +532,8 @@ def _build_parser():
     common.add_argument("--degree-cap", type=int, default=4,
                         help=f"default degree cap, at most {MAX_DEGREE_CAP}")
     common.add_argument("--grid-size", type=int, default=12,
-                        help="number of pencil parameter points")
+                        help="number of pencil parameter points, at most "
+                             f"{MAX_GRID_SIZE}")
     common.add_argument("--output", default=None,
                         help="write the report to this path instead of stdout")
 

@@ -2,8 +2,9 @@
 
 Three scalar types, each immutable and structural-equality:
 
-* ``GaussRational`` -- complex rationals a + b*i with ``fractions.Fraction``
-  parts.  Ground field for all matrix data.
+* ``GaussRational`` -- complex rationals (a + b*i)/d stored as three ints in
+  lowest terms (d > 0, gcd(a, b, d) = 1); ``re`` and ``im`` read the parts as
+  ``fractions.Fraction``.  Ground field for all matrix data.
 * ``QLaurent``      -- Laurent polynomials in a formal parameter q with
   GaussRational coefficients, stored sparsely as {exponent: coefficient}.
 * ``QRat``          -- the fraction field of QLaurent, kept reduced with a
@@ -17,13 +18,14 @@ integers [n], braces {n}, their factorials and the q-binomial coefficients.
 
 Equal scalars hash alike across types: a GaussRational with zero imaginary
 part hashes as its real part, a constant QLaurent as its coefficient, and a
-QRat with denominator 1 as its numerator.
+QRat with denominator 1 as its numerator.  A QRat whose denominator is a
+unit c*q^n needs no gcd to be reduced, so lifting a QLaurent is cheap.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 import re as _re
 
 __all__ = [
@@ -42,16 +44,36 @@ def _frac(x):
 
 
 class GaussRational:
-    """An element a + b*i of Q(i), with exact Fraction parts."""
+    """An element (a + b*i)/d of Q(i), stored as three ints.
 
-    __slots__ = ("re", "im")
+    The triple is canonical: d > 0 and gcd(a, b, d) = 1, so equal values have
+    equal triples.  ``re`` and ``im`` give the parts as ``Fraction``s.  The
+    public attributes are read-only; operations return fresh values.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            # parts in lowest terms over the lcm of their denominators leave
+            # no common factor of a, b and d
+            re, im = _frac(re), _frac(im)
+            d = lcm(re.denominator, im.denominator)
+            a = re.numerator * (d // re.denominator)
+            b = im.numerator * (d // im.denominator)
+        self._a = a
+        self._b = b
+        self._d = d
 
-    def __setattr__(self, *a):
-        raise AttributeError("GaussRational is immutable")
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
 
     @classmethod
     def zero(cls):
@@ -66,69 +88,89 @@ class GaussRational:
         return _GR_I
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
         if isinstance(other, GaussRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (not self._b and self._d == other.denominator
+                    and self._a == other.numerator)
         return NotImplemented
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self._b:
+            return hash((self.re, self.im))
+        if self._d == 1:
+            return hash(self._a)
+        return hash(Fraction(self._a, self._d))
 
     def __add__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussRational(self.re + other.re, self.im + other.im)
+        if not isinstance(other, GaussRational):
+            other = _as_gauss(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _gauss(self._a + other._a, self._b + other._b, d)
+        return _gauss(self._a * e + other._a * d, self._b * e + other._b * d,
+                      d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussRational(self.re - other.re, self.im - other.im)
+        if not isinstance(other, GaussRational):
+            other = _as_gauss(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _gauss(self._a - other._a, self._b - other._b, d)
+        return _gauss(self._a * e - other._a * d, self._b * e - other._b * d,
+                      d * e)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.im and not other.im:          # fast path: both rational
-            return GaussRational(self.re * other.re)
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if not isinstance(other, GaussRational):
+            other = _as_gauss(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        if not b and not e:                       # fast path: both rational
+            return _gauss(a * c, 0, self._d * other._d)
+        return _gauss(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if not isinstance(other, GaussRational):
+            other = _as_gauss(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division by zero GaussRational")
+            if c < 0:
+                return _gauss(-a * f, -b * f, -self._d * c)
+            return _gauss(a * f, b * f, self._d * c)
+        # (a + b*i)/d / ((c + e*i)/f) = (a + b*i)(c - e*i)*f / (d*(c^2 + e^2))
+        return _gauss((a * c + b * e) * f, (b * c - a * e) * f,
+                      self._d * (c * c + e * e))
+
+    def __rtruediv__(self, other):
         other = _as_gauss(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other:
-            raise ZeroDivisionError("division by zero GaussRational")
-        if not self.im and not other.im:
-            return GaussRational(self.re / other.re)
-        n = other.re * other.re + other.im * other.im
-        return GaussRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        return _as_gauss(other) / self
+        return other / self
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -145,7 +187,7 @@ class GaussRational:
         return out
 
     def conjugate(self):
-        return GaussRational(self.re, -self.im)
+        return _reduced(self._a, -self._b, self._d)
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"
@@ -153,12 +195,38 @@ class GaussRational:
     def __str__(self):
         # Serialization format: "a/b" or "a/b+c/d*i" / "a/b-c/d*i", no spaces,
         # denominators always written.
-        def fr(x):
-            return f"{x.numerator}/{x.denominator}"
-        if not self.im:
-            return fr(self.re)
-        sign = "+" if self.im >= 0 else "-"
-        return f"{fr(self.re)}{sign}{fr(abs(self.im))}*i"
+        d = self._d
+
+        def fr(n):
+            g = gcd(n, d)
+            return f"{n // g}/{d // g}"
+        if not self._b:
+            return fr(self._a)
+        sign = "+" if self._b > 0 else "-"
+        return f"{fr(self._a)}{sign}{fr(abs(self._b))}*i"
+
+
+_new_object = object.__new__
+
+
+def _gauss(a, b, d):
+    """(a + b*i)/d in canonical form, for ints a, b and d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _reduced(a, b, d)
+
+
+def _reduced(a, b, d):
+    """The GaussRational of a triple that is already canonical."""
+    out = _new_object(GaussRational)
+    out._a = a
+    out._b = b
+    out._d = d
+    return out
 
 
 def _as_gauss(x):
@@ -303,16 +371,16 @@ class QLaurent:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
+        if not isinstance(other, QLaurent):
             g = _as_gauss(other)
+            if g is NotImplemented:
+                return NotImplemented
             if not g:
                 return _QL_ZERO
             out = QLaurent.__new__(QLaurent)
             object.__setattr__(out, "terms",
                                {e: c * g for e, c in self.terms.items()})
             return out
-        if not isinstance(other, QLaurent):
-            return NotImplemented
         a, b = self.terms, other.terms
         if len(a) == 1:                       # fast path: monomial factor
             (ea, ca), = a.items()
@@ -518,11 +586,12 @@ class QRat:
             raise ZeroDivisionError("QRat with zero denominator")
         if not num:
             den = _QL_ONE
-        else:
-            g = _ql_gcd(num, den)
-            if g != _QL_ONE:
-                num = num / g
-                den = den / g
+        elif den != _QL_ONE:
+            if len(den.terms) > 1:       # a monomial is a unit: gcd 1
+                g = _ql_gcd(num, den)
+                if g != _QL_ONE:
+                    num = num / g
+                    den = den / g
             # unit-normalize the denominator
             v = den.val()
             c0 = den.terms[v]
@@ -600,7 +669,10 @@ class QRat:
         return QRat(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return _as_qrat(other) / self
+        other = _as_qrat(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def as_qlaurent(self) -> QLaurent:
         """Return the numerator if the denominator is trivial, else raise."""

@@ -24,7 +24,6 @@ from qadhm.adhm import (
     is_dagger_fixed,
     is_real_solution,
     is_stable,
-    ordered_monomial_rank,
     quadratic_pencil_value,
     random_c1r1_solution,
     random_complex_datum,
@@ -473,6 +472,23 @@ class TestGLInvariance:
         d = random_complex_datum(2, 2, seed=3)
         with pytest.raises(ADHMError):
             gl_action(Matrix(2, 2, [[ONE, Z], [ONE, Z]]), d)
+
+
+def ordered_monomial_rank(B1, B2, i):
+    """Rank of the columns B1^m * B2^n * i for 0 <= m, n <= c-1.
+
+    Always <= closure_rank(B1, B2, i); the inequality can be strict (the
+    ordered monomials omit words such as B2*B1*B2), so the word closure is
+    the ground truth for stability and this map is a comparison oracle.
+    """
+    c = B1.rows
+    ident = Matrix.identity(c, ONE, Z)
+    pows1, pows2 = [ident], [ident]
+    for _ in range(c - 1):
+        pows1.append(pows1[-1] * B1)
+        pows2.append(pows2[-1] * B2)
+    blocks = [pows1[m] * (pows2[n] * i) for m in range(c) for n in range(c)]
+    return Matrix.hstack(blocks).rank()
 
 
 class TestOrderedMonomialOracle:

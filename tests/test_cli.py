@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,14 @@ from qadhm.adhm import (
     random_complex_datum,
     random_stable_solution,
 )
-from qadhm.cli import CLIError, ExprParser, RunConfig, parse_expr, run
+from qadhm.cli import (
+    MAX_GRID_SIZE,
+    CLIError,
+    ExprParser,
+    RunConfig,
+    parse_expr,
+    run,
+)
 from qadhm.exactcore import GaussRational, Matrix, QLaurent
 from qadhm.monad import chi_twist
 from qadhm.qcalculus import derive_table, laplacian, partials
@@ -134,6 +142,15 @@ class TestRunConfig:
         with pytest.raises(CLIError, match="grid_size"):
             RunConfig(grid_size=0)
         RunConfig(seed=-(1 << 63), degree_cap=8, grid_size=1)
+
+    def test_grid_size_bound(self):
+        # 12 is the largest grid the tests and the benchmark use
+        assert MAX_GRID_SIZE >= 12
+        assert RunConfig(grid_size=MAX_GRID_SIZE).grid_size == MAX_GRID_SIZE
+        with pytest.raises(CLIError, match=f"1..{MAX_GRID_SIZE}"):
+            RunConfig(grid_size=MAX_GRID_SIZE + 1)
+        with pytest.raises(CLIError, match="grid_size"):
+            RunConfig(grid_size="12")
 
 
 class TestAdhmCommands:
@@ -413,6 +430,16 @@ class TestInstCommands:
                        random_stable_solution(2, 1, 0).to_json())
         assert invoke(["inst", "slices", f, "--dmax", "9"], capsys)[0] == 2
         assert invoke(["inst", "slices", f, "--degree-cap", "9"], capsys)[0] == 2
+
+    def test_slices_refuses_an_oversized_grid_at_once(self, tmp_path, capsys):
+        f = write_json(tmp_path / "d.json",
+                       random_stable_solution(2, 3, 0).to_json())
+        start = time.perf_counter()
+        code, out = invoke(["inst", "slices", f, "--dmax", "1",
+                            "--grid-size", str(MAX_GRID_SIZE + 1)], capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert "grid_size" in json.loads(out)["error"]["message"]
 
 
 class TestDeterminism:

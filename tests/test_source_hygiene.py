@@ -1,4 +1,5 @@
-"""Static checks on the package source: no dead imports, no dead helpers.
+"""Static checks on the package source: no dead imports, no dead helpers,
+no floating-point numbers.
 
 Both read the modules with the standard-library ``ast`` parser only.
 """
@@ -70,3 +71,19 @@ def test_every_private_function_is_referenced():
                 if everywhere[node.name] - inside[node.name] <= 0:
                     dead.append(f"{name}:{node.lineno} {node.name}")
     assert not dead, f"private functions nothing references: {dead}"
+
+
+def test_no_floating_point():
+    # every answer is exact: no float (or complex) literal, and no call that
+    # makes or rounds a float
+    inexact = []
+    for name, tree in parse_modules().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant)
+                    and type(node.value) in (float, complex)):
+                inexact.append(f"{name}:{node.lineno} {node.value!r}")
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("float", "round")):
+                inexact.append(f"{name}:{node.lineno} {node.func.id}()")
+    assert not inexact, f"floating point in src/qadhm: {inexact}"

@@ -33,39 +33,6 @@ import argparse
 import json
 import sys
 
-from .adhm import (
-    ADHMError,
-    ComplexADHMDatum,
-    RealADHMDatum,
-    classify,
-    complex_residuals,
-    datum_from_json,
-    derivative_rank,
-    embed_real,
-    is_complex_solution,
-    random_stable_solution,
-)
-from .exactcore import GaussRational, QLaurent, parse_gauss
-from .monad import MonadError, build_monad, chi_twist, classify_sheaf
-from .qcalculus import (
-    cech_index,
-    derive_table,
-    eigenvalue_tilde,
-    laplacian,
-    partials,
-    penrose_scalar,
-    tilde_laplacian,
-)
-from .qspacetime import HarmonicIndex, NCPoly, X_NAMES, basis_element, det_x
-from .qinstanton import (
-    QInstantonError,
-    curvature_asd,
-    curvature_report_json,
-    ids_report,
-    pencil_grid,
-    slice_rank_report,
-)
-
 __all__ = ["CLIError", "ExprParser", "RunConfig", "main", "parse_expr", "run"]
 
 P_CHOICES = ("q", "qinv")
@@ -105,9 +72,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # expression mini-language
 # ---------------------------------------------------------------------------
-
-_WORDS = dict(zip(X_NAMES, range(4)))
-
 
 class ExprParser:
     """Recursive-descent parser for the q-command expression language."""
@@ -176,10 +140,12 @@ class ExprParser:
             self._next()
             acc = acc * self._factor()
         if negate:
-            acc = acc.scale(GaussRational(-1))
+            acc = -acc
         return acc
 
     def _factor(self):
+        from .exactcore import QLaurent
+        from .qspacetime import NCPoly, X_NAMES, det_x
         tok = self._next()
         if tok is None:
             raise CLIError("expression ended where a factor was expected")
@@ -198,7 +164,7 @@ class ExprParser:
             return NCPoly("I", {(0, 0, 0, 0): QLaurent.q_power(exp)})
         if tok == "det":
             return det_x()
-        if tok in _WORDS:
+        if tok in X_NAMES:
             return NCPoly.gen("I", tok)
         raise CLIError(f"unknown token {tok!r} in expression "
                        f"(words: {', '.join(X_NAMES)}, det)")
@@ -235,16 +201,17 @@ def _load_json(path):
         raise CLIError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_datum(path, want=None):
+def _load_datum(path, real=False):
+    from .adhm import ComplexADHMDatum, RealADHMDatum, datum_from_json
     obj = _load_json(path)
     try:
         d = datum_from_json(obj)
-    except (ADHMError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CLIError(f"{path}: {exc}") from exc
-    if want is ComplexADHMDatum and not isinstance(d, ComplexADHMDatum):
+    if not real and not isinstance(d, ComplexADHMDatum):
         raise CLIError(f"{path}: expected a complex datum "
                        "(embed a real one with `adhm embed` first)")
-    if want is RealADHMDatum and not isinstance(d, RealADHMDatum):
+    if real and not isinstance(d, RealADHMDatum):
         raise CLIError(f"{path}: expected a real datum")
     return d
 
@@ -266,11 +233,14 @@ def _emit_json(obj, cfg):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns True when every asserted identity holds
+# command handlers: each returns True when every asserted identity holds.
+# Each imports the library modules it uses, so a process compiles only the
+# modules of the command it runs (there may be no bytecode cache).
 # ---------------------------------------------------------------------------
 
 def _cmd_adhm_check(args, cfg):
-    d = _load_datum(args.file, ComplexADHMDatum)
+    from .adhm import classify, complex_residuals, is_complex_solution
+    d = _load_datum(args.file)
     res = complex_residuals(d)
     report = {
         "r": d.r,
@@ -284,7 +254,8 @@ def _cmd_adhm_check(args, cfg):
 
 
 def _cmd_adhm_embed(args, cfg):
-    d = _load_datum(args.file, RealADHMDatum)
+    from .adhm import ADHMError, embed_real
+    d = _load_datum(args.file, real=True)
     try:
         out = embed_real(d)
     except ADHMError as exc:
@@ -294,6 +265,7 @@ def _cmd_adhm_embed(args, cfg):
 
 
 def _cmd_adhm_random(args, cfg):
+    from .adhm import ADHMError, random_stable_solution
     try:
         d = random_stable_solution(args.r, args.c, cfg.seed)
     except ADHMError as exc:
@@ -303,7 +275,8 @@ def _cmd_adhm_random(args, cfg):
 
 
 def _cmd_adhm_rank(args, cfg):
-    d = _load_datum(args.file, ComplexADHMDatum)
+    from .adhm import classify, derivative_rank
+    d = _load_datum(args.file)
     rank = derivative_rank(d)
     ambient = 4 * d.c * d.c + 4 * d.c * d.r
     report = {
@@ -320,7 +293,8 @@ def _cmd_adhm_rank(args, cfg):
 
 
 def _cmd_monad_build(args, cfg):
-    d = _load_datum(args.file, ComplexADHMDatum)
+    from .monad import MonadError, build_monad
+    d = _load_datum(args.file)
     try:
         m = build_monad(d)
     except MonadError as exc:
@@ -330,7 +304,8 @@ def _cmd_monad_build(args, cfg):
 
 
 def _cmd_monad_classify(args, cfg):
-    d = _load_datum(args.file, ComplexADHMDatum)
+    from .monad import MonadError, classify_sheaf
+    d = _load_datum(args.file)
     try:
         rep = classify_sheaf(d, extra_seed=cfg.seed)
     except MonadError as exc:
@@ -340,6 +315,7 @@ def _cmd_monad_classify(args, cfg):
 
 
 def _cmd_monad_chern(args, cfg):
+    from .monad import chi_twist
     if args.r < 1 or args.c < 1:
         raise CLIError("r and c must be positive")
     _emit(str(chi_twist(args.r, args.c, args.k)) + "\n", cfg)
@@ -359,6 +335,8 @@ def _cmd_q_normalize(args, cfg):
 
 
 def _cmd_q_partial(args, cfg):
+    from .qcalculus import derive_table, partials
+    from .qspacetime import X_NAMES
     p = parse_expr(args.expr)
     table = derive_table(cfg.p_choice)
     parts = partials(p, table)
@@ -372,6 +350,7 @@ def _cmd_q_partial(args, cfg):
 
 
 def _cmd_q_laplace(args, cfg):
+    from .qcalculus import derive_table, laplacian
     p = parse_expr(args.expr)
     table = derive_table(cfg.p_choice)
     box = laplacian(p, table)
@@ -386,6 +365,8 @@ def _cmd_q_laplace(args, cfg):
 
 
 def _cmd_q_harmonic(args, cfg):
+    from .qcalculus import derive_table, laplacian
+    from .qspacetime import HarmonicIndex, basis_element
     try:
         idx = HarmonicIndex(args.l, args.m, args.n, args.k)
     except ValueError as exc:
@@ -408,6 +389,8 @@ def _cmd_q_harmonic(args, cfg):
 
 
 def _cmd_q_eigen(args, cfg):
+    from .qcalculus import derive_table, eigenvalue_tilde, tilde_laplacian
+    from .qspacetime import HarmonicIndex, basis_element
     if args.k < 0 or args.l < 0:
         raise CLIError("k and l must be nonnegative")
     lam = eigenvalue_tilde(args.k, args.l, cfg.p_choice)
@@ -427,6 +410,7 @@ def _cmd_q_eigen(args, cfg):
 
 
 def _rules_json(rules, left, right):
+    from .qspacetime import X_NAMES
     out = {}
     for (g, h), terms in rules.items():
         key = f"{left}{X_NAMES[g]}*{right}{X_NAMES[h]}"
@@ -438,6 +422,7 @@ def _rules_json(rules, left, right):
 
 
 def _cmd_q_table(args, cfg):
+    from .qcalculus import derive_table
     p_choice = args.p or cfg.p_choice
     if p_choice not in P_CHOICES:
         raise CLIError(f"p must be one of {P_CHOICES}")
@@ -453,6 +438,8 @@ def _cmd_q_table(args, cfg):
 
 
 def _cmd_q_penrose(args, cfg):
+    from .exactcore import parse_gauss
+    from .qcalculus import cech_index, derive_table, laplacian, penrose_scalar
     obj = _load_json(args.file)
     items = obj.get("cocycle") if isinstance(obj, dict) else obj
     if not isinstance(items, list) or not items:
@@ -487,14 +474,17 @@ def _cmd_q_penrose(args, cfg):
 
 
 def _cmd_inst_verify(args, cfg):
-    d = _load_datum(args.file, ComplexADHMDatum)
+    from .qinstanton import ids_report
+    d = _load_datum(args.file)
     report = {chart: ids_report(d, chart) for chart in ("I", "J")}
     _emit_json(report, cfg)
     return report["I"]["all_zero"] and report["J"]["all_zero"]
 
 
 def _cmd_inst_curvature(args, cfg):
-    d = _load_datum(args.file, ComplexADHMDatum)
+    from .qinstanton import (QInstantonError, curvature_asd,
+                             curvature_report_json)
+    d = _load_datum(args.file)
     try:
         report = curvature_asd(d, cfg.p_choice)
     except QInstantonError as exc:
@@ -504,7 +494,8 @@ def _cmd_inst_curvature(args, cfg):
 
 
 def _cmd_inst_slices(args, cfg):
-    d = _load_datum(args.file, ComplexADHMDatum)
+    from .qinstanton import QInstantonError, pencil_grid, slice_rank_report
+    d = _load_datum(args.file)
     dmax = cfg.degree_cap if args.dmax is None else args.dmax
     if not 0 <= dmax <= MAX_DEGREE_CAP:
         raise CLIError(f"dmax must lie in 0..{MAX_DEGREE_CAP}")

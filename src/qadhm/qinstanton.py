@@ -35,7 +35,6 @@ from fractions import Fraction
 
 from .adhm import classify, complex_residuals, is_complex_solution
 from .exactcore import GaussRational, Matrix, QLaurent, QRat, _echelon
-from .qcalculus import NCForm, asd_membership, d as exterior_d, derive_table
 from .qspacetime import NCPoly, X_NAMES, Y_NAMES, det_x, monomials_of_degree
 
 __all__ = [
@@ -556,6 +555,7 @@ def kernel_slice_basis(d, dmax, chart="I"):
 
 def _form_from_words(table, coeffs):
     """2-form with constant coefficients: {word: Laurent-like scalar}."""
+    from .qcalculus import NCForm
     return NCForm(table, 2,
                   {(w, _ZMONO): QRat(c) for w, c in coeffs.items() if c})
 
@@ -566,7 +566,7 @@ def _quoted_display(table):
     e02, e13 = (0, 2), (1, 3)
     one = QLaurent.one()
     two = QLaurent.from_scalar(2)
-    zero = NCForm(table, 2, {})
+    zero = _form_from_words(table, {})
     return [
         [_form_from_words(table, {e03: -one, e12: -one}),
          _form_from_words(table, {e02: two}), zero],
@@ -589,6 +589,7 @@ def curvature_asd(d, p_choice="q"):
     remainder with coefficient proportional to q^2 - 1 under the derived
     wedge rules; nothing here depends on the datum beyond it being a
     solution."""
+    from .qcalculus import NCForm, asd_membership, d as exterior_d, derive_table
     if not is_complex_solution(d):
         raise QInstantonError("curvature audit requires a solution datum")
     table = derive_table(p_choice)
@@ -661,6 +662,7 @@ def curvature_asd(d, p_choice="q"):
 
 def curvature_report_json(report):
     """Stringify the exact forms of a curvature report for serialization."""
+    from .qcalculus import NCForm
     out = {k: v for k, v in report.items() if k != "entries"}
     out["entries"] = [[
         {k: (str(v) if isinstance(v, NCForm) else v) for k, v in e.items()}
@@ -722,6 +724,7 @@ def chart_j_pattern(d):
 # ---------------------------------------------------------------------------
 
 def _as_zero_form(table, comp):
+    from .qcalculus import NCForm
     if isinstance(comp, NCForm):
         if comp.degree != 0:
             raise QInstantonError("projection input must have form degree 0")
@@ -765,6 +768,7 @@ def projection_truncated(d, psi, dmax):
     coefficients below degree dmax+1, so its phi is zero and P(P(psi)) =
     P(psi).  Components come back as 0-forms with exact rational-function
     coefficients."""
+    from .qcalculus import NCForm, derive_table
     rep = classify(d)
     if not rep.regular:
         raise QInstantonError("projection requires a regular datum")

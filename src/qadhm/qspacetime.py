@@ -32,7 +32,6 @@ Out-of-range indices (|m| > l or |n| > l) denote the zero element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactcore import (
@@ -475,20 +474,43 @@ def det_mult_rank(d) -> bool:
 # harmonic basis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class HarmonicIndex:
-    """Index (l, m, n) with a det-power k; half-integers stored doubled."""
+    """Index (l, m, n) with a det-power k; half-integers stored doubled.
 
-    two_l: int
-    two_m: int
-    two_n: int
-    k: int = 0
+    Immutable; equal (and hashed alike) exactly when all four fields are."""
 
-    def __post_init__(self):
-        if self.two_l < 0:
+    __slots__ = ("two_l", "two_m", "two_n", "k")
+
+    def __init__(self, two_l, two_m, two_n, k=0):
+        if two_l < 0:
             raise ValueError("two_l must be >= 0")
-        if (self.two_m - self.two_l) % 2 or (self.two_n - self.two_l) % 2:
+        if (two_m - two_l) % 2 or (two_n - two_l) % 2:
             raise ValueError("m, n must be congruent to l mod 1")
+        for name, value in zip(self.__slots__, (two_l, two_m, two_n, k)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError("HarmonicIndex is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return (self.two_l, self.two_m, self.two_n, self.k)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return HarmonicIndex, self._key()
+
+    def __repr__(self):
+        return ("HarmonicIndex(two_l=%r, two_m=%r, two_n=%r, k=%r)"
+                % self._key())
 
     def in_range(self):
         return abs(self.two_m) <= self.two_l and abs(self.two_n) <= self.two_l

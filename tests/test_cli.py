@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -483,3 +484,98 @@ class TestDeterminism:
                                "-r", "2", "-c", "1", "-k", "-1"])
             assert proc.returncode == 0, (module, proc.stderr)
             assert proc.stdout == "-1\n"
+
+
+# What a child process reports: the modules that importing qadhm.cli and
+# running one command added to sys.modules.
+_LOADED_BY_RUN = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from qadhm import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.run(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"code": code, "new": sorted(set(sys.modules) - before)}))
+"""
+
+# argv (DATUM stands for a solution file) -> the qadhm modules it loads
+DATUM = "<datum>"
+_MODULES_BY_COMMAND = {
+    ("--help",): {"cli"},
+    ("adhm", "check", DATUM): {"cli", "exactcore", "adhm"},
+    ("monad", "build", DATUM): {"cli", "exactcore", "adhm", "monad"},
+    ("monad", "chern", "-r", "2", "-c", "1", "-k", "0"):
+        {"cli", "exactcore", "adhm", "monad"},
+    ("q", "normalize", "x11*x22"): {"cli", "exactcore", "qspacetime"},
+    ("q", "laplace", "x11*x22"):
+        {"cli", "exactcore", "qspacetime", "qcalculus"},
+    ("q", "eigen", "-k", "1", "-l", "2"):
+        {"cli", "exactcore", "qspacetime", "qcalculus"},
+    ("inst", "verify", DATUM):
+        {"cli", "exactcore", "adhm", "qspacetime", "qinstanton"},
+    ("inst", "slices", DATUM, "--dmax", "0", "--grid-size", "2"):
+        {"cli", "exactcore", "adhm", "qspacetime", "qinstanton"},
+    ("inst", "curvature", DATUM):
+        {"cli", "exactcore", "adhm", "qspacetime", "qinstanton", "qcalculus"},
+}
+
+
+class TestImportDiscipline:
+    """Each command imports only the library modules its group runs: with
+    no bytecode cache every imported module is compiled on every call."""
+
+    @pytest.mark.parametrize("command", sorted(_MODULES_BY_COMMAND),
+                             ids=" ".join)
+    def test_modules_loaded(self, command, tmp_path):
+        f = write_json(tmp_path / "d.json",
+                       random_stable_solution(2, 1, 4).to_json())
+        argv = [f if a == DATUM else a for a in command]
+        proc = run_python(["-c", _LOADED_BY_RUN, *argv])
+        assert proc.returncode == 0, proc.stderr
+        rep = json.loads(proc.stdout)
+        assert rep["code"] == 0
+        assert {m.partition(".")[2] for m in rep["new"]
+                if m.startswith("qadhm.")} == _MODULES_BY_COMMAND[command]
+        assert "dataclasses" not in rep["new"]
+
+
+_SUBCOMMANDS = {
+    "adhm": ["check", "embed", "random", "rank"],
+    "monad": ["build", "classify", "chern"],
+    "q": ["normalize", "partial", "laplace", "harmonic", "eigen", "table",
+          "penrose"],
+    "inst": ["verify", "curvature", "slices"],
+}
+
+
+class TestHelp:
+    """--help at every level exits 0 and lists every subcommand."""
+
+    @staticmethod
+    def help_text(argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            run([*argv, "--help"])
+        assert info.value.code == 0
+        return capsys.readouterr().out
+
+    @staticmethod
+    def listed(text):
+        return re.search(r"\{([\w,]+)\}", text).group(1).split(",")
+
+    def test_top_level(self, capsys):
+        out = self.help_text([], capsys)
+        assert self.listed(out) == list(_SUBCOMMANDS)
+        for group in _SUBCOMMANDS:
+            assert re.search(rf"^ +{group} +\S", out, re.M), group
+        assert "Expression grammar" in out
+
+    @pytest.mark.parametrize("group", list(_SUBCOMMANDS))
+    def test_groups(self, group, capsys):
+        out = self.help_text([group], capsys)
+        assert self.listed(out) == _SUBCOMMANDS[group]
+        for sub in _SUBCOMMANDS[group]:
+            assert re.search(rf"^ +{sub} +\S", out, re.M), sub
+            assert self.help_text([group, sub], capsys).startswith(
+                f"usage: qadhm {group} {sub}")

@@ -1,6 +1,9 @@
 """Tests for the quantum Minkowski algebra charts and harmonic bases."""
 
+import copy
+import pickle
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -15,6 +18,27 @@ from qadhm.qspacetime import (
 
 Q2 = QLaurent({2: 1})
 QM2 = QLaurent({-2: 1})
+
+
+@dataclass(frozen=True)
+class OracleIndex:
+    """The frozen-dataclass form of HarmonicIndex, as the oracle for its
+    constructor, validation, equality, hash, repr and immutability."""
+
+    two_l: int
+    two_m: int
+    two_n: int
+    k: int = 0
+
+    def __post_init__(self):
+        if self.two_l < 0:
+            raise ValueError("two_l must be >= 0")
+        if (self.two_m - self.two_l) % 2 or (self.two_n - self.two_l) % 2:
+            raise ValueError("m, n must be congruent to l mod 1")
+
+
+# the dataclass repr reads the class's qualified name
+OracleIndex.__qualname__ = "HarmonicIndex"
 
 
 def xgens():
@@ -252,6 +276,101 @@ class TestHarmonicIndex:
     def test_k_rejected_by_harmonic(self):
         with pytest.raises(ValueError):
             harmonic(HarmonicIndex(2, 0, 0, k=1))
+
+
+class TestHarmonicIndexOracle:
+    """HarmonicIndex against the frozen dataclass it replaced."""
+
+    ARGS = [(l, m, n, k) for l in range(-1, 4) for m in range(-4, 5)
+            for n in range(-3, 4) for k in (0, 1, -2)]
+
+    @staticmethod
+    def build(cls, args):
+        try:
+            return cls(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    def pairs(self):
+        """(new, oracle) for every valid argument tuple of ARGS."""
+        out = []
+        for args in self.ARGS:
+            new = self.build(HarmonicIndex, args)
+            if not isinstance(new, str):
+                out.append((new, OracleIndex(*args)))
+        return out
+
+    def test_validation(self):
+        for args in self.ARGS + [(0, 0, 0), (2, 5, 1), (-2, 0, 0, 3)]:
+            new = self.build(HarmonicIndex, args)
+            old = self.build(OracleIndex, args)
+            if isinstance(old, str):
+                assert new == old, args
+            else:
+                assert isinstance(new, HarmonicIndex), args
+        assert self.build(HarmonicIndex, (1, 0, 1)) == \
+            "m, n must be congruent to l mod 1"
+        assert self.build(HarmonicIndex, (-1, 1, 1)) == "two_l must be >= 0"
+        assert len(self.pairs()) > 100
+
+    def test_keywords_default_and_fields(self):
+        idx = HarmonicIndex(two_l=3, two_m=-1, two_n=1)
+        old = OracleIndex(two_l=3, two_m=-1, two_n=1)
+        assert (idx.two_l, idx.two_m, idx.two_n, idx.k) == (3, -1, 1, 0)
+        assert repr(idx) == repr(old) \
+            == "HarmonicIndex(two_l=3, two_m=-1, two_n=1, k=0)"
+        assert HarmonicIndex(2, 0, 2, k=5).k == 5
+
+    def test_eq_ne_hash_repr(self):
+        pairs = self.pairs()
+        for a, oa in pairs:
+            assert hash(a) == hash(oa)
+            assert repr(a) == repr(oa)
+            assert a == HarmonicIndex(a.two_l, a.two_m, a.two_n, a.k)
+        for a, oa in pairs[::7]:
+            for b, ob in pairs[::5]:
+                assert (a == b) == (oa == ob)
+                assert (a != b) == (oa != ob)
+
+    def test_foreign_operands(self):
+        for a, oa in self.pairs()[::11]:
+            fields = (a.two_l, a.two_m, a.two_n, a.k)
+            for other in (fields, list(fields), None, 0, str(a)):
+                assert (a == other) is (oa == other) is False
+                assert (a != other) is (oa != other) is True
+            # like two unrelated dataclasses: never equal to each other
+            assert (a == oa) is (oa == a) is False
+            assert (a == a) is (oa == oa) is True
+
+    def test_dict_and_set_keys(self):
+        pairs = self.pairs()
+        new = {a: i for i, (a, _) in enumerate(pairs)}
+        old = {oa: i for i, (_, oa) in enumerate(pairs)}
+        assert list(new.values()) == list(old.values())
+        for a, oa in pairs:
+            twin = HarmonicIndex(a.two_l, a.two_m, a.two_n, a.k)
+            assert new[twin] == old[oa]
+        assert len({HarmonicIndex(2, 0, 0), HarmonicIndex(2, 0, 0, 0),
+                    HarmonicIndex(2, 0, 0, 1)}) == 2
+
+    def test_immutable(self):
+        for cls in (HarmonicIndex, OracleIndex):
+            idx = cls(2, 0, 2, 1)
+            for name in ("two_l", "two_m", "two_n", "k", "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(idx, name, 0)
+            for name in ("two_l", "k"):
+                with pytest.raises(AttributeError):
+                    delattr(idx, name)
+            assert (idx.two_l, idx.two_m, idx.two_n, idx.k) == (2, 0, 2, 1)
+
+    def test_copy_and_pickle(self):
+        for a, oa in self.pairs()[::13]:
+            for twin in (copy.copy(a), copy.deepcopy(a),
+                         pickle.loads(pickle.dumps(a))):
+                assert type(twin) is HarmonicIndex
+                assert twin == a and hash(twin) == hash(a)
+                assert repr(twin) == repr(oa)
 
 
 class TestHarmonic:

@@ -1,5 +1,5 @@
-"""Static checks on the package source: no dead imports, no dead helpers,
-no floating-point numbers.
+"""Static checks on the package source: no dead imports (at module level or
+inside functions), no dead helpers, no floating-point numbers.
 
 Both read the modules with the standard-library ``ast`` parser only.
 """
@@ -38,21 +38,53 @@ def exported_names(tree):
     return set()
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def bound_names(node):
+    """The names an import statement binds (none for ``__future__``)."""
+    if isinstance(node, ast.Import):
+        return [a.asname or a.name.split(".")[0] for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [a.asname or a.name for a in node.names]
+    return []
+
+
+def local_imports(fn):
+    """Import statements in a function's own body, nested functions aside."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, FUNCTIONS):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unused_imports(name, scope, imports, extra_used=()):
+    """``module:line name`` for each name ``imports`` bind that ``scope``
+    never loads (nor lists in ``extra_used``)."""
+    used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+    used |= set(extra_used)
+    return [f"{name}:{node.lineno} {b}" for node in imports
+            for b in bound_names(node) if b not in used]
+
+
 def test_no_unused_module_level_imports():
     unused = []
     for name, tree in parse_modules().items():
-        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        used |= exported_names(tree)
-        for node in tree.body:
-            if isinstance(node, ast.Import):
-                bound = [a.asname or a.name.split(".")[0] for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                bound = [a.asname or a.name for a in node.names]
-            else:
-                continue
-            unused += [f"{name}:{node.lineno} {b}" for b in bound
-                       if b not in used]
+        unused += unused_imports(name, tree, tree.body, exported_names(tree))
     assert not unused, f"unused imports: {unused}"
+
+
+def test_no_unused_function_level_imports():
+    # a name imported inside a function must be used in that function
+    unused = []
+    for name, tree in parse_modules().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, FUNCTIONS):
+                unused += unused_imports(name, fn, local_imports(fn))
+    assert not unused, f"unused imports inside functions: {unused}"
 
 
 def test_every_private_function_is_referenced():

@@ -794,10 +794,13 @@ def random_stable_solution(r, c, seed):
     their pencil nonzero, so at every point of the line at least one
     evaluated operator has a nonzero N part and the word closure contains the
     full N-orbit of Im i~; the top rows of i1 and i2 are drawn linearly
-    independent so that orbit is everything at every point.  Requires r >= 2.
+    independent so that orbit is everything at every point.  Requires r >= 2
+    and c >= 1.
     """
     if r < 2:
         raise ADHMError("random_stable_solution needs r >= 2")
+    if c < 1:
+        raise ADHMError("random_stable_solution needs c >= 1")
     rng = random.Random(seed)
     while True:
         a = [random_gauss(rng) for _ in range(4)]  # N-coefficients

@@ -38,6 +38,10 @@ __all__ = ["CLIError", "ExprParser", "RunConfig", "main", "parse_expr", "run"]
 P_CHOICES = ("q", "qinv")
 MAX_DEGREE_CAP = 8
 MAX_GRID_SIZE = 64
+MAX_TWO_L = 32        # q harmonic / q eigen -l (twice l)
+MAX_DET_POWER = 16    # q harmonic / q eigen -k
+MAX_RANK = 32         # adhm random -r
+MAX_CHARGE = 12       # adhm random -c
 _SEED_BOUND = 1 << 63
 
 
@@ -266,6 +270,9 @@ def _cmd_adhm_embed(args, cfg):
 
 def _cmd_adhm_random(args, cfg):
     from .adhm import ADHMError, random_stable_solution
+    if args.r > MAX_RANK or args.c > MAX_CHARGE:
+        raise CLIError(f"r must be at most {MAX_RANK} and c at most "
+                       f"{MAX_CHARGE}")
     try:
         d = random_stable_solution(args.r, args.c, cfg.seed)
     except ADHMError as exc:
@@ -364,9 +371,16 @@ def _cmd_q_laplace(args, cfg):
     return True
 
 
+def _check_harmonic_caps(args):
+    if args.l > MAX_TWO_L or args.k > MAX_DET_POWER:
+        raise CLIError(f"l must be at most {MAX_TWO_L} and k at most "
+                       f"{MAX_DET_POWER}")
+
+
 def _cmd_q_harmonic(args, cfg):
     from .qcalculus import derive_table, laplacian
     from .qspacetime import HarmonicIndex, basis_element
+    _check_harmonic_caps(args)
     try:
         idx = HarmonicIndex(args.l, args.m, args.n, args.k)
     except ValueError as exc:
@@ -393,6 +407,7 @@ def _cmd_q_eigen(args, cfg):
     from .qspacetime import HarmonicIndex, basis_element
     if args.k < 0 or args.l < 0:
         raise CLIError("k and l must be nonnegative")
+    _check_harmonic_caps(args)
     lam = eigenvalue_tilde(args.k, args.l, cfg.p_choice)
     table = derive_table(cfg.p_choice)
     witness = basis_element(HarmonicIndex(args.l, args.l, args.l, args.k))
@@ -494,14 +509,14 @@ def _cmd_inst_curvature(args, cfg):
 
 
 def _cmd_inst_slices(args, cfg):
-    from .qinstanton import QInstantonError, pencil_grid, slice_rank_report
+    from .qinstanton import QInstantonError, pencil_grid, slice_rank_grid
     d = _load_datum(args.file)
     dmax = cfg.degree_cap if args.dmax is None else args.dmax
     if not 0 <= dmax <= MAX_DEGREE_CAP:
         raise CLIError(f"dmax must lie in 0..{MAX_DEGREE_CAP}")
     grid = pencil_grid(cfg.grid_size)
     try:
-        reports = [slice_rank_report(d, P, dmax) for P in grid]
+        reports = slice_rank_grid(d, grid, dmax)
     except QInstantonError as exc:
         raise CLIError(str(exc)) from exc
     ok = all(rep["surjective"] for rep in reports)

@@ -756,16 +756,20 @@ def qbinom(n: int, r: int) -> QLaurent:
 # ---------------------------------------------------------------------------
 
 def _echelon(rows, ncols, reduced=False):
-    """Row echelon form of sparse rows over a field.
+    """Row echelon form of sparse rows over Q(i), Q(i)(q) or Q(i)[q, q^-1].
 
-    ``rows`` are {col: nonzero field element} dicts; they are not modified.
-    Columns 0..ncols-1 are eliminated from left to right, and each column
-    pivots on the shortest live row that contains it, which keeps fill-in
-    low.  Returns the pivots in column order as (col, index of the input
-    row, row normalised to 1 at col).  With ``reduced`` each pivot column
-    is also cleared from the earlier pivot rows, which gives the reduced
-    row echelon form.  Rank, pivot columns and the reduced form depend only
-    on the rows, not on the pivoting rule.
+    ``rows`` are {col: nonzero entry} dicts of field elements or
+    ``QLaurent`` ring elements; they are not modified.  Columns
+    0..ncols-1 are eliminated from left to right.  Each column pivots on
+    the shortest live row whose entry there is a unit -- a field element
+    or a Laurent monomial c*q^k -- so Laurent rows stay Laurent; only when
+    no candidate is a unit does the shortest row pivot on a ``QRat``
+    inverse.  Returns the pivots in column order as (col, index of the
+    input row, row normalised to 1 at col).  With ``reduced`` each pivot
+    column is also cleared from the earlier pivot rows, which gives the
+    reduced row echelon form.  Rank, pivot columns and the reduced form
+    (over the fraction field) depend only on the rows, not on the
+    pivoting rule.
     """
     work = [dict(r) for r in rows]
     live = [i for i, r in enumerate(work) if r]
@@ -776,13 +780,24 @@ def _echelon(rows, ncols, reduced=False):
         if not cand:
             continue
         p = min(cand, key=lambda i: len(work[i]))
+        lead = work[p][j]
+        if type(lead) is QLaurent and len(lead.terms) > 1:
+            p = min((i for i in cand if type(work[i][j]) is not QLaurent
+                     or len(work[i][j].terms) == 1),
+                    key=lambda i: len(work[i]), default=p)
         live.remove(p)
         row = work[p]
         lead = row.pop(j)
-        if one is None:
-            one = lead / lead     # the field's 1, built once per call
-        inv = one / lead
-        norm = {k: v * inv for k, v in row.items()}
+        if type(lead) is not QLaurent:
+            if one is None:
+                one = lead / lead     # the field's 1, built once per call
+            unit, inv = one, one / lead
+        elif len(lead.terms) == 1:    # a monomial c*q^k: inverse c^-1*q^-k
+            (e, c), = lead.terms.items()
+            unit, inv = _QL_ONE, QLaurent({-e: _GR_ONE / c})
+        else:
+            unit, inv = QRat(_QL_ONE), QRat(_QL_ONE, lead)
+        norm = {k: inv * v for k, v in row.items()}
         targets = [work[i] for i in cand if i != p]
         if reduced:
             targets += [r for _, _, r in pivots if j in r]
@@ -795,7 +810,7 @@ def _echelon(rows, ncols, reduced=False):
                     r[k] = val
                 elif cur is not None:
                     del r[k]
-        norm[j] = one
+        norm[j] = unit
         pivots.append((j, p, norm))
     return pivots
 

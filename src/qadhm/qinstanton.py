@@ -41,9 +41,10 @@ __all__ = [
     "QInstantonError", "ModuleOperator", "build_q_ops", "scalar_operator",
     "identity_products", "verify_ids", "ids_report", "beta_p_alpha_q",
     "xi_operator", "xi_leading", "truncated_matrix", "slice_rank_report",
-    "beta_surjective_truncated", "pencil_grid", "alpha_slice_report",
-    "alpha_injective_truncated", "kernel_slice_basis", "curvature_asd",
-    "curvature_report_json", "chart_j_pattern", "projection_truncated",
+    "slice_rank_grid", "beta_surjective_truncated", "pencil_grid",
+    "alpha_slice_report", "alpha_injective_truncated", "kernel_slice_basis",
+    "curvature_asd", "curvature_report_json", "chart_j_pattern",
+    "projection_truncated",
 ]
 
 _ZMONO = (0, 0, 0, 0)
@@ -373,30 +374,30 @@ def truncated_matrix(op, src_degree, tgt_degree):
                   [[row.get(j, zero) for j in range(cols)] for row in rows])
 
 
-def _sparse_containment(bp, dmax):
-    """(image_rank, missed): echelon of [image | slice embedding] with
-    sparse rows over the rational function field.
+def _sparse_containment(rows, n_s, n_t, n_comp):
+    """(image_rank, missed) for the slice rows of beta_P from _slice_rows
+    (n_comp source components, n_s source and n_t target monomials): the
+    echelon of [image | slice embedding] over the Laurent ring.  The
+    embedding entries are added to ``rows`` in place.
 
     Columns are eliminated left to right, image block first, so a pivot
     landing in the embedding block is exactly a slice direction missed by
     the image of the capped source: image_rank = rank(image) and
     missed = rank([image | embedding]) - rank(image)."""
-    laurent_rows, n_s, n_t = _slice_rows(bp, dmax, dmax + 1)
-    rows = [{j: QRat(c) for j, c in row.items()} for row in laurent_rows]
-    a_cols = bp.cols * n_s
+    a_cols = n_comp * n_s
+    n_v = len(rows) // n_t
     # the first n_s target monomials are exactly the degree <= dmax ones
-    r_one = QRat.one()
-    for v in range(bp.rows):
+    for v in range(n_v):
         for k in range(n_s):
-            rows[v * n_t + k][a_cols + v * n_s + k] = r_one
-    pivots = _echelon(rows, a_cols + bp.rows * n_s)
+            rows[v * n_t + k][a_cols + v * n_s + k] = QLaurent.one()
+    pivots = _echelon(rows, a_cols + n_v * n_s)
     image_rank = sum(1 for j, _, _ in pivots if j < a_cols)
     return image_rank, len(pivots) - image_rank
 
 
 def slice_rank_report(d, P, dmax, chart="I"):
     """Does the image of beta_P on degree <= dmax sources cover the degree
-    <= dmax slice of V (x) M?
+    <= dmax slice of V (x) M?  The one-point case of slice_rank_grid.
 
     Entries never lower degree, so the image of the capped source lives
     completely inside the degree <= dmax+1 slice and covering is an exact
@@ -407,40 +408,48 @@ def slice_rank_report(d, P, dmax, chart="I"):
       exactly by a preimage of the same degree -- an O(1) certificate;
     * otherwise a sparse echelon reduction of the image matrix next to the
       slice embedding decides containment over the rational function
-      field.  No q-specialization shortcut is used: specializing can move
-      the ranks of the image and of the joined matrix independently, so it
-      certifies nothing about a containment.
+      field.  beta_P = p1 beta_1 + p2 beta_2 is linear in P, and so are
+      its slice rows: they are p1 R1 + p2 R2 for the slice rows R1, R2 of
+      beta_1 and beta_2, which a grid builds once.  No q-specialization
+      shortcut is used: specializing can move the ranks of the image and
+      of the joined matrix independently, so it certifies nothing about a
+      containment.
     """
-    p1, p2 = (_gauss(v) for v in P)
-    if not p1 and not p2:
+    return slice_rank_grid(d, [P], dmax, chart)[0]
+
+
+def slice_rank_grid(d, points, dmax, chart="I"):
+    """slice_rank_report at each pencil point, with the operators and the
+    slice rows of beta_1 and beta_2 built once for all points."""
+    points = [tuple(_gauss(v) for v in P) for P in points]
+    if any(not p1 and not p2 for p1, p2 in points):
         raise QInstantonError("pencil parameters must not both vanish")
-    a1, a2, b1, b2 = build_q_ops(d, chart)
-    bp = b1.scale(p1) + b2.scale(p2)
-    slice_dim = d.c * len(_monomials_upto(dmax))
-    i_tilde = d.i1.scale(p1) + d.i2.scale(p2)
-    report = {
-        "chart": chart,
-        "P": [str(p1), str(p2)],
-        "dmax": dmax,
-        "source_dim": bp.cols * len(_monomials_upto(dmax)),
-        "slice_dim": slice_dim,
-    }
-    if i_tilde.rank() == d.c:
-        report.update({
-            "image_rank": None,
-            "covered_dim": slice_dim,
-            "surjective": True,
-            "method": "constant W-block i~(P) is onto V",
-        })
-        return report
-    image_rank, missed = _sparse_containment(bp, dmax)
-    report.update({
-        "image_rank": image_rank,
-        "covered_dim": slice_dim - missed,
-        "surjective": missed == 0,
-        "method": "exact sparse echelon over the rational function field",
-    })
-    return report
+    n = len(_monomials_upto(dmax))
+    _, _, b1, b2 = build_q_ops(d, chart)
+    zero = QLaurent.zero()
+    slices = None
+    reports = []
+    for p1, p2 in points:
+        report = {"chart": chart, "P": [str(p1), str(p2)], "dmax": dmax,
+                  "source_dim": b1.cols * n, "slice_dim": d.c * n}
+        reports.append(report)
+        if (d.i1.scale(p1) + d.i2.scale(p2)).rank() == d.c:
+            report.update(image_rank=None, covered_dim=d.c * n,
+                          surjective=True,
+                          method="constant W-block i~(P) is onto V")
+            continue
+        if slices is None:
+            slices = [_slice_rows(b, dmax, dmax + 1) for b in (b1, b2)]
+        (r1, n_s, n_t), (r2, _, _) = slices
+        rows = [{k: s for k in x.keys() | y.keys()
+                 if (s := x.get(k, zero) * p1 + y.get(k, zero) * p2)}
+                for x, y in zip(r1, r2)]
+        image_rank, missed = _sparse_containment(rows, n_s, n_t, b1.cols)
+        report.update(
+            image_rank=image_rank, covered_dim=d.c * n - missed,
+            surjective=missed == 0,
+            method="exact sparse echelon over the rational function field")
+    return reports
 
 
 def beta_surjective_truncated(d, P, dmax):

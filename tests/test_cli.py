@@ -20,7 +20,11 @@ from qadhm.adhm import (
     random_stable_solution,
 )
 from qadhm.cli import (
+    MAX_CHARGE,
+    MAX_DET_POWER,
     MAX_GRID_SIZE,
+    MAX_RANK,
+    MAX_TWO_L,
     CLIError,
     ExprParser,
     RunConfig,
@@ -230,6 +234,13 @@ class TestAdhmCommands:
         code, out = invoke(["adhm", "check", str(out_path)], capsys)
         assert code == 0
         assert json.loads(out)["classification"]["stable_everywhere"]
+
+    def test_random_rejects_a_charge_below_one(self, capsys):
+        for c in ("0", "-1"):
+            code, out = invoke(["adhm", "random", "-r", "2", "-c", c], capsys)
+            assert code == 2
+            err = json.loads(out)["error"]
+            assert err["type"] == "CLIError" and "c >= 1" in err["message"]
 
     def test_rank_audit(self, tmp_path, capsys):
         f = write_json(tmp_path / "d.json",
@@ -441,6 +452,48 @@ class TestInstCommands:
         assert time.perf_counter() - start < 5
         assert code == 2
         assert "grid_size" in json.loads(out)["error"]["message"]
+
+
+def _harmonic(l, k=0):
+    return ["q", "harmonic", "-l", str(l), "-m", "0", "-n", "0", "-k", str(k)]
+
+
+def _eigen(l, k=1):
+    return ["q", "eigen", "-k", str(k), "-l", str(l)]
+
+
+def _random(r, c):
+    return ["adhm", "random", "-r", str(r), "-c", str(c)]
+
+
+class TestResourceCaps:
+    # (argv one step over a cap, argv far over it, words of the message).
+    # Far over the caps these commands ran for seconds to minutes; they
+    # must be refused before any of that work starts.
+    CASES = [
+        (_harmonic(MAX_TWO_L + 2), _harmonic(200), "l must be at most"),
+        (_harmonic(2, MAX_DET_POWER + 1), _harmonic(2, 64), "k at most"),
+        (_eigen(MAX_TWO_L + 1), _eigen(200), "l must be at most"),
+        (_eigen(0, MAX_DET_POWER + 1), _eigen(0, 64), "k at most"),
+        (_random(MAX_RANK + 1, 1), _random(500, 1), "r must be at most"),
+        (_random(2, MAX_CHARGE + 1), _random(2, 40), "c at most"),
+    ]
+
+    @pytest.mark.parametrize("over,far,words", CASES)
+    def test_refused_at_once(self, over, far, words, capsys):
+        for argv in (over, far):
+            start = time.perf_counter()
+            code, out = invoke(argv, capsys)
+            assert time.perf_counter() - start < 2
+            assert code == 2
+            err = json.loads(out)["error"]
+            assert err["type"] == "CLIError" and words in err["message"]
+
+    def test_caps_admit_the_documented_examples(self, capsys):
+        assert MAX_TWO_L >= 4 and MAX_DET_POWER >= 2
+        assert MAX_RANK >= 3 and MAX_CHARGE >= 3
+        code, out = invoke(_eigen(MAX_TWO_L, 1), capsys)
+        assert code == 0 and json.loads(out)["verified_on_witness"]
 
 
 class TestDeterminism:

@@ -32,8 +32,10 @@ from qadhm.qinstanton import (
     identity_products,
     ids_report,
     kernel_slice_basis,
+    pencil_grid,
     projection_truncated,
     scalar_operator,
+    slice_rank_grid,
     slice_rank_report,
     truncated_matrix,
     verify_ids,
@@ -353,12 +355,12 @@ class TestTruncatedSlices:
     def test_fast_path_agrees_with_echelon(self):
         # The constant-block certificate and the exact containment echelon
         # must answer alike where both apply.
-        from qadhm.qinstanton import _sparse_containment
+        from qadhm.qinstanton import _slice_rows, _sparse_containment
         d = random_c1r1_solution(0)
         a1, a2, b1, b2 = build_q_ops(d)
         bp = b1  # P = (1, 0); i~(P) = i1 is nonzero for this family
         assert d.i1[0, 0]
-        rank, missed = _sparse_containment(bp, 1)
+        rank, missed = _sparse_containment(*_slice_rows(bp, 1, 2), bp.cols)
         assert missed == 0
         assert slice_rank_report(d, (1, 0), 1)["surjective"]
 
@@ -366,7 +368,7 @@ class TestTruncatedSlices:
         # image_rank = rank(A) and missed = rank([A|E]) - rank(A), where A
         # is the truncated image matrix and E embeds the degree <= dmax
         # slice into the degree <= dmax+1 target.
-        from qadhm.qinstanton import _sparse_containment
+        from qadhm.qinstanton import _slice_rows, _sparse_containment
         c1r1 = random_c1r1_solution(0)
         cases = [(c1r1, (c1r1.i2[0, 0], -c1r1.i1[0, 0])),
                  (random_stable_solution(2, 3, 0), (ONE, Z))]
@@ -384,7 +386,8 @@ class TestTruncatedSlices:
                     e.a[v * n_t + k][v * n_s + k] = one
             rank_a = a.rank()
             missed = Matrix.hstack([a, e]).rank() - rank_a
-            assert _sparse_containment(bp, dmax) == (rank_a, missed)
+            rows = _slice_rows(bp, dmax, dmax + 1)
+            assert _sparse_containment(*rows, bp.cols) == (rank_a, missed)
             assert missed > 0
 
     def test_degree_zero_slice_reads_the_constant_block(self):
@@ -414,6 +417,94 @@ class TestTruncatedSlices:
             slice_rank_report(d, (0, 0), 1)
         with pytest.raises(QInstantonError, match="nonnegative"):
             slice_rank_report(d, (1, 0), -1)
+
+
+def per_point_slice_report(d, P, dmax):
+    """The slice report as computed one point at a time: the operators
+    rebuilt for the point, beta_P = p1 beta_1 + p2 beta_2 formed as an
+    operator, and the containment decided by dense ranks over Q(i)(q)
+    (Matrix.rank lifts the Laurent entries to QRat)."""
+    p1, p2 = (v if isinstance(v, GaussRational) else GaussRational(v)
+              for v in P)
+    _, _, b1, b2 = build_q_ops(d)
+    bp = b1.scale(p1) + b2.scale(p2)
+    n = len([m for k in range(dmax + 1) for m in monomials_of_degree(k)])
+    report = {"chart": "I", "P": [str(p1), str(p2)], "dmax": dmax,
+              "source_dim": bp.cols * n, "slice_dim": d.c * n}
+    if (d.i1.scale(p1) + d.i2.scale(p2)).rank() == d.c:
+        report.update(image_rank=None, covered_dim=d.c * n, surjective=True,
+                      method="constant W-block i~(P) is onto V")
+        return report
+    a = truncated_matrix(bp, dmax, dmax + 1)
+    n_t = a.rows // d.c
+    e = Matrix.zero(a.rows, d.c * n, QLaurent.zero())
+    for v in range(d.c):
+        for k in range(n):
+            e.a[v * n_t + k][v * n + k] = QLaurent.one()
+    rank_a = a.rank()
+    missed = Matrix.hstack([a, e]).rank() - rank_a
+    report.update(image_rank=rank_a, covered_dim=d.c * n - missed,
+                  surjective=missed == 0,
+                  method="exact sparse echelon over the rational function "
+                         "field")
+    return report
+
+
+class TestSliceGrid:
+    def test_grid_matches_the_per_point_reports(self):
+        # Grids of 1, 2 and 12 points cover P = (1, 0), (0, 1) and (1, t).
+        for r, c, seed in [(2, 2, 1), (2, 3, 1), (3, 3, 1)]:
+            d = random_stable_solution(r, c, seed)
+            for dmax in range(3):
+                pts = pencil_grid(12)
+                want = [per_point_slice_report(d, P, dmax) for P in pts]
+                for size in (1, 2, 12):
+                    got = slice_rank_grid(d, pencil_grid(size), dmax)
+                    assert json.dumps(got, sort_keys=True) \
+                        == json.dumps(want[:size], sort_keys=True)
+                if c > r:
+                    assert all(rep["image_rank"] is not None for rep in want)
+
+    def test_one_point_report_is_the_grid_of_that_point(self):
+        d = random_stable_solution(2, 3, 2)
+        pts = pencil_grid(4)
+        assert slice_rank_grid(d, pts, 1) \
+            == [slice_rank_report(d, P, 1) for P in pts]
+        with pytest.raises(QInstantonError, match="vanish"):
+            slice_rank_grid(d, [(1, 0), (0, 0)], 1)
+
+    def test_slices_command_builds_no_qrat(self, tmp_path, capsys,
+                                           monkeypatch):
+        # On (2,3) data every pivot of the slice echelon is a Laurent
+        # monomial, so the command never leaves the Laurent ring, and it
+        # builds the operators once per datum, not once per grid point.
+        import qadhm.exactcore as exactcore
+        import qadhm.qinstanton as qinstanton
+        from qadhm.cli import run
+        calls = {"QRat": 0, "_ql_gcd": 0, "build_q_ops": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(exactcore.QRat, "__init__",
+                            counted("QRat", exactcore.QRat.__init__))
+        monkeypatch.setattr(exactcore, "_ql_gcd",
+                            counted("_ql_gcd", exactcore._ql_gcd))
+        monkeypatch.setattr(qinstanton, "build_q_ops",
+                            counted("build_q_ops", qinstanton.build_q_ops))
+        for seed in range(3):
+            f = tmp_path / f"d{seed}.json"
+            f.write_text(json.dumps(random_stable_solution(2, 3, seed)
+                                    .to_json()), encoding="utf-8")
+            before = dict(calls)
+            run(["inst", "slices", str(f), "--dmax", "1"])
+            rep = json.loads(capsys.readouterr().out)
+            assert len(rep["reports"]) == 12
+            assert all(r["image_rank"] is not None for r in rep["reports"])
+            assert calls["build_q_ops"] - before["build_q_ops"] == 1
+        assert calls["QRat"] == calls["_ql_gcd"] == 0
 
 
 class TestAlphaSlices:

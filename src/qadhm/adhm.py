@@ -107,14 +107,6 @@ def _as_matrix(m, rows, cols, name):
     return out
 
 
-def _zero_matrix(rows, cols):
-    return Matrix(rows, cols, [[_ZERO] * cols for _ in range(rows)])
-
-
-def _empty_cols(c):
-    return Matrix(c, 0, [[] for _ in range(c)])
-
-
 # ---------------------------------------------------------------------------
 # datum types
 # ---------------------------------------------------------------------------
@@ -348,7 +340,7 @@ def _closure_basis(ops, seed):
             if len(basis) == c:
                 break
             queue.extend(op * col for op in ops)
-    return Matrix.hstack(basis) if basis else _empty_cols(c)
+    return Matrix.hstack(basis) if basis else Matrix.zero(c, 0, _ZERO)
 
 
 def is_stable(B1, B2, i):
@@ -594,8 +586,26 @@ def classify(d):
 # rank criteria
 # ---------------------------------------------------------------------------
 
-def _flatten(*mats):
-    return [x for m in mats for row in m.a for x in row]
+def _unit_matrix(rows, cols, a, b):
+    """The rows x cols matrix with a single 1, at (a, b)."""
+    m = Matrix.zero(rows, cols, _ZERO)
+    m.a[a][b] = _ONE
+    return m
+
+
+def _linear_map_matrix(blocks):
+    """Matrix of a linear map on tuples of matrices.
+
+    ``blocks`` holds one (rows, cols, image) triple per input matrix: the
+    map sends the unit matrix E_ab of that input (every other input zero)
+    to the matrices ``image(E_ab)``.  There is one column per unit matrix,
+    inputs in order and (a, b) row-major within each, holding the row-major
+    flattening of its images one after another."""
+    cols = [[x for m in image(_unit_matrix(rows, ncols, a, b))
+             for row in m.a for x in row]
+            for rows, ncols, image in blocks
+            for a in range(rows) for b in range(ncols)]
+    return Matrix(len(cols[0]), len(cols), [list(r) for r in zip(*cols)])
 
 
 def derivative_rank(d):
@@ -608,71 +618,26 @@ def derivative_rank(d):
     the quotient.
     """
     c, r = d.c, d.r
-    zero_cc = _zero_matrix(c, c)
-    cols = []
-
-    def elem(rows, cols_, a, b):
-        m = [[_ZERO] * cols_ for _ in range(rows)]
-        m[a][b] = _ONE
-        return Matrix(rows, cols_, m)
-
-    for a in range(c):
-        for b in range(c):
-            e = elem(c, c, a, b)
-            cols.append(_flatten(e.commutator(d.B12), zero_cc,
-                                 e.commutator(d.B22)))
-    for a in range(c):
-        for b in range(c):
-            e = elem(c, c, a, b)
-            cols.append(_flatten(d.B11.commutator(e), zero_cc,
-                                 d.B21.commutator(e)))
-    for a in range(c):
-        for b in range(c):
-            e = elem(c, c, a, b)
-            cols.append(_flatten(zero_cc, e.commutator(d.B22),
-                                 e.commutator(d.B12)))
-    for a in range(c):
-        for b in range(c):
-            e = elem(c, c, a, b)
-            cols.append(_flatten(zero_cc, d.B21.commutator(e),
-                                 d.B11.commutator(e)))
-    for a in range(c):
-        for b in range(r):
-            e = elem(c, r, a, b)
-            cols.append(_flatten(e * d.j1, zero_cc, e * d.j2))
-    for a in range(c):
-        for b in range(r):
-            e = elem(c, r, a, b)
-            cols.append(_flatten(zero_cc, e * d.j2, e * d.j1))
-    for a in range(r):
-        for b in range(c):
-            e = elem(r, c, a, b)
-            cols.append(_flatten(d.i1 * e, zero_cc, d.i2 * e))
-    for a in range(r):
-        for b in range(c):
-            e = elem(r, c, a, b)
-            cols.append(_flatten(zero_cc, d.i2 * e, d.i1 * e))
-
-    n = 3 * c * c
-    assert len(cols) == 4 * c * c + 4 * c * r
-    return Matrix(n, len(cols),
-                  [[col[k] for col in cols] for k in range(n)]).rank()
+    zero = Matrix.zero(c, c, _ZERO)
+    return _linear_map_matrix([
+        (c, c, lambda e: (e.commutator(d.B12), zero, e.commutator(d.B22))),
+        (c, c, lambda e: (d.B11.commutator(e), zero, d.B21.commutator(e))),
+        (c, c, lambda e: (zero, e.commutator(d.B22), e.commutator(d.B12))),
+        (c, c, lambda e: (zero, d.B21.commutator(e), d.B11.commutator(e))),
+        (c, r, lambda e: (e * d.j1, zero, e * d.j2)),
+        (c, r, lambda e: (zero, e * d.j2, e * d.j1)),
+        (r, c, lambda e: (d.i1 * e, zero, d.i2 * e)),
+        (r, c, lambda e: (zero, d.i2 * e, d.i1 * e)),
+    ]).rank()
 
 
 def stabilizer_dim(B1, B2, i):
     """Dimension of {X : [B1,X] = [B2,X] = 0, X*i = 0}; zero iff no nonzero
     endomorphism commutes with both B's and kills Im i (true for stable
     triples, since ker X would be a proper invariant subspace over Im i)."""
-    c, r = B1.rows, i.cols
-    cols = []
-    for a in range(c):
-        for b in range(c):
-            m = [[_ZERO] * c for _ in range(c)]
-            m[a][b] = _ONE
-            e = Matrix(c, c, m)
-            cols.append(_flatten(B1.commutator(e), B2.commutator(e), e * i))
-    n = 2 * c * c + c * r
-    system = Matrix(n, c * c, [[col[k] for col in cols] for k in range(n)])
+    c = B1.rows
+    system = _linear_map_matrix(
+        [(c, c, lambda e: (B1.commutator(e), B2.commutator(e), e * i))])
     return c * c - system.rank()
 
 
@@ -818,7 +783,7 @@ def random_stable_solution(r, c, seed):
             c, r,
             _poly_in_shift(c, a[0], b[0]), _poly_in_shift(c, a[1], b[1]),
             _poly_in_shift(c, a[2], b[2]), _poly_in_shift(c, a[3], b[3]),
-            i1, i2, _zero_matrix(r, c), _zero_matrix(r, c))
+            i1, i2, Matrix.zero(r, c, _ZERO), Matrix.zero(r, c, _ZERO))
         assert is_complex_solution(d)
         if classify(d).stable_everywhere:
             return d
@@ -847,7 +812,8 @@ def random_nonstable_solution(r, c, seed):
             c, r,
             _poly_in_shift(c, a[0], b[0]), _poly_in_shift(c, a[1], b[1]),
             _poly_in_shift(c, a[2], b[2]), _poly_in_shift(c, a[3], b[3]),
-            i1, i1.scale(lam), _zero_matrix(r, c), _zero_matrix(r, c))
+            i1, i1.scale(lam),
+            Matrix.zero(r, c, _ZERO), Matrix.zero(r, c, _ZERO))
         assert is_complex_solution(d)
         return d, (-lam, _ONE)
 

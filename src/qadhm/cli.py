@@ -471,9 +471,12 @@ def _cmd_q_penrose(args, cfg):
         if len(exps) != 4:
             raise CLIError("cocycle exponents must have four entries")
         try:
-            cech_index(exps)
+            idx = cech_index(exps)
         except ValueError as exc:
             raise CLIError(str(exc)) from exc
+        if idx.two_l > MAX_TWO_L:
+            raise CLIError(f"cocycle {list(exps)} has 2l = {idx.two_l}; "
+                           f"l must be at most {MAX_TWO_L}")
         pairs.append((exps, coeff))
     image = penrose_scalar(pairs)
     table = derive_table(cfg.p_choice)

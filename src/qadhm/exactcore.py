@@ -820,11 +820,13 @@ def _echelon(rows, ncols, reduced=False):
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Dense matrix over an exact scalar type (GaussRational/QLaurent/QRat).
+    """Dense matrix over an exact scalar type (GaussRational/QLaurent/QRat),
+    or over a ring whose elements add and multiply with ``+`` and ``*``: the
+    module operators of ``qinstanton`` hold chart polynomials (``NCPoly``).
 
     Entries are stored row-major as a list of lists; instances are treated as
     immutable (operations return fresh matrices).  Rank, kernel and solve
-    hand the nonzero entries to ``_echelon``.
+    need scalar entries and hand the nonzero ones to ``_echelon``.
     """
 
     __slots__ = ("rows", "cols", "a")
@@ -852,16 +854,6 @@ class Matrix:
     def identity(cls, n, one_elt, zero_elt):
         return cls(n, n, [[one_elt if i == j else zero_elt for j in range(n)]
                           for i in range(n)])
-
-    def _zero_elt(self):
-        if self.rows and self.cols:
-            return type(self.a[0][0]).zero()
-        raise ValueError("cannot infer scalar type of an empty matrix")
-
-    def _one_elt(self):
-        if self.rows and self.cols:
-            return type(self.a[0][0]).one()
-        raise ValueError("cannot infer scalar type of an empty matrix")
 
     # -- structural ---------------------------------------------------------
 
@@ -944,14 +936,19 @@ class Matrix:
             return self.scale(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
-        zero = self._zero_elt() if self.rows and self.cols else other._zero_elt()
+        if not self.cols:
+            raise ValueError("cannot infer scalar type of an empty product")
+        # Each entry starts at its first product, never at a zero of the
+        # entry type: NCPoly.zero() is a chart-I zero, which a chart-J
+        # product cannot be added to.
+        b = other.a
         out = []
-        for i in range(self.rows):
+        for r in self.a:
             row = []
             for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + self.a[i][k] * other.a[k][j]
+                acc = r[0] * b[0][j]
+                for k in range(1, self.cols):
+                    acc = acc + r[k] * b[k][j]
                 row.append(acc)
             out.append(row)
         return Matrix(self.rows, other.cols, out)
@@ -967,10 +964,12 @@ class Matrix:
                  for j, x in enumerate(r) if x} for r in self.a]
 
     def _field_zero_one(self):
-        zero, one = self._zero_elt(), self._one_elt()
-        if isinstance(zero, QLaurent):
-            return QRat(zero), QRat(one)
-        return zero, one
+        if not (self.rows and self.cols):
+            raise ValueError("cannot infer scalar type of an empty matrix")
+        kind = type(self.a[0][0])
+        if kind is QLaurent:
+            kind = QRat
+        return kind.zero(), kind.one()
 
     def rank(self) -> int:
         """Exact rank over the fraction field of the entries."""

@@ -46,6 +46,7 @@ from fractions import Fraction
 
 from .adhm import (
     ComplexADHMDatum,
+    _linear_map_matrix,
     classify,
     complex_residuals,
     is_complex_solution,
@@ -74,10 +75,6 @@ class MonadError(ValueError):
 # building monads from data
 # ---------------------------------------------------------------------------
 
-def _zeros(rows, cols):
-    return Matrix(rows, cols, [[_ZERO] * cols for _ in range(rows)])
-
-
 def _unit_column_block(total, offset, c):
     """total x c matrix holding an identity block at the given row offset."""
     m = [[_ZERO] * c for _ in range(total)]
@@ -95,13 +92,13 @@ def monad_pencils(d):
         "y": _unit_column_block(n, c, c),
         "z": Matrix.vstack([d.B11, d.B12, d.j1]),
         "w": Matrix.vstack([d.B21, d.B22, d.j2]),
-    }, _zeros(n, c))
+    }, Matrix.zero(n, c, _ZERO))
     beta = Pencil(VARS, {
         "x": _unit_column_block(n, c, c).transpose(),
         "y": -_unit_column_block(n, 0, c).transpose(),
         "z": Matrix.hstack([-d.B12, d.B11, d.i1]),
         "w": Matrix.hstack([-d.B22, d.B21, d.i2]),
-    }, _zeros(c, n))
+    }, Matrix.zero(c, n, _ZERO))
     return alpha, beta
 
 
@@ -365,41 +362,21 @@ def find_intertwiner(d_new, d_old, seed=0, attempts=64):
         return None
     c, r = d_old.c, d_old.r
     nv, nw = c * c, r * r
-    rows = []
-
-    def row(gv_coeff, gw_coeff):
-        # gv_coeff: dict (a,b) -> scalar for gV entries, likewise gw_coeff
-        vec = [_ZERO] * (nv + nw)
-        for (a, b), s in gv_coeff.items():
-            vec[a * c + b] = vec[a * c + b] + s
-        for (a, b), s in gw_coeff.items():
-            vec[nv + a * r + b] = vec[nv + a * r + b] + s
-        rows.append(vec)
-
-    pairs = [(d_new.B11, d_old.B11), (d_new.B12, d_old.B12),
-             (d_new.B21, d_old.B21), (d_new.B22, d_old.B22)]
-    for bn, bo in pairs:
-        for u in range(c):
-            for v in range(c):
-                coeff = {}
-                for k in range(c):
-                    coeff[(k, v)] = coeff.get((k, v), _ZERO) + bn[u, k]
-                    coeff[(u, k)] = coeff.get((u, k), _ZERO) - bo[k, v]
-                row(coeff, {})
-    for inew, iold in [(d_new.i1, d_old.i1), (d_new.i2, d_old.i2)]:
-        for u in range(c):
-            for v in range(r):
-                gw = {(k, v): inew[u, k] for k in range(r)}
-                gv = {(u, k): -iold[k, v] for k in range(c)}
-                row(gv, gw)
-    for jnew, jold in [(d_new.j1, d_old.j1), (d_new.j2, d_old.j2)]:
-        for u in range(r):
-            for v in range(c):
-                gv = {(k, v): jnew[u, k] for k in range(c)}
-                gw = {(u, k): -jold[k, v] for k in range(r)}
-                row(gv, gw)
-
-    system = Matrix(len(rows), nv + nw, rows)
+    b_pairs = [(d_new.B11, d_old.B11), (d_new.B12, d_old.B12),
+               (d_new.B21, d_old.B21), (d_new.B22, d_old.B22)]
+    i_pairs = [(d_new.i1, d_old.i1), (d_new.i2, d_old.i2)]
+    j_pairs = [(d_new.j1, d_old.j1), (d_new.j2, d_old.j2)]
+    zero = Matrix.zero(c, c, _ZERO)
+    # the equations B' gV - gV B = 0, i' gW - gV i = 0 and j' gV - gW j = 0,
+    # linear in the unknowns (gV, gW)
+    system = _linear_map_matrix([
+        (c, c, lambda gv: [bn * gv - gv * bo for bn, bo in b_pairs]
+         + [-(gv * io) for _, io in i_pairs]
+         + [jn * gv for jn, _ in j_pairs]),
+        (r, r, lambda gw: [zero] * len(b_pairs)
+         + [inew * gw for inew, _ in i_pairs]
+         + [-(gw * jo) for _, jo in j_pairs]),
+    ])
     ker = system.kernel()
     if ker.cols == 0:
         return None

@@ -742,6 +742,8 @@ class NCForm:
                             add_to(acc, (wn, mn), base * QRat(cx))
         return NCForm(table, deg, acc)
 
+    __mul__ = wedge     # so a Matrix of forms multiplies by wedging entries
+
     def as_poly(self):
         """Degree-0 form as an NCPoly (coefficients must be Laurent)."""
         if self.degree != 0:

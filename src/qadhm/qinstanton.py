@@ -6,7 +6,9 @@ between free modules over the chart-I (or chart-J) coordinate algebra,
     alpha_k : V (x) M  ->  (V + V + W) (x) M        (degree <= 1 entries)
     beta_k  : (V + V + W) (x) M  ->  V (x) M        (degree <= 1 entries)
 
-whose entries are scalars plus at most one generator.  The three products
+whose entries are scalars plus at most one generator.  Every operator is an
+``exactcore.Matrix`` whose entries are ``NCPoly`` elements of one chart, so
+sums, scalings and compositions are the ``Matrix`` ones.  The three products
 beta_1 alpha_1, beta_2 alpha_2 and beta_2 alpha_1 + beta_1 alpha_2 reduce,
 after normal ordering, to the constant embeddings of the three quadratic
 residual matrices, so they vanish identically exactly when the datum solves
@@ -38,7 +40,7 @@ from .exactcore import GaussRational, Matrix, QLaurent, QRat, _echelon
 from .qspacetime import NCPoly, X_NAMES, Y_NAMES, det_x, monomials_of_degree
 
 __all__ = [
-    "QInstantonError", "ModuleOperator", "build_q_ops", "scalar_operator",
+    "QInstantonError", "build_q_ops", "scalar_operator",
     "identity_products", "verify_ids", "ids_report", "beta_p_alpha_q",
     "xi_operator", "xi_leading", "truncated_matrix", "slice_rank_report",
     "slice_rank_grid", "beta_surjective_truncated", "pencil_grid",
@@ -62,148 +64,16 @@ def _gauss(v):
     raise QInstantonError("pencil parameters must be exact rational scalars")
 
 
-class ModuleOperator:
-    """Matrix of chart polynomials acting on columns of module elements.
-
-    `blocks` is a human-readable annotation of the row/column block shapes
-    ("V|V|W -> V" and the like); it is carried along but never interpreted.
-    """
-
-    __slots__ = ("chart", "rows", "cols", "entries", "blocks")
-
-    def __init__(self, chart, entries, blocks=""):
-        entries = tuple(tuple(row) for row in entries)
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        for row in entries:
-            if len(row) != cols:
-                raise QInstantonError("operator rows have unequal lengths")
-            for p in row:
-                if not isinstance(p, NCPoly) or p.chart != chart:
-                    raise QInstantonError(
-                        f"operator entries must be chart-{chart} polynomials")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ModuleOperator is immutable")
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleOperator):
-            return NotImplemented
-        return self.chart == other.chart and self.entries == other.entries
-
-    def __add__(self, other):
-        if not isinstance(other, ModuleOperator):
-            return NotImplemented
-        if (self.chart, self.rows, self.cols) != (other.chart, other.rows,
-                                                  other.cols):
-            raise QInstantonError("operator shape or chart mismatch in sum")
-        return ModuleOperator(
-            self.chart,
-            [[a + b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self.entries, other.entries)],
-            self.blocks)
-
-    def __neg__(self):
-        return ModuleOperator(self.chart,
-                              [[-p for p in row] for row in self.entries],
-                              self.blocks)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return ModuleOperator(self.chart,
-                              [[p.scale(c) for p in row]
-                               for row in self.entries],
-                              self.blocks)
-
-    def __mul__(self, other):
-        """Composition: entries of self act on the left of entries of other."""
-        if not isinstance(other, ModuleOperator):
-            return NotImplemented
-        if self.chart != other.chart or self.cols != other.rows:
-            raise QInstantonError("operator shape or chart mismatch in product")
-        zero = NCPoly.zero(self.chart)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return ModuleOperator(self.chart, out)
-
-    def apply(self, vec):
-        """Image of a column vector of chart polynomials."""
-        if len(vec) != self.cols:
-            raise QInstantonError("vector length does not match operator")
-        zero = NCPoly.zero(self.chart)
-        out = []
-        for i in range(self.rows):
-            acc = zero
-            for k in range(self.cols):
-                acc = acc + self.entries[i][k] * vec[k]
-            out.append(acc)
-        return out
-
-    def is_zero(self):
-        return all(p.is_zero() for row in self.entries for p in row)
-
-    def max_degree(self):
-        return max((p.degree() for row in self.entries for p in row),
-                   default=-1)
-
-    def term_count(self):
-        return sum(len(p.terms) for row in self.entries for p in row)
-
-    def to_json(self):
-        return {
-            "chart": self.chart,
-            "rows": self.rows,
-            "cols": self.cols,
-            "blocks": self.blocks,
-            "entries": [[str(p) for p in row] for row in self.entries],
-        }
-
-
-def scalar_operator(m, chart="I", blocks=""):
+def scalar_operator(m, chart="I"):
     """Embed an exact matrix as an operator with constant entries."""
-    entries = [[NCPoly.scalar(chart, m[u, v]) for v in range(m.cols)]
-               for u in range(m.rows)]
-    return ModuleOperator(chart, entries, blocks)
+    return m.map(lambda x: NCPoly.scalar(chart, x))
 
 
 def _shifted_block(chart, b, gen_name, gen_sign):
     """Block B (+|-) generator: entries B[u][v] + gen_sign * delta_uv * gen."""
-    g = NCPoly.gen(chart, gen_name)
-    if gen_sign != 1:
-        g = g.scale(gen_sign)
-    out = []
-    for u in range(b.rows):
-        row = []
-        for v in range(b.cols):
-            p = NCPoly.scalar(chart, b[u, v])
-            if u == v:
-                p = p + g
-            row.append(p)
-        out.append(row)
-    return out
-
-
-def _const_rows(chart, m):
-    return [[NCPoly.scalar(chart, m[u, v]) for v in range(m.cols)]
-            for u in range(m.rows)]
+    g = NCPoly.gen(chart, gen_name).scale(gen_sign)
+    return scalar_operator(b, chart) + Matrix.identity(b.rows, g,
+                                                       NCPoly.zero(chart))
 
 
 def build_q_ops(d, chart="I"):
@@ -212,7 +82,9 @@ def build_q_ops(d, chart="I"):
     Chart I pairs the generators (x11, x12) with alpha_1/beta_1 and
     (x21, x22) with alpha_2/beta_2; chart J swaps in the y-generators with
     the sign pattern demanded by its exchange rules, so that the product
-    identities again collapse onto the residual matrices.
+    identities again collapse onto the residual matrices.  The alphas stack
+    their blocks as V|V|W rows over V, the betas join them as V|V|W columns
+    into V.
     """
     if chart == "I":
         g11, g12, g21, g22 = X_NAMES
@@ -229,20 +101,12 @@ def build_q_ops(d, chart="I"):
     else:
         raise QInstantonError(f"unknown chart {chart!r}")
 
-    def alpha(blocks, j_blk):
-        entries = (_shifted_block(chart, *blocks[0])
-                   + _shifted_block(chart, *blocks[1])
-                   + _const_rows(chart, j_blk))
-        return ModuleOperator(chart, entries, "V -> V|V|W")
+    def op(stack, shifted, const):
+        return stack([_shifted_block(chart, *blk) for blk in shifted]
+                     + [scalar_operator(const, chart)])
 
-    def beta(blocks, i_blk):
-        left = _shifted_block(chart, *blocks[0])
-        mid = _shifted_block(chart, *blocks[1])
-        right = _const_rows(chart, i_blk)
-        entries = [left[u] + mid[u] + right[u] for u in range(d.c)]
-        return ModuleOperator(chart, entries, "V|V|W -> V")
-
-    return (alpha(a1, d.j1), alpha(a2, d.j2), beta(b1, d.i1), beta(b2, d.i2))
+    return (op(Matrix.vstack, a1, d.j1), op(Matrix.vstack, a2, d.j2),
+            op(Matrix.hstack, b1, d.i1), op(Matrix.hstack, b2, d.i2))
 
 
 def identity_products(d, chart="I"):
@@ -277,7 +141,8 @@ def ids_report(d, chart="I"):
         "chart": chart,
         "solution": is_complex_solution(d),
         "identities": {
-            key: {"is_zero": op.is_zero(), "terms": op.term_count()}
+            key: {"is_zero": op.is_zero(),
+                  "terms": sum(len(p.terms) for row in op.a for p in row)}
             for key, op in prods.items()
         },
         "all_zero": all(op.is_zero() for op in prods.values()),
@@ -319,7 +184,7 @@ def xi_leading(d):
     for u in range(d.c):
         for v in range(d.c):
             want = det if u == v else zero
-            if xi.entries[u][v].homogeneous_part(2) != want:
+            if xi[u, v].homogeneous_part(2) != want:
                 return False
     return True
 
@@ -349,12 +214,13 @@ def _slice_rows(op, src_degree, tgt_degree):
     tpos = {m: k for k, m in enumerate(tgt)}
     rows = [{} for _ in range(op.rows * len(tgt))]
     one = QLaurent.one()
+    chart = op[0, 0].chart
     for a in range(op.cols):
         for s, mono in enumerate(src):
             col = a * len(src) + s
-            basis = NCPoly(op.chart, {mono: one})
+            basis = NCPoly(chart, {mono: one})
             for v in range(op.rows):
-                p = op.entries[v][a]
+                p = op[v, a]
                 if p.is_zero():
                     continue
                 for m2, c2 in (p * basis).terms.items():
@@ -509,16 +375,13 @@ def alpha_injective_truncated(d, Q, dmax):
 def _beta_bar(d, chart="I"):
     """The stacked operator (-beta_2 ; beta_1) : V|V|W -> V|V."""
     a1, a2, b1, b2 = build_q_ops(d, chart)
-    entries = [[-p for p in row] for row in b2.entries] + list(b1.entries)
-    return ModuleOperator(chart, entries, "V|V|W -> V|V")
+    return Matrix.vstack([-b2, b1])
 
 
 def _alpha_bar(d, chart="I"):
     """The joined operator (alpha_1 | alpha_2) : V|V -> V|V|W."""
     a1, a2, b1, b2 = build_q_ops(d, chart)
-    entries = [list(r1) + list(r2)
-               for r1, r2 in zip(a1.entries, a2.entries)]
-    return ModuleOperator(chart, entries, "V|V -> V|V|W")
+    return Matrix.hstack([a1, a2])
 
 
 def kernel_slice_basis(d, dmax, chart="I"):
@@ -602,34 +465,25 @@ def curvature_asd(d, p_choice="q"):
     if not is_complex_solution(d):
         raise QInstantonError("curvature audit requires a solution datum")
     table = derive_table(p_choice)
-    abar = _alpha_bar(d, "I")
-    bbar = _beta_bar(d, "I")
-    dal = [[exterior_d(p, table) for p in row] for row in abar.entries]
-    dbe = [[exterior_d(p, table) for p in row] for row in bbar.entries]
-    n = 2 * d.c + d.r
-    prod = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = NCForm(table, 2, {})
-            for k in range(2 * d.c):
-                acc = acc + dal[i][k].wedge(dbe[k][j])
-            row.append(acc)
-        prod.append(row)
 
-    bounds = [0, d.c, 2 * d.c, n]
+    def dform(p):
+        return exterior_d(p, table)
+
+    prod = _alpha_bar(d, "I").map(dform) * _beta_bar(d, "I").map(dform)
+
+    bounds = [0, d.c, 2 * d.c, prod.rows]
     zero = NCForm(table, 2, {})
     blocks = []
     for a in range(3):
         brow = []
         for b in range(3):
-            scalar = prod[bounds[a]][bounds[b]] \
+            scalar = prod[bounds[a], bounds[b]] \
                 if bounds[a] < bounds[a + 1] and bounds[b] < bounds[b + 1] \
                 else zero
             for i in range(bounds[a], bounds[a + 1]):
                 for j in range(bounds[b], bounds[b + 1]):
                     want = scalar if i - bounds[a] == j - bounds[b] else zero
-                    if prod[i][j] != want:
+                    if prod[i, j] != want:
                         raise QInstantonError(
                             "curvature product is not block-scalar")
             brow.append(scalar)
@@ -702,7 +556,7 @@ def chart_j_pattern(d):
                 label = "0"
                 for i in range(bounds_r[a], bounds_r[a + 1]):
                     for j in range(bounds_c[b], bounds_c[b + 1]):
-                        lin = op.entries[i][j].homogeneous_part(1)
+                        lin = op[i, j].homogeneous_part(1)
                         diag = (i - bounds_r[a]) == (j - bounds_c[b])
                         if not diag or expect is None:
                             if not lin.is_zero():
@@ -788,7 +642,7 @@ def projection_truncated(d, psi, dmax):
 
     bbar = _beta_bar(d, "I")
     abar = _alpha_bar(d, "I")
-    rhs = [sum((comps[a2].left_mul(bbar.entries[v][a2])
+    rhs = [sum((comps[a2].left_mul(bbar[v, a2])
                 for a2 in range(bbar.cols)), NCForm(table, 0, {}))
            for v in range(bbar.rows)]
 
@@ -821,11 +675,11 @@ def projection_truncated(d, psi, dmax):
     for i in range(2 * d.c + d.r):
         acc = comps[i]
         for k in range(2 * d.c):
-            acc = acc - phi[k].left_mul(abar.entries[i][k])
+            acc = acc - phi[k].left_mul(abar[i, k])
         out.append(acc)
 
     for v in range(bbar.rows):
-        check = sum((out[a2].left_mul(bbar.entries[v][a2])
+        check = sum((out[a2].left_mul(bbar[v, a2])
                      for a2 in range(bbar.cols)), NCForm(table, 0, {}))
         if any(sum(mono) <= dmax for (_, mono) in check.terms):
             raise QInstantonError(

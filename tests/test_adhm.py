@@ -313,6 +313,135 @@ class TestStabilizer:
             assert stabilizer_dim(B1, B2, ip) == 0
 
 
+def first_matrix_of(monkeypatch, method, call):
+    """(the Matrix on which call() first invokes Matrix.<method>, result)."""
+    seen = []
+    original = getattr(Matrix, method)
+
+    def spy(self, *args):
+        seen.append(self)
+        return original(self, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(Matrix, method, spy)
+        result = call()
+    return seen[0], result
+
+
+def _old_flatten(*mats):
+    return [x for m in mats for row in m.a for x in row]
+
+
+def old_derivative_matrix(d):
+    """The derivative matrix as the per-block loops built it before the
+    linear-map builder: a test-local oracle."""
+    c, r = d.c, d.r
+    zero_cc = Matrix(c, c, [[Z] * c for _ in range(c)])
+    cols = []
+
+    def elem(rows, cols_, a, b):
+        m = [[Z] * cols_ for _ in range(rows)]
+        m[a][b] = ONE
+        return Matrix(rows, cols_, m)
+
+    for a in range(c):
+        for b in range(c):
+            e = elem(c, c, a, b)
+            cols.append(_old_flatten(e.commutator(d.B12), zero_cc,
+                                     e.commutator(d.B22)))
+    for a in range(c):
+        for b in range(c):
+            e = elem(c, c, a, b)
+            cols.append(_old_flatten(d.B11.commutator(e), zero_cc,
+                                     d.B21.commutator(e)))
+    for a in range(c):
+        for b in range(c):
+            e = elem(c, c, a, b)
+            cols.append(_old_flatten(zero_cc, e.commutator(d.B22),
+                                     e.commutator(d.B12)))
+    for a in range(c):
+        for b in range(c):
+            e = elem(c, c, a, b)
+            cols.append(_old_flatten(zero_cc, d.B21.commutator(e),
+                                     d.B11.commutator(e)))
+    for a in range(c):
+        for b in range(r):
+            e = elem(c, r, a, b)
+            cols.append(_old_flatten(e * d.j1, zero_cc, e * d.j2))
+    for a in range(c):
+        for b in range(r):
+            e = elem(c, r, a, b)
+            cols.append(_old_flatten(zero_cc, e * d.j2, e * d.j1))
+    for a in range(r):
+        for b in range(c):
+            e = elem(r, c, a, b)
+            cols.append(_old_flatten(d.i1 * e, zero_cc, d.i2 * e))
+    for a in range(r):
+        for b in range(c):
+            e = elem(r, c, a, b)
+            cols.append(_old_flatten(zero_cc, d.i2 * e, d.i1 * e))
+    n = 3 * c * c
+    return Matrix(n, len(cols), [[col[k] for col in cols] for k in range(n)])
+
+
+def old_stabilizer_matrix(B1, B2, i):
+    """The stabilizer system as its loop built it: a test-local oracle."""
+    c, r = B1.rows, i.cols
+    cols = []
+    for a in range(c):
+        for b in range(c):
+            m = [[Z] * c for _ in range(c)]
+            m[a][b] = ONE
+            e = Matrix(c, c, m)
+            cols.append(_old_flatten(B1.commutator(e), B2.commutator(e),
+                                     e * i))
+    n = 2 * c * c + c * r
+    return Matrix(n, c * c, [[col[k] for col in cols] for k in range(n)])
+
+
+LINEAR_MAP_SHAPES = [(1, 1), (2, 1), (2, 3), (3, 2)]   # (r, c)
+
+
+class TestLinearMapMatrix:
+    """derivative_rank and stabilizer_dim build their matrices with the
+    one linear-map builder; the matrices equal the old loops' entry for
+    entry, on dense and on sparse data."""
+
+    @staticmethod
+    def data(r, c):
+        out = [random_complex_datum(r, c, seed) for seed in range(3)]
+        out.append(ComplexADHMDatum(c, r, *[zeros(c, c)] * 4,
+                                    *[zeros(c, r)] * 2, *[zeros(r, c)] * 2))
+        if r >= 2:
+            out.append(random_stable_solution(r, c, 1))
+            out.append(random_nonstable_solution(r, c, 2)[0])
+        return out
+
+    @pytest.mark.parametrize("r,c", LINEAR_MAP_SHAPES)
+    def test_derivative_matrix_matches_old_loops(self, r, c, monkeypatch):
+        for d in self.data(r, c):
+            built, rank = first_matrix_of(monkeypatch, "rank",
+                                          lambda: derivative_rank(d))
+            old = old_derivative_matrix(d)
+            assert (built.rows, built.cols) == (3 * c * c,
+                                                4 * c * c + 4 * c * r)
+            assert built == old
+            assert all(type(x) is GaussRational for row in built.a
+                       for x in row)
+            assert rank == old.rank()
+
+    @pytest.mark.parametrize("r,c", LINEAR_MAP_SHAPES)
+    def test_stabilizer_matrix_matches_old_loop(self, r, c, monkeypatch):
+        for d in self.data(r, c):
+            for B1, B2, i in ((d.B11, d.B21, d.i1),
+                              d.evaluate(1, 0)[:3], d.evaluate(2, -1)[:3]):
+                built, dim = first_matrix_of(
+                    monkeypatch, "rank", lambda: stabilizer_dim(B1, B2, i))
+                old = old_stabilizer_matrix(B1, B2, i)
+                assert built == old
+                assert dim == c * c - old.rank()
+
+
 class TestInvolutionAndRealData:
     def test_involution_is_an_involution(self):
         d = random_complex_datum(2, 2, seed=7)

@@ -489,6 +489,25 @@ class TestResourceCaps:
             err = json.loads(out)["error"]
             assert err["type"] == "CLIError" and words in err["message"]
 
+    def test_penrose_refuses_a_cocycle_over_the_l_cap(self, tmp_path,
+                                                      capsys):
+        # 2l = ex + ey; the refusal comes before any harmonic() call, also
+        # when an admissible item precedes the oversized one.
+        small = {"exponents": [1, 0, -2, -1], "coeff": "1"}
+        for two_l in (MAX_TWO_L + 1, 200):
+            big = {"exponents": [two_l, 0, -1, -1 - two_l], "coeff": "1"}
+            f = write_json(tmp_path / "c.json", {"cocycle": [small, big]})
+            start = time.perf_counter()
+            code, out = invoke(["q", "penrose", f], capsys)
+            assert time.perf_counter() - start < 2
+            assert code == 2
+            err = json.loads(out)["error"]
+            assert err["type"] == "CLIError"
+            assert "l must be at most" in err["message"]
+        at_cap = {"exponents": [0, MAX_TWO_L, -1, -1 - MAX_TWO_L]}
+        f = write_json(tmp_path / "c.json", {"cocycle": [at_cap]})
+        assert invoke(["q", "penrose", f], capsys)[0] == 0
+
     def test_caps_admit_the_documented_examples(self, capsys):
         assert MAX_TWO_L >= 4 and MAX_DET_POWER >= 2
         assert MAX_RANK >= 3 and MAX_CHARGE >= 3

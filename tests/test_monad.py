@@ -9,12 +9,13 @@ import pytest
 from qadhm.adhm import (
     ComplexADHMDatum,
     embed_real,
+    random_complex_datum,
     random_invertible,
     random_nonstable_solution,
     random_real_solution,
     random_stable_solution,
 )
-from qadhm.exactcore import GaussRational, Matrix, Pencil
+from qadhm.exactcore import GaussRational, Matrix, Pencil, random_gauss
 from qadhm.monad import (
     ChernClass,
     Monad,
@@ -36,6 +37,7 @@ from qadhm.monad import (
     seeded_points,
     suite_to_json,
 )
+from test_adhm import first_matrix_of
 
 Z = GaussRational(0)
 ONE = GaussRational(1)
@@ -346,6 +348,103 @@ class TestNormalize:
         beta2 = Pencil(VARS, {v: m.beta.coeffs[v] * ginv for v in VARS},
                        m.beta.const * ginv)
         assert is_complex_solution(normalize_monad(alpha2, beta2))
+
+
+def old_intertwiner(d_new, d_old, seed=0, attempts=64):
+    """find_intertwiner as its row builder wrote it, equation by equation:
+    a test-local oracle.  Returns (system matrix, result)."""
+    c, r = d_old.c, d_old.r
+    nv, nw = c * c, r * r
+    rows = []
+
+    def row(gv_coeff, gw_coeff):
+        vec = [Z] * (nv + nw)
+        for (a, b), s in gv_coeff.items():
+            vec[a * c + b] = vec[a * c + b] + s
+        for (a, b), s in gw_coeff.items():
+            vec[nv + a * r + b] = vec[nv + a * r + b] + s
+        rows.append(vec)
+
+    pairs = [(d_new.B11, d_old.B11), (d_new.B12, d_old.B12),
+             (d_new.B21, d_old.B21), (d_new.B22, d_old.B22)]
+    for bn, bo in pairs:
+        for u in range(c):
+            for v in range(c):
+                coeff = {}
+                for k in range(c):
+                    coeff[(k, v)] = coeff.get((k, v), Z) + bn[u, k]
+                    coeff[(u, k)] = coeff.get((u, k), Z) - bo[k, v]
+                row(coeff, {})
+    for inew, iold in [(d_new.i1, d_old.i1), (d_new.i2, d_old.i2)]:
+        for u in range(c):
+            for v in range(r):
+                gw = {(k, v): inew[u, k] for k in range(r)}
+                gv = {(u, k): -iold[k, v] for k in range(c)}
+                row(gv, gw)
+    for jnew, jold in [(d_new.j1, d_old.j1), (d_new.j2, d_old.j2)]:
+        for u in range(r):
+            for v in range(c):
+                gv = {(k, v): jnew[u, k] for k in range(c)}
+                gw = {(u, k): -jold[k, v] for k in range(r)}
+                row(gv, gw)
+
+    system = Matrix(len(rows), nv + nw, rows)
+    ker = system.kernel()
+    if ker.cols == 0:
+        return system, None
+    rng = random.Random(seed)
+    for _ in range(attempts):
+        coefs = [random_gauss(rng, complex_parts=False)
+                 for _ in range(ker.cols)]
+        vec = [Z] * (nv + nw)
+        for t in range(ker.cols):
+            for k in range(nv + nw):
+                vec[k] = vec[k] + coefs[t] * ker[k, t]
+        gv = Matrix(c, c, [[vec[a * c + b] for b in range(c)]
+                           for a in range(c)])
+        gw = Matrix(r, r, [[vec[nv + a * r + b] for b in range(r)]
+                           for a in range(r)])
+        if gv.rank() == c and gw.rank() == r:
+            return system, (gv, gw)
+    return system, None
+
+
+def moved_datum(d, gv, gw):
+    """(gV, gW) . d = (gV B gV^-1, gV i gW^-1, gW j gV^-1)."""
+    gvi = gv.solve(Matrix.identity(d.c, ONE, Z))
+    gwi = gw.solve(Matrix.identity(d.r, ONE, Z))
+    return ComplexADHMDatum(
+        d.c, d.r, gv * d.B11 * gvi, gv * d.B12 * gvi, gv * d.B21 * gvi,
+        gv * d.B22 * gvi, gv * d.i1 * gwi, gv * d.i2 * gwi,
+        gw * d.j1 * gvi, gw * d.j2 * gvi)
+
+
+class TestIntertwinerSystem:
+    """find_intertwiner builds its system with the linear-map builder; the
+    system equals the old row builder's entry for entry, and the sampled
+    (gV, gW) is the same for the same seed."""
+
+    @pytest.mark.parametrize("r,c", [(1, 1), (2, 1), (2, 3), (3, 2)])
+    def test_matches_old_row_builder(self, r, c, monkeypatch):
+        rng = random.Random(100 * r + c)
+        for seed in range(3):
+            d = random_complex_datum(r, c, seed)
+            moved = moved_datum(d, random_invertible(c, rng),
+                                random_invertible(r, rng))
+            cases = [(moved, d), (d, d),
+                     (random_complex_datum(r, c, seed + 7), d)]
+            if r >= 2:
+                s = random_stable_solution(r, c, seed)
+                cases.append((moved_datum(s, random_invertible(c, rng),
+                                          random_invertible(r, rng)), s))
+            for d_new, d_old in cases:
+                built, pair = first_matrix_of(
+                    monkeypatch, "kernel",
+                    lambda: find_intertwiner(d_new, d_old, seed=seed))
+                old_system, old_pair = old_intertwiner(d_new, d_old, seed)
+                assert built == old_system
+                assert pair == old_pair
+            assert find_intertwiner(moved, d, seed=seed) is not None
 
 
 class TestChern:

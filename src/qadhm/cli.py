@@ -424,31 +424,12 @@ def _cmd_q_eigen(args, cfg):
     return verified
 
 
-def _rules_json(rules, left, right):
-    from .qspacetime import X_NAMES
-    out = {}
-    for (g, h), terms in rules.items():
-        key = f"{left}{X_NAMES[g]}*{right}{X_NAMES[h]}"
-        out[key] = [{"coeff": c.to_json(),
-                     "left": f"{right}{X_NAMES[a]}",
-                     "right": f"{left}{X_NAMES[b]}"}
-                    for c, (a, b) in terms]
-    return out
-
-
 def _cmd_q_table(args, cfg):
     from .qcalculus import derive_table
     p_choice = args.p or cfg.p_choice
     if p_choice not in P_CHOICES:
         raise CLIError(f"p must be one of {P_CHOICES}")
-    table = derive_table(p_choice)
-    report = {
-        "p_choice": p_choice,
-        "leibniz": table.leibniz,
-        "x_rules": _rules_json(table.x_rules, "d", ""),
-        "wedge_rules": _rules_json(table.wedge_rules, "d", "d"),
-    }
-    _emit_json(report, cfg)
+    _emit_json(derive_table(p_choice).to_json(), cfg)
     return True
 
 

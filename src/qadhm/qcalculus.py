@@ -39,6 +39,11 @@ naive anticommutation -dx12^dx21 is inconsistent with the derived x-dx table
 (the residual is exactly (q^2-1)(dx11^dx22 - dx12^dx21), vanishing only at
 q^2 = 1).  ``CalculusTable.anticommutation_audit`` reports this residual.
 
+The rules are solved through the table's own engines, ``cross`` for the
+x-dx rules and ``insert_wedge`` for d^2 = 0, run on a ``CalculusTable`` whose
+unsolved rules carry unknowns; the derived table is then re-checked against
+all 35 constraints, its classical limit and the closed form of d(det).
+
 Conventions:
   * d(fg) = (df) g + f (dg), and d(f . dx-word) = df ^ dx-word; forms are kept
     in left-coefficient normal form (ordered monomial times strictly sorted
@@ -58,14 +63,15 @@ Conventions:
     degree-2 star is not defined and raises.
 """
 
+from functools import partial
+
 from .exactcore import (GaussRational, Matrix, QLaurent, QRat, _echelon,
                         qint)
 from .qspacetime import (CHART_I_RULES, HarmonicIndex, NCPoly, X_NAMES,
                          add_to, apply_rule, det_x, engine, feed, harmonic,
-                         mono_word, split_first)
+                         split_first)
 
 _ONE = QLaurent.one()
-_ZERO = QLaurent.zero()
 _R_ONE = QRat.one()
 _R_ZERO = QRat.zero()
 _ENG = engine("I")
@@ -103,10 +109,6 @@ def _charge_targets(a, b):
 # linear solver over QRat
 # ---------------------------------------------------------------------------
 
-class _Nonlinear(Exception):
-    """A constraint expansion needed the product of two unknown rules."""
-
-
 def _solve_system(equations):
     """Solve (lin: {var: QRat}, const: QRat, name) equations exactly.
 
@@ -135,129 +137,186 @@ def _solve_system(equations):
 
 
 # ---------------------------------------------------------------------------
-# constraint expansion with unknown rule coefficients
+# rule tables with unknown coefficients
 # ---------------------------------------------------------------------------
 
-def _lin_add(acc, key, expr):
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = dict(expr)
-        return
-    for v, c in expr.items():
-        nv = cur.get(v, _R_ZERO) + c
-        if nv:
-            cur[v] = nv
-        else:
-            cur.pop(v, None)
-    if not cur:
-        acc.pop(key, None)
+class _Nonlinear(Exception):
+    """A constraint expansion needed the product of two unknown rules."""
 
 
-def _lin_scale(expr, c):
-    return {v: cf * c for v, cf in expr.items()}
+class _Affine:
+    """A coefficient affine in the unknown rule coefficients.
 
-
-def _dx_word_sym(g, word, rules):
-    """dx_g . x_word as {(mono, e): linear-expression}, linear in unknowns.
-
-    ``rules`` maps solved (g, a) to ((QLaurent, (c, d)), ...).  Unsolved rules
-    contribute variables ("x", g, a, c, d); chaining an unknown into another
-    unknown raises _Nonlinear.
+    ``terms`` maps each unknown, or None for the constant part, to a nonzero
+    QLaurent, and holds at least one unknown (a sum without one collapses to
+    its QLaurent constant).  The reflected operators let QLaurent values mix
+    in, so ``CalculusTable``'s engines expand a constraint over a table whose
+    unsolved rules carry unknowns; a product of two unknowns raises
+    _Nonlinear.
     """
-    if not word:
-        return {(_ZMONO, g): {None: _R_ONE}}
-    a, rest = word[0], word[1:]
-    out = {}
-    rule = rules.get((g, a))
-    if rule is not None:
-        for coeff, (c, d) in rule:
-            sub = _dx_word_sym(d, rest, rules)
-            rc = QRat(coeff)
-            for (mono, e), expr in sub.items():
-                for m2, c2 in _ENG.mul_gen_mono(c, mono).items():
-                    _lin_add(out, (m2, e), _lin_scale(expr, rc * QRat(c2)))
-    else:
-        for (c, d) in _charge_targets(g, a):
-            var = ("x", g, a, c, d)
-            sub = _dx_word_sym(d, rest, rules)
-            for (mono, e), expr in sub.items():
-                if any(v is not None for v in expr):
-                    raise _Nonlinear()
-                base = expr.get(None, _R_ZERO)
-                for m2, c2 in _ENG.mul_gen_mono(c, mono).items():
-                    _lin_add(out, (m2, e), {var: base * QRat(c2)})
-    return out
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        t = dict(self.terms)
+        more = other.terms if isinstance(other, _Affine) else {None: other}
+        for v, c in more.items():
+            add_to(t, v, c)
+            if not t[v]:
+                del t[v]
+        if any(v is not None for v in t):
+            return _Affine(t)
+        return t.get(None, QLaurent.zero())
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, _Affine):
+            raise _Nonlinear()
+        if not other:
+            return QLaurent.zero()
+        return _Affine({v: c * other for v, c in self.terms.items()})
+
+    __rmul__ = __mul__
 
 
-def _poly_dx_terms(poly_terms, g, scale):
-    """{(mono, g): scale * coeff} for a normal-form polynomial coefficient."""
-    out = {}
-    for mono, c in poly_terms.items():
-        _lin_add(out, (mono, g), {None: scale * QRat(c)})
-    return out
+def _unknown_rule(kind, g, a, targets):
+    """A rule for (g, a) with the unknown (kind, g, a, c, d) per target."""
+    return tuple((_Affine({(kind, g, a) + t: _ONE}), t) for t in targets)
 
 
-def _pencil_equations(gens, letters, p2, tag, rules):
-    """(dx_g1 s + dx_g2)(x_a1 s + x_a2) - p^2 (x_a1 s + x_a2)(dx_g1 s + dx_g2).
+def _solved_rule(solved, kind, g, a, targets):
+    """The rule read off ``solved``; None while an unknown is undetermined."""
+    vals = [solved.get((kind, g, a) + t) for t in targets]
+    if any(v is None for v in vals):
+        return None
+    return tuple((v.as_qlaurent(), t) for v, t in zip(vals, targets) if v)
 
-    Returns the linear equations from all three s-components.
-    """
-    (g1, g2), (a1, a2) = gens, letters
+
+def _equations(name, residual):
+    """One linear equation per nonzero coefficient of a residual."""
     eqs = []
-    for which, pairs in (("s^2", ((g1, a1),)),
-                         ("s", ((g1, a2), (g2, a1))),
-                         ("s^0", ((g2, a2),))):
-        acc = {}
-        for (g, a) in pairs:
-            for key, expr in _dx_word_sym(g, (a,), rules).items():
-                _lin_add(acc, key, expr)
-        # subtract p^2 * x_a . dx_g for the matching components
-        rhs = {"s^2": ((a1, g1),), "s": ((a1, g2), (a2, g1)),
-               "s^0": ((a2, g2),)}[which]
-        for a, g in rhs:
-            mono = tuple(1 if i == a else 0 for i in range(4))
-            _lin_add(acc, (mono, g), {None: -p2})
-        for key, expr in acc.items():
-            eqs.append((
-                {v: c for v, c in expr.items() if v is not None},
-                expr.get(None, _R_ZERO),
-                f"{tag}[{which}]",
-            ))
+    for c in residual.values():
+        if c:
+            terms = c.terms if isinstance(c, _Affine) else {None: c}
+            eqs.append(({v: QRat(x) for v, x in terms.items()
+                         if v is not None},
+                        QRat(terms.get(None, 0)), name))
     return eqs
 
 
-def _d_relation_equations(b, a, rules):
-    """d applied to the sorting relation x_b x_a = sum coeff * word."""
-    acc = {}
-    for key, expr in _dx_word_sym(b, (a,), rules).items():
-        _lin_add(acc, key, expr)
-    mono_b = tuple(1 if i == b else 0 for i in range(4))
-    _lin_add(acc, (mono_b, a), {None: _R_ONE})
-    for coeff, (w1, w2) in CHART_I_RULES[(b, a)]:
-        rc = QRat(coeff)
-        for key, expr in _dx_word_sym(w1, (w2,), rules).items():
-            _lin_add(acc, key, _lin_scale(expr, -rc))
-        mono_1 = tuple(1 if i == w1 else 0 for i in range(4))
-        _lin_add(acc, (mono_1, w2), {None: -rc})
-    name = f"d[{X_NAMES[b]}*{X_NAMES[a]} relation]"
-    return [({v: c for v, c in e.items() if v is not None},
-             e.get(None, _R_ZERO), name) for e in acc.values()]
+def _solve_rules(kind, targets, pending, table_of, equations):
+    """Solve for the rules (g, a) of ``targets`` {(g, a): [(c, d)]}.
+
+    ``table_of(rules)`` is the table carrying ``rules``; unsolved ones get
+    one unknown per target.  Each round expands every pending constraint
+    through it, keeping back those that would multiply two unknowns, and
+    solves ``equations`` with everything gathered so far; rounds end when
+    one expands no constraint and solves no rule.
+    """
+    rules = {}
+    while True:
+        table = table_of({k: rules[k] if k in rules
+                          else _unknown_rule(kind, *k, ts)
+                          for k, ts in targets.items()})
+        left = []
+        for name, residual in pending:
+            try:
+                equations += _equations(name, residual(table))
+            except _Nonlinear:
+                left.append((name, residual))
+        solved = _solve_system(equations)
+        found = {}
+        for k, ts in targets.items():
+            rule = _solved_rule(solved, kind, *k, ts)
+            if rule is not None:
+                found[k] = rule
+        if len(found) == len(targets) and not left:
+            return found
+        if len(found) == len(rules) and len(left) == len(pending):
+            sep = "." if kind == "x" else "^d"
+            missing = [f"d{X_NAMES[g]}{sep}{X_NAMES[a]}"
+                       for g, a in targets if (g, a) not in found]
+            raise CalculusError(f"underdetermined rules: {missing}")
+        rules, pending = found, left
 
 
-def _dx_det_equations(g, p2, rules):
-    """dx_g . det - p^2 q^t(g) det . dx_g = 0."""
+# ---------------------------------------------------------------------------
+# the defining constraints, as residuals expanded by a table's engines
+# ---------------------------------------------------------------------------
+
+def _gen_mono(g):
+    """The ordered monomial x_g."""
+    return tuple(int(i == g) for i in range(4))
+
+
+def _cross_residual(crossed, plain, t):
+    """sum coeff * dx_g . mono over ``crossed`` [(coeff, g, mono)] plus
+    sum coeff * mono . dx_e over ``plain`` [(coeff, mono, e)]."""
     acc = {}
-    det = det_x()
-    for mono, c in det.terms.items():
-        rc = QRat(c)
-        for key, expr in _dx_word_sym(g, mono_word(mono), rules).items():
-            _lin_add(acc, key, _lin_scale(expr, rc))
-    scale = -p2 * QRat(QLaurent.q_power(DX_DET_TWIST[g]))
-    for key, expr in _poly_dx_terms(det.terms, g, scale).items():
-        _lin_add(acc, key, expr)
-    name = f"det covariance[d{X_NAMES[g]}]"
-    return [({v: c for v, c in e.items() if v is not None},
-             e.get(None, _R_ZERO), name) for e in acc.values()]
+    for coeff, g, mono in crossed:
+        for k, c in t.cross(g, mono).items():
+            add_to(acc, k, coeff * c)
+    for coeff, mono, e in plain:
+        add_to(acc, (mono, e), coeff)
+    return acc
+
+
+def _x_constraints(p_exp):
+    """[(name, residual)] for the constraints that pin the dx-x rules.
+
+    ``residual(table)`` is {(mono, e): coefficient}, expanded with
+    ``table.cross``; it vanishes exactly when the constraint holds.  Each
+    pencil (dx_g1 s + dx_g2)(x_a1 s + x_a2) - p^2 (x_a1 s + x_a2)(dx_g1 s +
+    dx_g2) gives one residual per power of s; d(x_u x_v) = dx_u . x_v +
+    x_u . dx_v gives those of the relations.
+    """
+    p2 = QLaurent.q_power(2 * p_exp)
+    mixed = (("pencil(11,21|12,22)", (0, 2), (1, 3)) if p_exp == 1
+             else ("pencil(12,22|11,21)", (1, 3), (0, 2)))
+    out = []
+    for tag, (g1, g2), (a1, a2) in (("pencil(11,21)", (0, 2), (0, 2)),
+                                    ("pencil(12,22)", (1, 3), (1, 3)),
+                                    mixed):
+        for which, pairs in (("s^2", ((g1, a1),)),
+                             ("s", ((g1, a2), (g2, a1))),
+                             ("s^0", ((g2, a2),))):
+            out.append((f"{tag}[{which}]", partial(
+                _cross_residual, [(_ONE, g, _gen_mono(a)) for g, a in pairs],
+                [(-p2, _gen_mono(a), g) for g, a in pairs])))
+    for b, a in sorted(CHART_I_RULES):
+        # d(x_b x_a - sum coeff x_u x_v) for the sorting relation of (b, a)
+        terms = [(_ONE, (b, a))] + [(-c, w) for c, w in CHART_I_RULES[(b, a)]]
+        out.append((f"d[{X_NAMES[b]}*{X_NAMES[a]} relation]", partial(
+            _cross_residual, [(c, u, _gen_mono(v)) for c, (u, v) in terms],
+            [(c, _gen_mono(u), v) for c, (u, v) in terms])))
+    det = det_x().terms
+    for g in range(4):
+        # dx_g . det - p^2 q^t(g) det . dx_g
+        scale = QLaurent.q_power(2 * p_exp + DX_DET_TWIST[g])
+        out.append((f"det covariance[d{X_NAMES[g]}]", partial(
+            _cross_residual, [(c, g, m) for m, c in det.items()],
+            [(-scale * c, m, g) for m, c in det.items()])))
+    return out
+
+
+def _d2_constraints():
+    """[(name, residual)] for d(d(x_a x_b)) = 0 on all sixteen pairs.
+
+    dx_a . x_b = sum coeff x_c . dx_d makes d(x_a x_b) = sum coeff x_c dx_d
+    + x_a dx_b, so d applied again is sum coeff dx_c^dx_d + dx_a^dx_b,
+    normal-ordered by ``table.insert_wedge``.
+    """
+    return [(f"d^2[{X_NAMES[a]}*{X_NAMES[b]}]",
+             lambda t, a=a, b=b: apply_rule(
+                 t.insert_wedge, t.x_rules[(a, b)] + ((_ONE, (a, b)),), ()))
+            for a in range(4) for b in range(4)]
 
 
 def _solve_x_rules(p_exp, extra_equations=()):
@@ -266,125 +325,27 @@ def _solve_x_rules(p_exp, extra_equations=()):
     Raises CalculusError("inconsistent constraints: ...") or
     CalculusError("underdetermined ...") when the system misbehaves.
     """
-    p2 = QRat(QLaurent.q_power(2 * p_exp))
-    constraints = [
-        ("column pencil (11,21)",
-         lambda r: _pencil_equations((0, 2), (0, 2), p2, "pencil(11,21)", r)),
-        ("column pencil (12,22)",
-         lambda r: _pencil_equations((1, 3), (1, 3), p2, "pencil(12,22)", r)),
-    ]
-    if p_exp == 1:
-        constraints.append(
-            ("mixed pencil (11,21)x(12,22)",
-             lambda r: _pencil_equations((0, 2), (1, 3), p2,
-                                         "pencil(11,21|12,22)", r)))
-    else:
-        constraints.append(
-            ("mixed pencil (12,22)x(11,21)",
-             lambda r: _pencil_equations((1, 3), (0, 2), p2,
-                                         "pencil(12,22|11,21)", r)))
-    for (b, a) in sorted(CHART_I_RULES):
-        constraints.append(
-            (f"d on relation ({b},{a})",
-             lambda r, b=b, a=a: _d_relation_equations(b, a, r)))
-    for g in range(4):
-        constraints.append(
-            (f"det covariance {g}",
-             lambda r, g=g: _dx_det_equations(g, p2, r)))
-
-    equations = list(extra_equations)
-    done = set()
-    rules = {}
-    for _ in range(12):
-        progress = False
-        for i, (name, builder) in enumerate(constraints):
-            if i in done:
-                continue
-            try:
-                eqs = builder(rules)
-            except _Nonlinear:
-                continue
-            equations.extend(eqs)
-            done.add(i)
-            progress = True
-        solved = _solve_system(equations)
-        for (g, a) in [(g, a) for g in range(4) for a in range(4)]:
-            if (g, a) in rules:
-                continue
-            targets = _charge_targets(g, a)
-            vals = []
-            for (c, d) in targets:
-                v = solved.get(("x", g, a, c, d))
-                if v is None:
-                    break
-                vals.append((v, (c, d)))
-            else:
-                rule = tuple((coeff.as_qlaurent(), t)
-                             for coeff, t in vals if coeff)
-                rules[(g, a)] = rule
-                progress = True
-        if len(rules) == 16 and len(done) == len(constraints):
-            return rules
-        if not progress:
-            break
-    missing = [f"d{X_NAMES[g]}.{X_NAMES[a]}"
-               for g in range(4) for a in range(4) if (g, a) not in rules]
-    raise CalculusError(f"underdetermined x-dx rules: {missing}")
+    p_choice = next(pc for pc, e in P_EXPONENTS.items() if e == p_exp)
+    targets = {(g, a): _charge_targets(g, a)
+               for g in range(4) for a in range(4)}
+    return _solve_rules("x", targets, _x_constraints(p_exp),
+                        lambda rules: CalculusTable(p_choice, rules, {}),
+                        list(extra_equations))
 
 
-def _solve_wedge_rules(x_rules):
+def _solve_wedge_rules(p_choice, x_rules):
     """Wedge relations forced by d^2 = 0 on all products of two generators.
 
-    Unsorted products dx_b ^ dx_a (b > a) are expanded over the sorted pairs
-    of their charge class; squares have no sorted pair in their class and are
-    zero by the charge ansatz (consistently: their coefficient in every
-    residual is a unit multiple, so the relations force the same answer).
+    Each dx_b ^ dx_a (b >= a) gets one unknown per sorted pair of its charge
+    class.  A square has no sorted pair in its class and is zero by the
+    charge ansatz (consistently: its coefficient in every residual is a unit
+    multiple, so the relations force the same answer).
     """
-    equations = []
-    for a in range(4):
-        for b in range(4):
-            # d(x_a x_b) = (dx_a . x_b) + x_a dx_b, then d again
-            coeffs = {}  # ordered wedge pair (f, e) -> QRat
-            for coeff, pair in x_rules[(a, b)]:
-                add_to(coeffs, pair, QRat(coeff))
-            add_to(coeffs, (a, b), _R_ONE)
-            # substitute unknowns for unsorted pairs, identity for sorted
-            acc = {}  # sorted pair -> {var or None: QRat}
-            for (f, e), cf in coeffs.items():
-                if not cf:
-                    continue
-                if f < e:
-                    _lin_add(acc, (f, e), {None: cf})
-                elif f == e:
-                    continue  # square: zero by the charge ansatz
-                else:
-                    for (c, d) in _charge_targets(f, e):
-                        if c < d:
-                            _lin_add(acc, (c, d),
-                                     {("w", f, e, c, d): cf})
-            name = f"d^2[{X_NAMES[a]}*{X_NAMES[b]}]"
-            for expr in acc.values():
-                equations.append((
-                    {v: c for v, c in expr.items() if v is not None},
-                    expr.get(None, _R_ZERO), name))
-    solved = _solve_system(equations)
-    wedge = {}
-    for b in range(4):
-        for a in range(b + 1):
-            if a == b:
-                wedge[(b, a)] = ()
-                continue
-            targets = [(c, d) for (c, d) in _charge_targets(b, a) if c < d]
-            vals = []
-            for (c, d) in targets:
-                v = solved.get(("w", b, a, c, d))
-                if v is None:
-                    raise CalculusError(
-                        f"underdetermined wedge rule d{X_NAMES[b]}^d{X_NAMES[a]}")
-                if v:
-                    vals.append((v.as_qlaurent(), (c, d)))
-            wedge[(b, a)] = tuple(vals)
-    return wedge
+    targets = {(b, a): [(c, d) for c, d in _charge_targets(b, a) if c < d]
+               for b in range(4) for a in range(b + 1)}
+    return _solve_rules("w", targets, _d2_constraints(),
+                        lambda rules: CalculusTable(p_choice, x_rules, rules),
+                        [])
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +469,7 @@ class CalculusTable:
     def star3_words(self):
         """{sorted 3-word: {g: QRat}}: the inverse of the 1-form star."""
         if self._star3 is None:
-            words = [w for w in
-                     [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]]
+            words = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
             star = self.star1_words()
             mat = Matrix(4, 4, [[star[g].get(w, _R_ZERO) for g in range(4)]
                                 for w in words])
@@ -544,25 +504,16 @@ class CalculusTable:
         return out
 
     def to_json(self):
-        xr = []
-        for (g, a) in sorted(self.x_rules):
-            xr.append({
-                "dx": X_NAMES[g], "x": X_NAMES[a],
-                "terms": [{"x": X_NAMES[c], "dx": X_NAMES[d],
-                           "coef": coeff.to_json()}
-                          for coeff, (c, d) in self.x_rules[(g, a)]],
-            })
-        wr = []
-        for (b, a) in sorted(self.wedge_rules):
-            wr.append({
-                "left": X_NAMES[b], "right": X_NAMES[a],
-                "terms": [{"left": X_NAMES[c], "right": X_NAMES[d],
-                           "coef": coeff.to_json()}
-                          for coeff, (c, d) in self.wedge_rules[(b, a)]],
-            })
-        return {"p": self.p_choice, "leibniz": self.leibniz,
-                "x_dx_rules": xr, "wedge_rules": wr,
-                "anticommutation_audit": self.anticommutation_audit()}
+        """The ``q table`` report: each rule keyed "dx11*x12" or
+        "dx21*dx12", as a list of {"coeff", "left", "right"} terms."""
+        def rules(table, x):
+            return {f"d{X_NAMES[g]}*{x}{X_NAMES[h]}": [
+                {"coeff": c.to_json(), "left": f"{x}{X_NAMES[a]}",
+                 "right": f"d{X_NAMES[b]}"} for c, (a, b) in terms]
+                for (g, h), terms in table.items()}
+        return {"p_choice": self.p_choice, "leibniz": self.leibniz,
+                "x_rules": rules(self.x_rules, ""),
+                "wedge_rules": rules(self.wedge_rules, "d")}
 
 
 _TABLE_CACHE = {}
@@ -574,10 +525,9 @@ def derive_table(p_choice="q") -> CalculusTable:
         raise ValueError(f"unknown p_choice {p_choice!r}")
     table = _TABLE_CACHE.get(p_choice)
     if table is None:
-        p_exp = P_EXPONENTS[p_choice]
-        x_rules = _solve_x_rules(p_exp)
-        wedge = _solve_wedge_rules(x_rules)
-        table = CalculusTable(p_choice, x_rules, wedge)
+        x_rules = _solve_x_rules(P_EXPONENTS[p_choice])
+        table = CalculusTable(p_choice, x_rules,
+                              _solve_wedge_rules(p_choice, x_rules))
         _verify_table(table)
         _TABLE_CACHE[p_choice] = table
     return table
@@ -592,7 +542,9 @@ def _classical(rule):
 
 
 def _verify_table(table):
-    """Recheck the defining constraints through the final engines."""
+    """Recheck a table: two independent oracles (the classical limit and
+    the closed form of d(det)), then every defining constraint expanded
+    through the table's own engines."""
     # classical limit: every rule degenerates to plain (anti)commutation
     for (g, a), rule in table.x_rules.items():
         if _classical(rule) != {(a, g): GaussRational.one()}:
@@ -603,29 +555,20 @@ def _verify_table(table):
         if _classical(rule) != want:
             raise CalculusError(
                 f"classical limit broken for d{X_NAMES[b]}^d{X_NAMES[a]}")
-    # d(det) and the determinant covariances, recomputed with the engines
+    # d(det) in closed form
     p_exp = table.p_exp
-    det = det_x()
-    ddet = d(det, table)
     want = {}
     for coeff, mono_g, g in (
             (QLaurent.q_power(1 - p_exp), 0, 3),
             (-QLaurent.q_power(1 - p_exp), 1, 2),
             (QLaurent.q_power(-1 - p_exp), 3, 0),
             (-QLaurent.q_power(-1 - p_exp), 2, 1)):
-        mono = tuple(1 if i == mono_g else 0 for i in range(4))
-        want[((g,), mono)] = QRat(coeff)
-    if ddet.terms != want:
+        want[((g,), _gen_mono(mono_g))] = QRat(coeff)
+    if d(det_x(), table).terms != want:
         raise CalculusError("d(det) does not match its closed form")
-    for g in range(4):
-        lhs = {}
-        for mono, c in det.terms.items():
-            for k, c1 in table.cross(g, mono).items():
-                add_to(lhs, k, c * c1)
-        scale = QLaurent.q_power(2 * p_exp + DX_DET_TWIST[g])
-        rhs = {(m, g): c * scale for m, c in det.terms.items()}
-        if {k: c for k, c in lhs.items() if c} != rhs:
-            raise CalculusError(f"det covariance broken for d{X_NAMES[g]}")
+    for name, residual in _x_constraints(p_exp) + _d2_constraints():
+        if any(residual(table).values()):
+            raise CalculusError(f"constraint broken by the table: {name}")
 
 
 # ---------------------------------------------------------------------------

@@ -372,16 +372,11 @@ def alpha_injective_truncated(d, Q, dmax):
     return alpha_slice_report(d, Q, dmax)["injective"]
 
 
-def _beta_bar(d, chart="I"):
-    """The stacked operator (-beta_2 ; beta_1) : V|V|W -> V|V."""
-    a1, a2, b1, b2 = build_q_ops(d, chart)
-    return Matrix.vstack([-b2, b1])
-
-
-def _alpha_bar(d, chart="I"):
-    """The joined operator (alpha_1 | alpha_2) : V|V -> V|V|W."""
-    a1, a2, b1, b2 = build_q_ops(d, chart)
-    return Matrix.hstack([a1, a2])
+def _bars(a1, a2, b1, b2):
+    """(alpha-bar, beta-bar) from one build of the four operators: the
+    joined (alpha_1 | alpha_2) : V|V -> V|V|W and the stacked
+    (-beta_2 ; beta_1) : V|V|W -> V|V."""
+    return Matrix.hstack([a1, a2]), Matrix.vstack([-b2, b1])
 
 
 def kernel_slice_basis(d, dmax, chart="I"):
@@ -391,7 +386,7 @@ def kernel_slice_basis(d, dmax, chart="I"):
     the truncated matrix is the exact degree-capped kernel of the module
     map.  Vectors are returned with coefficients cleared to Laurent
     polynomials."""
-    bbar = _beta_bar(d, chart)
+    _, bbar = _bars(*build_q_ops(d, chart))
     mat = truncated_matrix(bbar, dmax, dmax + 1)
     ker = mat.kernel()
     src = _monomials_upto(dmax)
@@ -469,7 +464,8 @@ def curvature_asd(d, p_choice="q"):
     def dform(p):
         return exterior_d(p, table)
 
-    prod = _alpha_bar(d, "I").map(dform) * _beta_bar(d, "I").map(dform)
+    abar, bbar = _bars(*build_q_ops(d, "I"))
+    prod = abar.map(dform) * bbar.map(dform)
 
     bounds = [0, d.c, 2 * d.c, prod.rows]
     zero = NCForm(table, 2, {})
@@ -541,8 +537,7 @@ def chart_j_pattern(d):
     operators is a scalar block plus a single signed generator (or
     constant), the W row and column carry no generators, and the patterns
     match the chart-J operator layout."""
-    abar = _alpha_bar(d, "J")
-    bbar = _beta_bar(d, "J")
+    abar, bbar = _bars(*build_q_ops(d, "J"))
     y11, y12, y21, y22 = Y_NAMES
     want_a = [[(y22, -1), (y21, 1)], [(y12, 1), (y11, -1)], [None, None]]
     want_b = [[(y11, -1), (y21, -1), None], [(y12, -1), (y22, -1), None]]
@@ -640,13 +635,13 @@ def projection_truncated(d, psi, dmax):
     if len(comps) != 2 * d.c + d.r:
         raise QInstantonError("projection input has the wrong length")
 
-    bbar = _beta_bar(d, "I")
-    abar = _alpha_bar(d, "I")
-    rhs = [sum((comps[a2].left_mul(bbar[v, a2])
-                for a2 in range(bbar.cols)), NCForm(table, 0, {}))
+    a1, a2, b1, b2 = build_q_ops(d, "I")
+    abar, bbar = _bars(a1, a2, b1, b2)
+    xi = b1 * a2    # Xi, as xi_operator builds it
+    rhs = [sum((comps[j].left_mul(bbar[v, j])
+                for j in range(bbar.cols)), NCForm(table, 0, {}))
            for v in range(bbar.rows)]
 
-    xi = xi_operator(d, "I")
     monos = _monomials_upto(dmax)
     tpos = {m: k for k, m in enumerate(monos)}
     n = len(monos)
@@ -679,8 +674,8 @@ def projection_truncated(d, psi, dmax):
         out.append(acc)
 
     for v in range(bbar.rows):
-        check = sum((out[a2].left_mul(bbar[v, a2])
-                     for a2 in range(bbar.cols)), NCForm(table, 0, {}))
+        check = sum((out[j].left_mul(bbar[v, j])
+                     for j in range(bbar.cols)), NCForm(table, 0, {}))
         if any(sum(mono) <= dmax for (_, mono) in check.terms):
             raise QInstantonError(
                 "projection image left the kernel within the window")

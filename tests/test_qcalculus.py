@@ -17,7 +17,7 @@ from qadhm.qcalculus import (CalculusError, CalculusTable, NCForm, VOL_WORD,
                              eigenvalue_tilde, hodge_star, laplace_via_star,
                              laplacian, partials, penrose_scalar,
                              sd_asd_split, tilde_laplacian, _solve_system,
-                             _solve_x_rules)
+                             _solve_x_rules, _verify_table)
 from qadhm.qspacetime import (HarmonicIndex, NCPoly, basis_element,
                               basis_indices_for_degree, det_x, harmonic,
                               monomials_of_degree, slice_matrix)
@@ -184,15 +184,28 @@ class TestRuleDerivation:
             _solve_system(eqs)
 
     def test_table_json(self):
-        t = derive_table("q")
-        js = t.to_json()
-        assert js["p"] == "q"
+        # the ``q table`` report: rules keyed "dx11*x21" and "dx21*dx12"
+        js = derive_table("q").to_json()
+        assert js["p_choice"] == "q"
         assert js["leibniz"] == "d(fg) = (df)g + f(dg)"
-        assert len(js["x_dx_rules"]) == 16
-        assert len(js["wedge_rules"]) == 10
-        audit = js["anticommutation_audit"]
-        assert audit["dx21^dx12"]["anticommutes"] is False
-        assert audit["dx21^dx11"]["anticommutes"] is True
+        assert len(js["x_rules"]) == 16
+        assert len(js["wedge_rules"]) == 10    # pairs with g >= h
+        assert js["x_rules"]["dx11*x21"] == [
+            {"coeff": ONE.to_json(), "left": "x21", "right": "dx11"}]
+        assert js["wedge_rules"]["dx21*dx12"] == [
+            {"coeff": (Q2 - ONE).to_json(), "left": "dx11", "right": "dx22"},
+            {"coeff": (-Q2).to_json(), "left": "dx12", "right": "dx21"}]
+        assert js["wedge_rules"]["dx22*dx22"] == []
+        assert derive_table("qinv").to_json()["p_choice"] == "qinv"
+
+    def test_verification_rejects_naive_anticommutation(self):
+        # dx21^dx12 = -dx12^dx21 keeps the classical limit and d(det), but
+        # breaks d^2 = 0 on x12*x21
+        t = derive_table("q")
+        doctored = dict(t.wedge_rules)
+        doctored[(2, 1)] = ((QLaurent({0: -1}), (1, 2)),)
+        with pytest.raises(CalculusError, match=r"d\^2\[x12\*x21\]"):
+            _verify_table(CalculusTable("q", t.x_rules, doctored))
 
 
 class TestPencilCovariance:

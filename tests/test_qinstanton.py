@@ -538,17 +538,17 @@ class TestKernelSliceBasis:
         assert [len(kernel_slice_basis(d, k)) for k in range(3)] == [0, 2, 10]
 
     def test_vectors_annihilated_exactly(self):
-        from qadhm.qinstanton import _beta_bar
+        from qadhm.qinstanton import _bars
         d = one_instanton()
-        bbar = _beta_bar(d)
+        _, bbar = _bars(*build_q_ops(d))
         for vec in kernel_slice_basis(d, 2):
             assert (bbar * column(*vec)).is_zero()
             assert any(not p.is_zero() for p in vec)
 
     def test_truncated_matrix_shape(self):
         d = one_instanton()
-        from qadhm.qinstanton import _beta_bar
-        mat = truncated_matrix(_beta_bar(d), 1, 2)
+        from qadhm.qinstanton import _bars
+        mat = truncated_matrix(_bars(*build_q_ops(d))[1], 1, 2)
         assert (mat.rows, mat.cols) == (2 * 15, 4 * 5)
 
 
@@ -653,19 +653,19 @@ class TestProjection:
                 assert comp == NCForm.from_poly(table, orig)
 
     def test_kills_image_vectors_exactly(self):
-        from qadhm.qinstanton import _alpha_bar
+        from qadhm.qinstanton import _bars
         d = one_instanton()
-        abar = _alpha_bar(d)
+        abar, _ = _bars(*build_q_ops(d))
         v = [NCPoly.scalar("I", GaussRational(3)),
              NCPoly.scalar("I", GaussRational(-2))]
         out = projection_truncated(d, (abar * column(*v)).col(0), 3)
         assert all(f.is_zero() for f in out)
 
     def test_generic_input_projected_into_kernel_window(self):
-        from qadhm.qinstanton import _beta_bar
+        from qadhm.qinstanton import _bars
         d = one_instanton()
         table = derive_table("q")
-        bbar = _beta_bar(d)
+        _, bbar = _bars(*build_q_ops(d))
         rng = random.Random(7)
         psi = []
         for _ in range(4):
@@ -703,6 +703,27 @@ class TestProjection:
         d = one_instanton()
         with pytest.raises(QInstantonError, match="length"):
             projection_truncated(d, [NCPoly.zero("I")] * 3, 2)
+
+
+class TestOperatorsBuiltOnce:
+    def test_one_build_per_call(self, monkeypatch):
+        # alpha-bar, beta-bar and Xi all come from a single build_q_ops
+        import qadhm.qinstanton as qinstanton
+        calls = []
+        build = qinstanton.build_q_ops
+
+        def spy(*args):
+            calls.append(args)
+            return build(*args)
+        monkeypatch.setattr(qinstanton, "build_q_ops", spy)
+        d = one_instanton()
+        vec = kernel_slice_basis(d, 1)[0]
+        for run in (lambda: curvature_asd(d), lambda: chart_j_pattern(d),
+                    lambda: projection_truncated(d, vec, 2),
+                    lambda: kernel_slice_basis(d, 1)):
+            calls.clear()
+            run()
+            assert len(calls) == 1
 
 
 class TestJSONReports:

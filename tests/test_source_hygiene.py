@@ -105,6 +105,43 @@ def test_every_private_function_is_referenced():
     assert not dead, f"private functions nothing references: {dead}"
 
 
+def private_bindings(node):
+    """Private names a module-level class or assignment binds."""
+    if isinstance(node, ast.ClassDef):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target])
+        names = [n.id for t in targets for n in ast.walk(t)
+                 if isinstance(n, ast.Name)]
+    else:
+        return []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def loaded_names(node):
+    return Counter(n.id for n in ast.walk(node)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+
+
+def test_every_private_class_and_assignment_is_used():
+    # each must be loaded in its own module (outside its own definition) or
+    # imported by another module
+    trees = parse_modules()
+    dead = []
+    for name, tree in trees.items():
+        imported = {alias.name for other, t in trees.items() if other != name
+                    for node in ast.walk(t) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        loads = loaded_names(tree)
+        for node in tree.body:
+            inside = loaded_names(node)
+            for b in private_bindings(node):
+                if loads[b] - inside[b] <= 0 and b not in imported:
+                    dead.append(f"{name}:{node.lineno} {b}")
+    assert not dead, f"private classes and assignments nothing uses: {dead}"
+
+
 def test_no_floating_point():
     # every answer is exact: no float (or complex) literal, and no call that
     # makes or rounds a float

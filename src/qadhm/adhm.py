@@ -53,16 +53,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
-from .exactcore import (
-    BiPoly,
-    GaussRational,
-    Matrix,
-    _uni_divmod,
-    gcd_projective_roots,
-    parse_gauss,
-    random_gauss,
-)
+from .exactcore import (GaussRational, Matrix, _as_gauss, parse_gauss,
+                        random_gauss)
 
 __all__ = [
     "ADHMError", "ComplexADHMDatum", "RealADHMDatum", "StabilityReport",
@@ -70,6 +64,7 @@ __all__ = [
     "real_residuals", "is_real_solution",
     "is_stable", "is_costable", "closure_rank",
     "classify", "derivative_rank", "stabilizer_dim",
+    "BiPoly", "gcd_projective_roots",
     "dagger_involution", "is_dagger_fixed", "embed_real", "real_stratify",
     "c1_generator", "random_complex_datum", "random_stable_solution",
     "random_nonstable_solution", "random_c1r1_solution",
@@ -375,6 +370,130 @@ def is_costable(B1, B2, j):
 def closure_rank(B1, B2, i):
     """Dimension of the full word closure of Im i under (B1, B2)."""
     return _closure_basis([B1, B2], i).cols
+
+
+# ---------------------------------------------------------------------------
+# homogeneous bivariate polynomials over Q(i) and their projective roots
+# ---------------------------------------------------------------------------
+
+class BiPoly:
+    """Polynomial in two variables (z, w) over GaussRational: {(dz,dw): coeff}."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        clean = {}
+        if terms:
+            for k, c in terms.items():
+                c = _as_gauss(c)
+                if c:
+                    clean[(int(k[0]), int(k[1]))] = c
+        object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, *a):
+        raise AttributeError("BiPoly is immutable")
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def total_degree(self):
+        if not self.terms:
+            return -1
+        return max(a + b for (a, b) in self.terms)
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        def mono(a, b):
+            parts = []
+            if a:
+                parts.append("z" if a == 1 else f"z^{a}")
+            if b:
+                parts.append("w" if b == 1 else f"w^{b}")
+            return "*".join(parts) or "1"
+        items = sorted(self.terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0]))
+        return " + ".join(f"({c})*{mono(a, b)}" for (a, b), c in items)
+
+
+def _uni_divmod(a, b):
+    """Division of dense univariate coefficient lists over Q(i) (index=degree)."""
+    a = list(a)
+    db = len(b) - 1
+    while db >= 0 and not b[db]:
+        db -= 1
+    if db < 0:
+        raise ZeroDivisionError("univariate division by zero")
+    lead = b[db]
+    quo = [_ZERO] * max(0, len(a) - db)
+    for d in range(len(a) - 1, db - 1, -1):
+        if not a[d]:
+            continue
+        f = a[d] / lead
+        quo[d - db] = f
+        for k in range(db + 1):
+            a[d - db + k] = a[d - db + k] - f * b[k]
+    while a and not a[-1]:
+        a.pop()
+    return quo, a
+
+
+def _gauss_from_sympy(x):
+    re_, im_ = x.as_real_imag()
+    return GaussRational(Fraction(int(re_.p), int(re_.q)),
+                         Fraction(int(im_.p), int(im_.q)))
+
+
+def gcd_projective_roots(g: BiPoly):
+    """Split a homogeneous bivariate poly into Q(i)-rational projective roots
+    and leftover irreducible factors (as display strings).
+
+    Returns (roots, leftovers): roots are ([z0:w0], multiplicity) pairs with
+    GaussRational coordinates, z = 0 first, then w = 0, then the rest;
+    leftovers are strings for factors with no Q(i) root.  The dehomogenized
+    part (t = z/w) is checked exactly against lc*(t - a)^d with
+    a = -g_(d-1)/(d*g_d), which gives its one root without sympy; any other
+    part is factored by sympy over QQ_I.
+    """
+    if not g:
+        raise ValueError("zero polynomial has every root")
+    za = min(a for (a, b) in g.terms)
+    wb = min(b for (a, b) in g.terms)
+    roots = []
+    if za:
+        roots.append(((GaussRational(0), GaussRational(1)), za))  # z = 0
+    if wb:
+        roots.append(((GaussRational(1), GaussRational(0)), wb))  # w = 0
+    d = g.total_degree() - za - wb
+    if d == 0:
+        return roots, []
+    coeffs = [_ZERO] * (d + 1)
+    for (a, b), c in g.terms.items():
+        coeffs[a - za] = c
+    lead = coeffs[d]
+    root = -coeffs[d - 1] / (lead * d)
+    if all(coeffs[k] == lead * comb(d, k) * (-root) ** (d - k)
+           for k in range(d - 1)):
+        roots.append(((root, GaussRational(1)), d))
+        return roots, []
+
+    import sympy
+
+    t = sympy.Symbol("t")
+    expr = sympy.Integer(0)
+    for k, c in enumerate(coeffs):
+        coef = sympy.Rational(c.re.numerator, c.re.denominator) \
+            + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
+        expr += coef * t ** k
+    poly = sympy.Poly(expr, t, domain="QQ_I")
+    _, factors = poly.factor_list()
+    leftovers = []
+    for fac, mult in factors:
+        if fac.degree() == 1:
+            c1, c0 = (_gauss_from_sympy(x) for x in fac.all_coeffs())
+            roots.append(((-c0 / c1, GaussRational(1)), mult))
+        else:
+            leftovers.append(sympy.sstr(fac.as_expr()))
+    return roots, leftovers
 
 
 # ---------------------------------------------------------------------------

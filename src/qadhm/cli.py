@@ -40,8 +40,8 @@ MAX_DEGREE_CAP = 8
 MAX_GRID_SIZE = 64
 MAX_TWO_L = 32        # q harmonic / q eigen -l (twice l)
 MAX_DET_POWER = 16    # q harmonic / q eigen -k
-MAX_RANK = 32         # adhm random -r
-MAX_CHARGE = 12       # adhm random -c
+MAX_RANK = 32         # r of adhm random and of every datum file
+MAX_CHARGE = 12       # c of adhm random and of every datum file
 _SEED_BOUND = 1 << 63
 
 
@@ -205,9 +205,20 @@ def _load_json(path):
         raise CLIError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _check_size(r, c, where=""):
+    if r > MAX_RANK or c > MAX_CHARGE:
+        raise CLIError(f"{where}r must be at most {MAX_RANK} and c at most "
+                       f"{MAX_CHARGE}")
+
+
 def _load_datum(path, real=False):
     from .adhm import ComplexADHMDatum, RealADHMDatum, datum_from_json
     obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise CLIError(f"{path}: a datum is a JSON object")
+    r, c = obj.get("r"), obj.get("c")
+    if isinstance(r, int) and isinstance(c, int):
+        _check_size(r, c, f"{path}: ")
     try:
         d = datum_from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
@@ -270,9 +281,7 @@ def _cmd_adhm_embed(args, cfg):
 
 def _cmd_adhm_random(args, cfg):
     from .adhm import ADHMError, random_stable_solution
-    if args.r > MAX_RANK or args.c > MAX_CHARGE:
-        raise CLIError(f"r must be at most {MAX_RANK} and c at most "
-                       f"{MAX_CHARGE}")
+    _check_size(args.r, args.c)
     try:
         d = random_stable_solution(args.r, args.c, cfg.seed)
     except ADHMError as exc:
@@ -513,30 +522,7 @@ def _cmd_inst_slices(args, cfg):
 # parser assembly
 # ---------------------------------------------------------------------------
 
-def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p-choice", default="q", choices=P_CHOICES,
-                        help="calculus convention (default q)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="64-bit seed for randomized commands")
-    common.add_argument("--degree-cap", type=int, default=4,
-                        help=f"default degree cap, at most {MAX_DEGREE_CAP}")
-    common.add_argument("--grid-size", type=int, default=12,
-                        help="number of pencil parameter points, at most "
-                             f"{MAX_GRID_SIZE}")
-    common.add_argument("--output", default=None,
-                        help="write the report to this path instead of stdout")
-
-    parser = argparse.ArgumentParser(
-        prog="qadhm",
-        description="Exact reports for matrix data, monads, the quantum "
-                    "algebra and module operators.",
-        epilog="Expression grammar" + __doc__.split("Expression grammar", 1)[1],
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    groups = parser.add_subparsers(dest="group", required=True)
-
-    adhm = groups.add_parser("adhm", help="matrix data commands")
-    sub = adhm.add_subparsers(dest="command", required=True)
+def _add_adhm(sub, common):
     p = sub.add_parser("check", parents=[common],
                        help="residuals and stability classification")
     p.add_argument("file")
@@ -555,8 +541,8 @@ def _build_parser():
     p.add_argument("file")
     p.set_defaults(handler=_cmd_adhm_rank)
 
-    monad = groups.add_parser("monad", help="monad and sheaf commands")
-    sub = monad.add_subparsers(dest="command", required=True)
+
+def _add_monad(sub, common):
     p = sub.add_parser("build", parents=[common],
                        help="three-term complex of a solution")
     p.add_argument("file")
@@ -572,8 +558,8 @@ def _build_parser():
     p.add_argument("-k", type=int, required=True)
     p.set_defaults(handler=_cmd_monad_chern)
 
-    q = groups.add_parser("q", help="quantum algebra and calculus commands")
-    sub = q.add_subparsers(dest="command", required=True)
+
+def _add_q(sub, common):
     p = sub.add_parser("normalize", parents=[common],
                        help="normal form of an expression")
     p.add_argument("expr")
@@ -607,8 +593,8 @@ def _build_parser():
     p.add_argument("file")
     p.set_defaults(handler=_cmd_q_penrose)
 
-    inst = groups.add_parser("inst", help="module operator commands")
-    sub = inst.add_subparsers(dest="command", required=True)
+
+def _add_inst(sub, common):
     p = sub.add_parser("verify", parents=[common],
                        help="operator identities on both charts")
     p.add_argument("file")
@@ -623,13 +609,53 @@ def _build_parser():
     p.add_argument("--dmax", type=int, default=None)
     p.set_defaults(handler=_cmd_inst_slices)
 
+
+# group -> (help, adder of its subcommands)
+_GROUPS = {
+    "adhm": ("matrix data commands", _add_adhm),
+    "monad": ("monad and sheaf commands", _add_monad),
+    "q": ("quantum algebra and calculus commands", _add_q),
+    "inst": ("module operator commands", _add_inst),
+}
+
+
+def _build_parser(argv=()):
+    """The parser for ``argv``.  Every group gets its parser, but only the
+    group that ``argv[0]`` names gets its subcommands; when it names none
+    (``--help``, no arguments, an unknown group) every group gets them."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--p-choice", default="q", choices=P_CHOICES,
+                        help="calculus convention (default q)")
+    common.add_argument("--seed", type=int, default=0,
+                        help="64-bit seed for randomized commands")
+    common.add_argument("--degree-cap", type=int, default=4,
+                        help=f"default degree cap, at most {MAX_DEGREE_CAP}")
+    common.add_argument("--grid-size", type=int, default=12,
+                        help="number of pencil parameter points, at most "
+                             f"{MAX_GRID_SIZE}")
+    common.add_argument("--output", default=None,
+                        help="write the report to this path instead of stdout")
+
+    parser = argparse.ArgumentParser(
+        prog="qadhm",
+        description="Exact reports for matrix data, monads, the quantum "
+                    "algebra and module operators.",
+        epilog="Expression grammar" + __doc__.split("Expression grammar", 1)[1],
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    groups = parser.add_subparsers(dest="group", required=True)
+    named = argv[0] if argv and argv[0] in _GROUPS else None
+    for name, (help_text, add_commands) in _GROUPS.items():
+        group = groups.add_parser(name, help=help_text)
+        if named in (None, name):
+            add_commands(group.add_subparsers(dest="command", required=True),
+                         common)
     return parser
 
 
 def run(argv=None):
     """Parse arguments, dispatch, and return the exit status."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         cfg = RunConfig(p_choice=args.p_choice, seed=args.seed,
                         degree_cap=args.degree_cap, grid_size=args.grid_size,

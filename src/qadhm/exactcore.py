@@ -11,10 +11,11 @@ Three scalar types, each immutable and structural-equality:
   canonical denominator (valuation 0, constant term 1).
 
 Plus exact matrices whose rank, kernel and solve all run through one sparse
-row echelon over the fraction field of the entries (QLaurent entries are
-lifted to QRat), linear pencils in named formal variables, the projective
-roots of homogeneous bivariate polynomials over Q(i), and the quantum
-integers [n], braces {n}, their factorials and the q-binomial coefficients.
+row echelon over the fraction field of the entries (it pivots on units, so
+QLaurent entries are lifted to QRat only at a non-unit pivot), and the
+quantum integers [n], braces {n}, their factorials and the q-binomial
+coefficients.  The matrix pencils of ``monad`` and the projective roots of
+``adhm`` live in those modules.
 
 Equal scalars hash alike across types: a GaussRational with zero imaginary
 part hashes as its real part, a constant QLaurent as its coefficient, and a
@@ -25,11 +26,11 @@ unit c*q^n needs no gcd to be reduced, so lifting a QLaurent is cheap.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 import re as _re
 
 __all__ = [
-    "GaussRational", "QLaurent", "QRat", "Matrix", "Pencil", "BiPoly",
+    "GaussRational", "QLaurent", "QRat", "Matrix",
     "qint", "qbrace", "qfact", "qbinom",
     "parse_gauss", "random_gauss",
 ]
@@ -759,12 +760,14 @@ def _echelon(rows, ncols, reduced=False):
     """Row echelon form of sparse rows over Q(i), Q(i)(q) or Q(i)[q, q^-1].
 
     ``rows`` are {col: nonzero entry} dicts of field elements or
-    ``QLaurent`` ring elements; they are not modified.  Columns
-    0..ncols-1 are eliminated from left to right.  Each column pivots on
-    the shortest live row whose entry there is a unit -- a field element
-    or a Laurent monomial c*q^k -- so Laurent rows stay Laurent; only when
-    no candidate is a unit does the shortest row pivot on a ``QRat``
-    inverse.  Returns the pivots in column order as (col, index of the
+    ``QLaurent`` ring elements, and one system may mix ``QLaurent`` with
+    ``QRat``; they are not modified.  Columns 0..ncols-1 are eliminated
+    from left to right.  Each column pivots on the shortest live row whose
+    entry there is a unit -- a field element or a Laurent monomial c*q^k --
+    so Laurent rows stay Laurent; only when no candidate is a unit does the
+    shortest row pivot on a ``QRat`` inverse.  The slice rows of
+    ``qinstanton`` and the rule equations of ``qcalculus`` are Laurent, so
+    they build a ``QRat`` only at such a pivot.  Returns the pivots in column order as (col, index of the
     input row, row normalised to 1 at col).  With ``reduced`` each pivot
     column is also cleared from the earlier pivot rows, which gives the
     reduced row echelon form.  Rank, pivot columns and the reduced form
@@ -1035,175 +1038,3 @@ class Matrix:
     def __str__(self):
         return "\n".join("[" + ", ".join(str(x) for x in r) + "]"
                          for r in self.a)
-
-
-# ---------------------------------------------------------------------------
-# linear pencils in named formal variables
-# ---------------------------------------------------------------------------
-
-class Pencil:
-    """sum_v coeffs[v]*v + const, all Matrix of equal shape."""
-
-    __slots__ = ("vars", "coeffs", "const")
-
-    def __init__(self, vars, coeffs, const):
-        self.vars = list(vars)
-        self.coeffs = dict(coeffs)
-        self.const = const
-        shape = (const.rows, const.cols)
-        for v in self.vars:
-            m = self.coeffs[v]
-            if (m.rows, m.cols) != shape:
-                raise ValueError(f"pencil coefficient {v} has wrong shape")
-
-    @property
-    def rows(self):
-        return self.const.rows
-
-    @property
-    def cols(self):
-        return self.const.cols
-
-    def evaluate(self, point) -> Matrix:
-        """point: dict var->scalar, or sequence aligned with self.vars."""
-        if not isinstance(point, dict):
-            point = dict(zip(self.vars, point))
-        out = self.const
-        for v in self.vars:
-            out = out + self.coeffs[v].scale(point[v])
-        return out
-
-    def to_json(self):
-        obj = {v: self.coeffs[v].to_json() for v in self.vars}
-        obj["const"] = self.const.to_json()
-        return obj
-
-    @classmethod
-    def from_json(cls, obj, vars):
-        coeffs = {v: Matrix.from_json(obj[v]) for v in vars}
-        const = Matrix.from_json(obj["const"])
-        return cls(vars, coeffs, const)
-
-
-# ---------------------------------------------------------------------------
-# homogeneous bivariate polynomials over Q(i) and their projective roots
-# ---------------------------------------------------------------------------
-
-class BiPoly:
-    """Polynomial in two variables (z, w) over GaussRational: {(dz,dw): coeff}."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for k, c in terms.items():
-                c = _as_gauss(c)
-                if c:
-                    clean[(int(k[0]), int(k[1]))] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("BiPoly is immutable")
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(a + b for (a, b) in self.terms)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        def mono(a, b):
-            parts = []
-            if a:
-                parts.append("z" if a == 1 else f"z^{a}")
-            if b:
-                parts.append("w" if b == 1 else f"w^{b}")
-            return "*".join(parts) or "1"
-        items = sorted(self.terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0]))
-        return " + ".join(f"({c})*{mono(a, b)}" for (a, b), c in items)
-
-
-def _uni_divmod(a, b):
-    """Division of dense univariate coefficient lists over Q(i) (index=degree)."""
-    a = list(a)
-    db = len(b) - 1
-    while db >= 0 and not b[db]:
-        db -= 1
-    if db < 0:
-        raise ZeroDivisionError("univariate division by zero")
-    lead = b[db]
-    quo = [_GR_ZERO] * max(0, len(a) - db)
-    for d in range(len(a) - 1, db - 1, -1):
-        if not a[d]:
-            continue
-        f = a[d] / lead
-        quo[d - db] = f
-        for k in range(db + 1):
-            a[d - db + k] = a[d - db + k] - f * b[k]
-    while a and not a[-1]:
-        a.pop()
-    return quo, a
-
-
-def _gauss_from_sympy(x):
-    re_, im_ = x.as_real_imag()
-    return GaussRational(Fraction(int(re_.p), int(re_.q)),
-                         Fraction(int(im_.p), int(im_.q)))
-
-
-def gcd_projective_roots(g: BiPoly):
-    """Split a homogeneous bivariate poly into Q(i)-rational projective roots
-    and leftover irreducible factors (as display strings).
-
-    Returns (roots, leftovers): roots are ([z0:w0], multiplicity) pairs with
-    GaussRational coordinates, z = 0 first, then w = 0, then the rest;
-    leftovers are strings for factors with no Q(i) root.  The dehomogenized
-    part (t = z/w) is checked exactly against lc*(t - a)^d with
-    a = -g_(d-1)/(d*g_d), which gives its one root without sympy; any other
-    part is factored by sympy over QQ_I.
-    """
-    if not g:
-        raise ValueError("zero polynomial has every root")
-    za = min(a for (a, b) in g.terms)
-    wb = min(b for (a, b) in g.terms)
-    roots = []
-    if za:
-        roots.append(((GaussRational(0), GaussRational(1)), za))  # z = 0
-    if wb:
-        roots.append(((GaussRational(1), GaussRational(0)), wb))  # w = 0
-    d = g.total_degree() - za - wb
-    if d == 0:
-        return roots, []
-    coeffs = [_GR_ZERO] * (d + 1)
-    for (a, b), c in g.terms.items():
-        coeffs[a - za] = c
-    lead = coeffs[d]
-    root = -coeffs[d - 1] / (lead * d)
-    if all(coeffs[k] == lead * comb(d, k) * (-root) ** (d - k)
-           for k in range(d - 1)):
-        roots.append(((root, GaussRational(1)), d))
-        return roots, []
-
-    import sympy
-
-    t = sympy.Symbol("t")
-    expr = sympy.Integer(0)
-    for k, c in enumerate(coeffs):
-        coef = sympy.Rational(c.re.numerator, c.re.denominator) \
-            + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
-        expr += coef * t ** k
-    poly = sympy.Poly(expr, t, domain="QQ_I")
-    _, factors = poly.factor_list()
-    leftovers = []
-    for fac, mult in factors:
-        if fac.degree() == 1:
-            c1, c0 = (_gauss_from_sympy(x) for x in fac.all_coeffs())
-            roots.append(((-c0 / c1, GaussRational(1)), mult))
-        else:
-            leftovers.append(sympy.sstr(fac.as_expr()))
-    return roots, leftovers

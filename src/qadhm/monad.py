@@ -51,10 +51,10 @@ from .adhm import (
     complex_residuals,
     is_complex_solution,
 )
-from .exactcore import GaussRational, Matrix, Pencil, random_gauss
+from .exactcore import GaussRational, Matrix, random_gauss
 
 __all__ = [
-    "MonadError", "Monad", "ChernClass", "SheafClassification",
+    "MonadError", "Monad", "ChernClass", "SheafClassification", "Pencil",
     "VARS", "monad_pencils", "product_coefficients", "build_monad",
     "check_exactness_at", "grid_points", "seeded_points", "classify_sheaf",
     "normalize_monad", "find_intertwiner",
@@ -69,6 +69,54 @@ _ONE = GaussRational(1)
 
 class MonadError(ValueError):
     """Malformed pencils, non-solutions, and degenerate normalizations."""
+
+
+# ---------------------------------------------------------------------------
+# linear pencils in named formal variables
+# ---------------------------------------------------------------------------
+
+class Pencil:
+    """sum_v coeffs[v]*v + const, all Matrix of equal shape."""
+
+    __slots__ = ("vars", "coeffs", "const")
+
+    def __init__(self, vars, coeffs, const):
+        self.vars = list(vars)
+        self.coeffs = dict(coeffs)
+        self.const = const
+        shape = (const.rows, const.cols)
+        for v in self.vars:
+            m = self.coeffs[v]
+            if (m.rows, m.cols) != shape:
+                raise ValueError(f"pencil coefficient {v} has wrong shape")
+
+    @property
+    def rows(self):
+        return self.const.rows
+
+    @property
+    def cols(self):
+        return self.const.cols
+
+    def evaluate(self, point) -> Matrix:
+        """point: dict var->scalar, or sequence aligned with self.vars."""
+        if not isinstance(point, dict):
+            point = dict(zip(self.vars, point))
+        out = self.const
+        for v in self.vars:
+            out = out + self.coeffs[v].scale(point[v])
+        return out
+
+    def to_json(self):
+        obj = {v: self.coeffs[v].to_json() for v in self.vars}
+        obj["const"] = self.const.to_json()
+        return obj
+
+    @classmethod
+    def from_json(cls, obj, vars):
+        coeffs = {v: Matrix.from_json(obj[v]) for v in vars}
+        const = Matrix.from_json(obj["const"])
+        return cls(vars, coeffs, const)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,7 @@ from .qspacetime import (CHART_I_RULES, HarmonicIndex, NCPoly, X_NAMES,
                          split_first)
 
 _ONE = QLaurent.one()
+_ZERO = QLaurent.zero()
 _R_ONE = QRat.one()
 _R_ZERO = QRat.zero()
 _ENG = engine("I")
@@ -106,17 +107,19 @@ def _charge_targets(a, b):
 
 
 # ---------------------------------------------------------------------------
-# linear solver over QRat
+# linear solver over Q(i)(q)
 # ---------------------------------------------------------------------------
 
 def _solve_system(equations):
-    """Solve (lin: {var: QRat}, const: QRat, name) equations exactly.
+    """Solve (lin: {var: c}, const: c, name) equations exactly.
 
-    Each equation asserts sum(lin[v] * v) + const = 0.  Returns the dict of
-    uniquely determined variables; raises CalculusError on inconsistency.
-    Variables are the columns of a reduced row echelon in sorted order, with
-    the constant as the last column: a pivot there is an inconsistency, and
-    a variable is determined when its pivot row holds no other variable.
+    Each equation asserts sum(lin[v] * v) + const = 0, with coefficients in
+    QLaurent or QRat.  Returns the dict of uniquely determined variables;
+    raises CalculusError on inconsistency.  Variables are the columns of a
+    reduced row echelon in sorted order, with the constant as the last
+    column: a pivot there is an inconsistency, and a variable is determined
+    when its pivot row holds no other variable.  ``_echelon`` pivots on
+    units, so a value is a QLaurent unless a non-unit pivot made it a QRat.
     """
     names = sorted({v for lin, _, _ in equations for v, c in lin.items() if c})
     col = {v: j for j, v in enumerate(names)}
@@ -132,7 +135,7 @@ def _solve_system(equations):
         if j == const_col:
             raise CalculusError(f"inconsistent constraints: {equations[i][2]}")
         if all(k == j or k == const_col for k in row):
-            solved[names[j]] = -row.get(const_col, _R_ZERO)
+            solved[names[j]] = -row.get(const_col, _ZERO)
     return solved
 
 
@@ -196,18 +199,19 @@ def _solved_rule(solved, kind, g, a, targets):
     vals = [solved.get((kind, g, a) + t) for t in targets]
     if any(v is None for v in vals):
         return None
-    return tuple((v.as_qlaurent(), t) for v, t in zip(vals, targets) if v)
+    return tuple((v if type(v) is QLaurent else v.as_qlaurent(), t)
+                 for v, t in zip(vals, targets) if v)
 
 
 def _equations(name, residual):
-    """One linear equation per nonzero coefficient of a residual."""
+    """One linear equation per nonzero coefficient of a residual, with the
+    QLaurent coefficients as they are."""
     eqs = []
     for c in residual.values():
         if c:
             terms = c.terms if isinstance(c, _Affine) else {None: c}
-            eqs.append(({v: QRat(x) for v, x in terms.items()
-                         if v is not None},
-                        QRat(terms.get(None, 0)), name))
+            eqs.append(({v: x for v, x in terms.items() if v is not None},
+                        terms.get(None, _ZERO), name))
     return eqs
 
 
@@ -217,21 +221,24 @@ def _solve_rules(kind, targets, pending, table_of, equations):
     ``table_of(rules)`` is the table carrying ``rules``; unsolved ones get
     one unknown per target.  Each round expands every pending constraint
     through it, keeping back those that would multiply two unknowns, and
-    solves ``equations`` with everything gathered so far; rounds end when
-    one expands no constraint and solves no rule.
+    solves ``equations`` with everything gathered so far when the round
+    added any; rounds end when one expands no constraint and solves no rule.
     """
     rules = {}
+    solved = None
     while True:
         table = table_of({k: rules[k] if k in rules
                           else _unknown_rule(kind, *k, ts)
                           for k, ts in targets.items()})
         left = []
+        before = len(equations)
         for name, residual in pending:
             try:
                 equations += _equations(name, residual(table))
             except _Nonlinear:
                 left.append((name, residual))
-        solved = _solve_system(equations)
+        if solved is None or len(equations) > before:
+            solved = _solve_system(equations)
         found = {}
         for k, ts in targets.items():
             rule = _solved_rule(solved, kind, *k, ts)

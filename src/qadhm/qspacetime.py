@@ -35,15 +35,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactcore import (
-    GaussRational, Matrix, QLaurent, QRat, qfact,
+    GaussRational, Matrix, QLaurent, QRat,
 )
 
 __all__ = [
     "NCPoly", "HarmonicIndex", "SortEngine",
-    "X_NAMES", "Y_NAMES", "normalize", "normalize_J", "monomials_of_degree",
+    "X_NAMES", "Y_NAMES", "normalize", "monomials_of_degree",
     "dimension_of_degree", "slice_matrix",
-    "det_x", "det_y", "det_commutators", "det_mult_rank",
-    "harmonic", "harmonic_Y", "b9_sum", "basis_element",
+    "det_x", "det_commutators", "det_mult_rank",
+    "harmonic", "harmonic_Y", "basis_element",
     "basis_indices_for_degree", "basis_independence", "oast_check",
     "y_mono_to_x", "engine",
 ]
@@ -369,11 +369,6 @@ def normalize(items, chart="I") -> NCPoly:
     return acc
 
 
-def normalize_J(items) -> NCPoly:
-    """Chart-J counterpart of normalize()."""
-    return normalize(items, "J")
-
-
 # ---------------------------------------------------------------------------
 # degree slices
 # ---------------------------------------------------------------------------
@@ -412,11 +407,6 @@ def det_x() -> NCPoly:
     return NCPoly("I", {(1, 0, 0, 1): _ONE, (0, 1, 1, 0): QLaurent({0: -1})})
 
 
-def det_y() -> NCPoly:
-    """det(y) = y11y22 - y21y12, in chart-J normal form."""
-    return NCPoly("J", {(1, 0, 0, 1): _ONE, (0, 1, 1, 0): -_QM2})
-
-
 # q-commutation exponents of det(x) against the generators:
 # det * x_g = q^DET_TWIST[g] * x_g * det
 DET_TWIST = (0, 2, -2, 0)
@@ -432,12 +422,6 @@ def det_commutators():
         rhs = (xg * d).scale(QLaurent({DET_TWIST[g]: 1}))
         report[name] = {"exponent": DET_TWIST[g], "ok": lhs == rhs}
     return report
-
-
-def mono_det_twist(mono, j=1):
-    """q-exponent picked up when an ordered monomial crosses det(x)^j:
-    mono * det^j = q^(2j(n21-n12)) * det^j * mono."""
-    return 2 * j * (mono[2] - mono[1])
 
 
 def det_mult_rank(d) -> bool:
@@ -580,37 +564,6 @@ def harmonic_Y(idx: HarmonicIndex) -> NCPoly:
         r2 = lm - r1
         if 0 <= r2 < len(second):
             acc = acc + first[r1] * second[r2]
-    return acc
-
-
-def b9_sum(idx: HarmonicIndex) -> NCPoly:
-    """The four-factor q-multinomial expansion of X^l_{m,n} (times {2l}!):
-
-        sum_r  {2l}! / ({r}! {l-m-r}! {l-n-r}! {r+m+n}!)
-               * x11^r x21^(l-m-r) x12^(l-n-r) x22^(r+m+n)
-
-    Used as an independent cross-check of harmonic(): the two must agree up to
-    one global scalar per index.
-    """
-    if not idx.in_range():
-        return NCPoly.zero("I")
-    if (idx.two_m + idx.two_n) % 2:
-        raise ValueError("m+n must be integral for the multinomial form")
-    two_l, two_m, two_n = idx.two_l, idx.two_m, idx.two_n
-    L = two_l  # exponents below are in ordinary integers
-    acc = NCPoly.zero("I")
-    for r in range(0, L + 1):
-        e11 = r
-        e21 = (two_l - two_m) // 2 - r
-        e12 = (two_l - two_n) // 2 - r
-        e22 = r + (two_m + two_n) // 2
-        if min(e21, e12, e22) < 0:
-            continue
-        coeff = qfact(L)
-        for e in (e11, e21, e12, e22):
-            coeff = coeff / qfact(e)
-        word = ("x11",) * e11 + ("x21",) * e21 + ("x12",) * e12 + ("x22",) * e22
-        acc = acc + normalize([(coeff, word)], "I")
     return acc
 
 

@@ -34,8 +34,9 @@ from qadhm.adhm import (
     real_residuals,
     real_stratify,
     stabilizer_dim,
+    _uni_divmod,
 )
-from qadhm.exactcore import GaussRational, Matrix, _uni_divmod, random_gauss
+from qadhm.exactcore import GaussRational, Matrix, random_gauss
 
 Z = GaussRational(0)
 ONE = GaussRational(1)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface, its parser and its exit codes."""
 
+import argparse
 import importlib
 import json
 import os
@@ -515,6 +516,59 @@ class TestResourceCaps:
         assert code == 0 and json.loads(out)["verified_on_witness"]
 
 
+def _zero_datum_json(r, c):
+    """A complex datum of zero blocks, as JSON, built without a Matrix."""
+    def zeros(rows, cols):
+        return [["0"] * cols for _ in range(rows)]
+    obj = {"kind": "complex", "r": r, "c": c}
+    for name in ("B11", "B12", "B21", "B22"):
+        obj[name] = zeros(c, c)
+    for name in ("i1", "i2"):
+        obj[name] = zeros(c, r)
+    for name in ("j1", "j2"):
+        obj[name] = zeros(r, c)
+    return obj
+
+
+class _Built(Exception):
+    """Raised by a Matrix built where none may be."""
+
+
+class TestDatumSizeGuard:
+    """A datum file over the r or c cap exits 2 before any matrix or
+    operator is built."""
+
+    @pytest.mark.parametrize("argv", [["adhm", "check"], ["inst", "slices"]],
+                             ids=" ".join)
+    @pytest.mark.parametrize("r,c", [(1, MAX_CHARGE + 1),
+                                     (MAX_RANK + 1, 1)])
+    def test_refused_before_any_matrix(self, argv, r, c, tmp_path, capsys,
+                                       monkeypatch):
+        f = write_json(tmp_path / "big.json", _zero_datum_json(r, c))
+
+        def refuse(*args, **kwargs):
+            raise _Built()
+
+        monkeypatch.setattr(Matrix, "__init__", refuse)
+        code, out = invoke([*argv, f], capsys)
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "CLIError"
+        assert err["message"] == (f"{f}: r must be at most {MAX_RANK} and "
+                                  f"c at most {MAX_CHARGE}")
+
+    def test_the_caps_themselves_are_admitted(self, tmp_path, capsys):
+        f = write_json(tmp_path / "d.json", _zero_datum_json(1, MAX_CHARGE))
+        code, out = invoke(["adhm", "check", f], capsys)
+        assert code == 0 and json.loads(out)["c"] == MAX_CHARGE
+
+    def test_a_datum_that_is_no_object_is_an_error(self, tmp_path, capsys):
+        f = write_json(tmp_path / "list.json", [1, 2])
+        code, out = invoke(["adhm", "check", f], capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "CLIError"
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path, capsys):
         f = write_json(tmp_path / "d.json",
@@ -651,3 +705,60 @@ class TestHelp:
             assert re.search(rf"^ +{sub} +\S", out, re.M), sub
             assert self.help_text([group, sub], capsys).startswith(
                 f"usage: qadhm {group} {sub}")
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of ``run(argv)``, argparse exits
+    included."""
+    try:
+        code = run(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+_PARSER_ARGVS = (
+    [["--help"], [], ["nosuch"], ["q", "nosuch"], ["q", "laplace"],
+     ["adhm", "check"], ["q", "laplace", "x11", "--p-choice", "p"],
+     ["adhm", "random", "-r", "two", "-c", "1"],
+     ["q", "normalize", "x11", "extra"],
+     ["q", "normalize", "x21*x12"],
+     ["monad", "chern", "-r", "2", "-c", "1", "-k", "-1"]]
+    + [[group, "--help"] for group in _SUBCOMMANDS]
+    + [[group, sub, "--help"] for group, subs in _SUBCOMMANDS.items()
+       for sub in subs])
+
+
+class TestParserPerGroup:
+    """A command builds only its group's subcommand parsers, with the same
+    output as the parser of every group."""
+
+    @pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
+    def test_same_outcome_as_the_full_parser(self, argv, capsys,
+                                             monkeypatch):
+        per_group = _outcome(argv, capsys)
+        build = qadhm.cli._build_parser
+        monkeypatch.setattr(qadhm.cli, "_build_parser",
+                            lambda argv=(): build(()))
+        assert per_group == _outcome(argv, capsys)
+
+    @pytest.mark.parametrize("argv,parsers", [
+        (["q", "laplace", "x11"], 2 + len(_SUBCOMMANDS) + 7),
+        (["inst", "--help"], 2 + len(_SUBCOMMANDS) + 3),
+        (["--help"], 2 + len(_SUBCOMMANDS) + 17),
+        (["nosuch"], 2 + len(_SUBCOMMANDS) + 17),
+    ])
+    def test_parsers_built(self, argv, parsers, monkeypatch):
+        # the common options, the top level, every group, and the
+        # subcommands of the named group (of every group when none is named)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def count(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", count)
+        qadhm.cli._build_parser(argv)
+        assert len(built) == parsers

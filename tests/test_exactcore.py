@@ -13,11 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 import qadhm
 
+from qadhm.adhm import BiPoly, gcd_projective_roots
 from qadhm.exactcore import (
-    BiPoly, GaussRational, Matrix, Pencil, QLaurent, QRat,
-    _echelon, gcd_projective_roots, parse_gauss, qbinom, qbrace,
+    GaussRational, Matrix, QLaurent, QRat,
+    _echelon, parse_gauss, qbinom, qbrace,
     qfact, qint, random_gauss,
 )
+from qadhm.monad import Pencil
 
 
 def G(re, im=0):
@@ -558,7 +560,7 @@ def test_pencil_evaluation_matches_naive_sum():
 
 
 # ---------------------------------------------------------------------------
-# projective roots of homogeneous bivariate polynomials
+# projective roots of homogeneous bivariate polynomials (``adhm``)
 # ---------------------------------------------------------------------------
 
 def zpw(*coeffs):
@@ -616,8 +618,8 @@ def test_projective_roots_single_root_powers_match_sympy():
 def test_single_root_path_imports_no_sympy():
     # z*w*(z + (1+2i)*w)^2
     code = ("import sys\n"
-            "from qadhm.exactcore import BiPoly, GaussRational as G, "
-            "gcd_projective_roots\n"
+            "from qadhm.adhm import BiPoly, gcd_projective_roots\n"
+            "from qadhm.exactcore import GaussRational as G\n"
             "p = BiPoly({(3, 1): G(1), (2, 2): G(2, 4), (1, 3): G(-3, 4)})\n"
             "roots, _ = gcd_projective_roots(p)\n"
             "print([m for _, m in roots], roots[-1][0][0], "

@@ -15,11 +15,12 @@ from qadhm.adhm import (
     random_real_solution,
     random_stable_solution,
 )
-from qadhm.exactcore import GaussRational, Matrix, Pencil, random_gauss
+from qadhm.exactcore import GaussRational, Matrix, random_gauss
 from qadhm.monad import (
     ChernClass,
     Monad,
     MonadError,
+    Pencil,
     SheafClassification,
     VARS,
     appendix_b_suite,

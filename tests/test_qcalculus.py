@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+import qadhm.qcalculus as qcalculus
 from qadhm.exactcore import GaussRational, QLaurent, QRat, qint
 from qadhm.qcalculus import (CalculusError, CalculusTable, NCForm, VOL_WORD,
                              asd_membership, cech_exponents, cech_index,
@@ -16,7 +17,8 @@ from qadhm.qcalculus import (CalculusError, CalculusTable, NCForm, VOL_WORD,
                              delta_op, derive_table, det_right,
                              eigenvalue_tilde, hodge_star, laplace_via_star,
                              laplacian, partials, penrose_scalar,
-                             sd_asd_split, tilde_laplacian, _solve_system,
+                             sd_asd_split, tilde_laplacian, P_EXPONENTS,
+                             _Affine, _solve_system, _solve_wedge_rules,
                              _solve_x_rules, _verify_table)
 from qadhm.qspacetime import (HarmonicIndex, NCPoly, basis_element,
                               basis_indices_for_degree, det_x, harmonic,
@@ -206,6 +208,52 @@ class TestRuleDerivation:
         doctored[(2, 1)] = ((QLaurent({0: -1}), (1, 2)),)
         with pytest.raises(CalculusError, match=r"d\^2\[x12\*x21\]"):
             _verify_table(CalculusTable("q", t.x_rules, doctored))
+
+
+def _qrat_equations(name, residual):
+    """The QRat oracle of ``_equations``: every coefficient, the constant
+    included, is lifted to QRat before the solve."""
+    eqs = []
+    for c in residual.values():
+        if c:
+            terms = c.terms if isinstance(c, _Affine) else {None: c}
+            eqs.append(({v: QRat(x) for v, x in terms.items()
+                         if v is not None},
+                        QRat(terms.get(None, 0)), name))
+    return eqs
+
+
+class TestLaurentDerivation:
+    """The rule equations are solved in the Laurent ring: the same rules as
+    a solve over QRat, and one solve per round that added equations."""
+
+    @pytest.mark.parametrize("pc", P_CHOICES)
+    def test_matches_the_qrat_solve(self, pc, monkeypatch):
+        table = derive_table(pc)
+        monkeypatch.setattr(qcalculus, "_equations", _qrat_equations)
+        x_rules = _solve_x_rules(P_EXPONENTS[pc])
+        assert x_rules == table.x_rules
+        assert _solve_wedge_rules(pc, x_rules) == table.wedge_rules
+
+    @pytest.mark.parametrize("pc", P_CHOICES)
+    def test_one_laurent_solve_per_round_that_added_equations(
+            self, pc, monkeypatch):
+        sizes = []
+        solve = qcalculus._solve_system
+
+        def spy(equations):
+            sizes.append(len(equations))
+            assert all(type(c) is QLaurent for lin, const, _ in equations
+                       for c in (*lin.values(), const))
+            return solve(equations)
+
+        monkeypatch.setattr(qcalculus, "_solve_system", spy)
+        monkeypatch.setattr(qcalculus, "_TABLE_CACHE", {})
+        derive_table(pc)
+        # x rules: rounds of 32 and 40 equations, then a round that only
+        # expands the deferred det covariances to zero and solves nothing;
+        # wedge rules: one round of 16
+        assert sizes == [32, 40, 16]
 
 
 class TestPencilCovariance:

@@ -7,17 +7,68 @@ from dataclasses import dataclass
 
 import pytest
 
-from qadhm.exactcore import GaussRational, QLaurent, QRat, qbinom
+from qadhm.exactcore import GaussRational, QLaurent, QRat, qbinom, qfact
 from qadhm.qspacetime import (
     HarmonicIndex, NCPoly, X_NAMES, Y_NAMES,
     basis_element, basis_indices_for_degree, basis_independence,
-    b9_sum, det_commutators, det_mult_rank, det_x, det_y,
-    dimension_of_degree, harmonic, harmonic_Y, mono_det_twist,
-    monomials_of_degree, normalize, normalize_J, oast_check, y_mono_to_x,
+    det_commutators, det_mult_rank, det_x,
+    dimension_of_degree, harmonic, harmonic_Y,
+    monomials_of_degree, normalize, oast_check, y_mono_to_x,
 )
 
 Q2 = QLaurent({2: 1})
 QM2 = QLaurent({-2: 1})
+
+
+# ---------------------------------------------------------------------------
+# test-local helpers: chart-J normal forms, det(y), the det twist of a
+# monomial and the q-multinomial oracle of harmonic()
+# ---------------------------------------------------------------------------
+
+def normalize_J(items) -> NCPoly:
+    """Chart-J counterpart of normalize()."""
+    return normalize(items, "J")
+
+
+def det_y() -> NCPoly:
+    """det(y) = y11y22 - y21y12, in chart-J normal form."""
+    return NCPoly("J", {(1, 0, 0, 1): QLaurent.one(), (0, 1, 1, 0): -QM2})
+
+
+def mono_det_twist(mono, j=1):
+    """q-exponent picked up when an ordered monomial crosses det(x)^j:
+    mono * det^j = q^(2j(n21-n12)) * det^j * mono."""
+    return 2 * j * (mono[2] - mono[1])
+
+
+def b9_sum(idx: HarmonicIndex) -> NCPoly:
+    """The four-factor q-multinomial expansion of X^l_{m,n} (times {2l}!):
+
+        sum_r  {2l}! / ({r}! {l-m-r}! {l-n-r}! {r+m+n}!)
+               * x11^r x21^(l-m-r) x12^(l-n-r) x22^(r+m+n)
+
+    An independent cross-check of harmonic(): the two must agree up to one
+    global scalar per index.
+    """
+    if not idx.in_range():
+        return NCPoly.zero("I")
+    if (idx.two_m + idx.two_n) % 2:
+        raise ValueError("m+n must be integral for the multinomial form")
+    two_l, two_m, two_n = idx.two_l, idx.two_m, idx.two_n
+    acc = NCPoly.zero("I")
+    for r in range(0, two_l + 1):
+        e11 = r
+        e21 = (two_l - two_m) // 2 - r
+        e12 = (two_l - two_n) // 2 - r
+        e22 = r + (two_m + two_n) // 2
+        if min(e21, e12, e22) < 0:
+            continue
+        coeff = qfact(two_l)
+        for e in (e11, e21, e12, e22):
+            coeff = coeff / qfact(e)
+        word = ("x11",) * e11 + ("x21",) * e21 + ("x12",) * e12 + ("x22",) * e22
+        acc = acc + normalize([(coeff, word)], "I")
+    return acc
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
-from .exactcore import (GaussRational, Matrix, _as_gauss, parse_gauss,
-                        random_gauss)
+from .exactcore import (_QL_ONE, GaussRational, Matrix, QLaurent, _ql_divmod,
+                        parse_gauss, random_gauss)
 
 __all__ = [
     "ADHMError", "ComplexADHMDatum", "RealADHMDatum", "StabilityReport",
@@ -64,7 +64,7 @@ __all__ = [
     "real_residuals", "is_real_solution",
     "is_stable", "is_costable", "closure_rank",
     "classify", "derivative_rank", "stabilizer_dim",
-    "BiPoly", "gcd_projective_roots",
+    "gcd_projective_roots",
     "dagger_involution", "is_dagger_fixed", "embed_real", "real_stratify",
     "c1_generator", "random_complex_datum", "random_stable_solution",
     "random_nonstable_solution", "random_c1r1_solution",
@@ -373,68 +373,25 @@ def closure_rank(B1, B2, i):
 
 
 # ---------------------------------------------------------------------------
-# homogeneous bivariate polynomials over Q(i) and their projective roots
+# homogeneous gcds in (z, w) and their projective roots
 # ---------------------------------------------------------------------------
+# A homogeneous gcd is a pair (g, v): g is its chart-w = 1 polynomial in
+# t = z (a nonzero QLaurent with no negative exponent) and v the
+# multiplicity of [1:0], so the gcd is w^(deg g + v) * g(z/w).
 
-class BiPoly:
-    """Polynomial in two variables (z, w) over GaussRational: {(dz,dw): coeff}."""
+def _gcd_str(g, v):
+    """The gcd (g, v) as ``(c)*z^a*w^b + ...``, highest power of z first."""
+    n = g.deg() + v
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for k, c in terms.items():
-                c = _as_gauss(c)
-                if c:
-                    clean[(int(k[0]), int(k[1]))] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("BiPoly is immutable")
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(a + b for (a, b) in self.terms)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        def mono(a, b):
-            parts = []
-            if a:
-                parts.append("z" if a == 1 else f"z^{a}")
-            if b:
-                parts.append("w" if b == 1 else f"w^{b}")
-            return "*".join(parts) or "1"
-        items = sorted(self.terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0]))
-        return " + ".join(f"({c})*{mono(a, b)}" for (a, b), c in items)
-
-
-def _uni_divmod(a, b):
-    """Division of dense univariate coefficient lists over Q(i) (index=degree)."""
-    a = list(a)
-    db = len(b) - 1
-    while db >= 0 and not b[db]:
-        db -= 1
-    if db < 0:
-        raise ZeroDivisionError("univariate division by zero")
-    lead = b[db]
-    quo = [_ZERO] * max(0, len(a) - db)
-    for d in range(len(a) - 1, db - 1, -1):
-        if not a[d]:
-            continue
-        f = a[d] / lead
-        quo[d - db] = f
-        for k in range(db + 1):
-            a[d - db + k] = a[d - db + k] - f * b[k]
-    while a and not a[-1]:
-        a.pop()
-    return quo, a
+    def mono(a, b):
+        parts = []
+        if a:
+            parts.append("z" if a == 1 else f"z^{a}")
+        if b:
+            parts.append("w" if b == 1 else f"w^{b}")
+        return "*".join(parts) or "1"
+    return " + ".join(f"({c})*{mono(a, n - a)}"
+                      for a, c in sorted(g.terms.items(), reverse=True))
 
 
 def _gauss_from_sympy(x):
@@ -443,32 +400,30 @@ def _gauss_from_sympy(x):
                          Fraction(int(im_.p), int(im_.q)))
 
 
-def gcd_projective_roots(g: BiPoly):
-    """Split a homogeneous bivariate poly into Q(i)-rational projective roots
+def gcd_projective_roots(g, v):
+    """Split the homogeneous gcd (g, v) into Q(i)-rational projective roots
     and leftover irreducible factors (as display strings).
 
     Returns (roots, leftovers): roots are ([z0:w0], multiplicity) pairs with
-    GaussRational coordinates, z = 0 first, then w = 0, then the rest;
-    leftovers are strings for factors with no Q(i) root.  The dehomogenized
-    part (t = z/w) is checked exactly against lc*(t - a)^d with
-    a = -g_(d-1)/(d*g_d), which gives its one root without sympy; any other
-    part is factored by sympy over QQ_I.
+    GaussRational coordinates, z = 0 first (multiplicity g.val()), then
+    w = 0 (multiplicity v), then the rest; leftovers are strings for
+    factors with no Q(i) root.  The rest, g shifted to valuation 0, is
+    checked exactly against lc*(t - a)^d with a = -g_(d-1)/(d*g_d), which
+    gives its one root without sympy; any other rest is factored by sympy
+    over QQ_I.
     """
     if not g:
         raise ValueError("zero polynomial has every root")
-    za = min(a for (a, b) in g.terms)
-    wb = min(b for (a, b) in g.terms)
+    za = g.val()
     roots = []
     if za:
         roots.append(((GaussRational(0), GaussRational(1)), za))  # z = 0
-    if wb:
-        roots.append(((GaussRational(1), GaussRational(0)), wb))  # w = 0
-    d = g.total_degree() - za - wb
+    if v:
+        roots.append(((GaussRational(1), GaussRational(0)), v))   # w = 0
+    d = g.deg() - za
     if d == 0:
         return roots, []
-    coeffs = [_ZERO] * (d + 1)
-    for (a, b), c in g.terms.items():
-        coeffs[a - za] = c
+    coeffs = [g.coeff(za + k) for k in range(d + 1)]
     lead = coeffs[d]
     root = -coeffs[d - 1] / (lead * d)
     if all(coeffs[k] == lead * comb(d, k) * (-root) ** (d - k)
@@ -499,33 +454,17 @@ def gcd_projective_roots(g: BiPoly):
 # ---------------------------------------------------------------------------
 # global stability over the projective line
 # ---------------------------------------------------------------------------
+# Polynomial columns are lists of QLaurent in t with no negative exponent.
 
-def _trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_mul(f, g):
-    """Product of univariate coefficient lists over Q(i) (index = degree)."""
-    out = [_ZERO] * (len(f) + len(g) - 1) if f and g else []
-    for k, a in enumerate(f):
-        if a:
-            for m, b in enumerate(g):
-                if b:
-                    out[k + m] = out[k + m] + a * b
-    return _trim(out)
+def _lead(e):
+    """The top coefficient of a nonzero polynomial."""
+    return e.terms[e.deg()]
 
 
-def _col_sub_mul(u, q, v):
-    """The polynomial column u - q*v."""
-    out = []
-    for x, y in zip(u, v):
-        x = list(x) + [_ZERO] * (len(q) + len(y) - 1 - len(x))
-        for k, a in enumerate(_poly_mul(q, y)):
-            x[k] = x[k] - a
-        out.append(_trim(x))
-    return out
+def _monic(col, p):
+    """col scaled to make its entry at p monic."""
+    inv = _ONE / _lead(col[p])
+    return [x * inv if x else x for x in col]
 
 
 def _hermite_diagonal(cols, c):
@@ -541,12 +480,12 @@ def _hermite_diagonal(cols, c):
             h = basis.get(p)
             if h is not None:
                 while col[p]:
-                    q, _ = _uni_divmod(h[p], col[p])
-                    h, col = col, _col_sub_mul(h, q, col) if q else h
+                    q, _ = _ql_divmod(h[p], col[p])
+                    h, col = col, ([x - q * y for x, y in zip(h, col)]
+                                   if q else h)
             else:
                 h, col = col, None
-            lead = h[p][-1]
-            basis[p] = [[x / lead for x in e] for e in h]
+            basis[p] = _monic(h, p)
             if col is None:
                 break
     return [basis[p][p] for p in range(c)]
@@ -557,11 +496,11 @@ def _krylov_pivots(ops, seed):
     <= c-1 in the operators applied to the seed columns, or None when that
     module has rank < c.
 
-    ops and seed are (t-part, constant part) pairs of matrices.  The module
-    is kept as a weak Popov basis: at most c columns, each with a distinct
-    leading position (the last row where the column reaches its degree); a
-    new column is reduced by subtracting c*t^k times the basis column with
-    its leading position until it vanishes or takes a free one.  Each round
+    ops and seed are matrices of polynomials in t.  The module is kept as a
+    weak Popov basis: at most c columns, each with a distinct leading
+    position (the last row where the column reaches its degree); a new
+    column is reduced by subtracting c*t^k times the basis column with its
+    leading position until it vanishes or takes a free one.  Each round
     adds B~1*H and B~2*H for the basis H; since the B~ are Q(i)[t]-linear,
     c-1 rounds span the words of length <= c-1.  The column degrees of a
     full-rank weak Popov basis sum to the degree of its determinant, so the
@@ -570,51 +509,36 @@ def _krylov_pivots(ops, seed):
     reducing every column there instead lets the coefficients of the Euclid
     remainders grow to tens of thousands of bits at c = 6.
     """
-    st, s0 = seed
-    c, basis = st.rows, {}
+    c, basis = seed.rows, {}
 
     def insert(col):
         while any(col):
-            d = max(map(len, col)) - 1
-            p = max(k for k, e in enumerate(col) if len(e) == d + 1)
+            degs = [e.deg() if e else -1 for e in col]
+            d = max(degs)
+            p = max(k for k, e in enumerate(degs) if e == d)
             h = basis.get(p)
-            if h is not None and len(h[p]) <= d + 1:
-                col = _col_sub_mul(col, [_ZERO] * (d + 1 - len(h[p]))
-                                   + [col[p][d]], h)
+            if h is not None and h[p].deg() <= d:
+                m = QLaurent({d - h[p].deg(): -_lead(col[p])})
+                col = [x + m * y if y else x for x, y in zip(col, h)]
                 continue
-            lead = col[p][d]
-            basis[p] = [[x / lead for x in e] for e in col]
+            basis[p] = _monic(col, p)
             if h is None:
                 return
             col = h
 
-    def apply(op, col):
-        (bt, b0), out = op, []
-        n = max(map(len, col)) + 1
-        for a in range(c):
-            acc = [_ZERO] * n
-            for b, e in enumerate(col):
-                x, y = bt.a[a][b], b0.a[a][b]
-                for k, coef in enumerate(e):
-                    if x:
-                        acc[k + 1] = acc[k + 1] + x * coef
-                    if y:
-                        acc[k] = acc[k] + y * coef
-            out.append(_trim(acc))
-        return out
-
     def done():
-        return len(basis) == c and all(len(h[p]) == 1
+        return len(basis) == c and all(not h[p].deg()
                                        for p, h in basis.items())
 
-    for k in range(st.cols):
-        insert([_trim([s0[a, k], st[a, k]]) for a in range(c)])
+    for k in range(seed.cols):
+        insert(seed.col(k))
     for _ in range(c - 1):
         for h in list(basis.values()):
+            h = Matrix(c, 1, [[e] for e in h])
             for op in ops:
                 if done():
-                    return [[_ONE]] * c
-                insert(apply(op, h))
+                    return [_QL_ONE] * c
+                insert((op * h).col(0))
     if len(basis) < c:
         return None
     return _hermite_diagonal(list(basis.values()), c)
@@ -626,24 +550,28 @@ def _krylov_minor_gcd(Bz1, Bw1, Bz2, Bw2, Sz, Sw):
 
     Returns (all_zero, gcd): all_zero is True when every c x c minor of the
     Krylov matrix vanishes identically (gcd is then None); otherwise gcd is
-    the monic-in-z homogeneous gcd of the minors.  That gcd is the c-th
-    determinantal divisor of the module the Krylov columns span, read off a
-    Hermite basis in the chart w = 1 (t = z).  The multiplicity v of [1:0]
-    is the t-adic valuation of the divisor in the chart z = 1 (t = w), needed
-    only when the triple at [1:0] is not stable; gcd = w^v * g(z, w).
+    the monic-in-z homogeneous gcd (g, v) of the minors.  That gcd is the
+    c-th determinantal divisor of the module the Krylov columns span: g is
+    the product of the pivots of a Hermite basis in the chart w = 1 (t = z),
+    and the multiplicity v of [1:0] is the t-adic valuation of the divisor
+    in the chart z = 1 (t = w), needed only when the triple at [1:0] is not
+    stable.
     """
-    pivots = _krylov_pivots(((Bz1, Bw1), (Bz2, Bw2)), (Sz, Sw))
+    def pencil(bt, b0):
+        return Matrix(bt.rows, bt.cols,
+                      [[QLaurent({1: x, 0: y}) for x, y in zip(rt, r0)]
+                       for rt, r0 in zip(bt.a, b0.a)])
+
+    pivots = _krylov_pivots([pencil(Bz1, Bw1), pencil(Bz2, Bw2)],
+                            pencil(Sz, Sw))
     if pivots is None:
         return True, None
-    g = [_ONE]
-    for p in pivots:
-        g = _poly_mul(g, p)
+    g = prod(pivots, start=_QL_ONE)
     v = 0
     if not is_stable(Bz1, Bz2, Sz)[0]:
-        for p in _krylov_pivots(((Bw1, Bz1), (Bw2, Bz2)), (Sw, Sz)):
-            v += next(k for k, x in enumerate(p) if x)
-    dg = len(g) - 1
-    return False, BiPoly({(k, v + dg - k): g[k] for k in range(dg + 1)})
+        v = sum(p.val() for p in _krylov_pivots(
+            [pencil(Bw1, Bz1), pencil(Bw2, Bz2)], pencil(Sw, Sz)))
+    return False, (g, v)
 
 
 def classify(d):
@@ -661,19 +589,19 @@ def classify(d):
         d.j1.transpose(), d.j2.transpose())
 
     semistable = not s_zero
-    stable_everywhere = semistable and s_gcd.total_degree() == 0
+    stable_everywhere = semistable and s_gcd == (_QL_ONE, 0)
     costable_somewhere = not c_zero
-    costable_everywhere = costable_somewhere and c_gcd.total_degree() == 0
+    costable_everywhere = costable_somewhere and c_gcd == (_QL_ONE, 0)
     semiregular = stable_everywhere and costable_somewhere
     regular = stable_everywhere and costable_everywhere
 
     failing, leftovers = [], []
     if semistable and not stable_everywhere:
-        roots, lefts = gcd_projective_roots(s_gcd)
+        roots, lefts = gcd_projective_roots(*s_gcd)
         failing.extend(("stable", pt, m) for pt, m in roots)
         leftovers.extend(("stable", f) for f in lefts)
     if costable_somewhere and not costable_everywhere:
-        roots, lefts = gcd_projective_roots(c_gcd)
+        roots, lefts = gcd_projective_roots(*c_gcd)
         failing.extend(("costable", pt, m) for pt, m in roots)
         leftovers.extend(("costable", f) for f in lefts)
 
@@ -696,8 +624,8 @@ def classify(d):
     return StabilityReport(
         stable_everywhere, costable_everywhere, semistable, semiregular,
         regular, failing, witness,
-        str(s_gcd) if not s_zero else "0",
-        str(c_gcd) if not c_zero else "0",
+        "0" if s_zero else _gcd_str(*s_gcd),
+        "0" if c_zero else _gcd_str(*c_gcd),
         leftovers)
 
 

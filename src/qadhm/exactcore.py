@@ -7,6 +7,8 @@ Three scalar types, each immutable and structural-equality:
   ``fractions.Fraction``.  Ground field for all matrix data.
 * ``QLaurent``      -- Laurent polynomials in a formal parameter q with
   GaussRational coefficients, stored sparsely as {exponent: coefficient}.
+  With no negative exponent they are also the polynomials in t of the
+  Krylov reduction in ``adhm``, divided by ``_ql_divmod``.
 * ``QRat``          -- the fraction field of QLaurent, kept reduced with a
   canonical denominator (valuation 0, constant term 1).
 
@@ -429,10 +431,12 @@ class QLaurent:
             return self * (GaussRational(1) / g)
         if not isinstance(other, QLaurent):
             return NotImplemented
-        q, r = _ql_divmod(self, other)
+        # units q^n divide everything: divide the valuation-0 parts
+        va, vb = self.val(), other.val()
+        q, r = _ql_divmod(self.shift(-va), other.shift(-vb))
         if r:
             raise ValueError(f"inexact QLaurent division: {self} / {other}")
-        return q
+        return q.shift(va - vb)
 
     def val(self):
         """Lowest exponent (valuation); 0 for the zero polynomial."""
@@ -522,42 +526,36 @@ QINV = QLaurent({-1: 1})
 
 
 def _ql_divmod(a: QLaurent, b: QLaurent):
-    """Laurent division a = q*b + r, treating units q^n as invertible.
+    """Division on the top degree: a = quo*b + rem, where quo has no
+    negative exponent and rem is 0 or has top degree below b's.
 
-    Divides the underlying ordinary polynomials after shifting both to
-    valuation 0, then shifts back.  r has strictly smaller ordinary degree
-    than b's shifted polynomial (r = 0 means exact division in the Laurent
-    ring).
+    On polynomials this is the division of Q(i)[q]; on Laurent
+    polynomials rem keeps the terms of a below b's top degree.
     """
     if not b.terms:
         raise ZeroDivisionError("QLaurent division by zero")
-    if not a.terms:
-        return _QL_ZERO, _QL_ZERO
-    va, vb = a.val(), b.val()
-    ad = {e - va: c for e, c in a.terms.items()}
-    bd = {e - vb: c for e, c in b.terms.items()}
-    db = max(bd)
-    lead_b = bd[db]
+    db = max(b.terms)
+    lead_b = b.terms[db]
     quo = {}
-    rem = dict(ad)
+    rem = dict(a.terms)
     while rem and max(rem) >= db:
         dr = max(rem)
         piece = rem[dr] / lead_b
         quo[dr - db] = piece
-        for e, c in bd.items():
+        for e, c in b.terms.items():
             k = e + dr - db
             s = rem.get(k, _GR_ZERO) - piece * c
             if s:
                 rem[k] = s
             else:
                 rem.pop(k, None)
-    qv = QLaurent(quo).shift(va - vb)
-    rv = QLaurent(rem).shift(va)
-    return qv, rv
+    return QLaurent(quo), QLaurent(rem)
 
 
 def _ql_gcd(a: QLaurent, b: QLaurent) -> QLaurent:
-    """Monic gcd in the Laurent ring (defined up to units q^n * c)."""
+    """Monic gcd in the Laurent ring (defined up to units q^n * c), by
+    Euclid in Q(i)[q] on the valuation-0 parts of a and b."""
+    a, b = a.shift(-a.val()), b.shift(-b.val())
     while b:
         _, r = _ql_divmod(a, b)
         a, b = b, r
@@ -679,10 +677,10 @@ class QRat:
         """Return the numerator if the denominator is trivial, else raise."""
         if self.den == _QL_ONE:
             return self.num
-        q, r = _ql_divmod(self.num, self.den)
-        if r:
-            raise ValueError(f"{self} is not a Laurent polynomial")
-        return q
+        try:
+            return self.num / self.den
+        except ValueError:
+            raise ValueError(f"{self} is not a Laurent polynomial") from None
 
     def subs_q1(self) -> GaussRational:
         d = self.den.subs_q1()
@@ -767,12 +765,12 @@ def _echelon(rows, ncols, reduced=False):
     so Laurent rows stay Laurent; only when no candidate is a unit does the
     shortest row pivot on a ``QRat`` inverse.  The slice rows of
     ``qinstanton`` and the rule equations of ``qcalculus`` are Laurent, so
-    they build a ``QRat`` only at such a pivot.  Returns the pivots in column order as (col, index of the
-    input row, row normalised to 1 at col).  With ``reduced`` each pivot
-    column is also cleared from the earlier pivot rows, which gives the
-    reduced row echelon form.  Rank, pivot columns and the reduced form
-    (over the fraction field) depend only on the rows, not on the
-    pivoting rule.
+    they build a ``QRat`` only at such a pivot.  Returns the pivots in
+    column order as (col, index of the input row, row normalised to 1 at
+    col).  With ``reduced`` each pivot column is also cleared from the
+    earlier pivot rows, which gives the reduced row echelon form.  Rank,
+    pivot columns and the reduced form (over the fraction field) depend
+    only on the rows, not on the pivoting rule.
     """
     work = [dict(r) for r in rows]
     live = [i for i, r in enumerate(work) if r]
@@ -941,18 +939,23 @@ class Matrix:
             raise ValueError("shape mismatch in matmul")
         if not self.cols:
             raise ValueError("cannot infer scalar type of an empty product")
-        # Each entry starts at its first product, never at a zero of the
-        # entry type: NCPoly.zero() is a chart-I zero, which a chart-J
-        # product cannot be added to.
+        # Each entry sums only the products of two nonzero factors and
+        # starts at the first of them, never at a zero of the entry type:
+        # NCPoly.zero() is a chart-I zero, which a chart-J product cannot be
+        # added to.  An entry with no such product is r[0]*b[0][j], a zero
+        # of the factors' own kind.
         b = other.a
         out = []
         for r in self.a:
+            nonzero = [(k, x) for k, x in enumerate(r) if x]
             row = []
             for j in range(other.cols):
-                acc = r[0] * b[0][j]
-                for k in range(1, self.cols):
-                    acc = acc + r[k] * b[k][j]
-                row.append(acc)
+                acc = None
+                for k, x in nonzero:
+                    y = b[k][j]
+                    if y:
+                        acc = x * y if acc is None else acc + x * y
+                row.append(r[0] * b[0][j] if acc is None else acc)
             out.append(row)
         return Matrix(self.rows, other.cols, out)
 

@@ -526,45 +526,38 @@ def _pencil_power(gen_s, gen_c, n, chart):
     return acc
 
 
+def _residue(idx, name, chart, pair1, pair2, two_p, two_t):
+    """Coefficient of s^(l-t) in (a1 s + b1)^(l-p) (a2 s + b2)^(l+p) for
+    the generator pairs (a1, b1), (a2, b2) of the chart; p and t are the
+    halves of two_p and two_t.  Out-of-range indices give 0; needs k = 0."""
+    if idx.k != 0:
+        raise ValueError(f"{name}() expects k = 0")
+    if not idx.in_range():
+        return NCPoly.zero(chart)
+    first = _pencil_power(*pair1, (idx.two_l - two_p) // 2, chart)
+    second = _pencil_power(*pair2, (idx.two_l + two_p) // 2, chart)
+    target = (idx.two_l - two_t) // 2
+    acc = NCPoly.zero(chart)
+    for r1 in range(len(first)):
+        r2 = target - r1
+        if 0 <= r2 < len(second):
+            acc = acc + first[r1] * second[r2]
+    return acc
+
+
 def harmonic(idx: HarmonicIndex) -> NCPoly:
     """X^l_{m,n}: coefficient of s^(l-n) in (x11 s + x21)^(l-m) (x12 s + x22)^(l+m).
 
     Out-of-range indices give 0.  Requires k = 0 (use basis_element for k > 0).
     """
-    if idx.k != 0:
-        raise ValueError("harmonic() expects k = 0")
-    if not idx.in_range():
-        return NCPoly.zero("I")
-    lm = (idx.two_l - idx.two_m) // 2      # l - m
-    lp = (idx.two_l + idx.two_m) // 2      # l + m
-    ln = (idx.two_l - idx.two_n) // 2      # l - n  (target s-degree)
-    first = _pencil_power("x11", "x21", lm, "I")
-    second = _pencil_power("x12", "x22", lp, "I")
-    acc = NCPoly.zero("I")
-    for r1 in range(len(first)):
-        r2 = ln - r1
-        if 0 <= r2 < len(second):
-            acc = acc + first[r1] * second[r2]
-    return acc
+    return _residue(idx, "harmonic", "I", ("x11", "x21"), ("x12", "x22"),
+                    idx.two_m, idx.two_n)
 
 
 def harmonic_Y(idx: HarmonicIndex) -> NCPoly:
     """Y^l_{m,n}: coefficient of t^(l-m) in (y11 t + y12)^(l-n) (y21 t + y22)^(l+n)."""
-    if idx.k != 0:
-        raise ValueError("harmonic_Y() expects k = 0")
-    if not idx.in_range():
-        return NCPoly.zero("J")
-    ln = (idx.two_l - idx.two_n) // 2      # l - n
-    lp = (idx.two_l + idx.two_n) // 2      # l + n
-    lm = (idx.two_l - idx.two_m) // 2      # l - m  (target t-degree)
-    first = _pencil_power("y11", "y12", ln, "J")
-    second = _pencil_power("y21", "y22", lp, "J")
-    acc = NCPoly.zero("J")
-    for r1 in range(len(first)):
-        r2 = lm - r1
-        if 0 <= r2 < len(second):
-            acc = acc + first[r1] * second[r2]
-    return acc
+    return _residue(idx, "harmonic_Y", "J", ("y11", "y12"), ("y21", "y22"),
+                    idx.two_n, idx.two_m)
 
 
 def basis_element(idx: HarmonicIndex) -> NCPoly:

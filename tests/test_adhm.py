@@ -34,9 +34,8 @@ from qadhm.adhm import (
     real_residuals,
     real_stratify,
     stabilizer_dim,
-    _uni_divmod,
 )
-from qadhm.exactcore import GaussRational, Matrix, random_gauss
+from qadhm.exactcore import GaussRational, Matrix, QLaurent, random_gauss
 
 Z = GaussRational(0)
 ONE = GaussRational(1)
@@ -730,6 +729,28 @@ def _bipoly_det(cols):
     return rec(0, tuple(range(len(cols))))
 
 
+def _uni_divmod(a, b):
+    """Division of dense univariate coefficient lists over Q(i) (index=degree)."""
+    a = list(a)
+    db = len(b) - 1
+    while db >= 0 and not b[db]:
+        db -= 1
+    if db < 0:
+        raise ZeroDivisionError("univariate division by zero")
+    lead = b[db]
+    quo = [Z] * max(0, len(a) - db)
+    for d in range(len(a) - 1, db - 1, -1):
+        if not a[d]:
+            continue
+        f = a[d] / lead
+        quo[d - db] = f
+        for k in range(db + 1):
+            a[d - db + k] = a[d - db + k] - f * b[k]
+    while a and not a[-1]:
+        a.pop()
+    return quo, a
+
+
 def _uni_gcd(a, b):
     a, b = list(a), list(b)
     while any(b):
@@ -863,9 +884,53 @@ def test_gcd_rejects_empty_and_inhomogeneous():
         homogeneous_gcd([{(1, 0): ONE, (0, 0): ONE}])
 
 
+def _as_pair(g):
+    """A homogeneous gcd dict as (chart-w = 1 polynomial, multiplicity of
+    [1:0]), the form _krylov_minor_gcd returns."""
+    return QLaurent({a: c for (a, _), c in g.items()}), min(b for _, b in g)
+
+
+def _as_dict(g, v):
+    n = g.deg() + v
+    return {(a, n - a): c for a, c in g.terms.items()}
+
+
 def _oracle_gcd(*args):
     all_zero, g = minor_gcd_oracle(*args)
-    return all_zero, None if all_zero else adhm.BiPoly(g)
+    return all_zero, None if all_zero else _as_pair(g)
+
+
+def bipoly_str(terms):
+    """Oracle for the gcd format: {(deg_z, deg_w): coefficient} printed
+    by total degree, then by the power of z, highest first."""
+    if not terms:
+        return "0"
+    def mono(a, b):
+        parts = []
+        if a:
+            parts.append("z" if a == 1 else f"z^{a}")
+        if b:
+            parts.append("w" if b == 1 else f"w^{b}")
+        return "*".join(parts) or "1"
+    items = sorted(terms.items(),
+                   key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0]))
+    return " + ".join(f"({c})*{mono(a, b)}" for (a, b), c in items)
+
+
+def test_gcd_printer_matches_the_bivariate_format():
+    # seeded gcds times z^a*w^b: degree 0, v > 0 and g.val() > 0 included
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(200):
+        deg = rng.randint(0, 4)
+        g = QLaurent({k: random_gauss(rng) for k in range(deg)})
+        g = (g + QLaurent({deg: random_gauss(rng) or ONE})).shift(
+            rng.choice((0, 0, 1, 2)))
+        v = rng.choice((0, 0, 1, 3))
+        assert adhm._gcd_str(g, v) == bipoly_str(_as_dict(g, v))
+        seen.add((g.deg() + v == 0, v > 0, g.val() > 0))
+    assert {(True, False, False), (False, True, False),
+            (False, False, True), (False, True, True)} <= seen
 
 
 class TestKrylovMinorGcd:
@@ -877,7 +942,7 @@ class TestKrylovMinorGcd:
                 all_zero, g = adhm._krylov_minor_gcd(*args)
                 expect_zero, expect = minor_gcd_oracle(*args)
                 assert all_zero == expect_zero, (seed, side)
-                assert all_zero or g.terms == expect, (seed, side)
+                assert all_zero or _as_dict(*g) == expect, (seed, side)
 
     def test_classify_matches_enumeration(self, monkeypatch):
         data = [random_c1r1_solution(s) for s in range(4)]

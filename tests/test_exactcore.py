@@ -7,19 +7,22 @@ import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qadhm
 
-from qadhm.adhm import BiPoly, gcd_projective_roots
+from qadhm import exactcore
+from qadhm.adhm import gcd_projective_roots
 from qadhm.exactcore import (
     GaussRational, Matrix, QLaurent, QRat,
-    _echelon, parse_gauss, qbinom, qbrace,
+    _echelon, _ql_divmod, parse_gauss, qbinom, qbrace,
     qfact, qint, random_gauss,
 )
 from qadhm.monad import Pencil
+from qadhm.qspacetime import NCPoly
 
 
 def G(re, im=0):
@@ -215,6 +218,82 @@ def test_qlaurent_exact_division():
     assert q == QLaurent({3: 1, -3: 1})
     with pytest.raises(ValueError):
         _ = qint(4) / qint(3)
+
+
+def _shifted_divmod(a, b):
+    """Oracle: Laurent division that divides the valuation-0 parts as
+    polynomials, then shifts back; r = 0 iff b divides a in the Laurent
+    ring."""
+    if not b.terms:
+        raise ZeroDivisionError("QLaurent division by zero")
+    if not a.terms:
+        return QLaurent(), QLaurent()
+    va, vb = a.val(), b.val()
+    ad = {e - va: c for e, c in a.terms.items()}
+    bd = {e - vb: c for e, c in b.terms.items()}
+    db = max(bd)
+    lead_b = bd[db]
+    quo = {}
+    rem = dict(ad)
+    while rem and max(rem) >= db:
+        dr = max(rem)
+        piece = rem[dr] / lead_b
+        quo[dr - db] = piece
+        for e, c in bd.items():
+            k = e + dr - db
+            s = rem.get(k, G(0)) - piece * c
+            if s:
+                rem[k] = s
+            else:
+                rem.pop(k, None)
+    return QLaurent(quo).shift(va - vb), QLaurent(rem).shift(va)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def laurent_division_pairs():
+    """Seeded Laurent (a, b) with negative exponents: random pairs and
+    exact multiples a = b*c, some with a common non-unit factor."""
+    rng = random.Random(23)
+    pairs = []
+    for _ in range(120):
+        def poly():
+            lo = rng.randint(-3, 1)
+            return QLaurent({e: random_gauss(rng, 2) or G(1)
+                             for e in range(lo, lo + rng.randint(1, 4))})
+        a, b, c = poly(), poly(), poly()
+        pairs += [(a, b), (b * c, b), (a * c, b * c)]
+    return pairs
+
+
+def test_top_degree_division():
+    for a, b in laurent_division_pairs():
+        quo, rem = _ql_divmod(a, b)
+        assert a == quo * b + rem
+        assert not quo or quo.val() >= 0
+        assert not rem or rem.deg() < b.deg()
+
+
+def test_exact_division_and_reduction_match_the_shifted_division():
+    # QLaurent /, the canonical QRat(num, den) and as_qlaurent give the same
+    # values (or raise ValueError on the same inputs) as with the old
+    # division, which divided the valuation-0 parts.
+    def run(a, b):
+        r = QRat(a, b)
+        return _outcome(lambda: a / b), r.num, r.den, _outcome(r.as_qlaurent)
+    pairs = laurent_division_pairs()
+    got = [run(a, b) for a, b in pairs]
+    with patch.object(exactcore, "_ql_divmod", _shifted_divmod):
+        want = [run(a, b) for a, b in pairs]
+    assert got == want
+    assert sum(x[0] is ValueError for x in got) >= 100
+    assert sum(x[0] is not ValueError for x in got) >= 150
 
 
 def test_qlaurent_eval_and_q1():
@@ -539,6 +618,47 @@ def test_field_rows_echelon_exactly_as_before():
                     == [[type(v) for v in r.values()] for _, _, r in want]
 
 
+def naive_product(A, B):
+    """Every entry the sum of all its products, started at the first."""
+    out = []
+    for r in A.a:
+        row = []
+        for j in range(B.cols):
+            acc = r[0] * B.a[0][j]
+            for k in range(1, A.cols):
+                acc = acc + r[k] * B.a[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def test_product_skips_zero_factors_only():
+    # sparse and all-zero matrices of each entry kind: the product equals
+    # the full sum, entry kinds and the chart of NCPoly zeros included
+    rng = random.Random(5)
+    y = [NCPoly.gen("J", g) for g in ("y11", "y12", "y21", "y22")]
+    kinds = (
+        (lambda: random_gauss(rng) or G(1), G(0)),
+        (lambda: random_laurent_term_count(rng, rng.randint(1, 3)),
+         QLaurent()),
+        (lambda: rng.choice(y) * rng.choice(y) * QLaurent({1: 2})
+         + rng.choice(y), NCPoly.zero("J")),
+    )
+    for entry, zero in kinds:
+        for density in (0.0, 0.3, 0.7):
+            def m(rows, cols):
+                return Matrix(rows, cols, [[entry() if rng.random() < density
+                                            else zero for _ in range(cols)]
+                                           for _ in range(rows)])
+            A, B = m(3, 4), m(4, 2)
+            got, want = (A * B).a, naive_product(A, B)
+            assert got == want
+            assert [[type(x) for x in r] for r in got] \
+                == [[type(x) for x in r] for r in want]
+            assert all(x.chart == "J" for r in got for x in r
+                       if isinstance(x, NCPoly))
+
+
 def test_dagger_is_conjugate_transpose():
     m = Matrix.from_rows([[G(1, 2), G(0, 1)]])
     d = m.dagger()
@@ -564,15 +684,17 @@ def test_pencil_evaluation_matches_naive_sum():
 # ---------------------------------------------------------------------------
 
 def zpw(*coeffs):
-    """Homogeneous poly from z-descending coefficient list."""
+    """Homogeneous poly from z-descending coefficient list, as the pair
+    (chart-w = 1 polynomial, multiplicity of [1:0])."""
     d = len(coeffs) - 1
-    return BiPoly({(d - k, k): coeffs[k] for k in range(len(coeffs))})
+    return (QLaurent({d - k: coeffs[k] for k in range(len(coeffs))}),
+            min(k for k, x in enumerate(coeffs) if x))
 
 
 def test_projective_roots_split():
     # z * (z - 2w) * (z^2 + 2 w^2): two rational roots + irreducible quadratic
     p = zpw(G(1), G(-2), G(2), G(-4), G(0))
-    roots, leftovers = gcd_projective_roots(p)
+    roots, leftovers = gcd_projective_roots(*p)
     pts = {(str(z0), str(w0)) for (z0, w0), _ in roots}
     assert ("0/1", "1/1") in pts
     assert ("2/1", "1/1") in pts
@@ -581,7 +703,7 @@ def test_projective_roots_split():
 
 def test_projective_roots_gaussian_point():
     p = zpw(G(1), G(0), G(1))  # z^2 + w^2
-    roots, leftovers = gcd_projective_roots(p)
+    roots, leftovers = gcd_projective_roots(*p)
     assert not leftovers
     vals = {str(z0) for (z0, w0), _ in roots}
     assert vals == {"0/1+1/1*i", "0/1-1/1*i"}
@@ -602,8 +724,8 @@ def test_projective_roots_single_root_powers_match_sympy():
         d, za, wb = rng.randint(1, 4), rng.randint(0, 2), rng.randint(0, 2)
         a, lc = random_gauss(rng), random_gauss(rng) or G(1)
         coeffs = [lc * comb(d, k) * (-a) ** (d - k) for k in range(d + 1)]
-        p = BiPoly({(za + k, wb + d - k): x for k, x in enumerate(coeffs)})
-        roots, leftovers = gcd_projective_roots(p)
+        p = QLaurent({za + k: x for k, x in enumerate(coeffs)}), wb
+        roots, leftovers = gcd_projective_roots(*p)
         poly = sympy.Poly(sum(to_sympy(x) * t ** k
                               for k, x in enumerate(coeffs)), t, domain="QQ_I")
         (fac, mult), = poly.factor_list()[1]
@@ -618,10 +740,10 @@ def test_projective_roots_single_root_powers_match_sympy():
 def test_single_root_path_imports_no_sympy():
     # z*w*(z + (1+2i)*w)^2
     code = ("import sys\n"
-            "from qadhm.adhm import BiPoly, gcd_projective_roots\n"
-            "from qadhm.exactcore import GaussRational as G\n"
-            "p = BiPoly({(3, 1): G(1), (2, 2): G(2, 4), (1, 3): G(-3, 4)})\n"
-            "roots, _ = gcd_projective_roots(p)\n"
+            "from qadhm.adhm import gcd_projective_roots\n"
+            "from qadhm.exactcore import GaussRational as G, QLaurent\n"
+            "p = QLaurent({3: G(1), 2: G(2, 4), 1: G(-3, 4)}), 1\n"
+            "roots, _ = gcd_projective_roots(*p)\n"
             "print([m for _, m in roots], roots[-1][0][0], "
             "'sympy' in sys.modules)")
     root = str(Path(qadhm.__file__).resolve().parents[1])

@@ -1,7 +1,8 @@
 """Static checks on the package source: no dead imports (at module level or
-inside functions), no dead helpers, no floating-point numbers.
+inside functions), no dead helpers, no stale ``__all__`` entries, no
+floating-point numbers.
 
-Both read the modules with the standard-library ``ast`` parser only.
+They read the modules with the standard-library ``ast`` parser only.
 """
 
 import ast
@@ -140,6 +141,33 @@ def test_every_private_class_and_assignment_is_used():
                 if loads[b] - inside[b] <= 0 and b not in imported:
                     dead.append(f"{name}:{node.lineno} {b}")
     assert not dead, f"private classes and assignments nothing uses: {dead}"
+
+
+def module_bindings(tree):
+    """Every name a module binds at its top level: definitions, assignment
+    targets and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+        else:
+            names.update(bound_names(node))
+    return names
+
+
+def test_every_exported_name_exists():
+    # a stale ``__all__`` entry breaks ``from qadhm.<module> import *``
+    stale = []
+    for name, tree in parse_modules().items():
+        bound = module_bindings(tree)
+        stale += [f"{name} {e}" for e in sorted(exported_names(tree))
+                  if e not in bound]
+    assert not stale, f"__all__ entries naming nothing: {stale}"
 
 
 def test_no_floating_point():

@@ -1,8 +1,8 @@
-"""Linear-algebra data of instanton type and their stability taxonomy.
+"""Stability taxonomy, rank criteria and generators of instanton-type data.
 
-A *complex datum* is a tuple (B11, B12, B21, B22, i1, i2, j1, j2) of matrices
-over the Gaussian rationals; a *real datum* is a tuple (B1, B2, i, j).  Both
-come with quadratic matrix equations:
+The data themselves (``datum``) are a complex tuple (B11, B12, B21, B22, i1,
+i2, j1, j2) and a real tuple (B1, B2, i, j) of matrices over the Gaussian
+rationals.  Both come with quadratic matrix equations:
 
   complex:  [B11,B12] + i1*j1,   [B21,B22] + i2*j2,
             [B11,B22] + [B21,B12] + i1*j2 + i2*j1      (all three must vanish)
@@ -44,9 +44,9 @@ identity on solutions; its fixed points are the images of real data under
 ``embed_real``, which sends a xi=0 real solution to
 (B1, B2, -B2^+, B1^+, i, -j^+, j, i^+).
 
-Seeded generators produce exact solutions in several regimes (stable
-everywhere, unstable at one planted point, one-dimensional V) plus raw random
-data; all draw from small-height Gaussian rationals for reproducibility.
+Seeded generators produce exact solutions that are stable everywhere or
+unstable at one planted point; both draw from small-height Gaussian
+rationals for reproducibility.
 """
 
 from __future__ import annotations
@@ -55,159 +55,19 @@ import random
 from fractions import Fraction
 from math import comb, prod
 
+from .datum import ADHMError, ComplexADHMDatum, _scalar, is_complex_solution
 from .exactcore import (_QL_ONE, GaussRational, Matrix, QLaurent, _ql_divmod,
-                        parse_gauss, random_gauss)
+                        random_gauss)
 
 __all__ = [
-    "ADHMError", "ComplexADHMDatum", "RealADHMDatum", "StabilityReport",
-    "complex_residuals", "is_complex_solution", "quadratic_pencil_value",
-    "real_residuals", "is_real_solution",
-    "is_stable", "is_costable", "closure_rank",
-    "classify", "derivative_rank", "stabilizer_dim",
-    "gcd_projective_roots",
-    "dagger_involution", "is_dagger_fixed", "embed_real", "real_stratify",
-    "c1_generator", "random_complex_datum", "random_stable_solution",
-    "random_nonstable_solution", "random_c1r1_solution",
-    "random_real_solution", "gl_action", "random_invertible",
-    "datum_from_json",
+    "StabilityReport", "real_residuals", "is_real_solution",
+    "is_stable", "is_costable", "classify", "derivative_rank",
+    "gcd_projective_roots", "dagger_involution", "embed_real",
+    "real_stratify", "random_stable_solution", "random_nonstable_solution",
 ]
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
-
-
-class ADHMError(ValueError):
-    """Shape errors, unmet preconditions, and rejected inputs."""
-
-
-def _scalar(x):
-    if isinstance(x, GaussRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussRational(x)
-    if isinstance(x, str):
-        return parse_gauss(x)
-    raise ADHMError(f"cannot coerce {x!r} to a Gaussian rational")
-
-
-def _as_matrix(m, rows, cols, name):
-    if isinstance(m, Matrix):
-        entries = m.a
-    else:
-        entries = m
-    try:
-        out = Matrix(rows, cols, [[_scalar(x) for x in row] for row in entries])
-    except (ValueError, TypeError) as exc:
-        raise ADHMError(f"{name} must be a {rows}x{cols} matrix: {exc}") from exc
-    return out
-
-
-# ---------------------------------------------------------------------------
-# datum types
-# ---------------------------------------------------------------------------
-
-class ComplexADHMDatum:
-    """Matrices (B11, B12, B21, B22 : c x c), (i1, i2 : c x r), (j1, j2 : r x c)."""
-
-    __slots__ = ("c", "r", "B11", "B12", "B21", "B22", "i1", "i2", "j1", "j2")
-
-    _BLOCKS = ("B11", "B12", "B21", "B22", "i1", "i2", "j1", "j2")
-
-    def __init__(self, c, r, B11, B12, B21, B22, i1, i2, j1, j2):
-        if not (isinstance(c, int) and c >= 1 and isinstance(r, int) and r >= 1):
-            raise ADHMError("c and r must be positive integers")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "r", r)
-        for name, m in (("B11", B11), ("B12", B12), ("B21", B21), ("B22", B22)):
-            object.__setattr__(self, name, _as_matrix(m, c, c, name))
-        for name, m in (("i1", i1), ("i2", i2)):
-            object.__setattr__(self, name, _as_matrix(m, c, r, name))
-        for name, m in (("j1", j1), ("j2", j2)):
-            object.__setattr__(self, name, _as_matrix(m, r, c, name))
-
-    def __setattr__(self, *a):
-        raise AttributeError("ComplexADHMDatum is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, ComplexADHMDatum)
-                and self.c == other.c and self.r == other.r
-                and all(getattr(self, n) == getattr(other, n)
-                        for n in self._BLOCKS))
-
-    def __repr__(self):
-        return f"ComplexADHMDatum(c={self.c}, r={self.r})"
-
-    def evaluate(self, z0, w0):
-        """The plain quadruple (B~1, B~2, i~, j~) at the point [z0:w0]."""
-        z0, w0 = _scalar(z0), _scalar(w0)
-        return (self.B11.scale(z0) + self.B21.scale(w0),
-                self.B12.scale(z0) + self.B22.scale(w0),
-                self.i1.scale(z0) + self.i2.scale(w0),
-                self.j1.scale(z0) + self.j2.scale(w0))
-
-    def to_json(self):
-        obj = {"kind": "complex", "r": self.r, "c": self.c}
-        for name in self._BLOCKS:
-            obj[name] = getattr(self, name).to_json()
-        return obj
-
-    @classmethod
-    def from_json(cls, obj):
-        if obj.get("kind") != "complex":
-            raise ADHMError("expected kind 'complex'")
-        return cls(obj["c"], obj["r"],
-                   *(obj[name] for name in cls._BLOCKS))
-
-
-class RealADHMDatum:
-    """Matrices (B1, B2 : c x c), (i : c x r), (j : r x c)."""
-
-    __slots__ = ("c", "r", "B1", "B2", "i", "j")
-
-    _BLOCKS = ("B1", "B2", "i", "j")
-
-    def __init__(self, c, r, B1, B2, i, j):
-        if not (isinstance(c, int) and c >= 1 and isinstance(r, int) and r >= 1):
-            raise ADHMError("c and r must be positive integers")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "B1", _as_matrix(B1, c, c, "B1"))
-        object.__setattr__(self, "B2", _as_matrix(B2, c, c, "B2"))
-        object.__setattr__(self, "i", _as_matrix(i, c, r, "i"))
-        object.__setattr__(self, "j", _as_matrix(j, r, c, "j"))
-
-    def __setattr__(self, *a):
-        raise AttributeError("RealADHMDatum is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, RealADHMDatum)
-                and self.c == other.c and self.r == other.r
-                and all(getattr(self, n) == getattr(other, n)
-                        for n in self._BLOCKS))
-
-    def __repr__(self):
-        return f"RealADHMDatum(c={self.c}, r={self.r})"
-
-    def to_json(self):
-        obj = {"kind": "real", "r": self.r, "c": self.c}
-        for name in self._BLOCKS:
-            obj[name] = getattr(self, name).to_json()
-        return obj
-
-    @classmethod
-    def from_json(cls, obj):
-        if obj.get("kind") != "real":
-            raise ADHMError("expected kind 'real'")
-        return cls(obj["c"], obj["r"], obj["B1"], obj["B2"], obj["i"], obj["j"])
-
-
-def datum_from_json(obj):
-    kind = obj.get("kind")
-    if kind == "complex":
-        return ComplexADHMDatum.from_json(obj)
-    if kind == "real":
-        return RealADHMDatum.from_json(obj)
-    raise ADHMError(f"unknown datum kind {kind!r}")
 
 
 class StabilityReport:
@@ -277,31 +137,8 @@ class StabilityReport:
 
 
 # ---------------------------------------------------------------------------
-# residuals
+# real residuals
 # ---------------------------------------------------------------------------
-
-def complex_residuals(d):
-    """The three c x c residual matrices; the datum solves the equations iff
-    all vanish, iff [B~1,B~2] + i~*j~ = 0 at every point of the line."""
-    r1 = d.B11.commutator(d.B12) + d.i1 * d.j1
-    r2 = d.B21.commutator(d.B22) + d.i2 * d.j2
-    r3 = (d.B11.commutator(d.B22) + d.B21.commutator(d.B12)
-          + d.i1 * d.j2 + d.i2 * d.j1)
-    return r1, r2, r3
-
-
-def is_complex_solution(d):
-    return all(m.is_zero() for m in complex_residuals(d))
-
-
-def quadratic_pencil_value(d, z0, w0):
-    """[B~1,B~2] + i~*j~ evaluated at [z0:w0] (a c x c matrix).
-
-    Equals z0^2*r1 + z0*w0*r3 + w0^2*r2 for the three residuals.
-    """
-    B1p, B2p, ip, jp = d.evaluate(z0, w0)
-    return B1p.commutator(B2p) + ip * jp
-
 
 def real_residuals(d, xi):
     """The two residuals of a real datum at the given level xi."""
@@ -365,11 +202,6 @@ def is_costable(B1, B2, j):
     if dual_wit.cols == 0:
         return False, Matrix.identity(c, _ONE, _ZERO)
     return False, dual_wit.transpose().kernel()
-
-
-def closure_rank(B1, B2, i):
-    """Dimension of the full word closure of Im i under (B1, B2)."""
-    return _closure_basis([B1, B2], i).cols
 
 
 # ---------------------------------------------------------------------------
@@ -678,16 +510,6 @@ def derivative_rank(d):
     ]).rank()
 
 
-def stabilizer_dim(B1, B2, i):
-    """Dimension of {X : [B1,X] = [B2,X] = 0, X*i = 0}; zero iff no nonzero
-    endomorphism commutes with both B's and kills Im i (true for stable
-    triples, since ker X would be a proper invariant subspace over Im i)."""
-    c = B1.rows
-    system = _linear_map_matrix(
-        [(c, c, lambda e: (B1.commutator(e), B2.commutator(e), e * i))])
-    return c * c - system.rank()
-
-
 # ---------------------------------------------------------------------------
 # the involution and real data
 # ---------------------------------------------------------------------------
@@ -699,10 +521,6 @@ def dagger_involution(d):
         d.c, d.r,
         d.B22.dagger(), -d.B21.dagger(), -d.B12.dagger(), d.B11.dagger(),
         d.j2.dagger(), -d.j1.dagger(), -d.i2.dagger(), d.i1.dagger())
-
-
-def is_dagger_fixed(d):
-    return dagger_involution(d) == d
 
 
 def embed_real(d):
@@ -746,46 +564,6 @@ def real_stratify(d, xi):
 # ---------------------------------------------------------------------------
 # generators (all deterministic in the seed)
 # ---------------------------------------------------------------------------
-
-def c1_generator(r, seed):
-    """Random solution with c = 1: scalar B's are unconstrained, and the
-    residuals reduce to three bilinear equations on the vectors
-    x = i1, y = i2, z = j1, w = j2:
-
-        sum x_k z_k = 0,   sum y_k w_k = 0,   sum (x_k w_k + y_k z_k) = 0.
-
-    Draws x, y linearly independent (so i~ never vanishes and the output is
-    stable everywhere) and (z, w) from the kernel of the 3 x 2r system.
-    Requires r >= 2: with r = 1 the row i~ = z*i1 + w*i2 vanishes at a point
-    of the line, so no stable solution exists.
-    """
-    if r < 2:
-        raise ADHMError("c1_generator needs r >= 2: no datum with a "
-                        "one-dimensional W is stable everywhere")
-    rng = random.Random(seed)
-    while True:
-        B = [random_gauss(rng) for _ in range(4)]
-        x = [random_gauss(rng) for _ in range(r)]
-        y = [random_gauss(rng) for _ in range(r)]
-        if Matrix(2, r, [x, y]).rank() != 2:
-            continue
-        rows = [x + [_ZERO] * r, [_ZERO] * r + y, y + x]
-        system = Matrix(3, 2 * r, rows)
-        ker = system.kernel()
-        zw = [_ZERO] * (2 * r)
-        for t in range(ker.cols):
-            coef = random_gauss(rng)
-            for k in range(2 * r):
-                zw[k] = zw[k] + coef * ker[k, t]
-        d = ComplexADHMDatum(
-            1, r, [[B[0]]], [[B[1]]], [[B[2]]], [[B[3]]],
-            [x], [y],
-            [[zw[k]] for k in range(r)], [[zw[r + k]] for k in range(r)])
-        if not is_complex_solution(d):
-            continue
-        if classify(d).stable_everywhere:
-            return d
-
 
 def _shift_matrix(c):
     return Matrix(c, c, [[_ONE if a == b + 1 else _ZERO for b in range(c)]
@@ -865,99 +643,3 @@ def random_nonstable_solution(r, c, seed):
         return d, (-lam, _ONE)
 
 
-def random_c1r1_solution(seed):
-    """Seeded solution with c = r = 1 and i~ not identically zero.
-
-    With scalars, the equations force i1*j1 = i2*j2 = i1*j2 + i2*j1 = 0, so
-    (j1, j2) = 0 whenever (i1, i2) != 0 is drawn truly generic; the row
-    i~ = z*i1 + w*i2 still vanishes at exactly one point of the line, so no
-    datum of this shape is ever stable everywhere.
-    """
-    rng = random.Random(seed)
-    while True:
-        B = [random_gauss(rng) for _ in range(4)]
-        x, y = random_gauss(rng), random_gauss(rng)
-        if not (x or y):
-            continue
-        return ComplexADHMDatum(
-            1, 1, [[B[0]]], [[B[1]]], [[B[2]]], [[B[3]]],
-            [[x]], [[y]], [[_ZERO]], [[_ZERO]])
-
-
-def random_complex_datum(r, c, seed):
-    """Raw random datum (generally not a solution)."""
-    rng = random.Random(seed)
-
-    def m(rows, cols):
-        return Matrix(rows, cols, [[random_gauss(rng) for _ in range(cols)]
-                                   for _ in range(rows)])
-
-    return ComplexADHMDatum(c, r, m(c, c), m(c, c), m(c, c), m(c, c),
-                            m(c, r), m(c, r), m(r, c), m(r, c))
-
-
-def random_real_solution(r, seed, kind="stable"):
-    """Seeded real solution with c = 1; returns (datum, xi).
-
-    kind "stable":    j = 0, i nonzero, xi = i*i^+ > 0 (stable, not costable).
-    kind "regular":   xi = 0 with i and j nonzero: j pairs up the entries of
-                      i as (-i2, i1, -i4, i3, ...), which makes i*j = 0 and
-                      |i|^2 = |j|^2 exactly (odd r keeps the last entry of i
-                      zero).  Requires r >= 2.
-    kind "irregular": the zero datum at xi = 0.
-    """
-    rng = random.Random(seed)
-    if kind == "irregular":
-        d = RealADHMDatum(1, r, [[_ZERO]], [[_ZERO]],
-                          [[_ZERO] * r], [[_ZERO]] * r)
-        return d, GaussRational(0)
-    if kind == "stable":
-        while True:
-            B1, B2 = random_gauss(rng), random_gauss(rng)
-            i = [random_gauss(rng) for _ in range(r)]
-            if any(i):
-                break
-        xi = sum((v * v.conjugate() for v in i), GaussRational(0))
-        d = RealADHMDatum(1, r, [[B1]], [[B2]], [i], [[_ZERO]] * r)
-        return d, xi
-    if kind == "regular":
-        if r < 2:
-            raise ADHMError("regular real samples here need r >= 2")
-        while True:
-            B1, B2 = random_gauss(rng), random_gauss(rng)
-            i = [random_gauss(rng) for _ in range(r)]
-            if r % 2 == 1:
-                i[-1] = _ZERO
-            if not any(i):
-                continue
-            j = [_ZERO] * r
-            for k in range(0, r - 1, 2):
-                j[k] = -i[k + 1]
-                j[k + 1] = i[k]
-            d = RealADHMDatum(1, r, [[B1]], [[B2]], [i],
-                              [[v] for v in j])
-            if is_real_solution(d, 0):
-                return d, GaussRational(0)
-    raise ADHMError(f"unknown kind {kind!r}")
-
-
-def random_invertible(c, rng):
-    """Random invertible c x c matrix over the Gaussian rationals."""
-    while True:
-        g = Matrix(c, c, [[random_gauss(rng) for _ in range(c)]
-                          for _ in range(c)])
-        if g.rank() == c:
-            return g
-
-
-def gl_action(g, d):
-    """(B, i, j) -> (g B g^-1, g i, j g^-1) on every block of a complex
-    datum; residuals transform by conjugation, so solutions map to
-    solutions and the classification is unchanged."""
-    ginv = g.solve(Matrix.identity(d.c, _ONE, _ZERO))
-    if ginv is None:
-        raise ADHMError("gl_action: matrix is not invertible")
-    return ComplexADHMDatum(
-        d.c, d.r,
-        g * d.B11 * ginv, g * d.B12 * ginv, g * d.B21 * ginv, g * d.B22 * ginv,
-        g * d.i1, g * d.i2, d.j1 * ginv, d.j2 * ginv)

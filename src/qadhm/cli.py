@@ -33,7 +33,7 @@ import argparse
 import json
 import sys
 
-__all__ = ["CLIError", "ExprParser", "RunConfig", "main", "parse_expr", "run"]
+__all__ = ["CLIError", "RunConfig", "main", "run"]
 
 P_CHOICES = ("q", "qinv")
 MAX_DEGREE_CAP = 8
@@ -74,124 +74,6 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# expression mini-language
-# ---------------------------------------------------------------------------
-
-class ExprParser:
-    """Recursive-descent parser for the q-command expression language."""
-
-    def __init__(self, text):
-        self.tokens = self._tokenize(text)
-        self.pos = 0
-
-    @staticmethod
-    def _tokenize(text):
-        tokens = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch in "+-*^()":
-                tokens.append(ch)
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                tokens.append(int(text[i:j]))
-                i = j
-            elif ch.isalpha():
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append(text[i:j])
-                i = j
-            else:
-                raise CLIError(f"unexpected character {ch!r} in expression")
-        return tokens
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self):
-        tok = self._peek()
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        out = self._expr()
-        if self._peek() is not None:
-            raise CLIError(f"trailing token {self._peek()!r} in expression")
-        return out
-
-    def _expr(self):
-        acc = self._term()
-        while self._peek() in ("+", "-"):
-            if self._next() == "+":
-                acc = acc + self._term()
-            else:
-                acc = acc - self._term()
-        return acc
-
-    def _term(self):
-        negate = False
-        while self._peek() == "-":
-            self._next()
-            negate = not negate
-        acc = self._factor()
-        while self._peek() == "*":
-            self._next()
-            acc = acc * self._factor()
-        if negate:
-            acc = -acc
-        return acc
-
-    def _factor(self):
-        from .exactcore import QLaurent
-        from .qspacetime import NCPoly, X_NAMES, det_x
-        tok = self._next()
-        if tok is None:
-            raise CLIError("expression ended where a factor was expected")
-        if isinstance(tok, int):
-            return NCPoly("I", {(0, 0, 0, 0): QLaurent.from_scalar(tok)})
-        if tok == "(":
-            inner = self._expr()
-            if self._next() != ")":
-                raise CLIError("unbalanced parenthesis in expression")
-            return inner
-        if tok == "q":
-            exp = 1
-            if self._peek() == "^":
-                self._next()
-                exp = self._signed_int()
-            return NCPoly("I", {(0, 0, 0, 0): QLaurent.q_power(exp)})
-        if tok == "det":
-            return det_x()
-        if tok in X_NAMES:
-            return NCPoly.gen("I", tok)
-        raise CLIError(f"unknown token {tok!r} in expression "
-                       f"(words: {', '.join(X_NAMES)}, det)")
-
-    def _signed_int(self):
-        sign = 1
-        while self._peek() in ("+", "-"):
-            if self._next() == "-":
-                sign = -sign
-        tok = self._next()
-        if not isinstance(tok, int):
-            raise CLIError("q^ must be followed by an integer exponent")
-        return sign * tok
-
-
-def parse_expr(text):
-    """Chart-I polynomial named by an expression string, in normal form."""
-    if not text or not text.strip():
-        raise CLIError("empty expression")
-    return ExprParser(text).parse()
-
-
-# ---------------------------------------------------------------------------
 # I/O helpers
 # ---------------------------------------------------------------------------
 
@@ -212,7 +94,7 @@ def _check_size(r, c, where=""):
 
 
 def _load_datum(path, real=False):
-    from .adhm import ComplexADHMDatum, RealADHMDatum, datum_from_json
+    from .datum import ComplexADHMDatum, RealADHMDatum, datum_from_json
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise CLIError(f"{path}: a datum is a JSON object")
@@ -248,374 +130,19 @@ def _emit_json(obj, cfg):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns True when every asserted identity holds.
-# Each imports the library modules it uses, so a process compiles only the
-# modules of the command it runs (there may be no bytecode cache).
+# parser assembly.  Each group's handlers and its ``add_commands`` live in the
+# module ``cli_<group>``, imported only when the parser needs that group, so
+# a process compiles only the modules of the command it runs (there may be
+# no bytecode cache).  Each handler returns True when every asserted identity
+# holds, and imports the library modules it uses.
 # ---------------------------------------------------------------------------
 
-def _cmd_adhm_check(args, cfg):
-    from .adhm import classify, complex_residuals, is_complex_solution
-    d = _load_datum(args.file)
-    res = complex_residuals(d)
-    report = {
-        "r": d.r,
-        "c": d.c,
-        "solution": is_complex_solution(d),
-        "residuals": [m.to_json() for m in res],
-        "classification": classify(d).to_json(),
-    }
-    _emit_json(report, cfg)
-    return report["solution"]
-
-
-def _cmd_adhm_embed(args, cfg):
-    from .adhm import ADHMError, embed_real
-    d = _load_datum(args.file, real=True)
-    try:
-        out = embed_real(d)
-    except ADHMError as exc:
-        raise CLIError(str(exc)) from exc
-    _emit_json(out.to_json(), cfg)
-    return True
-
-
-def _cmd_adhm_random(args, cfg):
-    from .adhm import ADHMError, random_stable_solution
-    _check_size(args.r, args.c)
-    try:
-        d = random_stable_solution(args.r, args.c, cfg.seed)
-    except ADHMError as exc:
-        raise CLIError(str(exc)) from exc
-    _emit_json(d.to_json(), cfg)
-    return True
-
-
-def _cmd_adhm_rank(args, cfg):
-    from .adhm import classify, derivative_rank
-    d = _load_datum(args.file)
-    rank = derivative_rank(d)
-    ambient = 4 * d.c * d.c + 4 * d.c * d.r
-    report = {
-        "rank": rank,
-        "full_rank": rank == 3 * d.c * d.c,
-        "ambient_parameters": ambient,
-        "gauge_dimension": d.c * d.c,
-        "moduli_dimension": ambient - rank - d.c * d.c,
-        "expected_moduli_dimension": 4 * d.r * d.c,
-        "stable_everywhere": classify(d).stable_everywhere,
-    }
-    _emit_json(report, cfg)
-    return True
-
-
-def _cmd_monad_build(args, cfg):
-    from .monad import MonadError, build_monad
-    d = _load_datum(args.file)
-    try:
-        m = build_monad(d)
-    except MonadError as exc:
-        raise CLIError(str(exc)) from exc
-    _emit_json(m.to_json(), cfg)
-    return True
-
-
-def _cmd_monad_classify(args, cfg):
-    from .monad import MonadError, classify_sheaf
-    d = _load_datum(args.file)
-    try:
-        rep = classify_sheaf(d, extra_seed=cfg.seed)
-    except MonadError as exc:
-        raise CLIError(str(exc)) from exc
-    _emit_json(rep.to_json(), cfg)
-    return True
-
-
-def _cmd_monad_chern(args, cfg):
-    from .monad import chi_twist
-    if args.r < 1 or args.c < 1:
-        raise CLIError("r and c must be positive")
-    _emit(str(chi_twist(args.r, args.c, args.k)) + "\n", cfg)
-    return True
-
-
-def _cmd_q_normalize(args, cfg):
-    p = parse_expr(args.expr)
-    report = {
-        "input": args.expr,
-        "normal_form": str(p),
-        "terms": p.to_json(),
-        "degree": p.degree(),
-    }
-    _emit_json(report, cfg)
-    return True
-
-
-def _cmd_q_partial(args, cfg):
-    from .qcalculus import derive_table, partials
-    from .qspacetime import X_NAMES
-    p = parse_expr(args.expr)
-    table = derive_table(cfg.p_choice)
-    parts = partials(p, table)
-    report = {
-        "input": args.expr,
-        "p_choice": cfg.p_choice,
-        "partials": {name: str(f) for name, f in zip(X_NAMES, parts)},
-    }
-    _emit_json(report, cfg)
-    return True
-
-
-def _cmd_q_laplace(args, cfg):
-    from .qcalculus import derive_table, laplacian
-    p = parse_expr(args.expr)
-    table = derive_table(cfg.p_choice)
-    box = laplacian(p, table)
-    report = {
-        "input": args.expr,
-        "p_choice": cfg.p_choice,
-        "laplacian": str(box),
-        "harmonic": box.is_zero(),
-    }
-    _emit_json(report, cfg)
-    return True
-
-
-def _check_harmonic_caps(args):
-    if args.l > MAX_TWO_L or args.k > MAX_DET_POWER:
-        raise CLIError(f"l must be at most {MAX_TWO_L} and k at most "
-                       f"{MAX_DET_POWER}")
-
-
-def _cmd_q_harmonic(args, cfg):
-    from .qcalculus import derive_table, laplacian
-    from .qspacetime import HarmonicIndex, basis_element
-    _check_harmonic_caps(args)
-    try:
-        idx = HarmonicIndex(args.l, args.m, args.n, args.k)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
-    if not idx.in_range():
-        raise CLIError("m and n must lie in [-l, l]")
-    table = derive_table(cfg.p_choice)
-    elt = basis_element(idx)
-    core = basis_element(HarmonicIndex(args.l, args.m, args.n, 0))
-    harmonic_ok = laplacian(core, table).is_zero()
-    report = {
-        "index": str(idx),
-        "p_choice": cfg.p_choice,
-        "element": str(elt),
-        "terms": elt.to_json(),
-        "harmonic_part_is_harmonic": harmonic_ok,
-    }
-    _emit_json(report, cfg)
-    return harmonic_ok
-
-
-def _cmd_q_eigen(args, cfg):
-    from .qcalculus import derive_table, eigenvalue_tilde, tilde_laplacian
-    from .qspacetime import HarmonicIndex, basis_element
-    if args.k < 0 or args.l < 0:
-        raise CLIError("k and l must be nonnegative")
-    _check_harmonic_caps(args)
-    lam = eigenvalue_tilde(args.k, args.l, cfg.p_choice)
-    table = derive_table(cfg.p_choice)
-    witness = basis_element(HarmonicIndex(args.l, args.l, args.l, args.k))
-    verified = tilde_laplacian(witness, table) == witness.scale(lam)
-    report = {
-        "k": args.k,
-        "two_l": args.l,
-        "p_choice": cfg.p_choice,
-        "eigenvalue": lam.to_json(),
-        "eigenvalue_str": str(lam),
-        "verified_on_witness": verified,
-    }
-    _emit_json(report, cfg)
-    return verified
-
-
-def _cmd_q_table(args, cfg):
-    from .qcalculus import derive_table
-    p_choice = args.p or cfg.p_choice
-    if p_choice not in P_CHOICES:
-        raise CLIError(f"p must be one of {P_CHOICES}")
-    _emit_json(derive_table(p_choice).to_json(), cfg)
-    return True
-
-
-def _cmd_q_penrose(args, cfg):
-    from .exactcore import parse_gauss
-    from .qcalculus import cech_index, derive_table, laplacian, penrose_scalar
-    obj = _load_json(args.file)
-    items = obj.get("cocycle") if isinstance(obj, dict) else obj
-    if not isinstance(items, list) or not items:
-        raise CLIError("penrose input must be a nonempty list under "
-                       "\"cocycle\": [{\"exponents\": [ex,ey,ez,ew], "
-                       "\"coeff\": \"a/b\"}]")
-    pairs = []
-    for item in items:
-        try:
-            exps = tuple(int(e) for e in item["exponents"])
-            coeff = parse_gauss(str(item.get("coeff", "1")))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CLIError(f"bad cocycle item {item!r}: {exc}") from exc
-        if len(exps) != 4:
-            raise CLIError("cocycle exponents must have four entries")
-        try:
-            idx = cech_index(exps)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from exc
-        if idx.two_l > MAX_TWO_L:
-            raise CLIError(f"cocycle {list(exps)} has 2l = {idx.two_l}; "
-                           f"l must be at most {MAX_TWO_L}")
-        pairs.append((exps, coeff))
-    image = penrose_scalar(pairs)
-    table = derive_table(cfg.p_choice)
-    harmonic_ok = laplacian(image, table).is_zero()
-    report = {
-        "p_choice": cfg.p_choice,
-        "image": str(image),
-        "terms": image.to_json(),
-        "harmonic": harmonic_ok,
-    }
-    _emit_json(report, cfg)
-    return harmonic_ok
-
-
-def _cmd_inst_verify(args, cfg):
-    from .qinstanton import ids_report
-    d = _load_datum(args.file)
-    report = {chart: ids_report(d, chart) for chart in ("I", "J")}
-    _emit_json(report, cfg)
-    return report["I"]["all_zero"] and report["J"]["all_zero"]
-
-
-def _cmd_inst_curvature(args, cfg):
-    from .qinstanton import (QInstantonError, curvature_asd,
-                             curvature_report_json)
-    d = _load_datum(args.file)
-    try:
-        report = curvature_asd(d, cfg.p_choice)
-    except QInstantonError as exc:
-        raise CLIError(str(exc)) from exc
-    _emit_json(curvature_report_json(report), cfg)
-    return True
-
-
-def _cmd_inst_slices(args, cfg):
-    from .qinstanton import QInstantonError, pencil_grid, slice_rank_grid
-    d = _load_datum(args.file)
-    dmax = cfg.degree_cap if args.dmax is None else args.dmax
-    if not 0 <= dmax <= MAX_DEGREE_CAP:
-        raise CLIError(f"dmax must lie in 0..{MAX_DEGREE_CAP}")
-    grid = pencil_grid(cfg.grid_size)
-    try:
-        reports = slice_rank_grid(d, grid, dmax)
-    except QInstantonError as exc:
-        raise CLIError(str(exc)) from exc
-    ok = all(rep["surjective"] for rep in reports)
-    _emit_json({"dmax": dmax, "grid_size": cfg.grid_size,
-                "reports": reports, "all_surjective": ok}, cfg)
-    return ok
-
-
-# ---------------------------------------------------------------------------
-# parser assembly
-# ---------------------------------------------------------------------------
-
-def _add_adhm(sub, common):
-    p = sub.add_parser("check", parents=[common],
-                       help="residuals and stability classification")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_adhm_check)
-    p = sub.add_parser("embed", parents=[common],
-                       help="double a real solution into a complex one")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_adhm_embed)
-    p = sub.add_parser("random", parents=[common],
-                       help="seeded stable solution")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("-c", type=int, required=True)
-    p.set_defaults(handler=_cmd_adhm_random)
-    p = sub.add_parser("rank", parents=[common],
-                       help="derivative rank and dimension audit")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_adhm_rank)
-
-
-def _add_monad(sub, common):
-    p = sub.add_parser("build", parents=[common],
-                       help="three-term complex of a solution")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_monad_build)
-    p = sub.add_parser("classify", parents=[common],
-                       help="regularity class of the middle cohomology")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_monad_classify)
-    p = sub.add_parser("chern", parents=[common],
-                       help="Euler characteristic of the twist E(k)")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("-c", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.set_defaults(handler=_cmd_monad_chern)
-
-
-def _add_q(sub, common):
-    p = sub.add_parser("normalize", parents=[common],
-                       help="normal form of an expression")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_q_normalize)
-    p = sub.add_parser("partial", parents=[common],
-                       help="the four partial derivatives of an expression")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_q_partial)
-    p = sub.add_parser("laplace", parents=[common],
-                       help="Laplacian of an expression")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_q_laplace)
-    p = sub.add_parser("harmonic", parents=[common],
-                       help="basis element det^k X[l, m, n] (doubled indices)")
-    p.add_argument("-l", type=int, required=True, help="twice l")
-    p.add_argument("-m", type=int, required=True, help="twice m")
-    p.add_argument("-n", type=int, required=True, help="twice n")
-    p.add_argument("-k", type=int, default=0, help="det power")
-    p.set_defaults(handler=_cmd_q_harmonic)
-    p = sub.add_parser("eigen", parents=[common],
-                       help="eigenvalue of det*box on det^k X^l")
-    p.add_argument("-k", type=int, required=True, help="det power")
-    p.add_argument("-l", type=int, required=True, help="twice l")
-    p.set_defaults(handler=_cmd_q_eigen)
-    p = sub.add_parser("table", parents=[common],
-                       help="derived relation tables for one p-choice")
-    p.add_argument("--p", default=None, choices=P_CHOICES)
-    p.set_defaults(handler=_cmd_q_table)
-    p = sub.add_parser("penrose", parents=[common],
-                       help="harmonic image of a degree -2 cocycle file")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_q_penrose)
-
-
-def _add_inst(sub, common):
-    p = sub.add_parser("verify", parents=[common],
-                       help="operator identities on both charts")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_inst_verify)
-    p = sub.add_parser("curvature", parents=[common],
-                       help="curvature block audit with the ASD split")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_inst_curvature)
-    p = sub.add_parser("slices", parents=[common],
-                       help="slice surjectivity over the parameter grid")
-    p.add_argument("file")
-    p.add_argument("--dmax", type=int, default=None)
-    p.set_defaults(handler=_cmd_inst_slices)
-
-
-# group -> (help, adder of its subcommands)
+# group -> help
 _GROUPS = {
-    "adhm": ("matrix data commands", _add_adhm),
-    "monad": ("monad and sheaf commands", _add_monad),
-    "q": ("quantum algebra and calculus commands", _add_q),
-    "inst": ("module operator commands", _add_inst),
+    "adhm": "matrix data commands",
+    "monad": "monad and sheaf commands",
+    "q": "quantum algebra and calculus commands",
+    "inst": "module operator commands",
 }
 
 
@@ -644,11 +171,14 @@ def _build_parser(argv=()):
         formatter_class=argparse.RawDescriptionHelpFormatter)
     groups = parser.add_subparsers(dest="group", required=True)
     named = argv[0] if argv and argv[0] in _GROUPS else None
-    for name, (help_text, add_commands) in _GROUPS.items():
+    for name, help_text in _GROUPS.items():
         group = groups.add_parser(name, help=help_text)
         if named in (None, name):
-            add_commands(group.add_subparsers(dest="command", required=True),
-                         common)
+            # the statement ``from . import cli_<name>``
+            module = __import__(f"cli_{name}", globals(), level=1,
+                                fromlist=["add_commands"])
+            module.add_commands(
+                group.add_subparsers(dest="command", required=True), common)
     return parser
 
 
@@ -676,4 +206,8 @@ def main():
 
 
 if __name__ == "__main__":
+    # ``python -m qadhm.cli`` runs this file as ``__main__``.  Register it
+    # under its own name too, so that the group modules, which import from
+    # ``qadhm.cli``, share it instead of compiling and running a second copy.
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     main()

@@ -1,0 +1,51 @@
+"""``qadhm monad`` commands: the monad of a datum, the class of its sheaf and
+the Euler characteristics of twists."""
+
+from .cli import CLIError, _emit, _emit_json, _load_datum
+
+
+def _cmd_monad_build(args, cfg):
+    from .monad import MonadError, build_monad
+    d = _load_datum(args.file)
+    try:
+        m = build_monad(d)
+    except MonadError as exc:
+        raise CLIError(str(exc)) from exc
+    _emit_json(m.to_json(), cfg)
+    return True
+
+
+def _cmd_monad_classify(args, cfg):
+    from .monad import MonadError, classify_sheaf
+    d = _load_datum(args.file)
+    try:
+        rep = classify_sheaf(d, extra_seed=cfg.seed)
+    except MonadError as exc:
+        raise CLIError(str(exc)) from exc
+    _emit_json(rep.to_json(), cfg)
+    return True
+
+
+def _cmd_monad_chern(args, cfg):
+    from .monad import chi_twist
+    if args.r < 1 or args.c < 1:
+        raise CLIError("r and c must be positive")
+    _emit(str(chi_twist(args.r, args.c, args.k)) + "\n", cfg)
+    return True
+
+
+def add_commands(sub, common):
+    p = sub.add_parser("build", parents=[common],
+                       help="three-term complex of a solution")
+    p.add_argument("file")
+    p.set_defaults(handler=_cmd_monad_build)
+    p = sub.add_parser("classify", parents=[common],
+                       help="regularity class of the middle cohomology")
+    p.add_argument("file")
+    p.set_defaults(handler=_cmd_monad_classify)
+    p = sub.add_parser("chern", parents=[common],
+                       help="Euler characteristic of the twist E(k)")
+    p.add_argument("-r", type=int, required=True)
+    p.add_argument("-c", type=int, required=True)
+    p.add_argument("-k", type=int, required=True)
+    p.set_defaults(handler=_cmd_monad_chern)

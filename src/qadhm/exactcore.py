@@ -15,9 +15,8 @@ Three scalar types, each immutable and structural-equality:
 Plus exact matrices whose rank, kernel and solve all run through one sparse
 row echelon over the fraction field of the entries (it pivots on units, so
 QLaurent entries are lifted to QRat only at a non-unit pivot), and the
-quantum integers [n], braces {n}, their factorials and the q-binomial
-coefficients.  The matrix pencils of ``monad`` and the projective roots of
-``adhm`` live in those modules.
+quantum integers [n].  The matrix pencils of ``monad`` and the projective
+roots of ``adhm`` live in those modules.
 
 Equal scalars hash alike across types: a GaussRational with zero imaginary
 part hashes as its real part, a constant QLaurent as its coefficient, and a
@@ -32,8 +31,7 @@ from math import gcd, lcm
 import re as _re
 
 __all__ = [
-    "GaussRational", "QLaurent", "QRat", "Matrix",
-    "qint", "qbrace", "qfact", "qbinom",
+    "GaussRational", "QLaurent", "QRat", "Matrix", "qint",
     "parse_gauss", "random_gauss",
 ]
 
@@ -522,7 +520,6 @@ def _as_qlaurent(x):
 _QL_ZERO = QLaurent()
 _QL_ONE = QLaurent({0: 1})
 Q = QLaurent({1: 1})          # the formal parameter q
-QINV = QLaurent({-1: 1})
 
 
 def _ql_divmod(a: QLaurent, b: QLaurent):
@@ -716,38 +713,6 @@ def qint(n: int) -> QLaurent:
     if n < 0:
         return -qint(-n)
     return QLaurent({n - 1 - 2 * k: 1 for k in range(n)})
-
-
-def qbrace(n: int) -> QLaurent:
-    """{n} = (q^(2n) - 1)/(q^2 - 1) = 1 + q^2 + ... + q^(2n-2), n >= 0."""
-    if n < 0:
-        raise ValueError("qbrace needs n >= 0")
-    return QLaurent({2 * k: 1 for k in range(n)})
-
-
-def qfact(n: int) -> QLaurent:
-    """Brace factorial {n}! = {1}{2}...{n}; {0}! = 1."""
-    if n < 0:
-        raise ValueError("qfact needs n >= 0")
-    out = _QL_ONE
-    for k in range(1, n + 1):
-        out = out * qbrace(k)
-    return out
-
-
-def qbinom(n: int, r: int) -> QLaurent:
-    """Gaussian binomial {n}!/({r}!{n-r}!) via the Pascal recursion in q^2."""
-    if not (0 <= r <= n):
-        raise ValueError(f"qbinom out of range: ({n},{r})")
-    # row-by-row: C(m, j) = C(m-1, j-1) + q^(2j) C(m-1, j)
-    row = [_QL_ONE]
-    for m in range(1, n + 1):
-        new = [_QL_ONE]
-        for j in range(1, m):
-            new.append(row[j - 1] + QLaurent({2 * j: 1}) * row[j])
-        new.append(_QL_ONE)
-        row = new
-    return row[r]
 
 
 # ---------------------------------------------------------------------------

@@ -44,13 +44,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .adhm import (
-    ComplexADHMDatum,
-    _linear_map_matrix,
-    classify,
-    complex_residuals,
-    is_complex_solution,
-)
+from .datum import ComplexADHMDatum, complex_residuals, is_complex_solution
 from .exactcore import GaussRational, Matrix, random_gauss
 
 __all__ = [
@@ -310,6 +304,7 @@ def classify_sheaf(d, extra_seed=0, extra_points=15):
     singular sample collects grid points plus a few seeded points where
     rank alpha_X < c.
     """
+    from .adhm import classify
     m = build_monad(d)
     rep = classify(d)
     if not rep.stable_everywhere:
@@ -406,6 +401,7 @@ def find_intertwiner(d_new, d_old, seed=0, attempts=64):
     """Invertible (gV, gW) with B'_kl gV = gV B_kl, i'_k gW = gV i_k and
     j'_k gV = gW j_k, exhibiting d_new = (gV, gW) . d_old; None if the
     solution space contains no invertible pair among sampled combinations."""
+    from .adhm import _linear_map_matrix
     if (d_new.c, d_new.r) != (d_old.c, d_old.r):
         return None
     c, r = d_old.c, d_old.r
@@ -626,16 +622,3 @@ def appendix_b_suite(r, c):
                         "difference": diff,
                         "obstructed": bool(c >= 1 and diff != ChernClass())},
     }
-
-
-def suite_to_json(report):
-    """JSON-ready copy of an appendix_b_suite report."""
-    def conv(v):
-        if isinstance(v, ChernClass):
-            return str(v)
-        if isinstance(v, Fraction):
-            return str(v)
-        if isinstance(v, dict):
-            return {k: conv(x) for k, x in v.items()}
-        return v
-    return {k: conv(v) for k, v in report.items()}

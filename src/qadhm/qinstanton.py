@@ -35,7 +35,7 @@ the matrix equations.  On top of that this module provides:
 
 from fractions import Fraction
 
-from .adhm import classify, complex_residuals, is_complex_solution
+from .datum import complex_residuals, is_complex_solution
 from .exactcore import GaussRational, Matrix, QLaurent, QRat, _echelon
 from .qspacetime import NCPoly, X_NAMES, Y_NAMES, det_x, monomials_of_degree
 
@@ -626,6 +626,7 @@ def projection_truncated(d, psi, dmax):
     coefficients below degree dmax+1, so its phi is zero and P(P(psi)) =
     P(psi).  Components come back as 0-forms with exact rational-function
     coefficients."""
+    from .adhm import classify
     from .qcalculus import NCForm, derive_table
     rep = classify(d)
     if not rep.regular:

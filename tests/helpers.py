@@ -1,0 +1,232 @@
+"""Seeded data generators and small helpers that only the tests use.
+
+They live here rather than in ``src/qadhm`` so that no command compiles
+them.  The generators are deterministic in their seed, like
+``adhm.random_stable_solution`` (which ``adhm random`` runs) and
+``adhm.random_nonstable_solution`` (which the benchmark uses).
+"""
+
+import random
+from fractions import Fraction
+
+from qadhm.adhm import (_closure_basis, _linear_map_matrix, classify,
+                        dagger_involution, is_real_solution)
+from qadhm.datum import (ADHMError, ComplexADHMDatum, RealADHMDatum,
+                         is_complex_solution)
+from qadhm.exactcore import (_QL_ONE, GaussRational, Matrix, QLaurent,
+                             random_gauss)
+from qadhm.monad import ChernClass
+
+_ZERO = GaussRational(0)
+_ONE = GaussRational(1)
+
+
+def quadratic_pencil_value(d, z0, w0):
+    """[B~1,B~2] + i~*j~ evaluated at [z0:w0] (a c x c matrix).
+
+    Equals z0^2*r1 + z0*w0*r3 + w0^2*r2 for the three residuals.
+    """
+    B1p, B2p, ip, jp = d.evaluate(z0, w0)
+    return B1p.commutator(B2p) + ip * jp
+
+
+def closure_rank(B1, B2, i):
+    """Dimension of the full word closure of Im i under (B1, B2)."""
+    return _closure_basis([B1, B2], i).cols
+
+
+def stabilizer_dim(B1, B2, i):
+    """Dimension of {X : [B1,X] = [B2,X] = 0, X*i = 0}; zero iff no nonzero
+    endomorphism commutes with both B's and kills Im i (true for stable
+    triples, since ker X would be a proper invariant subspace over Im i)."""
+    c = B1.rows
+    system = _linear_map_matrix(
+        [(c, c, lambda e: (B1.commutator(e), B2.commutator(e), e * i))])
+    return c * c - system.rank()
+
+
+def is_dagger_fixed(d):
+    return dagger_involution(d) == d
+
+
+def c1_generator(r, seed):
+    """Random solution with c = 1: scalar B's are unconstrained, and the
+    residuals reduce to three bilinear equations on the vectors
+    x = i1, y = i2, z = j1, w = j2:
+
+        sum x_k z_k = 0,   sum y_k w_k = 0,   sum (x_k w_k + y_k z_k) = 0.
+
+    Draws x, y linearly independent (so i~ never vanishes and the output is
+    stable everywhere) and (z, w) from the kernel of the 3 x 2r system.
+    Requires r >= 2: with r = 1 the row i~ = z*i1 + w*i2 vanishes at a point
+    of the line, so no stable solution exists.
+    """
+    if r < 2:
+        raise ADHMError("c1_generator needs r >= 2: no datum with a "
+                        "one-dimensional W is stable everywhere")
+    rng = random.Random(seed)
+    while True:
+        B = [random_gauss(rng) for _ in range(4)]
+        x = [random_gauss(rng) for _ in range(r)]
+        y = [random_gauss(rng) for _ in range(r)]
+        if Matrix(2, r, [x, y]).rank() != 2:
+            continue
+        rows = [x + [_ZERO] * r, [_ZERO] * r + y, y + x]
+        system = Matrix(3, 2 * r, rows)
+        ker = system.kernel()
+        zw = [_ZERO] * (2 * r)
+        for t in range(ker.cols):
+            coef = random_gauss(rng)
+            for k in range(2 * r):
+                zw[k] = zw[k] + coef * ker[k, t]
+        d = ComplexADHMDatum(
+            1, r, [[B[0]]], [[B[1]]], [[B[2]]], [[B[3]]],
+            [x], [y],
+            [[zw[k]] for k in range(r)], [[zw[r + k]] for k in range(r)])
+        if not is_complex_solution(d):
+            continue
+        if classify(d).stable_everywhere:
+            return d
+
+
+def random_c1r1_solution(seed):
+    """Seeded solution with c = r = 1 and i~ not identically zero.
+
+    With scalars, the equations force i1*j1 = i2*j2 = i1*j2 + i2*j1 = 0, so
+    (j1, j2) = 0 whenever (i1, i2) != 0 is drawn truly generic; the row
+    i~ = z*i1 + w*i2 still vanishes at exactly one point of the line, so no
+    datum of this shape is ever stable everywhere.
+    """
+    rng = random.Random(seed)
+    while True:
+        B = [random_gauss(rng) for _ in range(4)]
+        x, y = random_gauss(rng), random_gauss(rng)
+        if not (x or y):
+            continue
+        return ComplexADHMDatum(
+            1, 1, [[B[0]]], [[B[1]]], [[B[2]]], [[B[3]]],
+            [[x]], [[y]], [[_ZERO]], [[_ZERO]])
+
+
+def random_complex_datum(r, c, seed):
+    """Raw random datum (generally not a solution)."""
+    rng = random.Random(seed)
+
+    def m(rows, cols):
+        return Matrix(rows, cols, [[random_gauss(rng) for _ in range(cols)]
+                                   for _ in range(rows)])
+
+    return ComplexADHMDatum(c, r, m(c, c), m(c, c), m(c, c), m(c, c),
+                            m(c, r), m(c, r), m(r, c), m(r, c))
+
+
+def random_real_solution(r, seed, kind="stable"):
+    """Seeded real solution with c = 1; returns (datum, xi).
+
+    kind "stable":    j = 0, i nonzero, xi = i*i^+ > 0 (stable, not costable).
+    kind "regular":   xi = 0 with i and j nonzero: j pairs up the entries of
+                      i as (-i2, i1, -i4, i3, ...), which makes i*j = 0 and
+                      |i|^2 = |j|^2 exactly (odd r keeps the last entry of i
+                      zero).  Requires r >= 2.
+    kind "irregular": the zero datum at xi = 0.
+    """
+    rng = random.Random(seed)
+    if kind == "irregular":
+        d = RealADHMDatum(1, r, [[_ZERO]], [[_ZERO]],
+                          [[_ZERO] * r], [[_ZERO]] * r)
+        return d, GaussRational(0)
+    if kind == "stable":
+        while True:
+            B1, B2 = random_gauss(rng), random_gauss(rng)
+            i = [random_gauss(rng) for _ in range(r)]
+            if any(i):
+                break
+        xi = sum((v * v.conjugate() for v in i), GaussRational(0))
+        d = RealADHMDatum(1, r, [[B1]], [[B2]], [i], [[_ZERO]] * r)
+        return d, xi
+    if kind == "regular":
+        if r < 2:
+            raise ADHMError("regular real samples here need r >= 2")
+        while True:
+            B1, B2 = random_gauss(rng), random_gauss(rng)
+            i = [random_gauss(rng) for _ in range(r)]
+            if r % 2 == 1:
+                i[-1] = _ZERO
+            if not any(i):
+                continue
+            j = [_ZERO] * r
+            for k in range(0, r - 1, 2):
+                j[k] = -i[k + 1]
+                j[k + 1] = i[k]
+            d = RealADHMDatum(1, r, [[B1]], [[B2]], [i],
+                              [[v] for v in j])
+            if is_real_solution(d, 0):
+                return d, GaussRational(0)
+    raise ADHMError(f"unknown kind {kind!r}")
+
+
+def random_invertible(c, rng):
+    """Random invertible c x c matrix over the Gaussian rationals."""
+    while True:
+        g = Matrix(c, c, [[random_gauss(rng) for _ in range(c)]
+                          for _ in range(c)])
+        if g.rank() == c:
+            return g
+
+
+def gl_action(g, d):
+    """(B, i, j) -> (g B g^-1, g i, j g^-1) on every block of a complex
+    datum; residuals transform by conjugation, so solutions map to
+    solutions and the classification is unchanged."""
+    ginv = g.solve(Matrix.identity(d.c, _ONE, _ZERO))
+    if ginv is None:
+        raise ADHMError("gl_action: matrix is not invertible")
+    return ComplexADHMDatum(
+        d.c, d.r,
+        g * d.B11 * ginv, g * d.B12 * ginv, g * d.B21 * ginv, g * d.B22 * ginv,
+        g * d.i1, g * d.i2, d.j1 * ginv, d.j2 * ginv)
+
+
+def suite_to_json(report):
+    """JSON-ready copy of an appendix_b_suite report."""
+    def conv(v):
+        if isinstance(v, ChernClass):
+            return str(v)
+        if isinstance(v, Fraction):
+            return str(v)
+        if isinstance(v, dict):
+            return {k: conv(x) for k, x in v.items()}
+        return v
+    return {k: conv(v) for k, v in report.items()}
+
+
+def qbrace(n: int) -> QLaurent:
+    """{n} = (q^(2n) - 1)/(q^2 - 1) = 1 + q^2 + ... + q^(2n-2), n >= 0."""
+    if n < 0:
+        raise ValueError("qbrace needs n >= 0")
+    return QLaurent({2 * k: 1 for k in range(n)})
+
+
+def qfact(n: int) -> QLaurent:
+    """Brace factorial {n}! = {1}{2}...{n}; {0}! = 1."""
+    if n < 0:
+        raise ValueError("qfact needs n >= 0")
+    out = _QL_ONE
+    for k in range(1, n + 1):
+        out = out * qbrace(k)
+    return out
+
+
+def qbinom(n: int, r: int) -> QLaurent:
+    """Gaussian binomial {n}!/({r}!{n-r}!) via the Pascal recursion in q^2."""
+    if not (0 <= r <= n):
+        raise ValueError(f"qbinom out of range: ({n},{r})")
+    # row-by-row: C(m, j) = C(m-1, j-1) + q^(2j) C(m-1, j)
+    row = [_QL_ONE]
+    for m in range(1, n + 1):
+        new = [_QL_ONE]
+        for j in range(1, m):
+            new.append(row[j - 1] + QLaurent({2 * j: 1}) * row[j])
+        new.append(_QL_ONE)
+        row = new
+    return row[r]

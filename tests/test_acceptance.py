@@ -20,16 +20,16 @@ from fractions import Fraction
 
 from qadhm import cli
 from qadhm.adhm import (
-    ComplexADHMDatum,
-    RealADHMDatum,
     classify,
-    complex_residuals,
     derivative_rank,
-    is_complex_solution,
-    random_c1r1_solution,
-    random_complex_datum,
     random_nonstable_solution,
     random_stable_solution,
+)
+from qadhm.datum import (
+    ComplexADHMDatum,
+    RealADHMDatum,
+    complex_residuals,
+    is_complex_solution,
 )
 from qadhm.exactcore import GaussRational, QLaurent, qint
 from qadhm.monad import (
@@ -79,6 +79,7 @@ from qadhm.qspacetime import (
     slice_matrix,
 )
 
+from helpers import random_c1r1_solution, random_complex_datum
 from test_adhm import proj_equal
 from test_monad import semiregular_not_regular, stable_not_semiregular
 from test_qcalculus import (HAND_WEDGE_RULES, HAND_X_RULES_Q,

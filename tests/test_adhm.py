@@ -7,35 +7,40 @@ import pytest
 
 from qadhm import adhm
 from qadhm.adhm import (
+    classify,
+    dagger_involution,
+    derivative_rank,
+    embed_real,
+    is_costable,
+    is_real_solution,
+    is_stable,
+    random_nonstable_solution,
+    random_stable_solution,
+    real_residuals,
+    real_stratify,
+)
+from qadhm.datum import (
     ADHMError,
     ComplexADHMDatum,
     RealADHMDatum,
-    c1_generator,
-    classify,
-    closure_rank,
     complex_residuals,
-    dagger_involution,
     datum_from_json,
-    derivative_rank,
-    embed_real,
-    gl_action,
     is_complex_solution,
-    is_costable,
+)
+from qadhm.exactcore import GaussRational, Matrix, QLaurent, random_gauss
+
+from helpers import (
+    c1_generator,
+    closure_rank,
+    gl_action,
     is_dagger_fixed,
-    is_real_solution,
-    is_stable,
     quadratic_pencil_value,
     random_c1r1_solution,
     random_complex_datum,
     random_invertible,
-    random_nonstable_solution,
     random_real_solution,
-    random_stable_solution,
-    real_residuals,
-    real_stratify,
     stabilizer_dim,
 )
-from qadhm.exactcore import GaussRational, Matrix, QLaurent, random_gauss
 
 Z = GaussRational(0)
 ONE = GaussRational(1)

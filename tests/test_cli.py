@@ -1,6 +1,7 @@
 """Tests for the command-line interface, its parser and its exit codes."""
 
 import argparse
+import hashlib
 import importlib
 import json
 import os
@@ -14,12 +15,7 @@ from pathlib import Path
 import pytest
 
 import qadhm.cli
-from qadhm.adhm import (
-    ComplexADHMDatum,
-    RealADHMDatum,
-    random_complex_datum,
-    random_stable_solution,
-)
+from qadhm.adhm import random_stable_solution
 from qadhm.cli import (
     MAX_CHARGE,
     MAX_DET_POWER,
@@ -27,15 +23,17 @@ from qadhm.cli import (
     MAX_RANK,
     MAX_TWO_L,
     CLIError,
-    ExprParser,
     RunConfig,
-    parse_expr,
     run,
 )
+from qadhm.cli_q import ExprParser, parse_expr
+from qadhm.datum import ComplexADHMDatum, RealADHMDatum
 from qadhm.exactcore import GaussRational, Matrix, QLaurent
 from qadhm.monad import chi_twist
 from qadhm.qcalculus import derive_table, laplacian, partials
 from qadhm.qspacetime import HarmonicIndex, NCPoly, X_NAMES, basis_element, det_x
+
+from helpers import random_complex_datum
 
 Z = GaussRational(0)
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -611,6 +609,17 @@ class TestDeterminism:
             assert proc.returncode == 0, (module, proc.stderr)
             assert proc.stdout == "-1\n"
 
+    def test_module_invocation_compiles_cli_once(self):
+        # run as ``__main__``, cli is shared with the group module that
+        # imports from it: no second ``qadhm.cli`` is imported
+        proc = run_python(["-X", "importtime", "-m", "qadhm.cli", "monad",
+                           "chern", "-r", "2", "-c", "1", "-k", "-1"])
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rpartition("|")[2].strip()
+                    for line in proc.stderr.splitlines()}
+        assert "qadhm.cli_monad" in imported
+        assert "qadhm.cli" not in imported
+
 
 # What a child process reports: the modules that importing qadhm.cli and
 # running one command added to sys.modules.
@@ -626,45 +635,72 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({"code": code, "new": sorted(set(sys.modules) - before)}))
 """
 
-# argv (DATUM stands for a solution file) -> the qadhm modules it loads
-DATUM = "<datum>"
+# argv -> the qadhm modules it loads.  DATUM, REAL and COCYCLE stand for a
+# complex solution, a real solution and a cocycle file.
+DATUM, REAL, COCYCLE = "<datum>", "<real>", "<cocycle>"
+_ADHM = {"cli", "cli_adhm", "datum", "exactcore", "adhm"}
+_MONAD = {"cli", "cli_monad", "datum", "exactcore", "monad"}
+_Q = {"cli", "cli_q", "exactcore", "qspacetime", "qcalculus"}
+_INST = {"cli", "cli_inst", "datum", "exactcore", "qspacetime", "qinstanton"}
 _MODULES_BY_COMMAND = {
-    ("--help",): {"cli"},
-    ("adhm", "check", DATUM): {"cli", "exactcore", "adhm"},
-    ("monad", "build", DATUM): {"cli", "exactcore", "adhm", "monad"},
-    ("monad", "chern", "-r", "2", "-c", "1", "-k", "0"):
-        {"cli", "exactcore", "adhm", "monad"},
-    ("q", "normalize", "x11*x22"): {"cli", "exactcore", "qspacetime"},
-    ("q", "laplace", "x11*x22"):
-        {"cli", "exactcore", "qspacetime", "qcalculus"},
-    ("q", "eigen", "-k", "1", "-l", "2"):
-        {"cli", "exactcore", "qspacetime", "qcalculus"},
-    ("inst", "verify", DATUM):
-        {"cli", "exactcore", "adhm", "qspacetime", "qinstanton"},
-    ("inst", "slices", DATUM, "--dmax", "0", "--grid-size", "2"):
-        {"cli", "exactcore", "adhm", "qspacetime", "qinstanton"},
-    ("inst", "curvature", DATUM):
-        {"cli", "exactcore", "adhm", "qspacetime", "qinstanton", "qcalculus"},
+    ("--help",): {"cli", "cli_adhm", "cli_monad", "cli_q", "cli_inst"},
+    ("adhm", "check", DATUM): _ADHM,
+    ("adhm", "embed", REAL): _ADHM,
+    ("adhm", "random", "-r", "2", "-c", "1"): _ADHM,
+    ("adhm", "rank", DATUM): _ADHM,
+    ("monad", "build", DATUM): _MONAD,
+    ("monad", "classify", DATUM): _MONAD | {"adhm"},
+    ("monad", "chern", "-r", "2", "-c", "1", "-k", "0"): _MONAD,
+    ("q", "normalize", "x11*x22"): {"cli", "cli_q", "exactcore", "qspacetime"},
+    ("q", "partial", "x11*x22"): _Q,
+    ("q", "laplace", "x11*x22"): _Q,
+    ("q", "harmonic", "-l", "1", "-m", "1", "-n", "-1"): _Q,
+    ("q", "eigen", "-k", "1", "-l", "2"): _Q,
+    ("q", "table"): _Q,
+    ("q", "penrose", COCYCLE): _Q,
+    ("inst", "verify", DATUM): _INST,
+    ("inst", "slices", DATUM, "--dmax", "0", "--grid-size", "2"): _INST,
+    ("inst", "curvature", DATUM): _INST | {"qcalculus"},
 }
+# the commands that never run the stability code, which is in adhm
+_WITHOUT_ADHM = {("inst", "verify"), ("inst", "slices"), ("inst", "curvature"),
+                 ("monad", "build"), ("monad", "chern")}
 
 
 class TestImportDiscipline:
-    """Each command imports only the library modules its group runs: with
-    no bytecode cache every imported module is compiled on every call."""
+    """Each command imports only the library modules its group runs, and
+    only its own group's handler module: with no bytecode cache every
+    imported module is compiled on every call."""
+
+    def test_every_subcommand_is_pinned(self):
+        pinned = {c[:2] for c in _MODULES_BY_COMMAND if c[0] in _SUBCOMMANDS}
+        assert pinned == {(g, s) for g, subs in _SUBCOMMANDS.items()
+                          for s in subs}
 
     @pytest.mark.parametrize("command", sorted(_MODULES_BY_COMMAND),
                              ids=" ".join)
     def test_modules_loaded(self, command, tmp_path):
-        f = write_json(tmp_path / "d.json",
-                       random_stable_solution(2, 1, 4).to_json())
-        argv = [f if a == DATUM else a for a in command]
+        files = {
+            DATUM: random_stable_solution(2, 1, 4).to_json(),
+            REAL: RealADHMDatum(1, 1, [[0]], [[0]], [[0]], [[0]]).to_json(),
+            COCYCLE: {"cocycle": [{"exponents": [1, 0, -2, -1],
+                                   "coeff": "1"}]},
+        }
+        argv = [write_json(tmp_path / "in.json", files[a]) if a in files
+                else a for a in command]
         proc = run_python(["-c", _LOADED_BY_RUN, *argv])
         assert proc.returncode == 0, proc.stderr
         rep = json.loads(proc.stdout)
         assert rep["code"] == 0
-        assert {m.partition(".")[2] for m in rep["new"]
-                if m.startswith("qadhm.")} == _MODULES_BY_COMMAND[command]
         assert "dataclasses" not in rep["new"]
+        loaded = {m.partition(".")[2] for m in rep["new"]
+                  if m.startswith("qadhm.")}
+        assert loaded == _MODULES_BY_COMMAND[command]
+        if command[0] in _SUBCOMMANDS:
+            assert {m for m in loaded if m.startswith("cli_")} \
+                == {f"cli_{command[0]}"}
+        if command[:2] in _WITHOUT_ADHM:
+            assert "adhm" not in loaded
 
 
 _SUBCOMMANDS = {
@@ -673,6 +709,57 @@ _SUBCOMMANDS = {
     "q": ["normalize", "partial", "laplace", "harmonic", "eigen", "table",
           "penrose"],
     "inst": ["verify", "curvature", "slices"],
+}
+
+
+# sha256 of the ``--help`` output of each level (the key is the argv before
+# ``--help``) at 80 columns, so that assembling the parser from the group
+# modules cannot change a byte of it.  Python 3.11's argparse formatted them.
+_HELP_SHA256 = {
+    "":
+        "bea214fbb80a4301d9b21f34df6015a018710ee60a3804d467f7211c1fb61067",
+    "adhm":
+        "8761fbc99cf366cc89178fae8b9161bf31ce1f0e1682e52b1806bd81b6926c96",
+    "monad":
+        "f876a51ca15b45fe62d794fde8fc8f0da97bace59debba8762da7fa0fe72ec3a",
+    "q":
+        "d32cb3cc2f782d1ecbb913a43031c22a207072d18b3361b56f99d2b185633c72",
+    "inst":
+        "22ba5d3e5fdbd3a520b90af604762be8cd5206d897e6f149086ba97d0636d098",
+    "adhm check":
+        "aa327f17cdd2f8080f99e24d0cc3c79e80f36fc8d1e38b80f3431fb00aefab96",
+    "adhm embed":
+        "4e0325976608609d74c8d51601e191712303b37175b1b78d1d7e92af38e41ef5",
+    "adhm random":
+        "5a98834cac99566baa31f2c175f347284f6cef3c302f91c734af41431e7fa768",
+    "adhm rank":
+        "0c53334e56645812d23fee1551e76ff4f569ef94e28aafab0171862640dc883a",
+    "monad build":
+        "c782f58745a58b1533b88e2d1ef452e5d4e2745463182f2b8742a77c5ab0a604",
+    "monad classify":
+        "2a2306fea186857c1d5ac46b4ee65f94801a75d519e406c6224865fea9e54e11",
+    "monad chern":
+        "8bb38e42c42275a2e65842fb0856f482e550cbf172c606da6c4da6061fd0eb03",
+    "q normalize":
+        "85ac2cc1e5a2bbfb981bf4611b3d404400669652b6106776f12f6ab4b318a548",
+    "q partial":
+        "86b6ed387ec4080fbd1a41f11b83cf092c0a4ee3e58a1dcb07d5bb64b1eeb06e",
+    "q laplace":
+        "930ab4bc091d86b33bfdc68cb286a7ffa9f80c1606b44bd93379b012f41bab41",
+    "q harmonic":
+        "c237f65541539b0ccf1a33e731f90aeef127d6948b8d63ceb1a8ef03c6a8c5aa",
+    "q eigen":
+        "7307efbc0ccf6f6f58e965184515d26370df9116ed4415863664e1da55010551",
+    "q table":
+        "00f7ef2b788af7170cc7d589ea30747d3c829a9bbece060a0063390c4ad5f7e5",
+    "q penrose":
+        "2ec5c567eced55603417312161c196da694357ce288002ecffccb46610293715",
+    "inst verify":
+        "2451c8b14f523f5599bc118b76788c1e8957b917305a138f2888e6f3bb453e04",
+    "inst curvature":
+        "f0d541cb496540fc2dfbfc07871cb0ba811a000cf4957fd225f36501caef8f8d",
+    "inst slices":
+        "45952cc390a187ff47560a08076322700af03e49191f18384cafc340e53ce4a1",
 }
 
 
@@ -705,6 +792,18 @@ class TestHelp:
             assert re.search(rf"^ +{sub} +\S", out, re.M), sub
             assert self.help_text([group, sub], capsys).startswith(
                 f"usage: qadhm {group} {sub}")
+
+    def test_every_level_is_pinned(self):
+        assert set(_HELP_SHA256) == {""} | set(_SUBCOMMANDS) | {
+            f"{g} {s}" for g, subs in _SUBCOMMANDS.items() for s in subs}
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="the digests pin Python 3.11's argparse")
+    @pytest.mark.parametrize("level", sorted(_HELP_SHA256))
+    def test_byte_identical(self, level, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        out = self.help_text(level.split(), capsys)
+        assert hashlib.sha256(out.encode()).hexdigest() == _HELP_SHA256[level]
 
 
 def _outcome(argv, capsys):

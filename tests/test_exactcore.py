@@ -18,11 +18,12 @@ from qadhm import exactcore
 from qadhm.adhm import gcd_projective_roots
 from qadhm.exactcore import (
     GaussRational, Matrix, QLaurent, QRat,
-    _echelon, _ql_divmod, parse_gauss, qbinom, qbrace,
-    qfact, qint, random_gauss,
+    _echelon, _ql_divmod, parse_gauss, qint, random_gauss,
 )
 from qadhm.monad import Pencil
 from qadhm.qspacetime import NCPoly
+
+from helpers import qbinom, qbrace, qfact
 
 
 def G(re, im=0):

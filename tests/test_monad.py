@@ -7,22 +7,19 @@ from fractions import Fraction
 import pytest
 
 from qadhm.adhm import (
-    ComplexADHMDatum,
     embed_real,
-    random_complex_datum,
-    random_invertible,
     random_nonstable_solution,
-    random_real_solution,
     random_stable_solution,
 )
+from qadhm.datum import ComplexADHMDatum
 from qadhm.exactcore import GaussRational, Matrix, random_gauss
 from qadhm.monad import (
+    VARS,
     ChernClass,
     Monad,
     MonadError,
     Pencil,
     SheafClassification,
-    VARS,
     appendix_b_suite,
     build_monad,
     check_exactness_at,
@@ -36,6 +33,12 @@ from qadhm.monad import (
     normalize_monad,
     product_coefficients,
     seeded_points,
+)
+
+from helpers import (
+    random_complex_datum,
+    random_invertible,
+    random_real_solution,
     suite_to_json,
 )
 from test_adhm import first_matrix_of
@@ -64,7 +67,7 @@ def semiregular_not_regular():
 
 def one_instanton_complex():
     """Regular c=1, r=2 datum: the doubled form of i=(1,0), j=(0,1)^T."""
-    from qadhm.adhm import RealADHMDatum
+    from qadhm.datum import RealADHMDatum
     return embed_real(RealADHMDatum(1, 2, [[0]], [[0]], [[1, 0]],
                                     [[0], [1]]))
 
@@ -116,7 +119,7 @@ class TestBuildMonad:
 
     def test_product_coefficients_are_the_residuals(self):
         # beta*alpha = z^2 r1 + zw r3 + w^2 r2 for any datum, solution or not
-        from qadhm.adhm import complex_residuals, random_complex_datum
+        from qadhm.datum import complex_residuals
         for seed in range(8):
             d = random_complex_datum(2, 2, seed)
             alpha, beta = monad_pencils(d)
@@ -338,7 +341,7 @@ class TestNormalize:
             normalize_monad(alpha, m.beta)
 
     def test_recovered_datum_solves_equations(self):
-        from qadhm.adhm import is_complex_solution
+        from qadhm.datum import is_complex_solution
         d = random_stable_solution(3, 1, 4)
         m = build_monad(d)
         rng = random.Random(3)

@@ -6,15 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from qadhm.adhm import (
+from qadhm.adhm import embed_real, random_stable_solution
+from qadhm.datum import (
     ComplexADHMDatum,
     RealADHMDatum,
     complex_residuals,
-    embed_real,
     is_complex_solution,
-    random_c1r1_solution,
-    random_complex_datum,
-    random_stable_solution,
 )
 from qadhm.exactcore import GaussRational, Matrix, QLaurent, QRat
 from qadhm.qcalculus import NCForm, derive_table
@@ -42,6 +39,8 @@ from qadhm.qinstanton import (
     xi_operator,
 )
 from qadhm.qspacetime import NCPoly, det_x, monomials_of_degree
+
+from helpers import random_c1r1_solution, random_complex_datum
 
 Z = GaussRational(0)
 ONE = GaussRational(1)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from qadhm.exactcore import GaussRational, QLaurent, QRat, qbinom, qfact
+from qadhm.exactcore import GaussRational, QLaurent, QRat
 from qadhm.qspacetime import (
     HarmonicIndex, NCPoly, X_NAMES, Y_NAMES,
     basis_element, basis_indices_for_degree, basis_independence,
@@ -15,6 +15,8 @@ from qadhm.qspacetime import (
     dimension_of_degree, harmonic, harmonic_Y,
     monomials_of_degree, normalize, oast_check, y_mono_to_x,
 )
+
+from helpers import qbinom, qfact
 
 Q2 = QLaurent({2: 1})
 QM2 = QLaurent({-2: 1})

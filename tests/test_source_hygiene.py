@@ -1,6 +1,6 @@
 """Static checks on the package source: no dead imports (at module level or
-inside functions), no dead helpers, no stale ``__all__`` entries, no
-floating-point numbers.
+inside functions), no dead helpers, no public name that only the tests use,
+no stale ``__all__`` entries, no floating-point numbers.
 
 They read the modules with the standard-library ``ast`` parser only.
 """
@@ -104,6 +104,107 @@ def test_every_private_function_is_referenced():
                 if everywhere[node.name] - inside[node.name] <= 0:
                     dead.append(f"{name}:{node.lineno} {node.name}")
     assert not dead, f"private functions nothing references: {dead}"
+
+
+# Public names that nothing in src/ uses, each with the reason it stays.
+# Generators and helpers that only the tests use live in tests/helpers.py.
+_UNREFERENCED_PUBLIC = {
+    # imported or traced by the benchmark (perfbench/)
+    "adhm.py random_nonstable_solution":
+        "perfbench/workloads.py plants the non-stable stability data with it",
+    "monad.py check_exactness_at":
+        "perfbench/launcher.py traces it",
+    "qspacetime.py normalize":
+        "perfbench/launcher.py traces it",
+    # paper statements that tests check, to become fields of a report
+    "adhm.py dagger_involution":
+        "the involution whose fixed points are the embedded real data",
+    "adhm.py real_stratify":
+        "the stable/costable/regular strata of real data",
+    "monad.py normalize_monad":
+        "monad to datum, the inverse of build_monad",
+    "monad.py find_intertwiner":
+        "the isomorphism of data with isomorphic monads (to be made exact)",
+    "monad.py appendix_b_suite":
+        "the Euler characteristics of the paper's appendix B",
+    "qcalculus.py delta_op":
+        "the operator Delta of the eigenvalue recursion",
+    "qcalculus.py delta_eigenvalue":
+        "Delta X^l = p^(2l-1) [2l] X^l",
+    "qcalculus.py laplace_via_star":
+        "the Laplacian as *d*d",
+    "qcalculus.py cech_exponents":
+        "the inverse of the Penrose index map cech_index",
+    "qcalculus.py conjugation_identity_check":
+        "the eigenvalue form of the chart conjugation",
+    "qinstanton.py verify_ids":
+        "the three operator identities as booleans",
+    "qinstanton.py beta_p_alpha_q":
+        "the pencil products beta_P alpha_Q as multiples of Xi",
+    "qinstanton.py xi_leading":
+        "the leading term det(x) * 1 of Xi",
+    "qinstanton.py beta_surjective_truncated":
+        "surjectivity of beta_P on one truncated slice",
+    "qinstanton.py alpha_injective_truncated":
+        "injectivity of alpha_Q on one truncated slice",
+    "qinstanton.py kernel_slice_basis":
+        "the degree-capped kernel of beta-bar",
+    "qinstanton.py chart_j_pattern":
+        "the chart-J mirror of the curvature shape",
+    "qinstanton.py projection_truncated":
+        "the kernel projection psi - alpha Xi^-1 beta-bar psi",
+    "qspacetime.py det_commutators":
+        "det x_g = q^t(g) x_g det for every generator",
+    "qspacetime.py det_mult_rank":
+        "multiplication by det is injective on each degree",
+    "qspacetime.py basis_independence":
+        "the harmonic basis of each degree is independent",
+    "qspacetime.py oast_check":
+        "the chart gluing det(x)^k X^l = lambda det(y)^(-k-2l) Y^l",
+}
+
+
+def public_bindings(node):
+    """Public names a module-level definition or assignment binds."""
+    if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target])
+        names = [n.id for t in targets for n in ast.walk(t)
+                 if isinstance(n, ast.Name)]
+    else:
+        return []
+    return [n for n in names if not n.startswith("_")]
+
+
+def unreferenced_public_names():
+    """``module name`` for each public top-level name that nothing in src/
+    references outside its own definition."""
+    trees = parse_modules()
+    everywhere = Counter()
+    for tree in trees.values():
+        everywhere.update(referenced_names(tree))
+    unused = set()
+    for name, tree in trees.items():
+        for node in tree.body:
+            inside = Counter(referenced_names(node))
+            unused.update(f"{name} {b}" for b in public_bindings(node)
+                          if everywhere[b] - inside[b] <= 0)
+    return unused
+
+
+def test_every_public_name_is_used_in_src():
+    # a public name only the tests call belongs in tests/helpers.py, unless
+    # the allowlist says why it stays
+    extra = sorted(unreferenced_public_names() - set(_UNREFERENCED_PUBLIC))
+    assert not extra, f"public names nothing in src/ uses: {extra}"
+
+
+def test_public_name_allowlist_is_current():
+    # an entry whose name is gone, or is now used in src/, is dropped
+    stale = sorted(set(_UNREFERENCED_PUBLIC) - unreferenced_public_names())
+    assert not stale, f"allowlisted names that need no entry: {stale}"
 
 
 def private_bindings(node):

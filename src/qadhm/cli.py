@@ -42,6 +42,8 @@ MAX_TWO_L = 32        # q harmonic / q eigen -l (twice l)
 MAX_DET_POWER = 16    # q harmonic / q eigen -k
 MAX_RANK = 32         # r of adhm random and of every datum file
 MAX_CHARGE = 12       # c of adhm random and of every datum file
+MAX_EXPR_LENGTH = 200  # characters of a q normalize|partial|laplace expression
+MAX_EXPR_DEGREE = 12   # degree of each product in such an expression
 _SEED_BOUND = 1 << 63
 
 
@@ -52,23 +54,18 @@ class CLIError(ValueError):
 class RunConfig:
     """Validated run options shared by all commands."""
 
-    __slots__ = ("p_choice", "seed", "degree_cap", "grid_size", "output")
+    __slots__ = ("p_choice", "seed", "grid_size", "output")
 
-    def __init__(self, p_choice="q", seed=0, degree_cap=4, grid_size=12,
-                 output=None):
+    def __init__(self, p_choice="q", seed=0, grid_size=12, output=None):
         if p_choice not in P_CHOICES:
             raise CLIError(f"p_choice must be one of {P_CHOICES}")
         if not isinstance(seed, int) or not -_SEED_BOUND <= seed < _SEED_BOUND:
             raise CLIError("seed must be a 64-bit integer")
-        if not isinstance(degree_cap, int) \
-                or not 0 <= degree_cap <= MAX_DEGREE_CAP:
-            raise CLIError(f"degree_cap must lie in 0..{MAX_DEGREE_CAP}")
         if not isinstance(grid_size, int) \
                 or not 1 <= grid_size <= MAX_GRID_SIZE:
             raise CLIError(f"grid_size must lie in 1..{MAX_GRID_SIZE}")
         self.p_choice = p_choice
         self.seed = seed
-        self.degree_cap = degree_cap
         self.grid_size = grid_size
         self.output = output
 
@@ -155,8 +152,6 @@ def _build_parser(argv=()):
                         help="calculus convention (default q)")
     common.add_argument("--seed", type=int, default=0,
                         help="64-bit seed for randomized commands")
-    common.add_argument("--degree-cap", type=int, default=4,
-                        help=f"default degree cap, at most {MAX_DEGREE_CAP}")
     common.add_argument("--grid-size", type=int, default=12,
                         help="number of pencil parameter points, at most "
                              f"{MAX_GRID_SIZE}")
@@ -188,8 +183,7 @@ def run(argv=None):
     args = _build_parser(argv).parse_args(argv)
     try:
         cfg = RunConfig(p_choice=args.p_choice, seed=args.seed,
-                        degree_cap=args.degree_cap, grid_size=args.grid_size,
-                        output=args.output)
+                        grid_size=args.grid_size, output=args.output)
         ok = args.handler(args, cfg)
     except ValueError as exc:
         # CLIError and every library precondition error derive from

@@ -27,16 +27,15 @@ def _cmd_inst_curvature(args, cfg):
 def _cmd_inst_slices(args, cfg):
     from .qinstanton import QInstantonError, pencil_grid, slice_rank_grid
     d = _load_datum(args.file)
-    dmax = cfg.degree_cap if args.dmax is None else args.dmax
-    if not 0 <= dmax <= MAX_DEGREE_CAP:
+    if not 0 <= args.dmax <= MAX_DEGREE_CAP:
         raise CLIError(f"dmax must lie in 0..{MAX_DEGREE_CAP}")
     grid = pencil_grid(cfg.grid_size)
     try:
-        reports = slice_rank_grid(d, grid, dmax)
+        reports = slice_rank_grid(d, grid, args.dmax)
     except QInstantonError as exc:
         raise CLIError(str(exc)) from exc
     ok = all(rep["surjective"] for rep in reports)
-    _emit_json({"dmax": dmax, "grid_size": cfg.grid_size,
+    _emit_json({"dmax": args.dmax, "grid_size": cfg.grid_size,
                 "reports": reports, "all_surjective": ok}, cfg)
     return ok
 
@@ -53,5 +52,7 @@ def add_commands(sub, common):
     p = sub.add_parser("slices", parents=[common],
                        help="slice surjectivity over the parameter grid")
     p.add_argument("file")
-    p.add_argument("--dmax", type=int, default=None)
+    p.add_argument("--dmax", type=int, default=4,
+                   help=f"degree cap of the slices, at most {MAX_DEGREE_CAP} "
+                        "(default %(default)s)")
     p.set_defaults(handler=_cmd_inst_slices)

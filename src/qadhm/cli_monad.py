@@ -19,7 +19,7 @@ def _cmd_monad_classify(args, cfg):
     from .monad import MonadError, classify_sheaf
     d = _load_datum(args.file)
     try:
-        rep = classify_sheaf(d, extra_seed=cfg.seed)
+        rep = classify_sheaf(d)
     except MonadError as exc:
         raise CLIError(str(exc)) from exc
     _emit_json(rep.to_json(), cfg)

@@ -1,8 +1,8 @@
 """``qadhm q`` commands and the parser of their expressions (the grammar is
 in the docstring of ``qadhm.cli``, which the help shows)."""
 
-from .cli import (MAX_DET_POWER, MAX_TWO_L, P_CHOICES, CLIError, _emit_json,
-                  _load_json)
+from .cli import (MAX_DET_POWER, MAX_EXPR_DEGREE, MAX_EXPR_LENGTH, MAX_TWO_L,
+                  CLIError, _emit_json, _load_json)
 
 
 class ExprParser:
@@ -70,7 +70,11 @@ class ExprParser:
         acc = self._factor()
         while self._peek() == "*":
             self._next()
-            acc = acc * self._factor()
+            factor = self._factor()
+            if acc.degree() + factor.degree() > MAX_EXPR_DEGREE:
+                raise CLIError("a product in the expression has degree above "
+                               f"{MAX_EXPR_DEGREE}")
+            acc = acc * factor
         if negate:
             acc = -acc
         return acc
@@ -116,6 +120,9 @@ def parse_expr(text):
     """Chart-I polynomial named by an expression string, in normal form."""
     if not text or not text.strip():
         raise CLIError("empty expression")
+    if len(text) > MAX_EXPR_LENGTH:
+        raise CLIError(f"the expression has {len(text)} characters; at most "
+                       f"{MAX_EXPR_LENGTH} are allowed")
     return ExprParser(text).parse()
 
 
@@ -216,10 +223,7 @@ def _cmd_q_eigen(args, cfg):
 
 def _cmd_q_table(args, cfg):
     from .qcalculus import derive_table
-    p_choice = args.p or cfg.p_choice
-    if p_choice not in P_CHOICES:
-        raise CLIError(f"p must be one of {P_CHOICES}")
-    _emit_json(derive_table(p_choice).to_json(), cfg)
+    _emit_json(derive_table(cfg.p_choice).to_json(), cfg)
     return True
 
 
@@ -289,7 +293,6 @@ def add_commands(sub, common):
     p.set_defaults(handler=_cmd_q_eigen)
     p = sub.add_parser("table", parents=[common],
                        help="derived relation tables for one p-choice")
-    p.add_argument("--p", default=None, choices=P_CHOICES)
     p.set_defaults(handler=_cmd_q_table)
     p = sub.add_parser("penrose", parents=[common],
                        help="harmonic image of a degree -2 cocycle file")

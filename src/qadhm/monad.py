@@ -16,11 +16,18 @@ identically iff the datum solves the equations.  The cohomology of the
 resulting three-term complex is a sheaf whose local behaviour is read off
 the pointwise ranks: beta is surjective everywhere iff the datum is stable
 everywhere, and the points where alpha drops rank are the singular points
-of the sheaf.  The classification mirrors the stability taxonomy:
+of the sheaf.  With B~1 = z*B11 + w*B21, B~2 = z*B12 + w*B22 and
+j~ = z*j1 + w*j2, a point X = [x:y:z:w] is singular iff some v != 0 in
+ker j~ has B~1 v = -x v and B~2 v = -y v.  On a solution B~1 and B~2
+commute on the largest B~-invariant subspace inside ker j~, so they have a
+joint eigenvector there iff it is nonzero: some X over [z:w] is singular
+iff the triple is not costable at [z:w].  So the singular locus is read off
+the stability taxonomy, with no point evaluated:
 
-  regular everywhere      -> locally free
-  semiregular             -> reflexive
-  stable everywhere       -> torsion free
+  regular everywhere      -> locally free   (no singular point)
+  semiregular             -> reflexive      (finitely many points, over the
+                                             [z:w] where costability fails)
+  stable everywhere       -> torsion free   (a curve, over every [z:w])
 
 ``normalize_monad`` inverts the construction: given any exact pair of
 linear pencils with beta*alpha = 0 and an invertible product of the x/y
@@ -50,7 +57,7 @@ from .exactcore import GaussRational, Matrix, random_gauss
 __all__ = [
     "MonadError", "Monad", "ChernClass", "SheafClassification", "Pencil",
     "VARS", "monad_pencils", "product_coefficients", "build_monad",
-    "check_exactness_at", "grid_points", "seeded_points", "classify_sheaf",
+    "check_exactness_at", "classify_sheaf",
     "normalize_monad", "find_intertwiner",
     "chern_of_monad", "chi_line", "chi_twist", "appendix_b_suite",
 ]
@@ -229,97 +236,76 @@ def check_exactness_at(m, point):
     return ra, rb, (2 * m.c + m.r) - ra - rb
 
 
-_GRID = None
-
-
-def grid_points():
-    """Deterministic grid: all points of P^3 with coordinates in
-    {0, 1, -1, i}, deduplicated up to scaling (first nonzero coordinate
-    normalized to 1)."""
-    global _GRID
-    if _GRID is None:
-        values = [GaussRational(0), GaussRational(1), GaussRational(-1),
-                  GaussRational(0, 1)]
-        seen = {}
-        for a in values:
-            for b in values:
-                for cc in values:
-                    for dd in values:
-                        pt = (a, b, cc, dd)
-                        if not any(pt):
-                            continue
-                        lead = next(v for v in pt if v)
-                        norm = tuple(v / lead for v in pt)
-                        key = tuple(str(v) for v in norm)
-                        seen.setdefault(key, norm)
-        _GRID = list(seen.values())
-    return _GRID
-
-
-def seeded_points(n, seed):
-    """n reproducible points of P^3 with small Gaussian-rational entries."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < n:
-        pt = tuple(random_gauss(rng) for _ in range(4))
-        if any(pt):
-            out.append(pt)
-    return out
+_LOCUS_DIMENSION = {"locally_free": -1, "reflexive": 0, "torsion_free": 1}
+_LOCUS_METHOD = (
+    "X = [x:y:z:w] is singular iff B~1, B~2 have a joint eigenvector in "
+    "ker j~ at [z:w] (eigenvalues -x, -y), which exists iff the triple is "
+    "not costable at [z:w]")
 
 
 class SheafClassification:
-    """kind is one of torsion_free / reflexive / locally_free;
-    singular_sample lists sampled points where alpha drops rank (empty for
-    locally free)."""
+    """kind is one of torsion_free / reflexive / locally_free.  For a
+    reflexive sheaf, over lists the points [z:w] over which the singular
+    locus lies and over_factors the factors (in t = z/w) of the costability
+    gcd with no root in Q(i); over is None for a torsion-free sheaf, whose
+    locus lies over every [z:w]; a locally free sheaf has neither."""
 
-    __slots__ = ("kind", "singular_sample")
+    __slots__ = ("kind", "over", "over_factors")
 
-    def __init__(self, kind, singular_sample):
-        if kind not in ("torsion_free", "reflexive", "locally_free"):
+    def __init__(self, kind, over=(), over_factors=()):
+        if kind not in _LOCUS_DIMENSION:
             raise MonadError(f"unknown kind {kind!r}")
-        if kind == "locally_free" and singular_sample:
+        if (over is None) != (kind == "torsion_free"):
+            raise MonadError("the singular locus of a torsion-free sheaf, "
+                             "and only of one, lies over every [z:w]")
+        if kind == "locally_free" and (over or over_factors):
             raise MonadError("locally free sheaves have no singular points")
+        if kind == "reflexive" and not (over or over_factors):
+            raise MonadError("a reflexive sheaf that is not locally free "
+                             "has singular points")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "singular_sample", list(singular_sample))
+        object.__setattr__(self, "over", None if over is None else list(over))
+        object.__setattr__(self, "over_factors", list(over_factors))
 
     def __setattr__(self, *a):
         raise AttributeError("SheafClassification is immutable")
 
     def __repr__(self):
-        return (f"SheafClassification({self.kind}, "
-                f"{len(self.singular_sample)} singular sample(s))")
+        return f"SheafClassification({self.kind})"
+
+    @property
+    def dimension(self):
+        """Dimension of the singular locus, -1 when it is empty."""
+        return _LOCUS_DIMENSION[self.kind]
 
     def to_json(self):
         return {"kind": self.kind,
-                "singular_sample": [[str(v) for v in pt]
-                                    for pt in self.singular_sample]}
+                "singular_locus": {
+                    "dimension": self.dimension,
+                    "over": None if self.over is None else [
+                        {"z": str(z0), "w": str(w0)} for z0, w0 in self.over],
+                    "over_factors": self.over_factors,
+                    "method": _LOCUS_METHOD}}
 
 
-def classify_sheaf(d, extra_seed=0, extra_points=15):
-    """Sheaf type of the cohomology of the monad of a stable solution.
-
-    The kind comes from the stability taxonomy (regular -> locally_free,
-    semiregular -> reflexive, stable everywhere -> torsion_free); data that
-    are not stable everywhere, or fail the equations, are rejected.  The
-    singular sample collects grid points plus a few seeded points where
-    rank alpha_X < c.
-    """
+def classify_sheaf(d):
+    """Sheaf type and singular locus of the monad cohomology of a solution
+    that is stable everywhere, both read off ``adhm.classify`` (see the
+    module docstring); other data are rejected."""
     from .adhm import classify
-    m = build_monad(d)
+    build_monad(d)  # rejects non-solutions
     rep = classify(d)
     if not rep.stable_everywhere:
         raise MonadError("datum is not stable everywhere: no sheaf to "
                          "classify")
     if rep.regular:
-        kind = "locally_free"
-    elif rep.semiregular:
-        kind = "reflexive"
-    else:
-        kind = "torsion_free"
-    singular = [pt for pt in grid_points() + seeded_points(extra_points,
-                                                           extra_seed)
-                if m.alpha.evaluate(pt).rank() < d.c]
-    return SheafClassification(kind, singular)
+        return SheafClassification("locally_free")
+    if rep.semiregular:
+        return SheafClassification(
+            "reflexive",
+            [pt for side, pt, _ in rep.failing_points if side == "costable"],
+            [f for side, f in rep.leftover_factors if side == "costable"])
+    return SheafClassification("torsion_free", None)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ them.  The generators are deterministic in their seed, like
 ``adhm.random_nonstable_solution`` (which the benchmark uses).
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -198,6 +199,32 @@ def suite_to_json(report):
             return {k: conv(x) for k, x in v.items()}
         return v
     return {k: conv(v) for k, v in report.items()}
+
+
+def grid_points():
+    """Deterministic grid: all points of P^3 with coordinates in
+    {0, 1, -1, i}, deduplicated up to scaling (first nonzero coordinate
+    normalized to 1)."""
+    values = [_ZERO, _ONE, -_ONE, GaussRational(0, 1)]
+    seen = {}
+    for pt in itertools.product(values, repeat=4):
+        if not any(pt):
+            continue
+        lead = next(v for v in pt if v)
+        norm = tuple(v / lead for v in pt)
+        seen.setdefault(tuple(str(v) for v in norm), norm)
+    return list(seen.values())
+
+
+def seeded_points(n, seed):
+    """n reproducible points of P^3 with small Gaussian-rational entries."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        pt = tuple(random_gauss(rng) for _ in range(4))
+        if any(pt):
+            out.append(pt)
+    return out
 
 
 def qbrace(n: int) -> QLaurent:

@@ -36,6 +36,7 @@ from qadhm.monad import (
     ChernClass,
     appendix_b_suite,
     build_monad,
+    check_exactness_at,
     classify_sheaf,
     monad_pencils,
     normalize_monad,
@@ -81,7 +82,9 @@ from qadhm.qspacetime import (
 
 from helpers import random_c1r1_solution, random_complex_datum
 from test_adhm import proj_equal
-from test_monad import semiregular_not_regular, stable_not_semiregular
+from test_monad import (BASE_POINTS, SEEDED_LOCUS_DATA,
+                        semiregular_not_regular, shifted_line_ranks,
+                        stable_not_semiregular)
 from test_qcalculus import (HAND_WEDGE_RULES, HAND_X_RULES_Q,
                             HAND_X_RULES_QINV, gen_poly, qp)
 from test_qcalculus import random_poly as random_cpoly
@@ -168,13 +171,27 @@ def test_criterion_3_monad_equivalence():
                 checked += 1
     assert checked == 108
 
+    # the singular locus: the line {x = y = 0} over every [z:w], and the
+    # point [0:0:0:1] over [0:1]; each is re-checked by the rank of alpha_X
     repA = classify_sheaf(stable_not_semiregular())
-    assert repA.kind == "torsion_free" and repA.singular_sample
-    assert all(not pt[0] and not pt[1] for pt in repA.singular_sample)
+    assert repA.kind == "torsion_free"
+    assert repA.dimension == 1 and repA.over is None
+    mA = build_monad(stable_not_semiregular())
+    for z0, w0 in BASE_POINTS:
+        assert check_exactness_at(mA, (0, 0, z0, w0))[0] == 0
+        assert check_exactness_at(mA, (1, 0, z0, w0))[0] == 1
     repB = classify_sheaf(semiregular_not_regular())
-    assert repB.kind == "reflexive" and repB.singular_sample
-    assert all(not pt[0] and not pt[1] and not pt[2] and pt[3]
-               for pt in repB.singular_sample)
+    assert repB.kind == "reflexive" and repB.dimension == 0
+    assert repB.over == [(Z, ONE)] and repB.over_factors == []
+    mB = build_monad(semiregular_not_regular())
+    assert check_exactness_at(mB, (0, 0, 0, 1))[0] == 0
+    assert check_exactness_at(mB, (1, 0, 0, 1))[0] == 1
+    assert check_exactness_at(mB, (0, 0, 1, 0))[0] == 1
+    for r, c, seed in SEEDED_LOCUS_DATA:
+        dat = random_stable_solution(r, c, seed)
+        rep = classify_sheaf(dat)
+        assert rep.kind == "torsion_free" and rep.over is None
+        assert shifted_line_ranks(dat) == [(c - 1, c)] * len(BASE_POINTS)
 
     for n in range(20):
         r, c = SHAPES[n % 3]
@@ -187,9 +204,11 @@ def test_criterion_3_monad_equivalence():
     _line(3, True,
           "the quadratic coefficients of beta*alpha are exactly the three "
           "equation residuals on 108 seeded data and perturbations, the two "
-          "counterexample sheaves are singular precisely along the {x=y=0} "
-          "line and at [0:0:0:1] on the evaluation grid, and build/normalize "
-          "round-trips 20 seeded solutions field by field")
+          "counterexample sheaves are singular along the {x=y=0} line over "
+          "every [z:w] and at [0:0:0:1] over [0:1], read off the stability "
+          "taxonomy and re-checked by the rank of alpha, as are the lines of "
+          "3 seeded torsion-free sheaves, and build/normalize round-trips 20 "
+          "seeded solutions field by field")
 
 
 def test_criterion_4_euler_characteristic_table():
@@ -513,7 +532,7 @@ def test_every_cli_path(tmp_path, capsys):
         ["q", "laplace", "x11*x22"],
         ["q", "harmonic", "-l", "1", "-m", "1", "-n", "-1"],
         ["q", "eigen", "-k", "1", "-l", "0"],
-        ["q", "table", "--p", "qinv"],
+        ["q", "table", "--p-choice", "qinv"],
         ["q", "penrose", coc],
         ["inst", "verify", sol],
         ["inst", "curvature", sol],

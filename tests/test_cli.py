@@ -19,6 +19,8 @@ from qadhm.adhm import random_stable_solution
 from qadhm.cli import (
     MAX_CHARGE,
     MAX_DET_POWER,
+    MAX_EXPR_DEGREE,
+    MAX_EXPR_LENGTH,
     MAX_GRID_SIZE,
     MAX_RANK,
     MAX_TWO_L,
@@ -129,7 +131,7 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.p_choice == "q" and cfg.seed == 0
-        assert cfg.degree_cap == 4 and cfg.grid_size == 12
+        assert cfg.grid_size == 12
         assert cfg.output is None
 
     def test_validation(self):
@@ -139,13 +141,9 @@ class TestRunConfig:
             RunConfig(seed=1 << 63)
         with pytest.raises(CLIError, match="64-bit"):
             RunConfig(seed="5")
-        with pytest.raises(CLIError, match="degree_cap"):
-            RunConfig(degree_cap=9)
-        with pytest.raises(CLIError, match="degree_cap"):
-            RunConfig(degree_cap=-1)
         with pytest.raises(CLIError, match="grid_size"):
             RunConfig(grid_size=0)
-        RunConfig(seed=-(1 << 63), degree_cap=8, grid_size=1)
+        RunConfig(seed=-(1 << 63), grid_size=1)
 
     def test_grid_size_bound(self):
         # 12 is the largest grid the tests and the benchmark use
@@ -276,6 +274,16 @@ class TestMonadCommands:
         assert code == 0
         assert json.loads(out)["kind"] == "torsion_free"
 
+    def test_classify_ignores_the_seed(self, tmp_path, capsys):
+        # the singular locus is exact, so no option of the run changes it
+        for d in (stable_not_semiregular(), random_stable_solution(2, 2, 2)):
+            f = write_json(tmp_path / "d.json", d.to_json())
+            runs = [invoke(["monad", "classify", f, "--seed", seed], capsys)
+                    for seed in ("0", "7")]
+            assert runs[0] == runs[1] and runs[0][0] == 0
+            locus = json.loads(runs[0][1])["singular_locus"]
+            assert locus["dimension"] == 1 and locus["over"] is None
+
     def test_chern_prints_bare_values(self, capsys):
         code, out = invoke(["monad", "chern", "-r", "2", "-c", "1",
                             "-k", "-1"], capsys)
@@ -348,7 +356,7 @@ class TestQCommands:
         assert code == 2
 
     def test_table_rules(self, capsys):
-        code, out = invoke(["q", "table", "--p", "q"], capsys)
+        code, out = invoke(["q", "table", "--p-choice", "q"], capsys)
         rep = json.loads(out)
         assert code == 0
         assert len(rep["x_rules"]) == 16
@@ -356,7 +364,7 @@ class TestQCommands:
         assert rep["x_rules"]["dx11*x11"] == [
             {"coeff": {"2": "1/1"}, "left": "x11", "right": "dx11"}]
         assert rep["wedge_rules"]["dx11*dx11"] == []
-        code, out2 = invoke(["q", "table", "--p", "qinv"], capsys)
+        code, out2 = invoke(["q", "table", "--p-choice", "qinv"], capsys)
         assert code == 0
         assert json.loads(out2)["p_choice"] == "qinv"
         assert out != out2
@@ -440,7 +448,6 @@ class TestInstCommands:
         f = write_json(tmp_path / "d.json",
                        random_stable_solution(2, 1, 0).to_json())
         assert invoke(["inst", "slices", f, "--dmax", "9"], capsys)[0] == 2
-        assert invoke(["inst", "slices", f, "--degree-cap", "9"], capsys)[0] == 2
 
     def test_slices_refuses_an_oversized_grid_at_once(self, tmp_path, capsys):
         f = write_json(tmp_path / "d.json",
@@ -506,6 +513,35 @@ class TestResourceCaps:
         at_cap = {"exponents": [0, MAX_TWO_L, -1, -1 - MAX_TWO_L]}
         f = write_json(tmp_path / "c.json", {"cocycle": [at_cap]})
         assert invoke(["q", "penrose", f], capsys)[0] == 0
+
+    @pytest.mark.parametrize("command", ["normalize", "partial", "laplace"])
+    def test_expression_caps(self, command, capsys):
+        # 30 dense linear factors, 539 characters: `q normalize` ran for
+        # about a minute on it before the caps
+        dense = "*".join(["(x11+x12+x21+x22)"] * 30)
+        long_sum = " + ".join(["x11"] * 40)
+        high = "*".join(["x22"] * (MAX_EXPR_DEGREE - 1) + ["det"])
+        at_cap = "*".join(["x22"] * (MAX_EXPR_DEGREE - 2) + ["det"])
+        for expr, words in [(dense, "characters"), (long_sum, "characters"),
+                            (high, f"degree above {MAX_EXPR_DEGREE}"),
+                            (f"({at_cap})*({at_cap})", "degree above")]:
+            start = time.perf_counter()
+            code, out = invoke(["q", command, expr], capsys)
+            assert time.perf_counter() - start < 2
+            assert code == 2
+            err = json.loads(out)["error"]
+            assert err["type"] == "CLIError" and words in err["message"]
+
+    def test_expression_caps_admit_the_benchmark_sizes(self, capsys):
+        # the benchmark draws sums of up to 4 words of degree up to 6
+        word = "*".join(["x22", "x21", "x12", "x11", "x22", "x21"])
+        expr = " - ".join(f"(1+q)*{word}" for _ in range(4))
+        assert len(expr) <= 130 <= MAX_EXPR_LENGTH
+        assert invoke(["q", "laplace", expr], capsys)[0] == 0
+        at_caps = "*".join(["x11"] * (MAX_EXPR_DEGREE - 1) + ["1"])
+        at_caps += " " * (MAX_EXPR_LENGTH - len(at_caps))
+        assert len(at_caps) == MAX_EXPR_LENGTH
+        assert invoke(["q", "normalize", at_caps], capsys)[0] == 0
 
     def test_caps_admit_the_documented_examples(self, capsys):
         assert MAX_TWO_L >= 4 and MAX_DET_POWER >= 2
@@ -727,39 +763,39 @@ _HELP_SHA256 = {
     "inst":
         "22ba5d3e5fdbd3a520b90af604762be8cd5206d897e6f149086ba97d0636d098",
     "adhm check":
-        "aa327f17cdd2f8080f99e24d0cc3c79e80f36fc8d1e38b80f3431fb00aefab96",
+        "03d252b1f0c1f18692c863d712a4b00e08759218d3bb8631e1bdb789ee4b6912",
     "adhm embed":
-        "4e0325976608609d74c8d51601e191712303b37175b1b78d1d7e92af38e41ef5",
+        "acb3fe3169c24025b3689d1c75598d3ae2d4cf3e0b37959310590475c1b39701",
     "adhm random":
-        "5a98834cac99566baa31f2c175f347284f6cef3c302f91c734af41431e7fa768",
+        "d1944e35056a97a83979f664952ba0932f4612a0876a0bdc689ceced7c8ba224",
     "adhm rank":
-        "0c53334e56645812d23fee1551e76ff4f569ef94e28aafab0171862640dc883a",
+        "f23093b70f542be7aadaf47a5ebc2930f26d22d4b06158d4e6586c09aa076042",
     "monad build":
-        "c782f58745a58b1533b88e2d1ef452e5d4e2745463182f2b8742a77c5ab0a604",
+        "91084ac169396da23e4b61b51b6a11a1f9a98bff5cee94f9b54f49dba1982b95",
     "monad classify":
-        "2a2306fea186857c1d5ac46b4ee65f94801a75d519e406c6224865fea9e54e11",
+        "c89327e55851d35fe0199cda2ce6db7ee5acfa7b2c0a25c98e68e304212ff831",
     "monad chern":
-        "8bb38e42c42275a2e65842fb0856f482e550cbf172c606da6c4da6061fd0eb03",
+        "6a06e52f1080bc900f4989f78dab724fb295de30e472a4c9e30250b1c4979777",
     "q normalize":
-        "85ac2cc1e5a2bbfb981bf4611b3d404400669652b6106776f12f6ab4b318a548",
+        "d3efe669940b30a52e1d99e0957719d0d54fa81da77b2d60f9d81946ca9b64a1",
     "q partial":
-        "86b6ed387ec4080fbd1a41f11b83cf092c0a4ee3e58a1dcb07d5bb64b1eeb06e",
+        "5152cea801a79bd1e5afb2e6e924dc7bdd70304585ebde15dc25561d9abeac5f",
     "q laplace":
-        "930ab4bc091d86b33bfdc68cb286a7ffa9f80c1606b44bd93379b012f41bab41",
+        "7f4a27a473fa307beb725ca1ec1751e5e7de549403f10586ccb4ec71607bd110",
     "q harmonic":
-        "c237f65541539b0ccf1a33e731f90aeef127d6948b8d63ceb1a8ef03c6a8c5aa",
+        "6ce66790ac9450118ee0f63cbcf487347ce3ee40251260023b54d9f3afe95633",
     "q eigen":
-        "7307efbc0ccf6f6f58e965184515d26370df9116ed4415863664e1da55010551",
+        "36cd3619befcdef552921d5ae9829bf1f92e264476b986eff419bc547ac0da82",
     "q table":
-        "00f7ef2b788af7170cc7d589ea30747d3c829a9bbece060a0063390c4ad5f7e5",
+        "8794d8f0678bb4e9d4f6e56f4e4b884a9434f20b16c78321c6eb46cae5b4027f",
     "q penrose":
-        "2ec5c567eced55603417312161c196da694357ce288002ecffccb46610293715",
+        "1cbca1fe5e34a130b442bab0fa432eafa811b576647f042afe54faf6ff954d47",
     "inst verify":
-        "2451c8b14f523f5599bc118b76788c1e8957b917305a138f2888e6f3bb453e04",
+        "3d575d02e93faf068d52051725210670c8872b07aa12e8e64e8f3d5511a275ff",
     "inst curvature":
-        "f0d541cb496540fc2dfbfc07871cb0ba811a000cf4957fd225f36501caef8f8d",
+        "ca5047606eb8873151e2cbf5bde68759c8ff16602c389dffdce073516e95681c",
     "inst slices":
-        "45952cc390a187ff47560a08076322700af03e49191f18384cafc340e53ce4a1",
+        "ce0a2697550dcbb2f222cde04efa622160c89bcf55b39a763a0b15603090d571",
 }
 
 

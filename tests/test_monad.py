@@ -28,17 +28,17 @@ from qadhm.monad import (
     chi_twist,
     classify_sheaf,
     find_intertwiner,
-    grid_points,
     monad_pencils,
     normalize_monad,
     product_coefficients,
-    seeded_points,
 )
 
 from helpers import (
+    grid_points,
     random_complex_datum,
     random_invertible,
     random_real_solution,
+    seeded_points,
     suite_to_json,
 )
 from test_adhm import first_matrix_of
@@ -207,27 +207,91 @@ class TestGrid:
         assert all(any(pt) for pt in a)
 
 
+def stable_with_irrational_costable_points():
+    """c=2, r=5, semiregular: B~1 = w*[[0,2],[1,0]], B~2 = 0, i~ = (z*1 |
+    w*1 | 0) and j~ = e5 (z, w).  ker j~ is spanned by (w, -z), which is an
+    eigenvector of B~1 iff w*(2z^2 - w^2) = 0: costability fails at [1:0]
+    and at the two points 2z^2 = w^2, which are not in Q(i)."""
+    zero = [[0, 0], [0, 0]]
+    return ComplexADHMDatum(2, 5, zero, zero, [[0, 2], [1, 0]], zero,
+                            [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]],
+                            [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0]],
+                            [[0, 0]] * 4 + [[1, 0]], [[0, 0]] * 4 + [[0, 1]])
+
+
+BASE_POINTS = [(1, 0), (0, 1), (1, 1), (2, GaussRational(0, 1))]
+SEEDED_LOCUS_DATA = [(2, 2, 1), (2, 3, 2), (3, 3, 3)]
+
+
+def shifted_line_ranks(d):
+    """(rank alpha_X, rank alpha_X') at each base point [z:w], for X =
+    [-B~1[0,0] : -B~2[0,0] : z : w] and X' = X + [1:0:0:0].
+
+    On ``random_stable_solution`` data j = 0 and the B~k are lower
+    triangular polynomials in one shift matrix, so the last basis vector is
+    a joint eigenvector at every [z:w], with eigenvalues B~k[0,0]: X lies on
+    the singular locus and X' does not."""
+    m = build_monad(d)
+    out = []
+    for z0, w0 in BASE_POINTS:
+        b1, b2, _, _ = d.evaluate(z0, w0)
+        x, y = -b1[0, 0], -b2[0, 0]
+        out.append((check_exactness_at(m, point(x, y, z0, w0))[0],
+                    check_exactness_at(m, point(x + 1, y, z0, w0))[0]))
+    return out
+
+
 class TestClassifySheaf:
     def test_stable_not_semiregular_is_torsion_free(self):
         rep = classify_sheaf(stable_not_semiregular())
         assert rep.kind == "torsion_free"
-        assert rep.singular_sample
-        # alpha = (x, y, 0, 0)^T drops rank exactly on the line {x = y = 0}
-        for pt in rep.singular_sample:
-            assert not pt[0] and not pt[1]
+        assert rep.dimension == 1 and rep.over is None
+        # alpha = (x, y, 0, 0)^T drops rank exactly on the line {x = y = 0},
+        # which lies over every [z:w]
+        m = build_monad(stable_not_semiregular())
+        for z0, w0 in BASE_POINTS:
+            assert check_exactness_at(m, point(0, 0, z0, w0))[0] == 0
+            assert check_exactness_at(m, point(1, 0, z0, w0))[0] == 1
 
     def test_semiregular_example_is_reflexive(self):
         rep = classify_sheaf(semiregular_not_regular())
         assert rep.kind == "reflexive"
-        assert rep.singular_sample
+        assert rep.dimension == 0
+        assert rep.over == [point(0, 1)] and rep.over_factors == []
         # alpha = (x, y, 0, 0, z)^T drops rank exactly at [0:0:0:1]
-        for pt in rep.singular_sample:
-            assert not pt[0] and not pt[1] and not pt[2] and pt[3]
+        m = build_monad(semiregular_not_regular())
+        assert check_exactness_at(m, point(0, 0, 0, 1))[0] == 0
+        assert check_exactness_at(m, point(1, 0, 0, 1))[0] == 1
+        assert check_exactness_at(m, point(0, 0, 1, 0))[0] == 1
 
     def test_regular_datum_is_locally_free(self):
         rep = classify_sheaf(one_instanton_complex())
         assert rep.kind == "locally_free"
-        assert rep.singular_sample == []
+        assert rep.dimension == -1
+        assert rep.over == [] and rep.over_factors == []
+
+    def test_irrational_base_points_are_reported_as_factors(self):
+        d = stable_with_irrational_costable_points()
+        rep = classify_sheaf(d)
+        assert rep.kind == "reflexive" and rep.dimension == 0
+        assert rep.over == [point(1, 0)]
+        assert rep.over_factors == ["t**2 - 1/2"]  # t = z/w
+        # over [1:0], v = (0, 1) spans ker j~ and B~1 v = B~2 v = 0
+        m = build_monad(d)
+        assert check_exactness_at(m, point(0, 0, 1, 0))[0] < d.c
+        assert check_exactness_at(m, point(1, 0, 1, 0))[0] == d.c
+        # over [0:1], ker j~ = <(1, 0)> is not B~1-invariant
+        for x in (0, 1, -1, 2):
+            assert check_exactness_at(m, point(x, 0, 0, 1))[0] == d.c
+
+    def test_seeded_torsion_free_loci(self):
+        for r, c, seed in SEEDED_LOCUS_DATA:
+            d = random_stable_solution(r, c, seed)
+            rep = classify_sheaf(d)
+            assert rep.kind == "torsion_free"
+            assert rep.dimension == 1 and rep.over is None
+            # alpha_X is (a1*N; a2*N; 0) with (a1, a2) != 0: rank c - 1
+            assert shifted_line_ranks(d) == [(c - 1, c)] * len(BASE_POINTS)
 
     def test_rejects_nonstable_data(self):
         d, _ = random_nonstable_solution(2, 2, 0)
@@ -245,7 +309,18 @@ class TestClassifySheaf:
         with pytest.raises(MonadError, match="unknown kind"):
             SheafClassification("shiny", [])
         with pytest.raises(MonadError, match="no singular points"):
-            SheafClassification("locally_free", [point(0, 0, 1, 0)])
+            SheafClassification("locally_free", [point(0, 1)])
+        with pytest.raises(MonadError, match="no singular points"):
+            SheafClassification("locally_free", [], ["t**2 - 2"])
+        with pytest.raises(MonadError, match="has singular points"):
+            SheafClassification("reflexive", [])
+        with pytest.raises(MonadError, match="every"):
+            SheafClassification("reflexive", None)
+        with pytest.raises(MonadError, match="every"):
+            SheafClassification("torsion_free", [point(0, 1)])
+        rep = SheafClassification("torsion_free", None)
+        with pytest.raises(AttributeError, match="immutable"):
+            rep.kind = "reflexive"
 
 
 class TestSurjectivityRanks:
@@ -578,5 +653,12 @@ class TestJSON:
         rep = classify_sheaf(semiregular_not_regular())
         obj = rep.to_json()
         assert obj["kind"] == "reflexive"
-        assert all(len(pt) == 4 for pt in obj["singular_sample"])
+        locus = obj["singular_locus"]
+        assert locus["dimension"] == 0
+        assert locus["over"] == [{"z": "0/1", "w": "1/1"}]
+        assert locus["over_factors"] == []
+        assert "joint eigenvector" in locus["method"]
         json.dumps(obj)
+        locus = classify_sheaf(stable_not_semiregular()).to_json()[
+            "singular_locus"]
+        assert locus["dimension"] == 1 and locus["over"] is None

@@ -52,7 +52,6 @@ rationals for reproducibility.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import comb, prod
 
 from .datum import ADHMError, ComplexADHMDatum, _scalar, is_complex_solution
@@ -227,6 +226,7 @@ def _gcd_str(g, v):
 
 
 def _gauss_from_sympy(x):
+    from fractions import Fraction
     re_, im_ = x.as_real_imag()
     return GaussRational(Fraction(int(re_.p), int(re_.q)),
                          Fraction(int(im_.p), int(im_.q)))

@@ -127,9 +127,9 @@ def _emit_json(obj, cfg):
 
 
 # ---------------------------------------------------------------------------
-# parser assembly.  Each group's handlers and its ``add_commands`` live in the
-# module ``cli_<group>``, imported only when the parser needs that group, so
-# a process compiles only the modules of the command it runs (there may be
+# parser assembly.  Each group's handlers and its ``COMMANDS`` table live in
+# the module ``cli_<group>``, imported only when the parser needs that group,
+# so a process compiles only the modules of the command it runs (there may be
 # no bytecode cache).  Each handler returns True when every asserted identity
 # holds, and imports the library modules it uses.
 # ---------------------------------------------------------------------------
@@ -143,10 +143,17 @@ _GROUPS = {
 }
 
 
+def arg(*names, **options):
+    """One ``add_argument`` call, as a group's ``COMMANDS`` lists it."""
+    return names, options
+
+
 def _build_parser(argv=()):
     """The parser for ``argv``.  Every group gets its parser, but only the
-    group that ``argv[0]`` names gets its subcommands; when it names none
-    (``--help``, no arguments, an unknown group) every group gets them."""
+    group that ``argv[0]`` names gets subcommands, and of those only the one
+    that ``argv[1]`` names; when either names none (``--help``, a missing
+    or unknown name) every subcommand of that level is built, so help and
+    error texts are those of the full parser."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p-choice", default="q", choices=P_CHOICES,
                         help="calculus convention (default q)")
@@ -168,12 +175,19 @@ def _build_parser(argv=()):
     named = argv[0] if argv and argv[0] in _GROUPS else None
     for name, help_text in _GROUPS.items():
         group = groups.add_parser(name, help=help_text)
-        if named in (None, name):
-            # the statement ``from . import cli_<name>``
-            module = __import__(f"cli_{name}", globals(), level=1,
-                                fromlist=["add_commands"])
-            module.add_commands(
-                group.add_subparsers(dest="command", required=True), common)
+        if named not in (None, name):
+            continue
+        # the statement ``from . import cli_<name>``
+        commands = __import__(f"cli_{name}", globals(), level=1,
+                              fromlist=["COMMANDS"]).COMMANDS
+        if named and len(argv) > 1 and argv[1] in commands:
+            commands = {argv[1]: commands[argv[1]]}
+        sub = group.add_subparsers(dest="command", required=True)
+        for command, (command_help, handler, arguments) in commands.items():
+            p = sub.add_parser(command, parents=[common], help=command_help)
+            for names, options in arguments:
+                p.add_argument(*names, **options)
+            p.set_defaults(handler=handler)
     return parser
 
 

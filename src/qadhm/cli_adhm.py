@@ -1,7 +1,7 @@
 """``qadhm adhm`` commands: residuals and stability, the real embedding,
 seeded solutions and the derivative rank."""
 
-from .cli import CLIError, _check_size, _emit_json, _load_datum
+from .cli import CLIError, _check_size, _emit_json, _load_datum, arg
 
 
 def _cmd_adhm_check(args, cfg):
@@ -62,21 +62,15 @@ def _cmd_adhm_rank(args, cfg):
     return True
 
 
-def add_commands(sub, common):
-    p = sub.add_parser("check", parents=[common],
-                       help="residuals and stability classification")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_adhm_check)
-    p = sub.add_parser("embed", parents=[common],
-                       help="double a real solution into a complex one")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_adhm_embed)
-    p = sub.add_parser("random", parents=[common],
-                       help="seeded stable solution")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("-c", type=int, required=True)
-    p.set_defaults(handler=_cmd_adhm_random)
-    p = sub.add_parser("rank", parents=[common],
-                       help="derivative rank and dimension audit")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_adhm_rank)
+_FILE = arg("file")
+# subcommand -> (help, handler, arguments), in the order the help lists them
+COMMANDS = {
+    "check": ("residuals and stability classification", _cmd_adhm_check,
+              [_FILE]),
+    "embed": ("double a real solution into a complex one", _cmd_adhm_embed,
+              [_FILE]),
+    "random": ("seeded stable solution", _cmd_adhm_random,
+               [arg("-r", type=int, required=True),
+                arg("-c", type=int, required=True)]),
+    "rank": ("derivative rank and dimension audit", _cmd_adhm_rank, [_FILE]),
+}

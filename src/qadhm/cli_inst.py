@@ -1,7 +1,7 @@
 """``qadhm inst`` commands: the operator identities, the curvature audit and
 slice surjectivity over the pencil grid."""
 
-from .cli import MAX_DEGREE_CAP, CLIError, _emit_json, _load_datum
+from .cli import MAX_DEGREE_CAP, CLIError, _emit_json, _load_datum, arg
 
 
 def _cmd_inst_verify(args, cfg):
@@ -40,19 +40,16 @@ def _cmd_inst_slices(args, cfg):
     return ok
 
 
-def add_commands(sub, common):
-    p = sub.add_parser("verify", parents=[common],
-                       help="operator identities on both charts")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_inst_verify)
-    p = sub.add_parser("curvature", parents=[common],
-                       help="curvature block audit with the ASD split")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_inst_curvature)
-    p = sub.add_parser("slices", parents=[common],
-                       help="slice surjectivity over the parameter grid")
-    p.add_argument("file")
-    p.add_argument("--dmax", type=int, default=4,
-                   help=f"degree cap of the slices, at most {MAX_DEGREE_CAP} "
-                        "(default %(default)s)")
-    p.set_defaults(handler=_cmd_inst_slices)
+_FILE = arg("file")
+# subcommand -> (help, handler, arguments), in the order the help lists them
+COMMANDS = {
+    "verify": ("operator identities on both charts", _cmd_inst_verify,
+               [_FILE]),
+    "curvature": ("curvature block audit with the ASD split",
+                  _cmd_inst_curvature, [_FILE]),
+    "slices": ("slice surjectivity over the parameter grid", _cmd_inst_slices,
+               [_FILE,
+                arg("--dmax", type=int, default=4,
+                    help=f"degree cap of the slices, at most {MAX_DEGREE_CAP} "
+                         "(default %(default)s)")]),
+}

@@ -1,7 +1,7 @@
 """``qadhm monad`` commands: the monad of a datum, the class of its sheaf and
 the Euler characteristics of twists."""
 
-from .cli import CLIError, _emit, _emit_json, _load_datum
+from .cli import CLIError, _emit, _emit_json, _load_datum, arg
 
 
 def _cmd_monad_build(args, cfg):
@@ -34,18 +34,14 @@ def _cmd_monad_chern(args, cfg):
     return True
 
 
-def add_commands(sub, common):
-    p = sub.add_parser("build", parents=[common],
-                       help="three-term complex of a solution")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_monad_build)
-    p = sub.add_parser("classify", parents=[common],
-                       help="regularity class of the middle cohomology")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_monad_classify)
-    p = sub.add_parser("chern", parents=[common],
-                       help="Euler characteristic of the twist E(k)")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("-c", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.set_defaults(handler=_cmd_monad_chern)
+_FILE = arg("file")
+# subcommand -> (help, handler, arguments), in the order the help lists them
+COMMANDS = {
+    "build": ("three-term complex of a solution", _cmd_monad_build, [_FILE]),
+    "classify": ("regularity class of the middle cohomology",
+                 _cmd_monad_classify, [_FILE]),
+    "chern": ("Euler characteristic of the twist E(k)", _cmd_monad_chern,
+              [arg("-r", type=int, required=True),
+               arg("-c", type=int, required=True),
+               arg("-k", type=int, required=True)]),
+}

@@ -9,9 +9,7 @@ the rank criteria live in ``adhm``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactcore import GaussRational, Matrix, parse_gauss
+from .exactcore import Matrix, _as_gauss, parse_gauss
 
 __all__ = [
     "ADHMError", "ComplexADHMDatum", "RealADHMDatum", "datum_from_json",
@@ -24,13 +22,12 @@ class ADHMError(ValueError):
 
 
 def _scalar(x):
-    if isinstance(x, GaussRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussRational(x)
     if isinstance(x, str):
         return parse_gauss(x)
-    raise ADHMError(f"cannot coerce {x!r} to a Gaussian rational")
+    g = _as_gauss(x)
+    if g is NotImplemented:
+        raise ADHMError(f"cannot coerce {x!r} to a Gaussian rational")
+    return g
 
 
 def _as_matrix(m, rows, cols, name):

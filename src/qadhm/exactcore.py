@@ -4,7 +4,11 @@ Three scalar types, each immutable and structural-equality:
 
 * ``GaussRational`` -- complex rationals (a + b*i)/d stored as three ints in
   lowest terms (d > 0, gcd(a, b, d) = 1); ``re`` and ``im`` read the parts as
-  ``fractions.Fraction``.  Ground field for all matrix data.
+  ``fractions.Fraction``.  Ground field for all matrix data.  Nothing else
+  here makes a ``Fraction``, so only ``re``, ``im`` and ``repr`` import
+  ``fractions`` (which loads ``decimal``): a ``Fraction`` operand is
+  recognised by ``_is_fraction``, and hashes follow the numeric hash of the
+  language reference.
 * ``QLaurent``      -- Laurent polynomials in a formal parameter q with
   GaussRational coefficients, stored sparsely as {exponent: coefficient}.
   With no negative exponent they are also the polynomials in t of the
@@ -26,9 +30,9 @@ unit c*q^n needs no gcd to be reduced, so lifting a QLaurent is cheap.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 import re as _re
+from sys import hash_info, modules as _modules
 
 __all__ = [
     "GaussRational", "QLaurent", "QRat", "Matrix", "qint",
@@ -36,12 +40,29 @@ __all__ = [
 ]
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _is_fraction(x):
+    """Whether x is a ``fractions.Fraction``.  None exists before that module
+    is loaded, so this asks it only once it is."""
+    fractions = _modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
+
+def _ratio(x):
+    """(numerator, denominator) of an int or a Fraction."""
+    if isinstance(x, int) or _is_fraction(x):
+        return x.numerator, x.denominator
     raise TypeError(f"cannot coerce {x!r} to Fraction")
+
+
+def _rational_hash(n, d):
+    """The numeric hash of n/d, d > 0, in the language reference: |n| * d^-1
+    modulo the hash modulus, or inf's hash when d has no inverse, signed
+    like n.  Python hashes it, as it hashes Fraction(n, d), to -2 if -1."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    m = hash_info.modulus
+    h = abs(n) * pow(d, -1, m) % m if d % m else hash_info.inf
+    return h if n >= 0 else -h
 
 
 class GaussRational:
@@ -60,20 +81,22 @@ class GaussRational:
         else:
             # parts in lowest terms over the lcm of their denominators leave
             # no common factor of a, b and d
-            re, im = _frac(re), _frac(im)
-            d = lcm(re.denominator, im.denominator)
-            a = re.numerator * (d // re.denominator)
-            b = im.numerator * (d // im.denominator)
+            (a, e), (b, f) = _ratio(re), _ratio(im)
+            d = lcm(e, f)
+            a *= d // e
+            b *= d // f
         self._a = a
         self._b = b
         self._d = d
 
     @property
     def re(self):
+        from fractions import Fraction
         return Fraction(self._a, self._d)
 
     @property
     def im(self):
+        from fractions import Fraction
         return Fraction(self._b, self._d)
 
     @classmethod
@@ -97,17 +120,19 @@ class GaussRational:
                     and self._d == other._d)
         if isinstance(other, int):
             return not self._b and self._d == 1 and self._a == other
-        if isinstance(other, Fraction):
+        if _is_fraction(other):
             return (not self._b and self._d == other.denominator
                     and self._a == other.numerator)
         return NotImplemented
 
     def __hash__(self):
         if self._b:
-            return hash((self.re, self.im))
+            # the hash of (self.re, self.im)
+            return hash((_rational_hash(self._a, self._d),
+                         _rational_hash(self._b, self._d)))
         if self._d == 1:
             return hash(self._a)
-        return hash(Fraction(self._a, self._d))
+        return _rational_hash(self._a, self._d)
 
     def __add__(self, other):
         if not isinstance(other, GaussRational):
@@ -233,7 +258,7 @@ def _reduced(a, b, d):
 def _as_gauss(x):
     if isinstance(x, GaussRational):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int) or _is_fraction(x):
         return GaussRational(x)
     return NotImplemented
 
@@ -256,22 +281,28 @@ def parse_gauss(s: str) -> GaussRational:
     m = _GAUSS_RE.match(s.strip())
     if not m:
         raise ValueError(f"malformed GaussRational string: {s!r}")
-    re_part = Fraction(m.group("re"))
-    im_part = Fraction(0)
-    if m.group("im") is not None:
-        im_part = Fraction(m.group("im"))
-        if m.group("sign") == "-":
-            im_part = -im_part
-    return GaussRational(re_part, im_part)
+    a, d = _parse_ratio(m.group("re"))
+    b, e = _parse_ratio(m.group("im") or "0")
+    if not d or not e:
+        raise ValueError(f"zero denominator in GaussRational string: {s!r}")
+    if m.group("sign") == "-":
+        b = -b
+    return _gauss(a * e, b * d, d * e)
+
+
+def _parse_ratio(text):
+    """(numerator, denominator) of "n" or "n/d"."""
+    num, _, den = text.partition("/")
+    return int(num), int(den or 1)
 
 
 def random_gauss(rng, height=3, complex_parts=True) -> GaussRational:
     """Small-height random Gaussian rational, reproducible from ``rng``."""
     def small():
         num = rng.randint(-height, height)
-        den = rng.randint(1, height)
-        return Fraction(num, den)
-    return GaussRational(small(), small() if complex_parts else 0)
+        return num, rng.randint(1, height)
+    (a, d), (b, e) = small(), small() if complex_parts else (0, 1)
+    return _gauss(a * e, b * d, d * e)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +353,12 @@ class QLaurent:
     def __eq__(self, other):
         if isinstance(other, QLaurent):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction, GaussRational)):
-            g = _as_gauss(other)
-            if not g:
-                return not self.terms
-            return self.terms == {0: g}
-        return NotImplemented
+        g = _as_gauss(other)
+        if g is NotImplemented:
+            return NotImplemented
+        if not g:
+            return not self.terms
+        return self.terms == {0: g}
 
     def __hash__(self):
         if not self.terms:
@@ -424,11 +455,11 @@ class QLaurent:
 
     def __truediv__(self, other):
         """Exact division; raises ValueError when the quotient is not Laurent."""
-        if isinstance(other, (int, Fraction, GaussRational)):
-            g = _as_gauss(other)
-            return self * (GaussRational(1) / g)
         if not isinstance(other, QLaurent):
-            return NotImplemented
+            g = _as_gauss(other)
+            if g is NotImplemented:
+                return NotImplemented
+            return self * (GaussRational(1) / g)
         # units q^n divide everything: divide the valuation-0 parts
         va, vb = self.val(), other.val()
         q, r = _ql_divmod(self.shift(-va), other.shift(-vb))
@@ -511,10 +542,10 @@ class QLaurent:
 def _as_qlaurent(x):
     if isinstance(x, QLaurent):
         return x
-    if isinstance(x, (int, Fraction, GaussRational)):
-        g = _as_gauss(x)
-        return QLaurent({0: g}) if g else _QL_ZERO
-    return NotImplemented
+    g = _as_gauss(x)
+    if g is NotImplemented:
+        return NotImplemented
+    return QLaurent({0: g}) if g else _QL_ZERO
 
 
 _QL_ZERO = QLaurent()
@@ -697,9 +728,10 @@ class QRat:
 def _as_qrat(x):
     if isinstance(x, QRat):
         return x
-    if isinstance(x, (int, Fraction, GaussRational, QLaurent)):
-        return QRat(x)
-    return NotImplemented
+    x = _as_qlaurent(x)
+    if x is NotImplemented:
+        return NotImplemented
+    return QRat(x)
 
 
 # ---------------------------------------------------------------------------

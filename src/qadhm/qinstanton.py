@@ -33,10 +33,9 @@ the matrix equations.  On top of that this module provides:
   through exact degree-capped solves, never by forming a global inverse.
 """
 
-from fractions import Fraction
-
 from .datum import complex_residuals, is_complex_solution
-from .exactcore import GaussRational, Matrix, QLaurent, QRat, _echelon
+from .exactcore import (GaussRational, Matrix, QLaurent, QRat, _as_gauss,
+                        _echelon)
 from .qspacetime import NCPoly, X_NAMES, Y_NAMES, det_x, monomials_of_degree
 
 __all__ = [
@@ -57,11 +56,11 @@ class QInstantonError(ValueError):
 
 
 def _gauss(v):
-    if isinstance(v, GaussRational):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return GaussRational(v)
-    raise QInstantonError("pencil parameters must be exact rational scalars")
+    g = _as_gauss(v)
+    if g is NotImplemented:
+        raise QInstantonError(
+            "pencil parameters must be exact rational scalars")
+    return g
 
 
 def scalar_operator(m, chart="I"):
@@ -422,7 +421,7 @@ def kernel_slice_basis(d, dmax, chart="I"):
 
 def _form_from_words(table, coeffs):
     """2-form with constant coefficients: {word: Laurent-like scalar}."""
-    from .qcalculus import NCForm
+    from .qforms import NCForm
     return NCForm(table, 2,
                   {(w, _ZMONO): QRat(c) for w, c in coeffs.items() if c})
 
@@ -456,7 +455,8 @@ def curvature_asd(d, p_choice="q"):
     remainder with coefficient proportional to q^2 - 1 under the derived
     wedge rules; nothing here depends on the datum beyond it being a
     solution."""
-    from .qcalculus import NCForm, asd_membership, d as exterior_d, derive_table
+    from .qcalculus import derive_table
+    from .qforms import NCForm, asd_membership, d as exterior_d
     if not is_complex_solution(d):
         raise QInstantonError("curvature audit requires a solution datum")
     table = derive_table(p_choice)
@@ -521,7 +521,7 @@ def curvature_asd(d, p_choice="q"):
 
 def curvature_report_json(report):
     """Stringify the exact forms of a curvature report for serialization."""
-    from .qcalculus import NCForm
+    from .qforms import NCForm
     out = {k: v for k, v in report.items() if k != "entries"}
     out["entries"] = [[
         {k: (str(v) if isinstance(v, NCForm) else v) for k, v in e.items()}
@@ -582,7 +582,7 @@ def chart_j_pattern(d):
 # ---------------------------------------------------------------------------
 
 def _as_zero_form(table, comp):
-    from .qcalculus import NCForm
+    from .qforms import NCForm
     if isinstance(comp, NCForm):
         if comp.degree != 0:
             raise QInstantonError("projection input must have form degree 0")
@@ -627,7 +627,8 @@ def projection_truncated(d, psi, dmax):
     P(psi).  Components come back as 0-forms with exact rational-function
     coefficients."""
     from .adhm import classify
-    from .qcalculus import NCForm, derive_table
+    from .qcalculus import derive_table
+    from .qforms import NCForm
     rep = classify(d)
     if not rep.regular:
         raise QInstantonError("projection requires a regular datum")

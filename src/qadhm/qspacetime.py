@@ -32,11 +32,7 @@ Out-of-range indices (|m| > l or |n| > l) denote the zero element.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactcore import (
-    GaussRational, Matrix, QLaurent, QRat,
-)
+from .exactcore import Matrix, QLaurent, QRat, _as_qlaurent
 
 __all__ = [
     "NCPoly", "HarmonicIndex", "SortEngine",
@@ -253,10 +249,8 @@ class NCPoly:
         return NCPoly(self.chart, {m: cc * c for m, cc in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational, QLaurent)):
-            return self.scale(other)
         if not isinstance(other, NCPoly):
-            return NotImplemented
+            return self.__rmul__(other)         # a central scalar
         self._check(other)
         eng = _ENGINES[self.chart]
         acc = {}
@@ -268,9 +262,10 @@ class NCPoly:
         return NCPoly(self.chart, acc)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational, QLaurent)):
-            return self.scale(other)
-        return NotImplemented
+        c = _as_qlaurent(other)
+        if c is NotImplemented:
+            return NotImplemented
+        return self.scale(c)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:

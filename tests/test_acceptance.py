@@ -45,16 +45,15 @@ from qadhm.monad import (
 from qadhm.qcalculus import (
     cech_exponents,
     conjugation_identity_check,
-    d,
     delta_op,
     derive_table,
-    laplace_via_star,
     laplacian,
     partials,
     penrose_scalar,
     tilde_laplacian,
     _solve_x_rules,
 )
+from qadhm.qforms import d, laplace_via_star
 from qadhm.qinstanton import (
     beta_p_alpha_q,
     beta_surjective_truncated,

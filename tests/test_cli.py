@@ -28,9 +28,9 @@ from qadhm.cli import (
     RunConfig,
     run,
 )
-from qadhm.cli_q import ExprParser, parse_expr
 from qadhm.datum import ComplexADHMDatum, RealADHMDatum
 from qadhm.exactcore import GaussRational, Matrix, QLaurent
+from qadhm.expr import ExprParser, parse_expr
 from qadhm.monad import chi_twist
 from qadhm.qcalculus import derive_table, laplacian, partials
 from qadhm.qspacetime import HarmonicIndex, NCPoly, X_NAMES, basis_element, det_x
@@ -386,6 +386,19 @@ class TestQCommands:
         f = write_json(tmp_path / "e.json", {"cocycle": []})
         assert invoke(["q", "penrose", f], capsys)[0] == 2
 
+    def test_a_zero_denominator_is_a_schema_error(self, tmp_path, capsys):
+        f = write_json(tmp_path / "c.json", {"cocycle": [
+            {"exponents": [1, 0, -2, -1], "coeff": "1/0"}]})
+        code, out = invoke(["q", "penrose", f], capsys)
+        assert code == 2
+        assert "zero denominator" in json.loads(out)["error"]["message"]
+        datum = random_stable_solution(2, 1, 4).to_json()
+        datum["B11"][0][0] = "1/2-1/0*i"
+        code, out = invoke(["adhm", "check",
+                            write_json(tmp_path / "d.json", datum)], capsys)
+        assert code == 2
+        assert "zero denominator" in json.loads(out)["error"]["message"]
+
     def test_expression_error_is_machine_readable(self, capsys):
         code, out = invoke(["q", "normalize", "x13"], capsys)
         assert code == 2
@@ -677,6 +690,7 @@ DATUM, REAL, COCYCLE = "<datum>", "<real>", "<cocycle>"
 _ADHM = {"cli", "cli_adhm", "datum", "exactcore", "adhm"}
 _MONAD = {"cli", "cli_monad", "datum", "exactcore", "monad"}
 _Q = {"cli", "cli_q", "exactcore", "qspacetime", "qcalculus"}
+_Q_EXPR = _Q | {"expr"}
 _INST = {"cli", "cli_inst", "datum", "exactcore", "qspacetime", "qinstanton"}
 _MODULES_BY_COMMAND = {
     ("--help",): {"cli", "cli_adhm", "cli_monad", "cli_q", "cli_inst"},
@@ -687,17 +701,24 @@ _MODULES_BY_COMMAND = {
     ("monad", "build", DATUM): _MONAD,
     ("monad", "classify", DATUM): _MONAD | {"adhm"},
     ("monad", "chern", "-r", "2", "-c", "1", "-k", "0"): _MONAD,
-    ("q", "normalize", "x11*x22"): {"cli", "cli_q", "exactcore", "qspacetime"},
-    ("q", "partial", "x11*x22"): _Q,
-    ("q", "laplace", "x11*x22"): _Q,
+    ("q", "normalize", "x11*x22"): {"cli", "cli_q", "expr", "exactcore",
+                                    "qspacetime"},
+    ("q", "partial", "x11*x22"): _Q_EXPR,
+    ("q", "laplace", "x11*x22"): _Q_EXPR,
     ("q", "harmonic", "-l", "1", "-m", "1", "-n", "-1"): _Q,
     ("q", "eigen", "-k", "1", "-l", "2"): _Q,
     ("q", "table"): _Q,
     ("q", "penrose", COCYCLE): _Q,
     ("inst", "verify", DATUM): _INST,
     ("inst", "slices", DATUM, "--dmax", "0", "--grid-size", "2"): _INST,
-    ("inst", "curvature", DATUM): _INST | {"qcalculus"},
+    ("inst", "curvature", DATUM): _INST | {"qcalculus", "qforms"},
 }
+# the only commands that load the expression parser and the forms
+_WITH_EXPR = {("q", "normalize"), ("q", "partial"), ("q", "laplace")}
+_WITH_FORMS = {("inst", "curvature")}
+# ``fractions`` (which imports ``decimal``) is loaded only where a Fraction
+# is made: in ``monad``, whose Chern classes are Fractions
+_WITH_FRACTIONS_GROUPS = {"monad"}
 # the commands that never run the stability code, which is in adhm
 _WITHOUT_ADHM = {("inst", "verify"), ("inst", "slices"), ("inst", "curvature"),
                  ("monad", "build"), ("monad", "chern")}
@@ -737,6 +758,10 @@ class TestImportDiscipline:
                 == {f"cli_{command[0]}"}
         if command[:2] in _WITHOUT_ADHM:
             assert "adhm" not in loaded
+        assert ("expr" in loaded) == (command[:2] in _WITH_EXPR)
+        assert ("qforms" in loaded) == (command[:2] in _WITH_FORMS)
+        if command[0] not in _WITH_FRACTIONS_GROUPS:
+            assert not {"fractions", "decimal"} & set(rep["new"])
 
 
 _SUBCOMMANDS = {
@@ -858,7 +883,8 @@ _PARSER_ARGVS = (
      ["adhm", "check"], ["q", "laplace", "x11", "--p-choice", "p"],
      ["adhm", "random", "-r", "two", "-c", "1"],
      ["q", "normalize", "x11", "extra"],
-     ["q", "normalize", "x21*x12"],
+     ["q", "normalize", "x21*x12"], ["q", "eigen", "-k", "1"],
+     ["q", "-h", "eigen"],
      ["monad", "chern", "-r", "2", "-c", "1", "-k", "-1"]]
     + [[group, "--help"] for group in _SUBCOMMANDS]
     + [[group, sub, "--help"] for group, subs in _SUBCOMMANDS.items()
@@ -866,8 +892,8 @@ _PARSER_ARGVS = (
 
 
 class TestParserPerGroup:
-    """A command builds only its group's subcommand parsers, with the same
-    output as the parser of every group."""
+    """A command builds only its own subcommand parser, with the same output
+    as the parser of every group."""
 
     @pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
     def test_same_outcome_as_the_full_parser(self, argv, capsys,
@@ -878,15 +904,40 @@ class TestParserPerGroup:
                             lambda argv=(): build(()))
         assert per_group == _outcome(argv, capsys)
 
+    @pytest.mark.parametrize("argv,stderr", [
+        (["q", "nosuch"],
+         "usage: qadhm q [-h]\n"
+         "               {normalize,partial,laplace,harmonic,eigen,table,"
+         "penrose} ...\n"
+         "qadhm q: error: argument command: invalid choice: 'nosuch' "
+         "(choose from 'normalize', 'partial', 'laplace', 'harmonic', "
+         "'eigen', 'table', 'penrose')\n"),
+        (["q", "eigen", "-k", "1"],
+         "usage: qadhm q eigen [-h] [--p-choice {q,qinv}] [--seed SEED]\n"
+         "                     [--grid-size GRID_SIZE] [--output OUTPUT] "
+         "-k K -l L\n"
+         "qadhm q eigen: error: the following arguments are required: -l\n"),
+    ])
+    def test_usage_errors_are_pinned(self, argv, stderr, capsys,
+                                     monkeypatch):
+        # exit code and stderr as the parser of every subcommand gave them,
+        # at 80 columns
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _outcome(argv, capsys) == (2, "", stderr)
+
     @pytest.mark.parametrize("argv,parsers", [
-        (["q", "laplace", "x11"], 2 + len(_SUBCOMMANDS) + 7),
+        (["q", "laplace", "x11"], 2 + len(_SUBCOMMANDS) + 1),
         (["inst", "--help"], 2 + len(_SUBCOMMANDS) + 3),
         (["--help"], 2 + len(_SUBCOMMANDS) + 17),
         (["nosuch"], 2 + len(_SUBCOMMANDS) + 17),
+        (["q", "nosuch"], 2 + len(_SUBCOMMANDS) + 7),
+        (["q"], 2 + len(_SUBCOMMANDS) + 7),
+        (["q", "eigen", "-k", "1"], 2 + len(_SUBCOMMANDS) + 1),
     ])
     def test_parsers_built(self, argv, parsers, monkeypatch):
-        # the common options, the top level, every group, and the
-        # subcommands of the named group (of every group when none is named)
+        # the common options, the top level, every group, and the named
+        # subcommand (every subcommand of the named group when it names
+        # none, of every group when no group is named)
         built = []
         init = argparse.ArgumentParser.__init__
 

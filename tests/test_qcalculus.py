@@ -11,15 +11,15 @@ import pytest
 
 import qadhm.qcalculus as qcalculus
 from qadhm.exactcore import GaussRational, QLaurent, QRat, qint
-from qadhm.qcalculus import (CalculusError, CalculusTable, NCForm, VOL_WORD,
-                             asd_membership, cech_exponents, cech_index,
-                             conjugation_identity_check, d, delta_eigenvalue,
-                             delta_op, derive_table, det_right,
-                             eigenvalue_tilde, hodge_star, laplace_via_star,
-                             laplacian, partials, penrose_scalar,
-                             sd_asd_split, tilde_laplacian, P_EXPONENTS,
+from qadhm.qcalculus import (CalculusError, CalculusTable, cech_exponents,
+                             cech_index, conjugation_identity_check,
+                             delta_eigenvalue, delta_op, derive_table,
+                             det_right, eigenvalue_tilde, laplacian, partials,
+                             penrose_scalar, tilde_laplacian, P_EXPONENTS,
                              _Affine, _solve_system, _solve_wedge_rules,
                              _solve_x_rules, _verify_table)
+from qadhm.qforms import (NCForm, VOL_WORD, asd_membership, d, hodge_star,
+                          laplace_via_star, sd_asd_split)
 from qadhm.qspacetime import (HarmonicIndex, NCPoly, basis_element,
                               basis_indices_for_degree, det_x, harmonic,
                               monomials_of_degree, slice_matrix)
@@ -208,6 +208,29 @@ class TestRuleDerivation:
         doctored[(2, 1)] = ((QLaurent({0: -1}), (1, 2)),)
         with pytest.raises(CalculusError, match=r"d\^2\[x12\*x21\]"):
             _verify_table(CalculusTable("q", t.x_rules, doctored))
+
+
+    @pytest.mark.parametrize("p_choice", P_CHOICES)
+    @pytest.mark.parametrize("rule", [(0, 3), (1, 2)])
+    def test_verification_rejects_a_doctored_x_rule(self, p_choice, rule):
+        # q^2 times the rule keeps its classical limit but not d(det)
+        t = derive_table(p_choice)
+        doctored = dict(t.x_rules)
+        doctored[rule] = tuple((c * Q2, pair) for c, pair in t.x_rules[rule])
+        with pytest.raises(CalculusError,
+                           match=r"d\(det\) does not match its closed form"):
+            _verify_table(CalculusTable(p_choice, doctored, t.wedge_rules))
+
+    def test_charge_targets_match_the_sorted_multisets(self):
+        rows, cols = (0, 0, 1, 1), (0, 1, 0, 1)
+
+        def charge(a, b):
+            return (sorted((rows[a], rows[b])), sorted((cols[a], cols[b])))
+        for a in range(4):
+            for b in range(4):
+                assert qcalculus._charge_targets(a, b) == tuple(
+                    (c, e) for c in range(4) for e in range(4)
+                    if charge(c, e) == charge(a, b))
 
 
 def _qrat_equations(name, residual):

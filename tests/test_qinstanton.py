@@ -14,7 +14,8 @@ from qadhm.datum import (
     is_complex_solution,
 )
 from qadhm.exactcore import GaussRational, Matrix, QLaurent, QRat
-from qadhm.qcalculus import NCForm, derive_table
+from qadhm.qcalculus import derive_table
+from qadhm.qforms import NCForm
 from qadhm.qinstanton import (
     QInstantonError,
     alpha_injective_truncated,

@@ -1,15 +1,21 @@
 """The integer-triple GaussRational against the Fraction-pair one it replaced,
 and QRat's unit-denominator path against the general gcd path."""
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qadhm import exactcore
-from qadhm.exactcore import GaussRational, QLaurent, QRat, parse_gauss
+from qadhm.exactcore import (GaussRational, QLaurent, QRat, parse_gauss,
+                             random_gauss)
 
 
 class PairGauss:
@@ -228,6 +234,89 @@ def test_constructor_types():
     # parts in lowest terms need not share a denominator
     agree(GaussRational(Fraction(1, 6), Fraction(3, 10)),
           PairGauss(Fraction(1, 6), Fraction(3, 10)))
+
+
+# the hash modulus: a denominator it divides has no inverse modulo it
+M = sys.hash_info.modulus
+
+
+@pytest.mark.parametrize("re,im", [
+    (Fraction(1, M), 0), (Fraction(-1, 3 * M), Fraction(M, 7)),
+    (Fraction(M + 1, M), Fraction(-1, 2 * M)),
+    (Fraction(-(M + 2), 2), 0),     # Fraction's hash -1 becomes -2
+    (Fraction(M + 2, 2), Fraction(-(M + 2), 2)),
+    (Fraction(2 ** 200 + 1, 3 ** 90), Fraction(-(5 ** 80), 7 ** 70)),
+])
+def test_hashes_at_the_modulus_match_the_fractions(re, im):
+    agree(GaussRational(re, im), PairGauss(re, im))
+
+
+class HalfFraction(Fraction):
+    """A Fraction subclass, accepted as a Fraction."""
+
+
+def test_fraction_subclasses_are_fractions():
+    x = HalfFraction(1, 2)
+    agree(GaussRational(x, x), PairGauss(x, x))
+    assert GaussRational(1, 0) / 2 == x
+    agree(GaussRational(3) * x, PairGauss(3) * x)
+
+
+@pytest.mark.parametrize("height,complex_parts", [(3, True), (1, True),
+                                                  (7, False)])
+def test_random_gauss_matches_the_fraction_draws(height, complex_parts):
+    # the same draws from the same generator as GaussRational(Fraction(num,
+    # den), Fraction(num, den) or 0)
+    for seed in range(40):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            got = random_gauss(rng, height, complex_parts)
+            re = Fraction(ref.randint(-height, height), ref.randint(1, height))
+            im = (Fraction(ref.randint(-height, height),
+                           ref.randint(1, height)) if complex_parts else 0)
+            agree(got, PairGauss(re, im))
+
+
+@pytest.mark.parametrize("text", [
+    "0", "-0", "+7", "6/4", "-6/4", "3/9+12/8*i", "0/5-0/3*i", "-1/1-1/1*i",
+    " 2/3-5/7*i ", "10000000000000000000001/3+1/99999999999999999999*i",
+    "\u0663/4",       # digits the regular expression and int() both accept
+])
+def test_parse_gauss_matches_fraction_parsing(text):
+    body = text.strip()
+    re_text, sign, im_text = body, "+", "0"
+    if body.endswith("*i"):
+        cut = max(body.rfind("+"), body.rfind("-"))
+        re_text, sign, im_text = body[:cut], body[cut], body[cut + 1:-2]
+    im = Fraction(im_text) * (-1 if sign == "-" else 1)
+    agree(parse_gauss(text), PairGauss(Fraction(re_text), im))
+
+
+@pytest.mark.parametrize("text", ["1/0", "1/2+1/0*i", "0/0", "1/00-3/1*i"])
+def test_parse_gauss_refuses_a_zero_denominator(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_gauss(text)
+
+
+def test_integer_paths_load_no_fractions():
+    # no Fraction is made unless re, im or repr is asked for, so neither
+    # fractions nor the decimal it imports is loaded
+    code = """
+import random, sys
+from qadhm.exactcore import GaussRational, QLaurent, QRat, parse_gauss, random_gauss
+z = parse_gauss("1/2-3/4*i")
+w = random_gauss(random.Random(1))
+vals = [z * w / (z + 1), str(z - w), hash(z), hash(GaussRational(2) / 3),
+        z == 1, GaussRational(5) == 5, QRat(QLaurent({1: z}), 2) + 1]
+print(sorted({"fractions", "decimal"} & set(sys.modules)))
+z.re
+print("fractions" in sys.modules)
+"""
+    root = str(Path(exactcore.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": root})
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 def test_constants_are_canonical():

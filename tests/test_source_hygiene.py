@@ -1,6 +1,7 @@
 """Static checks on the package source: no dead imports (at module level or
 inside functions), no dead helpers, no public name that only the tests use,
-no stale ``__all__`` entries, no floating-point numbers.
+no stale ``__all__`` entries, no floating-point numbers, no module-level
+``fractions`` import outside an allowlist.
 
 They read the modules with the standard-library ``ast`` parser only.
 """
@@ -131,12 +132,12 @@ _UNREFERENCED_PUBLIC = {
         "the operator Delta of the eigenvalue recursion",
     "qcalculus.py delta_eigenvalue":
         "Delta X^l = p^(2l-1) [2l] X^l",
-    "qcalculus.py laplace_via_star":
-        "the Laplacian as *d*d",
     "qcalculus.py cech_exponents":
         "the inverse of the Penrose index map cech_index",
     "qcalculus.py conjugation_identity_check":
         "the eigenvalue form of the chart conjugation",
+    "qforms.py laplace_via_star":
+        "the Laplacian as *d*d",
     "qinstanton.py verify_ids":
         "the three operator identities as booleans",
     "qinstanton.py beta_p_alpha_q":
@@ -285,3 +286,36 @@ def test_no_floating_point():
                     and node.func.id in ("float", "round")):
                 inexact.append(f"{name}:{node.lineno} {node.func.id}()")
     assert not inexact, f"floating point in src/qadhm: {inexact}"
+
+
+# Modules that import ``fractions`` at module level, each with the reason.
+# Importing it also loads ``decimal``, which costs every command that loads
+# the module, so elsewhere it is imported only inside the function that
+# makes a Fraction.
+_FRACTIONS_AT_MODULE_LEVEL = {
+    "monad.py": "its Chern classes and Euler characteristics are Fractions",
+}
+
+
+def module_level_imports(tree):
+    """Import statements that run when the module loads: every one outside
+    a function body."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, FUNCTIONS):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_fractions_imported_only_where_a_fraction_is_made():
+    found = set()
+    for name, tree in parse_modules().items():
+        for node in module_level_imports(tree):
+            modules = ([a.name for a in node.names]
+                       if isinstance(node, ast.Import) else [node.module])
+            if "fractions" in modules:
+                found.add(name)
+    assert found == set(_FRACTIONS_AT_MODULE_LEVEL), \
+        "module-level fractions imports differ from the allowlist"

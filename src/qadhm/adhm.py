@@ -34,6 +34,10 @@ the multiplicity of [1:0] comes from the same reduction in the chart z = 1
   semiregular          stable everywhere and costable somewhere
   regular              stable everywhere and costable everywhere
 
+The word closure also decides whether the module map beta_P of
+``qinstanton`` is onto at a point (``slice_verdict``); ``slice_line`` reads
+the whole line off the stable side of the taxonomy.
+
 An independent rank criterion is provided by ``derivative_rank``: the
 derivative of the three residuals in all datum entries is a
 3c^2 x (4c^2 + 4cr) matrix whose rank is 3c^2 exactly on the stable locus.
@@ -52,6 +56,7 @@ rationals for reproducibility.
 from __future__ import annotations
 
 import random
+from collections import deque
 from math import comb, prod
 
 from .datum import ADHMError, ComplexADHMDatum, _scalar, is_complex_solution
@@ -60,7 +65,8 @@ from .exactcore import (_QL_ONE, GaussRational, Matrix, QLaurent, _ql_divmod,
 
 __all__ = [
     "StabilityReport", "real_residuals", "is_real_solution",
-    "is_stable", "is_costable", "classify", "derivative_rank",
+    "is_stable", "is_costable", "pencil_grid", "slice_verdict", "classify",
+    "slice_line", "derivative_rank",
     "gcd_projective_roots", "dagger_involution", "embed_real",
     "real_stratify", "random_stable_solution", "random_nonstable_solution",
 ]
@@ -157,21 +163,49 @@ def is_real_solution(d, xi):
 # pointwise stability by word closure
 # ---------------------------------------------------------------------------
 
+def _apply(m, col):
+    """The column m * col, with col a list."""
+    return [sum((x * y for x, y in zip(row, col) if x and y), _ZERO)
+            for row in m.a]
+
+
+def _reduce(echelon, col):
+    """col minus a combination of the echelon vectors.  Each (p, v) has
+    v[p] = 1 and vanishes at the pivots of the vectors before it, so one
+    pass in order leaves col zero at every pivot: the result is zero exactly
+    when col lies in their span."""
+    for p, v in echelon:
+        f = col[p]
+        if f:
+            col = [x - f * y if y else x for x, y in zip(col, v)]
+    return col
+
+
 def _closure_basis(ops, seed):
-    """Column basis of the smallest subspace containing the columns of seed
-    and invariant under every operator in ops.  At most c rounds of growth."""
+    """(basis, words) of the smallest subspace containing the columns of
+    seed and invariant under every operator in ops.  Column k of basis is
+    ops[w[0]] ... ops[w[-1]] applied to seed column t for words[k] = (t, w),
+    w a string of 1-based operator indices.  Candidates are taken breadth
+    first, so the longest word is the closure depth, and kept when one
+    incremental echelon finds them independent of those kept before."""
     c = seed.rows
-    basis = []
-    queue = [seed.submatrix(range(c), [t]) for t in range(seed.cols)]
-    while queue:
-        col = queue.pop(0)
-        stacked = Matrix.hstack(basis + [col]) if basis else col
-        if stacked.rank() > len(basis):
-            basis.append(col)
-            if len(basis) == c:
-                break
-            queue.extend(op * col for op in ops)
-    return Matrix.hstack(basis) if basis else Matrix.zero(c, 0, _ZERO)
+    basis, words, echelon = [], [], []
+    queue = deque((seed.col(t), t, "") for t in range(seed.cols))
+    while queue and len(basis) < c:
+        col, t, w = queue.popleft()
+        rest = _reduce(echelon, col)
+        p = next((k for k, x in enumerate(rest) if x), None)
+        if p is None:
+            continue
+        inv = _ONE / rest[p]
+        echelon.append((p, [x * inv if x else x for x in rest]))
+        basis.append(col)
+        words.append((t, w))
+        if len(basis) < c:
+            queue.extend((_apply(op, col), t, f"{k}{w}")
+                         for k, op in enumerate(ops, 1))
+    rows = [list(r) for r in zip(*basis)] or [[] for _ in range(c)]
+    return Matrix(c, len(basis), rows), words
 
 
 def is_stable(B1, B2, i):
@@ -180,7 +214,7 @@ def is_stable(B1, B2, i):
     c = B1.rows
     if B1.cols != c or B2.rows != c or B2.cols != c or i.rows != c:
         raise ADHMError("is_stable: inconsistent shapes")
-    closure = _closure_basis([B1, B2], i)
+    closure, _ = _closure_basis([B1, B2], i)
     if closure.cols == c:
         return True, None
     return False, closure
@@ -201,6 +235,91 @@ def is_costable(B1, B2, j):
     if dual_wit.cols == 0:
         return False, Matrix.identity(c, _ONE, _ZERO)
     return False, dual_wit.transpose().kernel()
+
+
+# ---------------------------------------------------------------------------
+# surjectivity of beta_P, point by point
+# ---------------------------------------------------------------------------
+# In chart I, beta_P = [-B~2 + g2, B~1 - g1, i~] with g1 = p1*x11 + p2*x21
+# and g2 = p1*x12 + p2*x22, entries multiplying from the left, so
+# beta_P(pi*f) = beta_P(pi)*f.  So i~w (x) 1 = beta_P(w in the W slot), and
+# if u (x) 1 = beta_P(pi) then B~2u (x) 1 = beta_P(-u in slot 1 + pi*g2) and
+# B~1u (x) 1 = beta_P(u in slot 2 + pi*g1).  Conversely a covector xi killing
+# the closure S with xi B~k = mu_k xi, and a character chi with chi(gk) =
+# mu_k (on the plane x21 = x22 = 0 if p1 != 0, else x11 = x12 = 0), give
+# phi(v (x) f) = xi(v) chi(f), which kills the image.
+
+def pencil_grid(n=12):
+    """n deterministic exact points of the parameter line: the two poles,
+    then (1, t) over Gaussian integers t ordered by height."""
+    if n < 1:
+        raise ADHMError("grid size must be positive")
+    pts = [(_ONE, _ZERO), (_ZERO, _ONE)]
+    h = 1
+    while len(pts) < n:
+        for a in range(-h, h + 1):
+            rem = h - abs(a)
+            for b in sorted({-rem, rem}):
+                pts.append((_ONE, GaussRational(a, b)))
+        h += 1
+    return pts[:n]
+
+
+def _eigen_covector(B1, B2, S):
+    """(xi, mu1, mu2) with xi S = 0 and xi Bk = mu_k xi over Q(i), or None.
+    mu_k is taken as the trace of Bk on V/S over dim V/S, which is right
+    when Bk has one eigenvalue there (so always when codim S = 1)."""
+    c, rows, mu = B1.rows, [S.transpose()], []
+    for B in (B1, B2):
+        on_s = S.solve(B * S) if S.cols else S   # S on_s = B S
+        trace = sum((B[k, k] for k in range(c)), _ZERO) \
+            - sum((on_s[k, k] for k in range(S.cols)), _ZERO)
+        mu.append(trace / GaussRational(c - S.cols))
+        rows.append((B - Matrix.identity(c, mu[-1], _ZERO)).transpose())
+    ker = Matrix.vstack(rows).kernel()
+    return (ker.col(0), *mu) if ker.cols else None
+
+
+def slice_verdict(d, P, dmax):
+    """Whether beta_P is onto at P, from the Krylov closure S of Im i~(P):
+    ``certified`` when S = V, with the basis words that rebuild the
+    preimages (the degree <= dmax slice is covered by sources of degree
+    <= dmax + depth); ``refuted`` with xi and chi when S != V and
+    ``_eigen_covector`` finds xi; ``undecided`` otherwise.  covered_dim is
+    the part S (x) A of the slice, which the image always holds."""
+    p1, p2 = _scalar(P[0]), _scalar(P[1])
+    if not p1 and not p2:
+        raise ADHMError("pencil parameters must not both vanish")
+    if dmax < 0:
+        raise ADHMError("degree cap must be nonnegative")
+    B1, B2, i, _ = d.evaluate(p1, p2)
+    S, words = _closure_basis([B1, B2], i)
+    monomials = comb(dmax + 4, 4)     # of degree <= dmax in four generators
+    report = {"P": [str(p1), str(p2)], "slice_dim": d.c * monomials,
+              "covered_dim": S.cols * monomials}
+    if S.cols == d.c:
+        depth = max(len(w) for _, w in words)
+        report.update(verdict="certified", surjective=True, depth=depth,
+                      basis=[[t, w] for t, w in words],
+                      method="Krylov closure is V: preimages from its words")
+        return report
+    found = _eigen_covector(B1, B2, S)
+    if found is None:
+        report.update(verdict="undecided", surjective=False,
+                      method="Krylov closure is proper; no Q(i) witness")
+        return report
+    xi, mu1, mu2 = found
+    lead = p1 if p1 else p2
+    chi = [mu1 / lead, mu2 / lead, _ZERO, _ZERO]
+    if not p1:
+        chi = chi[2:] + chi[:2]
+    report.update(
+        verdict="refuted", surjective=False,
+        witness={"xi": [str(x) for x in xi], "mu": [str(mu1), str(mu2)],
+                 "chi": {g: str(x) for g, x in
+                         zip(("x11", "x12", "x21", "x22"), chi)}},
+        method="Krylov closure is proper: xi (x) chi kills the image")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +525,14 @@ def _krylov_minor_gcd(Bz1, Bw1, Bz2, Bw2, Sz, Sw):
     return False, (g, v)
 
 
+def _gcd_roots(zero, gcd):
+    """The projective roots and leftover factors of one side's minor gcd:
+    none when every minor vanishes (zero) or the gcd is 1."""
+    if zero or gcd == (_QL_ONE, 0):
+        return [], []
+    return gcd_projective_roots(*gcd)
+
+
 def classify(d):
     """Full stability taxonomy of a complex datum (see the module docstring).
 
@@ -428,14 +555,11 @@ def classify(d):
     regular = stable_everywhere and costable_everywhere
 
     failing, leftovers = [], []
-    if semistable and not stable_everywhere:
-        roots, lefts = gcd_projective_roots(*s_gcd)
-        failing.extend(("stable", pt, m) for pt, m in roots)
-        leftovers.extend(("stable", f) for f in lefts)
-    if costable_somewhere and not costable_everywhere:
-        roots, lefts = gcd_projective_roots(*c_gcd)
-        failing.extend(("costable", pt, m) for pt, m in roots)
-        leftovers.extend(("costable", f) for f in lefts)
+    for side, zero, gcd in (("stable", s_zero, s_gcd),
+                            ("costable", c_zero, c_gcd)):
+        roots, lefts = _gcd_roots(zero, gcd)
+        failing.extend((side, pt, m) for pt, m in roots)
+        leftovers.extend((side, f) for f in lefts)
 
     witness = None
     if not semistable:
@@ -459,6 +583,24 @@ def classify(d):
         "0" if s_zero else _gcd_str(*s_gcd),
         "0" if c_zero else _gcd_str(*c_gcd),
         leftovers)
+
+
+def slice_line(d):
+    """Where beta_P is onto, from the stable side of the taxonomy: onto
+    wherever the triple is stable, and on a solution (where B~1 and B~2
+    commute modulo the closure, so xi exists over an extension of Q(i))
+    nowhere else; onto_everywhere is null when neither settles it."""
+    zero, gcd = _krylov_minor_gcd(d.B11, d.B21, d.B12, d.B22, d.i1, d.i2)
+    roots, lefts = _gcd_roots(zero, gcd)
+    stable = not zero and gcd == (_QL_ONE, 0)
+    return {
+        "onto_everywhere": (True if stable else
+                            False if is_complex_solution(d) else None),
+        "stability_gcd": "0" if zero else _gcd_str(*gcd),
+        "failing_points": [{"z": str(z0), "w": str(w0), "multiplicity": m}
+                           for (z0, w0), m in roots],
+        "leftover_factors": lefts,
+    }
 
 
 # ---------------------------------------------------------------------------

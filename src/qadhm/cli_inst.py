@@ -1,5 +1,6 @@
 """``qadhm inst`` commands: the operator identities, the curvature audit and
-slice surjectivity over the pencil grid."""
+the surjectivity of beta_P over the pencil grid, which ``adhm`` decides
+from the Krylov closure without building any operator."""
 
 from .cli import MAX_DEGREE_CAP, CLIError, _emit_json, _load_datum, arg
 
@@ -25,18 +26,16 @@ def _cmd_inst_curvature(args, cfg):
 
 
 def _cmd_inst_slices(args, cfg):
-    from .qinstanton import QInstantonError, pencil_grid, slice_rank_grid
+    from .adhm import pencil_grid, slice_line, slice_verdict
     d = _load_datum(args.file)
     if not 0 <= args.dmax <= MAX_DEGREE_CAP:
         raise CLIError(f"dmax must lie in 0..{MAX_DEGREE_CAP}")
-    grid = pencil_grid(cfg.grid_size)
-    try:
-        reports = slice_rank_grid(d, grid, args.dmax)
-    except QInstantonError as exc:
-        raise CLIError(str(exc)) from exc
+    reports = [slice_verdict(d, P, args.dmax)
+               for P in pencil_grid(cfg.grid_size)]
     ok = all(rep["surjective"] for rep in reports)
     _emit_json({"dmax": args.dmax, "grid_size": cfg.grid_size,
-                "reports": reports, "all_surjective": ok}, cfg)
+                "reports": reports, "all_surjective": ok,
+                "line": slice_line(d)}, cfg)
     return ok
 
 

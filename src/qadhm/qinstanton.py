@@ -18,9 +18,9 @@ the matrix equations.  On top of that this module provides:
   Xi = beta_1 alpha_2,
 * the leading-term certificate for Xi (degree-2 part equals det(x) times
   the identity of V),
-* degree-truncated slice ranks deciding surjectivity of beta_P (and
-  injectivity of alpha_Q) on capped-degree module slices, by exact sparse
-  echelon over the rational function field,
+* the matrices of the operators between capped-degree module slices
+  (whether beta_P is onto is decided in ``adhm`` from the Krylov closure,
+  with no elimination over the rational function field),
 * the curvature block matrix d(alpha) ^ d(beta-bar) in wedge normal form,
   audited entry by entry against the self-dual/anti-self-dual split.  Under
   the derived wedge rules the (1,1) block keeps a self-dual remainder with
@@ -33,19 +33,15 @@ the matrix equations.  On top of that this module provides:
   through exact degree-capped solves, never by forming a global inverse.
 """
 
-from .datum import complex_residuals, is_complex_solution
-from .exactcore import (GaussRational, Matrix, QLaurent, QRat, _as_gauss,
-                        _echelon)
+from .datum import is_complex_solution
+from .exactcore import Matrix, QLaurent, QRat, _as_gauss
 from .qspacetime import NCPoly, X_NAMES, Y_NAMES, det_x, monomials_of_degree
 
 __all__ = [
     "QInstantonError", "build_q_ops", "scalar_operator",
-    "identity_products", "verify_ids", "ids_report", "beta_p_alpha_q",
-    "xi_operator", "xi_leading", "truncated_matrix", "slice_rank_report",
-    "slice_rank_grid", "beta_surjective_truncated", "pencil_grid",
-    "alpha_slice_report", "alpha_injective_truncated", "kernel_slice_basis",
-    "curvature_asd", "curvature_report_json", "chart_j_pattern",
-    "projection_truncated",
+    "identity_products", "ids_report", "beta_p_alpha_q",
+    "xi_operator", "xi_leading", "truncated_matrix", "kernel_slice_basis", "curvature_asd", "curvature_report_json",
+    "chart_j_pattern", "projection_truncated",
 ]
 
 _ZMONO = (0, 0, 0, 0)
@@ -116,21 +112,6 @@ def identity_products(d, chart="I"):
         "b2a2": b2 * a2,
         "mixed": b2 * a1 + b1 * a2,
     }
-
-
-def verify_ids(d, chart="I"):
-    """True when all three operator identities hold in normal form.
-
-    Equivalent to the vanishing of the three quadratic residual matrices:
-    each product normalizes to the constant embedding of one residual.
-    """
-    prods = identity_products(d, chart)
-    res = complex_residuals(d)
-    for key, r in zip(("b1a1", "b2a2", "mixed"), res):
-        if prods[key] != scalar_operator(r, chart):
-            raise QInstantonError(
-                "operator product does not reduce to its residual embedding")
-    return all(p.is_zero() for p in prods.values())
 
 
 def ids_report(d, chart="I"):
@@ -237,138 +218,6 @@ def truncated_matrix(op, src_degree, tgt_degree):
     cols = op.cols * n_s
     return Matrix(len(rows), cols,
                   [[row.get(j, zero) for j in range(cols)] for row in rows])
-
-
-def _sparse_containment(rows, n_s, n_t, n_comp):
-    """(image_rank, missed) for the slice rows of beta_P from _slice_rows
-    (n_comp source components, n_s source and n_t target monomials): the
-    echelon of [image | slice embedding] over the Laurent ring.  The
-    embedding entries are added to ``rows`` in place.
-
-    Columns are eliminated left to right, image block first, so a pivot
-    landing in the embedding block is exactly a slice direction missed by
-    the image of the capped source: image_rank = rank(image) and
-    missed = rank([image | embedding]) - rank(image)."""
-    a_cols = n_comp * n_s
-    n_v = len(rows) // n_t
-    # the first n_s target monomials are exactly the degree <= dmax ones
-    for v in range(n_v):
-        for k in range(n_s):
-            rows[v * n_t + k][a_cols + v * n_s + k] = QLaurent.one()
-    pivots = _echelon(rows, a_cols + n_v * n_s)
-    image_rank = sum(1 for j, _, _ in pivots if j < a_cols)
-    return image_rank, len(pivots) - image_rank
-
-
-def slice_rank_report(d, P, dmax, chart="I"):
-    """Does the image of beta_P on degree <= dmax sources cover the degree
-    <= dmax slice of V (x) M?  The one-point case of slice_rank_grid.
-
-    Entries never lower degree, so the image of the capped source lives
-    completely inside the degree <= dmax+1 slice and covering is an exact
-    linear containment question.  Two routes, both sound:
-
-    * the W block of beta_P is the constant matrix i~(P) with no generator
-      part, so when i~(P) is onto V every slice element v (x) f is hit
-      exactly by a preimage of the same degree -- an O(1) certificate;
-    * otherwise a sparse echelon reduction of the image matrix next to the
-      slice embedding decides containment over the rational function
-      field.  beta_P = p1 beta_1 + p2 beta_2 is linear in P, and so are
-      its slice rows: they are p1 R1 + p2 R2 for the slice rows R1, R2 of
-      beta_1 and beta_2, which a grid builds once.  No q-specialization
-      shortcut is used: specializing can move the ranks of the image and
-      of the joined matrix independently, so it certifies nothing about a
-      containment.
-    """
-    return slice_rank_grid(d, [P], dmax, chart)[0]
-
-
-def slice_rank_grid(d, points, dmax, chart="I"):
-    """slice_rank_report at each pencil point, with the operators and the
-    slice rows of beta_1 and beta_2 built once for all points."""
-    points = [tuple(_gauss(v) for v in P) for P in points]
-    if any(not p1 and not p2 for p1, p2 in points):
-        raise QInstantonError("pencil parameters must not both vanish")
-    n = len(_monomials_upto(dmax))
-    _, _, b1, b2 = build_q_ops(d, chart)
-    zero = QLaurent.zero()
-    slices = None
-    reports = []
-    for p1, p2 in points:
-        report = {"chart": chart, "P": [str(p1), str(p2)], "dmax": dmax,
-                  "source_dim": b1.cols * n, "slice_dim": d.c * n}
-        reports.append(report)
-        if (d.i1.scale(p1) + d.i2.scale(p2)).rank() == d.c:
-            report.update(image_rank=None, covered_dim=d.c * n,
-                          surjective=True,
-                          method="constant W-block i~(P) is onto V")
-            continue
-        if slices is None:
-            slices = [_slice_rows(b, dmax, dmax + 1) for b in (b1, b2)]
-        (r1, n_s, n_t), (r2, _, _) = slices
-        rows = [{k: s for k in x.keys() | y.keys()
-                 if (s := x.get(k, zero) * p1 + y.get(k, zero) * p2)}
-                for x, y in zip(r1, r2)]
-        image_rank, missed = _sparse_containment(rows, n_s, n_t, b1.cols)
-        report.update(
-            image_rank=image_rank, covered_dim=d.c * n - missed,
-            surjective=missed == 0,
-            method="exact sparse echelon over the rational function field")
-    return reports
-
-
-def beta_surjective_truncated(d, P, dmax):
-    """Does beta_P on degree <= dmax sources cover the degree <= dmax slice
-    of V (x) M?"""
-    return slice_rank_report(d, P, dmax)["surjective"]
-
-
-def pencil_grid(n=12):
-    """n deterministic exact points of the parameter line: the two poles,
-    then (1, t) over Gaussian integers t ordered by height."""
-    if n < 1:
-        raise QInstantonError("grid size must be positive")
-    one, zero = GaussRational(1), GaussRational(0)
-    pts = [(one, zero), (zero, one)]
-    h = 1
-    while len(pts) < n:
-        for a in range(-h, h + 1):
-            rem = h - abs(a)
-            for b in sorted({-rem, rem}):
-                pts.append((one, GaussRational(a, b)))
-        h += 1
-    return pts[:n]
-
-
-def alpha_slice_report(d, Q, dmax, chart="I"):
-    """Rank of alpha_Q out of the degree <= dmax slice (injectivity test).
-
-    The target cap dmax+1 captures every term of the image, so full column
-    rank is exactly injectivity of alpha_Q on the capped slice.  The rank
-    is the exact sparse echelon rank over the rational function field."""
-    q1, q2 = (_gauss(v) for v in Q)
-    if not q1 and not q2:
-        raise QInstantonError("pencil parameters must not both vanish")
-    a1, a2, b1, b2 = build_q_ops(d, chart)
-    aq = a1.scale(q1) + a2.scale(q2)
-    mat = truncated_matrix(aq, dmax, dmax + 1)
-    full = d.c * len(_monomials_upto(dmax))
-    rank = mat.rank()
-    return {
-        "chart": chart,
-        "Q": [str(q1), str(q2)],
-        "dmax": dmax,
-        "source_dim": full,
-        "target_dim": mat.rows,
-        "rank": rank,
-        "injective": rank == full,
-        "method": "exact sparse echelon over the rational function field",
-    }
-
-
-def alpha_injective_truncated(d, Q, dmax):
-    """Is alpha_Q injective on the degree <= dmax slice of V (x) M?"""
-    return alpha_slice_report(d, Q, dmax)["injective"]
 
 
 def _bars(a1, a2, b1, b2):

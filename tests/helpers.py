@@ -1,9 +1,10 @@
-"""Seeded data generators and small helpers that only the tests use.
+"""Seeded data generators, small helpers and oracles that only the tests use.
 
 They live here rather than in ``src/qadhm`` so that no command compiles
 them.  The generators are deterministic in their seed, like
 ``adhm.random_stable_solution`` (which ``adhm random`` runs) and
-``adhm.random_nonstable_solution`` (which the benchmark uses).
+``adhm.random_nonstable_solution`` (which the benchmark uses).  The slice
+echelons over Q(i)(q) at the end are the oracle of ``adhm.slice_verdict``.
 """
 
 import itertools
@@ -15,8 +16,10 @@ from qadhm.adhm import (_closure_basis, _linear_map_matrix, classify,
 from qadhm.datum import (ADHMError, ComplexADHMDatum, RealADHMDatum,
                          is_complex_solution)
 from qadhm.exactcore import (_QL_ONE, GaussRational, Matrix, QLaurent,
-                             random_gauss)
+                             _echelon, random_gauss)
 from qadhm.monad import ChernClass
+from qadhm.qinstanton import (QInstantonError, _gauss, _monomials_upto,
+                              _slice_rows, build_q_ops, truncated_matrix)
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
@@ -33,7 +36,7 @@ def quadratic_pencil_value(d, z0, w0):
 
 def closure_rank(B1, B2, i):
     """Dimension of the full word closure of Im i under (B1, B2)."""
-    return _closure_basis([B1, B2], i).cols
+    return _closure_basis([B1, B2], i)[0].cols
 
 
 def stabilizer_dim(B1, B2, i):
@@ -257,3 +260,128 @@ def qbinom(n: int, r: int) -> QLaurent:
         new.append(_QL_ONE)
         row = new
     return row[r]
+
+
+# ---------------------------------------------------------------------------
+# the containment echelon over Q(i)(q): the oracle of adhm.slice_verdict
+# ---------------------------------------------------------------------------
+
+def _sparse_containment(rows, n_s, n_t, n_comp, n_e=None):
+    """(image_rank, missed) for the slice rows of beta_P from _slice_rows
+    (n_comp source components, n_s source and n_t target monomials): the
+    echelon of [image | slice embedding] over the Laurent ring, where the
+    slice is spanned by the first n_e target monomials of each component
+    (n_s by default).  The embedding entries are added to ``rows`` in
+    place.
+
+    Columns are eliminated left to right, image block first, so a pivot
+    landing in the embedding block is exactly a slice direction missed by
+    the image of the capped source: image_rank = rank(image) and
+    missed = rank([image | embedding]) - rank(image)."""
+    n_e = n_s if n_e is None else n_e
+    a_cols = n_comp * n_s
+    n_v = len(rows) // n_t
+    # the first n_s target monomials are exactly the degree <= dmax ones
+    for v in range(n_v):
+        for k in range(n_e):
+            rows[v * n_t + k][a_cols + v * n_e + k] = QLaurent.one()
+    pivots = _echelon(rows, a_cols + n_v * n_e)
+    image_rank = sum(1 for j, _, _ in pivots if j < a_cols)
+    return image_rank, len(pivots) - image_rank
+
+
+def slice_rank_report(d, P, dmax, chart="I"):
+    """Does the image of beta_P on degree <= dmax sources cover the degree
+    <= dmax slice of V (x) M?  The one-point case of slice_rank_grid.
+
+    Entries never lower degree, so the image of the capped source lives
+    completely inside the degree <= dmax+1 slice and covering is an exact
+    linear containment question.  Two routes, both sound:
+
+    * the W block of beta_P is the constant matrix i~(P) with no generator
+      part, so when i~(P) is onto V every slice element v (x) f is hit
+      exactly by a preimage of the same degree -- an O(1) certificate;
+    * otherwise a sparse echelon reduction of the image matrix next to the
+      slice embedding decides containment over the rational function
+      field.  beta_P = p1 beta_1 + p2 beta_2 is linear in P, and so are
+      its slice rows: they are p1 R1 + p2 R2 for the slice rows R1, R2 of
+      beta_1 and beta_2, which a grid builds once.  No q-specialization
+      shortcut is used: specializing can move the ranks of the image and
+      of the joined matrix independently, so it certifies nothing about a
+      containment.
+    """
+    return slice_rank_grid(d, [P], dmax, chart)[0]
+
+
+def slice_rank_grid(d, points, dmax, chart="I"):
+    """slice_rank_report at each pencil point, with the operators and the
+    slice rows of beta_1 and beta_2 built once for all points."""
+    points = [tuple(_gauss(v) for v in P) for P in points]
+    if any(not p1 and not p2 for p1, p2 in points):
+        raise QInstantonError("pencil parameters must not both vanish")
+    n = len(_monomials_upto(dmax))
+    _, _, b1, b2 = build_q_ops(d, chart)
+    zero = QLaurent.zero()
+    slices = None
+    reports = []
+    for p1, p2 in points:
+        report = {"chart": chart, "P": [str(p1), str(p2)], "dmax": dmax,
+                  "source_dim": b1.cols * n, "slice_dim": d.c * n}
+        reports.append(report)
+        if (d.i1.scale(p1) + d.i2.scale(p2)).rank() == d.c:
+            report.update(image_rank=None, covered_dim=d.c * n,
+                          surjective=True,
+                          method="constant W-block i~(P) is onto V")
+            continue
+        if slices is None:
+            slices = [_slice_rows(b, dmax, dmax + 1) for b in (b1, b2)]
+        (r1, n_s, n_t), (r2, _, _) = slices
+        rows = [{k: s for k in x.keys() | y.keys()
+                 if (s := x.get(k, zero) * p1 + y.get(k, zero) * p2)}
+                for x, y in zip(r1, r2)]
+        image_rank, missed = _sparse_containment(rows, n_s, n_t, b1.cols)
+        report.update(
+            image_rank=image_rank, covered_dim=d.c * n - missed,
+            surjective=missed == 0,
+            method="exact sparse echelon over the rational function field")
+    return reports
+
+
+def least_covering_cap(d, P, up_to):
+    """The least s <= up_to at which the image of beta_P on sources of
+    degree <= s contains every e_v (x) 1, or None.  Entries never lower
+    degree, so the target cap s + 1 holds that image whole."""
+    p1, p2 = (_gauss(v) for v in P)
+    _, _, b1, b2 = build_q_ops(d)
+    bp = b1.scale(p1) + b2.scale(p2)
+    for s in range(up_to + 1):
+        rows, n_s, n_t = _slice_rows(bp, s, s + 1)
+        if _sparse_containment(rows, n_s, n_t, bp.cols, n_e=1)[1] == 0:
+            return s
+    return None
+
+
+def alpha_slice_report(d, Q, dmax, chart="I"):
+    """Rank of alpha_Q out of the degree <= dmax slice (injectivity test).
+
+    The target cap dmax+1 captures every term of the image, so full column
+    rank is exactly injectivity of alpha_Q on the capped slice.  The rank
+    is the exact sparse echelon rank over the rational function field."""
+    q1, q2 = (_gauss(v) for v in Q)
+    if not q1 and not q2:
+        raise QInstantonError("pencil parameters must not both vanish")
+    a1, a2, b1, b2 = build_q_ops(d, chart)
+    aq = a1.scale(q1) + a2.scale(q2)
+    mat = truncated_matrix(aq, dmax, dmax + 1)
+    full = d.c * len(_monomials_upto(dmax))
+    rank = mat.rank()
+    return {
+        "chart": chart,
+        "Q": [str(q1), str(q2)],
+        "dmax": dmax,
+        "source_dim": full,
+        "target_dim": mat.rows,
+        "rank": rank,
+        "injective": rank == full,
+        "method": "exact sparse echelon over the rational function field",
+    }

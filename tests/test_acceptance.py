@@ -22,8 +22,11 @@ from qadhm import cli
 from qadhm.adhm import (
     classify,
     derivative_rank,
+    pencil_grid,
     random_nonstable_solution,
     random_stable_solution,
+    slice_line,
+    slice_verdict,
 )
 from qadhm.datum import (
     ComplexADHMDatum,
@@ -54,15 +57,7 @@ from qadhm.qcalculus import (
     _solve_x_rules,
 )
 from qadhm.qforms import d, laplace_via_star
-from qadhm.qinstanton import (
-    beta_p_alpha_q,
-    beta_surjective_truncated,
-    curvature_asd,
-    pencil_grid,
-    slice_rank_report,
-    verify_ids,
-    xi_leading,
-)
+from qadhm.qinstanton import beta_p_alpha_q, curvature_asd, xi_leading
 from qadhm.qspacetime import (
     HarmonicIndex,
     NCPoly,
@@ -79,7 +74,8 @@ from qadhm.qspacetime import (
     slice_matrix,
 )
 
-from helpers import random_c1r1_solution, random_complex_datum
+from helpers import (random_c1r1_solution, random_complex_datum,
+                     slice_rank_report)
 from test_adhm import proj_equal
 from test_monad import (BASE_POINTS, SEEDED_LOCUS_DATA,
                         semiregular_not_regular, shifted_line_ranks,
@@ -87,7 +83,7 @@ from test_monad import (BASE_POINTS, SEEDED_LOCUS_DATA,
 from test_qcalculus import (HAND_WEDGE_RULES, HAND_X_RULES_Q,
                             HAND_X_RULES_QINV, gen_poly, qp)
 from test_qcalculus import random_poly as random_cpoly
-from test_qinstanton import one_instanton, wform
+from test_qinstanton import ids_hold, one_instanton, wform
 from test_qspacetime import random_poly as random_qpoly
 
 P_CHOICES = ("q", "qinv")
@@ -429,10 +425,10 @@ def test_criterion_9_quantum_instanton():
     for r, c in SHAPES:
         for seed in range(25):
             raw = random_complex_datum(r, c, seed)
-            assert verify_ids(raw) == is_complex_solution(raw)
+            assert ids_hold(raw) == is_complex_solution(raw)
             sol = random_stable_solution(r, c, seed)
             assert is_complex_solution(sol)
-            assert verify_ids(sol) and verify_ids(sol, "J")
+            assert ids_hold(sol) and ids_hold(sol, "J")
 
     # the pencil product collapses to (p1 q2 - p2 q1) beta1*alpha2; the
     # helper asserts that identity symbolically on every call
@@ -476,15 +472,24 @@ def test_criterion_9_quantum_instanton():
     for a in range(12):
         for b in range(a + 1, 12):
             assert not proj_equal(grid[a], grid[b])
-    for (r, c), seed in (((2, 1), 0), ((2, 2), 3), ((3, 1), 1)):
+    # beta_P is onto at every grid point of stable data: certified by the
+    # Krylov preimages, and for c <= r also by the slice echelon's W-block
+    for (r, c), seed in (((2, 1), 0), ((2, 2), 3), ((3, 1), 1), ((2, 3), 5)):
         sol = random_stable_solution(r, c, seed)
+        assert slice_line(sol)["onto_everywhere"] is True
         for P in grid:
             for dmax in range(5):
-                assert beta_surjective_truncated(sol, P, dmax)
+                rep = slice_verdict(sol, P, dmax)
+                assert rep["verdict"] == "certified"
+                assert rep["depth"] == (c > r)
+                assert rep["covered_dim"] == rep["slice_dim"]
+                if c <= r:
+                    assert slice_rank_report(sol, P, dmax)["surjective"]
 
     for seed in (0, 1, 5):
         dat = random_c1r1_solution(seed)
         root = (dat.i2[0, 0], -dat.i1[0, 0])
+        assert slice_verdict(dat, root, 1)["verdict"] == "refuted"
         rep0 = slice_rank_report(dat, root, 0)
         assert not rep0["surjective"]
         assert (rep0["covered_dim"], rep0["slice_dim"]) == (0, 1)
@@ -496,9 +501,12 @@ def test_criterion_9_quantum_instanton():
           "identity products vanish exactly iff the equation residuals do on "
           "50 seeded data per shape (solutions checked in both charts), the "
           "pencil product identity holds "
-          "symbolically, and the truncated image checks pass (surjective at "
-          "all 12 grid parameters to degree 4 for stable data, rank-deficient "
-          "at the computed root for r=c=1 data), but the computed curvature "
+          "symbolically, and beta_P is onto at all 12 grid parameters for "
+          "stable data, (2,3) included (certified by Krylov preimages of "
+          "depth <= 1 for every degree cap up to 4), and not onto at the "
+          "computed root for r=c=1 data (refuted by a covector and a "
+          "character; the slice echelon misses directions there), but the "
+          "computed curvature "
           "does not reproduce the quoted 2-form matrix: entries agree only "
           "up to a global sign, and entry (0,0) recomputes to "
           "(2-q^2)e03 + q^2 e12 with self-dual part (1-q^2)(e03-e12), so not "

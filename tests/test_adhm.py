@@ -191,6 +191,79 @@ class TestWordClosureStability:
             assert s == co
 
 
+def rerank_closure(ops, seed):
+    """The closure as it was built before the incremental echelon: each
+    candidate is kept when it raises the rank of the whole stacked basis."""
+    c = seed.rows
+    basis = []
+    queue = [seed.submatrix(range(c), [t]) for t in range(seed.cols)]
+    while queue:
+        col = queue.pop(0)
+        stacked = Matrix.hstack(basis + [col]) if basis else col
+        if stacked.rank() > len(basis):
+            basis.append(col)
+            if len(basis) == c:
+                break
+            queue.extend(op * col for op in ops)
+    return Matrix.hstack(basis) if basis else Matrix.zero(c, 0, Z)
+
+
+def seeded_triples(n, seed):
+    """(B1, B2, i) with proper and full closures: half the time the B's
+    are block upper triangular and Im i lies in the upper block; the B's
+    are sparse, and i may repeat a column."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        c, r = rng.randint(1, 6), rng.randint(1, 3)
+        # rows >= split are invariant when the triple is triangular
+        split = rng.randint(1, c) if rng.random() < 0.5 else c
+
+        def entry(a, b):
+            if b < split <= a:
+                return Z
+            return random_gauss(rng) if rng.random() < 0.7 else Z
+        B1, B2 = (Matrix(c, c, [[entry(a, b) for b in range(c)]
+                                for a in range(c)]) for _ in range(2))
+        cols = [[random_gauss(rng) if a < split else Z for a in range(c)]
+                for _ in range(r)]
+        if r > 1 and rng.random() < 0.3:
+            cols[1] = cols[0]
+        yield B1, B2, Matrix(c, r, [list(x) for x in zip(*cols)])
+
+
+class TestIncrementalClosure:
+    def test_same_basis_as_the_rerank_loop(self):
+        proper = 0
+        for B1, B2, i in seeded_triples(120, 20261019):
+            basis, words = adhm._closure_basis([B1, B2], i)
+            assert basis == rerank_closure([B1, B2], i)
+            proper += basis.cols < B1.rows
+            # each word rebuilds its column, breadth first
+            ops = {"1": B1, "2": B2}
+            for k, (t, w) in enumerate(words):
+                col = i.submatrix(range(i.rows), [t])
+                for letter in reversed(w):
+                    col = ops[letter] * col
+                assert col.col(0) == basis.col(k)
+            assert [len(w) for _, w in words] \
+                == sorted(len(w) for _, w in words)
+        assert 20 < proper < 100
+
+    def test_witnesses_unchanged(self):
+        for B1, B2, i in seeded_triples(60, 7):
+            stable, wit = is_stable(B1, B2, i)
+            closure = rerank_closure([B1, B2], i)
+            assert stable == (closure.cols == B1.rows)
+            assert wit == (None if stable else closure)
+            costable, cowit = is_costable(B1, B2, i.transpose())
+            dual = rerank_closure([B1.transpose(), B2.transpose()], i)
+            assert costable == (dual.cols == B1.rows)
+            if not costable:
+                assert cowit == (Matrix.identity(B1.rows, ONE, Z)
+                                 if not dual.cols
+                                 else dual.transpose().kernel())
+
+
 class TestClassify:
     def test_stable_not_semiregular(self):
         rep = classify(stable_not_semiregular())

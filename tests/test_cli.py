@@ -710,7 +710,8 @@ _MODULES_BY_COMMAND = {
     ("q", "table"): _Q,
     ("q", "penrose", COCYCLE): _Q,
     ("inst", "verify", DATUM): _INST,
-    ("inst", "slices", DATUM, "--dmax", "0", "--grid-size", "2"): _INST,
+    ("inst", "slices", DATUM, "--dmax", "0", "--grid-size", "2"):
+        {"cli", "cli_inst", "datum", "exactcore", "adhm"},
     ("inst", "curvature", DATUM): _INST | {"qcalculus", "qforms"},
 }
 # the only commands that load the expression parser and the forms
@@ -719,8 +720,10 @@ _WITH_FORMS = {("inst", "curvature")}
 # ``fractions`` (which imports ``decimal``) is loaded only where a Fraction
 # is made: in ``monad``, whose Chern classes are Fractions
 _WITH_FRACTIONS_GROUPS = {"monad"}
-# the commands that never run the stability code, which is in adhm
-_WITHOUT_ADHM = {("inst", "verify"), ("inst", "slices"), ("inst", "curvature"),
+# the commands that never run the stability code, which is in adhm.
+# ``inst slices`` is not one of them: it decides beta_P from the Krylov
+# closure and the stable side of the taxonomy, and builds no operator.
+_WITHOUT_ADHM = {("inst", "verify"), ("inst", "curvature"),
                  ("monad", "build"), ("monad", "chern")}
 
 

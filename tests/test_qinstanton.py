@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qadhm.adhm import embed_real, random_stable_solution
+from qadhm.adhm import embed_real, pencil_grid, random_stable_solution
 from qadhm.datum import (
     ComplexADHMDatum,
     RealADHMDatum,
@@ -18,10 +18,7 @@ from qadhm.qcalculus import derive_table
 from qadhm.qforms import NCForm
 from qadhm.qinstanton import (
     QInstantonError,
-    alpha_injective_truncated,
-    alpha_slice_report,
     beta_p_alpha_q,
-    beta_surjective_truncated,
     build_q_ops,
     chart_j_pattern,
     curvature_asd,
@@ -29,19 +26,17 @@ from qadhm.qinstanton import (
     identity_products,
     ids_report,
     kernel_slice_basis,
-    pencil_grid,
     projection_truncated,
     scalar_operator,
-    slice_rank_grid,
-    slice_rank_report,
     truncated_matrix,
-    verify_ids,
     xi_leading,
     xi_operator,
 )
 from qadhm.qspacetime import NCPoly, det_x, monomials_of_degree
 
-from helpers import random_c1r1_solution, random_complex_datum
+from helpers import (_sparse_containment, alpha_slice_report,
+                     random_c1r1_solution, random_complex_datum,
+                     slice_rank_grid, slice_rank_report)
 
 Z = GaussRational(0)
 ONE = GaussRational(1)
@@ -209,29 +204,38 @@ class TestBuildOps:
             build_q_ops(stable_not_semiregular(), "K")
 
 
+def ids_hold(d, chart="I"):
+    """True when all three operator identities hold in normal form; each
+    product must normalize to the constant embedding of its residual."""
+    prods = identity_products(d, chart)
+    for key, r in zip(("b1a1", "b2a2", "mixed"), complex_residuals(d)):
+        assert prods[key] == scalar_operator(r, chart)
+    return ids_report(d, chart)["all_zero"]
+
+
 class TestVerifyIds:
     def test_solutions_verify_on_both_charts(self):
         for r, c in [(2, 1), (2, 2), (3, 1)]:
             for seed in range(4):
                 d = random_stable_solution(r, c, seed)
-                assert verify_ids(d, "I")
-                assert verify_ids(d, "J")
+                assert ids_hold(d, "I")
+                assert ids_hold(d, "J")
 
     def test_special_solutions(self):
         for d in (one_instanton(), zero_b_solution(), s_singular_regular(),
                   dual_costable_solution(2, 2, 1)):
-            assert verify_ids(d, "I") and verify_ids(d, "J")
+            assert ids_hold(d, "I") and ids_hold(d, "J")
 
     def test_zero_datum_verifies(self):
         d = ComplexADHMDatum(1, 1, [[0]], [[0]], [[0]], [[0]],
                              [[0]], [[0]], [[0]], [[0]])
-        assert verify_ids(d)
+        assert ids_hold(d)
 
     def test_equivalence_with_residuals(self):
         for seed in range(10):
             d = random_complex_datum(2, 2, seed)
             for chart in ("I", "J"):
-                assert verify_ids(d, chart) == is_complex_solution(d)
+                assert ids_hold(d, chart) == is_complex_solution(d)
 
     def test_products_reduce_to_residual_embeddings(self):
         # beta_1 alpha_1, beta_2 alpha_2 and the mixed sum normalize to the
@@ -330,7 +334,7 @@ class TestTruncatedSlices:
     def test_stable_not_semiregular_surjective(self):
         d = stable_not_semiregular()
         for P in self.P_SET:
-            assert beta_surjective_truncated(d, P, 3)
+            assert slice_rank_report(d, P, 3)["surjective"]
 
     def test_c1r1_fails_at_the_pencil_root(self):
         # For c=1, r=1 the W block of beta_P is the scalar p1 i1 + p2 i2,
@@ -353,12 +357,12 @@ class TestTruncatedSlices:
             p2 = P[1] if isinstance(P[1], GaussRational) else GaussRational(P[1])
             i_tilde = d.i1.scale(p1) + d.i2.scale(p2)
             if i_tilde[0, 0]:
-                assert beta_surjective_truncated(d, P, 2)
+                assert slice_rank_report(d, P, 2)["surjective"]
 
     def test_fast_path_agrees_with_echelon(self):
         # The constant-block certificate and the exact containment echelon
         # must answer alike where both apply.
-        from qadhm.qinstanton import _slice_rows, _sparse_containment
+        from qadhm.qinstanton import _slice_rows
         d = random_c1r1_solution(0)
         a1, a2, b1, b2 = build_q_ops(d)
         bp = b1  # P = (1, 0); i~(P) = i1 is nonzero for this family
@@ -371,7 +375,7 @@ class TestTruncatedSlices:
         # image_rank = rank(A) and missed = rank([A|E]) - rank(A), where A
         # is the truncated image matrix and E embeds the degree <= dmax
         # slice into the degree <= dmax+1 target.
-        from qadhm.qinstanton import _slice_rows, _sparse_containment
+        from qadhm.qinstanton import _slice_rows
         c1r1 = random_c1r1_solution(0)
         cases = [(c1r1, (c1r1.i2[0, 0], -c1r1.i1[0, 0])),
                  (random_stable_solution(2, 3, 0), (ONE, Z))]
@@ -402,7 +406,7 @@ class TestTruncatedSlices:
                 i_tilde = d.i1.scale(GaussRational(P[0])) \
                     + d.i2.scale(GaussRational(P[1]))
                 expect = i_tilde.rank() == d.c
-                assert beta_surjective_truncated(d, P, 0) == expect
+                assert slice_rank_report(d, P, 0)["surjective"] == expect
 
     def test_report_fields(self):
         d = random_stable_solution(2, 1, 0)
@@ -478,9 +482,9 @@ class TestSliceGrid:
 
     def test_slices_command_builds_no_qrat(self, tmp_path, capsys,
                                            monkeypatch):
-        # On (2,3) data every pivot of the slice echelon is a Laurent
-        # monomial, so the command never leaves the Laurent ring, and it
-        # builds the operators once per datum, not once per grid point.
+        # The command decides every point from the Krylov closure over
+        # Q(i): it builds no operator, no QRat and takes no Laurent gcd,
+        # and on (2,3) data every point is certified at depth 1.
         import qadhm.exactcore as exactcore
         import qadhm.qinstanton as qinstanton
         from qadhm.cli import run
@@ -501,13 +505,12 @@ class TestSliceGrid:
             f = tmp_path / f"d{seed}.json"
             f.write_text(json.dumps(random_stable_solution(2, 3, seed)
                                     .to_json()), encoding="utf-8")
-            before = dict(calls)
-            run(["inst", "slices", str(f), "--dmax", "1"])
+            assert run(["inst", "slices", str(f), "--dmax", "1"]) == 0
             rep = json.loads(capsys.readouterr().out)
             assert len(rep["reports"]) == 12
-            assert all(r["image_rank"] is not None for r in rep["reports"])
-            assert calls["build_q_ops"] - before["build_q_ops"] == 1
-        assert calls["QRat"] == calls["_ql_gcd"] == 0
+            assert all((r["verdict"], r["depth"]) == ("certified", 1)
+                       for r in rep["reports"])
+        assert calls == {"QRat": 0, "_ql_gcd": 0, "build_q_ops": 0}
 
 
 class TestAlphaSlices:
@@ -517,7 +520,7 @@ class TestAlphaSlices:
                   random_stable_solution(2, 2, 0),
                   one_instanton()):
             for Q in [(1, 0), (0, 1), (1, -1)]:
-                assert alpha_injective_truncated(d, Q, 2)
+                assert alpha_slice_report(d, Q, 2)["injective"]
 
     def test_report_fields(self):
         d = dual_costable_solution(2, 1, 0)

@@ -138,16 +138,10 @@ _UNREFERENCED_PUBLIC = {
         "the eigenvalue form of the chart conjugation",
     "qforms.py laplace_via_star":
         "the Laplacian as *d*d",
-    "qinstanton.py verify_ids":
-        "the three operator identities as booleans",
     "qinstanton.py beta_p_alpha_q":
         "the pencil products beta_P alpha_Q as multiples of Xi",
     "qinstanton.py xi_leading":
         "the leading term det(x) * 1 of Xi",
-    "qinstanton.py beta_surjective_truncated":
-        "surjectivity of beta_P on one truncated slice",
-    "qinstanton.py alpha_injective_truncated":
-        "injectivity of alpha_Q on one truncated slice",
     "qinstanton.py kernel_slice_basis":
         "the degree-capped kernel of beta-bar",
     "qinstanton.py chart_j_pattern":

@@ -1,13 +1,11 @@
 """Stability taxonomy, rank criteria and generators of instanton-type data.
 
-The data themselves (``datum``) are a complex tuple (B11, B12, B21, B22, i1,
-i2, j1, j2) and a real tuple (B1, B2, i, j) of matrices over the Gaussian
-rationals.  Both come with quadratic matrix equations:
+The complex data themselves (``datum``) are tuples (B11, B12, B21, B22, i1,
+i2, j1, j2) of matrices over the Gaussian rationals, with the quadratic
+matrix equations
 
-  complex:  [B11,B12] + i1*j1,   [B21,B22] + i2*j2,
-            [B11,B22] + [B21,B12] + i1*j2 + i2*j1      (all three must vanish)
-  real:     [B1,B2] + i*j,
-            [B1,B1^+] + [B2,B2^+] + i*i^+ - j^+*j - xi (^+ = conjugate transpose)
+  [B11,B12] + i1*j1,   [B21,B22] + i2*j2,
+  [B11,B22] + [B21,B12] + i1*j2 + i2*j1      (all three must vanish)
 
 A complex datum spans a pencil of plain triples over the projective line:
 
@@ -35,18 +33,12 @@ the multiplicity of [1:0] comes from the same reduction in the chart z = 1
   regular              stable everywhere and costable everywhere
 
 The word closure also decides whether the module map beta_P of
-``qinstanton`` is onto at a point (``slice_verdict``); ``slice_line`` reads
+``qinstanton`` is onto at a point; ``slices`` holds that verdict, and reads
 the whole line off the stable side of the taxonomy.
 
 An independent rank criterion is provided by ``derivative_rank``: the
 derivative of the three residuals in all datum entries is a
 3c^2 x (4c^2 + 4cr) matrix whose rank is 3c^2 exactly on the stable locus.
-
-The entrywise involution (B11,B12,B21,B22,i1,i2,j1,j2) ->
-(B22^+, -B21^+, -B12^+, B11^+, j2^+, -j1^+, -i2^+, i1^+) squares to the
-identity on solutions; its fixed points are the images of real data under
-``embed_real``, which sends a xi=0 real solution to
-(B1, B2, -B2^+, B1^+, i, -j^+, j, i^+).
 
 Seeded generators produce exact solutions that are stable everywhere or
 unstable at one planted point; both draw from small-height Gaussian
@@ -59,16 +51,14 @@ import random
 from collections import deque
 from math import comb, prod
 
-from .datum import ADHMError, ComplexADHMDatum, _scalar, is_complex_solution
+from .datum import ADHMError, ComplexADHMDatum, is_complex_solution
 from .exactcore import (_QL_ONE, GaussRational, Matrix, QLaurent, _ql_divmod,
                         random_gauss)
 
 __all__ = [
-    "StabilityReport", "real_residuals", "is_real_solution",
-    "is_stable", "is_costable", "pencil_grid", "slice_verdict", "classify",
-    "slice_line", "derivative_rank",
-    "gcd_projective_roots", "dagger_involution", "embed_real",
-    "real_stratify", "random_stable_solution", "random_nonstable_solution",
+    "StabilityReport", "is_stable", "is_costable", "classify",
+    "derivative_rank", "gcd_projective_roots", "random_stable_solution",
+    "random_nonstable_solution",
 ]
 
 _ZERO = GaussRational(0)
@@ -139,24 +129,6 @@ class StabilityReport:
             "witness_subspace": (None if self.witness_subspace is None
                                  else self.witness_subspace.to_json()),
         }
-
-
-# ---------------------------------------------------------------------------
-# real residuals
-# ---------------------------------------------------------------------------
-
-def real_residuals(d, xi):
-    """The two residuals of a real datum at the given level xi."""
-    xi = _scalar(xi)
-    r1 = d.B1.commutator(d.B2) + d.i * d.j
-    r2 = (d.B1.commutator(d.B1.dagger()) + d.B2.commutator(d.B2.dagger())
-          + d.i * d.i.dagger() - d.j.dagger() * d.j
-          - Matrix.identity(d.c, _ONE, _ZERO).scale(xi))
-    return r1, r2
-
-
-def is_real_solution(d, xi):
-    return all(m.is_zero() for m in real_residuals(d, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -235,91 +207,6 @@ def is_costable(B1, B2, j):
     if dual_wit.cols == 0:
         return False, Matrix.identity(c, _ONE, _ZERO)
     return False, dual_wit.transpose().kernel()
-
-
-# ---------------------------------------------------------------------------
-# surjectivity of beta_P, point by point
-# ---------------------------------------------------------------------------
-# In chart I, beta_P = [-B~2 + g2, B~1 - g1, i~] with g1 = p1*x11 + p2*x21
-# and g2 = p1*x12 + p2*x22, entries multiplying from the left, so
-# beta_P(pi*f) = beta_P(pi)*f.  So i~w (x) 1 = beta_P(w in the W slot), and
-# if u (x) 1 = beta_P(pi) then B~2u (x) 1 = beta_P(-u in slot 1 + pi*g2) and
-# B~1u (x) 1 = beta_P(u in slot 2 + pi*g1).  Conversely a covector xi killing
-# the closure S with xi B~k = mu_k xi, and a character chi with chi(gk) =
-# mu_k (on the plane x21 = x22 = 0 if p1 != 0, else x11 = x12 = 0), give
-# phi(v (x) f) = xi(v) chi(f), which kills the image.
-
-def pencil_grid(n=12):
-    """n deterministic exact points of the parameter line: the two poles,
-    then (1, t) over Gaussian integers t ordered by height."""
-    if n < 1:
-        raise ADHMError("grid size must be positive")
-    pts = [(_ONE, _ZERO), (_ZERO, _ONE)]
-    h = 1
-    while len(pts) < n:
-        for a in range(-h, h + 1):
-            rem = h - abs(a)
-            for b in sorted({-rem, rem}):
-                pts.append((_ONE, GaussRational(a, b)))
-        h += 1
-    return pts[:n]
-
-
-def _eigen_covector(B1, B2, S):
-    """(xi, mu1, mu2) with xi S = 0 and xi Bk = mu_k xi over Q(i), or None.
-    mu_k is taken as the trace of Bk on V/S over dim V/S, which is right
-    when Bk has one eigenvalue there (so always when codim S = 1)."""
-    c, rows, mu = B1.rows, [S.transpose()], []
-    for B in (B1, B2):
-        on_s = S.solve(B * S) if S.cols else S   # S on_s = B S
-        trace = sum((B[k, k] for k in range(c)), _ZERO) \
-            - sum((on_s[k, k] for k in range(S.cols)), _ZERO)
-        mu.append(trace / GaussRational(c - S.cols))
-        rows.append((B - Matrix.identity(c, mu[-1], _ZERO)).transpose())
-    ker = Matrix.vstack(rows).kernel()
-    return (ker.col(0), *mu) if ker.cols else None
-
-
-def slice_verdict(d, P, dmax):
-    """Whether beta_P is onto at P, from the Krylov closure S of Im i~(P):
-    ``certified`` when S = V, with the basis words that rebuild the
-    preimages (the degree <= dmax slice is covered by sources of degree
-    <= dmax + depth); ``refuted`` with xi and chi when S != V and
-    ``_eigen_covector`` finds xi; ``undecided`` otherwise.  covered_dim is
-    the part S (x) A of the slice, which the image always holds."""
-    p1, p2 = _scalar(P[0]), _scalar(P[1])
-    if not p1 and not p2:
-        raise ADHMError("pencil parameters must not both vanish")
-    if dmax < 0:
-        raise ADHMError("degree cap must be nonnegative")
-    B1, B2, i, _ = d.evaluate(p1, p2)
-    S, words = _closure_basis([B1, B2], i)
-    monomials = comb(dmax + 4, 4)     # of degree <= dmax in four generators
-    report = {"P": [str(p1), str(p2)], "slice_dim": d.c * monomials,
-              "covered_dim": S.cols * monomials}
-    if S.cols == d.c:
-        depth = max(len(w) for _, w in words)
-        report.update(verdict="certified", surjective=True, depth=depth,
-                      basis=[[t, w] for t, w in words],
-                      method="Krylov closure is V: preimages from its words")
-        return report
-    found = _eigen_covector(B1, B2, S)
-    if found is None:
-        report.update(verdict="undecided", surjective=False,
-                      method="Krylov closure is proper; no Q(i) witness")
-        return report
-    xi, mu1, mu2 = found
-    lead = p1 if p1 else p2
-    chi = [mu1 / lead, mu2 / lead, _ZERO, _ZERO]
-    if not p1:
-        chi = chi[2:] + chi[:2]
-    report.update(
-        verdict="refuted", surjective=False,
-        witness={"xi": [str(x) for x in xi], "mu": [str(mu1), str(mu2)],
-                 "chi": {g: str(x) for g, x in
-                         zip(("x11", "x12", "x21", "x22"), chi)}},
-        method="Krylov closure is proper: xi (x) chi kills the image")
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -585,24 +472,6 @@ def classify(d):
         leftovers)
 
 
-def slice_line(d):
-    """Where beta_P is onto, from the stable side of the taxonomy: onto
-    wherever the triple is stable, and on a solution (where B~1 and B~2
-    commute modulo the closure, so xi exists over an extension of Q(i))
-    nowhere else; onto_everywhere is null when neither settles it."""
-    zero, gcd = _krylov_minor_gcd(d.B11, d.B21, d.B12, d.B22, d.i1, d.i2)
-    roots, lefts = _gcd_roots(zero, gcd)
-    stable = not zero and gcd == (_QL_ONE, 0)
-    return {
-        "onto_everywhere": (True if stable else
-                            False if is_complex_solution(d) else None),
-        "stability_gcd": "0" if zero else _gcd_str(*gcd),
-        "failing_points": [{"z": str(z0), "w": str(w0), "multiplicity": m}
-                           for (z0, w0), m in roots],
-        "leftover_factors": lefts,
-    }
-
-
 # ---------------------------------------------------------------------------
 # rank criteria
 # ---------------------------------------------------------------------------
@@ -650,57 +519,6 @@ def derivative_rank(d):
         (r, c, lambda e: (d.i1 * e, zero, d.i2 * e)),
         (r, c, lambda e: (zero, d.i2 * e, d.i1 * e)),
     ]).rank()
-
-
-# ---------------------------------------------------------------------------
-# the involution and real data
-# ---------------------------------------------------------------------------
-
-def dagger_involution(d):
-    """(B11,B12,B21,B22,i1,i2,j1,j2) -> (B22^+, -B21^+, -B12^+, B11^+,
-    j2^+, -j1^+, -i2^+, i1^+); an involution on complex data."""
-    return ComplexADHMDatum(
-        d.c, d.r,
-        d.B22.dagger(), -d.B21.dagger(), -d.B12.dagger(), d.B11.dagger(),
-        d.j2.dagger(), -d.j1.dagger(), -d.i2.dagger(), d.i1.dagger())
-
-
-def embed_real(d):
-    """Send a xi=0 real solution to the complex datum
-    (B1, B2, -B2^+, B1^+, i, -j^+, j, i^+); rejects non-solutions.
-
-    The output solves the complex equations (checked) and is a fixed point of
-    the dagger involution; it is stable everywhere when the input is stable.
-    """
-    r1, r2 = real_residuals(d, 0)
-    if not r1.is_zero():
-        raise ADHMError("embed_real: first real residual is nonzero")
-    if not r2.is_zero():
-        raise ADHMError("embed_real: second real residual is nonzero at xi=0")
-    out = ComplexADHMDatum(
-        d.c, d.r,
-        d.B1, d.B2, -d.B2.dagger(), d.B1.dagger(),
-        d.i, -d.j.dagger(), d.j, d.i.dagger())
-    if not is_complex_solution(out):
-        raise ADHMError("embed_real: output fails the complex equations")
-    return out
-
-
-def real_stratify(d, xi):
-    """One of "stable", "costable", "regular", "irregular" for a real
-    solution at level xi; rejects non-solutions."""
-    if not is_real_solution(d, xi):
-        raise ADHMError("real_stratify: datum does not solve the equations "
-                        f"at xi={xi}")
-    stable = is_stable(d.B1, d.B2, d.i)[0]
-    costable = is_costable(d.B1, d.B2, d.j)[0]
-    if stable and costable:
-        return "regular"
-    if stable:
-        return "stable"
-    if costable:
-        return "costable"
-    return "irregular"
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ def _cmd_adhm_check(args, cfg):
 
 
 def _cmd_adhm_embed(args, cfg):
-    from .adhm import embed_real
     from .datum import ADHMError
+    from .real import embed_real
     d = _load_datum(args.file, real=True)
     try:
         out = embed_real(d)

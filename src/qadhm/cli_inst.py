@@ -1,5 +1,5 @@
 """``qadhm inst`` commands: the operator identities, the curvature audit and
-the surjectivity of beta_P over the pencil grid, which ``adhm`` decides
+the surjectivity of beta_P over the pencil grid, which ``slices`` decides
 from the Krylov closure without building any operator."""
 
 from .cli import MAX_DEGREE_CAP, CLIError, _emit_json, _load_datum, arg
@@ -26,7 +26,7 @@ def _cmd_inst_curvature(args, cfg):
 
 
 def _cmd_inst_slices(args, cfg):
-    from .adhm import pencil_grid, slice_line, slice_verdict
+    from .slices import pencil_grid, slice_line, slice_verdict
     d = _load_datum(args.file)
     if not 0 <= args.dmax <= MAX_DEGREE_CAP:
         raise CLIError(f"dmax must lie in 0..{MAX_DEGREE_CAP}")

@@ -27,7 +27,7 @@ def _cmd_monad_classify(args, cfg):
 
 
 def _cmd_monad_chern(args, cfg):
-    from .monad import chi_twist
+    from .chern import chi_twist
     if args.r < 1 or args.c < 1:
         raise CLIError("r and c must be positive")
     _emit(str(chi_twist(args.r, args.c, args.k)) + "\n", cfg)

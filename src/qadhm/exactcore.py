@@ -505,9 +505,6 @@ class QLaurent:
             acc = acc + c
         return acc
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def conjugate(self):
         return QLaurent({e: c.conjugate() for e, c in self.terms.items()})
 
@@ -550,7 +547,6 @@ def _as_qlaurent(x):
 
 _QL_ZERO = QLaurent()
 _QL_ONE = QLaurent({0: 1})
-Q = QLaurent({1: 1})          # the formal parameter q
 
 
 def _ql_divmod(a: QLaurent, b: QLaurent):
@@ -839,12 +835,6 @@ class Matrix:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, entries):
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        return cls(rows, cols, entries)
-
-    @classmethod
     def zero(cls, rows, cols, zero_elt):
         return cls(rows, cols, [[zero_elt] * cols for _ in range(rows)])
 
@@ -886,10 +876,6 @@ class Matrix:
         return Matrix(self.cols, self.rows,
                       [[self.a[i][j].conjugate() for i in range(self.rows)]
                        for j in range(self.cols)])
-
-    def submatrix(self, row_idx, col_idx):
-        return Matrix(len(row_idx), len(col_idx),
-                      [[self.a[i][j] for j in col_idx] for i in row_idx])
 
     @classmethod
     def hstack(cls, mats):

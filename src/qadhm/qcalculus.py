@@ -37,22 +37,20 @@ That mixed rule is independent of the p-choice and is pinned by the same
 d^2 = 0 computation that fixes the rest of the table; replacing it with the
 naive anticommutation -dx12^dx21 is inconsistent with the derived x-dx table
 (the residual is exactly (q^2-1)(dx11^dx22 - dx12^dx21), vanishing only at
-q^2 = 1).  ``CalculusTable.anticommutation_audit`` reports this residual.
+q^2 = 1).
 
 The rules are solved through the table's own engines, ``cross`` for the
 x-dx rules and ``insert_wedge`` for d^2 = 0, run on a ``CalculusTable`` whose
 unsolved rules carry unknowns; the derived table is then re-checked against
 all 35 constraints, its classical limit and the closed form of d(det).
 
-Differential forms, the exterior derivative on them and the Hodge star are
-in ``qforms``.
+Differential forms and the exterior derivative on them are in ``qforms``.
 
 Conventions:
   * d(fg) = (df) g + f (dg).
   * partials: df = sum (del_g f) dx_g defines the four partial derivatives.
   * laplacian: box = del11 del22 - del21 del12 = del22 del11 - del12 del21
     (both orderings are computed and compared on every call).
-  * delta_op: Delta f = sum (del_g f) x_g (generator multiplied on the right).
   * tilde_laplacian: f -> (box f) . det, i.e. box followed by *right*
     multiplication by det.  With this reading det^k X^l_{m,n} is an exact
     eigenvector with eigenvalue p^(2k+2l-3) [k] [k+2l+1] for every m, n; the
@@ -431,25 +429,6 @@ class CalculusTable:
 
     # -- reports --------------------------------------------------------------
 
-    def anticommutation_audit(self):
-        """Residual of dx_b^dx_a + dx_a^dx_b for the four crossed-proof pairs.
-
-        For three pairs the residual vanishes; for (dx21, dx12) it equals
-        (q^2-1)(dx11^dx22 - dx12^dx21), so that pair does not anticommute.
-        """
-        out = {}
-        for (b, a) in ((2, 1), (2, 0), (3, 1), (3, 0)):
-            acc = {(a, b): _ONE}
-            for coeff, pair in self.wedge_rules[(b, a)]:
-                add_to(acc, pair, coeff)
-            residual = {k: c for k, c in acc.items() if c}
-            out[f"d{X_NAMES[b]}^d{X_NAMES[a]}"] = {
-                "anticommutes": not residual,
-                "residual": {f"d{X_NAMES[c]}^d{X_NAMES[d]}": str(c2)
-                             for (c, d), c2 in sorted(residual.items())},
-            }
-        return out
-
     def to_json(self):
         """The ``q table`` report: each rule keyed "dx11*x12" or
         "dx21*dx12", as a list of {"coeff", "left", "right"} terms."""
@@ -543,14 +522,6 @@ def laplacian(f: NCPoly, table) -> NCPoly:
     return first
 
 
-def delta_op(f: NCPoly, table) -> NCPoly:
-    """Delta f = sum (del_g f) x_g (right multiplication by the generator)."""
-    out = NCPoly.zero("I")
-    for g, pg in enumerate(partials(f, table)):
-        out = out + pg * NCPoly.gen("I", g)
-    return out
-
-
 def det_right(f: NCPoly) -> NCPoly:
     """f . det(x)."""
     return f * det_x()
@@ -578,17 +549,6 @@ def cech_index(exps) -> HarmonicIndex:
     return HarmonicIndex(ex + ey, ey - ex, ez - ew)
 
 
-def cech_exponents(idx: HarmonicIndex):
-    """Inverse of cech_index on in-range indices with k = 0."""
-    if idx.k != 0 or not idx.in_range():
-        raise ValueError("cocycle monomials correspond to in-range k=0 indices")
-    lm = (idx.two_l - idx.two_m) // 2
-    lp = (idx.two_l + idx.two_m) // 2
-    ln = (idx.two_l - idx.two_n) // 2
-    lq = (idx.two_l + idx.two_n) // 2
-    return (lm, lp, -(ln + 1), -(lq + 1))
-
-
 def penrose_scalar(cocycle) -> NCPoly:
     """Linear extension of (cocycle monomial -> harmonic polynomial).
 
@@ -602,28 +562,11 @@ def penrose_scalar(cocycle) -> NCPoly:
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue formulas and the conjugation identity
+# eigenvalue formula
 # ---------------------------------------------------------------------------
-
-def delta_eigenvalue(two_l, p_choice="q") -> QLaurent:
-    """Delta X^l = p^(2l-1) [2l] X^l."""
-    p_exp = P_EXPONENTS[p_choice]
-    return QLaurent.q_power(p_exp * (two_l - 1)) * qint(two_l)
-
 
 def eigenvalue_tilde(k, two_l, p_choice="q") -> QLaurent:
     """tilde-box (det^k X^l) = p^(2k+2l-3) [k] [k+2l+1] det^k X^l."""
     p_exp = P_EXPONENTS[p_choice]
     return (QLaurent.q_power(p_exp * (2 * k + two_l - 3))
             * qint(k) * qint(k + two_l + 1))
-
-
-def conjugation_identity_check(k, two_l, p_choice="q") -> bool:
-    """p^(2k+2l-3)[k][k+2l+1] = p^-8 p^(-2k''-2l+3)[k''][k''+2l+1],
-    with k'' = -k - 2l - 1 (the eigenvalue form of the chart conjugation)."""
-    p_exp = P_EXPONENTS[p_choice]
-    lhs = eigenvalue_tilde(k, two_l, p_choice)
-    k2 = -k - two_l - 1
-    rhs = (QLaurent.q_power(p_exp * (-8 - 2 * k2 - two_l + 3))
-           * qint(k2) * qint(k2 + two_l + 1))
-    return lhs == rhs

@@ -1,5 +1,5 @@
-"""Differential forms over the chart-I calculus: the exterior derivative, the
-Hodge star and the self-dual / anti-self-dual split of 2-forms.
+"""Differential forms over the chart-I calculus: the exterior derivative and
+the self-dual / anti-self-dual split of 2-forms.
 
 Only the curvature audit of ``qinstanton`` uses forms; the ``q`` commands
 work with the partial derivatives of ``qcalculus`` and never load this
@@ -8,55 +8,29 @@ module.
 Conventions:
   * d(fg) = (df) g + f (dg), and d(f . dx-word) = df ^ dx-word; forms are kept
     in left-coefficient normal form (ordered monomial times strictly sorted
-    wedge word).  Form coefficients live in the fraction field QRat because
-    the Hodge star introduces 1/[2].
-  * Hodge star: *1 = q^-1 vol with vol = dx11^dx12^dx21^dx22; on 1-forms the
-    four images -(1/[2]) dx_g ^ (3-word) as given by the pairing table; on
-    3-forms the inverse of the 1-form star; on 4-forms f.vol -> q f.  The
-    degree-2 star is not defined and raises.
+    wedge word), with coefficients in the fraction field QRat.
 
-The products (wedge word) . monomial and the star words of each table are
-memoized for the life of the table.
+The products (wedge word) . monomial of each table are memoized for the
+life of the table.
 """
 
 from weakref import WeakKeyDictionary
 
-from .exactcore import Matrix, QLaurent, QRat, qint
+from .exactcore import QLaurent, QRat
 from .qcalculus import CalculusError
 from .qspacetime import NCPoly, X_NAMES, add_to, engine
 
 _ONE = QLaurent.one()
-_R_ONE = QRat.one()
 _R_ZERO = QRat.zero()
 _ENG = engine("I")
-VOL_WORD = (0, 1, 2, 3)
 
-
-class _Memo:
-    """The forms memos of one calculus table: {(word, mono): (word) . mono},
-    and the Hodge star words of 1-forms and of 3-forms once computed."""
-
-    __slots__ = ("word_mono", "star1", "star3")
-
-    def __init__(self):
-        self.word_mono = {}
-        self.star1 = None
-        self.star3 = None
-
-
+# calculus table -> its memo {(word, mono): (word) . mono}
 _MEMOS = WeakKeyDictionary()
-
-
-def _memo(table):
-    memo = _MEMOS.get(table)
-    if memo is None:
-        memo = _MEMOS[table] = _Memo()
-    return memo
 
 
 def _word_past_mono(table, memo, word, mono):
     """(wedge word) . mono as {(mono', word'): QLaurent}, words unsorted;
-    ``memo`` is the table's ``word_mono``."""
+    ``memo`` is the table's entry of ``_MEMOS``."""
     if not word:
         return {(mono, ()): _ONE}
     key = (word, mono)
@@ -71,34 +45,6 @@ def _word_past_mono(table, memo, word, mono):
     out = {k: c for k, c in acc.items() if c}
     memo[key] = out
     return out
-
-
-def _star1_words(table):
-    """{g: {sorted 3-word: QRat}} for *dx_g."""
-    memo = _memo(table)
-    if memo.star1 is None:
-        raw = {0: (0, 1, 2), 1: (1, 3, 0), 2: (2, 0, 3), 3: (3, 2, 1)}
-        scale = -(_R_ONE / QRat(qint(2)))
-        memo.star1 = {g: {w2: scale * QRat(c)
-                          for w2, c in table.wedge_norm(w).items()}
-                      for g, w in raw.items()}
-    return memo.star1
-
-
-def _star3_words(table):
-    """{sorted 3-word: {g: QRat}}: the inverse of the 1-form star."""
-    memo = _memo(table)
-    if memo.star3 is None:
-        words = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-        star = _star1_words(table)
-        mat = Matrix(4, 4, [[star[g].get(w, _R_ZERO) for g in range(4)]
-                            for w in words])
-        inv = mat.solve(Matrix.identity(4, _R_ONE, _R_ZERO))
-        if inv is None:
-            raise CalculusError("the 1-form star is not invertible")
-        memo.star3 = {w: {g: inv[(g, i)] for g in range(4) if inv[(g, i)]}
-                      for i, w in enumerate(words)}
-    return memo.star3
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +131,6 @@ class NCForm:
         return NCForm(self.table, self.degree,
                       {k: cc * c for k, cc in self.terms.items()})
 
-    def left_mul(self, poly):
-        """(poly) . self with poly an NCPoly over chart I."""
-        if poly.chart != "I":
-            raise ValueError("forms live over chart I")
-        acc = {}
-        for (w, m), c in self.terms.items():
-            for m1, c1 in poly.terms.items():
-                for m2, c2 in _ENG.mul_mono_mono(m1, m).items():
-                    add_to(acc, (w, m2), c * QRat(c1 * c2))
-        return NCForm(self.table, self.degree, acc)
-
     def wedge(self, other):
         """self ^ other (moves the right factor's coefficients left)."""
         if self.table is not other.table:
@@ -204,7 +139,7 @@ class NCForm:
         if deg > 4:
             return NCForm(self.table, 4)
         table = self.table
-        memo = _memo(table).word_mono
+        memo = _MEMOS.setdefault(table, {})
         acc = {}
         for (w1, m1), c1 in self.terms.items():
             for (w2, m2), c2 in other.terms.items():
@@ -218,13 +153,6 @@ class NCForm:
         return NCForm(table, deg, acc)
 
     __mul__ = wedge     # so a Matrix of forms multiplies by wedging entries
-
-    def as_poly(self):
-        """Degree-0 form as an NCPoly (coefficients must be Laurent)."""
-        if self.degree != 0:
-            raise ValueError("not a degree-0 form")
-        return NCPoly("I", {m: c.as_qlaurent()
-                            for (_, m), c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:
@@ -274,44 +202,6 @@ def d(x, table=None):
             for wn, cw in table.wedge_norm((e,) + w).items():
                 add_to(acc, (wn, m1), c * QRat(c1 * cw))
     return NCForm(table, x.degree + 1, acc)
-
-
-# ---------------------------------------------------------------------------
-# Hodge star
-# ---------------------------------------------------------------------------
-
-def hodge_star(omega: NCForm) -> NCForm:
-    table = omega.table
-    deg = omega.degree
-    if deg == 0:
-        scale = QRat(QLaurent.q_power(-1))
-        return NCForm(table, 4, {(VOL_WORD, m): c * scale
-                                 for (_, m), c in omega.terms.items()})
-    if deg == 1:
-        star = _star1_words(table)
-        acc = {}
-        for ((g,), m), c in omega.terms.items():
-            for w, cw in star[g].items():
-                add_to(acc, (w, m), c * cw)
-        return NCForm(table, 3, acc)
-    if deg == 3:
-        star = _star3_words(table)
-        acc = {}
-        for (w, m), c in omega.terms.items():
-            for g, cg in star[w].items():
-                add_to(acc, ((g,), m), c * cg)
-        return NCForm(table, 1, acc)
-    if deg == 4:
-        scale = QRat(QLaurent.q_power(1))
-        return NCForm(table, 0, {((), m): c * scale
-                                 for (_, m), c in omega.terms.items()})
-    raise CalculusError("the degree-2 Hodge star is not defined here")
-
-
-def laplace_via_star(f: NCPoly, table) -> NCPoly:
-    """box f computed as * d * d f (must agree with laplacian)."""
-    out = hodge_star(d(hodge_star(d(f, table))))
-    return out.as_poly()
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,8 @@ after normal ordering, to the constant embeddings of the three quadratic
 residual matrices, so they vanish identically exactly when the datum solves
 the matrix equations.  On top of that this module provides:
 
-* pencil products beta_P alpha_Q and their collapse onto multiples of
-  Xi = beta_1 alpha_2,
-* the leading-term certificate for Xi (degree-2 part equals det(x) times
-  the identity of V),
 * the matrices of the operators between capped-degree module slices
-  (whether beta_P is onto is decided in ``adhm`` from the Krylov closure,
+  (whether beta_P is onto is decided in ``slices`` from the Krylov closure,
   with no elimination over the rational function field),
 * the curvature block matrix d(alpha) ^ d(beta-bar) in wedge normal form,
   audited entry by entry against the self-dual/anti-self-dual split.  Under
@@ -28,20 +24,17 @@ the matrix equations.  On top of that this module provides:
   the computed product by a global sign (its second factor is the negative
   of d(beta-bar)); the report records computed and quoted entries, plain
   and sign-adjusted matches, and the split verdicts for every block instead
-  of adopting either claim,
-* the kernel projection P(psi) = psi - alpha Xi^-1 beta-bar psi evaluated
-  through exact degree-capped solves, never by forming a global inverse.
+  of adopting either claim.
 """
 
 from .datum import is_complex_solution
-from .exactcore import Matrix, QLaurent, QRat, _as_gauss
-from .qspacetime import NCPoly, X_NAMES, Y_NAMES, det_x, monomials_of_degree
+from .exactcore import Matrix, QLaurent, QRat
+from .qspacetime import NCPoly, X_NAMES, Y_NAMES, monomials_of_degree
 
 __all__ = [
     "QInstantonError", "build_q_ops", "scalar_operator",
-    "identity_products", "ids_report", "beta_p_alpha_q",
-    "xi_operator", "xi_leading", "truncated_matrix", "kernel_slice_basis", "curvature_asd", "curvature_report_json",
-    "chart_j_pattern", "projection_truncated",
+    "identity_products", "ids_report", "truncated_matrix", "curvature_asd",
+    "curvature_report_json",
 ]
 
 _ZMONO = (0, 0, 0, 0)
@@ -49,14 +42,6 @@ _ZMONO = (0, 0, 0, 0)
 
 class QInstantonError(ValueError):
     """Invalid datum, parameters or degree caps for the operator checks."""
-
-
-def _gauss(v):
-    g = _as_gauss(v)
-    if g is NotImplemented:
-        raise QInstantonError(
-            "pencil parameters must be exact rational scalars")
-    return g
 
 
 def scalar_operator(m, chart="I"):
@@ -129,46 +114,6 @@ def ids_report(d, chart="I"):
     }
 
 
-def beta_p_alpha_q(d, P, Q, chart="I"):
-    """The pencil product beta_P alpha_Q of a solution datum.
-
-    For solutions every such product is the scalar multiple
-    (p1 q2 - p2 q1) * beta_1 alpha_2; the collapse is asserted before the
-    product is returned.
-    """
-    p1, p2 = (_gauss(v) for v in P)
-    q1, q2 = (_gauss(v) for v in Q)
-    if (not p1 and not p2) or (not q1 and not q2):
-        raise QInstantonError("pencil parameters must not both vanish")
-    if not is_complex_solution(d):
-        raise QInstantonError("pencil products collapse only for solutions")
-    a1, a2, b1, b2 = build_q_ops(d, chart)
-    prod = (b1.scale(p1) + b2.scale(p2)) * (a1.scale(q1) + a2.scale(q2))
-    factor = p1 * q2 - p2 * q1
-    if prod != (b1 * a2).scale(factor):
-        raise QInstantonError("pencil product failed to collapse")
-    return prod
-
-
-def xi_operator(d, chart="I"):
-    """Xi = beta_1 alpha_2, the only pencil product surviving on solutions."""
-    a1, a2, b1, b2 = build_q_ops(d, chart)
-    return b1 * a2
-
-
-def xi_leading(d):
-    """True when the degree-2 part of Xi is det(x) times the identity of V."""
-    xi = xi_operator(d, "I")
-    det = det_x()
-    zero = NCPoly.zero("I")
-    for u in range(d.c):
-        for v in range(d.c):
-            want = det if u == v else zero
-            if xi[u, v].homogeneous_part(2) != want:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # degree-truncated slices
 # ---------------------------------------------------------------------------
@@ -225,43 +170,6 @@ def _bars(a1, a2, b1, b2):
     joined (alpha_1 | alpha_2) : V|V -> V|V|W and the stacked
     (-beta_2 ; beta_1) : V|V|W -> V|V."""
     return Matrix.hstack([a1, a2]), Matrix.vstack([-b2, b1])
-
-
-def kernel_slice_basis(d, dmax, chart="I"):
-    """Basis of ker(beta-bar) intersected with the degree <= dmax slice.
-
-    The target cap dmax+1 captures the image completely, so the kernel of
-    the truncated matrix is the exact degree-capped kernel of the module
-    map.  Vectors are returned with coefficients cleared to Laurent
-    polynomials."""
-    _, bbar = _bars(*build_q_ops(d, chart))
-    mat = truncated_matrix(bbar, dmax, dmax + 1)
-    ker = mat.kernel()
-    src = _monomials_upto(dmax)
-    n = len(src)
-    one = QLaurent.one()
-    out = []
-    for col in range(ker.cols):
-        coeffs = [ker[i, col] for i in range(ker.rows)]
-        common = one
-        for c in coeffs:
-            if c and c.den != one:
-                common = common * c.den
-        scale = QRat(common)
-        vec = []
-        for a in range(bbar.cols):
-            terms = {}
-            for s, mono in enumerate(src):
-                c = coeffs[a * n + s]
-                if c:
-                    cleared = c * scale
-                    if cleared.den != one:
-                        raise QInstantonError(
-                            "failed to clear kernel denominators")
-                    terms[mono] = cleared.num
-            vec.append(NCPoly(chart, terms))
-        out.append(vec)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -375,159 +283,4 @@ def curvature_report_json(report):
     out["entries"] = [[
         {k: (str(v) if isinstance(v, NCForm) else v) for k, v in e.items()}
         for e in row] for row in report["entries"]]
-    return out
-
-
-def chart_j_pattern(d):
-    """Structural mirror of the curvature shape over chart J.
-
-    No wedge calculus is derived for the y-generators, so this checks the
-    differential pattern symbolically: every block of the two stacked
-    operators is a scalar block plus a single signed generator (or
-    constant), the W row and column carry no generators, and the patterns
-    match the chart-J operator layout."""
-    abar, bbar = _bars(*build_q_ops(d, "J"))
-    y11, y12, y21, y22 = Y_NAMES
-    want_a = [[(y22, -1), (y21, 1)], [(y12, 1), (y11, -1)], [None, None]]
-    want_b = [[(y11, -1), (y21, -1), None], [(y12, -1), (y22, -1), None]]
-
-    def pattern(op, bounds_r, bounds_c, want):
-        found = []
-        for a in range(len(bounds_r) - 1):
-            row = []
-            for b in range(len(bounds_c) - 1):
-                expect = want[a][b]
-                label = "0"
-                for i in range(bounds_r[a], bounds_r[a + 1]):
-                    for j in range(bounds_c[b], bounds_c[b + 1]):
-                        lin = op[i, j].homogeneous_part(1)
-                        diag = (i - bounds_r[a]) == (j - bounds_c[b])
-                        if not diag or expect is None:
-                            if not lin.is_zero():
-                                raise QInstantonError(
-                                    "unexpected generator off the diagonal")
-                            continue
-                        name, sign = expect
-                        gen = NCPoly.gen("J", name)
-                        if lin != (gen if sign == 1 else gen.scale(sign)):
-                            raise QInstantonError(
-                                "chart-J generator pattern mismatch")
-                        label = ("+" if sign == 1 else "-") + "d" + name
-                row.append(label)
-            found.append(row)
-        return found
-
-    bounds3 = [0, d.c, 2 * d.c, 2 * d.c + d.r]
-    bounds2 = [0, d.c, 2 * d.c]
-    return {
-        "alpha_bar": pattern(abar, bounds3, bounds2, want_a),
-        "beta_bar": pattern(bbar, bounds2, bounds3, want_b),
-        "w_blocks_constant": True,
-    }
-
-
-# ---------------------------------------------------------------------------
-# kernel projection
-# ---------------------------------------------------------------------------
-
-def _as_zero_form(table, comp):
-    from .qforms import NCForm
-    if isinstance(comp, NCForm):
-        if comp.degree != 0:
-            raise QInstantonError("projection input must have form degree 0")
-        return comp
-    if isinstance(comp, NCPoly):
-        return NCForm.from_poly(table, comp)
-    raise QInstantonError("projection input must be chart-I polynomials")
-
-
-def _flatten_form(form, monos, pos):
-    """Coefficient vector of a 0-form on the monomial window; terms above
-    the window are deliberately dropped (the solve matches coefficients
-    degree by degree up to the cap)."""
-    out = [QRat.zero()] * len(monos)
-    for (word, mono), c in form.terms.items():
-        if word != ():
-            raise QInstantonError("projection components must be 0-forms")
-        k = pos.get(mono)
-        if k is not None:
-            out[k] = c
-    return out
-
-
-def projection_truncated(d, psi, dmax):
-    """P(psi) = psi - alpha-bar Xi^-1 beta-bar psi by a degree-capped solve.
-
-    Xi raises degree (its top part is det(x) times the identity), so it has
-    no module inverse and P only exists after inverting the determinant;
-    the computable version works degree by degree: the two components of
-    Xi^-1 beta-bar psi are found as solutions phi, supported in degree
-    <= dmax, of Xi phi = (beta-bar psi)_k with coefficients matched on
-    every monomial of degree <= dmax.  For a regular datum with Xi's
-    constant part invertible the window solve is a forward recursion with a
-    unique solution; inconsistency (possible when the constant part is
-    singular) raises the truncation error.  The function then certifies
-    that every coefficient of beta-bar P(psi) in degree <= dmax vanishes.
-    When psi lies in the kernel, or in the image of alpha-bar within the
-    cap, the residual vanishes exactly and P(psi) reproduces psi or 0
-    exactly.  Idempotency holds within the window by the same recursion: a
-    second application solves against a right-hand side with no
-    coefficients below degree dmax+1, so its phi is zero and P(P(psi)) =
-    P(psi).  Components come back as 0-forms with exact rational-function
-    coefficients."""
-    from .adhm import classify
-    from .qcalculus import derive_table
-    from .qforms import NCForm
-    rep = classify(d)
-    if not rep.regular:
-        raise QInstantonError("projection requires a regular datum")
-    table = derive_table("q")
-    comps = [_as_zero_form(table, c) for c in psi]
-    if len(comps) != 2 * d.c + d.r:
-        raise QInstantonError("projection input has the wrong length")
-
-    a1, a2, b1, b2 = build_q_ops(d, "I")
-    abar, bbar = _bars(a1, a2, b1, b2)
-    xi = b1 * a2    # Xi, as xi_operator builds it
-    rhs = [sum((comps[j].left_mul(bbar[v, j])
-                for j in range(bbar.cols)), NCForm(table, 0, {}))
-           for v in range(bbar.rows)]
-
-    monos = _monomials_upto(dmax)
-    tpos = {m: k for k, m in enumerate(monos)}
-    n = len(monos)
-    mat = truncated_matrix(xi, dmax, dmax).map(QRat)
-
-    phi = []
-    for blk in range(2):
-        cols = [_flatten_form(rhs[blk * d.c + v], monos, tpos)
-                for v in range(d.c)]
-        b = Matrix(n * d.c, 1,
-                   [[cols[v][k]] for v in range(d.c) for k in range(n)])
-        sol = mat.solve(b)
-        if sol is None:
-            raise QInstantonError(
-                f"truncation insufficient: no degree <= {dmax} solution of "
-                "the kernel-projection solve; raise dmax")
-        for v in range(d.c):
-            terms = {}
-            for s, mono in enumerate(monos):
-                c = sol[v * n + s, 0]
-                if c:
-                    terms[((), mono)] = c
-            phi.append(NCForm(table, 0, terms))
-
-    out = []
-    for i in range(2 * d.c + d.r):
-        acc = comps[i]
-        for k in range(2 * d.c):
-            acc = acc - phi[k].left_mul(abar[i, k])
-        out.append(acc)
-
-    for v in range(bbar.rows):
-        check = sum((out[j].left_mul(bbar[v, j])
-                     for j in range(bbar.cols)), NCForm(table, 0, {}))
-        if any(sum(mono) <= dmax for (_, mono) in check.terms):
-            raise QInstantonError(
-                "projection image left the kernel within the window")
     return out

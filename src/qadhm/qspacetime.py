@@ -22,26 +22,19 @@ Harmonic polynomials are produced by the residue formula
     X^l_{m,n} = coefficient of s^(l-n) in (x11 s + x21)^(l-m) (x12 s + x22)^(l+m)
 
 with l in (1/2)Z+, m the exponent-splitting index, n the residue index
-(indices are stored doubled so everything stays integral).  The y-side mirror
-swaps the roles of the two indices:
-
-    Y^l_{m,n} = coefficient of t^(l-m) in (y11 t + y12)^(l-n) (y21 t + y22)^(l+n)
-
-Out-of-range indices (|m| > l or |n| > l) denote the zero element.
+(indices are stored doubled so everything stays integral).  Out-of-range
+indices (|m| > l or |n| > l) denote the zero element.
 """
 
 from __future__ import annotations
 
-from .exactcore import Matrix, QLaurent, QRat, _as_qlaurent
+from .exactcore import QLaurent, _as_qlaurent
 
 __all__ = [
     "NCPoly", "HarmonicIndex", "SortEngine",
     "X_NAMES", "Y_NAMES", "normalize", "monomials_of_degree",
-    "dimension_of_degree", "slice_matrix",
-    "det_x", "det_commutators", "det_mult_rank",
-    "harmonic", "harmonic_Y", "basis_element",
-    "basis_indices_for_degree", "basis_independence", "oast_check",
-    "y_mono_to_x", "engine",
+    "det_x",
+    "harmonic", "basis_element", "engine",
 ]
 
 X_NAMES = ("x11", "x12", "x21", "x22")
@@ -290,13 +283,6 @@ class NCPoly:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def is_homogeneous(self):
-        return len({sum(m) for m in self.terms}) <= 1
-
-    def homogeneous_part(self, d):
-        return NCPoly(self.chart,
-                      {m: c for m, c in self.terms.items() if sum(m) == d})
-
     def subs_q1(self):
         """Classical limit: {monomial: GaussRational}, q = 1."""
         out = {}
@@ -379,20 +365,6 @@ def monomials_of_degree(d):
     return out
 
 
-def dimension_of_degree(d):
-    return (d + 1) * (d + 2) * (d + 3) // 6
-
-
-def slice_matrix(polys, degrees) -> Matrix:
-    """Coefficient matrix: rows = monomials of the given degrees, cols = polys."""
-    if isinstance(degrees, int):
-        degrees = [degrees]
-    monos = [m for d in degrees for m in monomials_of_degree(d)]
-    zero = QLaurent.zero()
-    return Matrix(len(monos), len(polys),
-                  [[p.terms.get(m, zero) for p in polys] for m in monos])
-
-
 # ---------------------------------------------------------------------------
 # determinant
 # ---------------------------------------------------------------------------
@@ -400,53 +372,6 @@ def slice_matrix(polys, degrees) -> Matrix:
 def det_x() -> NCPoly:
     """det(x) = x11x22 - x12x21 (the normal form of both of its displays)."""
     return NCPoly("I", {(1, 0, 0, 1): _ONE, (0, 1, 1, 0): QLaurent({0: -1})})
-
-
-# q-commutation exponents of det(x) against the generators:
-# det * x_g = q^DET_TWIST[g] * x_g * det
-DET_TWIST = (0, 2, -2, 0)
-
-
-def det_commutators():
-    """Verify det*x_g = q^t(g)*x_g*det for all generators; return the report."""
-    d = det_x()
-    report = {}
-    for g, name in enumerate(X_NAMES):
-        xg = NCPoly.gen("I", g)
-        lhs = d * xg
-        rhs = (xg * d).scale(QLaurent({DET_TWIST[g]: 1}))
-        report[name] = {"exponent": DET_TWIST[g], "ok": lhs == rhs}
-    return report
-
-
-def det_mult_rank(d) -> bool:
-    """Left multiplication by det(x): degree-d slice -> degree-(d+2) slice is
-    injective (full column rank).
-
-    Two independent certificates:
-    1. structural: det * m = q^(2 n12) * (m + e11 + e22)  +  (lower term),
-       where the second term has the same n11; the map sending each source
-       monomial to its lead target (n11+1, n12, n21, n22+1) is injective and
-       the lead coefficient is a unit, so the slice matrix is echelon after
-       ordering rows by descending n11 -- full rank over the fraction field.
-    2. exact cross-check: the rank of the slice matrix itself over the
-       rational function field Q(i)(q).
-    """
-    det = det_x()
-    monos = monomials_of_degree(d)
-    cols = []
-    for m in monos:
-        img = det * NCPoly("I", {m: _ONE})
-        lead = (m[0] + 1, m[1], m[2], m[3] + 1)
-        c_lead = img.terms.get(lead)
-        if c_lead is None or not c_lead.is_monomial():
-            return False
-        for t in img.terms:
-            if t != lead and t[0] >= lead[0]:
-                return False
-        cols.append(img)
-    mat = slice_matrix(cols, d + 2)
-    return mat.rank() == len(monos)
 
 
 # ---------------------------------------------------------------------------
@@ -549,12 +474,6 @@ def harmonic(idx: HarmonicIndex) -> NCPoly:
                     idx.two_m, idx.two_n)
 
 
-def harmonic_Y(idx: HarmonicIndex) -> NCPoly:
-    """Y^l_{m,n}: coefficient of t^(l-m) in (y11 t + y12)^(l-n) (y21 t + y22)^(l+n)."""
-    return _residue(idx, "harmonic_Y", "J", ("y11", "y12"), ("y21", "y22"),
-                    idx.two_n, idx.two_m)
-
-
 def basis_element(idx: HarmonicIndex) -> NCPoly:
     """det(x)^k X^l_{m,n} (k >= 0), as a chart-I normal form."""
     if idx.k < 0:
@@ -565,96 +484,3 @@ def basis_element(idx: HarmonicIndex) -> NCPoly:
     for _ in range(idx.k):
         out = d * out
     return out
-
-
-def basis_indices_for_degree(d):
-    """All (k, l, m, n) with 2k + 2l = d, |m|,|n| <= l."""
-    out = []
-    for two_l in range(d % 2, d + 1, 2):
-        k = (d - two_l) // 2
-        for two_m in range(-two_l, two_l + 1, 2):
-            for two_n in range(-two_l, two_l + 1, 2):
-                out.append(HarmonicIndex(two_l, two_m, two_n, k))
-    return out
-
-
-def basis_independence(d) -> bool:
-    """The elements det^k X^l with 2k+2l = d: right count and full slice rank.
-
-    The rank is the exact rank of the slice matrix over the rational
-    function field Q(i)(q); full rank with a count equal to the slice
-    dimension makes them a basis.  The classical limit q = 1 is checked
-    separately.
-    """
-    idxs = basis_indices_for_degree(d)
-    if len(idxs) != dimension_of_degree(d):
-        return False
-    polys = [basis_element(i) for i in idxs]
-    mat = slice_matrix(polys, d)
-    if mat.rank() != len(idxs):
-        return False
-    # classical limit q = 1: same matrices must keep full rank
-    cls = mat.map(lambda c: c.subs_q1())
-    return cls.rank() == len(idxs)
-
-
-# ---------------------------------------------------------------------------
-# chart glueing and the oast proportionality
-# ---------------------------------------------------------------------------
-
-def y_mono_to_x(mono):
-    """Rewrite an ordered y-monomial through y_kl' = det(x)^-1 x_kl'.
-
-    Returns (qexp, detpow, xmono): the monomial equals
-    q^qexp * det(x)^detpow * x-monomial, with the det power on the left.
-    The x-monomial keeps the same exponents (the generator orders agree), and
-    detpow = -(total degree).
-    """
-    qexp = 0
-    n12 = n21 = 0
-    placed = 0
-    for g in range(4):
-        for _ in range(mono[g]):
-            # move this letter's det^-1 left past the letters already placed
-            qexp += -2 * (n21 - n12)
-            if g == 1:
-                n12 += 1
-            elif g == 2:
-                n21 += 1
-            placed += 1
-    return qexp, -placed, tuple(mono)
-
-
-def oast_check(idx: HarmonicIndex):
-    """Proportionality det(x)^k X^l_{m,n} = lambda * det(y)^(-k-2l) Y^l_{m,n}.
-
-    Both sides are reduced to the carrier form det(x)^k * (chart-I polynomial
-    of degree 2l); the function returns the single scalar lambda, raising
-    ValueError (with the offending monomial pair) if no single scalar works.
-    """
-    X = harmonic(HarmonicIndex(idx.two_l, idx.two_m, idx.two_n))
-    Y = harmonic_Y(HarmonicIndex(idx.two_l, idx.two_m, idx.two_n))
-    if X.is_zero() or Y.is_zero():
-        raise ValueError("oast_check needs an in-range index")
-    # det(y)^(-k-2l) Y = det(x)^(k+2l) Y;  substituting each y-monomial of Y
-    # introduces det(x)^(-2l), leaving det(x)^k * (x-polynomial).
-    sub = {}
-    for mono, c in Y.terms.items():
-        qexp, detpow, xmono = y_mono_to_x(mono)
-        assert detpow == -sum(mono)
-        add_to(sub, xmono, c * QLaurent({qexp: 1}))
-    B = NCPoly("I", sub)
-    if set(X.terms) != set(B.terms):
-        extra = set(X.terms) ^ set(B.terms)
-        raise ValueError(f"not proportional: support mismatch at {sorted(extra)[0]}")
-    mono0 = next(iter(sorted(X.terms)))
-    lam = QRat(X.terms[mono0], B.terms[mono0])
-    for mono in X.terms:
-        lhs = QRat(X.terms[mono], B.terms[mono])
-        if lhs != lam:
-            raise ValueError(
-                f"not proportional: ratio at {mono} differs from {mono0}")
-    try:
-        return lam.as_qlaurent()
-    except ValueError:
-        return lam

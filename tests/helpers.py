@@ -4,25 +4,60 @@ They live here rather than in ``src/qadhm`` so that no command compiles
 them.  The generators are deterministic in their seed, like
 ``adhm.random_stable_solution`` (which ``adhm random`` runs) and
 ``adhm.random_nonstable_solution`` (which the benchmark uses).  The slice
-echelons over Q(i)(q) at the end are the oracle of ``adhm.slice_verdict``.
+echelons over Q(i)(q) at the end are the oracle of ``slices.slice_verdict``.
+The paper statements that only the tests check are in ``statements.py``.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-from qadhm.adhm import (_closure_basis, _linear_map_matrix, classify,
-                        dagger_involution, is_real_solution)
+from qadhm.adhm import _closure_basis, _linear_map_matrix, classify
+from qadhm.chern import ChernClass
 from qadhm.datum import (ADHMError, ComplexADHMDatum, RealADHMDatum,
                          is_complex_solution)
 from qadhm.exactcore import (_QL_ONE, GaussRational, Matrix, QLaurent,
-                             _echelon, random_gauss)
-from qadhm.monad import ChernClass
-from qadhm.qinstanton import (QInstantonError, _gauss, _monomials_upto,
-                              _slice_rows, build_q_ops, truncated_matrix)
+                             _as_gauss, _echelon, random_gauss)
+from qadhm.qinstanton import (QInstantonError, _monomials_upto, _slice_rows,
+                              build_q_ops, truncated_matrix)
+from qadhm.real import real_residuals
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
+
+
+def matrix_from_rows(entries):
+    """The Matrix with these rows."""
+    return Matrix(len(entries), len(entries[0]) if entries else 0, entries)
+
+
+def submatrix(m, rows, cols):
+    """The rows x cols part of the matrix m, in the given orders."""
+    return Matrix(len(rows), len(cols),
+                  [[m[i, j] for j in cols] for i in rows])
+
+
+def pencil_scalar(v):
+    """v as a Gaussian rational, for the pencil parameters P and Q."""
+    g = _as_gauss(v)
+    if g is NotImplemented:
+        raise QInstantonError(
+            "pencil parameters must be exact rational scalars")
+    return g
+
+
+def is_real_solution(d, xi):
+    return all(m.is_zero() for m in real_residuals(d, xi))
+
+
+def dagger_involution(d):
+    """(B11,B12,B21,B22,i1,i2,j1,j2) -> (B22^+, -B21^+, -B12^+, B11^+,
+    j2^+, -j1^+, -i2^+, i1^+); an involution on complex data, whose fixed
+    points are the images of real data under ``real.embed_real``."""
+    return ComplexADHMDatum(
+        d.c, d.r,
+        d.B22.dagger(), -d.B21.dagger(), -d.B12.dagger(), d.B11.dagger(),
+        d.j2.dagger(), -d.j1.dagger(), -d.i2.dagger(), d.i1.dagger())
 
 
 def quadratic_pencil_value(d, z0, w0):
@@ -316,7 +351,7 @@ def slice_rank_report(d, P, dmax, chart="I"):
 def slice_rank_grid(d, points, dmax, chart="I"):
     """slice_rank_report at each pencil point, with the operators and the
     slice rows of beta_1 and beta_2 built once for all points."""
-    points = [tuple(_gauss(v) for v in P) for P in points]
+    points = [tuple(pencil_scalar(v) for v in P) for P in points]
     if any(not p1 and not p2 for p1, p2 in points):
         raise QInstantonError("pencil parameters must not both vanish")
     n = len(_monomials_upto(dmax))
@@ -351,7 +386,7 @@ def least_covering_cap(d, P, up_to):
     """The least s <= up_to at which the image of beta_P on sources of
     degree <= s contains every e_v (x) 1, or None.  Entries never lower
     degree, so the target cap s + 1 holds that image whole."""
-    p1, p2 = (_gauss(v) for v in P)
+    p1, p2 = (pencil_scalar(v) for v in P)
     _, _, b1, b2 = build_q_ops(d)
     bp = b1.scale(p1) + b2.scale(p2)
     for s in range(up_to + 1):
@@ -367,7 +402,7 @@ def alpha_slice_report(d, Q, dmax, chart="I"):
     The target cap dmax+1 captures every term of the image, so full column
     rank is exactly injectivity of alpha_Q on the capped slice.  The rank
     is the exact sparse echelon rank over the rational function field."""
-    q1, q2 = (_gauss(v) for v in Q)
+    q1, q2 = (pencil_scalar(v) for v in Q)
     if not q1 and not q2:
         raise QInstantonError("pencil parameters must not both vanish")
     a1, a2, b1, b2 = build_q_ops(d, chart)

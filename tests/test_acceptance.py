@@ -6,8 +6,8 @@ single ``[criterion N] PASS`` or ``[criterion N] FAIL`` line (run with
 that the recomputation contradicts; the assertions then pin the recomputed
 values and the report flags that carry the mismatch, so a FAIL line is a
 stable, documented outcome and the test itself stays green.  The quoted
-values are reported, never adopted: ``monad.appendix_b_suite``,
-``CalculusTable.anticommutation_audit`` and ``qinstanton.curvature_asd``
+values are reported, never adopted: ``statements.appendix_b_suite``,
+``statements.anticommutation_audit`` and ``qinstanton.curvature_asd``
 expose the per-item comparison flags.
 
 The final test drives every CLI subcommand once, so the whole command
@@ -19,15 +19,9 @@ import random
 from fractions import Fraction
 
 from qadhm import cli
-from qadhm.adhm import (
-    classify,
-    derivative_rank,
-    pencil_grid,
-    random_nonstable_solution,
-    random_stable_solution,
-    slice_line,
-    slice_verdict,
-)
+from qadhm.adhm import (classify, derivative_rank, random_nonstable_solution,
+                        random_stable_solution)
+from qadhm.slices import pencil_grid, slice_line, slice_verdict
 from qadhm.datum import (
     ComplexADHMDatum,
     RealADHMDatum,
@@ -35,47 +29,24 @@ from qadhm.datum import (
     is_complex_solution,
 )
 from qadhm.exactcore import GaussRational, QLaurent, qint
-from qadhm.monad import (
-    ChernClass,
-    appendix_b_suite,
-    build_monad,
-    check_exactness_at,
-    classify_sheaf,
-    monad_pencils,
-    normalize_monad,
-    product_coefficients,
-)
-from qadhm.qcalculus import (
-    cech_exponents,
-    conjugation_identity_check,
-    delta_op,
-    derive_table,
-    laplacian,
-    partials,
-    penrose_scalar,
-    tilde_laplacian,
-    _solve_x_rules,
-)
-from qadhm.qforms import d, laplace_via_star
-from qadhm.qinstanton import beta_p_alpha_q, curvature_asd, xi_leading
-from qadhm.qspacetime import (
-    HarmonicIndex,
-    NCPoly,
-    basis_element,
-    basis_indices_for_degree,
-    basis_independence,
-    det_commutators,
-    det_mult_rank,
-    det_x,
-    dimension_of_degree,
-    harmonic,
-    monomials_of_degree,
-    oast_check,
-    slice_matrix,
-)
+from qadhm.monad import (build_monad, check_exactness_at, classify_sheaf,
+                         monad_pencils, product_coefficients)
+from qadhm.chern import ChernClass
+from qadhm.qcalculus import (_solve_x_rules, derive_table, laplacian,
+                             partials, penrose_scalar, tilde_laplacian)
+from qadhm.qforms import d
+from qadhm.qinstanton import curvature_asd
+from qadhm.qspacetime import (HarmonicIndex, NCPoly, basis_element, det_x,
+                              harmonic, monomials_of_degree)
 
 from helpers import (random_c1r1_solution, random_complex_datum,
                      slice_rank_report)
+from statements import (anticommutation_audit, appendix_b_suite,
+                        basis_independence, basis_indices_for_degree,
+                        beta_p_alpha_q, cech_exponents,
+                        conjugation_identity_check, delta_op, det_commutators,
+                        det_mult_rank, dimension_of_degree, laplace_via_star,
+                        normalize_monad, oast_check, slice_matrix, xi_leading)
 from test_adhm import proj_equal
 from test_monad import (BASE_POINTS, SEEDED_LOCUS_DATA,
                         semiregular_not_regular, shifted_line_ranks,
@@ -226,7 +197,7 @@ def test_criterion_4_euler_characteristic_table():
           "additivity, but the quoted chi(E tensor cotangent) = -c-2r "
           "recomputes to -(2c+r) (equal only when r = c) and the quoted H^3 "
           "coefficient +2/3 of ch(cotangent) recomputes to -2/3 from the "
-          "Euler sequence; monad.appendix_b_suite reports both mismatches")
+          "Euler sequence; statements.appendix_b_suite reports both mismatches")
 
 
 def test_criterion_5_quantum_algebra():
@@ -291,7 +262,7 @@ def test_criterion_6_calculus_table():
                 f = NCPoly("I", {mono: QLaurent.one()})
                 assert d(d(f, t), t).is_zero()
 
-        audit = t.anticommutation_audit()
+        audit = anticommutation_audit(t)
         assert audit["dx21^dx11"]["anticommutes"]
         assert audit["dx22^dx11"]["anticommutes"]
         assert audit["dx22^dx12"]["anticommutes"]
@@ -306,7 +277,7 @@ def test_criterion_6_calculus_table():
           "on all monomials through degree 4, but the fourth quoted wedge "
           "anticommutation (dx21^dx12) is incompatible with d^2 = 0 and "
           "carries the residual (q^2-1)(dx11^dx22 - dx12^dx21); "
-          "CalculusTable.anticommutation_audit reports it")
+          "statements.anticommutation_audit reports it")
 
 
 def test_criterion_7_harmonicity_and_spectra():

@@ -6,19 +6,9 @@ from itertools import combinations
 import pytest
 
 from qadhm import adhm
-from qadhm.adhm import (
-    classify,
-    dagger_involution,
-    derivative_rank,
-    embed_real,
-    is_costable,
-    is_real_solution,
-    is_stable,
-    random_nonstable_solution,
-    random_stable_solution,
-    real_residuals,
-    real_stratify,
-)
+from qadhm.adhm import (classify, derivative_rank, is_costable, is_stable,
+                        random_nonstable_solution, random_stable_solution)
+from qadhm.real import embed_real, real_residuals
 from qadhm.datum import (
     ADHMError,
     ComplexADHMDatum,
@@ -32,6 +22,7 @@ from qadhm.exactcore import GaussRational, Matrix, QLaurent, random_gauss
 from helpers import (
     c1_generator,
     closure_rank,
+    dagger_involution,
     gl_action,
     is_dagger_fixed,
     quadratic_pencil_value,
@@ -40,7 +31,9 @@ from helpers import (
     random_invertible,
     random_real_solution,
     stabilizer_dim,
+    submatrix,
 )
+from statements import real_stratify
 
 Z = GaussRational(0)
 ONE = GaussRational(1)
@@ -196,7 +189,7 @@ def rerank_closure(ops, seed):
     candidate is kept when it raises the rank of the whole stacked basis."""
     c = seed.rows
     basis = []
-    queue = [seed.submatrix(range(c), [t]) for t in range(seed.cols)]
+    queue = [submatrix(seed, range(c), [t]) for t in range(seed.cols)]
     while queue:
         col = queue.pop(0)
         stacked = Matrix.hstack(basis + [col]) if basis else col
@@ -241,7 +234,7 @@ class TestIncrementalClosure:
             # each word rebuilds its column, breadth first
             ops = {"1": B1, "2": B2}
             for k, (t, w) in enumerate(words):
-                col = i.submatrix(range(i.rows), [t])
+                col = submatrix(i, range(i.rows), [t])
                 for letter in reversed(w):
                     col = ops[letter] * col
                 assert col.col(0) == basis.col(k)

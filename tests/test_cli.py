@@ -31,7 +31,7 @@ from qadhm.cli import (
 from qadhm.datum import ComplexADHMDatum, RealADHMDatum
 from qadhm.exactcore import GaussRational, Matrix, QLaurent
 from qadhm.expr import ExprParser, parse_expr
-from qadhm.monad import chi_twist
+from qadhm.chern import chi_twist
 from qadhm.qcalculus import derive_table, laplacian, partials
 from qadhm.qspacetime import HarmonicIndex, NCPoly, X_NAMES, basis_element, det_x
 
@@ -39,6 +39,7 @@ from helpers import random_complex_datum
 
 Z = GaussRational(0)
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SRC = PYPROJECT.parent / "src" / "qadhm"
 
 
 def invoke(argv, capsys):
@@ -695,12 +696,13 @@ _INST = {"cli", "cli_inst", "datum", "exactcore", "qspacetime", "qinstanton"}
 _MODULES_BY_COMMAND = {
     ("--help",): {"cli", "cli_adhm", "cli_monad", "cli_q", "cli_inst"},
     ("adhm", "check", DATUM): _ADHM,
-    ("adhm", "embed", REAL): _ADHM,
+    ("adhm", "embed", REAL): {"cli", "cli_adhm", "datum", "exactcore", "real"},
     ("adhm", "random", "-r", "2", "-c", "1"): _ADHM,
     ("adhm", "rank", DATUM): _ADHM,
     ("monad", "build", DATUM): _MONAD,
     ("monad", "classify", DATUM): _MONAD | {"adhm"},
-    ("monad", "chern", "-r", "2", "-c", "1", "-k", "0"): _MONAD,
+    ("monad", "chern", "-r", "2", "-c", "1", "-k", "0"):
+        {"cli", "cli_monad", "chern"},
     ("q", "normalize", "x11*x22"): {"cli", "cli_q", "expr", "exactcore",
                                     "qspacetime"},
     ("q", "partial", "x11*x22"): _Q_EXPR,
@@ -711,20 +713,47 @@ _MODULES_BY_COMMAND = {
     ("q", "penrose", COCYCLE): _Q,
     ("inst", "verify", DATUM): _INST,
     ("inst", "slices", DATUM, "--dmax", "0", "--grid-size", "2"):
-        {"cli", "cli_inst", "datum", "exactcore", "adhm"},
+        {"cli", "cli_inst", "datum", "exactcore", "adhm", "slices"},
     ("inst", "curvature", DATUM): _INST | {"qcalculus", "qforms"},
 }
 # the only commands that load the expression parser and the forms
 _WITH_EXPR = {("q", "normalize"), ("q", "partial"), ("q", "laplace")}
 _WITH_FORMS = {("inst", "curvature")}
+# the modules that only one command loads: the Chern characters, the beta_P
+# verdicts and the real embedding
+_OWN_MODULES = {"chern": ("monad", "chern"), "slices": ("inst", "slices"),
+                "real": ("adhm", "embed")}
 # ``fractions`` (which imports ``decimal``) is loaded only where a Fraction
-# is made: in ``monad``, whose Chern classes are Fractions
-_WITH_FRACTIONS_GROUPS = {"monad"}
+# is made: in ``chern``, whose Chern classes are Fractions
+_WITH_FRACTIONS = {("monad", "chern")}
 # the commands that never run the stability code, which is in adhm.
 # ``inst slices`` is not one of them: it decides beta_P from the Krylov
 # closure and the stable side of the taxonomy, and builds no operator.
-_WITHOUT_ADHM = {("inst", "verify"), ("inst", "curvature"),
+_WITHOUT_ADHM = {("adhm", "embed"), ("inst", "verify"), ("inst", "curvature"),
                  ("monad", "build"), ("monad", "chern")}
+# command -> the most lines its qadhm modules may sum to.  With no bytecode
+# cache every loaded module is compiled on every call; each bound is the
+# count when it was pinned plus at most 5%.
+_LINE_BUDGET = {
+    ("--help",): 596,
+    ("adhm", "check"): 2192,
+    ("adhm", "embed"): 1612,
+    ("adhm", "random"): 2192,
+    ("adhm", "rank"): 2192,
+    ("monad", "build"): 1831,
+    ("monad", "classify"): 2466,
+    ("monad", "chern"): 413,
+    ("q", "normalize"): 2129,
+    ("q", "partial"): 2730,
+    ("q", "laplace"): 2730,
+    ("q", "harmonic"): 2597,
+    ("q", "eigen"): 2597,
+    ("q", "table"): 2597,
+    ("q", "penrose"): 2597,
+    ("inst", "verify"): 2343,
+    ("inst", "slices"): 2328,
+    ("inst", "curvature"): 3226,
+}
 
 
 class TestImportDiscipline:
@@ -763,8 +792,21 @@ class TestImportDiscipline:
             assert "adhm" not in loaded
         assert ("expr" in loaded) == (command[:2] in _WITH_EXPR)
         assert ("qforms" in loaded) == (command[:2] in _WITH_FORMS)
-        if command[0] not in _WITH_FRACTIONS_GROUPS:
+        for module, owner in _OWN_MODULES.items():
+            assert (module in loaded) == (command[:2] == owner), module
+        if command[:2] not in _WITH_FRACTIONS:
             assert not {"fractions", "decimal"} & set(rep["new"])
+
+    def test_every_command_has_a_line_budget(self):
+        assert set(_LINE_BUDGET) == {c[:2] for c in _MODULES_BY_COMMAND}
+
+    @pytest.mark.parametrize("command", sorted(_MODULES_BY_COMMAND),
+                             ids=" ".join)
+    def test_compile_budget(self, command):
+        # the modules are those test_modules_loaded pins for the command
+        lines = sum(len((SRC / f"{m}.py").read_text(encoding="utf-8")
+                        .splitlines()) for m in _MODULES_BY_COMMAND[command])
+        assert lines <= _LINE_BUDGET[command[:2]]
 
 
 _SUBCOMMANDS = {

@@ -6,41 +6,24 @@ from fractions import Fraction
 
 import pytest
 
-from qadhm.adhm import (
-    embed_real,
-    random_nonstable_solution,
-    random_stable_solution,
-)
+from qadhm.adhm import random_nonstable_solution, random_stable_solution
+from qadhm.real import embed_real
 from qadhm.datum import ComplexADHMDatum
 from qadhm.exactcore import GaussRational, Matrix, random_gauss
-from qadhm.monad import (
-    VARS,
-    ChernClass,
-    Monad,
-    MonadError,
-    Pencil,
-    SheafClassification,
-    appendix_b_suite,
-    build_monad,
-    check_exactness_at,
-    chern_of_monad,
-    chi_line,
-    chi_twist,
-    classify_sheaf,
-    find_intertwiner,
-    monad_pencils,
-    normalize_monad,
-    product_coefficients,
-)
+from qadhm.monad import (Monad, MonadError, Pencil, SheafClassification, VARS,
+                         build_monad, check_exactness_at, classify_sheaf,
+                         monad_pencils, product_coefficients)
+from qadhm.chern import ChernClass, chern_of_monad, chi_line, chi_twist
 
 from helpers import (
     grid_points,
+    matrix_from_rows,
     random_complex_datum,
     random_invertible,
-    random_real_solution,
     seeded_points,
     suite_to_json,
 )
+from statements import appendix_b_suite, find_intertwiner, normalize_monad
 from test_adhm import first_matrix_of
 
 Z = GaussRational(0)
@@ -48,7 +31,7 @@ ONE = GaussRational(1)
 
 
 def gm(rows):
-    return Matrix.from_rows([[GaussRational(x) if not isinstance(x, GaussRational)
+    return matrix_from_rows([[GaussRational(x) if not isinstance(x, GaussRational)
                               else x for x in row] for row in rows])
 
 

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from qadhm.adhm import embed_real, pencil_grid, random_stable_solution
+from qadhm.adhm import random_stable_solution
+from qadhm.real import embed_real
+from qadhm.slices import pencil_grid
 from qadhm.datum import (
     ComplexADHMDatum,
     RealADHMDatum,
@@ -16,27 +18,17 @@ from qadhm.datum import (
 from qadhm.exactcore import GaussRational, Matrix, QLaurent, QRat
 from qadhm.qcalculus import derive_table
 from qadhm.qforms import NCForm
-from qadhm.qinstanton import (
-    QInstantonError,
-    beta_p_alpha_q,
-    build_q_ops,
-    chart_j_pattern,
-    curvature_asd,
-    curvature_report_json,
-    identity_products,
-    ids_report,
-    kernel_slice_basis,
-    projection_truncated,
-    scalar_operator,
-    truncated_matrix,
-    xi_leading,
-    xi_operator,
-)
+from qadhm.qinstanton import (QInstantonError, build_q_ops, curvature_asd,
+                              curvature_report_json, identity_products,
+                              ids_report, scalar_operator, truncated_matrix)
 from qadhm.qspacetime import NCPoly, det_x, monomials_of_degree
 
 from helpers import (_sparse_containment, alpha_slice_report,
-                     random_c1r1_solution, random_complex_datum,
-                     slice_rank_grid, slice_rank_report)
+                     matrix_from_rows, random_c1r1_solution,
+                     random_complex_datum, slice_rank_grid, slice_rank_report)
+from statements import (beta_p_alpha_q, chart_j_pattern, kernel_slice_basis,
+                        left_mul, projection_truncated, xi_leading,
+                        xi_operator)
 
 Z = GaussRational(0)
 ONE = GaussRational(1)
@@ -101,7 +93,7 @@ def max_degree(op):
 
 
 def column(*polys):
-    return Matrix.from_rows([[p] for p in polys])
+    return matrix_from_rows([[p] for p in polys])
 
 
 class TestModuleOperator:
@@ -109,8 +101,8 @@ class TestModuleOperator:
 
     def test_algebra(self):
         x11 = gp("I", "x11")
-        a = Matrix.from_rows([[x11, const("I", 1)]])
-        b = Matrix.from_rows([[const("I", 2), x11]])
+        a = matrix_from_rows([[x11, const("I", 1)]])
+        b = matrix_from_rows([[const("I", 2), x11]])
         s = a + b
         assert s[0, 0] == x11 + const("I", 2)
         assert (s - b) == a
@@ -119,7 +111,7 @@ class TestModuleOperator:
 
     def test_composition_and_apply(self):
         x11, x12 = gp("I", "x11"), gp("I", "x12")
-        row = Matrix.from_rows([[x11, x12]])
+        row = matrix_from_rows([[x11, x12]])
         col = column(x12, x11)
         prod = row * col
         assert prod.rows == prod.cols == 1
@@ -133,7 +125,7 @@ class TestModuleOperator:
         # Entries of a product start at their first term: a chart-I zero
         # as the start would refuse to add a chart-J product.
         y11, y12 = gp("J", "y11"), gp("J", "y12")
-        prod = Matrix.from_rows([[y11]]) * Matrix.from_rows([[y12]])
+        prod = matrix_from_rows([[y11]]) * matrix_from_rows([[y12]])
         assert prod[0, 0] == y11 * y12
         assert str(prod[0, 0]) == "1/1*y11*y12"
 
@@ -148,7 +140,7 @@ class TestModuleOperator:
         json.dumps(blob)
 
     def test_scalar_operator_embeds_exactly(self):
-        m = Matrix.from_rows([[ONE, Z], [Z, GaussRational(-2)]])
+        m = matrix_from_rows([[ONE, Z], [Z, GaussRational(-2)]])
         op = scalar_operator(m)
         assert max_degree(op) == 0
         assert op[0, 0] == const("I", 1)
@@ -681,7 +673,7 @@ class TestProjection:
         dmax = 4
         out = projection_truncated(d, psi, dmax)
         for v in range(bbar.rows):
-            resid = sum((out[a].left_mul(bbar[v, a])
+            resid = sum((left_mul(out[a], bbar[v, a])
                          for a in range(bbar.cols)), NCForm(table, 0, {}))
             assert all(sum(m) > dmax for (_, m) in resid.terms)
         again = projection_truncated(d, out, dmax)
@@ -712,13 +704,15 @@ class TestOperatorsBuiltOnce:
     def test_one_build_per_call(self, monkeypatch):
         # alpha-bar, beta-bar and Xi all come from a single build_q_ops
         import qadhm.qinstanton as qinstanton
+        import statements
         calls = []
         build = qinstanton.build_q_ops
 
         def spy(*args):
             calls.append(args)
             return build(*args)
-        monkeypatch.setattr(qinstanton, "build_q_ops", spy)
+        for module in (qinstanton, statements):
+            monkeypatch.setattr(module, "build_q_ops", spy)
         d = one_instanton()
         vec = kernel_slice_basis(d, 1)[0]
         for run in (lambda: curvature_asd(d), lambda: chart_j_pattern(d),

@@ -1,4 +1,4 @@
-"""The beta_P verdicts of ``adhm.slice_verdict`` and ``inst slices``.
+"""The beta_P verdicts of ``slices.slice_verdict`` and ``inst slices``.
 
 Each certificate is checked against the operators themselves: the basis
 words rebuild preimages that ``build_q_ops`` maps to e_v (x) 1 in normal
@@ -15,13 +15,14 @@ from pathlib import Path
 import pytest
 
 import qadhm.adhm as adhm
-from qadhm.adhm import (classify, pencil_grid, random_nonstable_solution,
-                        random_stable_solution, slice_line, slice_verdict)
+from qadhm.adhm import (classify, random_nonstable_solution,
+                        random_stable_solution)
 from qadhm.cli import MAX_DEGREE_CAP, MAX_GRID_SIZE, run
 from qadhm.datum import ADHMError, ComplexADHMDatum
 from qadhm.exactcore import GaussRational, Matrix, QLaurent, parse_gauss
 from qadhm.qinstanton import build_q_ops
 from qadhm.qspacetime import NCPoly, X_NAMES
+from qadhm.slices import _charpoly, pencil_grid, slice_line, slice_verdict
 
 from helpers import least_covering_cap, random_c1r1_solution
 from test_adhm import proj_equal
@@ -195,6 +196,52 @@ class TestRefutations:
         assert rep["verdict"] == "undecided" and not rep["surjective"]
         assert "witness" not in rep and rep["covered_dim"] == 0
         assert slice_line(d)["onto_everywhere"] is None
+
+
+def diagonal_solution(b11, b12):
+    """c = 2, r = 1: B11 and B12 as given (they must commute), every other
+    block zero, so i~ = 0 and the closure S is 0 at every point."""
+    z, col, row = [[0, 0], [0, 0]], [[0], [0]], [[0, 0]]
+    return ComplexADHMDatum(2, 1, b11, b12, z, z, col, col, row, row)
+
+
+class TestEigenvalueWitnesses:
+    """codim S = 2 and tr/dim is no eigenvalue: the Q(i) roots of the
+    characteristic polynomials of B~1 and B~2 are tried next."""
+
+    def test_distinct_eigenvalues_refuted(self, tmp_path, capsys):
+        # mu = (3/2, 7/2) admits no xi; mu = (1, 3) admits xi = e1
+        d = diagonal_solution([[1, 0], [0, 2]], [[3, 0], [0, 4]])
+        f = write_datum(tmp_path, d)
+        code, rep = run_slices(capsys, f, "--grid-size", "2", "--dmax", "1")
+        assert code == 1
+        first = rep["reports"][0]
+        assert first["P"] == ["1/1", "0/1"] and first["verdict"] == "refuted"
+        assert [parse_gauss(m) for m in first["witness"]["mu"]] \
+            == [ONE, GaussRational(3)]
+        check_refutation(d, pencil_grid(2)[0], first)
+        assert rep["reports"][1]["verdict"] == "refuted"
+
+    def test_irrational_eigenvalues_undecided(self):
+        # B~1 = B~2 has eigenvalues +-sqrt(2): no xi over Q(i)
+        m = [[0, 2], [1, 0]]
+        rep = slice_verdict(diagonal_solution(m, m), (1, 0), 1)
+        assert rep["verdict"] == "undecided" and "witness" not in rep
+
+    def test_characteristic_polynomial(self):
+        # monic of degree c, with -trace next, and p(B) = 0 (Cayley-Hamilton)
+        rng = random.Random(3)
+        for c in (1, 2, 3, 5):
+            B = Matrix(c, c, [[GaussRational(rng.randint(-3, 3),
+                                             rng.randint(-3, 3))
+                               for _ in range(c)] for _ in range(c)])
+            p = _charpoly(B)
+            assert p.deg() == c and p.coeff(c) == ONE
+            assert p.coeff(c - 1) == -sum((B[k, k] for k in range(c)), ZERO)
+            value = Matrix.zero(c, c, ZERO)
+            for e in range(c, -1, -1):    # Horner
+                value = value * B + Matrix.identity(c, p.coeff(e), ZERO)
+            assert value.is_zero()
 
 
 class TestEchelonOracle:

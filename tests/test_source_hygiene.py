@@ -1,7 +1,7 @@
 """Static checks on the package source: no dead imports (at module level or
-inside functions), no dead helpers, no public name that only the tests use,
-no stale ``__all__`` entries, no floating-point numbers, no module-level
-``fractions`` import outside an allowlist.
+inside functions), no dead helpers, no public name or method that only the
+tests use, no stale ``__all__`` entries, no floating-point numbers, no
+module-level ``fractions`` import outside an allowlist.
 
 They read the modules with the standard-library ``ast`` parser only.
 """
@@ -108,54 +108,18 @@ def test_every_private_function_is_referenced():
 
 
 # Public names that nothing in src/ uses, each with the reason it stays.
-# Generators and helpers that only the tests use live in tests/helpers.py.
+# Generators and helpers that only the tests use live in tests/helpers.py,
+# and the paper statements that only the tests check in tests/statements.py.
 _UNREFERENCED_PUBLIC = {
     # imported or traced by the benchmark (perfbench/)
     "adhm.py random_nonstable_solution":
         "perfbench/workloads.py plants the non-stable stability data with it",
     "monad.py check_exactness_at":
         "perfbench/launcher.py traces it",
+    "qinstanton.py truncated_matrix":
+        "perfbench/probes.py builds its slice probe with it",
     "qspacetime.py normalize":
         "perfbench/launcher.py traces it",
-    # paper statements that tests check, to become fields of a report
-    "adhm.py dagger_involution":
-        "the involution whose fixed points are the embedded real data",
-    "adhm.py real_stratify":
-        "the stable/costable/regular strata of real data",
-    "monad.py normalize_monad":
-        "monad to datum, the inverse of build_monad",
-    "monad.py find_intertwiner":
-        "the isomorphism of data with isomorphic monads (to be made exact)",
-    "monad.py appendix_b_suite":
-        "the Euler characteristics of the paper's appendix B",
-    "qcalculus.py delta_op":
-        "the operator Delta of the eigenvalue recursion",
-    "qcalculus.py delta_eigenvalue":
-        "Delta X^l = p^(2l-1) [2l] X^l",
-    "qcalculus.py cech_exponents":
-        "the inverse of the Penrose index map cech_index",
-    "qcalculus.py conjugation_identity_check":
-        "the eigenvalue form of the chart conjugation",
-    "qforms.py laplace_via_star":
-        "the Laplacian as *d*d",
-    "qinstanton.py beta_p_alpha_q":
-        "the pencil products beta_P alpha_Q as multiples of Xi",
-    "qinstanton.py xi_leading":
-        "the leading term det(x) * 1 of Xi",
-    "qinstanton.py kernel_slice_basis":
-        "the degree-capped kernel of beta-bar",
-    "qinstanton.py chart_j_pattern":
-        "the chart-J mirror of the curvature shape",
-    "qinstanton.py projection_truncated":
-        "the kernel projection psi - alpha Xi^-1 beta-bar psi",
-    "qspacetime.py det_commutators":
-        "det x_g = q^t(g) x_g det for every generator",
-    "qspacetime.py det_mult_rank":
-        "multiplication by det is injective on each degree",
-    "qspacetime.py basis_independence":
-        "the harmonic basis of each degree is independent",
-    "qspacetime.py oast_check":
-        "the chart gluing det(x)^k X^l = lambda det(y)^(-k-2l) Y^l",
 }
 
 
@@ -200,6 +164,43 @@ def test_public_name_allowlist_is_current():
     # an entry whose name is gone, or is now used in src/, is dropped
     stale = sorted(set(_UNREFERENCED_PUBLIC) - unreferenced_public_names())
     assert not stale, f"allowlisted names that need no entry: {stale}"
+
+
+# Public methods that nothing in src/ calls, each with the reason it stays.
+_UNREFERENCED_METHODS = {}
+
+
+def unreferenced_public_methods():
+    """``module Class.method`` for each public method of a top-level class
+    that nothing in src/ references outside its own definition."""
+    trees = parse_modules()
+    everywhere = Counter()
+    for tree in trees.values():
+        everywhere.update(referenced_names(tree))
+    unused = set()
+    for name, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, FUNCTIONS)
+                        and not node.name.startswith("_")):
+                    inside = Counter(referenced_names(node))
+                    if everywhere[node.name] - inside[node.name] <= 0:
+                        unused.add(f"{name} {cls.name}.{node.name}")
+    return unused
+
+
+def test_every_public_method_is_called_in_src():
+    # a method only the tests call belongs in tests/ as a function, unless
+    # the allowlist says why it stays
+    extra = sorted(unreferenced_public_methods() - set(_UNREFERENCED_METHODS))
+    assert not extra, f"public methods nothing in src/ calls: {extra}"
+
+
+def test_public_method_allowlist_is_current():
+    stale = sorted(set(_UNREFERENCED_METHODS) - unreferenced_public_methods())
+    assert not stale, f"allowlisted methods that need no entry: {stale}"
 
 
 def private_bindings(node):
@@ -287,7 +288,7 @@ def test_no_floating_point():
 # the module, so elsewhere it is imported only inside the function that
 # makes a Fraction.
 _FRACTIONS_AT_MODULE_LEVEL = {
-    "monad.py": "its Chern classes and Euler characteristics are Fractions",
+    "chern.py": "its Chern classes and Euler characteristics are Fractions",
 }
 
 

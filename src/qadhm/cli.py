@@ -33,9 +33,8 @@ import argparse
 import json
 import sys
 
-__all__ = ["CLIError", "RunConfig", "main", "run"]
+__all__ = ["CLIError", "main", "run"]
 
-P_CHOICES = ("q", "qinv")
 MAX_DEGREE_CAP = 8
 MAX_GRID_SIZE = 64
 MAX_TWO_L = 32        # q harmonic / q eigen -l (twice l)
@@ -44,30 +43,10 @@ MAX_RANK = 32         # r of adhm random and of every datum file
 MAX_CHARGE = 12       # c of adhm random and of every datum file
 MAX_EXPR_LENGTH = 200  # characters of a q normalize|partial|laplace expression
 MAX_EXPR_DEGREE = 12   # degree of each product in such an expression
-_SEED_BOUND = 1 << 63
 
 
 class CLIError(ValueError):
     """Schema violation, parse failure or precondition failure."""
-
-
-class RunConfig:
-    """Validated run options shared by all commands."""
-
-    __slots__ = ("p_choice", "seed", "grid_size", "output")
-
-    def __init__(self, p_choice="q", seed=0, grid_size=12, output=None):
-        if p_choice not in P_CHOICES:
-            raise CLIError(f"p_choice must be one of {P_CHOICES}")
-        if not isinstance(seed, int) or not -_SEED_BOUND <= seed < _SEED_BOUND:
-            raise CLIError("seed must be a 64-bit integer")
-        if not isinstance(grid_size, int) \
-                or not 1 <= grid_size <= MAX_GRID_SIZE:
-            raise CLIError(f"grid_size must lie in 1..{MAX_GRID_SIZE}")
-        self.p_choice = p_choice
-        self.seed = seed
-        self.grid_size = grid_size
-        self.output = output
 
 
 # ---------------------------------------------------------------------------
@@ -110,20 +89,21 @@ def _load_datum(path, real=False):
     return d
 
 
-def _emit(text, cfg):
-    if cfg.output:
+def _emit(text, output):
+    """Write ``text`` to the path ``output``, or to stdout when it is None."""
+    if output:
         try:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
+            with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise CLIError(f"cannot write {cfg.output}: {exc}") from exc
+            raise CLIError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(obj, cfg):
+def _emit_json(obj, output):
     _emit(json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)
-          + "\n", cfg)
+          + "\n", output)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +128,12 @@ def arg(*names, **options):
     return names, options
 
 
+# the calculus convention, an option of the commands that derive the
+# calculus tables: the q commands and ``inst curvature``
+P_CHOICE = arg("--p-choice", default="q", choices=("q", "qinv"),
+               help="calculus convention (default q)")
+
+
 def _build_parser(argv=()):
     """The parser for ``argv``.  Every group gets its parser, but only the
     group that ``argv[0]`` names gets subcommands, and of those only the one
@@ -155,13 +141,6 @@ def _build_parser(argv=()):
     or unknown name) every subcommand of that level is built, so help and
     error texts are those of the full parser."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p-choice", default="q", choices=P_CHOICES,
-                        help="calculus convention (default q)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="64-bit seed for randomized commands")
-    common.add_argument("--grid-size", type=int, default=12,
-                        help="number of pencil parameter points, at most "
-                             f"{MAX_GRID_SIZE}")
     common.add_argument("--output", default=None,
                         help="write the report to this path instead of stdout")
 
@@ -196,9 +175,7 @@ def run(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser(argv).parse_args(argv)
     try:
-        cfg = RunConfig(p_choice=args.p_choice, seed=args.seed,
-                        grid_size=args.grid_size, output=args.output)
-        ok = args.handler(args, cfg)
+        ok = args.handler(args)
     except ValueError as exc:
         # CLIError and every library precondition error derive from
         # ValueError; report them as one machine-readable object.

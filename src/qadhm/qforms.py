@@ -8,7 +8,8 @@ module.
 Conventions:
   * d(fg) = (df) g + f (dg), and d(f . dx-word) = df ^ dx-word; forms are kept
     in left-coefficient normal form (ordered monomial times strictly sorted
-    wedge word), with coefficients in the fraction field QRat.
+    wedge word), with Laurent coefficients: the table rules, the products
+    of monomials and the 1/2 of the split all are.
 
 The products (wedge word) . monomial of each table are memoized for the
 life of the table.
@@ -16,12 +17,12 @@ life of the table.
 
 from weakref import WeakKeyDictionary
 
-from .exactcore import QLaurent, QRat
+from .exactcore import QLaurent
 from .qcalculus import CalculusError
 from .qspacetime import NCPoly, X_NAMES, add_to, engine
 
 _ONE = QLaurent.one()
-_R_ZERO = QRat.zero()
+_ZERO = QLaurent.zero()
 _ENG = engine("I")
 
 # calculus table -> its memo {(word, mono): (word) . mono}
@@ -52,7 +53,7 @@ def _word_past_mono(table, memo, word, mono):
 # ---------------------------------------------------------------------------
 
 class NCForm:
-    """Left-coefficient differential form: {(sorted word, mono): QRat}."""
+    """Left-coefficient differential form: {(sorted word, mono): QLaurent}."""
 
     __slots__ = ("table", "degree", "terms")
 
@@ -62,8 +63,6 @@ class NCForm:
         clean = {}
         if terms:
             for (w, m), c in terms.items():
-                if not isinstance(c, QRat):
-                    c = QRat(c)
                 if c:
                     if len(w) != degree:
                         raise ValueError("wedge word length != degree")
@@ -83,7 +82,7 @@ class NCForm:
     def from_poly(cls, table, poly):
         if poly.chart != "I":
             raise ValueError("forms live over chart I")
-        return cls(table, 0, {((), m): QRat(c) for m, c in poly.terms.items()})
+        return cls(table, 0, {((), m): c for m, c in poly.terms.items()})
 
     def _check(self, other):
         if self.table is not other.table:
@@ -124,8 +123,6 @@ class NCForm:
         return self + (-other)
 
     def scale(self, c):
-        if not isinstance(c, QRat):
-            c = QRat(c)
         if not c:
             return NCForm(self.table, self.degree)
         return NCForm(self.table, self.degree,
@@ -147,9 +144,9 @@ class NCForm:
                 for (mm, w1p), cm in _word_past_mono(table, memo, w1,
                                                      m2).items():
                     for wn, cw in table.wedge_norm(w1p + w2).items():
-                        base = c12 * QRat(cm * cw)
+                        base = c12 * (cm * cw)
                         for mn, cx in _ENG.mul_mono_mono(m1, mm).items():
-                            add_to(acc, (wn, mn), base * QRat(cx))
+                            add_to(acc, (wn, mn), base * cx)
         return NCForm(table, deg, acc)
 
     __mul__ = wedge     # so a Matrix of forms multiplies by wedging entries
@@ -170,15 +167,10 @@ class NCForm:
         return f"NCForm({self.degree}, {self})"
 
     def to_json(self):
-        items = []
-        for (w, m), c in sorted(self.terms.items()):
-            num = c.num.to_json()
-            entry = {"word": [X_NAMES[g] for g in w], "e": list(m),
-                     "coef_num": num}
-            if c.den != _ONE:
-                entry["coef_den"] = c.den.to_json()
-            items.append(entry)
-        return {"degree": self.degree, "terms": items}
+        return {"degree": self.degree,
+                "terms": [{"word": [X_NAMES[g] for g in w], "e": list(m),
+                           "coef": c.to_json()}
+                          for (w, m), c in sorted(self.terms.items())]}
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +192,7 @@ def d(x, table=None):
     for (w, mono), c in x.terms.items():
         for (m1, e), c1 in table.d_mono(mono).items():
             for wn, cw in table.wedge_norm((e,) + w).items():
-                add_to(acc, (wn, m1), c * QRat(c1 * cw))
+                add_to(acc, (wn, m1), c * (c1 * cw))
     return NCForm(table, x.degree + 1, acc)
 
 
@@ -223,7 +215,7 @@ def sd_asd_split(omega: NCForm):
     if omega.degree != 2:
         raise ValueError("sd_asd_split expects a 2-form")
     table = omega.table
-    half = QRat(_ONE, QLaurent.from_scalar(2))
+    half = _ONE / 2
     sd = {}
     asd = {}
     polys = {}
@@ -238,16 +230,16 @@ def sd_asd_split(omega: NCForm):
             c = coords.get(w)
             if c:
                 asd[(w, m)] = c
-        cp = coords.get(_MIX_PLUS, _R_ZERO)
-        cm = coords.get(_MIX_MINUS, _R_ZERO)
+        cp = coords.get(_MIX_PLUS, _ZERO)
+        cm = coords.get(_MIX_MINUS, _ZERO)
         alpha = (cp - cm) * half   # along dx11^dx22 - dx12^dx21 (SD)
         beta = (cp + cm) * half    # along dx11^dx22 + dx12^dx21 (ASD)
         if alpha:
-            sd[(_MIX_PLUS, m)] = sd.get((_MIX_PLUS, m), _R_ZERO) + alpha
-            sd[(_MIX_MINUS, m)] = sd.get((_MIX_MINUS, m), _R_ZERO) - alpha
+            sd[(_MIX_PLUS, m)] = sd.get((_MIX_PLUS, m), _ZERO) + alpha
+            sd[(_MIX_MINUS, m)] = sd.get((_MIX_MINUS, m), _ZERO) - alpha
         if beta:
-            asd[(_MIX_PLUS, m)] = asd.get((_MIX_PLUS, m), _R_ZERO) + beta
-            asd[(_MIX_MINUS, m)] = asd.get((_MIX_MINUS, m), _R_ZERO) + beta
+            asd[(_MIX_PLUS, m)] = asd.get((_MIX_PLUS, m), _ZERO) + beta
+            asd[(_MIX_MINUS, m)] = asd.get((_MIX_MINUS, m), _ZERO) + beta
     sd_form = NCForm(table, 2, sd)
     asd_form = NCForm(table, 2, asd)
     if sd_form + asd_form != omega:

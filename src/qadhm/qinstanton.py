@@ -28,7 +28,7 @@ the matrix equations.  On top of that this module provides:
 """
 
 from .datum import is_complex_solution
-from .exactcore import Matrix, QLaurent, QRat
+from .exactcore import Matrix, QLaurent
 from .qspacetime import NCPoly, X_NAMES, Y_NAMES, monomials_of_degree
 
 __all__ = [
@@ -177,10 +177,9 @@ def _bars(a1, a2, b1, b2):
 # ---------------------------------------------------------------------------
 
 def _form_from_words(table, coeffs):
-    """2-form with constant coefficients: {word: Laurent-like scalar}."""
+    """2-form with constant coefficients: {word: QLaurent}."""
     from .qforms import NCForm
-    return NCForm(table, 2,
-                  {(w, _ZMONO): QRat(c) for w, c in coeffs.items() if c})
+    return NCForm(table, 2, {(w, _ZMONO): c for w, c in coeffs.items()})
 
 
 def _quoted_display(table):

@@ -328,8 +328,10 @@ class NCPoly:
         chart = obj["chart"]
         terms = {}
         for t in obj["terms"]:
-            if t.get("k", 0) != 0:
-                raise ValueError("det-power terms live in DetPoly carriers")
+            k = t.get("k", 0)
+            if k != 0:
+                raise ValueError(f"the det power k of a term must be 0, "
+                                 f"not {k!r}")
             terms[tuple(t["e"])] = QLaurent.from_json(t["coef"])
         return cls(chart, terms)
 

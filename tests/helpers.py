@@ -10,10 +10,8 @@ The paper statements that only the tests check are in ``statements.py``.
 
 import itertools
 import random
-from fractions import Fraction
 
 from qadhm.adhm import _closure_basis, _linear_map_matrix, classify
-from qadhm.chern import ChernClass
 from qadhm.datum import (ADHMError, ComplexADHMDatum, RealADHMDatum,
                          is_complex_solution)
 from qadhm.exactcore import (_QL_ONE, GaussRational, Matrix, QLaurent,
@@ -226,17 +224,6 @@ def gl_action(g, d):
         g * d.i1, g * d.i2, d.j1 * ginv, d.j2 * ginv)
 
 
-def suite_to_json(report):
-    """JSON-ready copy of an appendix_b_suite report."""
-    def conv(v):
-        if isinstance(v, ChernClass):
-            return str(v)
-        if isinstance(v, Fraction):
-            return str(v)
-        if isinstance(v, dict):
-            return {k: conv(x) for k, x in v.items()}
-        return v
-    return {k: conv(v) for k, v in report.items()}
 
 
 def grid_points():

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 
 from qadhm.adhm import _linear_map_matrix, classify, is_costable, is_stable
-from qadhm.chern import ChernClass, chern_of_monad, chi_twist
+from qadhm.chern import chi_twist
 from qadhm.datum import ADHMError, ComplexADHMDatum, is_complex_solution
 from qadhm.exactcore import (GaussRational, Matrix, QLaurent, QRat, qint,
                              random_gauss)
@@ -177,6 +177,110 @@ def find_intertwiner(d_new, d_old, seed=0, attempts=64):
         if gv.rank() == c and gw.rank() == r:
             return gv, gw
     return None
+
+
+class ChernClass:
+    """Element a0 + a1*H + a2*H^2 + a3*H^3 of Q[H]/(H^4): the Chern
+    characters on projective three-space, and the ch*td route to Euler
+    characteristics that ``chi_twist`` is checked against."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a0=0, a1=0, a2=0, a3=0):
+        object.__setattr__(self, "a", (Fraction(a0), Fraction(a1),
+                                       Fraction(a2), Fraction(a3)))
+
+    def __setattr__(self, *a):
+        raise AttributeError("ChernClass is immutable")
+
+    @classmethod
+    def line(cls, k):
+        """exp(k*H) truncated: the character of the twisting sheaf O(k)."""
+        k = Fraction(k)
+        return cls(1, k, k * k / 2, k ** 3 / 6)
+
+    @classmethod
+    def todd(cls):
+        return cls(1, 2, Fraction(11, 6), 1)
+
+    def __eq__(self, other):
+        return isinstance(other, ChernClass) and self.a == other.a
+
+    def __hash__(self):
+        return hash(self.a)
+
+    def __add__(self, other):
+        return ChernClass(*(s + o for s, o in zip(self.a, other.a)))
+
+    def __sub__(self, other):
+        return ChernClass(*(s - o for s, o in zip(self.a, other.a)))
+
+    def __neg__(self):
+        return ChernClass(*(-s for s in self.a))
+
+    def scale(self, k):
+        k = Fraction(k)
+        return ChernClass(*(s * k for s in self.a))
+
+    def __mul__(self, other):
+        out = [Fraction(0)] * 4
+        for s, u in enumerate(self.a):
+            if not u:
+                continue
+            for t in range(4 - s):
+                out[s + t] += u * other.a[t]
+        return ChernClass(*out)
+
+    def chi(self):
+        """H^3 coefficient of self * td: the Euler characteristic of a sheaf
+        with this character."""
+        return (self * ChernClass.todd()).a[3]
+
+    def __str__(self):
+        names = ["", "H", "H^2", "H^3"]
+        parts = []
+        for coef, name in zip(self.a, names):
+            if not coef:
+                continue
+            if not name:
+                parts.append(str(coef))
+            elif coef == 1:
+                parts.append(name)
+            elif coef == -1:
+                parts.append(f"-{name}")
+            else:
+                parts.append(f"{coef}*{name}")
+        if not parts:
+            return "0"
+        out = parts[0]
+        for p in parts[1:]:
+            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        return out
+
+    def __repr__(self):
+        return f"ChernClass({self})"
+
+
+def chern_of_monad(r, c):
+    """Character of the monad cohomology: (2c+r)*ch(O) - c*ch(O(-1)) -
+    c*ch(O(1)), which collapses to r - c*H^2."""
+    if r < 0 or c < 0:
+        raise ValueError("r and c must be nonnegative")
+    out = (ChernClass(2 * c + r)
+           - ChernClass.line(-1).scale(c) - ChernClass.line(1).scale(c))
+    assert out == ChernClass(r, 0, -c, 0)
+    return out
+
+
+def suite_to_json(report):
+    """JSON-ready copy of an appendix_b_suite report."""
+    def conv(v):
+        if isinstance(v, (ChernClass, Fraction)):
+            return str(v)
+        if isinstance(v, dict):
+            return {k: conv(x) for k, x in v.items()}
+        return v
+    return {k: conv(v) for k, v in report.items()}
 
 
 def appendix_b_suite(r, c):

@@ -31,7 +31,6 @@ from qadhm.datum import (
 from qadhm.exactcore import GaussRational, QLaurent, qint
 from qadhm.monad import (build_monad, check_exactness_at, classify_sheaf,
                          monad_pencils, product_coefficients)
-from qadhm.chern import ChernClass
 from qadhm.qcalculus import (_solve_x_rules, derive_table, laplacian,
                              partials, penrose_scalar, tilde_laplacian)
 from qadhm.qforms import d
@@ -41,7 +40,7 @@ from qadhm.qspacetime import (HarmonicIndex, NCPoly, basis_element, det_x,
 
 from helpers import (random_c1r1_solution, random_complex_datum,
                      slice_rank_report)
-from statements import (anticommutation_audit, appendix_b_suite,
+from statements import (ChernClass, anticommutation_audit, appendix_b_suite,
                         basis_independence, basis_indices_for_degree,
                         beta_p_alpha_q, cech_exponents,
                         conjugation_identity_check, delta_op, det_commutators,

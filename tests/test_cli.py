@@ -25,7 +25,6 @@ from qadhm.cli import (
     MAX_RANK,
     MAX_TWO_L,
     CLIError,
-    RunConfig,
     run,
 )
 from qadhm.datum import ComplexADHMDatum, RealADHMDatum
@@ -128,32 +127,69 @@ class TestExprParser:
             ["q", "^", "-", 2, "*", "x11"]
 
 
-class TestRunConfig:
-    def test_defaults(self):
-        cfg = RunConfig()
-        assert cfg.p_choice == "q" and cfg.seed == 0
-        assert cfg.grid_size == 12
-        assert cfg.output is None
+def _error(argv, capsys):
+    """The JSON error object of a command that must exit 2."""
+    code, out = invoke(argv, capsys)
+    assert code == 2
+    return json.loads(out)["error"]
 
-    def test_validation(self):
-        with pytest.raises(CLIError, match="p_choice"):
-            RunConfig(p_choice="p")
-        with pytest.raises(CLIError, match="64-bit"):
-            RunConfig(seed=1 << 63)
-        with pytest.raises(CLIError, match="64-bit"):
-            RunConfig(seed="5")
-        with pytest.raises(CLIError, match="grid_size"):
-            RunConfig(grid_size=0)
-        RunConfig(seed=-(1 << 63), grid_size=1)
 
-    def test_grid_size_bound(self):
+class TestOptionChecks:
+    """The range checks of ``adhm random --seed`` and ``inst slices
+    --grid-size``, which their handlers make."""
+
+    SEED_ERROR = {"type": "CLIError",
+                  "message": "seed must be a 64-bit integer"}
+
+    def test_seed_range(self, capsys):
+        # r = 500 is over its cap too: the seed is checked first
+        for r, seed in ((2, 1 << 63), (2, -(1 << 63) - 1), (500, 1 << 80)):
+            assert _error(["adhm", "random", "-r", str(r), "-c", "1",
+                           "--seed", str(seed)], capsys) == self.SEED_ERROR
+        for seed in ((1 << 63) - 1, -(1 << 63)):
+            code, out = invoke(["adhm", "random", "-r", "2", "-c", "1",
+                                "--seed", str(seed)], capsys)
+            assert code == 0 and json.loads(out)["c"] == 1
+
+    def test_grid_size_bound(self, tmp_path, capsys):
         # 12 is the largest grid the tests and the benchmark use
         assert MAX_GRID_SIZE >= 12
-        assert RunConfig(grid_size=MAX_GRID_SIZE).grid_size == MAX_GRID_SIZE
-        with pytest.raises(CLIError, match=f"1..{MAX_GRID_SIZE}"):
-            RunConfig(grid_size=MAX_GRID_SIZE + 1)
-        with pytest.raises(CLIError, match="grid_size"):
-            RunConfig(grid_size="12")
+        f = write_json(tmp_path / "d.json",
+                       random_stable_solution(2, 1, 0).to_json())
+        for size in (0, -1, MAX_GRID_SIZE + 1):
+            assert _error(["inst", "slices", f, "--grid-size", str(size)],
+                          capsys) == {
+                "type": "CLIError",
+                "message": f"grid_size must lie in 1..{MAX_GRID_SIZE}"}
+        for size in (1, MAX_GRID_SIZE):
+            code, out = invoke(["inst", "slices", f, "--dmax", "0",
+                                "--grid-size", str(size)], capsys)
+            assert code == 0 and len(json.loads(out)["reports"]) == size
+
+    def test_defaults(self, tmp_path, capsys):
+        f = write_json(tmp_path / "d.json",
+                       random_stable_solution(2, 1, 0).to_json())
+        rep = json.loads(invoke(["inst", "slices", f, "--dmax", "0"],
+                                capsys)[1])
+        assert rep["grid_size"] == 12
+        out = invoke(["adhm", "random", "-r", "2", "-c", "1"], capsys)[1]
+        assert json.loads(out) == random_stable_solution(2, 1, 0).to_json()
+        assert json.loads(invoke(["q", "table"], capsys)[1])["p_choice"] \
+            == "q"
+
+    @pytest.mark.parametrize("argv", [
+        ["adhm", "check", "d.json", "--seed", "3"],
+        ["monad", "chern", "-r", "2", "-c", "1", "-k", "0", "--p-choice", "q"],
+        ["q", "table", "--grid-size", "5"],
+        ["inst", "verify", "d.json", "--p-choice", "qinv"],
+        ["inst", "curvature", "d.json", "--seed", "0"],
+    ], ids=" ".join)
+    def test_unread_options_are_usage_errors(self, argv, capsys):
+        # an option goes only on the commands that read it
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestAdhmCommands:
@@ -275,15 +311,20 @@ class TestMonadCommands:
         assert code == 0
         assert json.loads(out)["kind"] == "torsion_free"
 
-    def test_classify_ignores_the_seed(self, tmp_path, capsys):
-        # the singular locus is exact, so no option of the run changes it
+    def test_classify_takes_no_seed(self, tmp_path, capsys):
+        # the singular locus is exact: no point is sampled, so the command
+        # has no seed to take
         for d in (stable_not_semiregular(), random_stable_solution(2, 2, 2)):
             f = write_json(tmp_path / "d.json", d.to_json())
-            runs = [invoke(["monad", "classify", f, "--seed", seed], capsys)
-                    for seed in ("0", "7")]
-            assert runs[0] == runs[1] and runs[0][0] == 0
-            locus = json.loads(runs[0][1])["singular_locus"]
+            code, out = invoke(["monad", "classify", f], capsys)
+            assert code == 0
+            locus = json.loads(out)["singular_locus"]
             assert locus["dimension"] == 1 and locus["over"] is None
+            with pytest.raises(SystemExit) as info:
+                run(["monad", "classify", f, "--seed", "0"])
+            assert info.value.code == 2
+            assert "unrecognized arguments: --seed 0" in \
+                capsys.readouterr().err
 
     def test_chern_prints_bare_values(self, capsys):
         code, out = invoke(["monad", "chern", "-r", "2", "-c", "1",
@@ -723,9 +764,6 @@ _WITH_FORMS = {("inst", "curvature")}
 # verdicts and the real embedding
 _OWN_MODULES = {"chern": ("monad", "chern"), "slices": ("inst", "slices"),
                 "real": ("adhm", "embed")}
-# ``fractions`` (which imports ``decimal``) is loaded only where a Fraction
-# is made: in ``chern``, whose Chern classes are Fractions
-_WITH_FRACTIONS = {("monad", "chern")}
 # the commands that never run the stability code, which is in adhm.
 # ``inst slices`` is not one of them: it decides beta_P from the Krylov
 # closure and the stable side of the taxonomy, and builds no operator.
@@ -742,7 +780,7 @@ _LINE_BUDGET = {
     ("adhm", "rank"): 2192,
     ("monad", "build"): 1831,
     ("monad", "classify"): 2466,
-    ("monad", "chern"): 413,
+    ("monad", "chern"): 279,
     ("q", "normalize"): 2129,
     ("q", "partial"): 2730,
     ("q", "laplace"): 2730,
@@ -794,8 +832,9 @@ class TestImportDiscipline:
         assert ("qforms" in loaded) == (command[:2] in _WITH_FORMS)
         for module, owner in _OWN_MODULES.items():
             assert (module in loaded) == (command[:2] == owner), module
-        if command[:2] not in _WITH_FRACTIONS:
-            assert not {"fractions", "decimal"} & set(rep["new"])
+        # no command makes a Fraction, so none loads ``fractions`` (which
+        # imports ``decimal``)
+        assert not {"fractions", "decimal"} & set(rep["new"])
 
     def test_every_command_has_a_line_budget(self):
         assert set(_LINE_BUDGET) == {c[:2] for c in _MODULES_BY_COMMAND}
@@ -833,39 +872,39 @@ _HELP_SHA256 = {
     "inst":
         "22ba5d3e5fdbd3a520b90af604762be8cd5206d897e6f149086ba97d0636d098",
     "adhm check":
-        "03d252b1f0c1f18692c863d712a4b00e08759218d3bb8631e1bdb789ee4b6912",
+        "ca4c35dbeb04dc973bfa998272317a68ab2d08b956c9545052a67ad2da5107b0",
     "adhm embed":
-        "acb3fe3169c24025b3689d1c75598d3ae2d4cf3e0b37959310590475c1b39701",
+        "4cf28084b1ffa7e8092f8b5fa099fa655a54599a8d39a5b5bd909d592195766e",
     "adhm random":
-        "d1944e35056a97a83979f664952ba0932f4612a0876a0bdc689ceced7c8ba224",
+        "76fe9010f3fa5a36ed1e2f73502302c1cb7e02a4508fa6d8ca470916e9cc6e08",
     "adhm rank":
-        "f23093b70f542be7aadaf47a5ebc2930f26d22d4b06158d4e6586c09aa076042",
+        "8729f77516d619bb341d19d9762186f1dd10714200af7138cc2d393cf052e055",
     "monad build":
-        "91084ac169396da23e4b61b51b6a11a1f9a98bff5cee94f9b54f49dba1982b95",
+        "e24092f433323c69fe02a190cf1f0a5117a16c5311ce336110720852d7a7692a",
     "monad classify":
-        "c89327e55851d35fe0199cda2ce6db7ee5acfa7b2c0a25c98e68e304212ff831",
+        "b50f4c139b3dd063997b199205594be9494cc023e68bc8d92850f110d7eec426",
     "monad chern":
-        "6a06e52f1080bc900f4989f78dab724fb295de30e472a4c9e30250b1c4979777",
+        "c26673cb1c887a4830296c7cc91bd06fd80d01e4243b61e82c4ad1b54ba3d1ad",
     "q normalize":
-        "d3efe669940b30a52e1d99e0957719d0d54fa81da77b2d60f9d81946ca9b64a1",
+        "dd936e2397fd68ee0d19378a482b34e487cb7f97cee6079651b5a091417e91ed",
     "q partial":
-        "5152cea801a79bd1e5afb2e6e924dc7bdd70304585ebde15dc25561d9abeac5f",
+        "c25d8c410ba3259b82c2af78781884d2faea144f4b013b09784393c19d67bb69",
     "q laplace":
-        "7f4a27a473fa307beb725ca1ec1751e5e7de549403f10586ccb4ec71607bd110",
+        "2ea3ae59f805889de657855d6fdf5580a2a37b939e2597c33ccf2faf390a52b1",
     "q harmonic":
-        "6ce66790ac9450118ee0f63cbcf487347ce3ee40251260023b54d9f3afe95633",
+        "c67e9448bf2d2531cb15936719f945fd211ce1a43aa47582ba1212e9ba36aa6e",
     "q eigen":
-        "36cd3619befcdef552921d5ae9829bf1f92e264476b986eff419bc547ac0da82",
+        "95fb105a6c300296352a7e1e6f60ee628080b5a3878f1ee742b256cceb52fba9",
     "q table":
-        "8794d8f0678bb4e9d4f6e56f4e4b884a9434f20b16c78321c6eb46cae5b4027f",
+        "ac3d3be390043a513923f800013f5015e771bf5dc0f3e935f625435c2f4e58a0",
     "q penrose":
-        "1cbca1fe5e34a130b442bab0fa432eafa811b576647f042afe54faf6ff954d47",
+        "0b4fa1cfc950ebe3350d3daf1c692015bfa5ad8b5883fafb9cfd08d0e77f2043",
     "inst verify":
-        "3d575d02e93faf068d52051725210670c8872b07aa12e8e64e8f3d5511a275ff",
+        "0624b016acf3c1ec4ddb797055f18dd239da7b9dcaca386e02d534b02b75f4bc",
     "inst curvature":
-        "ca5047606eb8873151e2cbf5bde68759c8ff16602c389dffdce073516e95681c",
+        "7c0ae65ca00af85fa58bbb0ec4e268b46aaf28640ff2ca46dfd233ac7f1b75a2",
     "inst slices":
-        "ce0a2697550dcbb2f222cde04efa622160c89bcf55b39a763a0b15603090d571",
+        "f150f18551aad5755c2ff24a0f34b7b35a37bd2e4059fe71a1d2280a102494d1",
 }
 
 
@@ -958,8 +997,7 @@ class TestParserPerGroup:
          "(choose from 'normalize', 'partial', 'laplace', 'harmonic', "
          "'eigen', 'table', 'penrose')\n"),
         (["q", "eigen", "-k", "1"],
-         "usage: qadhm q eigen [-h] [--p-choice {q,qinv}] [--seed SEED]\n"
-         "                     [--grid-size GRID_SIZE] [--output OUTPUT] "
+         "usage: qadhm q eigen [-h] [--output OUTPUT] [--p-choice {q,qinv}] "
          "-k K -l L\n"
          "qadhm q eigen: error: the following arguments are required: -l\n"),
     ])

@@ -13,7 +13,7 @@ from qadhm.exactcore import GaussRational, Matrix, random_gauss
 from qadhm.monad import (Monad, MonadError, Pencil, SheafClassification, VARS,
                          build_monad, check_exactness_at, classify_sheaf,
                          monad_pencils, product_coefficients)
-from qadhm.chern import ChernClass, chern_of_monad, chi_line, chi_twist
+from qadhm.chern import chi_line, chi_twist
 
 from helpers import (
     grid_points,
@@ -21,9 +21,9 @@ from helpers import (
     random_complex_datum,
     random_invertible,
     seeded_points,
-    suite_to_json,
 )
-from statements import appendix_b_suite, find_intertwiner, normalize_monad
+from statements import (ChernClass, appendix_b_suite, chern_of_monad,
+                        find_intertwiner, normalize_monad, suite_to_json)
 from test_adhm import first_matrix_of
 
 Z = GaussRational(0)
@@ -559,6 +559,18 @@ class TestChern:
     def test_chi_via_todd_matches_line_formula(self):
         for k in range(-5, 6):
             assert ChernClass.line(k).chi() == chi_line(k)
+
+    def test_twist_equals_the_todd_route(self):
+        # chi(E(k)) by additivity over the monad terms against
+        # ch(E)*ch(O(k))*td.  Both are polynomials of degree <= 1 in r, <= 1
+        # in c and <= 3 in k, so agreeing on 2 x 2 x 4 points makes them
+        # equal everywhere.
+        for r in (1, 2):
+            for c in (1, 2):
+                for k in range(-3, 1):
+                    todd = (chern_of_monad(r, c) * ChernClass.line(k)).chi()
+                    assert chi_twist(r, c, k) == todd
+                    assert type(chi_twist(r, c, k)) is int
 
 
 class TestAppendixSuite:

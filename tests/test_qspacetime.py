@@ -553,8 +553,9 @@ class TestJson:
     def test_det_power_terms_rejected(self):
         obj = det_x().to_json()
         obj["terms"][0]["k"] = -1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             NCPoly.from_json(obj)
+        assert str(info.value) == "the det power k of a term must be 0, not -1"
 
     def test_str_is_deterministic(self):
         s = str(det_x() * det_x())

@@ -1,7 +1,8 @@
 """Static checks on the package source: no dead imports (at module level or
 inside functions), no dead helpers, no public name or method that only the
 tests use, no stale ``__all__`` entries, no floating-point numbers, no
-module-level ``fractions`` import outside an allowlist.
+module-level ``fractions`` import outside an allowlist, no command option
+that its handler never reads.
 
 They read the modules with the standard-library ``ast`` parser only.
 """
@@ -287,9 +288,7 @@ def test_no_floating_point():
 # Importing it also loads ``decimal``, which costs every command that loads
 # the module, so elsewhere it is imported only inside the function that
 # makes a Fraction.
-_FRACTIONS_AT_MODULE_LEVEL = {
-    "chern.py": "its Chern classes and Euler characteristics are Fractions",
-}
+_FRACTIONS_AT_MODULE_LEVEL = {}
 
 
 def module_level_imports(tree):
@@ -314,3 +313,94 @@ def test_fractions_imported_only_where_a_fraction_is_made():
                 found.add(name)
     assert found == set(_FRACTIONS_AT_MODULE_LEVEL), \
         "module-level fractions imports differ from the allowlist"
+
+
+# (group, subcommand) -> {option dest: why the handler takes it unread}
+_UNREAD_OPTIONS = {
+    ("q", "normalize"): {
+        "p_choice": "the benchmark's q normalize ops pass --p-choice; the "
+                    "normal form is the same under both conventions"},
+}
+
+
+def argument_dest(call):
+    """The ``dest`` argparse gives an ``arg(...)`` or ``add_argument(...)``
+    call: its first long option, else its first short option or its
+    positional name."""
+    names = [a.value for a in call.args]
+    longs = [n for n in names if n.startswith("--")]
+    return (longs or names)[0].lstrip("-").replace("-", "_")
+
+
+def module_assignments(tree):
+    """{name: value node} of a module's top-level single-name assignments."""
+    return {node.targets[0].id: node.value for node in tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)}
+
+
+def args_reads(fn, functions):
+    """The ``args.<name>`` attributes a handler reads, also through the
+    module's functions it passes ``args`` to."""
+    reads, todo, seen = set(), [fn], set()
+    while todo:
+        f = todo.pop()
+        if f.name in seen:
+            continue
+        seen.add(f.name)
+        for node in ast.walk(f):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                reads.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in functions
+                    and any(isinstance(a, ast.Name) and a.id == "args"
+                            for a in node.args)):
+                todo.append(functions[node.func.id])
+    return reads
+
+
+def options_and_reads():
+    """{(group, subcommand): (option dests, args attributes its handler
+    reads)} from the ``COMMANDS`` table of each ``cli_<group>`` module and
+    the options ``cli._build_parser`` gives every subcommand."""
+    trees = parse_modules()
+    cli_names = module_assignments(trees["cli.py"])
+    build = next(node for node in trees["cli.py"].body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "_build_parser")
+    # the options of the parent parser ``common``
+    shared = {argument_dest(node) for node in ast.walk(build)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "add_argument"
+              and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "common"}
+    out = {}
+    for name, tree in trees.items():
+        if not name.startswith("cli_"):
+            continue
+        names = {**cli_names, **module_assignments(tree)}
+        functions = {node.name: node for node in tree.body
+                     if isinstance(node, ast.FunctionDef)}
+        for key, value in zip(names["COMMANDS"].keys,
+                              names["COMMANDS"].values):
+            _, handler, arguments = value.elts
+            calls = [names[a.id] if isinstance(a, ast.Name) else a
+                     for a in arguments.elts]
+            dests = shared | {argument_dest(c) for c in calls}
+            out[(name[4:-3], key.value)] = (
+                dests, args_reads(functions[handler.id], functions))
+    return out
+
+
+def test_every_option_is_read_by_its_handler():
+    # an option goes only on the commands whose handler reads it
+    found = options_and_reads()
+    assert len(found) == 17
+    for command, (dests, reads) in found.items():
+        unread = set(_UNREAD_OPTIONS.get(command, ()))
+        assert unread <= dests - reads, command   # the allowlist is current
+        assert dests - unread == reads, command

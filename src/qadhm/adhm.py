@@ -52,8 +52,8 @@ from collections import deque
 from math import comb, prod
 
 from .datum import ADHMError, ComplexADHMDatum, is_complex_solution
-from .exactcore import (_QL_ONE, GaussRational, Matrix, QLaurent, _ql_divmod,
-                        random_gauss)
+from .exactcore import Matrix, random_gauss
+from .scalars import _QL_ONE, GaussRational, QLaurent, _ql_divmod
 
 __all__ = [
     "StabilityReport", "is_stable", "is_costable", "classify",

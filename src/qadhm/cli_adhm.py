@@ -33,11 +33,14 @@ def _cmd_adhm_embed(args):
 
 
 def _cmd_adhm_random(args):
-    from .adhm import random_stable_solution
-    from .datum import ADHMError
     if not -(1 << 63) <= args.seed < 1 << 63:
         raise CLIError("seed must be a 64-bit integer")
     _check_size(args.r, args.c)
+    # the construction draws the top rows of i1 and i2 independent in C^r
+    if args.r < 2:
+        raise CLIError("-r must be at least 2")
+    from .adhm import random_stable_solution
+    from .datum import ADHMError
     try:
         d = random_stable_solution(args.r, args.c, args.seed)
     except ADHMError as exc:

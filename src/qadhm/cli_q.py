@@ -110,7 +110,7 @@ def _cmd_q_table(args):
 
 
 def _cmd_q_penrose(args):
-    from .exactcore import parse_gauss
+    from .scalars import parse_gauss
     from .qcalculus import cech_index, derive_table, laplacian, penrose_scalar
     obj = _load_json(args.file)
     items = obj.get("cocycle") if isinstance(obj, dict) else obj

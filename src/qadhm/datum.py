@@ -9,7 +9,8 @@ the rank criteria live in ``adhm``.
 
 from __future__ import annotations
 
-from .exactcore import Matrix, _as_gauss, parse_gauss
+from .exactcore import Matrix
+from .scalars import _as_gauss, parse_gauss
 
 __all__ = [
     "ADHMError", "ComplexADHMDatum", "RealADHMDatum", "datum_from_json",

@@ -80,7 +80,7 @@ class ExprParser:
         return acc
 
     def _factor(self):
-        from .exactcore import QLaurent
+        from .scalars import QLaurent
         from .qspacetime import NCPoly, X_NAMES, det_x
         tok = self._next()
         if tok is None:

@@ -36,7 +36,8 @@ need no matrix; they are in ``chern``.
 from __future__ import annotations
 
 from .datum import complex_residuals
-from .exactcore import GaussRational, Matrix
+from .exactcore import Matrix
+from .scalars import GaussRational
 
 __all__ = [
     "MonadError", "Monad", "SheafClassification", "Pencil",

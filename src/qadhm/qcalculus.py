@@ -41,8 +41,11 @@ q^2 = 1).
 
 The rules are solved through the table's own engines, ``cross`` for the
 x-dx rules and ``insert_wedge`` for d^2 = 0, run on a ``CalculusTable`` whose
-unsolved rules carry unknowns; the derived table is then re-checked against
-all 35 constraints, its classical limit and the closed form of d(det).
+unsolved rules carry unknowns.  ``derive_table`` solves the x rules and
+re-checks them against their 19 constraints, their classical limit and the
+closed form of d(det).  Most commands read no wedge rule, so the table
+solves the wedge rules on their first read and re-checks them against
+their classical limit and the 16 d^2 = 0 constraints before returning them.
 
 Differential forms and the exterior derivative on them are in ``qforms``.
 
@@ -59,10 +62,10 @@ Conventions:
 
 from functools import partial
 
-from .exactcore import GaussRational, QLaurent, _echelon, qint
 from .qspacetime import (CHART_I_RULES, HarmonicIndex, NCPoly, X_NAMES,
                          add_to, apply_rule, det_x, engine, feed, harmonic,
                          split_first)
+from .scalars import GaussRational, QLaurent, _echelon, qint
 
 _ONE = QLaurent.one()
 _ZERO = QLaurent.zero()
@@ -348,18 +351,32 @@ def _solve_wedge_rules(p_choice, x_rules):
 # ---------------------------------------------------------------------------
 
 class CalculusTable:
-    """Derived rule tables plus memoized normal-form engines for one p-choice."""
+    """Derived rule tables plus memoized normal-form engines for one p-choice.
 
-    def __init__(self, p_choice, x_rules, wedge_rules):
+    A table built with ``wedge_rules=None`` solves the wedge relations from
+    its x rules on the first read of ``wedge_rules``, and checks them before
+    it returns them.
+    """
+
+    def __init__(self, p_choice, x_rules, wedge_rules=None):
         self.p_choice = p_choice
         self.p_exp = P_EXPONENTS[p_choice]
         self.p = QLaurent.q_power(self.p_exp)
         self.x_rules = x_rules
-        self.wedge_rules = wedge_rules
+        self._wedge_rules = wedge_rules
         self.leibniz = "d(fg) = (df)g + f(dg)"
         self._cross_memo = {}
         self._dmono_memo = {}
         self._insert_memo = {}
+
+    @property
+    def wedge_rules(self):
+        if self._wedge_rules is None:
+            rules = _solve_wedge_rules(self.p_choice, self.x_rules)
+            _verify_wedge_rules(
+                CalculusTable(self.p_choice, self.x_rules, rules))
+            self._wedge_rules = rules
+        return self._wedge_rules
 
     # -- 1-form engine ------------------------------------------------------
 
@@ -446,15 +463,17 @@ _TABLE_CACHE = {}
 
 
 def derive_table(p_choice="q") -> CalculusTable:
-    """Derive (and cache) the calculus table for p = q or p = q^-1."""
+    """Derive (and cache) the calculus table for p = q or p = q^-1.
+
+    The x rules are solved and checked here; the wedge relations, which only
+    ``q table`` and the forms read, on their first read.
+    """
     if p_choice not in P_EXPONENTS:
         raise ValueError(f"unknown p_choice {p_choice!r}")
     table = _TABLE_CACHE.get(p_choice)
     if table is None:
-        x_rules = _solve_x_rules(P_EXPONENTS[p_choice])
-        table = CalculusTable(p_choice, x_rules,
-                              _solve_wedge_rules(p_choice, x_rules))
-        _verify_table(table)
+        table = CalculusTable(p_choice, _solve_x_rules(P_EXPONENTS[p_choice]))
+        _verify_x_rules(table)
         _TABLE_CACHE[p_choice] = table
     return table
 
@@ -467,20 +486,22 @@ def _classical(rule):
     return {pair: c for pair, c in cls.items() if c}
 
 
-def _verify_table(table):
-    """Recheck a table: two independent oracles (the classical limit and
-    the closed form of d(det)), then every defining constraint expanded
-    through the table's own engines."""
-    # classical limit: every rule degenerates to plain (anti)commutation
+def _check_constraints(table, constraints):
+    """Raise at the first constraint whose residual over ``table`` is not 0."""
+    for name, residual in constraints:
+        if any(residual(table).values()):
+            raise CalculusError(f"constraint broken by the table: {name}")
+
+
+def _verify_x_rules(table):
+    """Recheck the x rules of a table: two independent oracles (the
+    classical limit and the closed form of d(det)), then every x constraint
+    expanded through the table's own engines."""
+    # classical limit: every rule degenerates to plain commutation
     for (g, a), rule in table.x_rules.items():
         if _classical(rule) != {(a, g): GaussRational.one()}:
             raise CalculusError(
                 f"classical limit broken for d{X_NAMES[g]}.{X_NAMES[a]}")
-    for (b, a), rule in table.wedge_rules.items():
-        want = {} if b == a else {(a, b): -GaussRational.one()}
-        if _classical(rule) != want:
-            raise CalculusError(
-                f"classical limit broken for d{X_NAMES[b]}^d{X_NAMES[a]}")
     # d(det) in closed form: its partials del_g det = coeff * x_mono
     p_exp = table.p_exp
     want = [{}, {}, {}, {}]
@@ -492,9 +513,19 @@ def _verify_table(table):
         want[g][_gen_mono(mono_g)] = coeff
     if [p.terms for p in partials(det_x(), table)] != want:
         raise CalculusError("d(det) does not match its closed form")
-    for name, residual in _x_constraints(p_exp) + _d2_constraints():
-        if any(residual(table).values()):
-            raise CalculusError(f"constraint broken by the table: {name}")
+    _check_constraints(table, _x_constraints(p_exp))
+
+
+def _verify_wedge_rules(table):
+    """Recheck the wedge rules of a table: the classical limit, then d^2 = 0
+    on every product of two generators, expanded through its engines."""
+    # classical limit: every rule degenerates to plain anticommutation
+    for (b, a), rule in table.wedge_rules.items():
+        want = {} if b == a else {(a, b): -GaussRational.one()}
+        if _classical(rule) != want:
+            raise CalculusError(
+                f"classical limit broken for d{X_NAMES[b]}^d{X_NAMES[a]}")
+    _check_constraints(table, _d2_constraints())
 
 
 # ---------------------------------------------------------------------------

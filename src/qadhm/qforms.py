@@ -17,7 +17,7 @@ life of the table.
 
 from weakref import WeakKeyDictionary
 
-from .exactcore import QLaurent
+from .scalars import QLaurent
 from .qcalculus import CalculusError
 from .qspacetime import NCPoly, X_NAMES, add_to, engine
 

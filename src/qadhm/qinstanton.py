@@ -28,8 +28,9 @@ the matrix equations.  On top of that this module provides:
 """
 
 from .datum import is_complex_solution
-from .exactcore import Matrix, QLaurent
+from .exactcore import Matrix
 from .qspacetime import NCPoly, X_NAMES, Y_NAMES, monomials_of_degree
+from .scalars import QLaurent
 
 __all__ = [
     "QInstantonError", "build_q_ops", "scalar_operator",

@@ -28,7 +28,7 @@ indices (|m| > l or |n| > l) denote the zero element.
 
 from __future__ import annotations
 
-from .exactcore import QLaurent, _as_qlaurent
+from .scalars import QLaurent, _as_qlaurent
 
 __all__ = [
     "NCPoly", "HarmonicIndex", "SortEngine",

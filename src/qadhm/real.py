@@ -16,7 +16,8 @@ the images of real data.
 from __future__ import annotations
 
 from .datum import ADHMError, ComplexADHMDatum, _scalar, is_complex_solution
-from .exactcore import GaussRational, Matrix
+from .exactcore import Matrix
+from .scalars import GaussRational
 
 __all__ = ["real_residuals", "embed_real"]
 

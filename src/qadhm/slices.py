@@ -19,7 +19,8 @@ from math import comb
 from .adhm import (_closure_basis, _gcd_roots, _gcd_str, _krylov_minor_gcd,
                    gcd_projective_roots)
 from .datum import ADHMError, _scalar, is_complex_solution
-from .exactcore import _QL_ONE, GaussRational, Matrix, QLaurent
+from .exactcore import Matrix
+from .scalars import _QL_ONE, GaussRational, QLaurent
 
 __all__ = ["pencil_grid", "slice_verdict", "slice_line"]
 

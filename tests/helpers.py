@@ -14,11 +14,11 @@ import random
 from qadhm.adhm import _closure_basis, _linear_map_matrix, classify
 from qadhm.datum import (ADHMError, ComplexADHMDatum, RealADHMDatum,
                          is_complex_solution)
-from qadhm.exactcore import (_QL_ONE, GaussRational, Matrix, QLaurent,
-                             _as_gauss, _echelon, random_gauss)
+from qadhm.exactcore import Matrix, random_gauss
 from qadhm.qinstanton import (QInstantonError, _monomials_upto, _slice_rows,
                               build_q_ops, truncated_matrix)
 from qadhm.real import real_residuals
+from qadhm.scalars import _QL_ONE, GaussRational, QLaurent, _as_gauss, _echelon
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)

@@ -18,8 +18,7 @@ from functools import cache
 from qadhm.adhm import _linear_map_matrix, classify, is_costable, is_stable
 from qadhm.chern import chi_twist
 from qadhm.datum import ADHMError, ComplexADHMDatum, is_complex_solution
-from qadhm.exactcore import (GaussRational, Matrix, QLaurent, QRat, qint,
-                             random_gauss)
+from qadhm.exactcore import Matrix, random_gauss
 from qadhm.monad import (VARS, MonadError, _unit_column_block,
                          product_coefficients)
 from qadhm.qcalculus import (CalculusError, P_EXPONENTS, derive_table,
@@ -30,6 +29,7 @@ from qadhm.qinstanton import (QInstantonError, _bars, _monomials_upto,
 from qadhm.qspacetime import (HarmonicIndex, NCPoly, X_NAMES, Y_NAMES,
                               _residue, add_to, basis_element, det_x, engine,
                               harmonic, monomials_of_degree)
+from qadhm.scalars import GaussRational, QLaurent, QRat, qint
 
 from helpers import is_real_solution, pencil_scalar, submatrix
 

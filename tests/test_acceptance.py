@@ -28,7 +28,6 @@ from qadhm.datum import (
     complex_residuals,
     is_complex_solution,
 )
-from qadhm.exactcore import GaussRational, QLaurent, qint
 from qadhm.monad import (build_monad, check_exactness_at, classify_sheaf,
                          monad_pencils, product_coefficients)
 from qadhm.qcalculus import (_solve_x_rules, derive_table, laplacian,
@@ -37,6 +36,7 @@ from qadhm.qforms import d
 from qadhm.qinstanton import curvature_asd
 from qadhm.qspacetime import (HarmonicIndex, NCPoly, basis_element, det_x,
                               harmonic, monomials_of_degree)
+from qadhm.scalars import GaussRational, QLaurent, qint
 
 from helpers import (random_c1r1_solution, random_complex_datum,
                      slice_rank_report)

@@ -17,7 +17,8 @@ from qadhm.datum import (
     datum_from_json,
     is_complex_solution,
 )
-from qadhm.exactcore import GaussRational, Matrix, QLaurent, random_gauss
+from qadhm.exactcore import Matrix, random_gauss
+from qadhm.scalars import GaussRational, QLaurent
 
 from helpers import (
     c1_generator,

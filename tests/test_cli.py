@@ -28,11 +28,12 @@ from qadhm.cli import (
     run,
 )
 from qadhm.datum import ComplexADHMDatum, RealADHMDatum
-from qadhm.exactcore import GaussRational, Matrix, QLaurent
+from qadhm.exactcore import Matrix
 from qadhm.expr import ExprParser, parse_expr
 from qadhm.chern import chi_twist
 from qadhm.qcalculus import derive_table, laplacian, partials
 from qadhm.qspacetime import HarmonicIndex, NCPoly, X_NAMES, basis_element, det_x
+from qadhm.scalars import GaussRational, QLaurent
 
 from helpers import random_complex_datum
 
@@ -135,8 +136,8 @@ def _error(argv, capsys):
 
 
 class TestOptionChecks:
-    """The range checks of ``adhm random --seed`` and ``inst slices
-    --grid-size``, which their handlers make."""
+    """The range checks of ``adhm random --seed`` and ``-r`` and of ``inst
+    slices --grid-size``, which their handlers make."""
 
     SEED_ERROR = {"type": "CLIError",
                   "message": "seed must be a 64-bit integer"}
@@ -150,6 +151,20 @@ class TestOptionChecks:
             code, out = invoke(["adhm", "random", "-r", "2", "-c", "1",
                                 "--seed", str(seed)], capsys)
             assert code == 0 and json.loads(out)["c"] == 1
+
+    def test_random_rank_bound(self, capsys):
+        # the seeded construction needs r >= 2; the refusal names -r and
+        # comes before the stability code is loaded
+        for r in (1, 0, -1):
+            assert _error(["adhm", "random", "-r", str(r), "-c", "1"],
+                          capsys) == {"type": "CLIError",
+                                      "message": "-r must be at least 2"}
+        proc = run_python(["-c", _LOADED_BY_RUN, "adhm", "random", "-r", "1",
+                           "-c", "1"])
+        rep = json.loads(proc.stdout)
+        assert rep["code"] == 2 and "qadhm.adhm" not in rep["new"]
+        code, out = invoke(["adhm", "random", "-r", "2", "-c", "1"], capsys)
+        assert code == 0 and json.loads(out)["r"] == 2
 
     def test_grid_size_bound(self, tmp_path, capsys):
         # 12 is the largest grid the tests and the benchmark use
@@ -729,22 +744,23 @@ print(json.dumps({"code": code, "new": sorted(set(sys.modules) - before)}))
 # argv -> the qadhm modules it loads.  DATUM, REAL and COCYCLE stand for a
 # complex solution, a real solution and a cocycle file.
 DATUM, REAL, COCYCLE = "<datum>", "<real>", "<cocycle>"
-_ADHM = {"cli", "cli_adhm", "datum", "exactcore", "adhm"}
-_MONAD = {"cli", "cli_monad", "datum", "exactcore", "monad"}
-_Q = {"cli", "cli_q", "exactcore", "qspacetime", "qcalculus"}
+_MATRIX = {"exactcore", "scalars"}
+_ADHM = {"cli", "cli_adhm", "datum", "adhm"} | _MATRIX
+_MONAD = {"cli", "cli_monad", "datum", "monad"} | _MATRIX
+_Q = {"cli", "cli_q", "scalars", "qspacetime", "qcalculus"}
 _Q_EXPR = _Q | {"expr"}
-_INST = {"cli", "cli_inst", "datum", "exactcore", "qspacetime", "qinstanton"}
+_INST = {"cli", "cli_inst", "datum", "qspacetime", "qinstanton"} | _MATRIX
 _MODULES_BY_COMMAND = {
     ("--help",): {"cli", "cli_adhm", "cli_monad", "cli_q", "cli_inst"},
     ("adhm", "check", DATUM): _ADHM,
-    ("adhm", "embed", REAL): {"cli", "cli_adhm", "datum", "exactcore", "real"},
+    ("adhm", "embed", REAL): {"cli", "cli_adhm", "datum", "real"} | _MATRIX,
     ("adhm", "random", "-r", "2", "-c", "1"): _ADHM,
     ("adhm", "rank", DATUM): _ADHM,
     ("monad", "build", DATUM): _MONAD,
     ("monad", "classify", DATUM): _MONAD | {"adhm"},
     ("monad", "chern", "-r", "2", "-c", "1", "-k", "0"):
         {"cli", "cli_monad", "chern"},
-    ("q", "normalize", "x11*x22"): {"cli", "cli_q", "expr", "exactcore",
+    ("q", "normalize", "x11*x22"): {"cli", "cli_q", "expr", "scalars",
                                     "qspacetime"},
     ("q", "partial", "x11*x22"): _Q_EXPR,
     ("q", "laplace", "x11*x22"): _Q_EXPR,
@@ -754,11 +770,16 @@ _MODULES_BY_COMMAND = {
     ("q", "penrose", COCYCLE): _Q,
     ("inst", "verify", DATUM): _INST,
     ("inst", "slices", DATUM, "--dmax", "0", "--grid-size", "2"):
-        {"cli", "cli_inst", "datum", "exactcore", "adhm", "slices"},
+        {"cli", "cli_inst", "datum", "adhm", "slices"} | _MATRIX,
     ("inst", "curvature", DATUM): _INST | {"qcalculus", "qforms"},
 }
 # the only commands that load the expression parser and the forms
 _WITH_EXPR = {("q", "normalize"), ("q", "partial"), ("q", "laplace")}
+# the commands that build no matrix: the q commands need only the scalars
+# and their echelon, and monad chern computes in ints
+_WITHOUT_MATRIX = {("q", s) for s in ("normalize", "partial", "laplace",
+                                      "harmonic", "eigen", "table",
+                                      "penrose")} | {("monad", "chern")}
 _WITH_FORMS = {("inst", "curvature")}
 # the modules that only one command loads: the Chern characters, the beta_P
 # verdicts and the real embedding
@@ -781,13 +802,13 @@ _LINE_BUDGET = {
     ("monad", "build"): 1831,
     ("monad", "classify"): 2466,
     ("monad", "chern"): 279,
-    ("q", "normalize"): 2129,
-    ("q", "partial"): 2730,
-    ("q", "laplace"): 2730,
-    ("q", "harmonic"): 2597,
-    ("q", "eigen"): 2597,
-    ("q", "table"): 2597,
-    ("q", "penrose"): 2597,
+    ("q", "normalize"): 1878,
+    ("q", "partial"): 2511,
+    ("q", "laplace"): 2511,
+    ("q", "harmonic"): 2379,
+    ("q", "eigen"): 2379,
+    ("q", "table"): 2379,
+    ("q", "penrose"): 2379,
     ("inst", "verify"): 2343,
     ("inst", "slices"): 2328,
     ("inst", "curvature"): 3226,
@@ -828,6 +849,8 @@ class TestImportDiscipline:
                 == {f"cli_{command[0]}"}
         if command[:2] in _WITHOUT_ADHM:
             assert "adhm" not in loaded
+        if command[:2] in _WITHOUT_MATRIX:
+            assert "exactcore" not in loaded
         assert ("expr" in loaded) == (command[:2] in _WITH_EXPR)
         assert ("qforms" in loaded) == (command[:2] in _WITH_FORMS)
         for module, owner in _OWN_MODULES.items():

@@ -14,14 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 import qadhm
 
-from qadhm import exactcore
+from qadhm import scalars
 from qadhm.adhm import gcd_projective_roots
-from qadhm.exactcore import (
-    GaussRational, Matrix, QLaurent, QRat,
-    _echelon, _ql_divmod, parse_gauss, qint, random_gauss,
-)
+from qadhm.exactcore import Matrix, random_gauss
 from qadhm.monad import Pencil
 from qadhm.qspacetime import NCPoly
+from qadhm.scalars import (GaussRational, QLaurent, QRat, _echelon, _ql_divmod,
+                           parse_gauss, qint)
 
 from helpers import matrix_from_rows, qbinom, qbrace, qfact
 
@@ -290,7 +289,7 @@ def test_exact_division_and_reduction_match_the_shifted_division():
         return _outcome(lambda: a / b), r.num, r.den, _outcome(r.as_qlaurent)
     pairs = laurent_division_pairs()
     got = [run(a, b) for a, b in pairs]
-    with patch.object(exactcore, "_ql_divmod", _shifted_divmod):
+    with patch.object(scalars, "_ql_divmod", _shifted_divmod):
         want = [run(a, b) for a, b in pairs]
     assert got == want
     assert sum(x[0] is ValueError for x in got) >= 100
@@ -742,7 +741,7 @@ def test_single_root_path_imports_no_sympy():
     # z*w*(z + (1+2i)*w)^2
     code = ("import sys\n"
             "from qadhm.adhm import gcd_projective_roots\n"
-            "from qadhm.exactcore import GaussRational as G, QLaurent\n"
+            "from qadhm.scalars import GaussRational as G, QLaurent\n"
             "p = QLaurent({3: G(1), 2: G(2, 4), 1: G(-3, 4)}), 1\n"
             "roots, _ = gcd_projective_roots(*p)\n"
             "print([m for _, m in roots], roots[-1][0][0], "

@@ -9,11 +9,12 @@ import pytest
 from qadhm.adhm import random_nonstable_solution, random_stable_solution
 from qadhm.real import embed_real
 from qadhm.datum import ComplexADHMDatum
-from qadhm.exactcore import GaussRational, Matrix, random_gauss
+from qadhm.exactcore import Matrix, random_gauss
 from qadhm.monad import (Monad, MonadError, Pencil, SheafClassification, VARS,
                          build_monad, check_exactness_at, classify_sheaf,
                          monad_pencils, product_coefficients)
 from qadhm.chern import chi_line, chi_twist
+from qadhm.scalars import GaussRational
 
 from helpers import (
     grid_points,

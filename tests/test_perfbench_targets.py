@@ -80,3 +80,20 @@ def test_launcher_targets_resolve():
                    ("monad", "check_exactness_at"),
                    ("monad", "build_monad"), ("qspacetime", "normalize")]:
         assert pinned in targets
+
+
+def test_exactcore_binds_the_scalar_classes():
+    # The benchmark imports and traces the scalar types through exactcore,
+    # and they are defined in scalars: exactcore must bind the very class
+    # objects, so a wrapper installed through one module sees the calls
+    # made through the other.
+    from qadhm import exactcore, scalars
+    names = {n for m, n in qadhm_imports("probes.py")
+             + qadhm_imports("workloads.py") if m == "qadhm.exactcore"}
+    names |= {path.partition(".")[0] for mod, path in launcher_targets()
+              if mod == "exactcore"}
+    moved = {n for n in names if hasattr(scalars, n)}
+    assert moved == {"GaussRational", "QLaurent", "QRat"}
+    for name in moved:
+        assert getattr(exactcore, name) is getattr(scalars, name)
+        assert name in exactcore.__all__

@@ -10,15 +10,16 @@ import random
 import pytest
 
 import qadhm.qcalculus as qcalculus
-from qadhm.exactcore import GaussRational, QLaurent, QRat, qint
+from qadhm.cli import run
 from qadhm.qcalculus import (CalculusError, CalculusTable, P_EXPONENTS,
                              _Affine, _solve_system, _solve_wedge_rules,
-                             _solve_x_rules, _verify_table, cech_index,
+                             _solve_x_rules, cech_index,
                              derive_table, eigenvalue_tilde, laplacian,
                              partials, penrose_scalar, tilde_laplacian)
 from qadhm.qforms import NCForm, asd_membership, d, sd_asd_split
 from qadhm.qspacetime import (HarmonicIndex, NCPoly, basis_element, det_x,
                               harmonic, monomials_of_degree)
+from qadhm.scalars import GaussRational, QLaurent, QRat, qint
 
 from statements import (VOL_WORD, anticommutation_audit, cech_exponents,
                         conjugation_identity_check, delta_eigenvalue,
@@ -201,26 +202,36 @@ class TestRuleDerivation:
         assert js["wedge_rules"]["dx22*dx22"] == []
         assert derive_table("qinv").to_json()["p_choice"] == "qinv"
 
-    def test_verification_rejects_naive_anticommutation(self):
+    def test_verification_rejects_naive_anticommutation(self, monkeypatch):
         # dx21^dx12 = -dx12^dx21 keeps the classical limit and d(det), but
-        # breaks d^2 = 0 on x12*x21
+        # breaks d^2 = 0 on x12*x21; the first read of the wedge rules
+        # checks them, and a rejected solve is never kept
         t = derive_table("q")
         doctored = dict(t.wedge_rules)
         doctored[(2, 1)] = ((QLaurent({0: -1}), (1, 2)),)
-        with pytest.raises(CalculusError, match=r"d\^2\[x12\*x21\]"):
-            _verify_table(CalculusTable("q", t.x_rules, doctored))
+        monkeypatch.setattr(qcalculus, "_solve_wedge_rules",
+                            lambda p_choice, x_rules: doctored)
+        table = CalculusTable("q", t.x_rules)
+        for _ in range(2):
+            with pytest.raises(CalculusError, match=r"d\^2\[x12\*x21\]"):
+                table.wedge_rules
 
 
     @pytest.mark.parametrize("p_choice", P_CHOICES)
     @pytest.mark.parametrize("rule", [(0, 3), (1, 2)])
-    def test_verification_rejects_a_doctored_x_rule(self, p_choice, rule):
-        # q^2 times the rule keeps its classical limit but not d(det)
+    def test_verification_rejects_a_doctored_x_rule(self, p_choice, rule,
+                                                    monkeypatch):
+        # q^2 times the rule keeps its classical limit but not d(det), which
+        # derive_table checks before it returns
         t = derive_table(p_choice)
         doctored = dict(t.x_rules)
         doctored[rule] = tuple((c * Q2, pair) for c, pair in t.x_rules[rule])
+        monkeypatch.setattr(qcalculus, "_solve_x_rules",
+                            lambda p_exp: doctored)
+        monkeypatch.setattr(qcalculus, "_TABLE_CACHE", {})
         with pytest.raises(CalculusError,
                            match=r"d\(det\) does not match its closed form"):
-            _verify_table(CalculusTable(p_choice, doctored, t.wedge_rules))
+            derive_table(p_choice)
 
     def test_charge_targets_match_the_sorted_multisets(self):
         rows, cols = (0, 0, 1, 1), (0, 1, 0, 1)
@@ -254,10 +265,12 @@ class TestLaurentDerivation:
     @pytest.mark.parametrize("pc", P_CHOICES)
     def test_matches_the_qrat_solve(self, pc, monkeypatch):
         table = derive_table(pc)
+        # read before the patch, so they are solved in the Laurent ring
+        wedge_rules = table.wedge_rules
         monkeypatch.setattr(qcalculus, "_equations", _qrat_equations)
         x_rules = _solve_x_rules(P_EXPONENTS[pc])
         assert x_rules == table.x_rules
-        assert _solve_wedge_rules(pc, x_rules) == table.wedge_rules
+        assert _solve_wedge_rules(pc, x_rules) == wedge_rules
 
     @pytest.mark.parametrize("pc", P_CHOICES)
     def test_one_laurent_solve_per_round_that_added_equations(
@@ -273,11 +286,33 @@ class TestLaurentDerivation:
 
         monkeypatch.setattr(qcalculus, "_solve_system", spy)
         monkeypatch.setattr(qcalculus, "_TABLE_CACHE", {})
-        derive_table(pc)
+        table = derive_table(pc)
         # x rules: rounds of 32 and 40 equations, then a round that only
-        # expands the deferred det covariances to zero and solves nothing;
-        # wedge rules: one round of 16
+        # expands the deferred det covariances to zero and solves nothing
+        assert sizes == [32, 40]
+        # wedge rules, on their first read: one round of 16
+        table.wedge_rules
+        table.wedge_rules
         assert sizes == [32, 40, 16]
+
+    @pytest.mark.parametrize("argv,solves", [
+        (["q", "partial", "x11*x22"], 0),
+        (["q", "table"], 1),
+    ], ids=["q partial", "q table"])
+    def test_only_commands_that_read_wedge_rules_solve_them(
+            self, argv, solves, monkeypatch, capsys):
+        calls = []
+        solve = qcalculus._solve_wedge_rules
+
+        def spy(p_choice, x_rules):
+            calls.append(p_choice)
+            return solve(p_choice, x_rules)
+
+        monkeypatch.setattr(qcalculus, "_solve_wedge_rules", spy)
+        monkeypatch.setattr(qcalculus, "_TABLE_CACHE", {})
+        assert run(argv) == 0
+        assert capsys.readouterr().out
+        assert len(calls) == solves
 
 
 class TestPencilCovariance:

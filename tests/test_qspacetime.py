@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import pytest
 
-from qadhm.exactcore import GaussRational, QLaurent, QRat
 from qadhm.qspacetime import (HarmonicIndex, NCPoly, X_NAMES, Y_NAMES,
                               basis_element, det_x, harmonic,
                               monomials_of_degree, normalize)
+from qadhm.scalars import GaussRational, QLaurent, QRat
 
 from helpers import qbinom, qfact
 from statements import (basis_independence, basis_indices_for_degree,

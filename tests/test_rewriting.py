@@ -11,9 +11,9 @@ import itertools
 
 import pytest
 
-from qadhm.exactcore import QLaurent
 from qadhm.qcalculus import derive_table
 from qadhm.qspacetime import CHART_I_RULES, CHART_J_RULES, engine
+from qadhm.scalars import QLaurent
 
 
 def naive_rewrite(word, rules):

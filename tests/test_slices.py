@@ -19,9 +19,10 @@ from qadhm.adhm import (classify, random_nonstable_solution,
                         random_stable_solution)
 from qadhm.cli import MAX_DEGREE_CAP, MAX_GRID_SIZE, run
 from qadhm.datum import ADHMError, ComplexADHMDatum
-from qadhm.exactcore import GaussRational, Matrix, QLaurent, parse_gauss
+from qadhm.exactcore import Matrix
 from qadhm.qinstanton import build_q_ops
 from qadhm.qspacetime import NCPoly, X_NAMES
+from qadhm.scalars import GaussRational, QLaurent, parse_gauss
 from qadhm.slices import _charpoly, pencil_grid, slice_line, slice_verdict
 
 from helpers import least_covering_cap, random_c1r1_solution

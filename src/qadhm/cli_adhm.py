@@ -39,12 +39,10 @@ def _cmd_adhm_random(args):
     # the construction draws the top rows of i1 and i2 independent in C^r
     if args.r < 2:
         raise CLIError("-r must be at least 2")
+    if args.c < 1:
+        raise CLIError("-c must be at least 1 (c >= 1)")
     from .adhm import random_stable_solution
-    from .datum import ADHMError
-    try:
-        d = random_stable_solution(args.r, args.c, args.seed)
-    except ADHMError as exc:
-        raise CLIError(str(exc)) from exc
+    d = random_stable_solution(args.r, args.c, args.seed)
     _emit_json(d.to_json(), args.output)
     return True
 

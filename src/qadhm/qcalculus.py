@@ -1,8 +1,7 @@
 """First-order differential calculus on the chart-I quantum algebra.
 
 The calculus exists in two flavours, selected by ``p_choice``: the structure
-constant p equals q ("q") or q^-1 ("qinv").  Everything here is *derived*, not
-transcribed: the sixteen commutation rules
+constant p equals q ("q") or q^-1 ("qinv").  Its sixteen commutation rules
 
     dx_b . x_a  =  sum  coeff * x_c . dx_d
 
@@ -39,13 +38,16 @@ naive anticommutation -dx12^dx21 is inconsistent with the derived x-dx table
 (the residual is exactly (q^2-1)(dx11^dx22 - dx12^dx21), vanishing only at
 q^2 = 1).
 
-The rules are solved through the table's own engines, ``cross`` for the
-x-dx rules and ``insert_wedge`` for d^2 = 0, run on a ``CalculusTable`` whose
-unsolved rules carry unknowns.  ``derive_table`` solves the x rules and
-re-checks them against their 19 constraints, their classical limit and the
-closed form of d(det).  Most commands read no wedge rule, so the table
-solves the wedge rules on their first read and re-checks them against
-their classical limit and the 16 d^2 = 0 constraints before returning them.
+The tables depend on no input, so they were solved once and are kept here
+as the constants ``_X_RULES`` and ``_WEDGE_RULES``.  The solver is the test
+oracle ``tests/calculus_oracle.py``: it expands each constraint through the
+table's own engines (``cross`` for the x-dx rules, ``insert_wedge`` for
+d^2 = 0) with unknown coefficients, and the tests assert that its unique
+solution is these constants, term for term.  Each rule is still checked in
+the process before it is used: ``derive_table`` checks the x rules against
+their classical limit, the closed form of d(det) and their 19 constraints;
+a table checks the wedge rules, which most commands never read, on their
+first read, against their classical limit and the 16 d^2 = 0 constraints.
 
 Differential forms and the exterior derivative on them are in ``qforms``.
 
@@ -65,21 +67,11 @@ from functools import partial
 from .qspacetime import (CHART_I_RULES, HarmonicIndex, NCPoly, X_NAMES,
                          add_to, apply_rule, det_x, engine, feed, harmonic,
                          split_first)
-from .scalars import GaussRational, QLaurent, _echelon, qint
+from .scalars import GaussRational, QLaurent, qint
 
 _ONE = QLaurent.one()
-_ZERO = QLaurent.zero()
 _ENG = engine("I")
 _ZMONO = (0, 0, 0, 0)
-
-# generator g = 2*(row-1) + (col-1): x11, x12, x21, x22
-_ROWS = (0, 0, 1, 1)
-_COLS = (0, 1, 0, 1)
-
-# (c, d) -> its charge: the row and column multisets of the pair, which over
-# {0, 1} are fixed by their sums
-_CHARGE = {(c, d): (_ROWS[c] + _ROWS[d], _COLS[c] + _COLS[d])
-           for c in range(4) for d in range(4)}
 
 # dx_g . det = p^2 q^DX_DET_TWIST[g] det . dx_g
 DX_DET_TWIST = (0, -2, 2, 0)
@@ -88,161 +80,72 @@ P_EXPONENTS = {"q": 1, "qinv": -1}
 
 
 class CalculusError(Exception):
-    """Raised when the rule derivation is inconsistent or underdetermined."""
-
-
-def _charge_targets(a, b):
-    """Ordered pairs (c, d) with the same row and column multisets as (a, b)."""
-    key = _CHARGE[(a, b)]
-    return tuple(pair for pair, charge in _CHARGE.items() if charge == key)
+    """Raised when a rule table fails a check or cannot be solved for."""
 
 
 # ---------------------------------------------------------------------------
-# linear solver over Q(i)(q)
+# the solved tables
 # ---------------------------------------------------------------------------
 
-def _solve_system(equations):
-    """Solve (lin: {var: c}, const: c, name) equations exactly.
+# generator g = 2*(row-1) + (col-1): x11, x12, x21, x22.  Rule (g, a) is
+# dx_g . x_a = sum coeff * x_c . dx_d as ((coeff, (c, d)), ...), each coeff
+# an integer Laurent dict {exponent: coefficient}, the terms in the order
+# the solver gives them (``q table`` prints that order).
+_X_RULES = {
+    "q": {
+        (0, 0): (({2: 1}, (0, 0)),),
+        (0, 1): (({2: 1}, (1, 0)),),
+        (0, 2): (({0: 1}, (2, 0)),),
+        (0, 3): (({0: 1}, (3, 0)),),
+        (1, 0): (({0: 1}, (0, 1)), ({0: -1, 2: 1}, (1, 0))),
+        (1, 1): (({2: 1}, (1, 1)),),
+        (1, 2): (({-2: 1}, (2, 1)), ({0: 1, -2: -1}, (3, 0))),
+        (1, 3): (({0: 1}, (3, 1)),),
+        (2, 0): (({2: 1}, (0, 2)), ({2: 1, 0: -1}, (2, 0))),
+        (2, 1): (({2: 1}, (1, 2)), ({2: 1, 0: -1}, (3, 0))),
+        (2, 2): (({2: 1}, (2, 2)),),
+        (2, 3): (({2: 1}, (3, 2)),),
+        (3, 0): (({0: 1}, (0, 3)), ({2: 1, 0: -1}, (1, 2)),
+                 ({0: 1, -2: -1}, (2, 1)), ({2: 1, 0: -2, -2: 1}, (3, 0))),
+        (3, 1): (({2: 1}, (1, 3)), ({2: 1, 0: -1}, (3, 1))),
+        (3, 2): (({0: 1}, (2, 3)), ({0: -1, 2: 1}, (3, 2))),
+        (3, 3): (({2: 1}, (3, 3)),),
+    },
+    "qinv": {
+        (0, 0): (({-2: 1}, (0, 0)),),
+        (0, 1): (({0: -1, -2: 1}, (0, 1)), ({0: 1}, (1, 0))),
+        (0, 2): (({0: -1, -2: 1}, (0, 2)), ({-2: 1}, (2, 0))),
+        (0, 3): (({2: 1, 0: -2, -2: 1}, (0, 3)), ({2: -1, 0: 1}, (1, 2)),
+                 ({0: -1, -2: 1}, (2, 1)), ({0: 1}, (3, 0))),
+        (1, 0): (({-2: 1}, (0, 1)),),
+        (1, 1): (({-2: 1}, (1, 1)),),
+        (1, 2): (({0: -1, -2: 1}, (0, 3)), ({-2: 1}, (2, 1))),
+        (1, 3): (({0: -1, -2: 1}, (1, 3)), ({-2: 1}, (3, 1))),
+        (2, 0): (({0: 1}, (0, 2)),),
+        (2, 1): (({2: -1, 0: 1}, (0, 3)), ({2: 1}, (1, 2))),
+        (2, 2): (({-2: 1}, (2, 2)),),
+        (2, 3): (({0: -1, -2: 1}, (2, 3)), ({0: 1}, (3, 2))),
+        (3, 0): (({0: 1}, (0, 3)),),
+        (3, 1): (({0: 1}, (1, 3)),),
+        (3, 2): (({-2: 1}, (2, 3)),),
+        (3, 3): (({-2: 1}, (3, 3)),),
+    },
+}
 
-    Each equation asserts sum(lin[v] * v) + const = 0, with coefficients in
-    QLaurent or QRat.  Returns the dict of uniquely determined variables;
-    raises CalculusError on inconsistency.  Variables are the columns of a
-    reduced row echelon in sorted order, with the constant as the last
-    column: a pivot there is an inconsistency, and a variable is determined
-    when its pivot row holds no other variable.  ``_echelon`` pivots on
-    units, so a value is a QLaurent unless a non-unit pivot made it a QRat.
-    """
-    names = sorted({v for lin, _, _ in equations for v, c in lin.items() if c})
-    col = {v: j for j, v in enumerate(names)}
-    const_col = len(names)
-    rows = []
-    for lin, const, _ in equations:
-        row = {col[v]: c for v, c in lin.items() if c}
-        if const:
-            row[const_col] = const
-        rows.append(row)
-    solved = {}
-    for j, i, row in _echelon(rows, const_col + 1, reduced=True):
-        if j == const_col:
-            raise CalculusError(f"inconsistent constraints: {equations[i][2]}")
-        if all(k == j or k == const_col for k in row):
-            solved[names[j]] = -row.get(const_col, _ZERO)
-    return solved
-
-
-# ---------------------------------------------------------------------------
-# rule tables with unknown coefficients
-# ---------------------------------------------------------------------------
-
-class _Nonlinear(Exception):
-    """A constraint expansion needed the product of two unknown rules."""
-
-
-class _Affine:
-    """A coefficient affine in the unknown rule coefficients.
-
-    ``terms`` maps each unknown, or None for the constant part, to a nonzero
-    QLaurent, and holds at least one unknown (a sum without one collapses to
-    its QLaurent constant).  The reflected operators let QLaurent values mix
-    in, so ``CalculusTable``'s engines expand a constraint over a table whose
-    unsolved rules carry unknowns; a product of two unknowns raises
-    _Nonlinear.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        more = other.terms if isinstance(other, _Affine) else {None: other}
-        for v, c in more.items():
-            add_to(t, v, c)
-            if not t[v]:
-                del t[v]
-        if any(v is not None for v in t):
-            return _Affine(t)
-        return t.get(None, QLaurent.zero())
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, _Affine):
-            raise _Nonlinear()
-        if not other:
-            return QLaurent.zero()
-        return _Affine({v: c * other for v, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-
-def _unknown_rule(kind, g, a, targets):
-    """A rule for (g, a) with the unknown (kind, g, a, c, d) per target."""
-    return tuple((_Affine({(kind, g, a) + t: _ONE}), t) for t in targets)
-
-
-def _solved_rule(solved, kind, g, a, targets):
-    """The rule read off ``solved``; None while an unknown is undetermined."""
-    vals = [solved.get((kind, g, a) + t) for t in targets]
-    if any(v is None for v in vals):
-        return None
-    return tuple((v if type(v) is QLaurent else v.as_qlaurent(), t)
-                 for v, t in zip(vals, targets) if v)
-
-
-def _equations(name, residual):
-    """One linear equation per nonzero coefficient of a residual, with the
-    QLaurent coefficients as they are."""
-    eqs = []
-    for c in residual.values():
-        if c:
-            terms = c.terms if isinstance(c, _Affine) else {None: c}
-            eqs.append(({v: x for v, x in terms.items() if v is not None},
-                        terms.get(None, _ZERO), name))
-    return eqs
-
-
-def _solve_rules(kind, targets, pending, table_of, equations):
-    """Solve for the rules (g, a) of ``targets`` {(g, a): [(c, d)]}.
-
-    ``table_of(rules)`` is the table carrying ``rules``; unsolved ones get
-    one unknown per target.  Each round expands every pending constraint
-    through it, keeping back those that would multiply two unknowns, and
-    solves ``equations`` with everything gathered so far when the round
-    added any; rounds end when one expands no constraint and solves no rule.
-    """
-    rules = {}
-    solved = None
-    while True:
-        table = table_of({k: rules[k] if k in rules
-                          else _unknown_rule(kind, *k, ts)
-                          for k, ts in targets.items()})
-        left = []
-        before = len(equations)
-        for name, residual in pending:
-            try:
-                equations += _equations(name, residual(table))
-            except _Nonlinear:
-                left.append((name, residual))
-        if solved is None or len(equations) > before:
-            solved = _solve_system(equations)
-        found = {}
-        for k, ts in targets.items():
-            rule = _solved_rule(solved, kind, *k, ts)
-            if rule is not None:
-                found[k] = rule
-        if len(found) == len(targets) and not left:
-            return found
-        if len(found) == len(rules) and len(left) == len(pending):
-            sep = "." if kind == "x" else "^d"
-            missing = [f"d{X_NAMES[g]}{sep}{X_NAMES[a]}"
-                       for g, a in targets if (g, a) not in found]
-            raise CalculusError(f"underdetermined rules: {missing}")
-        rules, pending = found, left
+# dx_b ^ dx_a = sum coeff * dx_c ^ dx_d for b >= a, the same for both
+# p-choices; every square is zero.
+_WEDGE_RULES = {
+    (0, 0): (),
+    (1, 0): (({-2: -1}, (0, 1)),),
+    (1, 1): (),
+    (2, 0): (({0: -1}, (0, 2)),),
+    (2, 1): (({2: 1, 0: -1}, (0, 3)), ({2: -1}, (1, 2))),
+    (2, 2): (),
+    (3, 0): (({0: -1}, (0, 3)),),
+    (3, 1): (({0: -1}, (1, 3)),),
+    (3, 2): (({-2: -1}, (2, 3)),),
+    (3, 3): (),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -317,35 +220,6 @@ def _d2_constraints():
             for a in range(4) for b in range(4)]
 
 
-def _solve_x_rules(p_exp, extra_equations=()):
-    """Derive the sixteen dx-x rules for p = q^p_exp.  Returns {(g, a): rule}.
-
-    Raises CalculusError("inconsistent constraints: ...") or
-    CalculusError("underdetermined ...") when the system misbehaves.
-    """
-    p_choice = next(pc for pc, e in P_EXPONENTS.items() if e == p_exp)
-    targets = {(g, a): _charge_targets(g, a)
-               for g in range(4) for a in range(4)}
-    return _solve_rules("x", targets, _x_constraints(p_exp),
-                        lambda rules: CalculusTable(p_choice, rules, {}),
-                        list(extra_equations))
-
-
-def _solve_wedge_rules(p_choice, x_rules):
-    """Wedge relations forced by d^2 = 0 on all products of two generators.
-
-    Each dx_b ^ dx_a (b >= a) gets one unknown per sorted pair of its charge
-    class.  A square has no sorted pair in its class and is zero by the
-    charge ansatz (consistently: its coefficient in every residual is a unit
-    multiple, so the relations force the same answer).
-    """
-    targets = {(b, a): [(c, d) for c, d in _charge_targets(b, a) if c < d]
-               for b in range(4) for a in range(b + 1)}
-    return _solve_rules("w", targets, _d2_constraints(),
-                        lambda rules: CalculusTable(p_choice, x_rules, rules),
-                        [])
-
-
 # ---------------------------------------------------------------------------
 # the derived table
 # ---------------------------------------------------------------------------
@@ -353,9 +227,9 @@ def _solve_wedge_rules(p_choice, x_rules):
 class CalculusTable:
     """Derived rule tables plus memoized normal-form engines for one p-choice.
 
-    A table built with ``wedge_rules=None`` solves the wedge relations from
-    its x rules on the first read of ``wedge_rules``, and checks them before
-    it returns them.
+    A table built with ``wedge_rules=None`` loads the stored wedge relations
+    on the first read of ``wedge_rules``, and checks them against its x
+    rules before it returns them.
     """
 
     def __init__(self, p_choice, x_rules, wedge_rules=None):
@@ -372,7 +246,7 @@ class CalculusTable:
     @property
     def wedge_rules(self):
         if self._wedge_rules is None:
-            rules = _solve_wedge_rules(self.p_choice, self.x_rules)
+            rules = _rules(_WEDGE_RULES)
             _verify_wedge_rules(
                 CalculusTable(self.p_choice, self.x_rules, rules))
             self._wedge_rules = rules
@@ -462,17 +336,23 @@ class CalculusTable:
 _TABLE_CACHE = {}
 
 
-def derive_table(p_choice="q") -> CalculusTable:
-    """Derive (and cache) the calculus table for p = q or p = q^-1.
+def _rules(stored):
+    """A stored rule table with its coefficients as QLaurents."""
+    return {k: tuple((QLaurent(c), pair) for c, pair in terms)
+            for k, terms in stored.items()}
 
-    The x rules are solved and checked here; the wedge relations, which only
+
+def derive_table(p_choice="q") -> CalculusTable:
+    """The (cached) calculus table for p = q or p = q^-1.
+
+    The stored x rules are checked here; the wedge relations, which only
     ``q table`` and the forms read, on their first read.
     """
     if p_choice not in P_EXPONENTS:
         raise ValueError(f"unknown p_choice {p_choice!r}")
     table = _TABLE_CACHE.get(p_choice)
     if table is None:
-        table = CalculusTable(p_choice, _solve_x_rules(P_EXPONENTS[p_choice]))
+        table = CalculusTable(p_choice, _rules(_X_RULES[p_choice]))
         _verify_x_rules(table)
         _TABLE_CACHE[p_choice] = table
     return table

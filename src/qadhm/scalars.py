@@ -18,9 +18,9 @@ Three scalar types, each immutable and structural-equality:
 
 Plus the quantum integers [n], ``parse_gauss`` (which compiles its pattern
 on first use) and ``_echelon``, the one sparse row echelon of the package:
-the rule solve of ``qcalculus`` runs it on Laurent rows and the matrices of
-``exactcore`` on field rows.  The ``q`` commands need nothing else, so they
-load this module and not ``exactcore``.
+the matrices of ``exactcore`` run it on field rows, and the test oracles of
+the calculus tables and of the slices on Laurent rows.  The ``q`` commands
+need nothing else, so they load this module and not ``exactcore``.
 
 Equal scalars hash alike across types: a GaussRational with zero imaginary
 part hashes as its real part, a constant QLaurent as its coefficient, and a
@@ -688,15 +688,6 @@ class QRat:
             return NotImplemented
         return other / self
 
-    def as_qlaurent(self) -> QLaurent:
-        """Return the numerator if the denominator is trivial, else raise."""
-        if self.den == _QL_ONE:
-            return self.num
-        try:
-            return self.num / self.den
-        except ValueError:
-            raise ValueError(f"{self} is not a Laurent polynomial") from None
-
     def subs_q1(self) -> GaussRational:
         d = self.den.subs_q1()
         if not d:
@@ -747,12 +738,11 @@ def _echelon(rows, ncols, reduced=False):
     from left to right.  Each column pivots on the shortest live row whose
     entry there is a unit -- a field element or a Laurent monomial c*q^k --
     so Laurent rows stay Laurent; only when no candidate is a unit does the
-    shortest row pivot on a ``QRat`` inverse.  The rule equations of
-    ``qcalculus`` are Laurent, so they build a ``QRat`` only at such a
-    pivot.  Returns the pivots in
-    column order as (col, index of the input row, row normalised to 1 at
-    col).  With ``reduced`` each pivot column is also cleared from the
-    earlier pivot rows, which gives the reduced row echelon form.  Rank,
+    shortest row pivot on a ``QRat`` inverse, so Laurent equations build
+    a ``QRat`` only at such a pivot.  Returns the pivots in column order as
+    (col, index of the input row, row normalised to 1 at col).  With
+    ``reduced`` each pivot column is also cleared from the earlier pivot
+    rows, which gives the reduced row echelon form.  Rank,
     pivot columns and the reduced form (over the fraction field) depend
     only on the rows, not on the pivoting rule.
     """

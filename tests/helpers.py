@@ -284,6 +284,16 @@ def qbinom(n: int, r: int) -> QLaurent:
     return row[r]
 
 
+def qrat_as_qlaurent(r):
+    """The QLaurent a QRat equals; ValueError if it equals none."""
+    if r.den == _QL_ONE:
+        return r.num
+    try:
+        return r.num / r.den
+    except ValueError:
+        raise ValueError(f"{r} is not a Laurent polynomial") from None
+
+
 # ---------------------------------------------------------------------------
 # the containment echelon over Q(i)(q): the oracle of adhm.slice_verdict
 # ---------------------------------------------------------------------------

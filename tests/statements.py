@@ -31,7 +31,8 @@ from qadhm.qspacetime import (HarmonicIndex, NCPoly, X_NAMES, Y_NAMES,
                               harmonic, monomials_of_degree)
 from qadhm.scalars import GaussRational, QLaurent, QRat, qint
 
-from helpers import is_real_solution, pencil_scalar, submatrix
+from helpers import (is_real_solution, pencil_scalar, qrat_as_qlaurent,
+                     submatrix)
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
@@ -492,7 +493,7 @@ def oast_check(idx: HarmonicIndex):
             raise ValueError(
                 f"not proportional: ratio at {mono} differs from {mono0}")
     try:
-        return lam.as_qlaurent()
+        return qrat_as_qlaurent(lam)
     except ValueError:
         return lam
 def dimension_of_degree(d):
@@ -589,7 +590,7 @@ def as_poly(form):
     """Degree-0 form as an NCPoly (coefficients must be Laurent)."""
     if form.degree != 0:
         raise ValueError("not a degree-0 form")
-    return NCPoly("I", {m: c.as_qlaurent()
+    return NCPoly("I", {m: qrat_as_qlaurent(c)
                         for (_, m), c in form.terms.items()})
 
 

@@ -30,14 +30,15 @@ from qadhm.datum import (
 )
 from qadhm.monad import (build_monad, check_exactness_at, classify_sheaf,
                          monad_pencils, product_coefficients)
-from qadhm.qcalculus import (_solve_x_rules, derive_table, laplacian,
-                             partials, penrose_scalar, tilde_laplacian)
+from qadhm.qcalculus import (derive_table, laplacian, partials,
+                             penrose_scalar, tilde_laplacian)
 from qadhm.qforms import d
 from qadhm.qinstanton import curvature_asd
 from qadhm.qspacetime import (HarmonicIndex, NCPoly, basis_element, det_x,
                               harmonic, monomials_of_degree)
 from qadhm.scalars import GaussRational, QLaurent, qint
 
+from calculus_oracle import _solve_x_rules
 from helpers import (random_c1r1_solution, random_complex_datum,
                      slice_rank_report)
 from statements import (ChernClass, anticommutation_audit, appendix_b_suite,
@@ -238,7 +239,8 @@ def test_criterion_6_calculus_table():
         assert wed == HAND_WEDGE_RULES
         for g in range(4):
             assert t.wedge_rules[(g, g)] == ()
-        # the constraint solver re-derives the identical table: unique solution
+        # the constraint solver (the test oracle) re-derives the identical
+        # table: unique solution
         assert _solve_x_rules(t.p_exp) == t.x_rules
 
         # partials of f*det against the closed twisted-Leibniz form

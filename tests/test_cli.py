@@ -136,8 +136,8 @@ def _error(argv, capsys):
 
 
 class TestOptionChecks:
-    """The range checks of ``adhm random --seed`` and ``-r`` and of ``inst
-    slices --grid-size``, which their handlers make."""
+    """The range checks of ``adhm random --seed``, ``-r`` and ``-c`` and of
+    ``inst slices --grid-size``, which their handlers make."""
 
     SEED_ERROR = {"type": "CLIError",
                   "message": "seed must be a 64-bit integer"}
@@ -165,6 +165,18 @@ class TestOptionChecks:
         assert rep["code"] == 2 and "qadhm.adhm" not in rep["new"]
         code, out = invoke(["adhm", "random", "-r", "2", "-c", "1"], capsys)
         assert code == 0 and json.loads(out)["r"] == 2
+
+    def test_random_charge_bound(self, capsys):
+        # the refusal names -c and comes before the stability code is loaded
+        for c in (0, -1):
+            assert _error(["adhm", "random", "-r", "2", "-c", str(c)],
+                          capsys) == {"type": "CLIError",
+                                      "message": "-c must be at least 1 "
+                                                 "(c >= 1)"}
+        proc = run_python(["-c", _LOADED_BY_RUN, "adhm", "random", "-r", "2",
+                           "-c", "0"])
+        rep = json.loads(proc.stdout)
+        assert rep["code"] == 2 and "qadhm.adhm" not in rep["new"]
 
     def test_grid_size_bound(self, tmp_path, capsys):
         # 12 is the largest grid the tests and the benchmark use
@@ -776,7 +788,8 @@ _MODULES_BY_COMMAND = {
 # the only commands that load the expression parser and the forms
 _WITH_EXPR = {("q", "normalize"), ("q", "partial"), ("q", "laplace")}
 # the commands that build no matrix: the q commands need only the scalars
-# and their echelon, and monad chern computes in ints
+# (the calculus tables are stored, not solved), and monad chern computes in
+# ints
 _WITHOUT_MATRIX = {("q", s) for s in ("normalize", "partial", "laplace",
                                       "harmonic", "eigen", "table",
                                       "penrose")} | {("monad", "chern")}
@@ -803,15 +816,15 @@ _LINE_BUDGET = {
     ("monad", "classify"): 2466,
     ("monad", "chern"): 279,
     ("q", "normalize"): 1878,
-    ("q", "partial"): 2511,
-    ("q", "laplace"): 2511,
-    ("q", "harmonic"): 2379,
-    ("q", "eigen"): 2379,
-    ("q", "table"): 2379,
-    ("q", "penrose"): 2379,
+    ("q", "partial"): 2376,
+    ("q", "laplace"): 2376,
+    ("q", "harmonic"): 2243,
+    ("q", "eigen"): 2243,
+    ("q", "table"): 2243,
+    ("q", "penrose"): 2243,
     ("inst", "verify"): 2343,
     ("inst", "slices"): 2328,
-    ("inst", "curvature"): 3226,
+    ("inst", "curvature"): 3122,
 }
 
 

@@ -22,7 +22,8 @@ from qadhm.qspacetime import NCPoly
 from qadhm.scalars import (GaussRational, QLaurent, QRat, _echelon, _ql_divmod,
                            parse_gauss, qint)
 
-from helpers import matrix_from_rows, qbinom, qbrace, qfact
+from helpers import (matrix_from_rows, qbinom, qbrace, qfact,
+                     qrat_as_qlaurent)
 
 
 def G(re, im=0):
@@ -281,12 +282,13 @@ def test_top_degree_division():
 
 
 def test_exact_division_and_reduction_match_the_shifted_division():
-    # QLaurent /, the canonical QRat(num, den) and as_qlaurent give the same
-    # values (or raise ValueError on the same inputs) as with the old
+    # QLaurent /, the canonical QRat(num, den) and qrat_as_qlaurent give the
+    # same values (or raise ValueError on the same inputs) as with the old
     # division, which divided the valuation-0 parts.
     def run(a, b):
         r = QRat(a, b)
-        return _outcome(lambda: a / b), r.num, r.den, _outcome(r.as_qlaurent)
+        return (_outcome(lambda: a / b), r.num, r.den,
+                _outcome(qrat_as_qlaurent, r))
     pairs = laurent_division_pairs()
     got = [run(a, b) for a, b in pairs]
     with patch.object(scalars, "_ql_divmod", _shifted_divmod):

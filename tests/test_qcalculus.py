@@ -2,25 +2,32 @@
 
 The expected rule tables below were derived by hand from the pencil
 covariances plus compatibility with the sorting relations and the
-determinant, and are asserted verbatim against the solver output.
+determinant, and are asserted verbatim against the stored tables.  The
+solver in ``calculus_oracle`` must return the stored tables term for term.
 """
 
+import json
 import random
+import sys
 
 import pytest
 
 import qadhm.qcalculus as qcalculus
+from qadhm import scalars
+from qadhm.adhm import random_stable_solution
 from qadhm.cli import run
 from qadhm.qcalculus import (CalculusError, CalculusTable, P_EXPONENTS,
-                             _Affine, _solve_system, _solve_wedge_rules,
-                             _solve_x_rules, cech_index,
-                             derive_table, eigenvalue_tilde, laplacian,
-                             partials, penrose_scalar, tilde_laplacian)
+                             cech_index, derive_table, eigenvalue_tilde,
+                             laplacian, partials, penrose_scalar,
+                             tilde_laplacian)
 from qadhm.qforms import NCForm, asd_membership, d, sd_asd_split
 from qadhm.qspacetime import (HarmonicIndex, NCPoly, basis_element, det_x,
                               harmonic, monomials_of_degree)
 from qadhm.scalars import GaussRational, QLaurent, QRat, qint
 
+import calculus_oracle
+from calculus_oracle import (_Affine, _solve_system, _solve_wedge_rules,
+                             _solve_x_rules)
 from statements import (VOL_WORD, anticommutation_audit, cech_exponents,
                         conjugation_identity_check, delta_eigenvalue,
                         delta_op, hodge_star, laplace_via_star, left_mul,
@@ -205,17 +212,14 @@ class TestRuleDerivation:
     def test_verification_rejects_naive_anticommutation(self, monkeypatch):
         # dx21^dx12 = -dx12^dx21 keeps the classical limit and d(det), but
         # breaks d^2 = 0 on x12*x21; the first read of the wedge rules
-        # checks them, and a rejected solve is never kept
-        t = derive_table("q")
-        doctored = dict(t.wedge_rules)
-        doctored[(2, 1)] = ((QLaurent({0: -1}), (1, 2)),)
-        monkeypatch.setattr(qcalculus, "_solve_wedge_rules",
-                            lambda p_choice, x_rules: doctored)
-        table = CalculusTable("q", t.x_rules)
+        # checks them, and a rejected table is never kept
+        doctored = dict(qcalculus._WEDGE_RULES)
+        doctored[(2, 1)] = (({0: -1}, (1, 2)),)
+        monkeypatch.setattr(qcalculus, "_WEDGE_RULES", doctored)
+        table = CalculusTable("q", derive_table("q").x_rules)
         for _ in range(2):
             with pytest.raises(CalculusError, match=r"d\^2\[x12\*x21\]"):
                 table.wedge_rules
-
 
     @pytest.mark.parametrize("p_choice", P_CHOICES)
     @pytest.mark.parametrize("rule", [(0, 3), (1, 2)])
@@ -223,11 +227,12 @@ class TestRuleDerivation:
                                                     monkeypatch):
         # q^2 times the rule keeps its classical limit but not d(det), which
         # derive_table checks before it returns
-        t = derive_table(p_choice)
-        doctored = dict(t.x_rules)
-        doctored[rule] = tuple((c * Q2, pair) for c, pair in t.x_rules[rule])
-        monkeypatch.setattr(qcalculus, "_solve_x_rules",
-                            lambda p_exp: doctored)
+        stored = qcalculus._X_RULES[p_choice]
+        doctored = dict(stored)
+        doctored[rule] = tuple(({e + 2: c for e, c in coeff.items()}, pair)
+                               for coeff, pair in stored[rule])
+        monkeypatch.setattr(qcalculus, "_X_RULES",
+                            {**qcalculus._X_RULES, p_choice: doctored})
         monkeypatch.setattr(qcalculus, "_TABLE_CACHE", {})
         with pytest.raises(CalculusError,
                            match=r"d\(det\) does not match its closed form"):
@@ -240,9 +245,105 @@ class TestRuleDerivation:
             return (sorted((rows[a], rows[b])), sorted((cols[a], cols[b])))
         for a in range(4):
             for b in range(4):
-                assert qcalculus._charge_targets(a, b) == tuple(
+                assert calculus_oracle._charge_targets(a, b) == tuple(
                     (c, e) for c in range(4) for e in range(4)
                     if charge(c, e) == charge(a, b))
+
+
+def _stored(rules):
+    """Solved rules in the form of the stored constants: each coefficient
+    as its Laurent dict, the rules and their terms in the solver's order."""
+    return [(k, tuple((c.terms, pair) for c, pair in terms))
+            for k, terms in rules.items()]
+
+
+def _count_wedge_checks(monkeypatch):
+    """The p-choices of the tables ``_verify_wedge_rules`` checks from now
+    on, one entry per call."""
+    calls = []
+    verify = qcalculus._verify_wedge_rules
+
+    def spy(table):
+        calls.append(table.p_choice)
+        return verify(table)
+
+    monkeypatch.setattr(qcalculus, "_verify_wedge_rules", spy)
+    return calls
+
+
+class TestStoredTables:
+    """The stored tables are the oracle's solve, term for term, and every
+    rule is checked in the process before a command reads it."""
+
+    @pytest.mark.parametrize("pc", P_CHOICES)
+    def test_the_oracle_solves_the_stored_tables(self, pc):
+        x_rules = _solve_x_rules(P_EXPONENTS[pc])
+        wedge_rules = _solve_wedge_rules(pc, x_rules)
+        assert _stored(x_rules) == list(qcalculus._X_RULES[pc].items())
+        assert _stored(wedge_rules) == list(qcalculus._WEDGE_RULES.items())
+        # the loaded table, its ``q table`` report included, byte for byte
+        table = derive_table(pc)
+        assert table.x_rules == x_rules
+        assert json.dumps(table.to_json()) == json.dumps(
+            CalculusTable(pc, x_rules, wedge_rules).to_json())
+
+    def test_wedge_rules_are_checked_once_per_table(self, monkeypatch):
+        calls = _count_wedge_checks(monkeypatch)
+        table = CalculusTable("qinv", derive_table("qinv").x_rules)
+        assert table.wedge_rules == table.wedge_rules
+        assert calls == ["qinv"]
+
+    @pytest.mark.parametrize("argv,checks", [
+        (["q", "partial", "x11*x22"], 0),
+        (["q", "table"], 1),
+    ], ids=["q partial", "q table"])
+    def test_only_commands_that_read_wedge_rules_check_them(
+            self, argv, checks, monkeypatch, capsys):
+        calls = _count_wedge_checks(monkeypatch)
+        monkeypatch.setattr(qcalculus, "_TABLE_CACHE", {})
+        assert run(argv) == 0
+        assert capsys.readouterr().out
+        assert len(calls) == checks
+
+    @pytest.mark.parametrize("argv", [
+        ["q", "normalize", "x11*x22"],
+        ["q", "partial", "x11*x22"],
+        ["q", "laplace", "x11*x22"],
+        ["q", "harmonic", "-l", "1", "-m", "1", "-n", "-1"],
+        ["q", "eigen", "-k", "1", "-l", "2"],
+        ["q", "table"],
+        ["q", "penrose", "<cocycle>"],
+        ["inst", "curvature", "<datum>"],
+    ], ids=" ".join)
+    def test_no_command_solves_the_tables(self, argv, tmp_path, monkeypatch,
+                                          capsys):
+        # no echelon runs on the calculus path: scalars._echelon, and every
+        # loaded module's binding of it, is a spy that counts its calls
+        files = {
+            "<cocycle>": {"cocycle": [{"exponents": [1, 0, -2, -1],
+                                       "coeff": "1"}]},
+            "<datum>": random_stable_solution(2, 1, 4).to_json(),
+        }
+        path = tmp_path / "in.json"
+        for a in argv:
+            if a in files:
+                path.write_text(json.dumps(files[a]))
+        argv = [str(path) if a in files else a for a in argv]
+        calls = []
+
+        def spy(rows, ncols, reduced=False):
+            calls.append(ncols)
+            return echelon(rows, ncols, reduced)
+
+        echelon = scalars._echelon
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("qadhm")
+                    and getattr(module, "_echelon", None) is echelon):
+                monkeypatch.setattr(module, "_echelon", spy)
+        monkeypatch.setattr(qcalculus, "_TABLE_CACHE", {})
+        assert run(argv) == 0
+        assert capsys.readouterr().out
+        assert calls == []
 
 
 def _qrat_equations(name, residual):
@@ -259,24 +360,25 @@ def _qrat_equations(name, residual):
 
 
 class TestLaurentDerivation:
-    """The rule equations are solved in the Laurent ring: the same rules as
-    a solve over QRat, and one solve per round that added equations."""
+    """The oracle solves the rule equations in the Laurent ring: the same
+    rules as a solve over QRat, and one solve per round that added
+    equations."""
 
     @pytest.mark.parametrize("pc", P_CHOICES)
     def test_matches_the_qrat_solve(self, pc, monkeypatch):
-        table = derive_table(pc)
-        # read before the patch, so they are solved in the Laurent ring
-        wedge_rules = table.wedge_rules
-        monkeypatch.setattr(qcalculus, "_equations", _qrat_equations)
+        # solved before the patch, so in the Laurent ring
+        x_laurent = _solve_x_rules(P_EXPONENTS[pc])
+        wedge_rules = _solve_wedge_rules(pc, x_laurent)
+        monkeypatch.setattr(calculus_oracle, "_equations", _qrat_equations)
         x_rules = _solve_x_rules(P_EXPONENTS[pc])
-        assert x_rules == table.x_rules
+        assert x_rules == x_laurent == derive_table(pc).x_rules
         assert _solve_wedge_rules(pc, x_rules) == wedge_rules
 
     @pytest.mark.parametrize("pc", P_CHOICES)
     def test_one_laurent_solve_per_round_that_added_equations(
             self, pc, monkeypatch):
         sizes = []
-        solve = qcalculus._solve_system
+        solve = calculus_oracle._solve_system
 
         def spy(equations):
             sizes.append(len(equations))
@@ -284,35 +386,14 @@ class TestLaurentDerivation:
                        for c in (*lin.values(), const))
             return solve(equations)
 
-        monkeypatch.setattr(qcalculus, "_solve_system", spy)
-        monkeypatch.setattr(qcalculus, "_TABLE_CACHE", {})
-        table = derive_table(pc)
+        monkeypatch.setattr(calculus_oracle, "_solve_system", spy)
+        x_rules = _solve_x_rules(P_EXPONENTS[pc])
         # x rules: rounds of 32 and 40 equations, then a round that only
         # expands the deferred det covariances to zero and solves nothing
         assert sizes == [32, 40]
-        # wedge rules, on their first read: one round of 16
-        table.wedge_rules
-        table.wedge_rules
+        # wedge rules: one round of 16
+        _solve_wedge_rules(pc, x_rules)
         assert sizes == [32, 40, 16]
-
-    @pytest.mark.parametrize("argv,solves", [
-        (["q", "partial", "x11*x22"], 0),
-        (["q", "table"], 1),
-    ], ids=["q partial", "q table"])
-    def test_only_commands_that_read_wedge_rules_solve_them(
-            self, argv, solves, monkeypatch, capsys):
-        calls = []
-        solve = qcalculus._solve_wedge_rules
-
-        def spy(p_choice, x_rules):
-            calls.append(p_choice)
-            return solve(p_choice, x_rules)
-
-        monkeypatch.setattr(qcalculus, "_solve_wedge_rules", spy)
-        monkeypatch.setattr(qcalculus, "_TABLE_CACHE", {})
-        assert run(argv) == 0
-        assert capsys.readouterr().out
-        assert len(calls) == solves
 
 
 class TestPencilCovariance:

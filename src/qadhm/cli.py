@@ -75,7 +75,7 @@ def _load_datum(path, real=False):
     if not isinstance(obj, dict):
         raise CLIError(f"{path}: a datum is a JSON object")
     r, c = obj.get("r"), obj.get("c")
-    if isinstance(r, int) and isinstance(c, int):
+    if type(r) is int and type(c) is int:      # a JSON number, not a bool
         _check_size(r, c, f"{path}: ")
     try:
         d = datum_from_json(obj)

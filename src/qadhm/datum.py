@@ -7,8 +7,6 @@ types, parsing, and the three complex residuals.  The stability taxonomy and
 the rank criteria live in ``adhm``.
 """
 
-from __future__ import annotations
-
 from .exactcore import Matrix
 from .scalars import _as_gauss, parse_gauss
 
@@ -31,6 +29,16 @@ def _scalar(x):
     return g
 
 
+def _check_counts(c, r):
+    """Refuse c and r unless both are positive ints.  A JSON true or false
+    loads as a bool, which is an int too, and is refused by name."""
+    for name, n in (("c", c), ("r", r)):
+        if isinstance(n, bool):
+            raise ADHMError(f"{name} must be an integer, not a boolean")
+    if not (isinstance(c, int) and c >= 1 and isinstance(r, int) and r >= 1):
+        raise ADHMError("c and r must be positive integers")
+
+
 def _as_matrix(m, rows, cols, name):
     if isinstance(m, Matrix):
         entries = m.a
@@ -51,8 +59,7 @@ class ComplexADHMDatum:
     _BLOCKS = ("B11", "B12", "B21", "B22", "i1", "i2", "j1", "j2")
 
     def __init__(self, c, r, B11, B12, B21, B22, i1, i2, j1, j2):
-        if not (isinstance(c, int) and c >= 1 and isinstance(r, int) and r >= 1):
-            raise ADHMError("c and r must be positive integers")
+        _check_counts(c, r)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "r", r)
         for name, m in (("B11", B11), ("B12", B12), ("B21", B21), ("B22", B22)):
@@ -104,8 +111,7 @@ class RealADHMDatum:
     _BLOCKS = ("B1", "B2", "i", "j")
 
     def __init__(self, c, r, B1, B2, i, j):
-        if not (isinstance(c, int) and c >= 1 and isinstance(r, int) and r >= 1):
-            raise ADHMError("c and r must be positive integers")
+        _check_counts(c, r)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "B1", _as_matrix(B1, c, c, "B1"))

@@ -1,23 +1,30 @@
 """Exact matrices over the scalars of ``scalars``.
 
 ``Matrix`` is a dense matrix whose rank, kernel and solve run through the
-one sparse row echelon ``scalars._echelon`` over the fraction field of the
+one sparse row echelon ``echelon._echelon`` over the fraction field of the
 entries (QLaurent entries are lifted to QRat), and whose products skip zero
-factors.  ``random_gauss`` draws the small random entries of the seeded data.
-The matrix pencils of ``monad`` and the projective roots of ``adhm`` live in
+factors.  Only those three methods load ``echelon``, when they are called.
+``random_gauss`` draws the small random entries of the seeded data.  The
+matrix pencils of ``monad`` and the projective roots of ``krylov`` live in
 those modules.
 
-The scalar types are defined in ``scalars``.  They are bound here too
-because the benchmark (``perfbench/``) imports and traces them through this
-module; the objects are the same.  No ``q`` command loads this module.
+The scalar types are defined in ``scalars`` and ``echelon``.  They are bound
+here too because the benchmark (``perfbench/``) imports and traces them
+through this module; the objects are the same.  ``QRat`` is bound on first
+read, by the module ``__getattr__`` (PEP 562), so that importing this module
+does not load ``echelon``.  No ``q`` command loads this module.
 """
 
-from __future__ import annotations
-
-from .scalars import (GaussRational, QLaurent, QRat, _echelon, _gauss,
-                      parse_gauss)
+from .scalars import GaussRational, QLaurent, _gauss, parse_gauss
 
 __all__ = ["GaussRational", "QLaurent", "QRat", "Matrix", "random_gauss"]
+
+
+def __getattr__(name):
+    if name == "QRat":
+        from .echelon import QRat
+        return QRat
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def random_gauss(rng, height=3, complex_parts=True) -> GaussRational:
@@ -169,6 +176,7 @@ class Matrix:
 
     def _field_rows(self):
         """Sparse rows {col: nonzero entry}, QLaurent entries lifted to QRat."""
+        from .echelon import QRat
         return [{j: QRat(x) if isinstance(x, QLaurent) else x
                  for j, x in enumerate(r) if x} for r in self.a]
 
@@ -177,11 +185,12 @@ class Matrix:
             raise ValueError("cannot infer scalar type of an empty matrix")
         kind = type(self.a[0][0])
         if kind is QLaurent:
-            kind = QRat
+            from .echelon import QRat as kind
         return kind.zero(), kind.one()
 
     def rank(self) -> int:
         """Exact rank over the fraction field of the entries."""
+        from .echelon import _echelon
         return len(_echelon(self._field_rows(), self.cols))
 
     def kernel(self):
@@ -193,6 +202,7 @@ class Matrix:
         if self.rows == 0:
             raise ValueError("kernel of a 0-row matrix is everything; "
                              "build an identity explicitly")
+        from .echelon import _echelon
         zero, one = self._field_zero_one()
         pivots = _echelon(self._field_rows(), self.cols, reduced=True)
         pivot_cols = {j for j, _, _ in pivots}
@@ -218,6 +228,7 @@ class Matrix:
         if rhs.rows != self.rows:
             raise ValueError("solve: shape mismatch")
         aug = Matrix.hstack([self, rhs])
+        from .echelon import _echelon
         zero, _ = aug._field_zero_one()
         pivots = _echelon(aug._field_rows(), aug.cols, reduced=True)
         out = [[zero] * rhs.cols for _ in range(self.cols)]

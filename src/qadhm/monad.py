@@ -33,8 +33,6 @@ The Chern characters and Euler characteristics of the twists of the sheaf
 need no matrix; they are in ``chern``.
 """
 
-from __future__ import annotations
-
 from .datum import complex_residuals
 from .exactcore import Matrix
 from .scalars import GaussRational

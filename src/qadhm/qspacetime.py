@@ -26,8 +26,6 @@ with l in (1/2)Z+, m the exponent-splitting index, n the residue index
 indices (|m| > l or |n| > l) denote the zero element.
 """
 
-from __future__ import annotations
-
 from .scalars import QLaurent, _as_qlaurent
 
 __all__ = [

@@ -13,8 +13,6 @@ and ``embed_real`` sends a xi = 0 solution to the complex datum
 the images of real data.
 """
 
-from __future__ import annotations
-
 from .datum import ADHMError, ComplexADHMDatum, _scalar, is_complex_solution
 from .exactcore import Matrix
 from .scalars import GaussRational

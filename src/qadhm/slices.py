@@ -1,5 +1,6 @@
 """Surjectivity of beta_P over the parameter line, decided from the Krylov
-closure over Q(i) with no operator built; only ``inst slices`` loads it.
+closure over Q(i) of ``krylov`` with no operator built; only ``inst slices``
+loads it, and it loads neither ``adhm`` nor ``qinstanton``.
 
 In chart I, beta_P = [-B~2 + g2, B~1 - g1, i~] with g1 = p1*x11 + p2*x21 and
 g2 = p1*x12 + p2*x22, entries multiplying from the left, so
@@ -11,15 +12,13 @@ the closure S with xi B~k = mu_k xi, and a character chi with chi(gk) = mu_k
 phi(v (x) f) = xi(v) chi(f), which kills the image.
 """
 
-from __future__ import annotations
-
 from itertools import product
 from math import comb
 
-from .adhm import (_closure_basis, _gcd_roots, _gcd_str, _krylov_minor_gcd,
-                   gcd_projective_roots)
 from .datum import ADHMError, _scalar, is_complex_solution
 from .exactcore import Matrix
+from .krylov import (_closure_basis, _gcd_roots, _gcd_str, _krylov_minor_gcd,
+                     gcd_projective_roots)
 from .scalars import _QL_ONE, GaussRational, QLaurent
 
 __all__ = ["pencil_grid", "slice_verdict", "slice_line"]

@@ -8,16 +8,17 @@ covariances, the relations, the determinant covariances) and
 ``_d2_constraints`` (d^2 = 0).  Each constraint is expanded through the
 table's own engines, run on a ``CalculusTable`` whose unsolved rules carry
 unknowns, and the linear equations are solved exactly in the Laurent ring
-by ``scalars._echelon``.  A rule is returned only when every one of its
+by ``echelon._echelon``.  A rule is returned only when every one of its
 coefficients is determined, so a solve that returns all the rules proves
 them unique.  The tables depend on no input, so no command solves them;
 ``tests/test_qcalculus.py`` asserts that this solve returns the constants.
 """
 
+from qadhm.echelon import _echelon
 from qadhm.qcalculus import (CalculusError, CalculusTable, P_EXPONENTS,
                              _d2_constraints, _x_constraints)
 from qadhm.qspacetime import X_NAMES, add_to
-from qadhm.scalars import QLaurent, _echelon
+from qadhm.scalars import QLaurent
 
 from helpers import qrat_as_qlaurent
 

@@ -11,14 +11,16 @@ The paper statements that only the tests check are in ``statements.py``.
 import itertools
 import random
 
-from qadhm.adhm import _closure_basis, _linear_map_matrix, classify
+from qadhm.adhm import _linear_map_matrix, classify
 from qadhm.datum import (ADHMError, ComplexADHMDatum, RealADHMDatum,
                          is_complex_solution)
+from qadhm.echelon import _echelon
 from qadhm.exactcore import Matrix, random_gauss
+from qadhm.krylov import _closure_basis
 from qadhm.qinstanton import (QInstantonError, _monomials_upto, _slice_rows,
                               build_q_ops, truncated_matrix)
 from qadhm.real import real_residuals
-from qadhm.scalars import _QL_ONE, GaussRational, QLaurent, _as_gauss, _echelon
+from qadhm.scalars import _QL_ONE, GaussRational, QLaurent, _as_gauss
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)

@@ -5,8 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from qadhm import adhm
-from qadhm.adhm import (classify, derivative_rank, is_costable, is_stable,
+from qadhm import adhm, krylov
+from qadhm.adhm import (classify, derivative_rank, is_costable,
                         random_nonstable_solution, random_stable_solution)
 from qadhm.real import embed_real, real_residuals
 from qadhm.datum import (
@@ -18,6 +18,7 @@ from qadhm.datum import (
     is_complex_solution,
 )
 from qadhm.exactcore import Matrix, random_gauss
+from qadhm.krylov import is_stable
 from qadhm.scalars import GaussRational, QLaurent
 
 from helpers import (
@@ -229,7 +230,7 @@ class TestIncrementalClosure:
     def test_same_basis_as_the_rerank_loop(self):
         proper = 0
         for B1, B2, i in seeded_triples(120, 20261019):
-            basis, words = adhm._closure_basis([B1, B2], i)
+            basis, words = krylov._closure_basis([B1, B2], i)
             assert basis == rerank_closure([B1, B2], i)
             proper += basis.cols < B1.rows
             # each word rebuilds its column, breadth first
@@ -999,7 +1000,7 @@ def test_gcd_printer_matches_the_bivariate_format():
         g = (g + QLaurent({deg: random_gauss(rng) or ONE})).shift(
             rng.choice((0, 0, 1, 2)))
         v = rng.choice((0, 0, 1, 3))
-        assert adhm._gcd_str(g, v) == bipoly_str(_as_dict(g, v))
+        assert krylov._gcd_str(g, v) == bipoly_str(_as_dict(g, v))
         seen.add((g.deg() + v == 0, v > 0, g.val() > 0))
     assert {(True, False, False), (False, True, False),
             (False, False, True), (False, True, True)} <= seen
@@ -1011,7 +1012,7 @@ class TestKrylovMinorGcd:
             d = _oracle_datum(seed)
             for side in ("stable", "costable"):
                 args = _side_args(d, side)
-                all_zero, g = adhm._krylov_minor_gcd(*args)
+                all_zero, g = krylov._krylov_minor_gcd(*args)
                 expect_zero, expect = minor_gcd_oracle(*args)
                 assert all_zero == expect_zero, (seed, side)
                 assert all_zero or _as_dict(*g) == expect, (seed, side)

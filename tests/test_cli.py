@@ -678,6 +678,24 @@ class TestDatumSizeGuard:
         code, out = invoke(["adhm", "check", f], capsys)
         assert code == 0 and json.loads(out)["c"] == MAX_CHARGE
 
+    @pytest.mark.parametrize("field", ["c", "r"])
+    @pytest.mark.parametrize("command,datum", [
+        ("check", random_stable_solution(2, 1, 4)),
+        ("embed", RealADHMDatum(1, 1, [[0]], [[0]], [[0]], [[0]])),
+    ], ids=["check", "embed"])
+    def test_a_boolean_count_is_refused_by_name(self, command, datum, field,
+                                                tmp_path, capsys):
+        # JSON true loads as a bool, which is an int too: it must not pass
+        # for 1
+        obj = datum.to_json()
+        obj[field] = True
+        f = write_json(tmp_path / "d.json", obj)
+        code, out = invoke(["adhm", command, f], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "CLIError",
+            "message": f"{f}: {field} must be an integer, not a boolean"}
+
     def test_a_datum_that_is_no_object_is_an_error(self, tmp_path, capsys):
         f = write_json(tmp_path / "list.json", [1, 2])
         code, out = invoke(["adhm", "check", f], capsys)
@@ -757,7 +775,7 @@ print(json.dumps({"code": code, "new": sorted(set(sys.modules) - before)}))
 # complex solution, a real solution and a cocycle file.
 DATUM, REAL, COCYCLE = "<datum>", "<real>", "<cocycle>"
 _MATRIX = {"exactcore", "scalars"}
-_ADHM = {"cli", "cli_adhm", "datum", "adhm"} | _MATRIX
+_ADHM = {"cli", "cli_adhm", "datum", "adhm", "krylov"} | _MATRIX
 _MONAD = {"cli", "cli_monad", "datum", "monad"} | _MATRIX
 _Q = {"cli", "cli_q", "scalars", "qspacetime", "qcalculus"}
 _Q_EXPR = _Q | {"expr"}
@@ -766,10 +784,10 @@ _MODULES_BY_COMMAND = {
     ("--help",): {"cli", "cli_adhm", "cli_monad", "cli_q", "cli_inst"},
     ("adhm", "check", DATUM): _ADHM,
     ("adhm", "embed", REAL): {"cli", "cli_adhm", "datum", "real"} | _MATRIX,
-    ("adhm", "random", "-r", "2", "-c", "1"): _ADHM,
-    ("adhm", "rank", DATUM): _ADHM,
+    ("adhm", "random", "-r", "2", "-c", "1"): _ADHM | {"echelon"},
+    ("adhm", "rank", DATUM): _ADHM | {"echelon"},
     ("monad", "build", DATUM): _MONAD,
-    ("monad", "classify", DATUM): _MONAD | {"adhm"},
+    ("monad", "classify", DATUM): _MONAD | {"adhm", "krylov"},
     ("monad", "chern", "-r", "2", "-c", "1", "-k", "0"):
         {"cli", "cli_monad", "chern"},
     ("q", "normalize", "x11*x22"): {"cli", "cli_q", "expr", "scalars",
@@ -782,7 +800,7 @@ _MODULES_BY_COMMAND = {
     ("q", "penrose", COCYCLE): _Q,
     ("inst", "verify", DATUM): _INST,
     ("inst", "slices", DATUM, "--dmax", "0", "--grid-size", "2"):
-        {"cli", "cli_inst", "datum", "adhm", "slices"} | _MATRIX,
+        {"cli", "cli_inst", "datum", "krylov", "slices"} | _MATRIX,
     ("inst", "curvature", DATUM): _INST | {"qcalculus", "qforms"},
 }
 # the only commands that load the expression parser and the forms
@@ -794,37 +812,41 @@ _WITHOUT_MATRIX = {("q", s) for s in ("normalize", "partial", "laplace",
                                       "harmonic", "eigen", "table",
                                       "penrose")} | {("monad", "chern")}
 _WITH_FORMS = {("inst", "curvature")}
+# the only commands that eliminate, and so load ``echelon``: the derivative
+# rank and the rank test of the seeded generator (``classify`` of a stable
+# datum takes no kernel, since it has no witness to find)
+_WITH_ECHELON = {("adhm", "random"), ("adhm", "rank")}
 # the modules that only one command loads: the Chern characters, the beta_P
 # verdicts and the real embedding
 _OWN_MODULES = {"chern": ("monad", "chern"), "slices": ("inst", "slices"),
                 "real": ("adhm", "embed")}
-# the commands that never run the stability code, which is in adhm.
-# ``inst slices`` is not one of them: it decides beta_P from the Krylov
-# closure and the stable side of the taxonomy, and builds no operator.
+# the commands that never run the taxonomy, which is in adhm.  ``inst
+# slices`` is one of them: it decides beta_P from the Krylov closure and the
+# stable side of the minor gcd, both in krylov, and builds no operator.
 _WITHOUT_ADHM = {("adhm", "embed"), ("inst", "verify"), ("inst", "curvature"),
-                 ("monad", "build"), ("monad", "chern")}
+                 ("inst", "slices"), ("monad", "build"), ("monad", "chern")}
 # command -> the most lines its qadhm modules may sum to.  With no bytecode
 # cache every loaded module is compiled on every call; each bound is the
 # count when it was pinned plus at most 5%.
 _LINE_BUDGET = {
     ("--help",): 596,
-    ("adhm", "check"): 2192,
-    ("adhm", "embed"): 1612,
+    ("adhm", "check"): 1995,
+    ("adhm", "embed"): 1392,
     ("adhm", "random"): 2192,
     ("adhm", "rank"): 2192,
-    ("monad", "build"): 1831,
-    ("monad", "classify"): 2466,
+    ("monad", "build"): 1605,
+    ("monad", "classify"): 2262,
     ("monad", "chern"): 279,
-    ("q", "normalize"): 1878,
-    ("q", "partial"): 2376,
-    ("q", "laplace"): 2376,
-    ("q", "harmonic"): 2243,
-    ("q", "eigen"): 2243,
-    ("q", "table"): 2243,
-    ("q", "penrose"): 2243,
-    ("inst", "verify"): 2343,
-    ("inst", "slices"): 2328,
-    ("inst", "curvature"): 3122,
+    ("q", "normalize"): 1635,
+    ("q", "partial"): 2143,
+    ("q", "laplace"): 2143,
+    ("q", "harmonic"): 2010,
+    ("q", "eigen"): 2010,
+    ("q", "table"): 2010,
+    ("q", "penrose"): 2010,
+    ("inst", "verify"): 2126,
+    ("inst", "slices"): 1798,
+    ("inst", "curvature"): 2907,
 }
 
 
@@ -866,11 +888,22 @@ class TestImportDiscipline:
             assert "exactcore" not in loaded
         assert ("expr" in loaded) == (command[:2] in _WITH_EXPR)
         assert ("qforms" in loaded) == (command[:2] in _WITH_FORMS)
+        assert ("echelon" in loaded) == (command[:2] in _WITH_ECHELON)
         for module, owner in _OWN_MODULES.items():
             assert (module in loaded) == (command[:2] == owner), module
         # no command makes a Fraction, so none loads ``fractions`` (which
-        # imports ``decimal``)
-        assert not {"fractions", "decimal"} & set(rep["new"])
+        # imports ``decimal``), and no module imports ``__future__``
+        assert not {"fractions", "decimal", "__future__"} & set(rep["new"])
+
+    def test_exactcore_loads_echelon_when_qrat_is_read(self):
+        proc = run_python(["-c", "import sys\n"
+                           "from qadhm import exactcore\n"
+                           "print('qadhm.echelon' in sys.modules)\n"
+                           "cls = exactcore.QRat\n"
+                           "print('qadhm.echelon' in sys.modules, "
+                           "cls is sys.modules['qadhm.echelon'].QRat)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True", "True"]
 
     def test_every_command_has_a_line_budget(self):
         assert set(_LINE_BUDGET) == {c[:2] for c in _MODULES_BY_COMMAND}

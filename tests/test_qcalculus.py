@@ -13,9 +13,10 @@ import sys
 import pytest
 
 import qadhm.qcalculus as qcalculus
-from qadhm import scalars
+from qadhm import echelon
 from qadhm.adhm import random_stable_solution
 from qadhm.cli import run
+from qadhm.echelon import QRat
 from qadhm.qcalculus import (CalculusError, CalculusTable, P_EXPONENTS,
                              cech_index, derive_table, eigenvalue_tilde,
                              laplacian, partials, penrose_scalar,
@@ -23,7 +24,7 @@ from qadhm.qcalculus import (CalculusError, CalculusTable, P_EXPONENTS,
 from qadhm.qforms import NCForm, asd_membership, d, sd_asd_split
 from qadhm.qspacetime import (HarmonicIndex, NCPoly, basis_element, det_x,
                               harmonic, monomials_of_degree)
-from qadhm.scalars import GaussRational, QLaurent, QRat, qint
+from qadhm.scalars import GaussRational, QLaurent, qint
 
 import calculus_oracle
 from calculus_oracle import (_Affine, _solve_system, _solve_wedge_rules,
@@ -317,7 +318,7 @@ class TestStoredTables:
     ], ids=" ".join)
     def test_no_command_solves_the_tables(self, argv, tmp_path, monkeypatch,
                                           capsys):
-        # no echelon runs on the calculus path: scalars._echelon, and every
+        # no echelon runs on the calculus path: echelon._echelon, and every
         # loaded module's binding of it, is a spy that counts its calls
         files = {
             "<cocycle>": {"cocycle": [{"exponents": [1, 0, -2, -1],
@@ -333,12 +334,12 @@ class TestStoredTables:
 
         def spy(rows, ncols, reduced=False):
             calls.append(ncols)
-            return echelon(rows, ncols, reduced)
+            return original(rows, ncols, reduced)
 
-        echelon = scalars._echelon
+        original = echelon._echelon
         for name, module in list(sys.modules.items()):
             if (name.startswith("qadhm")
-                    and getattr(module, "_echelon", None) is echelon):
+                    and getattr(module, "_echelon", None) is original):
                 monkeypatch.setattr(module, "_echelon", spy)
         monkeypatch.setattr(qcalculus, "_TABLE_CACHE", {})
         assert run(argv) == 0

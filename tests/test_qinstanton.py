@@ -22,7 +22,8 @@ from qadhm.qinstanton import (QInstantonError, build_q_ops, curvature_asd,
                               curvature_report_json, identity_products,
                               ids_report, scalar_operator, truncated_matrix)
 from qadhm.qspacetime import NCPoly, det_x, monomials_of_degree
-from qadhm.scalars import GaussRational, QLaurent, QRat
+from qadhm.echelon import QRat
+from qadhm.scalars import GaussRational, QLaurent
 
 from helpers import (_sparse_containment, alpha_slice_report,
                      matrix_from_rows, random_c1r1_solution,
@@ -479,7 +480,7 @@ class TestSliceGrid:
         # Q(i): it builds no operator, no QRat and takes no Laurent gcd,
         # and on (2,3) data every point is certified at depth 1.
         import qadhm.qinstanton as qinstanton
-        import qadhm.scalars as scalars
+        import qadhm.echelon as echelon
         from qadhm.cli import run
         calls = {"QRat": 0, "_ql_gcd": 0, "build_q_ops": 0}
 
@@ -488,10 +489,10 @@ class TestSliceGrid:
                 calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
-        monkeypatch.setattr(scalars.QRat, "__init__",
-                            counted("QRat", scalars.QRat.__init__))
-        monkeypatch.setattr(scalars, "_ql_gcd",
-                            counted("_ql_gcd", scalars._ql_gcd))
+        monkeypatch.setattr(echelon.QRat, "__init__",
+                            counted("QRat", echelon.QRat.__init__))
+        monkeypatch.setattr(echelon, "_ql_gcd",
+                            counted("_ql_gcd", echelon._ql_gcd))
         monkeypatch.setattr(qinstanton, "build_q_ops",
                             counted("build_q_ops", qinstanton.build_q_ops))
         for seed in range(3):

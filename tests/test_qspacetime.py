@@ -10,7 +10,8 @@ import pytest
 from qadhm.qspacetime import (HarmonicIndex, NCPoly, X_NAMES, Y_NAMES,
                               basis_element, det_x, harmonic,
                               monomials_of_degree, normalize)
-from qadhm.scalars import GaussRational, QLaurent, QRat
+from qadhm.echelon import QRat
+from qadhm.scalars import GaussRational, QLaurent
 
 from helpers import qbinom, qfact
 from statements import (basis_independence, basis_indices_for_degree,

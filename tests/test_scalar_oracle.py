@@ -13,9 +13,10 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qadhm import scalars
+from qadhm import echelon, scalars
+from qadhm.echelon import QRat
 from qadhm.exactcore import random_gauss
-from qadhm.scalars import GaussRational, QLaurent, QRat, parse_gauss
+from qadhm.scalars import GaussRational, QLaurent, parse_gauss
 
 
 class PairGauss:
@@ -303,8 +304,9 @@ def test_integer_paths_load_no_fractions():
     # fractions nor the decimal it imports is loaded
     code = """
 import random, sys
+from qadhm.echelon import QRat
 from qadhm.exactcore import random_gauss
-from qadhm.scalars import GaussRational, QLaurent, QRat, parse_gauss
+from qadhm.scalars import GaussRational, QLaurent, parse_gauss
 z = parse_gauss("1/2-3/4*i")
 w = random_gauss(random.Random(1))
 vals = [z * w / (z + 1), str(z - w), hash(z), hash(GaussRational(2) / 3),
@@ -355,7 +357,7 @@ def refuse_gcd(*args):
        coeff_st.filter(bool))
 @settings(max_examples=80, deadline=None)
 def test_unit_denominators_never_run_the_gcd(n, e, c):
-    with patch.object(scalars, "_ql_gcd", refuse_gcd):
+    with patch.object(echelon, "_ql_gcd", refuse_gcd):
         lifted = QRat(n)
         shifted = QRat(n, QLaurent({e: c}))
     assert lifted.den == QLaurent.one() and lifted.num == n

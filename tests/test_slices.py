@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-import qadhm.adhm as adhm
+import qadhm.krylov as krylov
 from qadhm.adhm import (classify, random_nonstable_solution,
                         random_stable_solution)
 from qadhm.cli import MAX_DEGREE_CAP, MAX_GRID_SIZE, run
@@ -328,12 +328,12 @@ class TestCommand:
     def test_worst_admitted_input(self, r, c, tmp_path, capsys, monkeypatch):
         f = write_datum(tmp_path, random_stable_solution(r, c, 1))
         calls = []
-        reduce = adhm._reduce
+        reduce = krylov._reduce
 
         def counted(echelon, col):
             calls.append(len(echelon))
             return reduce(echelon, col)
-        monkeypatch.setattr(adhm, "_reduce", counted)
+        monkeypatch.setattr(krylov, "_reduce", counted)
         code, rep = run_slices(capsys, f, "--dmax", str(MAX_DEGREE_CAP),
                                "--grid-size", str(MAX_GRID_SIZE))
         assert code == 0 and len(rep["reports"]) == MAX_GRID_SIZE

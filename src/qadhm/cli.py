@@ -1,14 +1,7 @@
 """Command-line front end: JSON reports for every operator family.
 
-Subcommand groups:
-
-* ``adhm``  -- ``check`` (residuals + stability classification), ``embed``
-  (real datum to its doubled complex form), ``random`` (seeded stable
-  solution), ``rank`` (derivative rank and moduli dimension audit);
-* ``monad`` -- ``build``, ``classify``, ``chern``;
-* ``q``     -- ``normalize``, ``partial``, ``laplace``, ``harmonic``,
-  ``eigen``, ``table``, ``penrose``;
-* ``inst``  -- ``verify``, ``curvature``, ``slices``.
+Subcommand groups ``adhm``, ``monad``, ``q`` and ``inst``, each with its
+commands in the module ``cli_<group>``.
 
 Every command emits one UTF-8 JSON document with sorted keys (identical
 input, seed and configuration give byte-identical output), either to stdout
@@ -29,15 +22,16 @@ be joined with '*'.  Words multiply as noncommutative generators and results
 are printed in normal form.
 """
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 __all__ = ["CLIError", "main", "run"]
 
 MAX_DEGREE_CAP = 8
 MAX_GRID_SIZE = 64
 MAX_TWO_L = 32        # q harmonic / q eigen -l (twice l)
+MAX_COCYCLE_ITEMS = 12  # items of a q penrose cocycle
 MAX_DET_POWER = 16    # q harmonic / q eigen -k
 MAX_RANK = 32         # r of adhm random and of every datum file
 MAX_CHARGE = 12       # c of adhm random and of every datum file
@@ -59,8 +53,8 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise CLIError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CLIError(f"{path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, or too deep
+        raise CLIError(f"cannot load {path} as JSON: {exc}") from exc
 
 
 def _check_size(r, c, where=""):
@@ -107,11 +101,10 @@ def _emit_json(obj, output):
 
 
 # ---------------------------------------------------------------------------
-# parser assembly.  Each group's handlers and its ``COMMANDS`` table live in
-# the module ``cli_<group>``, imported only when the parser needs that group,
-# so a process compiles only the modules of the command it runs (there may be
-# no bytecode cache).  Each handler returns True when every asserted identity
-# holds, and imports the library modules it uses.
+# the command line.  Each group's handlers and ``COMMANDS`` table live in the
+# module ``cli_<group>``, imported only when the command line names the group
+# (there may be no bytecode cache).  A handler imports the library modules it
+# uses and returns True when every identity it asserts holds.
 # ---------------------------------------------------------------------------
 
 # group -> help
@@ -128,52 +121,66 @@ def arg(*names, **options):
     return names, options
 
 
+# the option of every command
+OUTPUT = arg("--output", default=None,
+             help="write the report to this path instead of stdout")
 # the calculus convention, an option of the commands that derive the
 # calculus tables: the q commands and ``inst curvature``
 P_CHOICE = arg("--p-choice", default="q", choices=("q", "qinv"),
                help="calculus convention (default q)")
 
 
-def _build_parser(argv=()):
-    """The parser for ``argv``.  Every group gets its parser, but only the
-    group that ``argv[0]`` names gets subcommands, and of those only the one
-    that ``argv[1]`` names; when either names none (``--help``, a missing
-    or unknown name) every subcommand of that level is built, so help and
-    error texts are those of the full parser."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", default=None,
-                        help="write the report to this path instead of stdout")
+def commands(group):
+    """The ``COMMANDS`` table of the module ``cli_<group>``."""
+    return __import__(f"cli_{group}", globals(), level=1,
+                      fromlist=["COMMANDS"]).COMMANDS
 
-    parser = argparse.ArgumentParser(
-        prog="qadhm",
-        description="Exact reports for matrix data, monads, the quantum "
-                    "algebra and module operators.",
-        epilog="Expression grammar" + __doc__.split("Expression grammar", 1)[1],
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    groups = parser.add_subparsers(dest="group", required=True)
-    named = argv[0] if argv and argv[0] in _GROUPS else None
-    for name, help_text in _GROUPS.items():
-        group = groups.add_parser(name, help=help_text)
-        if named not in (None, name):
-            continue
-        # the statement ``from . import cli_<name>``
-        commands = __import__(f"cli_{name}", globals(), level=1,
-                              fromlist=["COMMANDS"]).COMMANDS
-        if named and len(argv) > 1 and argv[1] in commands:
-            commands = {argv[1]: commands[argv[1]]}
-        sub = group.add_subparsers(dest="command", required=True)
-        for command, (command_help, handler, arguments) in commands.items():
-            p = sub.add_parser(command, parents=[common], help=command_help)
-            for names, options in arguments:
-                p.add_argument(*names, **options)
-            p.set_defaults(handler=handler)
-    return parser
+
+def _read(argv):
+    """The namespace argparse returns for ``argv``, or None when unsure:
+    help, an abbreviation, ``--opt=value``, ``-r5``, ``--``, a repeat, a
+    value that starts with ``-`` and is not a negative integer, a missing or
+    extra argument, a bad int or choice.  Each argument has one name."""
+    table = commands(argv[0]) if argv and argv[0] in _GROUPS else {}
+    if len(argv) < 2 or argv[1] not in table:
+        return None
+    _, handler, arguments = table[argv[1]]
+    ns = {"group": argv[0], "command": argv[1], "handler": handler}
+    options, positionals = {}, []
+    for (name,), opts in (OUTPUT, *arguments):
+        if name[0] == "-":                # the dest argparse derives
+            options[name] = name.lstrip("-").replace("-", "_"), opts
+        else:
+            positionals.append((name, opts))
+    tokens = iter(argv[2:])
+    for token in tokens:
+        if token in options:
+            (dest, opts), token = options[token], next(tokens, "-")
+        elif positionals:
+            dest, opts = positionals.pop(0)
+        else:
+            return None
+        bad = dest in ns or token[:1] == "-" and not token[1:].isdecimal()
+        try:
+            ns[dest] = opts.get("type", str)(token)
+        except ValueError:
+            return None
+        if bad or ns[dest] not in opts.get("choices", (ns[dest],)):
+            return None
+    for dest, opts in options.values():
+        if dest not in ns and opts.get("required"):
+            return None
+        ns.setdefault(dest, opts.get("default"))
+    return None if positionals else SimpleNamespace(**ns)
 
 
 def run(argv=None):
     """Parse arguments, dispatch, and return the exit status."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    args = _read(argv)
+    if args is None:
+        from .usage import build_parser
+        args = build_parser().parse_args(argv)
     try:
         ok = args.handler(args)
     except ValueError as exc:
@@ -191,8 +198,7 @@ def main():
 
 
 if __name__ == "__main__":
-    # ``python -m qadhm.cli`` runs this file as ``__main__``.  Register it
-    # under its own name too, so that the group modules, which import from
-    # ``qadhm.cli``, share it instead of compiling and running a second copy.
+    # ``python -m qadhm.cli`` runs this file as ``__main__``; register it as
+    # ``qadhm.cli`` too, so the group modules share it, not a second copy.
     sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     main()

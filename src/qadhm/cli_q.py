@@ -1,8 +1,8 @@
 """``qadhm q`` commands: normal forms, the calculus and its Laplacian, the
 harmonic basis and the Penrose transform."""
 
-from .cli import (MAX_DET_POWER, MAX_TWO_L, P_CHOICE, CLIError, _emit_json,
-                  _load_json, arg)
+from .cli import (MAX_COCYCLE_ITEMS, MAX_DET_POWER, MAX_TWO_L, P_CHOICE,
+                  CLIError, _emit_json, _load_json, arg)
 
 
 def _cmd_q_normalize(args):
@@ -57,9 +57,11 @@ def _check_harmonic_caps(args):
 
 
 def _cmd_q_harmonic(args):
+    if args.k < 0:
+        raise CLIError("-k (the det power) must be nonnegative")
+    _check_harmonic_caps(args)
     from .qcalculus import derive_table, laplacian
     from .qspacetime import HarmonicIndex, basis_element
-    _check_harmonic_caps(args)
     try:
         idx = HarmonicIndex(args.l, args.m, args.n, args.k)
     except ValueError as exc:
@@ -114,10 +116,10 @@ def _cmd_q_penrose(args):
     from .qcalculus import cech_index, derive_table, laplacian, penrose_scalar
     obj = _load_json(args.file)
     items = obj.get("cocycle") if isinstance(obj, dict) else obj
-    if not isinstance(items, list) or not items:
-        raise CLIError("penrose input must be a nonempty list under "
-                       "\"cocycle\": [{\"exponents\": [ex,ey,ez,ew], "
-                       "\"coeff\": \"a/b\"}]")
+    if not isinstance(items, list) or not 0 < len(items) <= MAX_COCYCLE_ITEMS:
+        raise CLIError("penrose input must be a list of 1 to "
+                       f"{MAX_COCYCLE_ITEMS} items under \"cocycle\": "
+                       "[{\"exponents\": [ex,ey,ez,ew], \"coeff\": \"a/b\"}]")
     pairs = []
     for item in items:
         try:

@@ -1,8 +1,10 @@
 """Tests for the command-line interface, its parser and its exit codes."""
 
-import argparse
+import contextlib
+import functools
 import hashlib
 import importlib
+import io
 import json
 import os
 import re
@@ -13,11 +15,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qadhm.cli
 from qadhm.adhm import random_stable_solution
 from qadhm.cli import (
     MAX_CHARGE,
+    MAX_COCYCLE_ITEMS,
     MAX_DET_POWER,
     MAX_EXPR_DEGREE,
     MAX_EXPR_LENGTH,
@@ -34,6 +38,7 @@ from qadhm.chern import chi_twist
 from qadhm.qcalculus import derive_table, laplacian, partials
 from qadhm.qspacetime import HarmonicIndex, NCPoly, X_NAMES, basis_element, det_x
 from qadhm.scalars import GaussRational, QLaurent
+from qadhm.usage import build_parser
 
 from helpers import random_complex_datum
 
@@ -596,6 +601,50 @@ class TestResourceCaps:
         f = write_json(tmp_path / "c.json", {"cocycle": [at_cap]})
         assert invoke(["q", "penrose", f], capsys)[0] == 0
 
+    def test_penrose_refuses_a_cocycle_over_the_item_cap(self, tmp_path,
+                                                         capsys):
+        # every item costs a harmonic() call: 3,000 items with 2l <= 30 ran
+        # for minutes.  The refusal names the cap and comes before any call.
+        item = {"exponents": [1, 0, -2, -1], "coeff": "1"}
+        for n in (MAX_COCYCLE_ITEMS + 1, 3000):
+            f = write_json(tmp_path / "c.json", {"cocycle": [item] * n})
+            start = time.perf_counter()
+            code, out = invoke(["q", "penrose", f], capsys)
+            assert time.perf_counter() - start < 2
+            assert code == 2
+            err = json.loads(out)["error"]
+            assert err["type"] == "CLIError"
+            assert f"1 to {MAX_COCYCLE_ITEMS} items" in err["message"]
+        f = write_json(tmp_path / "c.json",
+                       {"cocycle": [item] * MAX_COCYCLE_ITEMS})
+        code, out = invoke(["q", "penrose", f], capsys)
+        assert code == 0
+        assert json.loads(out)["image"] == f"{MAX_COCYCLE_ITEMS}/1*x11"
+
+    def test_harmonic_refuses_a_negative_det_power(self, capsys):
+        # the refusal names the option, as q eigen's does, and comes before
+        # any library module is loaded
+        for k in (-1, -7):
+            assert _error(_harmonic(2, k), capsys) == {
+                "type": "CLIError",
+                "message": "-k (the det power) must be nonnegative"}
+        proc = run_python(["-c", _LOADED_BY_RUN, *_harmonic(2, -1)])
+        rep = json.loads(proc.stdout)
+        assert rep["code"] == 2
+        assert not {"qadhm.scalars", "qadhm.qspacetime",
+                    "qadhm.qcalculus"} & set(rep["new"])
+
+    @pytest.mark.parametrize("argv", [["adhm", "check"], ["monad", "build"],
+                                      ["q", "penrose"]], ids=" ".join)
+    def test_deeply_nested_json_is_a_schema_error(self, argv, tmp_path,
+                                                  capsys):
+        # json.load recurses once per level: this file raised RecursionError,
+        # a traceback with exit 1, which is reserved for a failed identity
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        err = _error([*argv, str(path)], capsys)
+        assert err["type"] == "CLIError" and str(path) in err["message"]
+
     @pytest.mark.parametrize("command", ["normalize", "partial", "laplace"])
     def test_expression_caps(self, command, capsys):
         # 30 dense linear factors, 539 characters: `q normalize` ran for
@@ -781,7 +830,8 @@ _Q = {"cli", "cli_q", "scalars", "qspacetime", "qcalculus"}
 _Q_EXPR = _Q | {"expr"}
 _INST = {"cli", "cli_inst", "datum", "qspacetime", "qinstanton"} | _MATRIX
 _MODULES_BY_COMMAND = {
-    ("--help",): {"cli", "cli_adhm", "cli_monad", "cli_q", "cli_inst"},
+    ("--help",): {"cli", "usage", "cli_adhm", "cli_monad", "cli_q",
+                  "cli_inst"},
     ("adhm", "check", DATUM): _ADHM,
     ("adhm", "embed", REAL): {"cli", "cli_adhm", "datum", "real"} | _MATRIX,
     ("adhm", "random", "-r", "2", "-c", "1"): _ADHM | {"echelon"},
@@ -803,6 +853,19 @@ _MODULES_BY_COMMAND = {
         {"cli", "cli_inst", "datum", "krylov", "slices"} | _MATRIX,
     ("inst", "curvature", DATUM): _INST | {"qcalculus", "qforms"},
 }
+
+
+def _pinned_argv(command, tmp_path):
+    """A ``_MODULES_BY_COMMAND`` key with its file placeholders written."""
+    files = {
+        DATUM: random_stable_solution(2, 1, 4).to_json(),
+        REAL: RealADHMDatum(1, 1, [[0]], [[0]], [[0]], [[0]]).to_json(),
+        COCYCLE: {"cocycle": [{"exponents": [1, 0, -2, -1], "coeff": "1"}]},
+    }
+    return [write_json(tmp_path / "in.json", files[a]) if a in files else a
+            for a in command]
+
+
 # the only commands that load the expression parser and the forms
 _WITH_EXPR = {("q", "normalize"), ("q", "partial"), ("q", "laplace")}
 # the commands that build no matrix: the q commands need only the scalars
@@ -863,15 +926,8 @@ class TestImportDiscipline:
     @pytest.mark.parametrize("command", sorted(_MODULES_BY_COMMAND),
                              ids=" ".join)
     def test_modules_loaded(self, command, tmp_path):
-        files = {
-            DATUM: random_stable_solution(2, 1, 4).to_json(),
-            REAL: RealADHMDatum(1, 1, [[0]], [[0]], [[0]], [[0]]).to_json(),
-            COCYCLE: {"cocycle": [{"exponents": [1, 0, -2, -1],
-                                   "coeff": "1"}]},
-        }
-        argv = [write_json(tmp_path / "in.json", files[a]) if a in files
-                else a for a in command]
-        proc = run_python(["-c", _LOADED_BY_RUN, *argv])
+        proc = run_python(["-c", _LOADED_BY_RUN,
+                           *_pinned_argv(command, tmp_path)])
         assert proc.returncode == 0, proc.stderr
         rep = json.loads(proc.stdout)
         assert rep["code"] == 0
@@ -894,6 +950,19 @@ class TestImportDiscipline:
         # no command makes a Fraction, so none loads ``fractions`` (which
         # imports ``decimal``), and no module imports ``__future__``
         assert not {"fractions", "decimal", "__future__"} & set(rep["new"])
+        # argparse, which imports gettext and locale, is loaded for help and
+        # usage errors only
+        assert (not {"argparse", "gettext", "locale"} & set(rep["new"])) \
+            == (command != ("--help",))
+
+    def test_module_entry_point_imports_no_argparse(self):
+        proc = run_python(["-X", "importtime", "-m", "qadhm.cli", "q",
+                           "eigen", "-k", "1", "-l", "2"])
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rpartition("|")[2].strip()
+                    for line in proc.stderr.splitlines()}
+        assert "qadhm.cli_q" in imported
+        assert not {"argparse", "gettext", "locale"} & imported
 
     def test_exactcore_loads_echelon_when_qrat_is_read(self):
         proc = run_python(["-c", "import sys\n"
@@ -1020,15 +1089,17 @@ class TestHelp:
         assert hashlib.sha256(out.encode()).hexdigest() == _HELP_SHA256[level]
 
 
-def _outcome(argv, capsys):
+def _outcome(argv):
     """(exit code, stdout, stderr) of ``run(argv)``, argparse exits
-    included."""
-    try:
-        code = run(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    out = capsys.readouterr()
-    return code, out.out, out.err
+    included.  It captures by itself, since hypothesis tests take no
+    capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 _PARSER_ARGVS = (
@@ -1038,24 +1109,105 @@ _PARSER_ARGVS = (
      ["q", "normalize", "x11", "extra"],
      ["q", "normalize", "x21*x12"], ["q", "eigen", "-k", "1"],
      ["q", "-h", "eigen"],
-     ["monad", "chern", "-r", "2", "-c", "1", "-k", "-1"]]
+     ["monad", "chern", "-r", "2", "-c", "1", "-k", "-1"],
+     # one line for each kind of line the reader declines
+     ["q", "eigen", "-k", "1", "-l", "2", "-h"], ["q", "table", "--p-ch", "q"],
+     ["q", "table", "--p-choice=qinv"], ["adhm", "random", "-r2", "-c", "1"],
+     ["q", "normalize", "--", "x11"], ["q", "table", "--output", "-x"],
+     ["q", "normalize", "-x11"], ["q", "eigen", "-k", "1", "-l", "-1.5"],
+     ["q", "table", "--p-choice", "q", "--p-choice", "qinv"],
+     ["monad", "chern", "-r", "2", "-c", "1", "-k", "1_0"]]
     + [[group, "--help"] for group in _SUBCOMMANDS]
     + [[group, sub, "--help"] for group, subs in _SUBCOMMANDS.items()
        for sub in subs])
 
 
+# the full parser, built once for the examples of a hypothesis test that
+# patches nothing: parse_args leaves a parser as it was
+_FULL_PARSER = functools.cache(build_parser)
+_INTS = st.integers(-40, 40).map(str)
+_STRINGS = st.sampled_from(["x11*x22", "in.json", "q^-1", "", "-3", "0"])
+# values argparse must judge: ints that int() reads, words, dashes, choices
+_ODD_VALUES = st.sampled_from(["two", "1.5", "+3", " 4", "1_0", "-x", "-",
+                               "--5", "-1.5", "q", "qinv", "p", "--output"])
+_MUTATIONS = ("drop", "repeat", "value", "equals", "attached", "abbreviate",
+              "extra", "dashes", "help", "group", "command")
+
+
+def _value(opts):
+    if "choices" in opts:
+        return st.sampled_from(opts["choices"])
+    return _INTS if opts.get("type") is int else _STRINGS
+
+
+@st.composite
+def _command_lines(draw, well_formed):
+    """A command line built from a ``COMMANDS`` table: every required
+    argument, some optional ones, in any order, with values of the right
+    type.  Unless ``well_formed``, up to two mutations may break the line as
+    ``_MUTATIONS`` names them."""
+    group = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    command = draw(st.sampled_from(_SUBCOMMANDS[group]))
+    chunks = []
+    for (name,), opts in (qadhm.cli.OUTPUT,
+                          *qadhm.cli.commands(group)[command][2]):
+        if name[0] == "-" and not opts.get("required") and draw(st.booleans()):
+            continue
+        value = draw(_value(opts))
+        chunks.append([name, value] if name[0] == "-" else [value])
+    chunks = draw(st.permutations(chunks))
+    head = [group, command]
+    for kind in ([] if well_formed else
+                 draw(st.lists(st.sampled_from(_MUTATIONS), max_size=2))):
+        i = draw(st.integers(0, max(len(chunks) - 1, 0)))
+        chunk = chunks[i] if chunks else None
+        if kind == "drop" and chunk:
+            del chunks[i]
+        elif kind == "repeat" and chunk:
+            chunks.insert(draw(st.integers(0, len(chunks))), list(chunk))
+        elif kind == "value" and chunk:
+            chunk[-1] = draw(_ODD_VALUES)
+        elif kind in ("equals", "attached") and chunk and len(chunk) == 2:
+            chunks[i] = [("=" if kind == "equals" else "").join(chunk)]
+        elif kind == "abbreviate" and chunk and chunk[0][:2] == "--" \
+                and len(chunk[0]) > 3:
+            chunk[0] = chunk[0][:draw(st.integers(3, len(chunk[0]) - 1))]
+        elif kind in ("group", "command"):
+            k = kind == "command"
+            head[k] = draw(st.sampled_from(["nosuch", head[k][:-1], ""]))
+        elif kind in ("extra", "dashes", "help"):
+            token = {"extra": "x11", "dashes": "--",
+                     "help": draw(st.sampled_from(["-h", "--help"]))}[kind]
+            flat = [t for c in chunks for t in c]
+            flat.insert(draw(st.integers(0, len(flat))), token)
+            chunks = [flat]
+    return head + [t for c in chunks for t in c]
+
+
 class TestParserPerGroup:
-    """A command builds only its own subcommand parser, with the same output
-    as the parser of every group."""
+    """``cli.run`` reads a well-formed command line without argparse, and
+    leaves every other one to argparse: the outcome is the same with the
+    reader disabled, and whenever the reader answers, its namespace is the
+    one argparse returns."""
 
     @pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
-    def test_same_outcome_as_the_full_parser(self, argv, capsys,
-                                             monkeypatch):
-        per_group = _outcome(argv, capsys)
-        build = qadhm.cli._build_parser
-        monkeypatch.setattr(qadhm.cli, "_build_parser",
-                            lambda argv=(): build(()))
-        assert per_group == _outcome(argv, capsys)
+    def test_same_outcome_as_the_full_parser(self, argv, monkeypatch):
+        with_reader = _outcome(argv)
+        monkeypatch.setattr(qadhm.cli, "_read", lambda argv: None)
+        assert with_reader == _outcome(argv)
+
+    @pytest.mark.parametrize("command", sorted(_MODULES_BY_COMMAND),
+                             ids=" ".join)
+    def test_pinned_commands(self, command, tmp_path, monkeypatch):
+        # every pinned command but --help is well formed: the reader answers
+        argv = _pinned_argv(command, tmp_path)
+        read = qadhm.cli._read(argv)
+        assert (read is None) == (command == ("--help",))
+        if read is not None:
+            assert vars(read) == vars(build_parser().parse_args(argv))
+        with_reader = _outcome(argv)
+        monkeypatch.setattr(qadhm.cli, "_read", lambda argv: None)
+        assert with_reader == _outcome(argv)
 
     @pytest.mark.parametrize("argv,stderr", [
         (["q", "nosuch"],
@@ -1070,33 +1222,37 @@ class TestParserPerGroup:
          "-k K -l L\n"
          "qadhm q eigen: error: the following arguments are required: -l\n"),
     ])
-    def test_usage_errors_are_pinned(self, argv, stderr, capsys,
-                                     monkeypatch):
+    def test_usage_errors_are_pinned(self, argv, stderr, monkeypatch):
         # exit code and stderr as the parser of every subcommand gave them,
         # at 80 columns
         monkeypatch.setenv("COLUMNS", "80")
-        assert _outcome(argv, capsys) == (2, "", stderr)
+        assert _outcome(argv) == (2, "", stderr)
 
-    @pytest.mark.parametrize("argv,parsers", [
-        (["q", "laplace", "x11"], 2 + len(_SUBCOMMANDS) + 1),
-        (["inst", "--help"], 2 + len(_SUBCOMMANDS) + 3),
-        (["--help"], 2 + len(_SUBCOMMANDS) + 17),
-        (["nosuch"], 2 + len(_SUBCOMMANDS) + 17),
-        (["q", "nosuch"], 2 + len(_SUBCOMMANDS) + 7),
-        (["q"], 2 + len(_SUBCOMMANDS) + 7),
-        (["q", "eigen", "-k", "1"], 2 + len(_SUBCOMMANDS) + 1),
-    ])
-    def test_parsers_built(self, argv, parsers, monkeypatch):
-        # the common options, the top level, every group, and the named
-        # subcommand (every subcommand of the named group when it names
-        # none, of every group when no group is named)
-        built = []
-        init = argparse.ArgumentParser.__init__
+    @settings(max_examples=300, deadline=None)
+    @given(_command_lines(well_formed=True))
+    def test_reader_answers_every_well_formed_line(self, argv):
+        read = qadhm.cli._read(argv)
+        assert read is not None, argv
+        assert vars(read) == vars(_FULL_PARSER().parse_args(argv))
 
-        def count(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
+    @settings(max_examples=300, deadline=None)
+    @given(_command_lines(well_formed=False))
+    def test_same_outcome_on_generated_lines(self, argv):
+        # each handler is replaced by one that prints its namespace, so any
+        # line runs at once
+        def echo(args):
+            print(sorted((k, v) for k, v in vars(args).items()
+                         if k != "handler"))
+            return True
 
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", count)
-        qadhm.cli._build_parser(argv)
-        assert len(built) == parsers
+        with pytest.MonkeyPatch.context() as mp:
+            for group in _SUBCOMMANDS:
+                table = qadhm.cli.commands(group)
+                mp.setattr(sys.modules[f"qadhm.cli_{group}"], "COMMANDS",
+                           {c: (h, echo, a) for c, (h, _, a) in table.items()})
+            read = qadhm.cli._read(argv)
+            if read is not None:
+                assert vars(read) == vars(build_parser().parse_args(argv))
+            with_reader = _outcome(argv)
+            mp.setattr(qadhm.cli, "_read", lambda argv: None)
+            assert with_reader == _outcome(argv)

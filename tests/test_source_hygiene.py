@@ -373,19 +373,12 @@ def args_reads(fn, functions):
 def options_and_reads():
     """{(group, subcommand): (option dests, args attributes its handler
     reads)} from the ``COMMANDS`` table of each ``cli_<group>`` module and
-    the options ``cli._build_parser`` gives every subcommand."""
+    ``cli.OUTPUT``, the option that the reader of ``cli.run`` and the
+    parser of ``usage.build_parser`` give every subcommand."""
     trees = parse_modules()
     cli_names = module_assignments(trees["cli.py"])
-    build = next(node for node in trees["cli.py"].body
-                 if isinstance(node, ast.FunctionDef)
-                 and node.name == "_build_parser")
-    # the options of the parent parser ``common``
-    shared = {argument_dest(node) for node in ast.walk(build)
-              if isinstance(node, ast.Call)
-              and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "add_argument"
-              and isinstance(node.func.value, ast.Name)
-              and node.func.value.id == "common"}
+    shared = {argument_dest(cli_names["OUTPUT"])}
+    assert shared == {"output"}
     out = {}
     for name, tree in trees.items():
         if not name.startswith("cli_"):

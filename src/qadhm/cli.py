@@ -1,14 +1,11 @@
 """Command-line front end: JSON reports for every operator family.
 
-Subcommand groups ``adhm``, ``monad``, ``q`` and ``inst``, each with its
-commands in the module ``cli_<group>``.
-
 Every command emits one UTF-8 JSON document with sorted keys (identical
 input, seed and configuration give byte-identical output), either to stdout
 or to ``--output``.  ``monad chern`` prints its single number bare.  Exit
 status: 0 when every identity the command asserts holds, 1 when a checked
 identity fails (the report is still written), 2 for schema or precondition
-errors, which are reported as ``{"error": {"type", "message"}}``.
+errors and unwritable reports, reported as ``{"error": {"type", "message"}}``.
 
 Expression grammar for the ``q`` commands::
 
@@ -22,7 +19,9 @@ be joined with '*'.  Words multiply as noncommutative generators and results
 are printed in normal form.
 """
 
+import gc
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -42,10 +41,6 @@ MAX_EXPR_DEGREE = 12   # degree of each product in such an expression
 class CLIError(ValueError):
     """Schema violation, parse failure or precondition failure."""
 
-
-# ---------------------------------------------------------------------------
-# I/O helpers
-# ---------------------------------------------------------------------------
 
 def _load_json(path):
     try:
@@ -84,15 +79,16 @@ def _load_datum(path, real=False):
 
 
 def _emit(text, output):
-    """Write ``text`` to the path ``output``, or to stdout when it is None."""
-    if output:
-        try:
+    """Write and flush ``text`` to the path ``output``, or to stdout."""
+    try:
+        if output:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise CLIError(f"cannot write {output}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise CLIError(f"cannot write {output or 'stdout'}: {exc}") from exc
 
 
 def _emit_json(obj, output):
@@ -124,6 +120,7 @@ def arg(*names, **options):
 # the option of every command
 OUTPUT = arg("--output", default=None,
              help="write the report to this path instead of stdout")
+FILE = arg("file")  # the input of the commands that read a file
 # the calculus convention, an option of the commands that derive the
 # calculus tables: the q commands and ``inst curvature``
 P_CHOICE = arg("--p-choice", default="q", choices=("q", "qinv"),
@@ -131,7 +128,8 @@ P_CHOICE = arg("--p-choice", default="q", choices=("q", "qinv"),
 
 
 def commands(group):
-    """The ``COMMANDS`` table of the module ``cli_<group>``."""
+    """The ``COMMANDS`` table of the module ``cli_<group>``: subcommand ->
+    (help, handler, arguments), in the order the help lists them."""
     return __import__(f"cli_{group}", globals(), level=1,
                       fromlist=["COMMANDS"]).COMMANDS
 
@@ -186,15 +184,24 @@ def run(argv=None):
     except ValueError as exc:
         # CLIError and every library precondition error derive from
         # ValueError; report them as one machine-readable object.
-        sys.stdout.write(json.dumps(
+        error = json.dumps(
             {"error": {"type": type(exc).__name__, "message": str(exc)}},
-            sort_keys=True, ensure_ascii=False) + "\n")
+            sort_keys=True, ensure_ascii=False) + "\n"
+        try:
+            _emit(error, None)
+        except CLIError:
+            # stdout failed: report on stderr, and let the exit's flush of
+            # what stdout still buffers go to the null device
+            sys.stderr.write(error)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     return 0 if ok else 1
 
 
 def main():
-    sys.exit(run())
+    code = run()
+    gc.freeze()  # the report is out: the exit's collections skip the heap
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """``qadhm adhm`` commands: residuals and stability, the real embedding,
 seeded solutions and the derivative rank."""
 
-from .cli import CLIError, _check_size, _emit_json, _load_datum, arg
+from .cli import FILE, CLIError, _check_size, _emit_json, _load_datum, arg
 
 
 def _cmd_adhm_check(args):
@@ -65,17 +65,15 @@ def _cmd_adhm_rank(args):
     return True
 
 
-_FILE = arg("file")
-# subcommand -> (help, handler, arguments), in the order the help lists them
 COMMANDS = {
     "check": ("residuals and stability classification", _cmd_adhm_check,
-              [_FILE]),
+              [FILE]),
     "embed": ("double a real solution into a complex one", _cmd_adhm_embed,
-              [_FILE]),
+              [FILE]),
     "random": ("seeded stable solution", _cmd_adhm_random,
                [arg("--seed", type=int, default=0,
                     help="64-bit seed (default %(default)s)"),
                 arg("-r", type=int, required=True),
                 arg("-c", type=int, required=True)]),
-    "rank": ("derivative rank and dimension audit", _cmd_adhm_rank, [_FILE]),
+    "rank": ("derivative rank and dimension audit", _cmd_adhm_rank, [FILE]),
 }

@@ -2,7 +2,7 @@
 the surjectivity of beta_P over the pencil grid, which ``slices`` decides
 from the Krylov closure without building any operator."""
 
-from .cli import (MAX_DEGREE_CAP, MAX_GRID_SIZE, P_CHOICE, CLIError,
+from .cli import (FILE, MAX_DEGREE_CAP, MAX_GRID_SIZE, P_CHOICE, CLIError,
                   _emit_json, _load_datum, arg)
 
 
@@ -42,18 +42,16 @@ def _cmd_inst_slices(args):
     return ok
 
 
-_FILE = arg("file")
-# subcommand -> (help, handler, arguments), in the order the help lists them
 COMMANDS = {
     "verify": ("operator identities on both charts", _cmd_inst_verify,
-               [_FILE]),
+               [FILE]),
     "curvature": ("curvature block audit with the ASD split",
-                  _cmd_inst_curvature, [P_CHOICE, _FILE]),
+                  _cmd_inst_curvature, [P_CHOICE, FILE]),
     "slices": ("slice surjectivity over the parameter grid", _cmd_inst_slices,
                [arg("--grid-size", type=int, default=12,
                     help="number of pencil parameter points, at most "
                          f"{MAX_GRID_SIZE} (default %(default)s)"),
-                _FILE,
+                FILE,
                 arg("--dmax", type=int, default=4,
                     help=f"degree cap of the slices, at most {MAX_DEGREE_CAP} "
                          "(default %(default)s)")]),

@@ -1,7 +1,7 @@
 """``qadhm monad`` commands: the monad of a datum, the class of its sheaf and
 the Euler characteristics of twists."""
 
-from .cli import CLIError, _emit, _emit_json, _load_datum, arg
+from .cli import FILE, CLIError, _emit, _emit_json, _load_datum, arg
 
 
 def _cmd_monad_build(args):
@@ -34,12 +34,10 @@ def _cmd_monad_chern(args):
     return True
 
 
-_FILE = arg("file")
-# subcommand -> (help, handler, arguments), in the order the help lists them
 COMMANDS = {
-    "build": ("three-term complex of a solution", _cmd_monad_build, [_FILE]),
+    "build": ("three-term complex of a solution", _cmd_monad_build, [FILE]),
     "classify": ("regularity class of the middle cohomology",
-                 _cmd_monad_classify, [_FILE]),
+                 _cmd_monad_classify, [FILE]),
     "chern": ("Euler characteristic of the twist E(k)", _cmd_monad_chern,
               [arg("-r", type=int, required=True),
                arg("-c", type=int, required=True),

@@ -1,8 +1,8 @@
 """``qadhm q`` commands: normal forms, the calculus and its Laplacian, the
 harmonic basis and the Penrose transform."""
 
-from .cli import (MAX_COCYCLE_ITEMS, MAX_DET_POWER, MAX_TWO_L, P_CHOICE,
-                  CLIError, _emit_json, _load_json, arg)
+from .cli import (FILE, MAX_COCYCLE_ITEMS, MAX_DET_POWER, MAX_TWO_L,
+                  P_CHOICE, CLIError, _emit_json, _load_json, arg)
 
 
 def _cmd_q_normalize(args):
@@ -151,7 +151,6 @@ def _cmd_q_penrose(args):
 
 
 _EXPR = arg("expr")
-# subcommand -> (help, handler, arguments), in the order the help lists them.
 # ``normalize`` takes --p-choice unread (its normal form does not depend on
 # it), because the benchmark's normalize ops pass it.
 COMMANDS = {
@@ -175,5 +174,5 @@ COMMANDS = {
     "table": ("derived relation tables for one p-choice", _cmd_q_table,
               [P_CHOICE]),
     "penrose": ("harmonic image of a degree -2 cocycle file", _cmd_q_penrose,
-                [P_CHOICE, arg("file")]),
+                [P_CHOICE, FILE]),
 }

@@ -463,12 +463,18 @@ def cech_index(exps) -> HarmonicIndex:
 def penrose_scalar(cocycle) -> NCPoly:
     """Linear extension of (cocycle monomial -> harmonic polynomial).
 
-    ``cocycle`` is an iterable of ((ex, ey, ez, ew), coeff) pairs.
+    ``cocycle`` is an iterable of ((ex, ey, ez, ew), coeff) pairs.  The
+    coefficients are summed per index first, so each harmonic is computed
+    once, and not at all when its coefficients cancel.
     """
-    acc = NCPoly.zero("I")
+    sums = {}
     for exps, coeff in cocycle:
         idx = cech_index(exps)
-        acc = acc + harmonic(idx).scale(coeff)
+        sums[idx] = sums.get(idx, 0) + coeff
+    acc = NCPoly.zero("I")
+    for idx, coeff in sums.items():
+        if coeff:
+            acc = acc + harmonic(idx).scale(coeff)
     return acc
 
 

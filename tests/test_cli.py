@@ -52,18 +52,20 @@ def invoke(argv, capsys):
     return code, capsys.readouterr().out
 
 
-def run_python(args):
+def run_python(args, stdout=subprocess.PIPE, **environ):
     """Run ``sys.executable`` with ``args`` on the ``qadhm`` imported here.
 
     The import root of that package goes first on the child's PYTHONPATH,
     so the child checks this checkout, not another ``qadhm`` it may find.
+    ``environ`` sets further variables of the child; None unsets one.
     """
     root = str(Path(qadhm.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = {**os.environ, **environ}
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + (os.pathsep + inherited if inherited else "")
-    return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env)
+    env = {name: value for name, value in env.items() if value is not None}
+    return subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env)
 
 
 def declared_script(name):
@@ -787,12 +789,21 @@ class TestDeterminism:
         assert json.loads(proc.stdout)["eigenvalue"] == {"-2": "1/1",
                                                          "0": "1/1"}
 
-    def test_module_invocation(self):
-        for module in ("qadhm.cli", "qadhm"):
-            proc = run_python(["-m", module, "monad", "chern",
-                               "-r", "2", "-c", "1", "-k", "-1"])
-            assert proc.returncode == 0, (module, proc.stderr)
-            assert proc.stdout == "-1\n"
+    def test_module_invocation(self, tmp_path, capsys):
+        # both module entry points end the process as in-process run()
+        # returns: the same stdout and exit code, for each exit code
+        non_solution = write_json(tmp_path / "d.json",
+                                  random_complex_datum(2, 1, 3).to_json())
+        for code, argv in ((0, ["monad", "chern", "-r", "2", "-c", "1",
+                                "-k", "-1"]),
+                           (1, ["adhm", "check", non_solution]),
+                           (2, ["q", "eigen", "-k", "-1", "-l", "2"])):
+            want = invoke(argv, capsys)
+            assert want[0] == code
+            for module in ("qadhm.cli", "qadhm"):
+                proc = run_python(["-m", module, *argv])
+                assert (proc.returncode, proc.stdout) == want, (module, argv)
+                assert proc.stderr == "", (module, argv)
 
     def test_module_invocation_compiles_cli_once(self):
         # run as ``__main__``, cli is shared with the group module that
@@ -804,6 +815,75 @@ class TestDeterminism:
                     for line in proc.stderr.splitlines()}
         assert "qadhm.cli_monad" in imported
         assert "qadhm.cli" not in imported
+
+
+# A child that runs ``cli.main`` with gc.freeze replaced by a spy and one
+# atexit handler registered first.  Both write a marker straight to the
+# stdout descriptor, past the stream's buffer, so the markers land after the
+# report only if the report was flushed before them.
+_SPIED_MAIN = """
+import atexit, gc, os
+from qadhm import cli
+atexit.register(os.write, 1, b"<atexit>")
+gc.freeze = lambda: os.write(1, b"<freeze>")
+cli.main()
+"""
+
+_FULL = "/dev/full"
+_EIGEN = ["q", "eigen", "-k", "1", "-l", "2"]
+_EIGEN_ERROR = ["q", "eigen", "-k", "-1", "-l", "2"]     # exit 2
+# the child's PYTHONUNBUFFERED, set or unset whatever the parent's is
+_BUFFERING = pytest.mark.parametrize("unbuffered", ["1", None],
+                                     ids=["unbuffered", "buffered"])
+_REPORT_OR_ERROR = pytest.mark.parametrize("argv", [_EIGEN, _EIGEN_ERROR],
+                                           ids=["report", "error"])
+
+
+class TestProcessExit:
+    """``main`` freezes the heap once the report is out, so the exit's
+    collections skip it, and ends the process through ``sys.exit``: the
+    atexit handlers run and the exit code is ``run``'s."""
+
+    @_BUFFERING
+    @_REPORT_OR_ERROR
+    def test_freeze_once_after_the_report(self, argv, unbuffered, capsys):
+        code, out = invoke(argv, capsys)
+        proc = run_python(["-c", _SPIED_MAIN, *argv],
+                          PYTHONUNBUFFERED=unbuffered)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == out + "<freeze><atexit>"
+
+    @pytest.mark.parametrize("argv, code", [
+        (_EIGEN, 0), (_EIGEN_ERROR, 2),
+        # a usage error leaves main through argparse's SystemExit, before
+        # the freeze
+        (_EIGEN[:-2], 2)], ids=["report", "error", "usage"])
+    def test_atexit_handlers_still_run(self, argv, code):
+        proc = run_python(["-c", _SPIED_MAIN, *argv])
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.endswith("<atexit>")
+
+    @pytest.mark.skipif(not os.path.exists(_FULL),
+                        reason=f"no {_FULL} on this system")
+    @_BUFFERING
+    @_REPORT_OR_ERROR
+    def test_stdout_that_cannot_be_written(self, argv, unbuffered, capsys):
+        # a full stdout is an error object on stderr and exit 2, not a
+        # traceback (exit 1 is a failed identity) nor the interpreter's exit
+        # 120 for a flush that fails at shutdown.  A command that fails
+        # itself reports its own error there.
+        code, out = invoke(argv, capsys)
+        with open(_FULL, "w", encoding="utf-8") as full:
+            proc = run_python(["-m", "qadhm.cli", *argv], stdout=full,
+                              PYTHONUNBUFFERED=unbuffered)
+        assert proc.returncode == 2
+        if code == 2:
+            assert proc.stderr == out
+        else:
+            err = json.loads(proc.stderr)["error"]
+            assert err["type"] == "CLIError"
+            assert err["message"].startswith(
+                "cannot write stdout: [Errno 28]")
 
 
 # What a child process reports: the modules that importing qadhm.cli and

@@ -903,6 +903,46 @@ class TestScalarResidues:
             HarmonicIndex(1, 1, 1)).scale(qp(3))
         assert got == want
 
+    @staticmethod
+    def _seeded_cocycle(seed):
+        """Items over four indices: one index repeated, one whose items
+        cancel, coefficients mixing ints, Gaussian rationals and q-powers."""
+        rng = random.Random(seed)
+        indices = [HarmonicIndex(two_l, two_m, two_n)
+                   for two_l in range(4)
+                   for two_m in range(-two_l, two_l + 1, 2)
+                   for two_n in range(-two_l, two_l + 1, 2)]
+        kept, cancelled, *rest = rng.sample(indices, 4)
+        items = []
+        for idx in [kept] * 3 + rest:
+            coeff = rng.choice([rng.randint(1, 5),
+                                GaussRational(rng.randint(-3, 3), 1) / 4,
+                                qp(rng.randint(-2, 2), rng.randint(1, 3))])
+            items.append((cech_exponents(idx), coeff))
+        c = GaussRational(rng.randint(1, 3), rng.randint(-3, 3)) / 2
+        items += [(cech_exponents(cancelled), c),
+                  (cech_exponents(cancelled), qp(0, -c))]
+        rng.shuffle(items)
+        return items, {kept, *rest}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_items_sum_like_single_items(self, seed):
+        items, _ = self._seeded_cocycle(seed)
+        want = NCPoly.zero("I")
+        for exps, coeff in items:
+            want = want + harmonic(cech_index(exps)).scale(coeff)
+        assert penrose_scalar(items) == want
+
+    def test_one_harmonic_per_distinct_index(self, monkeypatch):
+        items, live = self._seeded_cocycle(7)
+        calls = []
+        monkeypatch.setattr(qcalculus, "harmonic",
+                            lambda idx: calls.append(idx) or harmonic(idx))
+        penrose_scalar(items)
+        # the cancelling index computes no harmonic
+        assert sorted(calls, key=HarmonicIndex._key) == sorted(
+            live, key=HarmonicIndex._key)
+
     def test_index_bijection(self):
         seen = set()
         for two_l in range(5):

@@ -39,7 +39,7 @@ import random
 from .datum import ADHMError, ComplexADHMDatum, is_complex_solution
 from .exactcore import Matrix, random_gauss
 from .krylov import _gcd_roots, _gcd_str, _krylov_minor_gcd, is_stable
-from .scalars import _QL_ONE, GaussRational
+from .scalars import _QL_ONE, GaussRational, Immutable
 
 __all__ = [
     "StabilityReport", "is_costable", "classify", "derivative_rank",
@@ -50,7 +50,7 @@ _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
 
 
-class StabilityReport:
+class StabilityReport(Immutable):
     """Outcome of ``classify``.
 
     failing_points lists (side, (z0, w0), multiplicity) with side "stable" or
@@ -77,19 +77,11 @@ class StabilityReport:
             raise ADHMError("regular must equal stable and costable everywhere")
         if semiregular and not stable_everywhere:
             raise ADHMError("semiregular requires stable everywhere")
-        object.__setattr__(self, "stable_everywhere", stable_everywhere)
-        object.__setattr__(self, "costable_everywhere", costable_everywhere)
-        object.__setattr__(self, "semistable", semistable)
-        object.__setattr__(self, "semiregular", semiregular)
-        object.__setattr__(self, "regular", regular)
-        object.__setattr__(self, "failing_points", list(failing_points))
-        object.__setattr__(self, "witness_subspace", witness_subspace)
-        object.__setattr__(self, "stability_gcd", stability_gcd)
-        object.__setattr__(self, "costability_gcd", costability_gcd)
-        object.__setattr__(self, "leftover_factors", list(leftover_factors))
-
-    def __setattr__(self, *a):
-        raise AttributeError("StabilityReport is immutable")
+        for name, value in zip(self.__slots__, (
+                stable_everywhere, costable_everywhere, semistable,
+                semiregular, regular, list(failing_points), witness_subspace,
+                stability_gcd, costability_gcd, list(leftover_factors))):
+            object.__setattr__(self, name, value)
 
     def __repr__(self):
         flags = [n for n in ("stable_everywhere", "costable_everywhere",

@@ -50,6 +50,7 @@ def _cmd_adhm_random(args):
 def _cmd_adhm_rank(args):
     from .adhm import classify, derivative_rank
     d = _load_datum(args.file)
+    d.require_solution(CLIError)  # off the moduli space: no dimension
     rank = derivative_rank(d)
     ambient = 4 * d.c * d.c + 4 * d.c * d.r
     report = {

@@ -5,13 +5,10 @@ from .cli import FILE, CLIError, _emit, _emit_json, _load_datum, arg
 
 
 def _cmd_monad_build(args):
-    from .monad import MonadError, build_monad
+    from .monad import build_monad
     d = _load_datum(args.file)
-    try:
-        m = build_monad(d)
-    except MonadError as exc:
-        raise CLIError(str(exc)) from exc
-    _emit_json(m.to_json(), args.output)
+    d.require_solution(CLIError)  # the one input build_monad refuses
+    _emit_json(build_monad(d).to_json(), args.output)
     return True
 
 

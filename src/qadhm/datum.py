@@ -8,7 +8,7 @@ the rank criteria live in ``adhm``.
 """
 
 from .exactcore import Matrix
-from .scalars import _as_gauss, parse_gauss
+from .scalars import Immutable, _as_gauss, parse_gauss
 
 __all__ = [
     "ADHMError", "ComplexADHMDatum", "RealADHMDatum", "datum_from_json",
@@ -51,35 +51,56 @@ def _as_matrix(m, rows, cols, name):
     return out
 
 
-class ComplexADHMDatum:
-    """Matrices (B11, B12, B21, B22 : c x c), (i1, i2 : c x r), (j1, j2 : r x c)."""
+class _Datum(Immutable):
+    """A datum as a table of blocks: ``_BLOCKS`` lists (name, rows, cols),
+    the sizes named "c" or "r", in the order of the constructor and of the
+    JSON form, whose ``kind`` is ``_KIND``."""
 
-    __slots__ = ("c", "r", "B11", "B12", "B21", "B22", "i1", "i2", "j1", "j2")
+    __slots__ = ("c", "r")
 
-    _BLOCKS = ("B11", "B12", "B21", "B22", "i1", "i2", "j1", "j2")
-
-    def __init__(self, c, r, B11, B12, B21, B22, i1, i2, j1, j2):
+    def __init__(self, c, r, *blocks):
+        if len(blocks) != len(self._BLOCKS):
+            raise TypeError(f"{type(self).__name__} takes c, r and "
+                            f"{len(self._BLOCKS)} blocks")
         _check_counts(c, r)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "r", r)
-        for name, m in (("B11", B11), ("B12", B12), ("B21", B21), ("B22", B22)):
-            object.__setattr__(self, name, _as_matrix(m, c, c, name))
-        for name, m in (("i1", i1), ("i2", i2)):
-            object.__setattr__(self, name, _as_matrix(m, c, r, name))
-        for name, m in (("j1", j1), ("j2", j2)):
-            object.__setattr__(self, name, _as_matrix(m, r, c, name))
-
-    def __setattr__(self, *a):
-        raise AttributeError("ComplexADHMDatum is immutable")
+        size = {"c": c, "r": r}
+        for (name, rows, cols), m in zip(self._BLOCKS, blocks):
+            object.__setattr__(self, name,
+                               _as_matrix(m, size[rows], size[cols], name))
 
     def __eq__(self, other):
-        return (isinstance(other, ComplexADHMDatum)
+        return (type(other) is type(self)
                 and self.c == other.c and self.r == other.r
                 and all(getattr(self, n) == getattr(other, n)
-                        for n in self._BLOCKS))
+                        for n, _, _ in self._BLOCKS))
 
     def __repr__(self):
-        return f"ComplexADHMDatum(c={self.c}, r={self.r})"
+        return f"{type(self).__name__}(c={self.c}, r={self.r})"
+
+    def to_json(self):
+        obj = {"kind": self._KIND, "r": self.r, "c": self.c}
+        for name, _, _ in self._BLOCKS:
+            obj[name] = getattr(self, name).to_json()
+        return obj
+
+    @classmethod
+    def from_json(cls, obj):
+        if obj.get("kind") != cls._KIND:
+            raise ADHMError(f"expected kind {cls._KIND!r}")
+        return cls(obj["c"], obj["r"],
+                   *(obj[name] for name, _, _ in cls._BLOCKS))
+
+
+class ComplexADHMDatum(_Datum):
+    """Matrices (B11, B12, B21, B22 : c x c), (i1, i2 : c x r), (j1, j2 : r x c)."""
+
+    _KIND = "complex"
+    _BLOCKS = (("B11", "c", "c"), ("B12", "c", "c"), ("B21", "c", "c"),
+               ("B22", "c", "c"), ("i1", "c", "r"), ("i2", "c", "r"),
+               ("j1", "r", "c"), ("j2", "r", "c"))
+    __slots__ = tuple(name for name, _, _ in _BLOCKS)
 
     def evaluate(self, z0, w0):
         """The plain quadruple (B~1, B~2, i~, j~) at the point [z0:w0]."""
@@ -89,67 +110,30 @@ class ComplexADHMDatum:
                 self.i1.scale(z0) + self.i2.scale(w0),
                 self.j1.scale(z0) + self.j2.scale(w0))
 
-    def to_json(self):
-        obj = {"kind": "complex", "r": self.r, "c": self.c}
-        for name in self._BLOCKS:
-            obj[name] = getattr(self, name).to_json()
-        return obj
-
-    @classmethod
-    def from_json(cls, obj):
-        if obj.get("kind") != "complex":
-            raise ADHMError("expected kind 'complex'")
-        return cls(obj["c"], obj["r"],
-                   *(obj[name] for name in cls._BLOCKS))
+    def require_solution(self, error):
+        """Raise ``error`` naming the nonzero residuals, unless the datum
+        solves the equations."""
+        bad = [k + 1 for k, m in enumerate(complex_residuals(self))
+               if not m.is_zero()]
+        if bad:
+            raise error("datum does not solve the equations: residual(s) "
+                        f"{bad} nonzero")
 
 
-class RealADHMDatum:
+class RealADHMDatum(_Datum):
     """Matrices (B1, B2 : c x c), (i : c x r), (j : r x c)."""
 
-    __slots__ = ("c", "r", "B1", "B2", "i", "j")
-
-    _BLOCKS = ("B1", "B2", "i", "j")
-
-    def __init__(self, c, r, B1, B2, i, j):
-        _check_counts(c, r)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "B1", _as_matrix(B1, c, c, "B1"))
-        object.__setattr__(self, "B2", _as_matrix(B2, c, c, "B2"))
-        object.__setattr__(self, "i", _as_matrix(i, c, r, "i"))
-        object.__setattr__(self, "j", _as_matrix(j, r, c, "j"))
-
-    def __setattr__(self, *a):
-        raise AttributeError("RealADHMDatum is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, RealADHMDatum)
-                and self.c == other.c and self.r == other.r
-                and all(getattr(self, n) == getattr(other, n)
-                        for n in self._BLOCKS))
-
-    def __repr__(self):
-        return f"RealADHMDatum(c={self.c}, r={self.r})"
-
-    def to_json(self):
-        obj = {"kind": "real", "r": self.r, "c": self.c}
-        for name in self._BLOCKS:
-            obj[name] = getattr(self, name).to_json()
-        return obj
-
-    @classmethod
-    def from_json(cls, obj):
-        if obj.get("kind") != "real":
-            raise ADHMError("expected kind 'real'")
-        return cls(obj["c"], obj["r"], obj["B1"], obj["B2"], obj["i"], obj["j"])
+    _KIND = "real"
+    _BLOCKS = (("B1", "c", "c"), ("B2", "c", "c"), ("i", "c", "r"),
+               ("j", "r", "c"))
+    __slots__ = tuple(name for name, _, _ in _BLOCKS)
 
 
 def datum_from_json(obj):
     kind = obj.get("kind")
-    if kind == "complex":
-        return ComplexADHMDatum.from_json(obj)
-    if kind == "real":
-        return RealADHMDatum.from_json(obj)
+    for cls in (ComplexADHMDatum, RealADHMDatum):
+        if kind == cls._KIND:
+            return cls.from_json(obj)
     raise ADHMError(f"unknown datum kind {kind!r}")
 
 

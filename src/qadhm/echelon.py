@@ -13,8 +13,8 @@ Only a command that eliminates loads this module: ``Matrix.rank``,
 ``QRat`` on first read.
 """
 
-from .scalars import (_GR_ONE, _QL_ONE, _QL_ZERO, GaussRational, QLaurent,
-                      _as_qlaurent, _ql_divmod)
+from .scalars import (_GR_ONE, _QL_ONE, _QL_ZERO, GaussRational, Immutable,
+                      QLaurent, _as_qlaurent, _ql_divmod)
 
 __all__ = ["QRat"]
 
@@ -34,7 +34,7 @@ def _ql_gcd(a: QLaurent, b: QLaurent) -> QLaurent:
     return a * (_GR_ONE / c0)
 
 
-class QRat:
+class QRat(Immutable):
     """Element of the fraction field of QLaurent, kept in canonical form.
 
     Canonical form: num/den reduced by their gcd; den has valuation 0 and
@@ -65,9 +65,6 @@ class QRat:
             num = num.shift(-v) * (_GR_ONE / c0)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("QRat is immutable")
 
     @classmethod
     def zero(cls):

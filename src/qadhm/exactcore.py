@@ -15,7 +15,7 @@ read, by the module ``__getattr__`` (PEP 562), so that importing this module
 does not load ``echelon``.  No ``q`` command loads this module.
 """
 
-from .scalars import GaussRational, QLaurent, _gauss, parse_gauss
+from .scalars import GaussRational, QLaurent, _gauss
 
 __all__ = ["GaussRational", "QLaurent", "QRat", "Matrix", "random_gauss"]
 
@@ -27,12 +27,11 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def random_gauss(rng, height=3, complex_parts=True) -> GaussRational:
-    """Small-height random Gaussian rational, reproducible from ``rng``."""
-    def small():
-        num = rng.randint(-height, height)
-        return num, rng.randint(1, height)
-    (a, d), (b, e) = small(), small() if complex_parts else (0, 1)
+def random_gauss(rng) -> GaussRational:
+    """a/d + (b/e)*i with |a|, |b| <= 3 and 1 <= d, e <= 3, drawn from
+    ``rng`` in the order a, d, b, e."""
+    a, d, b, e = (rng.randint(-3, 3), rng.randint(1, 3), rng.randint(-3, 3),
+                  rng.randint(1, 3))
     return _gauss(a * e, b * d, d * e)
 
 
@@ -79,9 +78,6 @@ class Matrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.a[i][j]
-
-    def row(self, i):
-        return list(self.a[i])
 
     def col(self, j):
         return [self.a[i][j] for i in range(self.rows)]
@@ -243,11 +239,6 @@ class Matrix:
 
     def to_json(self):
         return [[str(x) for x in r] for r in self.a]
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(len(obj), len(obj[0]) if obj else 0,
-                   [[parse_gauss(x) for x in r] for r in obj])
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"

@@ -33,9 +33,8 @@ The Chern characters and Euler characteristics of the twists of the sheaf
 need no matrix; they are in ``chern``.
 """
 
-from .datum import complex_residuals
 from .exactcore import Matrix
-from .scalars import GaussRational
+from .scalars import GaussRational, Immutable
 
 __all__ = [
     "MonadError", "Monad", "SheafClassification", "Pencil",
@@ -94,12 +93,6 @@ class Pencil:
         obj["const"] = self.const.to_json()
         return obj
 
-    @classmethod
-    def from_json(cls, obj, vars):
-        coeffs = {v: Matrix.from_json(obj[v]) for v in vars}
-        const = Matrix.from_json(obj["const"])
-        return cls(vars, coeffs, const)
-
 
 # ---------------------------------------------------------------------------
 # building monads from data
@@ -147,7 +140,7 @@ def product_coefficients(beta, alpha):
     return out
 
 
-class Monad:
+class Monad(Immutable):
     """A pair of linear pencils alpha ((2c+r) x c) and beta (c x (2c+r))
     in (x, y, z, w) with beta*alpha = 0 as a quadratic form (checked)."""
 
@@ -168,13 +161,8 @@ class Monad:
         if bad:
             raise MonadError(f"not a monad: beta*alpha has nonzero "
                              f"coefficients at {bad}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Monad is immutable")
+        for name, value in zip(self.__slots__, (r, c, alpha, beta)):
+            object.__setattr__(self, name, value)
 
     def __repr__(self):
         return f"Monad(r={self.r}, c={self.c})"
@@ -183,21 +171,11 @@ class Monad:
         return {"r": self.r, "c": self.c,
                 "alpha": self.alpha.to_json(), "beta": self.beta.to_json()}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["r"], obj["c"],
-                   Pencil.from_json(obj["alpha"], list(VARS)),
-                   Pencil.from_json(obj["beta"], list(VARS)))
-
 
 def build_monad(d):
     """Monad of a solution datum; rejects non-solutions, reporting which of
     the three residuals are nonzero."""
-    bad = [k + 1 for k, m in enumerate(complex_residuals(d))
-           if not m.is_zero()]
-    if bad:
-        raise MonadError("datum does not solve the equations: residual(s) "
-                         f"{bad} nonzero")
+    d.require_solution(MonadError)
     alpha, beta = monad_pencils(d)
     return Monad(d.r, d.c, alpha, beta)
 
@@ -224,7 +202,7 @@ _LOCUS_METHOD = (
     "not costable at [z:w]")
 
 
-class SheafClassification:
+class SheafClassification(Immutable):
     """kind is one of torsion_free / reflexive / locally_free.  For a
     reflexive sheaf, over lists the points [z:w] over which the singular
     locus lies and over_factors the factors (in t = z/w) of the costability
@@ -247,9 +225,6 @@ class SheafClassification:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "over", None if over is None else list(over))
         object.__setattr__(self, "over_factors", list(over_factors))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SheafClassification is immutable")
 
     def __repr__(self):
         return f"SheafClassification({self.kind})"
@@ -274,7 +249,7 @@ def classify_sheaf(d):
     that is stable everywhere, both read off ``adhm.classify`` (see the
     module docstring); other data are rejected."""
     from .adhm import classify
-    build_monad(d)  # rejects non-solutions
+    d.require_solution(MonadError)
     rep = classify(d)
     if not rep.stable_everywhere:
         raise MonadError("datum is not stable everywhere: no sheaf to "

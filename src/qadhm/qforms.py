@@ -19,7 +19,7 @@ from weakref import WeakKeyDictionary
 
 from .scalars import QLaurent
 from .qcalculus import CalculusError
-from .qspacetime import NCPoly, X_NAMES, add_to, engine
+from .qspacetime import NCPoly, SparseTerms, X_NAMES, add_to, engine
 
 _ONE = QLaurent.one()
 _ZERO = QLaurent.zero()
@@ -52,7 +52,7 @@ def _word_past_mono(table, memo, word, mono):
 # forms
 # ---------------------------------------------------------------------------
 
-class NCForm:
+class NCForm(SparseTerms):
     """Left-coefficient differential form: {(sorted word, mono): QLaurent}."""
 
     __slots__ = ("table", "degree", "terms")
@@ -71,18 +71,11 @@ class NCForm:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, *a):
-        raise AttributeError("NCForm is immutable")
+    def _like(self, terms):
+        return NCForm(self.table, self.degree, terms)
 
-    @classmethod
-    def zero(cls, table, degree=0):
-        return cls(table, degree)
-
-    @classmethod
-    def from_poly(cls, table, poly):
-        if poly.chart != "I":
-            raise ValueError("forms live over chart I")
-        return cls(table, 0, {((), m): c for m, c in poly.terms.items()})
+    def _key(self):
+        return id(self.table), self.degree
 
     def _check(self, other):
         if self.table is not other.table:
@@ -90,43 +83,11 @@ class NCForm:
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, NCForm):
-            return NotImplemented
-        return (self.table is other.table and self.degree == other.degree
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((id(self.table), self.degree,
-                     frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        if not isinstance(other, NCForm):
-            return NotImplemented
-        self._check(other)
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            add_to(t, k, c)
-        return NCForm(self.table, self.degree, t)
-
-    def __neg__(self):
-        return NCForm(self.table, self.degree,
-                      {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if not c:
-            return NCForm(self.table, self.degree)
-        return NCForm(self.table, self.degree,
-                      {k: cc * c for k, cc in self.terms.items()})
+    @classmethod
+    def from_poly(cls, table, poly):
+        if poly.chart != "I":
+            raise ValueError("forms live over chart I")
+        return cls(table, 0, {((), m): c for m, c in poly.terms.items()})
 
     def wedge(self, other):
         """self ^ other (moves the right factor's coefficients left)."""
@@ -165,12 +126,6 @@ class NCForm:
 
     def __repr__(self):
         return f"NCForm({self.degree}, {self})"
-
-    def to_json(self):
-        return {"degree": self.degree,
-                "terms": [{"word": [X_NAMES[g] for g in w], "e": list(m),
-                           "coef": c.to_json()}
-                          for (w, m), c in sorted(self.terms.items())]}
 
 
 # ---------------------------------------------------------------------------

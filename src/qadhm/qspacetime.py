@@ -26,10 +26,10 @@ with l in (1/2)Z+, m the exponent-splitting index, n the residue index
 indices (|m| > l or |n| > l) denote the zero element.
 """
 
-from .scalars import QLaurent, _as_qlaurent
+from .scalars import Immutable, QLaurent, _as_qlaurent
 
 __all__ = [
-    "NCPoly", "HarmonicIndex", "SortEngine",
+    "SparseTerms", "NCPoly", "HarmonicIndex", "SortEngine",
     "X_NAMES", "Y_NAMES", "normalize", "monomials_of_degree",
     "det_x",
     "harmonic", "basis_element", "engine",
@@ -153,7 +153,53 @@ def engine(chart: str) -> SortEngine:
     return _ENGINES[chart]
 
 
-class NCPoly:
+class SparseTerms(Immutable):
+    """A sum {key: QLaurent} with no zero coefficient, over one setting
+    that a sum must share: the chart of an ``NCPoly``, the table and degree
+    of a ``qforms.NCForm``.  A subclass gives ``_like(terms)`` (the sum of
+    these terms in its own setting), ``_key()`` (its setting, for ``==`` and
+    ``hash``) and ``_check(other)`` (refuses a sum across settings)."""
+
+    __slots__ = ()
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._key() == other._key() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._key(), frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        t = dict(self.terms)
+        for k, c in other.terms.items():
+            add_to(t, k, c)
+        return self._like(t)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        """Multiply by a central scalar (QLaurent / GaussRational / int)."""
+        if not isinstance(c, QLaurent):
+            c = QLaurent({0: c})
+        return self._like({k: cc * c for k, cc in self.terms.items()}
+                          if c else {})
+
+
+class NCPoly(SparseTerms):
     """Normal-form element of a chart algebra: {exponent 4-tuple: QLaurent}."""
 
     __slots__ = ("chart", "terms")
@@ -171,8 +217,15 @@ class NCPoly:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, *a):
-        raise AttributeError("NCPoly is immutable")
+    def _like(self, terms):
+        return NCPoly(self.chart, terms)
+
+    def _key(self):
+        return self.chart
+
+    def _check(self, other):
+        if self.chart != other.chart:
+            raise ValueError("cannot mix charts")
 
     # -- constructors --------------------------------------------------------
 
@@ -197,47 +250,6 @@ class NCPoly:
         return cls(chart, {(0, 0, 0, 0): c})
 
     # -- ring structure ------------------------------------------------------
-
-    def _check(self, other):
-        if self.chart != other.chart:
-            raise ValueError("cannot mix charts")
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.chart, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        self._check(other)
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            add_to(t, m, c)
-        return NCPoly(self.chart, t)
-
-    def __neg__(self):
-        return NCPoly(self.chart, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        """Multiply by a central scalar (QLaurent / GaussRational / int)."""
-        if not isinstance(c, QLaurent):
-            c = QLaurent({0: c})
-        if not c:
-            return NCPoly(self.chart)
-        return NCPoly(self.chart, {m: cc * c for m, cc in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, NCPoly):
@@ -321,18 +333,6 @@ class NCPoly:
             ],
         }
 
-    @classmethod
-    def from_json(cls, obj):
-        chart = obj["chart"]
-        terms = {}
-        for t in obj["terms"]:
-            k = t.get("k", 0)
-            if k != 0:
-                raise ValueError(f"the det power k of a term must be 0, "
-                                 f"not {k!r}")
-            terms[tuple(t["e"])] = QLaurent.from_json(t["coef"])
-        return cls(chart, terms)
-
 
 def normalize(items, chart="I") -> NCPoly:
     """Normal form of sum(coeff * word); word = iterable of generator names."""
@@ -378,7 +378,7 @@ def det_x() -> NCPoly:
 # harmonic basis
 # ---------------------------------------------------------------------------
 
-class HarmonicIndex:
+class HarmonicIndex(Immutable):
     """Index (l, m, n) with a det-power k; half-integers stored doubled.
 
     Immutable; equal (and hashed alike) exactly when all four fields are."""
@@ -392,11 +392,6 @@ class HarmonicIndex:
             raise ValueError("m, n must be congruent to l mod 1")
         for name, value in zip(self.__slots__, (two_l, two_m, two_n, k)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, *a):
-        raise AttributeError("HarmonicIndex is immutable")
-
-    __delattr__ = __setattr__
 
     def _key(self):
         return (self.two_l, self.two_m, self.two_n, self.k)

@@ -24,7 +24,20 @@ part hashes as its real part, and a constant QLaurent as its coefficient.
 from math import gcd, lcm
 from sys import hash_info, modules as _modules
 
-__all__ = ["GaussRational", "QLaurent", "qint", "parse_gauss"]
+__all__ = ["Immutable", "GaussRational", "QLaurent", "qint", "parse_gauss"]
+
+
+class Immutable:
+    """Base of the value types whose fields are set once, by their
+    constructors through ``object.__setattr__``; any later assignment or
+    deletion raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
 def _is_fraction(x):
@@ -93,10 +106,6 @@ class GaussRational:
     @classmethod
     def one(cls):
         return _GR_ONE
-
-    @classmethod
-    def i(cls):
-        return _GR_I
 
     def __bool__(self):
         return bool(self._a or self._b)
@@ -252,7 +261,6 @@ def _as_gauss(x):
 
 _GR_ZERO = GaussRational(0)
 _GR_ONE = GaussRational(1)
-_GR_I = GaussRational(0, 1)
 
 # compiled by the first parse_gauss: only the datum loaders and
 # ``q penrose`` read Gauss strings
@@ -291,7 +299,7 @@ def _parse_ratio(text):
 # Laurent polynomials in q
 # ---------------------------------------------------------------------------
 
-class QLaurent:
+class QLaurent(Immutable):
     """Laurent polynomial in q over Q(i): {exponent: GaussRational}, no zeros."""
 
     __slots__ = ("terms",)
@@ -306,9 +314,6 @@ class QLaurent:
                 if c:
                     clean[int(e)] = c
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("QLaurent is immutable")
 
     @classmethod
     def zero(cls):
@@ -492,10 +497,6 @@ class QLaurent:
 
     def to_json(self):
         return {str(e): str(c) for e, c in sorted(self.terms.items())}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls({int(e): parse_gauss(c) for e, c in obj.items()})
 
     def __repr__(self):
         return f"QLaurent({self.terms!r})"

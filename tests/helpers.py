@@ -20,10 +20,20 @@ from qadhm.krylov import _closure_basis
 from qadhm.qinstanton import (QInstantonError, _monomials_upto, _slice_rows,
                               build_q_ops, truncated_matrix)
 from qadhm.real import real_residuals
-from qadhm.scalars import _QL_ONE, GaussRational, QLaurent, _as_gauss
+from qadhm.scalars import _QL_ONE, GaussRational, QLaurent, _as_gauss, _gauss
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
+
+
+def small_gauss(rng, height, complex_parts=True):
+    """a/d + (b/e)*i with |a|, |b| <= height and 1 <= d, e <= height, drawn
+    from ``rng`` in the order a, d, b, e, or a/d alone when not
+    ``complex_parts``: ``random_gauss`` is the height-3 complex draw."""
+    a, d = rng.randint(-height, height), rng.randint(1, height)
+    b, e = ((rng.randint(-height, height), rng.randint(1, height))
+            if complex_parts else (0, 1))
+    return _gauss(a * e, b * d, d * e)
 
 
 def matrix_from_rows(entries):

@@ -19,7 +19,7 @@ from qadhm.adhm import _linear_map_matrix, classify, is_costable
 from qadhm.chern import chi_twist
 from qadhm.datum import ADHMError, ComplexADHMDatum, is_complex_solution
 from qadhm.echelon import QRat
-from qadhm.exactcore import Matrix, random_gauss
+from qadhm.exactcore import Matrix
 from qadhm.krylov import is_stable
 from qadhm.monad import (VARS, MonadError, _unit_column_block,
                          product_coefficients)
@@ -34,7 +34,7 @@ from qadhm.qspacetime import (HarmonicIndex, NCPoly, X_NAMES, Y_NAMES,
 from qadhm.scalars import GaussRational, QLaurent, qint
 
 from helpers import (is_real_solution, pencil_scalar, qrat_as_qlaurent,
-                     submatrix)
+                     small_gauss, submatrix)
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
@@ -167,7 +167,7 @@ def find_intertwiner(d_new, d_old, seed=0, attempts=64):
         return None
     rng = random.Random(seed)
     for _ in range(attempts):
-        coefs = [random_gauss(rng, complex_parts=False)
+        coefs = [small_gauss(rng, 3, False)
                  for _ in range(ker.cols)]
         vec = [_ZERO] * (nv + nw)
         for t in range(ker.cols):

@@ -322,6 +322,25 @@ class TestAdhmCommands:
         assert rep["gauge_dimension"] == 1
         assert rep["stable_everywhere"]
 
+    def test_rank_refuses_a_non_solution(self, tmp_path, capsys, monkeypatch):
+        # a dense datum at the caps: refused before the derivative matrix is
+        # built (its elimination ran for minutes), in the words of monad build
+        import qadhm.adhm
+
+        def never(d):
+            raise AssertionError("derivative_rank ran on a non-solution")
+        monkeypatch.setattr(qadhm.adhm, "derivative_rank", never)
+        f = write_json(tmp_path / "d.json",
+                       random_complex_datum(MAX_RANK, MAX_CHARGE, 0).to_json())
+        message = ("datum does not solve the equations: residual(s) "
+                   "[1, 2, 3] nonzero")
+        for command in ("rank", "build"):
+            group = "adhm" if command == "rank" else "monad"
+            code, out = invoke([group, command, f], capsys)
+            assert code == 2
+            assert json.loads(out) == {"error": {"type": "CLIError",
+                                                 "message": message}}
+
 
 class TestMonadCommands:
     def test_build(self, tmp_path, capsys):

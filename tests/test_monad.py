@@ -9,7 +9,7 @@ import pytest
 from qadhm.adhm import random_nonstable_solution, random_stable_solution
 from qadhm.real import embed_real
 from qadhm.datum import ComplexADHMDatum
-from qadhm.exactcore import Matrix, random_gauss
+from qadhm.exactcore import Matrix
 from qadhm.monad import (Monad, MonadError, Pencil, SheafClassification, VARS,
                          build_monad, check_exactness_at, classify_sheaf,
                          monad_pencils, product_coefficients)
@@ -22,6 +22,7 @@ from helpers import (
     random_complex_datum,
     random_invertible,
     seeded_points,
+    small_gauss,
 )
 from statements import (ChernClass, appendix_b_suite, chern_of_monad,
                         find_intertwiner, normalize_monad, suite_to_json)
@@ -457,7 +458,7 @@ def old_intertwiner(d_new, d_old, seed=0, attempts=64):
         return system, None
     rng = random.Random(seed)
     for _ in range(attempts):
-        coefs = [random_gauss(rng, complex_parts=False)
+        coefs = [small_gauss(rng, 3, False)
                  for _ in range(ker.cols)]
         vec = [Z] * (nv + nw)
         for t in range(ker.cols):
@@ -629,22 +630,6 @@ class TestAppendixSuite:
 
 
 class TestJSON:
-    def test_monad_round_trip(self):
-        m = build_monad(random_stable_solution(2, 2, 6))
-        blob = json.dumps(m.to_json())
-        m2 = Monad.from_json(json.loads(blob))
-        assert (m2.r, m2.c) == (m.r, m.c)
-        for v in VARS:
-            assert m2.alpha.coeffs[v] == m.alpha.coeffs[v]
-            assert m2.beta.coeffs[v] == m.beta.coeffs[v]
-
-    def test_from_json_revalidates(self):
-        m = build_monad(stable_not_semiregular())
-        obj = m.to_json()
-        obj["alpha"]["z"] = [["1"], ["0"], ["0"], ["0"]]
-        with pytest.raises(MonadError, match="not a monad"):
-            Monad.from_json(obj)
-
     def test_classification_json(self):
         rep = classify_sheaf(semiregular_not_regular())
         obj = rep.to_json()

@@ -1014,10 +1014,3 @@ class TestFormAlgebra:
             a + b
         with pytest.raises(ValueError):
             a.wedge(b)
-
-    def test_form_json(self):
-        js = d(det_x(), derive_table("q")).to_json()
-        assert js["degree"] == 1
-        assert js["terms"][0] == {"word": ["x11"], "e": [0, 0, 0, 1],
-                                  "coef": {"-2": "1/1"}}
-        assert len(js["terms"]) == 4

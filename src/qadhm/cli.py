@@ -1,11 +1,11 @@
 """Command-line front end: JSON reports for every operator family.
 
-Every command emits one UTF-8 JSON document with sorted keys (identical
-input, seed and configuration give byte-identical output), either to stdout
-or to ``--output``.  ``monad chern`` prints its single number bare.  Exit
-status: 0 when every identity the command asserts holds, 1 when a checked
-identity fails (the report is still written), 2 for schema or precondition
-errors and unwritable reports, reported as ``{"error": {"type", "message"}}``.
+Every command emits one UTF-8 JSON document with sorted keys, the same bytes
+for the same input and seed, to stdout or to ``--output``; ``monad chern``
+prints its single number bare.  Exit status: 0 when every identity the
+command asserts holds, 1 when a checked identity fails (the report is still
+written), 2 for schema or precondition errors and unwritable reports, as
+``{"error": {"type", "message"}}`` (on stderr if stdout is full or closed).
 
 Expression grammar for the ``q`` commands::
 
@@ -19,7 +19,7 @@ be joined with '*'.  Words multiply as noncommutative generators and results
 are printed in normal form.
 """
 
-import gc
+import atexit
 import json
 import os
 import sys
@@ -70,11 +70,10 @@ def _load_datum(path, real=False):
         d = datum_from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise CLIError(f"{path}: {exc}") from exc
-    if not real and not isinstance(d, ComplexADHMDatum):
-        raise CLIError(f"{path}: expected a complex datum "
+    if not isinstance(d, RealADHMDatum if real else ComplexADHMDatum):
+        raise CLIError(f"{path}: expected a real datum" if real else
+                       f"{path}: expected a complex datum "
                        "(embed a real one with `adhm embed` first)")
-    if real and not isinstance(d, RealADHMDatum):
-        raise CLIError(f"{path}: expected a real datum")
     return d
 
 
@@ -84,6 +83,8 @@ def _emit(text, output):
         if output:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
+        elif sys.stdout is None:  # its descriptor was closed at start
+            raise OSError("it is closed")
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
@@ -96,14 +97,10 @@ def _emit_json(obj, output):
           + "\n", output)
 
 
-# ---------------------------------------------------------------------------
-# the command line.  Each group's handlers and ``COMMANDS`` table live in the
+# The command line.  Each group's handlers and ``COMMANDS`` table live in the
 # module ``cli_<group>``, imported only when the command line names the group
 # (there may be no bytecode cache).  A handler imports the library modules it
-# uses and returns True when every identity it asserts holds.
-# ---------------------------------------------------------------------------
-
-# group -> help
+# uses and returns True when every identity it asserts holds.  Group -> help:
 _GROUPS = {
     "adhm": "matrix data commands",
     "monad": "monad and sheaf commands",
@@ -121,8 +118,7 @@ def arg(*names, **options):
 OUTPUT = arg("--output", default=None,
              help="write the report to this path instead of stdout")
 FILE = arg("file")  # the input of the commands that read a file
-# the calculus convention, an option of the commands that derive the
-# calculus tables: the q commands and ``inst curvature``
+# the calculus convention of the q commands and ``inst curvature``
 P_CHOICE = arg("--p-choice", default="q", choices=("q", "qinv"),
                help="calculus convention (default q)")
 
@@ -182,30 +178,39 @@ def run(argv=None):
     try:
         ok = args.handler(args)
     except ValueError as exc:
-        # CLIError and every library precondition error derive from
-        # ValueError; report them as one machine-readable object.
+        # CLIError and the library's precondition errors are ValueErrors
         error = json.dumps(
             {"error": {"type": type(exc).__name__, "message": str(exc)}},
             sort_keys=True, ensure_ascii=False) + "\n"
         try:
             _emit(error, None)
         except CLIError:
-            # stdout failed: report on stderr, and let the exit's flush of
-            # what stdout still buffers go to the null device
+            # stdout failed: report on stderr; its buffered rest goes to null
             sys.stderr.write(error)
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if sys.stdout:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     return 0 if ok else 1
 
 
 def main():
     code = run()
-    gc.freeze()  # the report is out: the exit's collections skip the heap
+    # the report is out: end with no teardown unless traced or a flush fails
+    if not (sys.gettrace() or sys.getprofile()):
+        atexit._run_exitfuncs()  # which clears them: each runs once
+        try:
+            for stream in filter(None, (sys.stdout, sys.stderr)):
+                stream.flush()
+        except Exception:  # left to the interpreter's exit, as before
+            sys.exit(code)
+        os._exit(code)
     sys.exit(code)
 
 
 if __name__ == "__main__":
-    # ``python -m qadhm.cli`` runs this file as ``__main__``; register it as
-    # ``qadhm.cli`` too, so the group modules share it, not a second copy.
-    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
+    # ``python -m qadhm.cli``: this module is ``qadhm.cli`` too, shared with
+    # the group modules; run unregistered (cProfile), it imports the real one
+    if vars(sys.modules[__name__]) is globals():
+        sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
+    from .cli import main
     main()

@@ -6,13 +6,13 @@ from .cli import FILE, CLIError, _check_size, _emit_json, _load_datum, arg
 
 def _cmd_adhm_check(args):
     from .adhm import classify
-    from .datum import complex_residuals, is_complex_solution
+    from .datum import complex_residuals
     d = _load_datum(args.file)
     res = complex_residuals(d)
     report = {
         "r": d.r,
         "c": d.c,
-        "solution": is_complex_solution(d),
+        "solution": all(m.is_zero() for m in res),
         "residuals": [m.to_json() for m in res],
         "classification": classify(d).to_json(),
     }

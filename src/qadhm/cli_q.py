@@ -150,16 +150,14 @@ def _cmd_q_penrose(args):
     return harmonic_ok
 
 
-_EXPR = arg("expr")
+_EXPR = [P_CHOICE, arg("expr")]
 # ``normalize`` takes --p-choice unread (its normal form does not depend on
 # it), because the benchmark's normalize ops pass it.
 COMMANDS = {
-    "normalize": ("normal form of an expression", _cmd_q_normalize,
-                  [P_CHOICE, _EXPR]),
+    "normalize": ("normal form of an expression", _cmd_q_normalize, _EXPR),
     "partial": ("the four partial derivatives of an expression",
-                _cmd_q_partial, [P_CHOICE, _EXPR]),
-    "laplace": ("Laplacian of an expression", _cmd_q_laplace,
-                [P_CHOICE, _EXPR]),
+                _cmd_q_partial, _EXPR),
+    "laplace": ("Laplacian of an expression", _cmd_q_laplace, _EXPR),
     "harmonic": ("basis element det^k X[l, m, n] (doubled indices)",
                  _cmd_q_harmonic,
                  [P_CHOICE,
@@ -168,8 +166,7 @@ COMMANDS = {
                   arg("-n", type=int, required=True, help="twice n"),
                   arg("-k", type=int, default=0, help="det power")]),
     "eigen": ("eigenvalue of det*box on det^k X^l", _cmd_q_eigen,
-              [P_CHOICE,
-               arg("-k", type=int, required=True, help="det power"),
+              [P_CHOICE, arg("-k", type=int, required=True, help="det power"),
                arg("-l", type=int, required=True, help="twice l")]),
     "table": ("derived relation tables for one p-choice", _cmd_q_table,
               [P_CHOICE]),

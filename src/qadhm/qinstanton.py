@@ -214,8 +214,7 @@ def curvature_asd(d, p_choice="q"):
     solution."""
     from .qcalculus import derive_table
     from .qforms import NCForm, asd_membership, d as exterior_d
-    if not is_complex_solution(d):
-        raise QInstantonError("curvature audit requires a solution datum")
+    d.require_solution(QInstantonError)
     table = derive_table(p_choice)
 
     def dform(p):

@@ -528,11 +528,16 @@ class TestInstCommands:
         assert code == 0 and json.loads(out2)["p_choice"] == "qinv"
 
     def test_curvature_requires_solution(self, tmp_path, capsys):
+        # refused in the words of monad build and adhm rank, which name the
+        # nonzero residuals
         f = write_json(tmp_path / "d.json",
                        random_complex_datum(2, 1, 2).to_json())
         code, out = invoke(["inst", "curvature", f], capsys)
         assert code == 2
-        assert "solution" in json.loads(out)["error"]["message"]
+        assert json.loads(out) == {"error": {
+            "type": "CLIError",
+            "message": "datum does not solve the equations: residual(s) "
+                       "[1, 2, 3] nonzero"}}
 
     def test_slices_stable_passes(self, tmp_path, capsys):
         f = write_json(tmp_path / "d.json",
@@ -836,16 +841,26 @@ class TestDeterminism:
         assert "qadhm.cli" not in imported
 
 
-# A child that runs ``cli.main`` with gc.freeze replaced by a spy and one
-# atexit handler registered first.  Both write a marker straight to the
-# stdout descriptor, past the stream's buffer, so the markers land after the
-# report only if the report was flushed before them.
+# A child that runs ``cli.main`` with os._exit wrapped by a spy and one
+# atexit handler registered first; a SystemExit out of ``main`` is marked
+# too.  Each marker goes straight to the stdout descriptor, past the stream's
+# buffer, so the markers land after the report only if the report was
+# flushed before them.  The first argument names the ``sys`` hook to set
+# before ``main`` (``settrace`` or ``setprofile``), or is "-" for none.
 _SPIED_MAIN = """
-import atexit, gc, os
+import atexit, os, sys
 from qadhm import cli
+hook = sys.argv.pop(1)
 atexit.register(os.write, 1, b"<atexit>")
-gc.freeze = lambda: os.write(1, b"<freeze>")
-cli.main()
+_exit = os._exit
+os._exit = lambda code: (os.write(1, b"<_exit>"), _exit(code))
+if hook != "-":
+    getattr(sys, hook)(lambda *args: None)
+try:
+    cli.main()
+except SystemExit:
+    os.write(1, b"<SystemExit>")
+    raise
 """
 
 _FULL = "/dev/full"
@@ -859,28 +874,65 @@ _REPORT_OR_ERROR = pytest.mark.parametrize("argv", [_EIGEN, _EIGEN_ERROR],
 
 
 class TestProcessExit:
-    """``main`` freezes the heap once the report is out, so the exit's
-    collections skip it, and ends the process through ``sys.exit``: the
-    atexit handlers run and the exit code is ``run``'s."""
+    """Once the report is out, ``main`` runs the atexit handlers, flushes
+    the standard streams and ends with ``os._exit``, skipping the
+    interpreter's teardown; the exit code is ``run``'s.  Under a tracer or a
+    profiler, and when a flush fails, it leaves through ``sys.exit``."""
 
     @_BUFFERING
     @_REPORT_OR_ERROR
-    def test_freeze_once_after_the_report(self, argv, unbuffered, capsys):
+    def test_exit_after_the_report_and_the_handlers(self, argv, unbuffered,
+                                                    capsys):
         code, out = invoke(argv, capsys)
-        proc = run_python(["-c", _SPIED_MAIN, *argv],
+        proc = run_python(["-c", _SPIED_MAIN, "-", *argv],
                           PYTHONUNBUFFERED=unbuffered)
         assert proc.returncode == code, proc.stderr
-        assert proc.stdout == out + "<freeze><atexit>"
+        assert proc.stdout == out + "<atexit><_exit>"
 
-    @pytest.mark.parametrize("argv, code", [
-        (_EIGEN, 0), (_EIGEN_ERROR, 2),
-        # a usage error leaves main through argparse's SystemExit, before
-        # the freeze
-        (_EIGEN[:-2], 2)], ids=["report", "error", "usage"])
-    def test_atexit_handlers_still_run(self, argv, code):
-        proc = run_python(["-c", _SPIED_MAIN, *argv])
+    @pytest.mark.parametrize("argv, code, tail", [
+        (_EIGEN, 0, "<atexit><_exit>"), (_EIGEN_ERROR, 2, "<atexit><_exit>"),
+        # a usage error leaves main through argparse's SystemExit, and the
+        # interpreter's exit runs the handler
+        (_EIGEN[:-2], 2, "<SystemExit><atexit>")],
+        ids=["report", "error", "usage"])
+    def test_atexit_handlers_still_run(self, argv, code, tail):
+        proc = run_python(["-c", _SPIED_MAIN, "-", *argv])
         assert proc.returncode == code, proc.stderr
-        assert proc.stdout.endswith("<atexit>")
+        assert proc.stdout.endswith(tail)
+        assert proc.stdout.count("<atexit>") == 1
+
+    @pytest.mark.parametrize("hook", ["settrace", "setprofile"])
+    @_REPORT_OR_ERROR
+    def test_traced_or_profiled_leaves_through_system_exit(self, hook, argv,
+                                                           capsys):
+        # cProfile, pdb and coverage report after the module returns
+        code, out = invoke(argv, capsys)
+        proc = run_python(["-c", _SPIED_MAIN, hook, *argv])
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == out + "<SystemExit><atexit>"
+
+    @pytest.mark.skipif(not os.path.exists(_FULL),
+                        reason=f"no {_FULL} on this system")
+    def test_a_failed_flush_is_left_to_the_interpreter(self, tmp_path,
+                                                       capsys):
+        # the report goes to --output; a handler then writes to a buffered
+        # stdout that cannot be flushed: main falls back to sys.exit, the
+        # interpreter's flush fails as well and exits 120, as it does for any
+        # script, and the handlers, already run and cleared, do not run again
+        out = invoke(_EIGEN, capsys)[1]
+        report = tmp_path / "r.json"
+        late = ("import atexit, os, sys\n"
+                "from qadhm import cli\n"
+                "atexit.register(os.write, 2, b'<atexit>')\n"
+                "atexit.register(sys.stdout.write, 'late')\n"
+                "cli.main()\n")
+        with open(_FULL, "w", encoding="utf-8") as full:
+            proc = run_python(["-c", late, *_EIGEN, "--output", str(report)],
+                              stdout=full, PYTHONUNBUFFERED=None)
+        assert proc.returncode == 120, proc.stderr
+        assert proc.stderr.count("<atexit>") == 1
+        assert "No space left on device" in proc.stderr
+        assert report.read_text(encoding="utf-8") == out
 
     @pytest.mark.skipif(not os.path.exists(_FULL),
                         reason=f"no {_FULL} on this system")
@@ -903,6 +955,39 @@ class TestProcessExit:
             assert err["type"] == "CLIError"
             assert err["message"].startswith(
                 "cannot write stdout: [Errno 28]")
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs os.execv")
+    @_REPORT_OR_ERROR
+    def test_closed_stdout(self, argv, capsys, tmp_path):
+        # with its descriptor closed, sys.stdout is None: the report cannot
+        # be written, which is exit 2 with the error object on stderr; a
+        # report to --output is still written
+        code, out = invoke(argv, capsys)
+        closed = ("import os, sys\n"
+                  "os.close(1)\n"
+                  "os.execv(sys.executable, [sys.executable, '-m', "
+                  "'qadhm.cli', *sys.argv[1:]])\n")
+        proc = run_python(["-c", closed, *argv])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        if code == 2:
+            assert proc.stderr == out
+        else:
+            assert json.loads(proc.stderr) == {"error": {
+                "type": "CLIError",
+                "message": "cannot write stdout: it is closed"}}
+            report = tmp_path / "r.json"
+            proc = run_python(["-c", closed, *argv, "--output", str(report)])
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert report.read_text(encoding="utf-8") == out
+
+    def test_profiling_one_command(self, capsys):
+        # cProfile runs the module as __main__ without registering it: the
+        # command still runs, and the profile follows the report
+        code, out = invoke(_EIGEN, capsys)
+        proc = run_python(["-m", "cProfile", "-m", "qadhm.cli", *_EIGEN])
+        assert (code, proc.returncode) == (0, 0), proc.stderr
+        assert proc.stdout.startswith(out)
+        assert "function calls" in proc.stdout[len(out):]
 
 
 # What a child process reports: the modules that importing qadhm.cli and

@@ -620,7 +620,8 @@ class TestCurvature:
 
     def test_requires_solution(self):
         d = random_complex_datum(2, 1, 0)
-        with pytest.raises(QInstantonError, match="solution"):
+        with pytest.raises(QInstantonError, match=r"does not solve the "
+                           r"equations: residual\(s\) \[1, 2, 3\] nonzero"):
             curvature_asd(d)
 
     def test_block_sizes_and_json(self):

@@ -389,6 +389,8 @@ def options_and_reads():
         for key, value in zip(names["COMMANDS"].keys,
                               names["COMMANDS"].values):
             _, handler, arguments = value.elts
+            if isinstance(arguments, ast.Name):  # a list shared by commands
+                arguments = names[arguments.id]
             calls = [names[a.id] if isinstance(a, ast.Name) else a
                      for a in arguments.elts]
             dests = shared | {argument_dest(c) for c in calls}

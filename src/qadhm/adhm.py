@@ -38,8 +38,8 @@ import random
 
 from .datum import ADHMError, ComplexADHMDatum, is_complex_solution
 from .exactcore import Matrix, random_gauss
-from .krylov import _gcd_roots, _gcd_str, _krylov_minor_gcd, is_stable
-from .scalars import _QL_ONE, GaussRational, Immutable
+from .krylov import is_stable, line_side
+from .scalars import GaussRational, Immutable
 
 __all__ = [
     "StabilityReport", "is_costable", "classify", "derivative_rank",
@@ -133,48 +133,39 @@ def classify(d):
     the Q(i)-rational projective roots of the respective minor gcds;
     irreducible factors without rational roots are reported as strings.
     """
-    s_zero, s_gcd = _krylov_minor_gcd(d.B11, d.B21, d.B12, d.B22, d.i1, d.i2)
-    c_zero, c_gcd = _krylov_minor_gcd(
+    s_fail, s_gcd, s_roots, s_lefts = line_side(
+        d.B11, d.B21, d.B12, d.B22, d.i1, d.i2)
+    c_fail, c_gcd, c_roots, c_lefts = line_side(
         d.B11.transpose(), d.B21.transpose(),
         d.B12.transpose(), d.B22.transpose(),
         d.j1.transpose(), d.j2.transpose())
 
-    semistable = not s_zero
-    stable_everywhere = semistable and s_gcd == (_QL_ONE, 0)
-    costable_somewhere = not c_zero
-    costable_everywhere = costable_somewhere and c_gcd == (_QL_ONE, 0)
+    semistable = not s_fail
+    stable_everywhere = semistable and not s_roots and not s_lefts
+    costable_somewhere = not c_fail
+    costable_everywhere = costable_somewhere and not c_roots and not c_lefts
     semiregular = stable_everywhere and costable_somewhere
     regular = stable_everywhere and costable_everywhere
 
-    failing, leftovers = [], []
-    for side, zero, gcd in (("stable", s_zero, s_gcd),
-                            ("costable", c_zero, c_gcd)):
-        roots, lefts = _gcd_roots(zero, gcd)
-        failing.extend((side, pt, m) for pt, m in roots)
-        leftovers.extend((side, f) for f in lefts)
+    failing = ([("stable", pt, m) for pt, m in s_roots]
+               + [("costable", pt, m) for pt, m in c_roots])
+    leftovers = ([("stable", f) for f in s_lefts]
+                 + [("costable", f) for f in c_lefts])
 
+    # the witness is at the first place a side fails: [1:0] when the stable
+    # side fails everywhere, each failing point, [1:0] for the costable side
+    places = ([("stable", (1, 0))] if s_fail else []) \
+        + [(side, pt) for side, pt, _m in failing] \
+        + ([("costable", (1, 0))] if c_fail else [])
     witness = None
-    if not semistable:
-        B1p, B2p, ip, _ = d.evaluate(1, 0)
-        witness = is_stable(B1p, B2p, ip)[1]
-    else:
-        for side, (z0, w0), _m in failing:
-            B1p, B2p, ip, jp = d.evaluate(z0, w0)
-            if side == "stable":
-                witness = is_stable(B1p, B2p, ip)[1]
-            else:
-                witness = is_costable(B1p, B2p, jp)[1]
-            break
-        if witness is None and c_zero:
-            B1p, B2p, _, jp = d.evaluate(1, 0)
-            witness = is_costable(B1p, B2p, jp)[1]
+    for side, (z0, w0) in places[:1]:
+        B1p, B2p, ip, jp = d.evaluate(z0, w0)
+        witness = (is_stable(B1p, B2p, ip) if side == "stable"
+                   else is_costable(B1p, B2p, jp))[1]
 
     return StabilityReport(
         stable_everywhere, costable_everywhere, semistable, semiregular,
-        regular, failing, witness,
-        "0" if s_zero else _gcd_str(*s_gcd),
-        "0" if c_zero else _gcd_str(*c_gcd),
-        leftovers)
+        regular, failing, witness, s_gcd, c_gcd, leftovers)
 
 
 # ---------------------------------------------------------------------------

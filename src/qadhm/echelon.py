@@ -13,8 +13,8 @@ Only a command that eliminates loads this module: ``Matrix.rank``,
 ``QRat`` on first read.
 """
 
-from .scalars import (_GR_ONE, _QL_ONE, _QL_ZERO, GaussRational, Immutable,
-                      QLaurent, _as_qlaurent, _ql_divmod)
+from .scalars import (_GR_ONE, _QL_ONE, _QL_ZERO, Immutable, QLaurent,
+                      _as_qlaurent, _ql_divmod)
 
 __all__ = ["QRat"]
 
@@ -136,12 +136,6 @@ class QRat(Immutable):
         if other is NotImplemented:
             return NotImplemented
         return other / self
-
-    def subs_q1(self) -> GaussRational:
-        d = self.den.subs_q1()
-        if not d:
-            raise ZeroDivisionError("denominator vanishes at q=1")
-        return self.num.subs_q1() / d
 
     def __repr__(self):
         return f"QRat({self.num!r}, {self.den!r})"

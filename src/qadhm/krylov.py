@@ -30,7 +30,7 @@ from .datum import ADHMError
 from .exactcore import Matrix
 from .scalars import _QL_ONE, GaussRational, QLaurent, _ql_divmod
 
-__all__ = ["is_stable", "gcd_projective_roots"]
+__all__ = ["is_stable", "gcd_projective_roots", "line_side"]
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
@@ -300,9 +300,12 @@ def _krylov_minor_gcd(Bz1, Bw1, Bz2, Bw2, Sz, Sw):
     return False, (g, v)
 
 
-def _gcd_roots(zero, gcd):
-    """The projective roots and leftover factors of one side's minor gcd:
-    none when every minor vanishes (zero) or the gcd is 1."""
-    if zero or gcd == (_QL_ONE, 0):
-        return [], []
-    return gcd_projective_roots(*gcd)
+def line_side(Bz1, Bw1, Bz2, Bw2, Sz, Sw):
+    """One side of the taxonomy over the line: (fails_everywhere, gcd
+    string, roots, leftovers) of its minor gcd, "0" with no roots or
+    leftovers when every minor vanishes.  The side holds everywhere when it
+    fails nowhere: not everywhere, at no root and on no leftover factor."""
+    zero, gcd = _krylov_minor_gcd(Bz1, Bw1, Bz2, Bw2, Sz, Sw)
+    if zero:
+        return True, "0", [], []
+    return (False, _gcd_str(*gcd)) + gcd_projective_roots(*gcd)

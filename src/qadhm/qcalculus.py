@@ -62,7 +62,7 @@ Conventions:
     left-multiplication reading would twist the eigenvalue by q^(2(m-n)).
 """
 
-from functools import partial
+from functools import cache, partial
 
 from .qspacetime import (CHART_I_RULES, HarmonicIndex, NCPoly, X_NAMES,
                          add_to, apply_rule, det_x, engine, feed, harmonic,
@@ -225,7 +225,8 @@ def _d2_constraints():
 # ---------------------------------------------------------------------------
 
 class CalculusTable:
-    """Derived rule tables plus memoized normal-form engines for one p-choice.
+    """Derived rule tables plus normal-form engines for one p-choice, whose
+    results are cached for the process and shared: callers never change them.
 
     A table built with ``wedge_rules=None`` loads the stored wedge relations
     on the first read of ``wedge_rules``, and checks them against its x
@@ -239,9 +240,6 @@ class CalculusTable:
         self.x_rules = x_rules
         self._wedge_rules = wedge_rules
         self.leibniz = "d(fg) = (df)g + f(dg)"
-        self._cross_memo = {}
-        self._dmono_memo = {}
-        self._insert_memo = {}
 
     @property
     def wedge_rules(self):
@@ -254,65 +252,44 @@ class CalculusTable:
 
     # -- 1-form engine ------------------------------------------------------
 
+    @cache
     def cross(self, g, mono):
         """dx_g . mono as {(mono', e): QLaurent} (x moved to the left)."""
-        key = (g, mono)
-        hit = self._cross_memo.get(key)
-        if hit is not None:
-            return hit
         split = split_first(mono)
         if split is None:
-            out = {(_ZMONO, g): _ONE}
-        else:
-            first, rest = split
-            acc = {}
-            for coeff, (c, d) in self.x_rules[(g, first)]:
-                for (m1, e), c1 in self.cross(d, rest).items():
-                    for m2, c2 in _ENG.mul_gen_mono(c, m1).items():
-                        add_to(acc, (m2, e), coeff * c1 * c2)
-            out = {k: c for k, c in acc.items() if c}
-        self._cross_memo[key] = out
-        return out
+            return {(_ZMONO, g): _ONE}
+        first, rest = split
+        acc = {}
+        for coeff, (c, d) in self.x_rules[(g, first)]:
+            for (m1, e), c1 in self.cross(d, rest).items():
+                for m2, c2 in _ENG.mul_gen_mono(c, m1).items():
+                    add_to(acc, (m2, e), coeff * c1 * c2)
+        return {k: c for k, c in acc.items() if c}
 
+    @cache
     def d_mono(self, mono):
         """d of an ordered monomial as {(mono', e): QLaurent}."""
-        hit = self._dmono_memo.get(mono)
-        if hit is not None:
-            return hit
         split = split_first(mono)
         if split is None:
-            out = {}
-        else:
-            first, rest = split
-            acc = dict(self.cross(first, rest))
-            for (m1, e), c1 in self.d_mono(rest).items():
-                for m2, c2 in _ENG.mul_gen_mono(first, m1).items():
-                    add_to(acc, (m2, e), c1 * c2)
-            out = {k: c for k, c in acc.items() if c}
-        self._dmono_memo[mono] = out
-        return out
+            return {}
+        first, rest = split
+        acc = dict(self.cross(first, rest))
+        for (m1, e), c1 in self.d_mono(rest).items():
+            for m2, c2 in _ENG.mul_gen_mono(first, m1).items():
+                add_to(acc, (m2, e), c1 * c2)
+        return {k: c for k, c in acc.items() if c}
 
     # -- wedge engine ---------------------------------------------------------
 
+    @cache
     def insert_wedge(self, g, word):
         """dx_g ^ (strictly sorted word) as {sorted word: QLaurent}."""
-        key = (g, word)
-        hit = self._insert_memo.get(key)
-        if hit is not None:
-            return hit
-        if not word:
-            out = {(g,): _ONE}
-        else:
-            h = word[0]
-            if g < h:
-                out = {(g,) + word: _ONE}
-            elif g == h:
-                out = {}
-            else:
-                out = apply_rule(self.insert_wedge, self.wedge_rules[(g, h)],
-                                 word[1:])
-        self._insert_memo[key] = out
-        return out
+        if not word or g < word[0]:
+            return {(g,) + word: _ONE}
+        if g == word[0]:
+            return {}
+        return apply_rule(self.insert_wedge, self.wedge_rules[(g, word[0])],
+                          word[1:])
 
     def wedge_norm(self, word):
         """Any wedge word as {strictly sorted word: QLaurent}."""

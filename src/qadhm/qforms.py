@@ -11,11 +11,11 @@ Conventions:
     wedge word), with Laurent coefficients: the table rules, the products
     of monomials and the 1/2 of the split all are.
 
-The products (wedge word) . monomial of each table are memoized for the
-life of the table.
+The products (wedge word) . monomial of each table are cached for the life
+of the process.
 """
 
-from weakref import WeakKeyDictionary
+from functools import cache
 
 from .scalars import QLaurent
 from .qcalculus import CalculusError
@@ -25,27 +25,18 @@ _ONE = QLaurent.one()
 _ZERO = QLaurent.zero()
 _ENG = engine("I")
 
-# calculus table -> its memo {(word, mono): (word) . mono}
-_MEMOS = WeakKeyDictionary()
 
-
-def _word_past_mono(table, memo, word, mono):
-    """(wedge word) . mono as {(mono', word'): QLaurent}, words unsorted;
-    ``memo`` is the table's entry of ``_MEMOS``."""
+@cache
+def _word_past_mono(table, word, mono):
+    """(wedge word) . mono as {(mono', word'): QLaurent}, words unsorted."""
     if not word:
         return {(mono, ()): _ONE}
-    key = (word, mono)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
     head, last = word[:-1], word[-1]
     acc = {}
     for (m1, e), c1 in table.cross(last, mono).items():
-        for (m0, w0), c0 in _word_past_mono(table, memo, head, m1).items():
+        for (m0, w0), c0 in _word_past_mono(table, head, m1).items():
             add_to(acc, (m0, w0 + (e,)), c1 * c0)
-    out = {k: c for k, c in acc.items() if c}
-    memo[key] = out
-    return out
+    return {k: c for k, c in acc.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +88,11 @@ class NCForm(SparseTerms):
         if deg > 4:
             return NCForm(self.table, 4)
         table = self.table
-        memo = _MEMOS.setdefault(table, {})
         acc = {}
         for (w1, m1), c1 in self.terms.items():
             for (w2, m2), c2 in other.terms.items():
                 c12 = c1 * c2
-                for (mm, w1p), cm in _word_past_mono(table, memo, w1,
-                                                     m2).items():
+                for (mm, w1p), cm in _word_past_mono(table, w1, m2).items():
                     for wn, cw in table.wedge_norm(w1p + w2).items():
                         base = c12 * (cm * cw)
                         for mn, cx in _ENG.mul_mono_mono(m1, mm).items():

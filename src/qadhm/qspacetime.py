@@ -26,6 +26,8 @@ with l in (1/2)Z+, m the exponent-splitting index, n the residue index
 indices (|m| > l or |n| > l) denote the zero element.
 """
 
+from functools import cache
+
 from .scalars import Immutable, QLaurent, _as_qlaurent
 
 __all__ = [
@@ -116,26 +118,20 @@ def apply_rule(insert, rule, rest):
 
 
 class SortEngine:
-    """Memoized normal-form multiplication for one chart's rewrite table."""
+    """Normal-form multiplication for one chart's rewrite table; x_g * mono
+    is cached for the process and shared, so callers never change it."""
 
     def __init__(self, rules):
         self.rules = rules
-        self._memo = {}
 
+    @cache
     def mul_gen_mono(self, g, mono):
         """x_g * (ordered monomial) as {ordered monomial: QLaurent}."""
-        key = (g, mono)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
         split = split_first(mono)
         if split is None or g <= split[0]:
-            out = {_inc(mono, g): _ONE}
-        else:
-            first, rest = split
-            out = apply_rule(self.mul_gen_mono, self.rules[(g, first)], rest)
-        self._memo[key] = out
-        return out
+            return {_inc(mono, g): _ONE}
+        first, rest = split
+        return apply_rule(self.mul_gen_mono, self.rules[(g, first)], rest)
 
     def mul_mono_mono(self, m1, m2):
         """(ordered m1) * (ordered m2) as {ordered monomial: QLaurent}."""
@@ -284,23 +280,11 @@ class NCPoly(SparseTerms):
 
     # -- structure -----------------------------------------------------------
 
-    def coeff(self, mono):
-        return self.terms.get(tuple(mono), QLaurent.zero())
-
     def degree(self):
         """Total degree (max over monomials); -1 for the zero element."""
         if not self.terms:
             return -1
         return max(sum(m) for m in self.terms)
-
-    def subs_q1(self):
-        """Classical limit: {monomial: GaussRational}, q = 1."""
-        out = {}
-        for m, c in self.terms.items():
-            v = c.subs_q1()
-            if v:
-                out[m] = v
-        return out
 
     # -- display / serialization ---------------------------------------------
 

@@ -12,15 +12,16 @@
   With no negative exponent they are also the polynomials in t of the
   Krylov reduction in ``krylov``, divided by ``_ql_divmod``.
 
-Plus the quantum integers [n] and ``parse_gauss`` (which compiles its
-pattern on first use).  Their fraction field ``QRat`` and the sparse echelon
-are in ``echelon``, which only the commands that eliminate load.  The ``q``
-commands need nothing else, so they load this module and not ``exactcore``.
+Plus the quantum integers [n] and ``parse_gauss``.  Their fraction field
+``QRat`` and the sparse echelon are in ``echelon``, which only the commands
+that eliminate load.  The ``q`` commands need nothing else, so they load
+this module and not ``exactcore``.
 
 Equal scalars hash alike across types: a GaussRational with zero imaginary
 part hashes as its real part, and a constant QLaurent as its coefficient.
 """
 
+import re
 from math import gcd, lcm
 from sys import hash_info, modules as _modules
 
@@ -262,22 +263,14 @@ def _as_gauss(x):
 _GR_ZERO = GaussRational(0)
 _GR_ONE = GaussRational(1)
 
-# compiled by the first parse_gauss: only the datum loaders and
-# ``q penrose`` read Gauss strings
-_GAUSS_RE = None
-
 
 def parse_gauss(s: str) -> GaussRational:
     """Parse the serialization format of ``str(GaussRational)``.
 
     Accepts "a", "a/b", "a/b+c/d*i", "a/b-c/d*i" (integer parts allowed).
     """
-    global _GAUSS_RE
-    if _GAUSS_RE is None:
-        import re
-        _GAUSS_RE = re.compile(r"^(?P<re>[+-]?\d+(?:/\d+)?)"
-                               r"(?:(?P<sign>[+-])(?P<im>\d+(?:/\d+)?)\*i)?$")
-    m = _GAUSS_RE.match(s.strip())
+    m = re.match(r"^(?P<re>[+-]?\d+(?:/\d+)?)"
+                 r"(?:(?P<sign>[+-])(?P<im>\d+(?:/\d+)?)\*i)?$", s.strip())
     if not m:
         raise ValueError(f"malformed GaussRational string: {s!r}")
     a, d = _parse_ratio(m.group("re"))
@@ -474,26 +467,12 @@ class QLaurent(Immutable):
     def coeff(self, e):
         return self.terms.get(e, _GR_ZERO)
 
-    def evaluate(self, q0: GaussRational) -> GaussRational:
-        if not q0 and any(e < 0 for e in self.terms):
-            raise ZeroDivisionError("negative exponent at q=0")
-        acc = _GR_ZERO
-        for e, c in self.terms.items():
-            if e >= 0:
-                acc = acc + c * (q0 ** e if e else _GR_ONE)
-            else:
-                acc = acc + c / (q0 ** (-e))
-        return acc
-
     def subs_q1(self) -> GaussRational:
         """Classical limit q = 1."""
         acc = _GR_ZERO
         for c in self.terms.values():
             acc = acc + c
         return acc
-
-    def conjugate(self):
-        return QLaurent({e: c.conjugate() for e, c in self.terms.items()})
 
     def to_json(self):
         return {str(e): str(c) for e, c in sorted(self.terms.items())}

@@ -17,9 +17,8 @@ from math import comb
 
 from .datum import ADHMError, _scalar, is_complex_solution
 from .exactcore import Matrix
-from .krylov import (_closure_basis, _gcd_roots, _gcd_str, _krylov_minor_gcd,
-                     gcd_projective_roots)
-from .scalars import _QL_ONE, GaussRational, QLaurent
+from .krylov import _closure_basis, gcd_projective_roots, line_side
+from .scalars import GaussRational, QLaurent
 
 __all__ = ["pencil_grid", "slice_verdict", "slice_line"]
 
@@ -139,13 +138,13 @@ def slice_line(d):
     wherever the triple is stable, and on a solution (where B~1 and B~2
     commute modulo the closure, so xi exists over an extension of Q(i))
     nowhere else; onto_everywhere is null when neither settles it."""
-    zero, gcd = _krylov_minor_gcd(d.B11, d.B21, d.B12, d.B22, d.i1, d.i2)
-    roots, lefts = _gcd_roots(zero, gcd)
-    stable = not zero and gcd == (_QL_ONE, 0)
+    fails, gcd, roots, lefts = line_side(
+        d.B11, d.B21, d.B12, d.B22, d.i1, d.i2)
+    stable = not fails and not roots and not lefts
     return {
         "onto_everywhere": (True if stable else
                             False if is_complex_solution(d) else None),
-        "stability_gcd": "0" if zero else _gcd_str(*gcd),
+        "stability_gcd": gcd,
         "failing_points": [{"z": str(z0), "w": str(w0), "multiplicity": m}
                            for (z0, w0), m in roots],
         "leftover_factors": lefts,

@@ -296,6 +296,17 @@ def qbinom(n: int, r: int) -> QLaurent:
     return row[r]
 
 
+def ql_evaluate(f: QLaurent, q0: GaussRational) -> GaussRational:
+    """The value of the Laurent polynomial f at q = q0."""
+    return sum((c * q0 ** e for e, c in f.terms.items()), _ZERO)
+
+
+def ncpoly_q1(f):
+    """The classical limit q = 1 of an NCPoly: {monomial: GaussRational}."""
+    out = {m: c.subs_q1() for m, c in f.terms.items()}
+    return {m: v for m, v in out.items() if v}
+
+
 def qrat_as_qlaurent(r):
     """The QLaurent a QRat equals; ValueError if it equals none."""
     if r.den == _QL_ONE:

@@ -39,8 +39,8 @@ from qadhm.qspacetime import (HarmonicIndex, NCPoly, basis_element, det_x,
 from qadhm.scalars import GaussRational, QLaurent, qint
 
 from calculus_oracle import _solve_x_rules
-from helpers import (random_c1r1_solution, random_complex_datum,
-                     slice_rank_report)
+from helpers import (ql_evaluate, random_c1r1_solution,
+                     random_complex_datum, slice_rank_report)
 from statements import (ChernClass, anticommutation_audit, appendix_b_suite,
                         basis_independence, basis_indices_for_degree,
                         beta_p_alpha_q, cech_exponents,
@@ -368,7 +368,7 @@ def test_criterion_8_penrose_and_conjugation():
         assert laplacian(f, t).is_zero()
         images.append(f)
     mat = slice_matrix(images, [0, 1, 2, 3, 4])
-    spec = mat.map(lambda coeff: coeff.evaluate(GaussRational(3)))
+    spec = mat.map(lambda coeff: ql_evaluate(coeff, GaussRational(3)))
     assert spec.rank() == len(idxs)
 
     # a single scalar must work for each index (oast_check raises otherwise);

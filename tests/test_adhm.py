@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from qadhm import adhm, krylov
+from qadhm import krylov
 from qadhm.adhm import (classify, derivative_rank, is_costable,
                         random_nonstable_solution, random_stable_solution)
 from qadhm.real import embed_real, real_residuals
@@ -1028,7 +1028,7 @@ class TestKrylovMinorGcd:
                  for s in range(2)]
         data += [stable_not_semiregular(), semiregular_not_regular()]
         reports = [classify(d).to_json() for d in data]
-        monkeypatch.setattr(adhm, "_krylov_minor_gcd", _oracle_gcd)
+        monkeypatch.setattr(krylov, "_krylov_minor_gcd", _oracle_gcd)
         assert reports == [classify(d).to_json() for d in data]
 
     def test_c1r1_gcd_is_monic_in_z(self):

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import qadhm.qcalculus as qcalculus
-from qadhm import echelon
+from qadhm import echelon, qforms
 from qadhm.adhm import random_stable_solution
 from qadhm.cli import run
 from qadhm.echelon import QRat
@@ -22,8 +22,10 @@ from qadhm.qcalculus import (CalculusError, CalculusTable, P_EXPONENTS,
                              laplacian, partials, penrose_scalar,
                              tilde_laplacian)
 from qadhm.qforms import NCForm, asd_membership, d, sd_asd_split
-from qadhm.qspacetime import (HarmonicIndex, NCPoly, basis_element, det_x,
-                              harmonic, monomials_of_degree)
+from qadhm.qinstanton import curvature_asd
+from qadhm.qspacetime import (HarmonicIndex, NCPoly, SortEngine,
+                              basis_element, det_x, engine, harmonic,
+                              monomials_of_degree)
 from qadhm.scalars import GaussRational, QLaurent, qint
 
 import calculus_oracle
@@ -1014,3 +1016,58 @@ class TestFormAlgebra:
             a + b
         with pytest.raises(ValueError):
             a.wedge(b)
+
+
+# every function the q engines cache for the life of the process
+_CACHED = (SortEngine.mul_gen_mono, CalculusTable.cross, CalculusTable.d_mono,
+           CalculusTable.insert_wedge, qforms._word_past_mono)
+
+
+class TestMemoTransparency:
+    """A cached result is the result: computed with the caches full, then
+    again with every cache cleared, then full again, it is the same each
+    time.  A caller that changed a cached dict in place would break it."""
+
+    @staticmethod
+    def same_warm_and_cold(compute):
+        warm = compute()
+        for fn in _CACHED:
+            fn.cache_clear()
+        cold = compute()
+        assert sum(fn.cache_info().currsize for fn in _CACHED)
+        assert warm == cold == compute()
+
+    @pytest.mark.parametrize("chart", ["I", "J"])
+    def test_normalize_word(self, chart):
+        rng = random.Random(41)
+        words = [tuple(rng.randrange(4) for _ in range(rng.randint(0, 7)))
+                 for _ in range(40)]
+        self.same_warm_and_cold(
+            lambda: [engine(chart).normalize_word(w) for w in words])
+
+    @pytest.mark.parametrize("pc", P_CHOICES)
+    def test_partials_and_laplacian(self, pc):
+        idxs = [HarmonicIndex(two_l, two_m, two_n, k)
+                for two_l in range(4) for two_m in range(-two_l, two_l + 1, 2)
+                for two_n in (-two_l, two_l) for k in (0, 1)]
+
+        def compute():
+            t = derive_table(pc)
+            polys = [basis_element(i) for i in idxs]
+            return ([partials(f, t) for f in polys],
+                    [laplacian(f, t) for f in polys])
+        self.same_warm_and_cold(compute)
+
+    @pytest.mark.parametrize("pc", P_CHOICES)
+    def test_exterior_derivative_and_curvature(self, pc):
+        rng = random.Random(43)
+        polys = [random_poly(rng, max_deg=3, nterms=3) for _ in range(6)]
+        datum = random_stable_solution(2, 3, 5)
+
+        def compute():
+            t = derive_table(pc)
+            forms = [d(f, t) for f in polys]
+            return ([d(w) for w in forms],
+                    [a.wedge(b) for a, b in zip(forms, forms[1:])],
+                    curvature_asd(datum, pc))
+        self.same_warm_and_cold(compute)

@@ -25,9 +25,9 @@ costability from that of the transposed pencil.  The taxonomy reported by
   semiregular          stable everywhere and costable somewhere
   regular              stable everywhere and costable everywhere
 
-An independent rank criterion is provided by ``derivative_rank``: the
-derivative of the three residuals in all datum entries is a
-3c^2 x (4c^2 + 4cr) matrix whose rank is 3c^2 exactly on the stable locus.
+``derivative_rank`` gives the rank of the derivative of the three residuals
+in all datum entries, a 3c^2 x (4c^2 + 4cr) matrix: full on solutions stable
+everywhere and on those costable everywhere, so it does not imply stability.
 
 Seeded generators produce exact solutions that are stable everywhere or
 unstable at one planted point; both draw from small-height Gaussian
@@ -172,49 +172,34 @@ def classify(d):
 # rank criteria
 # ---------------------------------------------------------------------------
 
-def _unit_matrix(rows, cols, a, b):
-    """The rows x cols matrix with a single 1, at (a, b)."""
-    m = Matrix.zero(rows, cols, _ZERO)
-    m.a[a][b] = _ONE
-    return m
-
-
-def _linear_map_matrix(blocks):
-    """Matrix of a linear map on tuples of matrices.
-
-    ``blocks`` holds one (rows, cols, image) triple per input matrix: the
-    map sends the unit matrix E_ab of that input (every other input zero)
-    to the matrices ``image(E_ab)``.  There is one column per unit matrix,
-    inputs in order and (a, b) row-major within each, holding the row-major
-    flattening of its images one after another."""
-    cols = [[x for m in image(_unit_matrix(rows, ncols, a, b))
-             for row in m.a for x in row]
-            for rows, ncols, image in blocks
-            for a in range(rows) for b in range(ncols)]
-    return Matrix(len(cols[0]), len(cols), [list(r) for r in zip(*cols)])
-
-
 def derivative_rank(d):
     """Exact rank of the derivative of the three residuals in all entries.
 
     The matrix is 3c^2 x (4c^2 + 4cr), columns ordered by perturbed block
-    (B11, B12, B21, B22, i1, i2, j1, j2), each block row-major.  Rank 3c^2 is
-    equivalent to classify(d).stable_everywhere for solutions; when full, the
-    count (4c^2 + 4cr) - rank - c^2 = 4cr is the expected parameter count of
-    the quotient.
+    (B11, B12, B21, B22, i1, i2, j1, j2), each block row-major, so E -> L*E*R
+    is the Kronecker product L (x) R^T.  Rank 3c^2 holds on solutions stable
+    everywhere and, by the transpose dual, on those costable everywhere: it
+    does not imply stability.  When full, (4c^2 + 4cr) - rank - c^2 = 4cr is
+    the expected parameter count of the quotient.
     """
     c, r = d.c, d.r
-    zero = Matrix.zero(c, c, _ZERO)
-    return _linear_map_matrix([
-        (c, c, lambda e: (e.commutator(d.B12), zero, e.commutator(d.B22))),
-        (c, c, lambda e: (d.B11.commutator(e), zero, d.B21.commutator(e))),
-        (c, c, lambda e: (zero, e.commutator(d.B22), e.commutator(d.B12))),
-        (c, c, lambda e: (zero, d.B21.commutator(e), d.B11.commutator(e))),
-        (c, r, lambda e: (e * d.j1, zero, e * d.j2)),
-        (c, r, lambda e: (zero, e * d.j2, e * d.j1)),
-        (r, c, lambda e: (d.i1 * e, zero, d.i2 * e)),
-        (r, c, lambda e: (zero, d.i2 * e, d.i1 * e)),
-    ]).rank()
+    eye = Matrix.identity(c, _ONE, _ZERO)
+
+    def right(x):   # E -> E*x
+        return eye.kron(x.transpose())
+
+    def left(x):    # E -> x*E
+        return x.kron(eye)
+
+    a11, a12, a21, a22 = (right(x) - left(x)   # E -> [E, x]
+                          for x in (d.B11, d.B12, d.B21, d.B22))
+    ej1, ej2, i1e, i2e = right(d.j1), right(d.j2), left(d.i1), left(d.i2)
+    o, p = Matrix.zero(c * c, c * c, _ZERO), Matrix.zero(c * c, c * r, _ZERO)
+    return Matrix.vstack([Matrix.hstack(row) for row in (
+        [a12, -a11, o, o, ej1, p, i1e, p],
+        [o, o, a22, -a21, p, ej2, p, i2e],
+        [a22, -a21, a12, -a11, ej2, ej1, i2e, i1e],
+    )]).rank()
 
 
 # ---------------------------------------------------------------------------

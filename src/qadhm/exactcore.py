@@ -168,6 +168,13 @@ class Matrix:
     def commutator(self, other):
         return self * other - other * self
 
+    def kron(self, other):
+        """Kronecker product: block (a, b) is self[a, b] * other.  A zero
+        factor is copied, not multiplied, as products skip zero factors."""
+        return Matrix(self.rows * other.rows, self.cols * other.cols,
+                      [[x and y and x * y for x in r for y in s]
+                       for r in self.a for s in other.a])
+
     # -- elimination --------------------------------------------------------
 
     def _field_rows(self):

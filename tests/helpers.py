@@ -11,7 +11,7 @@ The paper statements that only the tests check are in ``statements.py``.
 import itertools
 import random
 
-from qadhm.adhm import _linear_map_matrix, classify
+from qadhm.adhm import classify
 from qadhm.datum import (ADHMError, ComplexADHMDatum, RealADHMDatum,
                          is_complex_solution)
 from qadhm.echelon import _echelon
@@ -89,8 +89,10 @@ def stabilizer_dim(B1, B2, i):
     endomorphism commutes with both B's and kills Im i (true for stable
     triples, since ker X would be a proper invariant subspace over Im i)."""
     c = B1.rows
-    system = _linear_map_matrix(
-        [(c, c, lambda e: (B1.commutator(e), B2.commutator(e), e * i))])
+    eye = Matrix.identity(c, _ONE, _ZERO)
+    # X -> [B, X] is B (x) I - I (x) B^T and X -> X*i is I (x) i^T
+    system = Matrix.vstack([B.kron(eye) - eye.kron(B.transpose())
+                            for B in (B1, B2)] + [eye.kron(i.transpose())])
     return c * c - system.rank()
 
 

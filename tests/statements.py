@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from functools import cache
 
-from qadhm.adhm import _linear_map_matrix, classify, is_costable
+from qadhm.adhm import classify, is_costable
 from qadhm.chern import chi_twist
 from qadhm.datum import ADHMError, ComplexADHMDatum, is_complex_solution
 from qadhm.echelon import QRat
@@ -151,17 +151,16 @@ def find_intertwiner(d_new, d_old, seed=0, attempts=64):
                (d_new.B21, d_old.B21), (d_new.B22, d_old.B22)]
     i_pairs = [(d_new.i1, d_old.i1), (d_new.i2, d_old.i2)]
     j_pairs = [(d_new.j1, d_old.j1), (d_new.j2, d_old.j2)]
-    zero = Matrix.zero(c, c, _ZERO)
+    eye_v, eye_w = (Matrix.identity(n, _ONE, _ZERO) for n in (c, r))
     # the equations B' gV - gV B = 0, i' gW - gV i = 0 and j' gV - gW j = 0,
-    # linear in the unknowns (gV, gW)
-    system = _linear_map_matrix([
-        (c, c, lambda gv: [bn * gv - gv * bo for bn, bo in b_pairs]
-         + [-(gv * io) for _, io in i_pairs]
-         + [jn * gv for jn, _ in j_pairs]),
-        (r, r, lambda gw: [zero] * len(b_pairs)
-         + [inew * gw for inew, _ in i_pairs]
-         + [-(gw * jo) for _, jo in j_pairs]),
-    ])
+    # linear in the unknowns (gV, gW); X -> L*X*R is L (x) R^T
+    system = Matrix.vstack(
+        [Matrix.hstack([bn.kron(eye_v) - eye_v.kron(bo.transpose()),
+                        Matrix.zero(nv, nw, _ZERO)]) for bn, bo in b_pairs]
+        + [Matrix.hstack([-eye_v.kron(io.transpose()), inew.kron(eye_w)])
+           for inew, io in i_pairs]
+        + [Matrix.hstack([jn.kron(eye_v), -eye_w.kron(jo.transpose())])
+           for jn, jo in j_pairs])
     ker = system.kernel()
     if ker.cols == 0:
         return None

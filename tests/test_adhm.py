@@ -370,6 +370,31 @@ class TestDerivativeRank:
                 assert not classify(d2).stable_everywhere
                 assert derivative_rank(d2) < 3 * c * c
 
+    @staticmethod
+    def transpose_dual(d):
+        """(B12^T, B11^T, B22^T, B21^T, j1^T, j2^T, i1^T, i2^T): its
+        residuals are the transposes of those of d."""
+        return ComplexADHMDatum(d.c, d.r, *(m.transpose() for m in (
+            d.B12, d.B11, d.B22, d.B21, d.j1, d.j2, d.i1, d.i2)))
+
+    @pytest.mark.parametrize("r,c", [(2, 2), (2, 3), (3, 3)])
+    def test_full_rank_does_not_imply_stability(self, r, c):
+        # the transpose dual keeps the rank and swaps i with j^T, so the
+        # dual of a stable datum has i = 0: costable, nowhere stable and
+        # still of full rank
+        for seed in range(2):
+            stable = random_stable_solution(r, c, seed)
+            planted, _ = random_nonstable_solution(r, c, seed)
+            for d in (stable, planted):
+                dual = self.transpose_dual(d)
+                assert is_complex_solution(dual)
+                assert derivative_rank(dual) == derivative_rank(d)
+            dual = self.transpose_dual(stable)
+            assert derivative_rank(dual) == 3 * c * c
+            rep = classify(dual)
+            assert not rep.stable_everywhere
+            assert rep.costable_everywhere
+
 
 class TestStabilizer:
     def test_zero_triples(self):
@@ -406,8 +431,8 @@ def _old_flatten(*mats):
 
 
 def old_derivative_matrix(d):
-    """The derivative matrix as the per-block loops built it before the
-    linear-map builder: a test-local oracle."""
+    """The derivative matrix as per-block loops over unit matrices build
+    it: a test-local oracle."""
     c, r = d.c, d.r
     zero_cc = Matrix(c, c, [[Z] * c for _ in range(c)])
     cols = []
@@ -472,13 +497,14 @@ def old_stabilizer_matrix(B1, B2, i):
     return Matrix(n, c * c, [[col[k] for col in cols] for k in range(n)])
 
 
-LINEAR_MAP_SHAPES = [(1, 1), (2, 1), (2, 3), (3, 2)]   # (r, c)
+LINEAR_MAP_SHAPES = [(1, 1), (2, 1), (1, 2), (2, 3), (3, 2), (4, 2)]  # (r, c)
 
 
 class TestLinearMapMatrix:
-    """derivative_rank and stabilizer_dim build their matrices with the
-    one linear-map builder; the matrices equal the old loops' entry for
-    entry, on dense and on sparse data."""
+    """derivative_rank and stabilizer_dim build their matrices from
+    Kronecker blocks; the matrices equal the old loops' entry for entry, on
+    dense and on sparse data, with r < c (r = 1 included) and r > c, where a
+    slip between the c x r and r x c blocks would show."""
 
     @staticmethod
     def data(r, c):

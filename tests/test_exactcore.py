@@ -395,6 +395,38 @@ def test_solve_consistent_and_inconsistent():
     assert m.solve(bad) is None
 
 
+def sparse_gauss_matrix(rng, rows, cols):
+    """A seeded rows x cols matrix over Q(i), about a third of it zero."""
+    return Matrix(rows, cols, [[random_gauss(rng) if rng.random() < 0.7
+                                else G(0) for _ in range(cols)]
+                               for _ in range(rows)])
+
+
+def row_major(m):
+    return Matrix(m.rows * m.cols, 1, [[x] for row in m.a for x in row])
+
+
+@pytest.mark.parametrize("p,q,s,t", [(1, 1, 1, 1), (1, 2, 3, 2),
+                                     (2, 3, 2, 1), (1, 3, 2, 1),
+                                     (3, 2, 4, 3), (2, 2, 2, 2)])
+def test_kron_flattens_a_two_sided_product(p, q, s, t):
+    # X -> L*X*R flattened row-major is L (x) R^T: the columns of the
+    # derivative matrix of adhm.derivative_rank are ordered by it
+    for seed in range(3):
+        rng = random.Random(f"{p}{q}{s}{t}-{seed}")
+        L, X, R, D = (sparse_gauss_matrix(rng, m, n)
+                      for m, n in ((p, q), (q, s), (s, t), (t, 2)))
+        K = L.kron(R.transpose())
+        assert (K.rows, K.cols) == (p * t, q * s)
+        assert all(K[a * t + i, b * s + j] == L[a, b] * R[j, i]
+                   for a in range(p) for b in range(q)
+                   for i in range(t) for j in range(s))
+        assert all(type(x) is GaussRational for row in K.a for x in row)
+        assert K * row_major(X) == row_major(L * X * R)
+        # the mixed product: (L (x) R)(X (x) D) = (L X) (x) (R D)
+        assert L.kron(R) * X.kron(D) == (L * X).kron(R * D)
+
+
 def bareiss_rank(m):
     """Reference rank: fraction-free (Bareiss) elimination with full
     pivoting, exact in the coefficient ring, so it needs no field lift for

@@ -484,7 +484,7 @@ def moved_datum(d, gv, gw):
 
 
 class TestIntertwinerSystem:
-    """find_intertwiner builds its system with the linear-map builder; the
+    """find_intertwiner builds its system from Kronecker blocks; the
     system equals the old row builder's entry for entry, and the sampled
     (gV, gW) is the same for the same seed."""
 

@@ -206,14 +206,21 @@ def derivative_rank(d):
 # generators (all deterministic in the seed)
 # ---------------------------------------------------------------------------
 
-def _shift_matrix(c):
-    return Matrix(c, c, [[_ONE if a == b + 1 else _ZERO for b in range(c)]
-                         for a in range(c)])
-
-
-def _poly_in_shift(c, n_coef, id_coef):
+def _commuting_draw(rng, c, r):
+    """The draw both generators share: four blocks a*N + b*I in the shift
+    matrix N, the N-coefficients a redrawn until a0*a3 - a1*a2 is nonzero,
+    then a c x r block i1.  Returns ([B11, B12, B21, B22], i1)."""
+    while True:
+        a = [random_gauss(rng) for _ in range(4)]  # N-coefficients
+        if a[0] * a[3] - a[1] * a[2]:
+            break
+    b = [random_gauss(rng) for _ in range(4)]  # identity coefficients
+    i1 = Matrix(c, r, [[random_gauss(rng) for _ in range(r)]
+                       for _ in range(c)])
+    n = Matrix(c, c, [[_ONE if k == i + 1 else _ZERO for i in range(c)]
+                      for k in range(c)])
     ident = Matrix.identity(c, _ONE, _ZERO)
-    return _shift_matrix(c).scale(n_coef) + ident.scale(id_coef)
+    return [n.scale(x) + ident.scale(y) for x, y in zip(a, b)], i1
 
 
 def random_stable_solution(r, c, seed):
@@ -234,22 +241,14 @@ def random_stable_solution(r, c, seed):
         raise ADHMError("random_stable_solution needs c >= 1")
     rng = random.Random(seed)
     while True:
-        a = [random_gauss(rng) for _ in range(4)]  # N-coefficients
-        if not (a[0] * a[3] - a[1] * a[2]):
-            continue
-        b = [random_gauss(rng) for _ in range(4)]  # identity coefficients
-        i1 = Matrix(c, r, [[random_gauss(rng) for _ in range(r)]
-                           for _ in range(c)])
+        blocks, i1 = _commuting_draw(rng, c, r)
         i2 = Matrix(c, r, [[random_gauss(rng) for _ in range(r)]
                            for _ in range(c)])
         top = Matrix(2, r, [i1.a[0], i2.a[0]])
         if top.rank() != 2:
             continue
-        d = ComplexADHMDatum(
-            c, r,
-            _poly_in_shift(c, a[0], b[0]), _poly_in_shift(c, a[1], b[1]),
-            _poly_in_shift(c, a[2], b[2]), _poly_in_shift(c, a[3], b[3]),
-            i1, i2, Matrix.zero(r, c, _ZERO), Matrix.zero(r, c, _ZERO))
+        j = Matrix.zero(r, c, _ZERO)
+        d = ComplexADHMDatum(c, r, *blocks, i1, i2, j, j)
         assert is_complex_solution(d)
         if classify(d).stable_everywhere:
             return d
@@ -265,21 +264,12 @@ def random_nonstable_solution(r, c, seed):
     """
     rng = random.Random(seed)
     while True:
-        a = [random_gauss(rng) for _ in range(4)]
-        if not (a[0] * a[3] - a[1] * a[2]):
-            continue
-        b = [random_gauss(rng) for _ in range(4)]
-        i1 = Matrix(c, r, [[random_gauss(rng) for _ in range(r)]
-                           for _ in range(c)])
+        blocks, i1 = _commuting_draw(rng, c, r)
         if all(not x for x in i1.a[0]):
             continue
         lam = random_gauss(rng)
-        d = ComplexADHMDatum(
-            c, r,
-            _poly_in_shift(c, a[0], b[0]), _poly_in_shift(c, a[1], b[1]),
-            _poly_in_shift(c, a[2], b[2]), _poly_in_shift(c, a[3], b[3]),
-            i1, i1.scale(lam),
-            Matrix.zero(r, c, _ZERO), Matrix.zero(r, c, _ZERO))
+        j = Matrix.zero(r, c, _ZERO)
+        d = ComplexADHMDatum(c, r, *blocks, i1, i1.scale(lam), j, j)
         assert is_complex_solution(d)
         return d, (-lam, _ONE)
 

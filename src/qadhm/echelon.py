@@ -4,9 +4,9 @@
   canonical denominator (valuation 0, constant term 1).  A QRat whose
   denominator is a unit c*q^n needs no gcd to be reduced, so lifting a
   QLaurent is cheap; a QRat with denominator 1 hashes as its numerator.
-* ``_echelon`` -- the sparse row echelon: the matrices of ``exactcore`` run
-  it on field rows, and the test oracles of the calculus tables and of the
-  slices on Laurent rows.
+* ``_echelon`` -- the sparse row echelon over a field.  It takes field
+  rows only: ``Matrix`` lifts each ``QLaurent`` entry to ``QRat`` before
+  its ``rank``, ``kernel`` and ``solve`` run it.
 
 Only a command that eliminates loads this module: ``Matrix.rank``,
 ``kernel`` and ``solve`` import it when called, and ``exactcore`` binds
@@ -160,21 +160,15 @@ def _as_qrat(x):
 # ---------------------------------------------------------------------------
 
 def _echelon(rows, ncols, reduced=False):
-    """Row echelon form of sparse rows over Q(i), Q(i)(q) or Q(i)[q, q^-1].
+    """Row echelon form of sparse rows over a field: Q(i) or Q(i)(q).
 
-    ``rows`` are {col: nonzero entry} dicts of field elements or
-    ``QLaurent`` ring elements, and one system may mix ``QLaurent`` with
-    ``QRat``; they are not modified.  Columns 0..ncols-1 are eliminated
-    from left to right.  Each column pivots on the shortest live row whose
-    entry there is a unit -- a field element or a Laurent monomial c*q^k --
-    so Laurent rows stay Laurent; only when no candidate is a unit does the
-    shortest row pivot on a ``QRat`` inverse, so Laurent equations build
-    a ``QRat`` only at such a pivot.  Returns the pivots in column order as
-    (col, index of the input row, row normalised to 1 at col).  With
-    ``reduced`` each pivot column is also cleared from the earlier pivot
-    rows, which gives the reduced row echelon form.  Rank,
-    pivot columns and the reduced form (over the fraction field) depend
-    only on the rows, not on the pivoting rule.
+    ``rows`` are {col: nonzero entry} dicts of field elements,
+    ``GaussRational`` or ``QRat``; they are not modified.  Columns
+    0..ncols-1 are eliminated from left to right, each on the shortest live
+    row with an entry there, scaled by one/lead.  Returns the pivots in
+    column order as (col, index of the input row, row normalised to 1 at
+    col).  With ``reduced`` each pivot column is also cleared from the
+    earlier pivot rows, which gives the reduced row echelon form.
     """
     work = [dict(r) for r in rows]
     live = [i for i, r in enumerate(work) if r]
@@ -185,23 +179,12 @@ def _echelon(rows, ncols, reduced=False):
         if not cand:
             continue
         p = min(cand, key=lambda i: len(work[i]))
-        lead = work[p][j]
-        if type(lead) is QLaurent and len(lead.terms) > 1:
-            p = min((i for i in cand if type(work[i][j]) is not QLaurent
-                     or len(work[i][j].terms) == 1),
-                    key=lambda i: len(work[i]), default=p)
         live.remove(p)
         row = work[p]
         lead = row.pop(j)
-        if type(lead) is not QLaurent:
-            if one is None:
-                one = lead / lead     # the field's 1, built once per call
-            unit, inv = one, one / lead
-        elif len(lead.terms) == 1:    # a monomial c*q^k: inverse c^-1*q^-k
-            (e, c), = lead.terms.items()
-            unit, inv = _QL_ONE, QLaurent({-e: _GR_ONE / c})
-        else:
-            unit, inv = QRat(_QL_ONE), QRat(_QL_ONE, lead)
+        if one is None:
+            one = lead / lead     # the field's 1, built once per call
+        inv = one / lead
         norm = {k: inv * v for k, v in row.items()}
         targets = [work[i] for i in cand if i != p]
         if reduced:
@@ -215,6 +198,6 @@ def _echelon(rows, ncols, reduced=False):
                     r[k] = val
                 elif cur is not None:
                     del r[k]
-        norm[j] = unit
+        norm[j] = one
         pivots.append((j, p, norm))
     return pivots

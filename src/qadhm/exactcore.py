@@ -2,8 +2,9 @@
 
 ``Matrix`` is a dense matrix whose rank, kernel and solve run through the
 one sparse row echelon ``echelon._echelon`` over the fraction field of the
-entries (QLaurent entries are lifted to QRat), and whose products skip zero
-factors.  Only those three methods load ``echelon``, when they are called.
+entries (it takes field rows, so QLaurent entries are lifted to QRat here),
+and whose products skip zero factors.  Only those three methods load
+``echelon``, when they are called.
 ``random_gauss`` draws the small random entries of the seeded data.  The
 matrix pencils of ``monad`` and the projective roots of ``krylov`` live in
 those modules.

@@ -236,7 +236,6 @@ class CalculusTable:
     def __init__(self, p_choice, x_rules, wedge_rules=None):
         self.p_choice = p_choice
         self.p_exp = P_EXPONENTS[p_choice]
-        self.p = QLaurent.q_power(self.p_exp)
         self.x_rules = x_rules
         self._wedge_rules = wedge_rules
         self.leibniz = "d(fg) = (df)g + f(dg)"

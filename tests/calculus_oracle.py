@@ -7,14 +7,15 @@ under the charge-conservation ansatz from the constraints that
 covariances, the relations, the determinant covariances) and
 ``_d2_constraints`` (d^2 = 0).  Each constraint is expanded through the
 table's own engines, run on a ``CalculusTable`` whose unsolved rules carry
-unknowns, and the linear equations are solved exactly in the Laurent ring
-by ``echelon._echelon``.  A rule is returned only when every one of its
-coefficients is determined, so a solve that returns all the rules proves
-them unique.  The tables depend on no input, so no command solves them;
-``tests/test_qcalculus.py`` asserts that this solve returns the constants.
+unknowns, and the linear equations are solved exactly over Q(i)(q) by
+``echelon._echelon``, their coefficients lifted to ``QRat``.  A rule is
+returned only when every one of its coefficients is determined, so a solve
+that returns all the rules proves them unique.  The tables depend on no
+input, so no command solves them; ``tests/test_qcalculus.py`` asserts that
+this solve returns the constants.
 """
 
-from qadhm.echelon import _echelon
+from qadhm.echelon import _as_qrat, _echelon
 from qadhm.qcalculus import (CalculusError, CalculusTable, P_EXPONENTS,
                              _d2_constraints, _x_constraints)
 from qadhm.qspacetime import X_NAMES, add_to
@@ -53,17 +54,18 @@ def _solve_system(equations):
     raises CalculusError on inconsistency.  Variables are the columns of a
     reduced row echelon in sorted order, with the constant as the last
     column: a pivot there is an inconsistency, and a variable is determined
-    when its pivot row holds no other variable.  ``_echelon`` pivots on
-    units, so a value is a QLaurent unless a non-unit pivot made it a QRat.
+    when its pivot row holds no other variable.  The QLaurent coefficients
+    are lifted to QRat, since ``_echelon`` eliminates over a field, so every
+    value is a QRat.
     """
     names = sorted({v for lin, _, _ in equations for v, c in lin.items() if c})
     col = {v: j for j, v in enumerate(names)}
     const_col = len(names)
     rows = []
     for lin, const, _ in equations:
-        row = {col[v]: c for v, c in lin.items() if c}
+        row = {col[v]: _as_qrat(c) for v, c in lin.items() if c}
         if const:
-            row[const_col] = const
+            row[const_col] = _as_qrat(const)
         rows.append(row)
     solved = {}
     for j, i, row in _echelon(rows, const_col + 1, reduced=True):
@@ -134,8 +136,7 @@ def _solved_rule(solved, kind, g, a, targets):
     vals = [solved.get((kind, g, a) + t) for t in targets]
     if any(v is None for v in vals):
         return None
-    return tuple((v if type(v) is QLaurent else qrat_as_qlaurent(v), t)
-                 for v, t in zip(vals, targets) if v)
+    return tuple((qrat_as_qlaurent(v), t) for v, t in zip(vals, targets) if v)
 
 
 def _equations(name, residual):

@@ -14,7 +14,7 @@ import random
 from qadhm.adhm import classify
 from qadhm.datum import (ADHMError, ComplexADHMDatum, RealADHMDatum,
                          is_complex_solution)
-from qadhm.echelon import _echelon
+from qadhm.echelon import _as_qrat, _echelon
 from qadhm.exactcore import Matrix, random_gauss
 from qadhm.krylov import _closure_basis
 from qadhm.qinstanton import (QInstantonError, _monomials_upto, _slice_rows,
@@ -326,10 +326,10 @@ def qrat_as_qlaurent(r):
 def _sparse_containment(rows, n_s, n_t, n_comp, n_e=None):
     """(image_rank, missed) for the slice rows of beta_P from _slice_rows
     (n_comp source components, n_s source and n_t target monomials): the
-    echelon of [image | slice embedding] over the Laurent ring, where the
-    slice is spanned by the first n_e target monomials of each component
-    (n_s by default).  The embedding entries are added to ``rows`` in
-    place.
+    echelon of [image | slice embedding] over Q(i)(q), the entries lifted
+    to QRat, where the slice is spanned by the first n_e target monomials
+    of each component (n_s by default).  The embedding entries are added
+    to ``rows`` in place.
 
     Columns are eliminated left to right, image block first, so a pivot
     landing in the embedding block is exactly a slice direction missed by
@@ -342,7 +342,8 @@ def _sparse_containment(rows, n_s, n_t, n_comp, n_e=None):
     for v in range(n_v):
         for k in range(n_e):
             rows[v * n_t + k][a_cols + v * n_e + k] = QLaurent.one()
-    pivots = _echelon(rows, a_cols + n_v * n_e)
+    pivots = _echelon([{k: _as_qrat(v) for k, v in r.items()} for r in rows],
+                      a_cols + n_v * n_e)
     image_rank = sum(1 for j, _, _ in pivots if j < a_cols)
     return image_rank, len(pivots) - image_rank
 

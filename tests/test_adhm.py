@@ -1,5 +1,7 @@
 """Tests for the instanton-type matrix data and stability taxonomy."""
 
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -659,6 +661,27 @@ class TestGenerators:
     def test_determinism(self):
         assert random_stable_solution(2, 2, 42) == random_stable_solution(2, 2, 42)
         assert random_complex_datum(2, 2, 42) == random_complex_datum(2, 2, 42)
+
+    def test_seeded_bytes_are_pinned(self):
+        # the benchmark plants its stability data with both generators, so
+        # a change of draw order or construction must show here: sha256 of
+        # the JSON of every datum of the grid, and of the planted points
+        shapes = ((2, 1), (2, 2), (2, 3), (3, 3), (3, 2), (4, 2), (5, 1),
+                  (2, 5))
+        seeds = range(4)
+
+        def digest(obj):
+            return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+        stable = [random_stable_solution(r, c, s).to_json()
+                  for r, c in shapes for s in seeds]
+        planted = [random_nonstable_solution(r, c, s)
+                   for r, c in shapes + ((1, 1), (1, 3)) for s in seeds]
+        assert digest(stable) == (
+            "3a603a11b60ba442ac7877ba6da94117c454a7624a0537fa67a287d80ed012bb")
+        assert digest([d.to_json() for d, _ in planted]) == (
+            "f2427456826f75959f8ae04e864ffec88be0b697a1b7acb3ecc86bcdcb73a514")
+        assert digest([[str(x) for x in pt] for _, pt in planted]) == (
+            "0263b6d5ae633aaf2702efc79977b203e1c01b050591aa8a1fde0dda6ad251e0")
 
     def test_raw_datum_generally_not_solution(self):
         assert not is_complex_solution(random_complex_datum(2, 2, 0))

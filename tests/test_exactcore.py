@@ -34,15 +34,6 @@ def G(re, im=0):
     return GaussRational(Fraction(re), Fraction(im))
 
 
-def ql(**kw):
-    # ql(qm1=1, q1=1) -> q^-1 + q
-    terms = {}
-    for k, v in kw.items():
-        e = int(k[1:].replace("m", "-"))
-        terms[e] = v
-    return QLaurent(terms)
-
-
 # ---------------------------------------------------------------------------
 # quantum integers
 # ---------------------------------------------------------------------------
@@ -530,8 +521,8 @@ def test_echelon_fixed_shapes():
 
 
 def field_echelon_oracle(rows, ncols, reduced=False):
-    """The field-only echelon as it was before Laurent rows were eliminated
-    in the ring: the shortest live row pivots, scaled by one/lead."""
+    """The reference field echelon, written out once more: the shortest
+    live row pivots, scaled by one/lead."""
     work = [dict(r) for r in rows]
     live = [i for i, r in enumerate(work) if r]
     pivots = []
@@ -590,72 +581,10 @@ def random_sparse_rows(rng, entry, nrows, ncols, density=0.5):
     return rows
 
 
-def assert_all_laurent(pivots):
-    assert all(type(v) is QLaurent for _, _, r in pivots for v in r.values())
-
-
-def test_laurent_echelon_matches_the_lifted_echelon():
-    # Seeded sparse Laurent rows: monomials and 2-3-term entries mixed, and
-    # in some columns only multi-term entries, so that some columns offer
-    # no unit and pivot through a QRat inverse.  Rank, pivot columns and
-    # the reduced forms (as elements of Q(i)(q)) must match the echelon of
-    # the same rows lifted to QRat.
-    non_unit = all_laurent = 0
-    for seed in range(80):
-        rng = random.Random(seed)
-        ncols = rng.randint(2, 6)
-        multi_only = {j for j in range(ncols) if rng.random() < 0.2}
-
-        def entry(rng, j):
-            if j in multi_only:
-                return random_laurent_term_count(rng, rng.randint(2, 3))
-            return random_laurent_term_count(rng, rng.choice((1, 1, 1, 2, 3)))
-        rows = random_sparse_rows(rng, entry, rng.randint(2, 6), ncols, 0.35)
-        lifted = [{j: QRat(v) for j, v in r.items()} for r in rows]
-        for reduced in (False, True):
-            ring = _echelon(rows, ncols, reduced)
-            field = _echelon(lifted, ncols, reduced)
-            assert [j for j, _, _ in ring] == [j for j, _, _ in field]
-        assert [r for _, _, r in ring] == [r for _, _, r in field]
-        qrat_leads = sum(type(r[j]) is QRat for j, _, r in ring)
-        non_unit += qrat_leads > 0
-        all_laurent += qrat_leads == 0 and len(ring) > 1
-    assert non_unit >= 10 and all_laurent >= 10
-
-
-def test_echelon_prefers_a_monomial_pivot():
-    # Column 0: the shortest row holds 1 + q, a longer one holds the unit
-    # q.  The unit row pivots, and every entry stays a Laurent polynomial.
-    one, q = ql(q0=1), ql(q1=1)
-    rows = [{0: ql(q0=1, q1=1), 1: one}, {0: q, 2: one, 3: one}]
-    pivots = _echelon(rows, 4, reduced=True)
-    assert [(j, p) for j, p, _ in pivots] == [(0, 1), (1, 0)]
-    assert_all_laurent(pivots)
-    qinv = ql(qm1=1)
-    assert pivots[0][2] == {0: one, 2: qinv, 3: qinv}
-    assert pivots[1][2] == {1: one, 2: -(qinv + one), 3: -(qinv + one)}
-    # a monomial with a Gaussian coefficient inverts to c^-1 q^-k
-    (_, _, norm), = _echelon([{0: QLaurent({2: G(1, 2)}), 1: ql(q3=1)}], 2)
-    assert norm == {0: one, 1: QLaurent({1: G(1, -2) / 5})}
-
-
-def test_echelon_inverts_a_non_unit_pivot_in_qrat():
-    # Column 0 offers only 1 + q and 1 - q: the first row pivots through
-    # QRat(1, 1 + q), after which the second row holds only QRat entries
-    # and pivots as a field element.
-    one = ql(q0=1)
-    rows = [{0: ql(q0=1, q1=1), 1: one}, {0: ql(q0=1, q1=-1), 1: 2 * one}]
-    pivots = _echelon(rows, 2)
-    assert [(j, p) for j, p, _ in pivots] == [(0, 0), (1, 1)]
-    assert pivots[0][2] == {0: QRat(1), 1: QRat(1, ql(q0=1, q1=1))}
-    assert all(type(v) is QRat for _, _, r in pivots for v in r.values())
-    assert pivots[1][2] == {1: QRat(1)}
-
-
 def test_field_rows_echelon_exactly_as_before():
-    # On GaussRational and QRat rows every entry is a unit, so the pivots,
-    # the row indices and the normalised rows (values and types) are those
-    # of the field-only echelon.
+    # On GaussRational and QRat rows the pivots, the row indices and the
+    # normalised rows (values and types) are those of the reference field
+    # echelon.
     def gauss(rng, j):
         return random_gauss(rng) or G(1)
 

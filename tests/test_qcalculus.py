@@ -29,8 +29,7 @@ from qadhm.qspacetime import (HarmonicIndex, NCPoly, SortEngine,
 from qadhm.scalars import GaussRational, QLaurent, qint
 
 import calculus_oracle
-from calculus_oracle import (_Affine, _solve_system, _solve_wedge_rules,
-                             _solve_x_rules)
+from calculus_oracle import _solve_system, _solve_wedge_rules, _solve_x_rules
 from statements import (VOL_WORD, anticommutation_audit, cech_exponents,
                         conjugation_identity_check, delta_eigenvalue,
                         delta_op, hodge_star, laplace_via_star, left_mul,
@@ -349,33 +348,9 @@ class TestStoredTables:
         assert calls == []
 
 
-def _qrat_equations(name, residual):
-    """The QRat oracle of ``_equations``: every coefficient, the constant
-    included, is lifted to QRat before the solve."""
-    eqs = []
-    for c in residual.values():
-        if c:
-            terms = c.terms if isinstance(c, _Affine) else {None: c}
-            eqs.append(({v: QRat(x) for v, x in terms.items()
-                         if v is not None},
-                        QRat(terms.get(None, 0)), name))
-    return eqs
-
-
-class TestLaurentDerivation:
-    """The oracle solves the rule equations in the Laurent ring: the same
-    rules as a solve over QRat, and one solve per round that added
-    equations."""
-
-    @pytest.mark.parametrize("pc", P_CHOICES)
-    def test_matches_the_qrat_solve(self, pc, monkeypatch):
-        # solved before the patch, so in the Laurent ring
-        x_laurent = _solve_x_rules(P_EXPONENTS[pc])
-        wedge_rules = _solve_wedge_rules(pc, x_laurent)
-        monkeypatch.setattr(calculus_oracle, "_equations", _qrat_equations)
-        x_rules = _solve_x_rules(P_EXPONENTS[pc])
-        assert x_rules == x_laurent == derive_table(pc).x_rules
-        assert _solve_wedge_rules(pc, x_rules) == wedge_rules
+class TestOracleSolveRounds:
+    """The oracle hands the solver the rule equations with their QLaurent
+    coefficients, and solves once per round that added equations."""
 
     @pytest.mark.parametrize("pc", P_CHOICES)
     def test_one_laurent_solve_per_round_that_added_equations(

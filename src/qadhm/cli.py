@@ -5,7 +5,8 @@ for the same input and seed, to stdout or to ``--output``; ``monad chern``
 prints its single number bare.  Exit status: 0 when every identity the
 command asserts holds, 1 when a checked identity fails (the report is still
 written), 2 for schema or precondition errors and unwritable reports, as
-``{"error": {"type", "message"}}`` (on stderr if stdout is full or closed).
+``{"error": {"type": "CLIError", "message": ...}}`` (on stderr if stdout is
+full or closed).
 
 Expression grammar for the ``q`` commands::
 
@@ -178,9 +179,10 @@ def run(argv=None):
     try:
         ok = args.handler(args)
     except ValueError as exc:
-        # CLIError and the library's precondition errors are ValueErrors
+        # CLIError and the library's precondition errors are ValueErrors, and
+        # every refusal is reported as a CLIError
         error = json.dumps(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}},
+            {"error": {"type": "CLIError", "message": str(exc)}},
             sort_keys=True, ensure_ascii=False) + "\n"
         try:
             _emit(error, None)

@@ -21,14 +21,9 @@ def _cmd_adhm_check(args):
 
 
 def _cmd_adhm_embed(args):
-    from .datum import ADHMError
     from .real import embed_real
     d = _load_datum(args.file, real=True)
-    try:
-        out = embed_real(d)
-    except ADHMError as exc:
-        raise CLIError(str(exc)) from exc
-    _emit_json(out.to_json(), args.output)
+    _emit_json(embed_real(d).to_json(), args.output)
     return True
 
 

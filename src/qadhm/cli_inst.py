@@ -15,13 +15,9 @@ def _cmd_inst_verify(args):
 
 
 def _cmd_inst_curvature(args):
-    from .qinstanton import (QInstantonError, curvature_asd,
-                             curvature_report_json)
+    from .qinstanton import curvature_asd, curvature_report_json
     d = _load_datum(args.file)
-    try:
-        report = curvature_asd(d, args.p_choice)
-    except QInstantonError as exc:
-        raise CLIError(str(exc)) from exc
+    report = curvature_asd(d, args.p_choice)
     _emit_json(curvature_report_json(report), args.output)
     return True
 

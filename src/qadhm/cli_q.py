@@ -62,10 +62,7 @@ def _cmd_q_harmonic(args):
     _check_harmonic_caps(args)
     from .qcalculus import derive_table, laplacian
     from .qspacetime import HarmonicIndex, basis_element
-    try:
-        idx = HarmonicIndex(args.l, args.m, args.n, args.k)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    idx = HarmonicIndex(args.l, args.m, args.n, args.k)
     if not idx.in_range():
         raise CLIError("m and n must lie in [-l, l]")
     table = derive_table(args.p_choice)
@@ -129,10 +126,7 @@ def _cmd_q_penrose(args):
             raise CLIError(f"bad cocycle item {item!r}: {exc}") from exc
         if len(exps) != 4:
             raise CLIError("cocycle exponents must have four entries")
-        try:
-            idx = cech_index(exps)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from exc
+        idx = cech_index(exps)
         if idx.two_l > MAX_TWO_L:
             raise CLIError(f"cocycle {list(exps)} has 2l = {idx.two_l}; "
                            f"l must be at most {MAX_TWO_L}")

@@ -4,6 +4,8 @@ Only those three commands import this module."""
 
 from .cli import MAX_EXPR_DEGREE, MAX_EXPR_LENGTH, CLIError
 
+_DIGITS = "0123456789"  # INT of the grammar; str.isdigit takes any script
+
 
 class ExprParser:
     """Recursive-descent parser for the q-command expression language."""
@@ -23,9 +25,9 @@ class ExprParser:
             elif ch in "+-*^()":
                 tokens.append(ch)
                 i += 1
-            elif ch.isdigit():
+            elif ch in _DIGITS:
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
                 tokens.append(int(text[i:j]))
                 i = j

@@ -2,7 +2,8 @@
 
 A datum (B11, B12, B21, B22, i1, i2, j1, j2) with c x c / c x r / r x c
 blocks yields two pencils of matrices linear in homogeneous coordinates
-(x, y, z, w):
+(x, y, z, w), each kept as the table {"x", "y", "z", "w": Matrix} of its
+coefficients:
 
   alpha = ( z*B11 + w*B21 + x*1 )            (2c+r) x c
           ( z*B12 + w*B22 + y*1 )
@@ -37,9 +38,9 @@ from .exactcore import Matrix
 from .scalars import GaussRational, Immutable
 
 __all__ = [
-    "MonadError", "Monad", "SheafClassification", "Pencil",
-    "VARS", "monad_pencils", "product_coefficients", "build_monad",
-    "check_exactness_at", "classify_sheaf",
+    "MonadError", "Monad", "SheafClassification", "VARS", "monad_pencils",
+    "product_coefficients", "build_monad", "check_exactness_at",
+    "classify_sheaf",
 ]
 
 VARS = ("x", "y", "z", "w")
@@ -50,48 +51,6 @@ _ONE = GaussRational(1)
 
 class MonadError(ValueError):
     """Malformed pencils, non-solutions, and degenerate normalizations."""
-
-
-# ---------------------------------------------------------------------------
-# linear pencils in named formal variables
-# ---------------------------------------------------------------------------
-
-class Pencil:
-    """sum_v coeffs[v]*v + const, all Matrix of equal shape."""
-
-    __slots__ = ("vars", "coeffs", "const")
-
-    def __init__(self, vars, coeffs, const):
-        self.vars = list(vars)
-        self.coeffs = dict(coeffs)
-        self.const = const
-        shape = (const.rows, const.cols)
-        for v in self.vars:
-            m = self.coeffs[v]
-            if (m.rows, m.cols) != shape:
-                raise ValueError(f"pencil coefficient {v} has wrong shape")
-
-    @property
-    def rows(self):
-        return self.const.rows
-
-    @property
-    def cols(self):
-        return self.const.cols
-
-    def evaluate(self, point) -> Matrix:
-        """point: dict var->scalar, or sequence aligned with self.vars."""
-        if not isinstance(point, dict):
-            point = dict(zip(self.vars, point))
-        out = self.const
-        for v in self.vars:
-            out = out + self.coeffs[v].scale(point[v])
-        return out
-
-    def to_json(self):
-        obj = {v: self.coeffs[v].to_json() for v in self.vars}
-        obj["const"] = self.const.to_json()
-        return obj
 
 
 # ---------------------------------------------------------------------------
@@ -110,18 +69,14 @@ def monad_pencils(d):
     """The (alpha, beta) pencils of a datum, without any solution check."""
     c, r = d.c, d.r
     n = 2 * c + r
-    alpha = Pencil(VARS, {
-        "x": _unit_column_block(n, 0, c),
-        "y": _unit_column_block(n, c, c),
-        "z": Matrix.vstack([d.B11, d.B12, d.j1]),
-        "w": Matrix.vstack([d.B21, d.B22, d.j2]),
-    }, Matrix.zero(n, c, _ZERO))
-    beta = Pencil(VARS, {
-        "x": _unit_column_block(n, c, c).transpose(),
-        "y": -_unit_column_block(n, 0, c).transpose(),
-        "z": Matrix.hstack([-d.B12, d.B11, d.i1]),
-        "w": Matrix.hstack([-d.B22, d.B21, d.i2]),
-    }, Matrix.zero(c, n, _ZERO))
+    alpha = {"x": _unit_column_block(n, 0, c),
+             "y": _unit_column_block(n, c, c),
+             "z": Matrix.vstack([d.B11, d.B12, d.j1]),
+             "w": Matrix.vstack([d.B21, d.B22, d.j2])}
+    beta = {"x": _unit_column_block(n, c, c).transpose(),
+            "y": -_unit_column_block(n, 0, c).transpose(),
+            "z": Matrix.hstack([-d.B12, d.B11, d.i1]),
+            "w": Matrix.hstack([-d.B22, d.B21, d.i2])}
     return alpha, beta
 
 
@@ -132,30 +87,33 @@ def product_coefficients(beta, alpha):
     for a, u in enumerate(VARS):
         for v in VARS[a:]:
             if u == v:
-                m = beta.coeffs[u] * alpha.coeffs[u]
+                m = beta[u] * alpha[u]
             else:
-                m = (beta.coeffs[u] * alpha.coeffs[v]
-                     + beta.coeffs[v] * alpha.coeffs[u])
+                m = beta[u] * alpha[v] + beta[v] * alpha[u]
             out[(u, v)] = m
     return out
 
 
+def _pencil_json(pencil):
+    """A pencil as ``monad build`` writes it, with its zero constant term."""
+    m = pencil["x"]
+    return {**{v: pencil[v].to_json() for v in VARS},
+            "const": Matrix.zero(m.rows, m.cols, _ZERO).to_json()}
+
+
 class Monad(Immutable):
-    """A pair of linear pencils alpha ((2c+r) x c) and beta (c x (2c+r))
-    in (x, y, z, w) with beta*alpha = 0 as a quadratic form (checked)."""
+    """Linear pencils alpha ((2c+r) x c) and beta (c x (2c+r)) in (x, y, z,
+    w), each a table VARS -> coefficient matrix, with beta*alpha = 0 as a
+    quadratic form (checked)."""
 
     __slots__ = ("r", "c", "alpha", "beta")
 
     def __init__(self, r, c, alpha, beta):
         n = 2 * c + r
-        if (alpha.rows, alpha.cols) != (n, c):
+        if {(m.rows, m.cols) for m in alpha.values()} != {(n, c)}:
             raise MonadError(f"alpha must be {n}x{c}")
-        if (beta.rows, beta.cols) != (c, n):
+        if {(m.rows, m.cols) for m in beta.values()} != {(c, n)}:
             raise MonadError(f"beta must be {c}x{n}")
-        if list(alpha.vars) != list(VARS) or list(beta.vars) != list(VARS):
-            raise MonadError(f"pencils must use variables {VARS}")
-        if not alpha.const.is_zero() or not beta.const.is_zero():
-            raise MonadError("pencils must be linear (zero constant term)")
         bad = [uv for uv, m in product_coefficients(beta, alpha).items()
                if not m.is_zero()]
         if bad:
@@ -168,8 +126,8 @@ class Monad(Immutable):
         return f"Monad(r={self.r}, c={self.c})"
 
     def to_json(self):
-        return {"r": self.r, "c": self.c,
-                "alpha": self.alpha.to_json(), "beta": self.beta.to_json()}
+        return {"r": self.r, "c": self.c, "alpha": _pencil_json(self.alpha),
+                "beta": _pencil_json(self.beta)}
 
 
 def build_monad(d):
@@ -190,8 +148,9 @@ def check_exactness_at(m, point):
     point = tuple(point)
     if len(point) != 4 or not any(point):
         raise MonadError("point must have four coordinates, not all zero")
-    ra = m.alpha.evaluate(point).rank()
-    rb = m.beta.evaluate(point).rank()
+    x, y, z, w = point
+    ra, rb = ((p["x"].scale(x) + p["y"].scale(y) + p["z"].scale(z)
+               + p["w"].scale(w)).rank() for p in (m.alpha, m.beta))
     return ra, rb, (2 * m.c + m.r) - ra - rb
 
 

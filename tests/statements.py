@@ -69,7 +69,8 @@ def real_stratify(d, xi):
 # ---------------------------------------------------------------------------
 
 def normalize_monad(alpha, beta):
-    """Recover a datum from a pair of linear pencils with beta*alpha = 0.
+    """Recover a datum from a pair of linear pencils with beta*alpha = 0,
+    each the table VARS -> coefficient matrix that ``Monad`` holds.
 
     Requires the product of the x/y coefficient blocks beta_1*alpha_2 to be
     invertible ("degenerate at infinity" otherwise) and the common kernel of
@@ -79,21 +80,19 @@ def normalize_monad(alpha, beta):
     standard unit forms and the datum is read off the z/w coefficients.
     The recovered datum always solves the quadratic equations.
     """
-    c = beta.rows
-    n = beta.cols
+    c = beta["x"].rows
+    n = beta["x"].cols
     r = n - 2 * c
-    if r < 1 or alpha.rows != n or alpha.cols != c:
+    if r < 1 or (alpha["x"].rows, alpha["x"].cols) != (n, c):
         raise MonadError("pencil shapes are not of monad type")
-    if not alpha.const.is_zero() or not beta.const.is_zero():
-        raise MonadError("pencils must be linear (zero constant term)")
     bad = [uv for uv, m in product_coefficients(beta, alpha).items()
            if not m.is_zero()]
     if bad:
         raise MonadError(f"not a monad: beta*alpha has nonzero "
                          f"coefficients at {bad}")
 
-    a1, a2 = alpha.coeffs["x"], alpha.coeffs["y"]
-    b1, b2 = beta.coeffs["x"], beta.coeffs["y"]
+    a1, a2 = alpha["x"], alpha["y"]
+    b1, b2 = beta["x"], beta["y"]
     ident_c = Matrix.identity(c, _ONE, _ZERO)
     h = (b1 * a2).solve(ident_c)
     if h is None:
@@ -110,8 +109,8 @@ def normalize_monad(alpha, beta):
         raise MonadError("degenerate at infinity: [alpha_1 | alpha_2 | W] "
                          "is singular")
 
-    anew = {v: tinv * alpha.coeffs[v] for v in VARS}
-    bnew = {v: h * beta.coeffs[v] * t for v in VARS}
+    anew = {v: tinv * alpha[v] for v in VARS}
+    bnew = {v: h * beta[v] * t for v in VARS}
     assert anew["x"] == _unit_column_block(n, 0, c)
     assert anew["y"] == _unit_column_block(n, c, c)
     assert bnew["x"] == _unit_column_block(n, c, c).transpose()

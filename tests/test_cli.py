@@ -125,8 +125,10 @@ class TestExprParser:
         assert parse_expr("x21*x12 - q^2*x12*x21").is_zero()
 
     def test_parse_errors(self):
+        # a digit of another script is no INT
         for bad in ("", "  ", "x13", "q^", "q^x11", "2**3", "(x11",
-                    "x11)", "x11 +", "3x11", "x11 @ x22"):
+                    "x11)", "x11 +", "3x11", "x11 @ x22", "x11*\u00b2",
+                    "x11*\u0663"):
             with pytest.raises(CLIError):
                 parse_expr(bad)
 

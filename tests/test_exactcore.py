@@ -15,12 +15,14 @@ from hypothesis import given, settings, strategies as st
 import qadhm
 
 from qadhm import echelon, scalars
-from qadhm.adhm import classify, random_stable_solution
+from qadhm.adhm import (classify, random_nonstable_solution,
+                        random_stable_solution)
 from qadhm.datum import RealADHMDatum
 from qadhm.echelon import QRat, _echelon
 from qadhm.exactcore import Matrix, random_gauss
 from qadhm.krylov import gcd_projective_roots
-from qadhm.monad import Pencil, SheafClassification, build_monad
+from qadhm.monad import (VARS, SheafClassification, build_monad,
+                         check_exactness_at)
 from qadhm.qcalculus import derive_table
 from qadhm.qforms import NCForm
 from qadhm.qspacetime import HarmonicIndex, NCPoly
@@ -654,15 +656,34 @@ def test_dagger_is_conjugate_transpose():
 
 
 def test_pencil_evaluation_matches_naive_sum():
+    # the ranks check_exactness_at finds are those of x*P_x + y*P_y + z*P_z
+    # + w*P_w with each entry summed by hand, at seeded points and at points
+    # where a rank drops: over a planted stability failure (beta) and on the
+    # shifted line of a stable solution (alpha)
+    def at(pencil, pt):
+        rows, cols = pencil["x"].rows, pencil["x"].cols
+        return Matrix(rows, cols, [[sum((pencil[v][i, j] * t
+                                         for v, t in zip(VARS, pt)), G(0))
+                                    for j in range(cols)]
+                                   for i in range(rows)])
+
     rng = random.Random(7)
-    A = Matrix(2, 2, [[random_gauss(rng) for _ in range(2)] for _ in range(2)])
-    B = Matrix(2, 2, [[random_gauss(rng) for _ in range(2)] for _ in range(2)])
-    C = Matrix(2, 2, [[random_gauss(rng) for _ in range(2)] for _ in range(2)])
-    p = Pencil(["z", "w"], {"z": A, "w": B}, C)
-    z0, w0 = G(2), G(0, 1)
-    expect = A.scale(z0) + B.scale(w0) + C
-    assert p.evaluate({"z": z0, "w": w0}) == expect
-    assert p.evaluate([z0, w0]) == expect
+    drops = [0, 0]
+    for r, c, seed in [(2, 1, 1), (2, 2, 2), (3, 1, 5), (3, 2, 0)]:
+        for d, base in [random_nonstable_solution(r, c, seed),
+                        (random_stable_solution(r, c, seed), (G(1), G(1)))]:
+            m = build_monad(d)
+            b1, b2, _, _ = d.evaluate(*base)
+            points = [(-b1[0, 0], -b2[0, 0], *base)]
+            points += [tuple(random_gauss(rng) for _ in range(4))
+                       for _ in range(6)]
+            for pt in filter(any, points):
+                ra, rb = at(m.alpha, pt).rank(), at(m.beta, pt).rank()
+                fiber = 2 * c + r - ra - rb
+                assert check_exactness_at(m, pt) == (ra, rb, fiber)
+                drops[0] += ra < c
+                drops[1] += rb < c
+    assert all(drops)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from qadhm.adhm import random_nonstable_solution, random_stable_solution
 from qadhm.real import embed_real
 from qadhm.datum import ComplexADHMDatum
 from qadhm.exactcore import Matrix
-from qadhm.monad import (Monad, MonadError, Pencil, SheafClassification, VARS,
+from qadhm.monad import (Monad, MonadError, SheafClassification, VARS,
                          build_monad, check_exactness_at, classify_sheaf,
                          monad_pencils, product_coefficients)
 from qadhm.chern import chi_line, chi_twist
@@ -78,14 +78,14 @@ class TestBuildMonad:
     def test_basic_example_pencils(self):
         m = build_monad(stable_not_semiregular())
         assert (m.r, m.c) == (2, 1)
-        assert m.alpha.coeffs["x"] == gm([[1], [0], [0], [0]])
-        assert m.alpha.coeffs["y"] == gm([[0], [1], [0], [0]])
-        assert m.alpha.coeffs["z"] == gm([[0], [0], [0], [0]])
-        assert m.alpha.coeffs["w"] == gm([[0], [0], [0], [0]])
-        assert m.beta.coeffs["x"] == gm([[0, 1, 0, 0]])
-        assert m.beta.coeffs["y"] == gm([[-1, 0, 0, 0]])
-        assert m.beta.coeffs["z"] == gm([[0, 0, 1, 0]])
-        assert m.beta.coeffs["w"] == gm([[0, 0, 0, 1]])
+        assert m.alpha["x"] == gm([[1], [0], [0], [0]])
+        assert m.alpha["y"] == gm([[0], [1], [0], [0]])
+        assert m.alpha["z"] == gm([[0], [0], [0], [0]])
+        assert m.alpha["w"] == gm([[0], [0], [0], [0]])
+        assert m.beta["x"] == gm([[0, 1, 0, 0]])
+        assert m.beta["y"] == gm([[-1, 0, 0, 0]])
+        assert m.beta["z"] == gm([[0, 0, 1, 0]])
+        assert m.beta["w"] == gm([[0, 0, 0, 1]])
 
     def test_non_solution_rejected_with_residual_indices(self):
         d = stable_not_semiregular()
@@ -126,17 +126,13 @@ class TestBuildMonad:
             with pytest.raises(MonadError, match="not a monad"):
                 Monad(2, 1, alpha, beta)
 
-    def test_constructor_rejects_affine_pencils(self):
-        m = build_monad(stable_not_semiregular())
-        shifted = Pencil(VARS, dict(m.alpha.coeffs),
-                         m.alpha.coeffs["x"])
-        with pytest.raises(MonadError, match="linear"):
-            Monad(2, 1, shifted, m.beta)
-
     def test_constructor_checks_shapes(self):
         m = build_monad(stable_not_semiregular())
-        with pytest.raises(MonadError, match="alpha"):
+        with pytest.raises(MonadError, match="alpha must be 6x2"):
             Monad(2, 2, m.alpha, m.beta)
+        wide = {v: Matrix.hstack([b, b]) for v, b in m.beta.items()}
+        with pytest.raises(MonadError, match="beta must be 1x4"):
+            Monad(2, 1, m.alpha, wide)
 
 
 class TestExactnessAt:
@@ -314,9 +310,9 @@ class TestSurjectivityRanks:
             d = random_stable_solution(shape[0], shape[1], seed)
             m = build_monad(d)
             for pt in grid_points():
-                assert m.beta.evaluate(pt).rank() == d.c
+                assert check_exactness_at(m, pt)[1] == d.c
             for pt in seeded_points(20, seed):
-                assert m.beta.evaluate(pt).rank() == d.c
+                assert check_exactness_at(m, pt)[1] == d.c
 
     def test_beta_drops_rank_for_nonstable_data(self):
         # at a planted stability failure [z0:w0] the point
@@ -329,7 +325,7 @@ class TestSurjectivityRanks:
             assert i_tilde.is_zero()
             x = -b1_tilde[0, 0]
             y = -b2_tilde[0, 0]
-            rank = m.beta.evaluate((x, y, z0, w0)).rank()
+            rank = check_exactness_at(m, (x, y, z0, w0))[1]
             assert rank < d.c
 
     def test_alpha_full_rank_everywhere_for_costable_data(self):
@@ -337,10 +333,10 @@ class TestSurjectivityRanks:
             d = dual_costable_solution(shape[0], shape[1], seed)
             m = build_monad(d)
             for pt in grid_points():
-                assert m.alpha.evaluate(pt).rank() == d.c
+                assert check_exactness_at(m, pt)[0] == d.c
         m = build_monad(one_instanton_complex())
         for pt in grid_points():
-            assert m.alpha.evaluate(pt).rank() == 1
+            assert check_exactness_at(m, pt)[0] == 1
 
 
 class TestNormalize:
@@ -360,10 +356,8 @@ class TestNormalize:
             n = 2 * d.c + d.r
             g = random_invertible(n, rng)
             ginv = g.solve(Matrix.identity(n, ONE, Z))
-            alpha2 = Pencil(VARS, {v: g * m.alpha.coeffs[v] for v in VARS},
-                            g * m.alpha.const)
-            beta2 = Pencil(VARS, {v: m.beta.coeffs[v] * ginv for v in VARS},
-                           m.beta.const * ginv)
+            alpha2 = {v: g * m.alpha[v] for v in VARS}
+            beta2 = {v: m.beta[v] * ginv for v in VARS}
             d2 = normalize_monad(alpha2, beta2)
             pair = find_intertwiner(d2, d, seed=seed)
             assert pair is not None
@@ -380,23 +374,16 @@ class TestNormalize:
         # alpha = (z, w, 0, 0)^T, beta = (-w, z, x, y): a monad, but the x/y
         # coefficient blocks do not pair invertibly
         zero41 = Matrix.zero(4, 1, Z)
-        alpha = Pencil(VARS, {"x": zero41, "y": zero41,
-                              "z": gm([[1], [0], [0], [0]]),
-                              "w": gm([[0], [1], [0], [0]])}, zero41)
-        beta = Pencil(VARS, {"x": gm([[0, 0, 1, 0]]),
-                             "y": gm([[0, 0, 0, 1]]),
-                             "z": gm([[0, 1, 0, 0]]),
-                             "w": gm([[-1, 0, 0, 0]])},
-                      Matrix.zero(1, 4, Z))
+        alpha = {"x": zero41, "y": zero41, "z": gm([[1], [0], [0], [0]]),
+                 "w": gm([[0], [1], [0], [0]])}
+        beta = {"x": gm([[0, 0, 1, 0]]), "y": gm([[0, 0, 0, 1]]),
+                "z": gm([[0, 1, 0, 0]]), "w": gm([[-1, 0, 0, 0]])}
         with pytest.raises(MonadError, match="degenerate at infinity"):
             normalize_monad(alpha, beta)
 
     def test_non_monad_rejected(self):
         m = build_monad(stable_not_semiregular())
-        alpha = Pencil(VARS, {"x": gm([[1], [1], [0], [0]]),
-                              "y": m.alpha.coeffs["y"],
-                              "z": m.alpha.coeffs["z"],
-                              "w": m.alpha.coeffs["w"]}, m.alpha.const)
+        alpha = {**m.alpha, "x": gm([[1], [1], [0], [0]])}
         with pytest.raises(MonadError, match="not a monad"):
             normalize_monad(alpha, m.beta)
 
@@ -407,10 +394,8 @@ class TestNormalize:
         rng = random.Random(3)
         g = random_invertible(2 * d.c + d.r, rng)
         ginv = g.solve(Matrix.identity(2 * d.c + d.r, ONE, Z))
-        alpha2 = Pencil(VARS, {v: g * m.alpha.coeffs[v] for v in VARS},
-                        g * m.alpha.const)
-        beta2 = Pencil(VARS, {v: m.beta.coeffs[v] * ginv for v in VARS},
-                       m.beta.const * ginv)
+        alpha2 = {v: g * m.alpha[v] for v in VARS}
+        beta2 = {v: m.beta[v] * ginv for v in VARS}
         assert is_complex_solution(normalize_monad(alpha2, beta2))
 
 

@@ -2,7 +2,8 @@
 inside functions), no dead helpers, no public name or method that only the
 tests use, no stale ``__all__`` entries, no floating-point numbers, no
 module-level ``fractions`` import outside an allowlist, no command option
-that its handler never reads.
+that its handler never reads, no handler in the command modules that only
+relabels an error as a ``CLIError``.
 
 They read the modules with the standard-library ``ast`` parser; only the
 ``__all__`` entries that a module binds on first read, through a module
@@ -109,6 +110,26 @@ def test_every_private_function_is_referenced():
                 if everywhere[node.name] - inside[node.name] <= 0:
                     dead.append(f"{name}:{node.lineno} {node.name}")
     assert not dead, f"private functions nothing references: {dead}"
+
+
+def relabelling_handlers(tree):
+    """Line of each ``except ... as exc`` whose whole body is ``raise
+    CLIError(str(exc))``, with or without ``from``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ExceptHandler) and node.name
+                and len(node.body) == 1
+                and isinstance(node.body[0], ast.Raise)):
+            relabel = ast.parse(f"CLIError(str({node.name}))", mode="eval")
+            if ast.dump(node.body[0].exc) == ast.dump(relabel.body):
+                yield node.lineno
+
+
+def test_no_handler_only_relabels_a_refusal():
+    # cli.run reports every ValueError as a CLIError with its message, so a
+    # handler that re-raises the message alone adds nothing
+    found = [f"{name}:{line}" for name, tree in parse_modules().items()
+             if name.startswith("cli") for line in relabelling_handlers(tree)]
+    assert not found, f"handlers that only relabel an error: {found}"
 
 
 # Public names that nothing in src/ uses, each with the reason it stays.

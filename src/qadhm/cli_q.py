@@ -59,6 +59,8 @@ def _check_harmonic_caps(args):
 def _cmd_q_harmonic(args):
     if args.k < 0:
         raise CLIError("-k (the det power) must be nonnegative")
+    if args.l < 0:
+        raise CLIError("-l (twice l) must be nonnegative")
     _check_harmonic_caps(args)
     from .qcalculus import derive_table, laplacian
     from .qspacetime import HarmonicIndex, basis_element
@@ -120,7 +122,9 @@ def _cmd_q_penrose(args):
     pairs = []
     for item in items:
         try:
-            exps = tuple(int(e) for e in item["exponents"])
+            exps = tuple(item["exponents"])
+            if any(type(e) is not int for e in exps):
+                raise TypeError("exponents must be integers")
             coeff = parse_gauss(str(item.get("coeff", "1")))
         except (KeyError, TypeError, ValueError) as exc:
             raise CLIError(f"bad cocycle item {item!r}: {exc}") from exc

@@ -21,9 +21,10 @@ class ADHMError(ValueError):
 
 
 def _scalar(x):
+    """An input entry as a GaussRational; a JSON boolean is refused."""
     if isinstance(x, str):
         return parse_gauss(x)
-    g = _as_gauss(x)
+    g = NotImplemented if isinstance(x, bool) else _as_gauss(x)
     if g is NotImplemented:
         raise ADHMError(f"cannot coerce {x!r} to a Gaussian rational")
     return g

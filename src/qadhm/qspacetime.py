@@ -17,13 +17,14 @@ normal forms from the right, and ``apply_rule`` substitutes a rule's
 wedge words through the same two functions, and its dx-x crossings through
 the engine's ``split_first``, ``add_to`` and chart-I products.
 
-Harmonic polynomials are produced by the residue formula
+Harmonic polynomials are given by the residue formula
 
     X^l_{m,n} = coefficient of s^(l-n) in (x11 s + x21)^(l-m) (x12 s + x22)^(l+m)
 
 with l in (1/2)Z+, m the exponent-splitting index, n the residue index
-(indices are stored doubled so everything stays integral).  Out-of-range
-indices (|m| > l or |n| > l) denote the zero element.
+(indices are stored doubled so everything stays integral), and computed from
+its q-binomial closed form.  Out-of-range indices (|m| > l or |n| > l)
+denote the zero element.
 """
 
 from functools import cache
@@ -407,50 +408,39 @@ class HarmonicIndex(Immutable):
         return s
 
 
-def _pencil_power(gen_s, gen_c, n, chart):
-    """(gen_s*s + gen_c)^n as a list of NCPoly coefficients of s^0..s^n."""
-    a = NCPoly.gen(chart, gen_s)
-    b = NCPoly.gen(chart, gen_c)
-    acc = [NCPoly.one(chart)]
-    for _ in range(n):
-        nxt = []
-        for r in range(len(acc) + 1):
-            t = NCPoly.zero(chart)
-            if r - 1 >= 0:
-                t = t + a * acc[r - 1]
-            if r < len(acc):
-                t = t + b * acc[r]
-            nxt.append(t)
-        acc = nxt
-    return acc
-
-
-def _residue(idx, name, chart, pair1, pair2, two_p, two_t):
-    """Coefficient of s^(l-t) in (a1 s + b1)^(l-p) (a2 s + b2)^(l+p) for
-    the generator pairs (a1, b1), (a2, b2) of the chart; p and t are the
-    halves of two_p and two_t.  Out-of-range indices give 0; needs k = 0."""
-    if idx.k != 0:
-        raise ValueError(f"{name}() expects k = 0")
-    if not idx.in_range():
-        return NCPoly.zero(chart)
-    first = _pencil_power(*pair1, (idx.two_l - two_p) // 2, chart)
-    second = _pencil_power(*pair2, (idx.two_l + two_p) // 2, chart)
-    target = (idx.two_l - two_t) // 2
-    acc = NCPoly.zero(chart)
-    for r1 in range(len(first)):
-        r2 = target - r1
-        if 0 <= r2 < len(second):
-            acc = acc + first[r1] * second[r2]
-    return acc
+@cache
+def _gauss_row(n):
+    """The Gaussian binomials [n, 0..n] in q^2, by the q-Pascal rule
+    [n, k] = [n-1, k-1] + q^(2k) [n-1, k]."""
+    if n == 0:
+        return (_ONE,)
+    prev = _gauss_row(n - 1)
+    return (_ONE, *(prev[k - 1] + prev[k].shift(2 * k) for k in range(1, n)),
+            _ONE)
 
 
 def harmonic(idx: HarmonicIndex) -> NCPoly:
     """X^l_{m,n}: coefficient of s^(l-n) in (x11 s + x21)^(l-m) (x12 s + x22)^(l+m).
 
+    As x21 x11 = q^2 x11 x21, x22 x12 = q^2 x12 x22 and x21 x12 = q^2 x12 x21,
+    the q-binomial theorem gives, with a = l-m, b = l+m and t = l-n,
+
+        sum over r1 + r2 = t of [a, r1] [b, r2] q^(2(a-r1)r2)
+            x11^r1 x12^r2 x21^(a-r1) x22^(b-r2).
+
     Out-of-range indices give 0.  Requires k = 0 (use basis_element for k > 0).
     """
-    return _residue(idx, "harmonic", "I", ("x11", "x21"), ("x12", "x22"),
-                    idx.two_m, idx.two_n)
+    if idx.k != 0:
+        raise ValueError("harmonic() expects k = 0")
+    if not idx.in_range():
+        return NCPoly.zero("I")
+    a, b = (idx.two_l - idx.two_m) // 2, (idx.two_l + idx.two_m) // 2
+    t = (idx.two_l - idx.two_n) // 2
+    row_a, row_b = _gauss_row(a), _gauss_row(b)
+    return NCPoly("I", {
+        (r1, t - r1, a - r1, b - t + r1):
+            (row_a[r1] * row_b[t - r1]).shift(2 * (a - r1) * (t - r1))
+        for r1 in range(max(0, t - b), min(a, t) + 1)})
 
 
 def basis_element(idx: HarmonicIndex) -> NCPoly:

@@ -4,7 +4,8 @@ They live here rather than in ``src/qadhm`` so that no command compiles
 them.  The generators are deterministic in their seed, like
 ``adhm.random_stable_solution`` (which ``adhm random`` runs) and
 ``adhm.random_nonstable_solution`` (which the benchmark uses).  The slice
-echelons over Q(i)(q) at the end are the oracle of ``slices.slice_verdict``.
+echelons over Q(i)(q) at the end are the oracle of ``slices.slice_verdict``,
+and the pencil expansion before them that of the harmonic closed forms.
 The paper statements that only the tests check are in ``statements.py``.
 """
 
@@ -19,6 +20,7 @@ from qadhm.exactcore import Matrix, random_gauss
 from qadhm.krylov import _closure_basis
 from qadhm.qinstanton import (QInstantonError, _monomials_upto, _slice_rows,
                               build_q_ops, truncated_matrix)
+from qadhm.qspacetime import NCPoly
 from qadhm.real import real_residuals
 from qadhm.scalars import _QL_ONE, GaussRational, QLaurent, _as_gauss, _gauss
 
@@ -317,6 +319,55 @@ def qrat_as_qlaurent(r):
         return r.num / r.den
     except ValueError:
         raise ValueError(f"{r} is not a Laurent polynomial") from None
+
+
+# ---------------------------------------------------------------------------
+# the pencil expansion: the oracle of the harmonic closed forms
+# ---------------------------------------------------------------------------
+
+def pencil_power(gen_s, gen_c, n, chart):
+    """(gen_s*s + gen_c)^n as a list of NCPoly coefficients of s^0..s^n,
+    multiplied out one factor at a time through the chart's engine."""
+    a = NCPoly.gen(chart, gen_s)
+    b = NCPoly.gen(chart, gen_c)
+    acc = [NCPoly.one(chart)]
+    for _ in range(n):
+        nxt = []
+        for r in range(len(acc) + 1):
+            t = NCPoly.zero(chart)
+            if r - 1 >= 0:
+                t = t + a * acc[r - 1]
+            if r < len(acc):
+                t = t + b * acc[r]
+            nxt.append(t)
+        acc = nxt
+    return acc
+
+
+def pencil_residue(idx, chart, pair1, pair2, two_p, two_t):
+    """Coefficient of s^(l-t) in (a1 s + b1)^(l-p) (a2 s + b2)^(l+p) for
+    the generator pairs (a1, b1), (a2, b2) of the chart, expanded and
+    multiplied through the chart's engine; p and t are the halves of two_p
+    and two_t.  Out-of-range indices give 0; needs k = 0."""
+    if idx.k != 0:
+        raise ValueError("the pencil residue expects k = 0")
+    if not idx.in_range():
+        return NCPoly.zero(chart)
+    first = pencil_power(*pair1, (idx.two_l - two_p) // 2, chart)
+    second = pencil_power(*pair2, (idx.two_l + two_p) // 2, chart)
+    target = (idx.two_l - two_t) // 2
+    acc = NCPoly.zero(chart)
+    for r1 in range(len(first)):
+        r2 = target - r1
+        if 0 <= r2 < len(second):
+            acc = acc + first[r1] * second[r2]
+    return acc
+
+
+def harmonic_by_pencils(idx):
+    """X^l_{m,n} as the engine expands it: the oracle of harmonic()."""
+    return pencil_residue(idx, "I", ("x11", "x21"), ("x12", "x22"),
+                          idx.two_m, idx.two_n)
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,12 @@ from qadhm.qforms import NCForm, d as exterior_d
 from qadhm.qinstanton import (QInstantonError, _bars, _monomials_upto,
                               build_q_ops, truncated_matrix)
 from qadhm.qspacetime import (HarmonicIndex, NCPoly, X_NAMES, Y_NAMES,
-                              _residue, add_to, basis_element, det_x, engine,
+                              add_to, basis_element, det_x, engine,
                               harmonic, monomials_of_degree)
 from qadhm.scalars import GaussRational, QLaurent, qint
 
-from helpers import (is_real_solution, pencil_scalar, qrat_as_qlaurent,
-                     small_gauss, submatrix)
+from helpers import (is_real_solution, pencil_residue, pencil_scalar,
+                     qrat_as_qlaurent, small_gauss, submatrix)
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
@@ -405,8 +405,8 @@ def det_mult_rank(d) -> bool:
 
 def harmonic_Y(idx: HarmonicIndex) -> NCPoly:
     """Y^l_{m,n}: coefficient of t^(l-m) in (y11 t + y12)^(l-n) (y21 t + y22)^(l+n)."""
-    return _residue(idx, "harmonic_Y", "J", ("y11", "y12"), ("y21", "y22"),
-                    idx.two_n, idx.two_m)
+    return pencil_residue(idx, "J", ("y11", "y12"), ("y21", "y22"),
+                          idx.two_n, idx.two_m)
 
 
 def basis_indices_for_degree(d):

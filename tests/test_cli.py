@@ -483,6 +483,17 @@ class TestQCommands:
         f = write_json(tmp_path / "e.json", {"cocycle": []})
         assert invoke(["q", "penrose", f], capsys)[0] == 2
 
+    @pytest.mark.parametrize("first", [1.9, True, "1"], ids=repr)
+    def test_penrose_refuses_non_integer_exponents(self, first, tmp_path,
+                                                   capsys):
+        # int() read each of these as 1: the command ran on [1, 0, -1, -2]
+        item = {"exponents": [first, 0, -1, -2], "coeff": "1"}
+        f = write_json(tmp_path / "c.json", {"cocycle": [item]})
+        err = _error(["q", "penrose", f], capsys)
+        assert err["type"] == "CLIError"
+        assert err["message"].startswith("bad cocycle item")
+        assert "exponents must be integers" in err["message"]
+
     def test_a_zero_denominator_is_a_schema_error(self, tmp_path, capsys):
         f = write_json(tmp_path / "c.json", {"cocycle": [
             {"exponents": [1, 0, -2, -1], "coeff": "1/0"}]})
@@ -662,6 +673,14 @@ class TestResourceCaps:
         assert not {"qadhm.scalars", "qadhm.qspacetime",
                     "qadhm.qcalculus"} & set(rep["new"])
 
+    def test_harmonic_refuses_a_negative_l(self, capsys):
+        # the refusal names the option, not the library's two_l field
+        for l in (-2, -1):
+            assert _error(["q", "harmonic", "-l", str(l), "-m", "0",
+                           "-n", "0"], capsys) == {
+                "type": "CLIError",
+                "message": "-l (twice l) must be nonnegative"}
+
     @pytest.mark.parametrize("argv", [["adhm", "check"], ["monad", "build"],
                                       ["q", "penrose"]], ids=" ".join)
     def test_deeply_nested_json_is_a_schema_error(self, argv, tmp_path,
@@ -772,6 +791,21 @@ class TestDatumSizeGuard:
         assert json.loads(out)["error"] == {
             "type": "CLIError",
             "message": f"{f}: {field} must be an integer, not a boolean"}
+
+    @pytest.mark.parametrize("datum,block", [
+        (random_stable_solution(2, 1, 4), "B11"),
+        (RealADHMDatum(1, 1, [[0]], [[0]], [[0]], [[0]]), "B1"),
+    ], ids=["complex", "real"])
+    def test_a_boolean_entry_is_refused(self, datum, block, tmp_path,
+                                        capsys):
+        # a JSON true entry was read as 1
+        obj = datum.to_json()
+        obj[block] = [[True]]
+        f = write_json(tmp_path / "d.json", obj)
+        assert _error(["adhm", "check", f], capsys) == {
+            "type": "CLIError",
+            "message": f"{f}: {block} must be a 1x1 matrix: cannot coerce "
+                       "True to a Gaussian rational"}
 
     def test_a_datum_that_is_no_object_is_an_error(self, tmp_path, capsys):
         f = write_json(tmp_path / "list.json", [1, 2])

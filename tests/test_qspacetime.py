@@ -13,7 +13,7 @@ from qadhm.qspacetime import (HarmonicIndex, NCPoly, X_NAMES, Y_NAMES,
 from qadhm.echelon import QRat
 from qadhm.scalars import GaussRational, QLaurent
 
-from helpers import ncpoly_q1, qbinom, qfact
+from helpers import harmonic_by_pencils, ncpoly_q1, qbinom, qfact
 from statements import (basis_independence, basis_indices_for_degree,
                         det_commutators, det_mult_rank, dimension_of_degree,
                         harmonic_Y, oast_check, y_mono_to_x)
@@ -468,6 +468,75 @@ class TestHarmonic:
                     idx = HarmonicIndex(two_l, two_m, two_n)
                     lam = proportional_scalar(b9_sum(idx), harmonic(idx))
                     assert lam is not None and lam != QRat.zero()
+
+
+def indices_upto(max_two_l):
+    """Every index with 2l <= max_two_l, and the out-of-range ring
+    |m| or |n| = l + 1 around each level."""
+    for two_l in range(max_two_l + 1):
+        for two_m in range(-two_l - 2, two_l + 3, 2):
+            for two_n in range(-two_l - 2, two_l + 3, 2):
+                yield HarmonicIndex(two_l, two_m, two_n)
+
+
+def sampled_indices(two_l, seed):
+    """Four in-range indices at level two_l, drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    return [HarmonicIndex(two_l, rng.randrange(-two_l, two_l + 1, 2),
+                          rng.randrange(-two_l, two_l + 1, 2))
+            for _ in range(4)]
+
+
+def harmonic_Y_closed(idx):
+    """Y^l_{m,n} by the q-binomial theorem: y12 y11 = q^2 y11 y12 and
+    y22 y21 = q^2 y21 y22 give, with a = l-n and b = l+n,
+
+        sum over r1 + r2 = l-m of [a, r1] [b, r2]
+            y11^r1 y12^(a-r1) y21^r2 y22^(b-r2),
+
+    whose monomials are already ordered, so no cross power of q appears."""
+    if not idx.in_range():
+        return NCPoly.zero("J")
+    a = (idx.two_l - idx.two_n) // 2
+    b = (idx.two_l + idx.two_n) // 2
+    target = (idx.two_l - idx.two_m) // 2
+    return NCPoly("J", {
+        (r1, a - r1, target - r1, b - target + r1):
+            qbinom(a, r1) * qbinom(b, target - r1)
+        for r1 in range(max(0, target - b), min(a, target) + 1)})
+
+
+def det_power_closed(k):
+    """det(x)^k = sum_b (-1)^b q^(b(b-1)) [k, b] x11^(k-b) x12^b x21^b x22^(k-b)."""
+    return NCPoly("I", {(k - b, b, b, k - b):
+                        qbinom(k, b).shift(b * (b - 1)) * (-1) ** b
+                        for b in range(k + 1)})
+
+
+class TestClosedForms:
+    """The q-binomial closed forms against the pencil expansion through the
+    rewrite engine.  A full sweep of 2l <= 16 takes about 7 s per chart, so
+    the sweep stops at 2l = 10 and seeded samples cover 2l = 16 and 32."""
+
+    def test_harmonic_sweep(self):
+        for idx in indices_upto(10):
+            assert harmonic(idx) == harmonic_by_pencils(idx), idx
+
+    def test_chart_j_sweep(self):
+        for idx in indices_upto(10):
+            assert harmonic_Y_closed(idx) == harmonic_Y(idx), idx
+
+    @pytest.mark.parametrize("two_l", [16, 32])
+    def test_seeded_samples(self, two_l):
+        for idx in sampled_indices(two_l, 1901 + two_l):
+            assert harmonic(idx) == harmonic_by_pencils(idx), idx
+            assert harmonic_Y_closed(idx) == harmonic_Y(idx), idx
+
+    def test_det_powers(self):
+        power = NCPoly.one("I")
+        for k in range(9):
+            assert det_power_closed(k) == power, k
+            power = det_x() * power
 
 
 class TestHarmonicY:

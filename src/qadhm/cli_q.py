@@ -62,6 +62,8 @@ def _cmd_q_harmonic(args):
     if args.l < 0:
         raise CLIError("-l (twice l) must be nonnegative")
     _check_harmonic_caps(args)
+    if (args.m - args.l) % 2 or (args.n - args.l) % 2:
+        raise CLIError("-m and -n (twice m and n) must have the parity of -l")
     from .qcalculus import derive_table, laplacian
     from .qspacetime import HarmonicIndex, basis_element
     idx = HarmonicIndex(args.l, args.m, args.n, args.k)

@@ -17,7 +17,7 @@ __all__ = [
 
 
 class ADHMError(ValueError):
-    """Shape errors, unmet preconditions, and rejected inputs."""
+    """Every refused input: bad shapes, unmet preconditions, non-solutions."""
 
 
 def _scalar(x):
@@ -111,14 +111,14 @@ class ComplexADHMDatum(_Datum):
                 self.i1.scale(z0) + self.i2.scale(w0),
                 self.j1.scale(z0) + self.j2.scale(w0))
 
-    def require_solution(self, error):
-        """Raise ``error`` naming the nonzero residuals, unless the datum
+    def require_solution(self):
+        """Raise ADHMError naming the nonzero residuals, unless the datum
         solves the equations."""
         bad = [k + 1 for k, m in enumerate(complex_residuals(self))
                if not m.is_zero()]
         if bad:
-            raise error("datum does not solve the equations: residual(s) "
-                        f"{bad} nonzero")
+            raise ADHMError("datum does not solve the equations: "
+                            f"residual(s) {bad} nonzero")
 
 
 class RealADHMDatum(_Datum):

@@ -34,11 +34,12 @@ The Chern characters and Euler characteristics of the twists of the sheaf
 need no matrix; they are in ``chern``.
 """
 
+from .datum import ADHMError
 from .exactcore import Matrix
 from .scalars import GaussRational, Immutable
 
 __all__ = [
-    "MonadError", "Monad", "SheafClassification", "VARS", "monad_pencils",
+    "Monad", "SheafClassification", "VARS", "monad_pencils",
     "product_coefficients", "build_monad", "check_exactness_at",
     "classify_sheaf",
 ]
@@ -47,10 +48,6 @@ VARS = ("x", "y", "z", "w")
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
-
-
-class MonadError(ValueError):
-    """Malformed pencils, non-solutions, and degenerate normalizations."""
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +108,14 @@ class Monad(Immutable):
     def __init__(self, r, c, alpha, beta):
         n = 2 * c + r
         if {(m.rows, m.cols) for m in alpha.values()} != {(n, c)}:
-            raise MonadError(f"alpha must be {n}x{c}")
+            raise ADHMError(f"alpha must be {n}x{c}")
         if {(m.rows, m.cols) for m in beta.values()} != {(c, n)}:
-            raise MonadError(f"beta must be {c}x{n}")
+            raise ADHMError(f"beta must be {c}x{n}")
         bad = [uv for uv, m in product_coefficients(beta, alpha).items()
                if not m.is_zero()]
         if bad:
-            raise MonadError(f"not a monad: beta*alpha has nonzero "
-                             f"coefficients at {bad}")
+            raise ADHMError(f"not a monad: beta*alpha has nonzero "
+                            f"coefficients at {bad}")
         for name, value in zip(self.__slots__, (r, c, alpha, beta)):
             object.__setattr__(self, name, value)
 
@@ -133,7 +130,7 @@ class Monad(Immutable):
 def build_monad(d):
     """Monad of a solution datum; rejects non-solutions, reporting which of
     the three residuals are nonzero."""
-    d.require_solution(MonadError)
+    d.require_solution()
     alpha, beta = monad_pencils(d)
     return Monad(d.r, d.c, alpha, beta)
 
@@ -147,7 +144,7 @@ def check_exactness_at(m, point):
     fiber_dim = (2c+r) - rank alpha_X - rank beta_X."""
     point = tuple(point)
     if len(point) != 4 or not any(point):
-        raise MonadError("point must have four coordinates, not all zero")
+        raise ADHMError("point must have four coordinates, not all zero")
     x, y, z, w = point
     ra, rb = ((p["x"].scale(x) + p["y"].scale(y) + p["z"].scale(z)
                + p["w"].scale(w)).rank() for p in (m.alpha, m.beta))
@@ -172,15 +169,15 @@ class SheafClassification(Immutable):
 
     def __init__(self, kind, over=(), over_factors=()):
         if kind not in _LOCUS_DIMENSION:
-            raise MonadError(f"unknown kind {kind!r}")
+            raise ADHMError(f"unknown kind {kind!r}")
         if (over is None) != (kind == "torsion_free"):
-            raise MonadError("the singular locus of a torsion-free sheaf, "
-                             "and only of one, lies over every [z:w]")
+            raise ADHMError("the singular locus of a torsion-free sheaf, "
+                            "and only of one, lies over every [z:w]")
         if kind == "locally_free" and (over or over_factors):
-            raise MonadError("locally free sheaves have no singular points")
+            raise ADHMError("locally free sheaves have no singular points")
         if kind == "reflexive" and not (over or over_factors):
-            raise MonadError("a reflexive sheaf that is not locally free "
-                             "has singular points")
+            raise ADHMError("a reflexive sheaf that is not locally free "
+                            "has singular points")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "over", None if over is None else list(over))
         object.__setattr__(self, "over_factors", list(over_factors))
@@ -208,11 +205,11 @@ def classify_sheaf(d):
     that is stable everywhere, both read off ``adhm.classify`` (see the
     module docstring); other data are rejected."""
     from .adhm import classify
-    d.require_solution(MonadError)
+    d.require_solution()
     rep = classify(d)
     if not rep.stable_everywhere:
-        raise MonadError("datum is not stable everywhere: no sheaf to "
-                         "classify")
+        raise ADHMError("datum is not stable everywhere: no sheaf to "
+                        "classify")
     if rep.regular:
         return SheafClassification("locally_free")
     if rep.semiregular:

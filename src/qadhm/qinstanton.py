@@ -27,22 +27,17 @@ the matrix equations.  On top of that this module provides:
   of adopting either claim.
 """
 
-from .datum import is_complex_solution
+from .datum import ADHMError, is_complex_solution
 from .exactcore import Matrix
 from .qspacetime import NCPoly, X_NAMES, Y_NAMES, monomials_of_degree
 from .scalars import QLaurent
 
 __all__ = [
-    "QInstantonError", "build_q_ops", "scalar_operator",
-    "identity_products", "ids_report", "truncated_matrix", "curvature_asd",
-    "curvature_report_json",
+    "build_q_ops", "scalar_operator", "identity_products", "ids_report",
+    "truncated_matrix", "curvature_asd", "curvature_report_json",
 ]
 
 _ZMONO = (0, 0, 0, 0)
-
-
-class QInstantonError(ValueError):
-    """Invalid datum, parameters or degree caps for the operator checks."""
 
 
 def scalar_operator(m, chart="I"):
@@ -80,7 +75,7 @@ def build_q_ops(d, chart="I"):
         b1 = [(-d.B12, y12, -1), (d.B11, y22, -1)]
         b2 = [(-d.B22, y11, 1), (d.B21, y21, 1)]
     else:
-        raise QInstantonError(f"unknown chart {chart!r}")
+        raise ADHMError(f"unknown chart {chart!r}")
 
     def op(stack, shifted, const):
         return stack([_shifted_block(chart, *blk) for blk in shifted]
@@ -121,7 +116,7 @@ def ids_report(d, chart="I"):
 
 def _monomials_upto(dmax):
     if dmax < 0:
-        raise QInstantonError("degree cap must be nonnegative")
+        raise ADHMError("degree cap must be nonnegative")
     return [m for deg in range(dmax + 1) for m in monomials_of_degree(deg)]
 
 
@@ -214,7 +209,7 @@ def curvature_asd(d, p_choice="q"):
     solution."""
     from .qcalculus import derive_table
     from .qforms import NCForm, asd_membership, d as exterior_d
-    d.require_solution(QInstantonError)
+    d.require_solution()
     table = derive_table(p_choice)
 
     def dform(p):
@@ -236,7 +231,7 @@ def curvature_asd(d, p_choice="q"):
                 for j in range(bounds[b], bounds[b + 1]):
                     want = scalar if i - bounds[a] == j - bounds[b] else zero
                     if prod[i, j] != want:
-                        raise QInstantonError(
+                        raise ADHMError(
                             "curvature product is not block-scalar")
             brow.append(scalar)
         blocks.append(brow)

@@ -267,18 +267,6 @@ class NCPoly(SparseTerms):
             return NotImplemented
         return self.scale(c)
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("NCPoly power needs n >= 0")
-        out = NCPoly.one(self.chart)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- structure -----------------------------------------------------------
 
     def degree(self):

@@ -421,18 +421,6 @@ class QLaurent(Immutable):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("QLaurent power needs n >= 0")
-        out = _QL_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __truediv__(self, other):
         """Exact division; raises ValueError when the quotient is not Laurent."""
         if not isinstance(other, QLaurent):

@@ -18,8 +18,8 @@ from qadhm.datum import (ADHMError, ComplexADHMDatum, RealADHMDatum,
 from qadhm.echelon import _as_qrat, _echelon
 from qadhm.exactcore import Matrix, random_gauss
 from qadhm.krylov import _closure_basis
-from qadhm.qinstanton import (QInstantonError, _monomials_upto, _slice_rows,
-                              build_q_ops, truncated_matrix)
+from qadhm.qinstanton import (_monomials_upto, _slice_rows, build_q_ops,
+                              truncated_matrix)
 from qadhm.qspacetime import NCPoly
 from qadhm.real import real_residuals
 from qadhm.scalars import _QL_ONE, GaussRational, QLaurent, _as_gauss, _gauss
@@ -53,7 +53,7 @@ def pencil_scalar(v):
     """v as a Gaussian rational, for the pencil parameters P and Q."""
     g = _as_gauss(v)
     if g is NotImplemented:
-        raise QInstantonError(
+        raise ADHMError(
             "pencil parameters must be exact rational scalars")
     return g
 
@@ -300,6 +300,14 @@ def qbinom(n: int, r: int) -> QLaurent:
     return row[r]
 
 
+def ncpoly_power(p, n):
+    """p^n (n >= 0), multiplied out one factor at a time."""
+    out = NCPoly.one(p.chart)
+    for _ in range(n):
+        out = out * p
+    return out
+
+
 def ql_evaluate(f: QLaurent, q0: GaussRational) -> GaussRational:
     """The value of the Laurent polynomial f at q = q0."""
     return sum((c * q0 ** e for e, c in f.terms.items()), _ZERO)
@@ -427,7 +435,7 @@ def slice_rank_grid(d, points, dmax, chart="I"):
     slice rows of beta_1 and beta_2 built once for all points."""
     points = [tuple(pencil_scalar(v) for v in P) for P in points]
     if any(not p1 and not p2 for p1, p2 in points):
-        raise QInstantonError("pencil parameters must not both vanish")
+        raise ADHMError("pencil parameters must not both vanish")
     n = len(_monomials_upto(dmax))
     _, _, b1, b2 = build_q_ops(d, chart)
     zero = QLaurent.zero()
@@ -478,7 +486,7 @@ def alpha_slice_report(d, Q, dmax, chart="I"):
     is the exact sparse echelon rank over the rational function field."""
     q1, q2 = (pencil_scalar(v) for v in Q)
     if not q1 and not q2:
-        raise QInstantonError("pencil parameters must not both vanish")
+        raise ADHMError("pencil parameters must not both vanish")
     a1, a2, b1, b2 = build_q_ops(d, chart)
     aq = a1.scale(q1) + a2.scale(q2)
     mat = truncated_matrix(aq, dmax, dmax + 1)

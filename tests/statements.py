@@ -21,13 +21,12 @@ from qadhm.datum import ADHMError, ComplexADHMDatum, is_complex_solution
 from qadhm.echelon import QRat
 from qadhm.exactcore import Matrix
 from qadhm.krylov import is_stable
-from qadhm.monad import (VARS, MonadError, _unit_column_block,
-                         product_coefficients)
+from qadhm.monad import VARS, _unit_column_block, product_coefficients
 from qadhm.qcalculus import (CalculusError, P_EXPONENTS, derive_table,
                              eigenvalue_tilde, partials)
 from qadhm.qforms import NCForm, d as exterior_d
-from qadhm.qinstanton import (QInstantonError, _bars, _monomials_upto,
-                              build_q_ops, truncated_matrix)
+from qadhm.qinstanton import (_bars, _monomials_upto, build_q_ops,
+                              truncated_matrix)
 from qadhm.qspacetime import (HarmonicIndex, NCPoly, X_NAMES, Y_NAMES,
                               add_to, basis_element, det_x, engine,
                               harmonic, monomials_of_degree)
@@ -84,30 +83,30 @@ def normalize_monad(alpha, beta):
     n = beta["x"].cols
     r = n - 2 * c
     if r < 1 or (alpha["x"].rows, alpha["x"].cols) != (n, c):
-        raise MonadError("pencil shapes are not of monad type")
+        raise ADHMError("pencil shapes are not of monad type")
     bad = [uv for uv, m in product_coefficients(beta, alpha).items()
            if not m.is_zero()]
     if bad:
-        raise MonadError(f"not a monad: beta*alpha has nonzero "
-                         f"coefficients at {bad}")
+        raise ADHMError(f"not a monad: beta*alpha has nonzero "
+                        f"coefficients at {bad}")
 
     a1, a2 = alpha["x"], alpha["y"]
     b1, b2 = beta["x"], beta["y"]
     ident_c = Matrix.identity(c, _ONE, _ZERO)
     h = (b1 * a2).solve(ident_c)
     if h is None:
-        raise MonadError("degenerate at infinity: beta_1*alpha_2 is "
-                         "singular")
+        raise ADHMError("degenerate at infinity: beta_1*alpha_2 is "
+                        "singular")
     wbasis = Matrix.vstack([b1, b2]).kernel()
     if wbasis.cols != r:
-        raise MonadError("degenerate at infinity: the common kernel of "
-                         f"beta_1, beta_2 has dimension {wbasis.cols}, "
-                         f"expected {r}")
+        raise ADHMError("degenerate at infinity: the common kernel of "
+                        f"beta_1, beta_2 has dimension {wbasis.cols}, "
+                        f"expected {r}")
     t = Matrix.hstack([a1, a2, wbasis])
     tinv = t.solve(Matrix.identity(n, _ONE, _ZERO))
     if tinv is None:
-        raise MonadError("degenerate at infinity: [alpha_1 | alpha_2 | W] "
-                         "is singular")
+        raise ADHMError("degenerate at infinity: [alpha_1 | alpha_2 | W] "
+                        "is singular")
 
     anew = {v: tinv * alpha[v] for v in VARS}
     bnew = {v: h * beta[v] * t for v in VARS}
@@ -671,14 +670,14 @@ def beta_p_alpha_q(d, P, Q, chart="I"):
     p1, p2 = (pencil_scalar(v) for v in P)
     q1, q2 = (pencil_scalar(v) for v in Q)
     if (not p1 and not p2) or (not q1 and not q2):
-        raise QInstantonError("pencil parameters must not both vanish")
+        raise ADHMError("pencil parameters must not both vanish")
     if not is_complex_solution(d):
-        raise QInstantonError("pencil products collapse only for solutions")
+        raise ADHMError("pencil products collapse only for solutions")
     a1, a2, b1, b2 = build_q_ops(d, chart)
     prod = (b1.scale(p1) + b2.scale(p2)) * (a1.scale(q1) + a2.scale(q2))
     factor = p1 * q2 - p2 * q1
     if prod != (b1 * a2).scale(factor):
-        raise QInstantonError("pencil product failed to collapse")
+        raise ADHMError("pencil product failed to collapse")
     return prod
 
 
@@ -730,7 +729,7 @@ def kernel_slice_basis(d, dmax, chart="I"):
                 if c:
                     cleared = c * scale
                     if cleared.den != one:
-                        raise QInstantonError(
+                        raise ADHMError(
                             "failed to clear kernel denominators")
                     terms[mono] = cleared.num
             vec.append(NCPoly(chart, terms))
@@ -764,13 +763,13 @@ def chart_j_pattern(d):
                         diag = (i - bounds_r[a]) == (j - bounds_c[b])
                         if not diag or expect is None:
                             if not lin.is_zero():
-                                raise QInstantonError(
+                                raise ADHMError(
                                     "unexpected generator off the diagonal")
                             continue
                         name, sign = expect
                         gen = NCPoly.gen("J", name)
                         if lin != (gen if sign == 1 else gen.scale(sign)):
-                            raise QInstantonError(
+                            raise ADHMError(
                                 "chart-J generator pattern mismatch")
                         label = ("+" if sign == 1 else "-") + "d" + name
                 row.append(label)
@@ -789,11 +788,11 @@ def chart_j_pattern(d):
 def _as_zero_form(table, comp):
     if isinstance(comp, NCForm):
         if comp.degree != 0:
-            raise QInstantonError("projection input must have form degree 0")
+            raise ADHMError("projection input must have form degree 0")
         return comp
     if isinstance(comp, NCPoly):
         return NCForm.from_poly(table, comp)
-    raise QInstantonError("projection input must be chart-I polynomials")
+    raise ADHMError("projection input must be chart-I polynomials")
 
 
 def _flatten_form(form, monos, pos):
@@ -803,7 +802,7 @@ def _flatten_form(form, monos, pos):
     out = [QRat.zero()] * len(monos)
     for (word, mono), c in form.terms.items():
         if word != ():
-            raise QInstantonError("projection components must be 0-forms")
+            raise ADHMError("projection components must be 0-forms")
         k = pos.get(mono)
         if k is not None:
             out[k] = c
@@ -832,11 +831,11 @@ def projection_truncated(d, psi, dmax):
     coefficients."""
     rep = classify(d)
     if not rep.regular:
-        raise QInstantonError("projection requires a regular datum")
+        raise ADHMError("projection requires a regular datum")
     table = derive_table("q")
     comps = [_as_zero_form(table, c) for c in psi]
     if len(comps) != 2 * d.c + d.r:
-        raise QInstantonError("projection input has the wrong length")
+        raise ADHMError("projection input has the wrong length")
 
     a1, a2, b1, b2 = build_q_ops(d, "I")
     abar, bbar = _bars(a1, a2, b1, b2)
@@ -858,7 +857,7 @@ def projection_truncated(d, psi, dmax):
                    [[cols[v][k]] for v in range(d.c) for k in range(n)])
         sol = mat.solve(b)
         if sol is None:
-            raise QInstantonError(
+            raise ADHMError(
                 f"truncation insufficient: no degree <= {dmax} solution of "
                 "the kernel-projection solve; raise dmax")
         for v in range(d.c):
@@ -880,6 +879,6 @@ def projection_truncated(d, psi, dmax):
         check = sum((left_mul(out[j], bbar[v, j])
                      for j in range(bbar.cols)), NCForm(table, 0, {}))
         if any(sum(mono) <= dmax for (_, mono) in check.terms):
-            raise QInstantonError(
+            raise ADHMError(
                 "projection image left the kernel within the window")
     return out

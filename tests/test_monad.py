@@ -8,11 +8,11 @@ import pytest
 
 from qadhm.adhm import random_nonstable_solution, random_stable_solution
 from qadhm.real import embed_real
-from qadhm.datum import ComplexADHMDatum
+from qadhm.datum import ADHMError, ComplexADHMDatum
 from qadhm.exactcore import Matrix
-from qadhm.monad import (Monad, MonadError, SheafClassification, VARS,
-                         build_monad, check_exactness_at, classify_sheaf,
-                         monad_pencils, product_coefficients)
+from qadhm.monad import (Monad, SheafClassification, VARS, build_monad,
+                         check_exactness_at, classify_sheaf, monad_pencils,
+                         product_coefficients)
 from qadhm.chern import chi_line, chi_twist
 from qadhm.scalars import GaussRational
 
@@ -91,7 +91,7 @@ class TestBuildMonad:
         d = stable_not_semiregular()
         bad = ComplexADHMDatum(1, 2, d.B11, d.B12, d.B21, d.B22,
                                d.i1, d.i2, [[1], [0]], d.j2)
-        with pytest.raises(MonadError, match=r"residual\(s\) \[1\]"):
+        with pytest.raises(ADHMError, match=r"residual\(s\) \[1\]"):
             build_monad(bad)
 
     def test_product_vanishes_exactly_for_solutions(self):
@@ -123,15 +123,15 @@ class TestBuildMonad:
             bad = ComplexADHMDatum(1, 2, d.B11, d.B12, d.B21, d.B22,
                                    d.i1, d.i2, [[t], [0]], d.j2)
             alpha, beta = monad_pencils(bad)
-            with pytest.raises(MonadError, match="not a monad"):
+            with pytest.raises(ADHMError, match="not a monad"):
                 Monad(2, 1, alpha, beta)
 
     def test_constructor_checks_shapes(self):
         m = build_monad(stable_not_semiregular())
-        with pytest.raises(MonadError, match="alpha must be 6x2"):
+        with pytest.raises(ADHMError, match="alpha must be 6x2"):
             Monad(2, 2, m.alpha, m.beta)
         wide = {v: Matrix.hstack([b, b]) for v, b in m.beta.items()}
-        with pytest.raises(MonadError, match="beta must be 1x4"):
+        with pytest.raises(ADHMError, match="beta must be 1x4"):
             Monad(2, 1, m.alpha, wide)
 
 
@@ -155,7 +155,7 @@ class TestExactnessAt:
 
     def test_zero_point_rejected(self):
         m = build_monad(stable_not_semiregular())
-        with pytest.raises(MonadError, match="not all zero"):
+        with pytest.raises(ADHMError, match="not all zero"):
             check_exactness_at(m, point(0, 0, 0, 0))
 
     def test_integer_coordinates_accepted(self):
@@ -276,28 +276,28 @@ class TestClassifySheaf:
 
     def test_rejects_nonstable_data(self):
         d, _ = random_nonstable_solution(2, 2, 0)
-        with pytest.raises(MonadError, match="not stable everywhere"):
+        with pytest.raises(ADHMError, match="not stable everywhere"):
             classify_sheaf(d)
 
     def test_rejects_non_solutions(self):
         d = stable_not_semiregular()
         bad = ComplexADHMDatum(1, 2, d.B11, d.B12, d.B21, d.B22,
                                d.i1, d.i2, [[1], [0]], d.j2)
-        with pytest.raises(MonadError, match="residual"):
+        with pytest.raises(ADHMError, match="residual"):
             classify_sheaf(bad)
 
     def test_classification_is_immutable_and_validated(self):
-        with pytest.raises(MonadError, match="unknown kind"):
+        with pytest.raises(ADHMError, match="unknown kind"):
             SheafClassification("shiny", [])
-        with pytest.raises(MonadError, match="no singular points"):
+        with pytest.raises(ADHMError, match="no singular points"):
             SheafClassification("locally_free", [point(0, 1)])
-        with pytest.raises(MonadError, match="no singular points"):
+        with pytest.raises(ADHMError, match="no singular points"):
             SheafClassification("locally_free", [], ["t**2 - 2"])
-        with pytest.raises(MonadError, match="has singular points"):
+        with pytest.raises(ADHMError, match="has singular points"):
             SheafClassification("reflexive", [])
-        with pytest.raises(MonadError, match="every"):
+        with pytest.raises(ADHMError, match="every"):
             SheafClassification("reflexive", None)
-        with pytest.raises(MonadError, match="every"):
+        with pytest.raises(ADHMError, match="every"):
             SheafClassification("torsion_free", [point(0, 1)])
         rep = SheafClassification("torsion_free", None)
         with pytest.raises(AttributeError, match="immutable"):
@@ -378,13 +378,13 @@ class TestNormalize:
                  "w": gm([[0], [1], [0], [0]])}
         beta = {"x": gm([[0, 0, 1, 0]]), "y": gm([[0, 0, 0, 1]]),
                 "z": gm([[0, 1, 0, 0]]), "w": gm([[-1, 0, 0, 0]])}
-        with pytest.raises(MonadError, match="degenerate at infinity"):
+        with pytest.raises(ADHMError, match="degenerate at infinity"):
             normalize_monad(alpha, beta)
 
     def test_non_monad_rejected(self):
         m = build_monad(stable_not_semiregular())
         alpha = {**m.alpha, "x": gm([[1], [1], [0], [0]])}
-        with pytest.raises(MonadError, match="not a monad"):
+        with pytest.raises(ADHMError, match="not a monad"):
             normalize_monad(alpha, m.beta)
 
     def test_recovered_datum_solves_equations(self):

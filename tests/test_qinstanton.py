@@ -10,6 +10,7 @@ from qadhm.adhm import random_stable_solution
 from qadhm.real import embed_real
 from qadhm.slices import pencil_grid
 from qadhm.datum import (
+    ADHMError,
     ComplexADHMDatum,
     RealADHMDatum,
     complex_residuals,
@@ -18,7 +19,7 @@ from qadhm.datum import (
 from qadhm.exactcore import Matrix
 from qadhm.qcalculus import derive_table
 from qadhm.qforms import NCForm
-from qadhm.qinstanton import (QInstantonError, build_q_ops, curvature_asd,
+from qadhm.qinstanton import (build_q_ops, curvature_asd,
                               curvature_report_json, identity_products,
                               ids_report, scalar_operator, truncated_matrix)
 from qadhm.qspacetime import NCPoly, det_x, monomials_of_degree
@@ -194,7 +195,7 @@ class TestBuildOps:
         assert b1[0, 2] == const("J", 1)
 
     def test_unknown_chart_rejected(self):
-        with pytest.raises(QInstantonError, match="unknown chart"):
+        with pytest.raises(ADHMError, match="unknown chart"):
             build_q_ops(stable_not_semiregular(), "K")
 
 
@@ -283,16 +284,16 @@ class TestPencilProducts:
     def test_collapse_needs_a_solution(self):
         d = random_complex_datum(2, 1, 0)
         assert not is_complex_solution(d)
-        with pytest.raises(QInstantonError, match="solutions"):
+        with pytest.raises(ADHMError, match="solutions"):
             beta_p_alpha_q(d, (1, 0), (0, 1))
 
     def test_zero_parameters_rejected(self):
         d = one_instanton()
-        with pytest.raises(QInstantonError, match="vanish"):
+        with pytest.raises(ADHMError, match="vanish"):
             beta_p_alpha_q(d, (0, 0), (0, 1))
-        with pytest.raises(QInstantonError, match="vanish"):
+        with pytest.raises(ADHMError, match="vanish"):
             beta_p_alpha_q(d, (1, 0), (0, 0))
-        with pytest.raises(QInstantonError, match="exact rational"):
+        with pytest.raises(ADHMError, match="exact rational"):
             beta_p_alpha_q(d, (0.5, 1), (0, 1))
 
 
@@ -414,9 +415,9 @@ class TestTruncatedSlices:
 
     def test_zero_parameters_rejected(self):
         d = one_instanton()
-        with pytest.raises(QInstantonError, match="vanish"):
+        with pytest.raises(ADHMError, match="vanish"):
             slice_rank_report(d, (0, 0), 1)
-        with pytest.raises(QInstantonError, match="nonnegative"):
+        with pytest.raises(ADHMError, match="nonnegative"):
             slice_rank_report(d, (1, 0), -1)
 
 
@@ -471,7 +472,7 @@ class TestSliceGrid:
         pts = pencil_grid(4)
         assert slice_rank_grid(d, pts, 1) \
             == [slice_rank_report(d, P, 1) for P in pts]
-        with pytest.raises(QInstantonError, match="vanish"):
+        with pytest.raises(ADHMError, match="vanish"):
             slice_rank_grid(d, [(1, 0), (0, 0)], 1)
 
     def test_slices_command_builds_no_qrat(self, tmp_path, capsys,
@@ -525,7 +526,7 @@ class TestAlphaSlices:
         json.dumps(rep)
 
     def test_zero_parameters_rejected(self):
-        with pytest.raises(QInstantonError, match="vanish"):
+        with pytest.raises(ADHMError, match="vanish"):
             alpha_slice_report(one_instanton(), (0, 0), 1)
 
 
@@ -620,7 +621,7 @@ class TestCurvature:
 
     def test_requires_solution(self):
         d = random_complex_datum(2, 1, 0)
-        with pytest.raises(QInstantonError, match=r"does not solve the "
+        with pytest.raises(ADHMError, match=r"does not solve the "
                            r"equations: residual\(s\) \[1, 2, 3\] nonzero"):
             curvature_asd(d)
 
@@ -685,7 +686,7 @@ class TestProjection:
     def test_requires_regular_datum(self):
         d = stable_not_semiregular()
         psi = [NCPoly.zero("I")] * 4
-        with pytest.raises(QInstantonError, match="regular"):
+        with pytest.raises(ADHMError, match="regular"):
             projection_truncated(d, psi, 2)
 
     def test_truncation_insufficient_is_reachable(self):
@@ -694,12 +695,12 @@ class TestProjection:
         # preimage under the window solve.
         d = s_singular_regular()
         psi = [NCPoly.scalar("I", ONE)] + [NCPoly.zero("I")] * 5
-        with pytest.raises(QInstantonError, match="truncation insufficient"):
+        with pytest.raises(ADHMError, match="truncation insufficient"):
             projection_truncated(d, psi, 2)
 
     def test_wrong_length_rejected(self):
         d = one_instanton()
-        with pytest.raises(QInstantonError, match="length"):
+        with pytest.raises(ADHMError, match="length"):
             projection_truncated(d, [NCPoly.zero("I")] * 3, 2)
 
 

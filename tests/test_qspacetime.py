@@ -13,7 +13,8 @@ from qadhm.qspacetime import (HarmonicIndex, NCPoly, X_NAMES, Y_NAMES,
 from qadhm.echelon import QRat
 from qadhm.scalars import GaussRational, QLaurent
 
-from helpers import harmonic_by_pencils, ncpoly_q1, qbinom, qfact
+from helpers import (harmonic_by_pencils, ncpoly_power, ncpoly_q1, qbinom,
+                     qfact)
 from statements import (basis_independence, basis_indices_for_degree,
                         det_commutators, det_mult_rank, dimension_of_degree,
                         harmonic_Y, oast_check, y_mono_to_x)
@@ -247,10 +248,11 @@ class TestQBinomialTheorem:
         b = NCPoly.gen("I", pair[1])
         assert a * b == (b * a).scale(QM2)
         for n in range(7):
-            lhs = (a + b) ** n
+            lhs = ncpoly_power(a + b, n)
             rhs = NCPoly.zero("I")
             for r in range(n + 1):
-                rhs = rhs + ((a ** r) * (b ** (n - r))).scale(qbinom(n, r))
+                term = ncpoly_power(a, r) * ncpoly_power(b, n - r)
+                rhs = rhs + term.scale(qbinom(n, r))
             assert lhs == rhs
 
 
@@ -290,7 +292,7 @@ class TestDeterminant:
             mono = rng.choice(monomials_of_degree(rng.randint(0, 3)))
             j = rng.randint(1, 2)
             m = NCPoly("I", {mono: QLaurent.one()})
-            dj = det_x() ** j
+            dj = ncpoly_power(det_x(), j)
             tw = QLaurent({mono_det_twist(mono, j): 1})
             assert m * dj == (dj * m).scale(tw)
 
@@ -615,5 +617,5 @@ class TestOast:
 class TestJson:
     def test_str_is_deterministic(self):
         s = str(det_x() * det_x())
-        assert s == str(det_x() ** 2)
+        assert s == str(ncpoly_power(det_x(), 2))
         assert "x11" in s

@@ -3,7 +3,9 @@ inside functions), no dead helpers, no public name or method that only the
 tests use, no stale ``__all__`` entries, no floating-point numbers, no
 module-level ``fractions`` import outside an allowlist, no command option
 that its handler never reads, no handler in the command modules that only
-relabels an error as a ``CLIError``.
+relabels an error as a ``CLIError``, no exception class beyond the three
+that ``cli.run`` and the tests rely on, and no power operator that no
+command runs.
 
 They read the modules with the standard-library ``ast`` parser; only the
 ``__all__`` entries that a module binds on first read, through a module
@@ -11,6 +13,7 @@ They read the modules with the standard-library ``ast`` parser; only the
 """
 
 import ast
+import builtins
 import importlib
 from collections import Counter
 from pathlib import Path
@@ -130,6 +133,40 @@ def test_no_handler_only_relabels_a_refusal():
     found = [f"{name}:{line}" for name, tree in parse_modules().items()
              if name.startswith("cli") for line in relabelling_handlers(tree)]
     assert not found, f"handlers that only relabel an error: {found}"
+
+
+def exception_classes(trees):
+    """Names of the classes under src/ that derive from a built-in
+    exception, directly or through one another."""
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+    builtin = {name for name, value in vars(builtins).items()
+               if isinstance(value, type) and issubclass(value, BaseException)}
+    found = set(builtin)
+    while new := {name for name, names in bases.items()
+                  if name not in found and names & found}:
+        found |= new
+    return found - builtin
+
+
+def test_one_refusal_type():
+    # cli.run reports every refused input alike, so the library refuses with
+    # ADHMError alone; CLIError is what cli.run catches when it cannot write,
+    # and CalculusError reports a failed internal check, not an input
+    assert exception_classes(parse_modules()) == {
+        "CLIError", "ADHMError", "CalculusError"}
+
+
+def test_only_gauss_rationals_define_a_power():
+    # krylov.gcd_projective_roots raises a GaussRational to a power; no
+    # command raises another type to one
+    found = sorted(f"{name} {node.name}"
+                   for name, tree in parse_modules().items()
+                   for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for fn in node.body
+                   if isinstance(fn, FUNCTIONS) and fn.name == "__pow__")
+    assert found == ["scalars.py GaussRational"]
 
 
 # Public names that nothing in src/ uses, each with the reason it stays.

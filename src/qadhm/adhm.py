@@ -51,7 +51,9 @@ _ONE = GaussRational(1)
 
 
 class StabilityReport(Immutable):
-    """Outcome of ``classify``.
+    """Outcome of ``classify``, derived from its two ``krylov.line_side``
+    tuples: ``stable_side`` of the pencil acting on i~, ``costable_side`` of
+    the transposed pencil acting on j~^T.
 
     failing_points lists (side, (z0, w0), multiplicity) with side "stable" or
     "costable"; points outside Q(i) appear in leftover_factors as (side,
@@ -70,17 +72,20 @@ class StabilityReport(Immutable):
                  "witness_subspace", "stability_gcd", "costability_gcd",
                  "leftover_factors")
 
-    def __init__(self, stable_everywhere, costable_everywhere, semistable,
-                 semiregular, regular, failing_points, witness_subspace,
-                 stability_gcd, costability_gcd, leftover_factors):
-        if regular != (stable_everywhere and costable_everywhere):
-            raise ADHMError("regular must equal stable and costable everywhere")
-        if semiregular and not stable_everywhere:
-            raise ADHMError("semiregular requires stable everywhere")
+    def __init__(self, stable_side, costable_side, witness_subspace):
+        s_fail, s_gcd, s_roots, s_lefts = stable_side
+        c_fail, c_gcd, c_roots, c_lefts = costable_side
+        stable = not (s_fail or s_roots or s_lefts)
+        costable = not (c_fail or c_roots or c_lefts)
         for name, value in zip(self.__slots__, (
-                stable_everywhere, costable_everywhere, semistable,
-                semiregular, regular, list(failing_points), witness_subspace,
-                stability_gcd, costability_gcd, list(leftover_factors))):
+                stable, costable, not s_fail,   # semistable
+                stable and not c_fail,          # semiregular
+                stable and costable,            # regular
+                [("stable", pt, m) for pt, m in s_roots]
+                + [("costable", pt, m) for pt, m in c_roots],
+                witness_subspace, s_gcd, c_gcd,
+                [("stable", f) for f in s_lefts]
+                + [("costable", f) for f in c_lefts])):
             object.__setattr__(self, name, value)
 
     def __repr__(self):
@@ -133,39 +138,20 @@ def classify(d):
     the Q(i)-rational projective roots of the respective minor gcds;
     irreducible factors without rational roots are reported as strings.
     """
-    s_fail, s_gcd, s_roots, s_lefts = line_side(
-        d.B11, d.B21, d.B12, d.B22, d.i1, d.i2)
-    c_fail, c_gcd, c_roots, c_lefts = line_side(
-        d.B11.transpose(), d.B21.transpose(),
-        d.B12.transpose(), d.B22.transpose(),
-        d.j1.transpose(), d.j2.transpose())
-
-    semistable = not s_fail
-    stable_everywhere = semistable and not s_roots and not s_lefts
-    costable_somewhere = not c_fail
-    costable_everywhere = costable_somewhere and not c_roots and not c_lefts
-    semiregular = stable_everywhere and costable_somewhere
-    regular = stable_everywhere and costable_everywhere
-
-    failing = ([("stable", pt, m) for pt, m in s_roots]
-               + [("costable", pt, m) for pt, m in c_roots])
-    leftovers = ([("stable", f) for f in s_lefts]
-                 + [("costable", f) for f in c_lefts])
-
-    # the witness is at the first place a side fails: [1:0] when the stable
-    # side fails everywhere, each failing point, [1:0] for the costable side
-    places = ([("stable", (1, 0))] if s_fail else []) \
-        + [(side, pt) for side, pt, _m in failing] \
-        + ([("costable", (1, 0))] if c_fail else [])
+    sides = (line_side(d.B11, d.B21, d.B12, d.B22, d.i1, d.i2),
+             line_side(d.B11.transpose(), d.B21.transpose(),
+                       d.B12.transpose(), d.B22.transpose(),
+                       d.j1.transpose(), d.j2.transpose()))
+    # the witness is at the first place a side fails, the stable side first:
+    # [1:0] when the side fails everywhere, else its first failing point
     witness = None
-    for side, (z0, w0) in places[:1]:
-        B1p, B2p, ip, jp = d.evaluate(z0, w0)
-        witness = (is_stable(B1p, B2p, ip) if side == "stable"
-                   else is_costable(B1p, B2p, jp))[1]
-
-    return StabilityReport(
-        stable_everywhere, costable_everywhere, semistable, semiregular,
-        regular, failing, witness, s_gcd, c_gcd, leftovers)
+    for costable, (fails, _gcd, roots, _lefts) in enumerate(sides):
+        if fails or roots:
+            B1p, B2p, ip, jp = d.evaluate(*(roots[0][0] if roots else (1, 0)))
+            witness = (is_costable(B1p, B2p, jp) if costable
+                       else is_stable(B1p, B2p, ip))[1]
+            break
+    return StabilityReport(*sides, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +230,9 @@ def random_stable_solution(r, c, seed):
         blocks, i1 = _commuting_draw(rng, c, r)
         i2 = Matrix(c, r, [[random_gauss(rng) for _ in range(r)]
                            for _ in range(c)])
-        top = Matrix(2, r, [i1.a[0], i2.a[0]])
-        if top.rank() != 2:
+        a, b = i1.a[0], i2.a[0]
+        if not any(a[k] * b[m] != a[m] * b[k]   # some 2 x 2 minor
+                   for k in range(r) for m in range(k)):
             continue
         j = Matrix.zero(r, c, _ZERO)
         d = ComplexADHMDatum(c, r, *blocks, i1, i2, j, j)

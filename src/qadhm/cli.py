@@ -101,7 +101,8 @@ def _emit_json(obj, output):
 # The command line.  Each group's handlers and ``COMMANDS`` table live in the
 # module ``cli_<group>``, imported only when the command line names the group
 # (there may be no bytecode cache).  A handler imports the library modules it
-# uses and returns True when every identity it asserts holds.  Group -> help:
+# uses and returns (report, ok): its report, which ``run`` writes, and whether
+# every identity it asserts holds.  Group -> help:
 _GROUPS = {
     "adhm": "matrix data commands",
     "monad": "monad and sheaf commands",
@@ -177,7 +178,8 @@ def run(argv=None):
         from .usage import build_parser
         args = build_parser().parse_args(argv)
     try:
-        ok = args.handler(args)
+        report, ok = args.handler(args)
+        _emit_json(report, args.output)
     except ValueError as exc:
         # CLIError and the library's precondition errors are ValueErrors, and
         # every refusal is reported as a CLIError

@@ -1,7 +1,7 @@
 """``qadhm adhm`` commands: residuals and stability, the real embedding,
 seeded solutions and the derivative rank."""
 
-from .cli import FILE, CLIError, _check_size, _emit_json, _load_datum, arg
+from .cli import FILE, CLIError, _check_size, _load_datum, arg
 
 
 def _cmd_adhm_check(args):
@@ -16,15 +16,13 @@ def _cmd_adhm_check(args):
         "residuals": [m.to_json() for m in res],
         "classification": classify(d).to_json(),
     }
-    _emit_json(report, args.output)
-    return report["solution"]
+    return report, report["solution"]
 
 
 def _cmd_adhm_embed(args):
     from .real import embed_real
     d = _load_datum(args.file, real=True)
-    _emit_json(embed_real(d).to_json(), args.output)
-    return True
+    return embed_real(d).to_json(), True
 
 
 def _cmd_adhm_random(args):
@@ -37,9 +35,7 @@ def _cmd_adhm_random(args):
     if args.c < 1:
         raise CLIError("-c must be at least 1 (c >= 1)")
     from .adhm import random_stable_solution
-    d = random_stable_solution(args.r, args.c, args.seed)
-    _emit_json(d.to_json(), args.output)
-    return True
+    return random_stable_solution(args.r, args.c, args.seed).to_json(), True
 
 
 def _cmd_adhm_rank(args):
@@ -48,7 +44,7 @@ def _cmd_adhm_rank(args):
     d.require_solution()  # off the moduli space: no dimension
     rank = derivative_rank(d)
     ambient = 4 * d.c * d.c + 4 * d.c * d.r
-    report = {
+    return {
         "rank": rank,
         "full_rank": rank == 3 * d.c * d.c,
         "ambient_parameters": ambient,
@@ -56,9 +52,7 @@ def _cmd_adhm_rank(args):
         "moduli_dimension": ambient - rank - d.c * d.c,
         "expected_moduli_dimension": 4 * d.r * d.c,
         "stable_everywhere": classify(d).stable_everywhere,
-    }
-    _emit_json(report, args.output)
-    return True
+    }, True
 
 
 COMMANDS = {

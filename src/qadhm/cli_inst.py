@@ -3,23 +3,20 @@ the surjectivity of beta_P over the pencil grid, which ``slices`` decides
 from the Krylov closure without building any operator."""
 
 from .cli import (FILE, MAX_DEGREE_CAP, MAX_GRID_SIZE, P_CHOICE, CLIError,
-                  _emit_json, _load_datum, arg)
+                  _load_datum, arg)
 
 
 def _cmd_inst_verify(args):
     from .qinstanton import ids_report
     d = _load_datum(args.file)
     report = {chart: ids_report(d, chart) for chart in ("I", "J")}
-    _emit_json(report, args.output)
-    return report["I"]["all_zero"] and report["J"]["all_zero"]
+    return report, report["I"]["all_zero"] and report["J"]["all_zero"]
 
 
 def _cmd_inst_curvature(args):
     from .qinstanton import curvature_asd, curvature_report_json
-    d = _load_datum(args.file)
-    report = curvature_asd(d, args.p_choice)
-    _emit_json(curvature_report_json(report), args.output)
-    return True
+    report = curvature_asd(_load_datum(args.file), args.p_choice)
+    return curvature_report_json(report), True
 
 
 def _cmd_inst_slices(args):
@@ -32,10 +29,9 @@ def _cmd_inst_slices(args):
     reports = [slice_verdict(d, P, args.dmax)
                for P in pencil_grid(args.grid_size)]
     ok = all(rep["surjective"] for rep in reports)
-    _emit_json({"dmax": args.dmax, "grid_size": args.grid_size,
-                "reports": reports, "all_surjective": ok,
-                "line": slice_line(d)}, args.output)
-    return ok
+    return {"dmax": args.dmax, "grid_size": args.grid_size,
+            "reports": reports, "all_surjective": ok,
+            "line": slice_line(d)}, ok
 
 
 COMMANDS = {

@@ -1,29 +1,24 @@
 """``qadhm monad`` commands: the monad of a datum, the class of its sheaf and
 the Euler characteristics of twists."""
 
-from .cli import FILE, CLIError, _emit, _emit_json, _load_datum, arg
+from .cli import FILE, CLIError, _load_datum, arg
 
 
 def _cmd_monad_build(args):
     from .monad import build_monad
-    d = _load_datum(args.file)
-    _emit_json(build_monad(d).to_json(), args.output)
-    return True
+    return build_monad(_load_datum(args.file)).to_json(), True
 
 
 def _cmd_monad_classify(args):
     from .monad import classify_sheaf
-    d = _load_datum(args.file)
-    _emit_json(classify_sheaf(d).to_json(), args.output)
-    return True
+    return classify_sheaf(_load_datum(args.file)).to_json(), True
 
 
 def _cmd_monad_chern(args):
     from .chern import chi_twist
     if args.r < 1 or args.c < 1:
         raise CLIError("r and c must be positive")
-    _emit(str(chi_twist(args.r, args.c, args.k)) + "\n", args.output)
-    return True
+    return chi_twist(args.r, args.c, args.k), True
 
 
 COMMANDS = {

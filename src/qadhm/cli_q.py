@@ -2,20 +2,18 @@
 harmonic basis and the Penrose transform."""
 
 from .cli import (FILE, MAX_COCYCLE_ITEMS, MAX_DET_POWER, MAX_TWO_L,
-                  P_CHOICE, CLIError, _emit_json, _load_json, arg)
+                  P_CHOICE, CLIError, _load_json, arg)
 
 
 def _cmd_q_normalize(args):
     from .expr import parse_expr
     p = parse_expr(args.expr)
-    report = {
+    return {
         "input": args.expr,
         "normal_form": str(p),
         "terms": p.to_json(),
         "degree": p.degree(),
-    }
-    _emit_json(report, args.output)
-    return True
+    }, True
 
 
 def _cmd_q_partial(args):
@@ -25,13 +23,11 @@ def _cmd_q_partial(args):
     p = parse_expr(args.expr)
     table = derive_table(args.p_choice)
     parts = partials(p, table)
-    report = {
+    return {
         "input": args.expr,
         "p_choice": args.p_choice,
         "partials": {name: str(f) for name, f in zip(X_NAMES, parts)},
-    }
-    _emit_json(report, args.output)
-    return True
+    }, True
 
 
 def _cmd_q_laplace(args):
@@ -40,14 +36,12 @@ def _cmd_q_laplace(args):
     p = parse_expr(args.expr)
     table = derive_table(args.p_choice)
     box = laplacian(p, table)
-    report = {
+    return {
         "input": args.expr,
         "p_choice": args.p_choice,
         "laplacian": str(box),
         "harmonic": box.is_zero(),
-    }
-    _emit_json(report, args.output)
-    return True
+    }, True
 
 
 def _check_harmonic_caps(args):
@@ -80,8 +74,7 @@ def _cmd_q_harmonic(args):
         "terms": elt.to_json(),
         "harmonic_part_is_harmonic": harmonic_ok,
     }
-    _emit_json(report, args.output)
-    return harmonic_ok
+    return report, harmonic_ok
 
 
 def _cmd_q_eigen(args):
@@ -102,14 +95,12 @@ def _cmd_q_eigen(args):
         "eigenvalue_str": str(lam),
         "verified_on_witness": verified,
     }
-    _emit_json(report, args.output)
-    return verified
+    return report, verified
 
 
 def _cmd_q_table(args):
     from .qcalculus import derive_table
-    _emit_json(derive_table(args.p_choice).to_json(), args.output)
-    return True
+    return derive_table(args.p_choice).to_json(), True
 
 
 def _cmd_q_penrose(args):
@@ -146,8 +137,7 @@ def _cmd_q_penrose(args):
         "terms": image.to_json(),
         "harmonic": harmonic_ok,
     }
-    _emit_json(report, args.output)
-    return harmonic_ok
+    return report, harmonic_ok
 
 
 _EXPR = [P_CHOICE, arg("expr")]

@@ -159,28 +159,29 @@ _LOCUS_METHOD = (
 
 
 class SheafClassification(Immutable):
-    """kind is one of torsion_free / reflexive / locally_free.  For a
-    reflexive sheaf, over lists the points [z:w] over which the singular
-    locus lies and over_factors the factors (in t = z/w) of the costability
-    gcd with no root in Q(i); over is None for a torsion-free sheaf, whose
-    locus lies over every [z:w]; a locally free sheaf has neither."""
+    """The sheaf class read off the ``adhm.classify`` report of a datum that
+    is stable everywhere (see the module docstring).  kind is one of
+    torsion_free / reflexive / locally_free.  For a reflexive sheaf, over
+    lists the points [z:w] over which the singular locus lies and
+    over_factors the factors (in t = z/w) of the costability gcd with no
+    root in Q(i); over is None for a torsion-free sheaf, whose locus lies
+    over every [z:w]; a locally free sheaf has neither."""
 
     __slots__ = ("kind", "over", "over_factors")
 
-    def __init__(self, kind, over=(), over_factors=()):
-        if kind not in _LOCUS_DIMENSION:
-            raise ADHMError(f"unknown kind {kind!r}")
-        if (over is None) != (kind == "torsion_free"):
-            raise ADHMError("the singular locus of a torsion-free sheaf, "
-                            "and only of one, lies over every [z:w]")
-        if kind == "locally_free" and (over or over_factors):
-            raise ADHMError("locally free sheaves have no singular points")
-        if kind == "reflexive" and not (over or over_factors):
-            raise ADHMError("a reflexive sheaf that is not locally free "
-                            "has singular points")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "over", None if over is None else list(over))
-        object.__setattr__(self, "over_factors", list(over_factors))
+    def __init__(self, report):
+        if report.regular:
+            kind, over, over_factors = "locally_free", [], []
+        elif report.semiregular:
+            kind = "reflexive"
+            over = [pt for side, pt, _ in report.failing_points
+                    if side == "costable"]
+            over_factors = [f for side, f in report.leftover_factors
+                            if side == "costable"]
+        else:
+            kind, over, over_factors = "torsion_free", None, []
+        for name, value in zip(self.__slots__, (kind, over, over_factors)):
+            object.__setattr__(self, name, value)
 
     def __repr__(self):
         return f"SheafClassification({self.kind})"
@@ -210,11 +211,4 @@ def classify_sheaf(d):
     if not rep.stable_everywhere:
         raise ADHMError("datum is not stable everywhere: no sheaf to "
                         "classify")
-    if rep.regular:
-        return SheafClassification("locally_free")
-    if rep.semiregular:
-        return SheafClassification(
-            "reflexive",
-            [pt for side, pt, _ in rep.failing_points if side == "costable"],
-            [f for side, f in rep.leftover_factors if side == "costable"])
-    return SheafClassification("torsion_free", None)
+    return SheafClassification(rep)

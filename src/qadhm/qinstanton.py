@@ -207,7 +207,7 @@ def curvature_asd(d, p_choice="q"):
     remainder with coefficient proportional to q^2 - 1 under the derived
     wedge rules; nothing here depends on the datum beyond it being a
     solution."""
-    from .qcalculus import derive_table
+    from .qcalculus import CalculusError, derive_table
     from .qforms import NCForm, asd_membership, d as exterior_d
     d.require_solution()
     table = derive_table(p_choice)
@@ -231,7 +231,7 @@ def curvature_asd(d, p_choice="q"):
                 for j in range(bounds[b], bounds[b + 1]):
                     want = scalar if i - bounds[a] == j - bounds[b] else zero
                     if prod[i, j] != want:
-                        raise ADHMError(
+                        raise CalculusError(
                             "curvature product is not block-scalar")
             brow.append(scalar)
         blocks.append(brow)

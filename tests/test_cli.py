@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -1064,7 +1065,7 @@ _MODULES_BY_COMMAND = {
                   "cli_inst"},
     ("adhm", "check", DATUM): _ADHM,
     ("adhm", "embed", REAL): {"cli", "cli_adhm", "datum", "real"} | _MATRIX,
-    ("adhm", "random", "-r", "2", "-c", "1"): _ADHM | {"echelon"},
+    ("adhm", "random", "-r", "2", "-c", "1"): _ADHM,
     ("adhm", "rank", DATUM): _ADHM | {"echelon"},
     ("monad", "build", DATUM): _MONAD,
     ("monad", "classify", DATUM): _MONAD | {"adhm", "krylov"},
@@ -1105,10 +1106,11 @@ _WITHOUT_MATRIX = {("q", s) for s in ("normalize", "partial", "laplace",
                                       "harmonic", "eigen", "table",
                                       "penrose")} | {("monad", "chern")}
 _WITH_FORMS = {("inst", "curvature")}
-# the only commands that eliminate, and so load ``echelon``: the derivative
-# rank and the rank test of the seeded generator (``classify`` of a stable
-# datum takes no kernel, since it has no witness to find)
-_WITH_ECHELON = {("adhm", "random"), ("adhm", "rank")}
+# the only command that eliminates, and so loads ``echelon``: the derivative
+# rank (``classify`` of a stable datum takes no kernel, since it has no
+# witness to find, and the seeded generator tests its two top rows of i by
+# their 2 x 2 minors)
+_WITH_ECHELON = {("adhm", "rank")}
 # the modules that only one command loads: the Chern characters, the beta_P
 # verdicts and the real embedding
 _OWN_MODULES = {"chern": ("monad", "chern"), "slices": ("inst", "slices"),
@@ -1122,24 +1124,24 @@ _WITHOUT_ADHM = {("adhm", "embed"), ("inst", "verify"), ("inst", "curvature"),
 # cache every loaded module is compiled on every call; each bound is the
 # count when it was pinned plus at most 5%.
 _LINE_BUDGET = {
-    ("--help",): 596,
-    ("adhm", "check"): 1983,
-    ("adhm", "embed"): 1380,
-    ("adhm", "random"): 2180,
-    ("adhm", "rank"): 2180,
-    ("monad", "build"): 1590,
-    ("monad", "classify"): 2247,
-    ("monad", "chern"): 279,
-    ("q", "normalize"): 1613,
-    ("q", "partial"): 2121,
-    ("q", "laplace"): 2121,
-    ("q", "harmonic"): 1988,
-    ("q", "eigen"): 1988,
-    ("q", "table"): 1988,
-    ("q", "penrose"): 1988,
-    ("inst", "verify"): 2097,
-    ("inst", "slices"): 1786,
-    ("inst", "curvature"): 2878,
+    ("--help",): 573,
+    ("adhm", "check"): 1966,
+    ("adhm", "embed"): 1376,
+    ("adhm", "random"): 1960,
+    ("adhm", "rank"): 2163,
+    ("monad", "build"): 1581,
+    ("monad", "classify"): 2225,
+    ("monad", "chern"): 276,
+    ("q", "normalize"): 1605,
+    ("q", "partial"): 2113,
+    ("q", "laplace"): 2113,
+    ("q", "harmonic"): 1980,
+    ("q", "eigen"): 1980,
+    ("q", "table"): 1980,
+    ("q", "penrose"): 1980,
+    ("inst", "verify"): 2095,
+    ("inst", "slices"): 1784,
+    ("inst", "curvature"): 2876,
 }
 
 
@@ -1468,14 +1470,25 @@ class TestParserPerGroup:
     @settings(max_examples=300, deadline=None)
     @given(_command_lines(well_formed=False))
     def test_same_outcome_on_generated_lines(self, argv):
-        # each handler is replaced by one that prints its namespace, so any
-        # line runs at once
+        # each handler is replaced by one that returns its namespace as the
+        # report, so any line runs at once; ``run`` writes it to stdout or to
+        # the --output file, in a directory of its own
         def echo(args):
-            print(sorted((k, v) for k, v in vars(args).items()
-                         if k != "handler"))
-            return True
+            return sorted((k, v) for k, v in vars(args).items()
+                          if k != "handler"), True
 
-        with pytest.MonkeyPatch.context() as mp:
+        def outcome(tmp):
+            # the outcome of the line and the files it wrote, removed
+            written = {}
+            result = _outcome(argv)
+            for path in Path(tmp).iterdir():
+                written[path.name] = path.read_text(encoding="utf-8")
+                path.unlink()
+            return result, written
+
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as mp:
+            mp.chdir(tmp)
             for group in _SUBCOMMANDS:
                 table = qadhm.cli.commands(group)
                 mp.setattr(sys.modules[f"qadhm.cli_{group}"], "COMMANDS",
@@ -1483,6 +1496,6 @@ class TestParserPerGroup:
             read = qadhm.cli._read(argv)
             if read is not None:
                 assert vars(read) == vars(build_parser().parse_args(argv))
-            with_reader = _outcome(argv)
+            with_reader = outcome(tmp)
             mp.setattr(qadhm.cli, "_read", lambda argv: None)
-            assert with_reader == _outcome(argv)
+            assert with_reader == outcome(tmp)

@@ -21,8 +21,7 @@ from qadhm.datum import RealADHMDatum
 from qadhm.echelon import QRat, _echelon
 from qadhm.exactcore import Matrix, random_gauss
 from qadhm.krylov import gcd_projective_roots
-from qadhm.monad import (VARS, SheafClassification, build_monad,
-                         check_exactness_at)
+from qadhm.monad import VARS, build_monad, check_exactness_at, classify_sheaf
 from qadhm.qcalculus import derive_table
 from qadhm.qforms import NCForm
 from qadhm.qspacetime import HarmonicIndex, NCPoly
@@ -326,7 +325,7 @@ def test_value_types_are_immutable():
     values = [QLaurent({1: 1}), QRat(1, QLaurent({0: 1, 1: 1})),
               NCPoly.one(), HarmonicIndex(2, 0, 0),
               NCForm(derive_table("q"), 0), classify(d), build_monad(d),
-              SheafClassification("locally_free"), d,
+              classify_sheaf(d), d,
               RealADHMDatum(1, 1, [[0]], [[0]], [[0]], [[0]])]
     for value in values:
         name = type(value).__slots__[-1]

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import qadhm.qinstanton
 from qadhm.adhm import random_stable_solution
+from qadhm.cli import run
 from qadhm.real import embed_real
 from qadhm.slices import pencil_grid
 from qadhm.datum import (
@@ -17,7 +19,7 @@ from qadhm.datum import (
     is_complex_solution,
 )
 from qadhm.exactcore import Matrix
-from qadhm.qcalculus import derive_table
+from qadhm.qcalculus import CalculusError, derive_table
 from qadhm.qforms import NCForm
 from qadhm.qinstanton import (build_q_ops, curvature_asd,
                               curvature_report_json, identity_products,
@@ -624,6 +626,30 @@ class TestCurvature:
         with pytest.raises(ADHMError, match=r"does not solve the "
                            r"equations: residual\(s\) \[1, 2, 3\] nonzero"):
             curvature_asd(d)
+
+    def test_failed_block_audit_is_not_a_refusal(self, monkeypatch,
+                                                 tmp_path, capsys):
+        # doubling one generator entry of alpha-bar makes the first block of
+        # d(alpha) ^ d(beta-bar) not scalar: a failed internal check, which
+        # cli.run does not report as a refused input
+        bars = qadhm.qinstanton._bars
+
+        def doubled(*ops):
+            abar, bbar = bars(*ops)
+            rows = [list(row) for row in abar.a]
+            rows[0][0] = rows[0][0] + rows[0][0]
+            return Matrix(abar.rows, abar.cols, rows), bbar
+
+        monkeypatch.setattr(qadhm.qinstanton, "_bars", doubled)
+        d = random_stable_solution(2, 2, 3)
+        with pytest.raises(CalculusError, match="^curvature product is not "
+                           "block-scalar$"):
+            curvature_asd(d)
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps(d.to_json()), encoding="utf-8")
+        with pytest.raises(CalculusError, match="not block-scalar"):
+            run(["inst", "curvature", str(f)])
+        assert capsys.readouterr().out == ""
 
     def test_block_sizes_and_json(self):
         d = random_stable_solution(2, 2, 0)

@@ -1,5 +1,6 @@
 """The stdout bytes and exit code of one command line per subcommand, plus
-one refusal, on seeded inputs.
+two failed identities and one refusal, on seeded inputs, and the same bytes
+written to a file with ``--output``.
 
 Each report is pinned by its sha256, so any change to a report's bytes
 fails here and not only in the benchmark.  The inputs come from the seeded
@@ -40,6 +41,8 @@ def write_inputs():
 DIGESTS = {
     "adhm check nonstable.json": (
         0, "52b7fbbaabaea66b9688f9b2367420f0227d474602264729fd2c9d245c96dfe9"),
+    "adhm check raw.json": (
+        1, "e87fd1712e35b5dce8044cf77f761401924c6158fe8013243e48932007d5066d"),
     "adhm embed real.json": (
         0, "5fd354f78a78603f5aa2592782edcf6df108bde097220ccb00302db7b40666ed"),
     "adhm random -r 2 -c 3 --seed 5": (
@@ -68,6 +71,8 @@ DIGESTS = {
         0, "731194106680cd5652590cfa81334e88a9dad2403d6ad054b05b03da6e64fd51"),
     "inst verify stable.json": (
         0, "d41e0e4ad5eb6f41d4a04e316c016b208f9e7636bf706fa2b443bb9908c905fc"),
+    "inst verify raw.json": (
+        1, "fd4fd10cf63e01f2547e8ac6959d2858250f92bec2c3379e82952c6abcb8bd3d"),
     "inst curvature stable.json": (
         0, "50137c0d785dd0add399e9961469eb2ce44773244a22aac7f7856aeac8754b0f"),
     "inst slices stable.json --grid-size 4 --dmax 2": (
@@ -84,6 +89,25 @@ def test_report_bytes(argv, tmp_path, monkeypatch, capsys):
     code = run(argv.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(DIGESTS))
+def test_report_file_bytes(argv, tmp_path, monkeypatch, capsys):
+    # with --output the report goes to the file and stdout stays empty; a
+    # refusal still goes to stdout, and no file is written
+    monkeypatch.chdir(tmp_path)
+    write_inputs()
+    code = run([*argv.split(), "--output", "report.json"])
+    out = capsys.readouterr().out
+    report = tmp_path / "report.json"
+    if code == 2:
+        assert not report.exists()
+        assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[argv][1]
+    else:
+        assert out == ""
+        assert hashlib.sha256(report.read_bytes()).hexdigest() \
+            == DIGESTS[argv][1]
+    assert code == DIGESTS[argv][0]
 
 
 def test_every_subcommand_is_pinned():

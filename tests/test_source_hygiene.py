@@ -135,6 +135,17 @@ def test_no_handler_only_relabels_a_refusal():
     assert not found, f"handlers that only relabel an error: {found}"
 
 
+def test_only_cli_writes_a_report():
+    # a handler returns its report and cli.run writes it, as it writes every
+    # refusal, so no other module calls the writers
+    found = sorted(f"{name}:{node.lineno}"
+                   for name, tree in parse_modules().items() if name != "cli.py"
+                   for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", getattr(node.func, "attr", None))
+                   in ("_emit", "_emit_json"))
+    assert not found, f"reports written outside cli.run: {found}"
+
+
 def exception_classes(trees):
     """Names of the classes under src/ that derive from a built-in
     exception, directly or through one another."""
@@ -458,10 +469,14 @@ def options_and_reads():
 
 
 def test_every_option_is_read_by_its_handler():
-    # an option goes only on the commands whose handler reads it
+    # an option goes only on the commands whose handler reads it; --output,
+    # which every command takes, is read by cli.run, which writes the report
+    run = next(node for node in parse_modules()["cli.py"].body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    assert "output" in args_reads(run, {})
     found = options_and_reads()
     assert len(found) == 17
     for command, (dests, reads) in found.items():
         unread = set(_UNREAD_OPTIONS.get(command, ()))
         assert unread <= dests - reads, command   # the allowlist is current
-        assert dests - unread == reads, command
+        assert dests - unread - {"output"} == reads, command

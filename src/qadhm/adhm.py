@@ -1,13 +1,7 @@
 """Stability taxonomy, rank criteria and generators of instanton-type data.
 
-The complex data themselves (``datum``) are tuples (B11, B12, B21, B22, i1,
-i2, j1, j2) of matrices over the Gaussian rationals, with the quadratic
-matrix equations
-
-  [B11,B12] + i1*j1,   [B21,B22] + i2*j2,
-  [B11,B22] + [B21,B12] + i1*j2 + i2*j1      (all three must vanish)
-
-A complex datum spans a pencil of plain triples over the projective line:
+A complex datum (B11, B12, B21, B22, i1, i2, j1, j2) of ``exactcore`` spans
+a pencil of plain triples over the projective line:
 
   B~1 = z*B11 + w*B21,  B~2 = z*B12 + w*B22,  i~ = z*i1 + w*i2,  j~ = z*j1 + w*j2
 
@@ -36,9 +30,9 @@ rationals for reproducibility.
 
 import random
 
-from .datum import ADHMError, ComplexADHMDatum, is_complex_solution
-from .exactcore import Matrix, random_gauss
-from .krylov import is_stable, line_side
+from .exactcore import (ADHMError, ComplexADHMDatum, Matrix,
+                        is_complex_solution, random_gauss)
+from .krylov import holds_everywhere, is_stable, line_side, stable_side_of
 from .scalars import GaussRational, Immutable
 
 __all__ = [
@@ -75,8 +69,7 @@ class StabilityReport(Immutable):
     def __init__(self, stable_side, costable_side, witness_subspace):
         s_fail, s_gcd, s_roots, s_lefts = stable_side
         c_fail, c_gcd, c_roots, c_lefts = costable_side
-        stable = not (s_fail or s_roots or s_lefts)
-        costable = not (c_fail or c_roots or c_lefts)
+        stable, costable = map(holds_everywhere, (stable_side, costable_side))
         for name, value in zip(self.__slots__, (
                 stable, costable, not s_fail,   # semistable
                 stable and not c_fail,          # semiregular
@@ -138,7 +131,7 @@ def classify(d):
     the Q(i)-rational projective roots of the respective minor gcds;
     irreducible factors without rational roots are reported as strings.
     """
-    sides = (line_side(d.B11, d.B21, d.B12, d.B22, d.i1, d.i2),
+    sides = (stable_side_of(d),
              line_side(d.B11.transpose(), d.B21.transpose(),
                        d.B12.transpose(), d.B22.transpose(),
                        d.j1.transpose(), d.j2.transpose()))
@@ -237,7 +230,7 @@ def random_stable_solution(r, c, seed):
         j = Matrix.zero(r, c, _ZERO)
         d = ComplexADHMDatum(c, r, *blocks, i1, i2, j, j)
         assert is_complex_solution(d)
-        if classify(d).stable_everywhere:
+        if holds_everywhere(stable_side_of(d)):
             return d
 
 

@@ -5,19 +5,10 @@ for the same input and seed, to stdout or to ``--output``; ``monad chern``
 prints its single number bare.  Exit status: 0 when every identity the
 command asserts holds, 1 when a checked identity fails (the report is still
 written), 2 for schema or precondition errors and unwritable reports, as
-``{"error": {"type": "CLIError", "message": ...}}`` (on stderr if stdout is
-full or closed).
+``{"error": {"type": "CLIError", "message": ...}}``, 3 for a failed internal
+check, as that object of type "CalculusError" (on stderr if stdout fails).
 
-Expression grammar for the ``q`` commands::
-
-    expr   := term (('+' | '-') term)*
-    term   := ['-'] factor ('*' factor)*
-    factor := INT | 'q' ['^' SINT] | WORD | '(' expr ')'
-    WORD   := x11 | x12 | x21 | x22 | det
-
-INT is a nonnegative integer, SINT may carry a sign; juxtaposed factors must
-be joined with '*'.  Words multiply as noncommutative generators and results
-are printed in normal form.
+The expression grammar of the ``q`` commands is in ``usage``.
 """
 
 import atexit
@@ -60,7 +51,7 @@ def _check_size(r, c, where=""):
 
 
 def _load_datum(path, real=False):
-    from .datum import ComplexADHMDatum, RealADHMDatum, datum_from_json
+    from .exactcore import ComplexADHMDatum, RealADHMDatum, datum_from_json
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise CLIError(f"{path}: a datum is a JSON object")
@@ -180,12 +171,16 @@ def run(argv=None):
     try:
         report, ok = args.handler(args)
         _emit_json(report, args.output)
-    except ValueError as exc:
-        # CLIError and the library's precondition errors are ValueErrors, and
-        # every refusal is reported as a CLIError
-        error = json.dumps(
-            {"error": {"type": "CLIError", "message": str(exc)}},
-            sort_keys=True, ensure_ascii=False) + "\n"
+    except Exception as exc:
+        # a refused input raises a ValueError (CLIError, ADHMError), a failed
+        # internal check a CalculusError, which only a loaded qcalculus raises
+        calculus = sys.modules.get(f"{__package__}.qcalculus")
+        failed = isinstance(exc, getattr(calculus, "CalculusError", ()))
+        if not (failed or isinstance(exc, ValueError)):
+            raise
+        kind = "CalculusError" if failed else "CLIError"
+        error = json.dumps({"error": {"type": kind, "message": str(exc)}},
+                           sort_keys=True, ensure_ascii=False) + "\n"
         try:
             _emit(error, None)
         except CLIError:
@@ -193,7 +188,7 @@ def run(argv=None):
             sys.stderr.write(error)
             if sys.stdout:
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 2
+        return 3 if failed else 2
     return 0 if ok else 1
 
 

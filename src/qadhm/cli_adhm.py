@@ -6,16 +6,12 @@ from .cli import FILE, CLIError, _check_size, _load_datum, arg
 
 def _cmd_adhm_check(args):
     from .adhm import classify
-    from .datum import complex_residuals
+    from .exactcore import complex_residuals
     d = _load_datum(args.file)
     res = complex_residuals(d)
-    report = {
-        "r": d.r,
-        "c": d.c,
-        "solution": all(m.is_zero() for m in res),
-        "residuals": [m.to_json() for m in res],
-        "classification": classify(d).to_json(),
-    }
+    report = {"r": d.r, "c": d.c, "solution": all(m.is_zero() for m in res),
+              "residuals": [m.to_json() for m in res],
+              "classification": classify(d).to_json()}
     return report, report["solution"]
 
 
@@ -39,7 +35,8 @@ def _cmd_adhm_random(args):
 
 
 def _cmd_adhm_rank(args):
-    from .adhm import classify, derivative_rank
+    from .adhm import derivative_rank
+    from .krylov import holds_everywhere, stable_side_of
     d = _load_datum(args.file)
     d.require_solution()  # off the moduli space: no dimension
     rank = derivative_rank(d)
@@ -51,7 +48,7 @@ def _cmd_adhm_rank(args):
         "gauge_dimension": d.c * d.c,
         "moduli_dimension": ambient - rank - d.c * d.c,
         "expected_moduli_dimension": 4 * d.r * d.c,
-        "stable_everywhere": classify(d).stable_everywhere,
+        "stable_everywhere": holds_everywhere(stable_side_of(d)),
     }, True
 
 

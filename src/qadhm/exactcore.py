@@ -1,13 +1,26 @@
-"""Exact matrices over the scalars of ``scalars``.
+"""Exact matrices over the scalars of ``scalars``, and the ADHM data.
 
 ``Matrix`` is a dense matrix whose rank, kernel and solve run through the
 one sparse row echelon ``echelon._echelon`` over the fraction field of the
 entries (it takes field rows, so QLaurent entries are lifted to QRat here),
 and whose products skip zero factors.  Only those three methods load
 ``echelon``, when they are called.
-``random_gauss`` draws the small random entries of the seeded data.  The
-matrix pencils of ``monad`` and the projective roots of ``krylov`` live in
-those modules.
+``random_gauss`` draws the small random entries of the seeded data.
+
+A complex datum is a tuple (B11, B12, B21, B22, i1, i2, j1, j2) of c x c,
+c x r and r x c matrices over the Gaussian rationals, a real datum a tuple
+(B1, B2, i, j).  ``monad_pencils`` is the one place that writes the blocks
+and signs of the two pencils of a complex datum, linear in (x, y, z, w):
+
+  alpha = ( z*B11 + w*B21 + x*1 )            (2c+r) x c
+          ( z*B12 + w*B22 + y*1 )
+          ( z*j1  + w*j2        )
+
+  beta  = ( -z*B12 - w*B22 - y*1 | z*B11 + w*B21 + x*1 | z*i1 + w*i2 )
+
+The three residuals of the datum are the z^2, w^2 and zw coefficients of
+beta*alpha, and the module operators of ``qinstanton`` the z and w
+coefficients with (x, y) replaced by generators of a chart.
 
 The scalar types are defined in ``scalars`` and ``echelon``.  They are bound
 here too because the benchmark (``perfbench/``) imports and traces them
@@ -16,9 +29,17 @@ read, by the module ``__getattr__`` (PEP 562), so that importing this module
 does not load ``echelon``.  No ``q`` command loads this module.
 """
 
-from .scalars import GaussRational, QLaurent, _gauss
+from .scalars import (GaussRational, Immutable, QLaurent, _as_gauss, _gauss,
+                      parse_gauss)
 
-__all__ = ["GaussRational", "QLaurent", "QRat", "Matrix", "random_gauss"]
+__all__ = [
+    "GaussRational", "QLaurent", "QRat", "Matrix", "random_gauss",
+    "ADHMError", "ComplexADHMDatum", "RealADHMDatum", "datum_from_json",
+    "monad_pencils", "complex_residuals", "is_complex_solution",
+]
+
+_ZERO = GaussRational(0)
+_ONE = GaussRational(1)
 
 
 def __getattr__(name):
@@ -254,3 +275,161 @@ class Matrix:
     def __str__(self):
         return "\n".join("[" + ", ".join(str(x) for x in r) + "]"
                          for r in self.a)
+
+
+# ---------------------------------------------------------------------------
+# complex and real data
+# ---------------------------------------------------------------------------
+
+class ADHMError(ValueError):
+    """Every refused input: bad shapes, unmet preconditions, non-solutions."""
+
+
+def _scalar(x):
+    """An input entry as a GaussRational; a JSON boolean is refused."""
+    if isinstance(x, str):
+        return parse_gauss(x)
+    g = NotImplemented if isinstance(x, bool) else _as_gauss(x)
+    if g is NotImplemented:
+        raise ADHMError(f"cannot coerce {x!r} to a Gaussian rational")
+    return g
+
+
+def _check_counts(c, r):
+    """Refuse c and r unless both are positive ints.  A JSON true or false
+    loads as a bool, which is an int too, and is refused by name."""
+    for name, n in (("c", c), ("r", r)):
+        if isinstance(n, bool):
+            raise ADHMError(f"{name} must be an integer, not a boolean")
+    if not (isinstance(c, int) and c >= 1 and isinstance(r, int) and r >= 1):
+        raise ADHMError("c and r must be positive integers")
+
+
+def _as_matrix(m, rows, cols, name):
+    entries = m.a if isinstance(m, Matrix) else m
+    try:
+        return Matrix(rows, cols,
+                      [[_scalar(x) for x in row] for row in entries])
+    except (ValueError, TypeError) as exc:
+        raise ADHMError(f"{name} must be a {rows}x{cols} matrix: "
+                        f"{exc}") from exc
+
+
+class _Datum(Immutable):
+    """A datum as a table of blocks: ``_BLOCKS`` lists (name, rows, cols),
+    the sizes named "c" or "r", in the order of the constructor and of the
+    JSON form, whose ``kind`` is ``_KIND``."""
+
+    __slots__ = ("c", "r")
+
+    def __init__(self, c, r, *blocks):
+        if len(blocks) != len(self._BLOCKS):
+            raise TypeError(f"{type(self).__name__} takes c, r and "
+                            f"{len(self._BLOCKS)} blocks")
+        _check_counts(c, r)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "r", r)
+        size = {"c": c, "r": r}
+        for (name, rows, cols), m in zip(self._BLOCKS, blocks):
+            object.__setattr__(self, name,
+                               _as_matrix(m, size[rows], size[cols], name))
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and self.c == other.c and self.r == other.r
+                and all(getattr(self, n) == getattr(other, n)
+                        for n, _, _ in self._BLOCKS))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(c={self.c}, r={self.r})"
+
+    def to_json(self):
+        return {"kind": self._KIND, "r": self.r, "c": self.c,
+                **{n: getattr(self, n).to_json() for n, _, _ in self._BLOCKS}}
+
+
+class ComplexADHMDatum(_Datum):
+    """Matrices (B11, B12, B21, B22 : c x c), (i1, i2 : c x r),
+    (j1, j2 : r x c)."""
+
+    _KIND = "complex"
+    _BLOCKS = (("B11", "c", "c"), ("B12", "c", "c"), ("B21", "c", "c"),
+               ("B22", "c", "c"), ("i1", "c", "r"), ("i2", "c", "r"),
+               ("j1", "r", "c"), ("j2", "r", "c"))
+    __slots__ = tuple(name for name, _, _ in _BLOCKS)
+
+    def evaluate(self, z0, w0):
+        """The plain quadruple (B~1, B~2, i~, j~) at the point [z0:w0]."""
+        z0, w0 = _scalar(z0), _scalar(w0)
+        return (self.B11.scale(z0) + self.B21.scale(w0),
+                self.B12.scale(z0) + self.B22.scale(w0),
+                self.i1.scale(z0) + self.i2.scale(w0),
+                self.j1.scale(z0) + self.j2.scale(w0))
+
+    def require_solution(self):
+        """Raise ADHMError naming the nonzero residuals, unless the datum
+        solves the equations."""
+        bad = [k + 1 for k, m in enumerate(complex_residuals(self))
+               if not m.is_zero()]
+        if bad:
+            raise ADHMError("datum does not solve the equations: "
+                            f"residual(s) {bad} nonzero")
+
+
+class RealADHMDatum(_Datum):
+    """Matrices (B1, B2 : c x c), (i : c x r), (j : r x c)."""
+
+    _KIND = "real"
+    _BLOCKS = (("B1", "c", "c"), ("B2", "c", "c"), ("i", "c", "r"),
+               ("j", "r", "c"))
+    __slots__ = tuple(name for name, _, _ in _BLOCKS)
+
+
+def datum_from_json(obj):
+    kind = obj.get("kind")
+    for cls in (ComplexADHMDatum, RealADHMDatum):
+        if kind == cls._KIND:
+            return cls(obj["c"], obj["r"],
+                       *(obj[name] for name, _, _ in cls._BLOCKS))
+    raise ADHMError(f"unknown datum kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# the monad pencils of a complex datum and its residuals
+# ---------------------------------------------------------------------------
+
+def _unit_column_block(total, offset, c):
+    """total x c matrix holding an identity block at the given row offset."""
+    return Matrix(total, c, [[_ONE if i == offset + k else _ZERO
+                              for k in range(c)] for i in range(total)])
+
+
+def monad_pencils(d):
+    """The (alpha, beta) pencils of a datum, each a table {"x", "y", "z",
+    "w": Matrix} of coefficients (see the module docstring), without any
+    solution check."""
+    c, r = d.c, d.r
+    n = 2 * c + r
+    alpha = {"x": _unit_column_block(n, 0, c),
+             "y": _unit_column_block(n, c, c),
+             "z": Matrix.vstack([d.B11, d.B12, d.j1]),
+             "w": Matrix.vstack([d.B21, d.B22, d.j2])}
+    beta = {"x": _unit_column_block(n, c, c).transpose(),
+            "y": -_unit_column_block(n, 0, c).transpose(),
+            "z": Matrix.hstack([-d.B12, d.B11, d.i1]),
+            "w": Matrix.hstack([-d.B22, d.B21, d.i2])}
+    return alpha, beta
+
+
+def complex_residuals(d):
+    """The three c x c residuals [B11,B12] + i1*j1, [B21,B22] + i2*j2 and
+    [B11,B22] + [B21,B12] + i1*j2 + i2*j1: the z^2, w^2 and zw coefficients
+    of beta*alpha.  The datum solves the equations iff all vanish, iff
+    [B~1,B~2] + i~*j~ = 0 at every point of the line."""
+    alpha, beta = monad_pencils(d)
+    return (beta["z"] * alpha["z"], beta["w"] * alpha["w"],
+            beta["z"] * alpha["w"] + beta["w"] * alpha["z"])
+
+
+def is_complex_solution(d):
+    return all(m.is_zero() for m in complex_residuals(d))

@@ -1,5 +1,5 @@
 """The expression language of ``q normalize``, ``q partial`` and ``q laplace``
-(the grammar is in the docstring of ``qadhm.cli``, which the help shows).
+(the grammar is in ``qadhm.usage``, which the help prints).
 Only those three commands import this module."""
 
 from .cli import MAX_EXPR_DEGREE, MAX_EXPR_LENGTH, CLIError

@@ -26,11 +26,11 @@ here, so ``inst slices`` does not load ``adhm``.
 from collections import deque
 from math import comb, prod
 
-from .datum import ADHMError
-from .exactcore import Matrix
+from .exactcore import ADHMError, Matrix
 from .scalars import _QL_ONE, GaussRational, QLaurent, _ql_divmod
 
-__all__ = ["is_stable", "gcd_projective_roots", "line_side"]
+__all__ = ["is_stable", "gcd_projective_roots", "line_side", "stable_side_of",
+           "holds_everywhere"]
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
@@ -303,9 +303,19 @@ def _krylov_minor_gcd(Bz1, Bw1, Bz2, Bw2, Sz, Sw):
 def line_side(Bz1, Bw1, Bz2, Bw2, Sz, Sw):
     """One side of the taxonomy over the line: (fails_everywhere, gcd
     string, roots, leftovers) of its minor gcd, "0" with no roots or
-    leftovers when every minor vanishes.  The side holds everywhere when it
-    fails nowhere: not everywhere, at no root and on no leftover factor."""
+    leftovers when every minor vanishes."""
     zero, gcd = _krylov_minor_gcd(Bz1, Bw1, Bz2, Bw2, Sz, Sw)
     if zero:
         return True, "0", [], []
     return (False, _gcd_str(*gcd)) + gcd_projective_roots(*gcd)
+
+
+def stable_side_of(d):
+    """``line_side`` of the pencil (B~1, B~2) of a datum acting on i~."""
+    return line_side(d.B11, d.B21, d.B12, d.B22, d.i1, d.i2)
+
+
+def holds_everywhere(side):
+    """Whether a ``line_side`` tuple fails nowhere: not everywhere, at no
+    root and on no leftover factor."""
+    return not (side[0] or side[2] or side[3])

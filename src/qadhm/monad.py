@@ -1,19 +1,9 @@
 """Monads on projective three-space built from instanton-type matrix data.
 
-A datum (B11, B12, B21, B22, i1, i2, j1, j2) with c x c / c x r / r x c
-blocks yields two pencils of matrices linear in homogeneous coordinates
-(x, y, z, w), each kept as the table {"x", "y", "z", "w": Matrix} of its
-coefficients:
-
-  alpha = ( z*B11 + w*B21 + x*1 )            (2c+r) x c
-          ( z*B12 + w*B22 + y*1 )
-          ( z*j1  + w*j2        )
-
-  beta  = ( -z*B12 - w*B22 - y*1 | z*B11 + w*B21 + x*1 | z*i1 + w*i2 )
-
-The product beta*alpha expands to z^2*r1 + zw*r3 + w^2*r2 where r1, r2, r3
-are the three quadratic residuals of the datum, so beta*alpha = 0 holds
-identically iff the datum solves the equations.  The cohomology of the
+The pencils alpha ((2c+r) x c) and beta (c x (2c+r)) of a datum, the
+coefficient tables of ``exactcore.monad_pencils``, have beta*alpha = 0
+identically iff the datum solves the equations, as its three residuals are
+the z^2, w^2 and zw coefficients of beta*alpha.  The cohomology of the
 resulting three-term complex is a sheaf whose local behaviour is read off
 the pointwise ranks: beta is surjective everywhere iff the datum is stable
 everywhere, and the points where alpha drops rank are the singular points
@@ -34,48 +24,22 @@ The Chern characters and Euler characteristics of the twists of the sheaf
 need no matrix; they are in ``chern``.
 """
 
-from .datum import ADHMError
-from .exactcore import Matrix
+from .exactcore import ADHMError, Matrix, monad_pencils
 from .scalars import GaussRational, Immutable
 
 __all__ = [
-    "Monad", "SheafClassification", "VARS", "monad_pencils",
-    "product_coefficients", "build_monad", "check_exactness_at",
-    "classify_sheaf",
+    "Monad", "SheafClassification", "VARS", "product_coefficients",
+    "build_monad", "check_exactness_at", "classify_sheaf",
 ]
 
 VARS = ("x", "y", "z", "w")
 
 _ZERO = GaussRational(0)
-_ONE = GaussRational(1)
 
 
 # ---------------------------------------------------------------------------
 # building monads from data
 # ---------------------------------------------------------------------------
-
-def _unit_column_block(total, offset, c):
-    """total x c matrix holding an identity block at the given row offset."""
-    m = [[_ZERO] * c for _ in range(total)]
-    for k in range(c):
-        m[offset + k][k] = _ONE
-    return Matrix(total, c, m)
-
-
-def monad_pencils(d):
-    """The (alpha, beta) pencils of a datum, without any solution check."""
-    c, r = d.c, d.r
-    n = 2 * c + r
-    alpha = {"x": _unit_column_block(n, 0, c),
-             "y": _unit_column_block(n, c, c),
-             "z": Matrix.vstack([d.B11, d.B12, d.j1]),
-             "w": Matrix.vstack([d.B21, d.B22, d.j2])}
-    beta = {"x": _unit_column_block(n, c, c).transpose(),
-            "y": -_unit_column_block(n, 0, c).transpose(),
-            "z": Matrix.hstack([-d.B12, d.B11, d.i1]),
-            "w": Matrix.hstack([-d.B22, d.B21, d.i2])}
-    return alpha, beta
-
 
 def product_coefficients(beta, alpha):
     """Coefficients of the quadratic form beta*alpha: a dict mapping each
@@ -131,8 +95,7 @@ def build_monad(d):
     """Monad of a solution datum; rejects non-solutions, reporting which of
     the three residuals are nonzero."""
     d.require_solution()
-    alpha, beta = monad_pencils(d)
-    return Monad(d.r, d.c, alpha, beta)
+    return Monad(d.r, d.c, *monad_pencils(d))
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,15 @@ between free modules over the chart-I (or chart-J) coordinate algebra,
     alpha_k : V (x) M  ->  (V + V + W) (x) M        (degree <= 1 entries)
     beta_k  : (V + V + W) (x) M  ->  V (x) M        (degree <= 1 entries)
 
-whose entries are scalars plus at most one generator.  Every operator is an
-``exactcore.Matrix`` whose entries are ``NCPoly`` elements of one chart, so
-sums, scalings and compositions are the ``Matrix`` ones.  The three products
-beta_1 alpha_1, beta_2 alpha_2 and beta_2 alpha_1 + beta_1 alpha_2 reduce,
-after normal ordering, to the constant embeddings of the three quadratic
-residual matrices, so they vanish identically exactly when the datum solves
-the matrix equations.  On top of that this module provides:
+the z (k = 1) and w (k = 2) coefficients of the pencils alpha and beta of
+``exactcore.monad_pencils`` with x and y replaced by generators of the
+chart, so each entry is a scalar plus at most one generator.  Every
+operator is an ``exactcore.Matrix`` whose entries are ``NCPoly`` elements of
+one chart, so sums, scalings and compositions are the ``Matrix`` ones.  The
+three products beta_1 alpha_1, beta_2 alpha_2 and beta_2 alpha_1 + beta_1
+alpha_2 reduce, after normal ordering, to the constant embeddings of the
+three residual matrices, so they vanish identically exactly when the datum
+solves the matrix equations.  On top of that this module provides:
 
 * the matrices of the operators between capped-degree module slices
   (whether beta_P is onto is decided in ``slices`` from the Krylov closure,
@@ -27,9 +29,9 @@ the matrix equations.  On top of that this module provides:
   of adopting either claim.
 """
 
-from .datum import ADHMError, is_complex_solution
-from .exactcore import Matrix
-from .qspacetime import NCPoly, X_NAMES, Y_NAMES, monomials_of_degree
+from .exactcore import (ADHMError, Matrix, is_complex_solution,
+                        monad_pencils)
+from .qspacetime import NCPoly, monomials_of_degree
 from .scalars import QLaurent
 
 __all__ = [
@@ -45,54 +47,38 @@ def scalar_operator(m, chart="I"):
     return m.map(lambda x: NCPoly.scalar(chart, x))
 
 
-def _shifted_block(chart, b, gen_name, gen_sign):
-    """Block B (+|-) generator: entries B[u][v] + gen_sign * delta_uv * gen."""
-    g = NCPoly.gen(chart, gen_name).scale(gen_sign)
-    return scalar_operator(b, chart) + Matrix.identity(b.rows, g,
-                                                       NCPoly.zero(chart))
+# The signed generators of each chart that replace (x, y) in the z and w
+# coefficients of the pencils; the product identities then give the residuals.
+_SUBSTITUTIONS = {
+    "I": {"z": ((-1, "x11"), (-1, "x12")), "w": ((-1, "x21"), (-1, "x22"))},
+    "J": {"z": ((-1, "y22"), (1, "y12")), "w": ((1, "y21"), (-1, "y11"))},
+}
 
 
 def build_q_ops(d, chart="I"):
-    """The four operators (alpha_1, alpha_2, beta_1, beta_2) of a datum.
-
-    Chart I pairs the generators (x11, x12) with alpha_1/beta_1 and
-    (x21, x22) with alpha_2/beta_2; chart J swaps in the y-generators with
-    the sign pattern demanded by its exchange rules, so that the product
-    identities again collapse onto the residual matrices.  The alphas stack
-    their blocks as V|V|W rows over V, the betas join them as V|V|W columns
-    into V.
-    """
-    if chart == "I":
-        g11, g12, g21, g22 = X_NAMES
-        a1 = [(d.B11, g11, -1), (d.B12, g12, -1)]
-        a2 = [(d.B21, g21, -1), (d.B22, g22, -1)]
-        b1 = [(-d.B12, g12, 1), (d.B11, g11, -1)]
-        b2 = [(-d.B22, g22, 1), (d.B21, g21, -1)]
-    elif chart == "J":
-        y11, y12, y21, y22 = Y_NAMES
-        a1 = [(d.B11, y22, -1), (d.B12, y12, 1)]
-        a2 = [(d.B21, y21, 1), (d.B22, y11, -1)]
-        b1 = [(-d.B12, y12, -1), (d.B11, y22, -1)]
-        b2 = [(-d.B22, y11, 1), (d.B21, y21, 1)]
-    else:
+    """The four operators (alpha_1, alpha_2, beta_1, beta_2) of a datum: the
+    z and w coefficients of its pencils alpha and beta with x and y replaced
+    by the generators ``_SUBSTITUTIONS`` gives the chart."""
+    if chart not in _SUBSTITUTIONS:
         raise ADHMError(f"unknown chart {chart!r}")
-
-    def op(stack, shifted, const):
-        return stack([_shifted_block(chart, *blk) for blk in shifted]
-                     + [scalar_operator(const, chart)])
-
-    return (op(Matrix.vstack, a1, d.j1), op(Matrix.vstack, a2, d.j2),
-            op(Matrix.hstack, b1, d.i1), op(Matrix.hstack, b2, d.i2))
+    ops = []
+    for pencil in monad_pencils(d):
+        for v in ("z", "w"):
+            op = scalar_operator(pencil[v], chart)
+            for u, (sign, name) in zip(("x", "y"), _SUBSTITUTIONS[chart][v]):
+                g = NCPoly.gen(chart, name).scale(sign)
+                for row, units in zip(op.a, pencil[u].a):
+                    for k, x in enumerate(units):
+                        if x:
+                            row[k] = row[k] + g.scale(x)
+            ops.append(op)
+    return tuple(ops)
 
 
 def identity_products(d, chart="I"):
     """The three operator products that encode the matrix equations."""
     a1, a2, b1, b2 = build_q_ops(d, chart)
-    return {
-        "b1a1": b1 * a1,
-        "b2a2": b2 * a2,
-        "mixed": b2 * a1 + b1 * a2,
-    }
+    return {"b1a1": b1 * a1, "b2a2": b2 * a2, "mixed": b2 * a1 + b1 * a2}
 
 
 def ids_report(d, chart="I"):

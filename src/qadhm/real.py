@@ -13,8 +13,8 @@ and ``embed_real`` sends a xi = 0 solution to the complex datum
 the images of real data.
 """
 
-from .datum import ADHMError, ComplexADHMDatum, _scalar, is_complex_solution
-from .exactcore import Matrix
+from .exactcore import (ADHMError, ComplexADHMDatum, Matrix, _scalar,
+                        is_complex_solution)
 from .scalars import GaussRational
 
 __all__ = ["real_residuals", "embed_real"]

@@ -267,10 +267,12 @@ _GR_ONE = GaussRational(1)
 def parse_gauss(s: str) -> GaussRational:
     """Parse the serialization format of ``str(GaussRational)``.
 
-    Accepts "a", "a/b", "a/b+c/d*i", "a/b-c/d*i" (integer parts allowed).
+    Accepts "a", "a/b", "a/b+c/d*i", "a/b-c/d*i" (integer parts allowed),
+    in ASCII digits only.
     """
-    m = re.match(r"^(?P<re>[+-]?\d+(?:/\d+)?)"
-                 r"(?:(?P<sign>[+-])(?P<im>\d+(?:/\d+)?)\*i)?$", s.strip())
+    m = re.match(r"^(?P<re>[+-]?[0-9]+(?:/[0-9]+)?)"
+                 r"(?:(?P<sign>[+-])(?P<im>[0-9]+(?:/[0-9]+)?)\*i)?$",
+                 s.strip())
     if not m:
         raise ValueError(f"malformed GaussRational string: {s!r}")
     a, d = _parse_ratio(m.group("re"))

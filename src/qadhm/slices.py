@@ -15,9 +15,9 @@ phi(v (x) f) = xi(v) chi(f), which kills the image.
 from itertools import product
 from math import comb
 
-from .datum import ADHMError, _scalar, is_complex_solution
-from .exactcore import Matrix
-from .krylov import _closure_basis, gcd_projective_roots, line_side
+from .exactcore import ADHMError, Matrix, _scalar, is_complex_solution
+from .krylov import (_closure_basis, gcd_projective_roots, holds_everywhere,
+                     stable_side_of)
 from .scalars import GaussRational, QLaurent
 
 __all__ = ["pencil_grid", "slice_verdict", "slice_line"]
@@ -138,11 +138,9 @@ def slice_line(d):
     wherever the triple is stable, and on a solution (where B~1 and B~2
     commute modulo the closure, so xi exists over an extension of Q(i))
     nowhere else; onto_everywhere is null when neither settles it."""
-    fails, gcd, roots, lefts = line_side(
-        d.B11, d.B21, d.B12, d.B22, d.i1, d.i2)
-    stable = not fails and not roots and not lefts
+    _, gcd, roots, lefts = side = stable_side_of(d)
     return {
-        "onto_everywhere": (True if stable else
+        "onto_everywhere": (True if holds_everywhere(side) else
                             False if is_complex_solution(d) else None),
         "stability_gcd": gcd,
         "failing_points": [{"z": str(z0), "w": str(w0), "multiplicity": m}

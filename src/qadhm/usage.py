@@ -5,13 +5,25 @@ import argparse
 
 from . import cli
 
+_GRAMMAR = """Expression grammar for the ``q`` commands::
+
+    expr   := term (('+' | '-') term)*
+    term   := ['-'] factor ('*' factor)*
+    factor := INT | 'q' ['^' SINT] | WORD | '(' expr ')'
+    WORD   := x11 | x12 | x21 | x22 | det
+
+INT is a nonnegative integer, SINT may carry a sign; juxtaposed factors must
+be joined with '*'.  Words multiply as noncommutative generators and results
+are printed in normal form.
+"""
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qadhm",
         description="Exact reports for matrix data, monads, the quantum "
                     "algebra and module operators.",
-        epilog=cli.__doc__[cli.__doc__.index("Expression grammar"):],
+        epilog=_GRAMMAR,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     groups = parser.add_subparsers(dest="group", required=True)
     for name, help_text in cli._GROUPS.items():

@@ -6,6 +6,9 @@ them.  The generators are deterministic in their seed, like
 ``adhm.random_nonstable_solution`` (which the benchmark uses).  The slice
 echelons over Q(i)(q) at the end are the oracle of ``slices.slice_verdict``,
 and the pencil expansion before them that of the harmonic closed forms.
+The residuals by commutators and the module operators block by block, with
+one sign table per chart, are the oracles of ``exactcore.complex_residuals``
+and ``qinstanton.build_q_ops``, which read both off the monad pencils.
 The paper statements that only the tests check are in ``statements.py``.
 """
 
@@ -13,14 +16,13 @@ import itertools
 import random
 
 from qadhm.adhm import classify
-from qadhm.datum import (ADHMError, ComplexADHMDatum, RealADHMDatum,
-                         is_complex_solution)
 from qadhm.echelon import _as_qrat, _echelon
-from qadhm.exactcore import Matrix, random_gauss
+from qadhm.exactcore import (ADHMError, ComplexADHMDatum, Matrix,
+                             RealADHMDatum, is_complex_solution, random_gauss)
 from qadhm.krylov import _closure_basis
 from qadhm.qinstanton import (_monomials_upto, _slice_rows, build_q_ops,
-                              truncated_matrix)
-from qadhm.qspacetime import NCPoly
+                              scalar_operator, truncated_matrix)
+from qadhm.qspacetime import NCPoly, X_NAMES, Y_NAMES
 from qadhm.real import real_residuals
 from qadhm.scalars import _QL_ONE, GaussRational, QLaurent, _as_gauss, _gauss
 
@@ -376,6 +378,59 @@ def harmonic_by_pencils(idx):
     """X^l_{m,n} as the engine expands it: the oracle of harmonic()."""
     return pencil_residue(idx, "I", ("x11", "x21"), ("x12", "x22"),
                           idx.two_m, idx.two_n)
+
+
+# ---------------------------------------------------------------------------
+# the residuals and the module operators written block by block
+# ---------------------------------------------------------------------------
+
+def complex_residuals_by_commutators(d):
+    """The three residuals [B11,B12] + i1*j1, [B21,B22] + i2*j2 and
+    [B11,B22] + [B21,B12] + i1*j2 + i2*j1, from their commutators."""
+    r1 = d.B11.commutator(d.B12) + d.i1 * d.j1
+    r2 = d.B21.commutator(d.B22) + d.i2 * d.j2
+    r3 = (d.B11.commutator(d.B22) + d.B21.commutator(d.B12)
+          + d.i1 * d.j2 + d.i2 * d.j1)
+    return r1, r2, r3
+
+
+def _shifted_block(chart, b, gen_name, gen_sign):
+    """Block B (+|-) generator: entries B[u][v] + gen_sign * delta_uv * gen."""
+    g = NCPoly.gen(chart, gen_name).scale(gen_sign)
+    return scalar_operator(b, chart) + Matrix.identity(b.rows, g,
+                                                       NCPoly.zero(chart))
+
+
+def build_q_ops_by_blocks(d, chart="I"):
+    """The four operators (alpha_1, alpha_2, beta_1, beta_2) of a datum,
+    each block shifted by its generator as a sign table of the chart gives.
+
+    Chart I pairs the generators (x11, x12) with alpha_1/beta_1 and
+    (x21, x22) with alpha_2/beta_2; chart J swaps in the y-generators with
+    the sign pattern demanded by its exchange rules.  The alphas stack their
+    blocks as V|V|W rows over V, the betas join them as V|V|W columns into V.
+    """
+    if chart == "I":
+        g11, g12, g21, g22 = X_NAMES
+        a1 = [(d.B11, g11, -1), (d.B12, g12, -1)]
+        a2 = [(d.B21, g21, -1), (d.B22, g22, -1)]
+        b1 = [(-d.B12, g12, 1), (d.B11, g11, -1)]
+        b2 = [(-d.B22, g22, 1), (d.B21, g21, -1)]
+    elif chart == "J":
+        y11, y12, y21, y22 = Y_NAMES
+        a1 = [(d.B11, y22, -1), (d.B12, y12, 1)]
+        a2 = [(d.B21, y21, 1), (d.B22, y11, -1)]
+        b1 = [(-d.B12, y12, -1), (d.B11, y22, -1)]
+        b2 = [(-d.B22, y11, 1), (d.B21, y21, 1)]
+    else:
+        raise ADHMError(f"unknown chart {chart!r}")
+
+    def op(stack, shifted, const):
+        return stack([_shifted_block(chart, *blk) for blk in shifted]
+                     + [scalar_operator(const, chart)])
+
+    return (op(Matrix.vstack, a1, d.j1), op(Matrix.vstack, a2, d.j2),
+            op(Matrix.hstack, b1, d.i1), op(Matrix.hstack, b2, d.i2))
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ from functools import cache
 
 from qadhm.adhm import classify, is_costable
 from qadhm.chern import chi_twist
-from qadhm.datum import ADHMError, ComplexADHMDatum, is_complex_solution
 from qadhm.echelon import QRat
-from qadhm.exactcore import Matrix
+from qadhm.exactcore import (ADHMError, ComplexADHMDatum, Matrix,
+                             _unit_column_block, is_complex_solution)
 from qadhm.krylov import is_stable
-from qadhm.monad import VARS, _unit_column_block, product_coefficients
+from qadhm.monad import VARS, product_coefficients
 from qadhm.qcalculus import (CalculusError, P_EXPONENTS, derive_table,
                              eigenvalue_tilde, partials)
 from qadhm.qforms import NCForm, d as exterior_d

@@ -22,14 +22,15 @@ from qadhm import cli
 from qadhm.adhm import (classify, derivative_rank, random_nonstable_solution,
                         random_stable_solution)
 from qadhm.slices import pencil_grid, slice_line, slice_verdict
-from qadhm.datum import (
+from qadhm.exactcore import (
     ComplexADHMDatum,
     RealADHMDatum,
     complex_residuals,
     is_complex_solution,
+    monad_pencils,
 )
 from qadhm.monad import (build_monad, check_exactness_at, classify_sheaf,
-                         monad_pencils, product_coefficients)
+                         product_coefficients)
 from qadhm.qcalculus import (derive_table, laplacian, partials,
                              penrose_scalar, tilde_laplacian)
 from qadhm.qforms import d

@@ -10,16 +10,18 @@ import pytest
 from qadhm import krylov
 from qadhm.adhm import (classify, derivative_rank, is_costable,
                         random_nonstable_solution, random_stable_solution)
+from qadhm.cli import run
 from qadhm.real import embed_real, real_residuals
-from qadhm.datum import (
+from qadhm.exactcore import (
     ADHMError,
     ComplexADHMDatum,
+    Matrix,
     RealADHMDatum,
     complex_residuals,
     datum_from_json,
     is_complex_solution,
+    random_gauss,
 )
-from qadhm.exactcore import Matrix, random_gauss
 from qadhm.krylov import is_stable
 from qadhm.scalars import GaussRational, QLaurent
 
@@ -640,6 +642,34 @@ class TestC1Generator:
     def test_r1_rejected(self):
         with pytest.raises(ADHMError):
             c1_generator(1, 0)
+
+
+class TestStableSide:
+    """adhm rank and the stable generator read stable_everywhere off the
+    stable side alone; it must agree with the two-sided taxonomy."""
+
+    def test_flag_matches_classify(self):
+        dual = TestDerivativeRank.transpose_dual
+        flags = set()
+        for seed in range(3):
+            for r, c in [(2, 1), (2, 2), (3, 2), (2, 3)]:
+                stable = random_stable_solution(r, c, seed)
+                planted, _ = random_nonstable_solution(r, c, seed)
+                for d in (stable, planted, dual(stable), dual(planted)):
+                    flag = classify(d).stable_everywhere
+                    assert krylov.holds_everywhere(
+                        krylov.stable_side_of(d)) == flag
+                    flags.add(flag)
+        assert flags == {True, False}
+
+    def test_adhm_rank_reports_the_flag(self, tmp_path, capsys):
+        stable = random_stable_solution(2, 2, 1)
+        for d in (stable, TestDerivativeRank.transpose_dual(stable)):
+            f = tmp_path / "d.json"
+            f.write_text(json.dumps(d.to_json()), encoding="utf-8")
+            assert run(["adhm", "rank", str(f)]) == 0
+            rep = json.loads(capsys.readouterr().out)
+            assert rep["stable_everywhere"] == classify(d).stable_everywhere
 
 
 class TestGenerators:

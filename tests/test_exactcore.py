@@ -17,9 +17,9 @@ import qadhm
 from qadhm import echelon, scalars
 from qadhm.adhm import (classify, random_nonstable_solution,
                         random_stable_solution)
-from qadhm.datum import RealADHMDatum
 from qadhm.echelon import QRat, _echelon
-from qadhm.exactcore import Matrix, random_gauss
+from qadhm.exactcore import (Matrix, RealADHMDatum, complex_residuals,
+                             is_complex_solution, random_gauss)
 from qadhm.krylov import gcd_projective_roots
 from qadhm.monad import VARS, build_monad, check_exactness_at, classify_sheaf
 from qadhm.qcalculus import derive_table
@@ -27,8 +27,9 @@ from qadhm.qforms import NCForm
 from qadhm.qspacetime import HarmonicIndex, NCPoly
 from qadhm.scalars import GaussRational, QLaurent, _ql_divmod, parse_gauss, qint
 
-from helpers import (matrix_from_rows, qbinom, qbrace, qfact, ql_evaluate,
-                     qrat_as_qlaurent, small_gauss)
+from helpers import (complex_residuals_by_commutators, matrix_from_rows,
+                     qbinom, qbrace, qfact, ql_evaluate, qrat_as_qlaurent,
+                     random_complex_datum, small_gauss)
 
 
 def G(re, im=0):
@@ -683,6 +684,29 @@ def test_pencil_evaluation_matches_naive_sum():
                 drops[0] += ra < c
                 drops[1] += rb < c
     assert all(drops)
+
+
+# ---------------------------------------------------------------------------
+# the residuals read off the monad pencils
+# ---------------------------------------------------------------------------
+
+def test_residuals_match_the_commutator_formulas():
+    # the z^2, w^2 and zw coefficients of beta*alpha, entry for entry, on
+    # seeded stable, planted non-stable and non-solution data, c <= 3
+    solutions = set()
+    for seed in range(3):
+        for r, c in [(2, 1), (2, 2), (1, 3), (3, 3)]:
+            data = [random_nonstable_solution(r, c, seed)[0],
+                    random_complex_datum(r, c, seed)]
+            if r >= 2:
+                data.append(random_stable_solution(r, c, seed))
+            for d in data:
+                new = complex_residuals(d)
+                old = complex_residuals_by_commutators(d)
+                assert len(new) == 3
+                assert [m.a for m in new] == [m.a for m in old]
+                solutions.add(is_complex_solution(d))
+    assert solutions == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,9 @@ import pytest
 
 from qadhm.adhm import random_nonstable_solution, random_stable_solution
 from qadhm.real import embed_real
-from qadhm.datum import ADHMError, ComplexADHMDatum
-from qadhm.exactcore import Matrix
+from qadhm.exactcore import ADHMError, ComplexADHMDatum, Matrix, monad_pencils
 from qadhm.monad import (Monad, SheafClassification, VARS, build_monad,
-                         check_exactness_at, classify_sheaf, monad_pencils,
+                         check_exactness_at, classify_sheaf,
                          product_coefficients)
 from qadhm.chern import chi_line, chi_twist
 from qadhm.scalars import GaussRational
@@ -52,7 +51,7 @@ def semiregular_not_regular():
 
 def one_instanton_complex():
     """Regular c=1, r=2 datum: the doubled form of i=(1,0), j=(0,1)^T."""
-    from qadhm.datum import RealADHMDatum
+    from qadhm.exactcore import RealADHMDatum
     return embed_real(RealADHMDatum(1, 2, [[0]], [[0]], [[1, 0]],
                                     [[0], [1]]))
 
@@ -104,7 +103,7 @@ class TestBuildMonad:
 
     def test_product_coefficients_are_the_residuals(self):
         # beta*alpha = z^2 r1 + zw r3 + w^2 r2 for any datum, solution or not
-        from qadhm.datum import complex_residuals
+        from qadhm.exactcore import complex_residuals
         for seed in range(8):
             d = random_complex_datum(2, 2, seed)
             alpha, beta = monad_pencils(d)
@@ -381,7 +380,7 @@ class TestNormalize:
             normalize_monad(alpha, m.beta)
 
     def test_recovered_datum_solves_equations(self):
-        from qadhm.datum import is_complex_solution
+        from qadhm.exactcore import is_complex_solution
         d = random_stable_solution(3, 1, 4)
         m = build_monad(d)
         rng = random.Random(3)

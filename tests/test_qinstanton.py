@@ -7,18 +7,18 @@ from fractions import Fraction
 import pytest
 
 import qadhm.qinstanton
-from qadhm.adhm import random_stable_solution
+from qadhm.adhm import random_nonstable_solution, random_stable_solution
 from qadhm.cli import run
 from qadhm.real import embed_real
 from qadhm.slices import pencil_grid
-from qadhm.datum import (
+from qadhm.exactcore import (
     ADHMError,
     ComplexADHMDatum,
+    Matrix,
     RealADHMDatum,
     complex_residuals,
     is_complex_solution,
 )
-from qadhm.exactcore import Matrix
 from qadhm.qcalculus import CalculusError, derive_table
 from qadhm.qforms import NCForm
 from qadhm.qinstanton import (build_q_ops, curvature_asd,
@@ -29,8 +29,9 @@ from qadhm.echelon import QRat
 from qadhm.scalars import GaussRational, QLaurent
 
 from helpers import (_sparse_containment, alpha_slice_report,
-                     matrix_from_rows, random_c1r1_solution,
-                     random_complex_datum, slice_rank_grid, slice_rank_report)
+                     build_q_ops_by_blocks, matrix_from_rows,
+                     random_c1r1_solution, random_complex_datum,
+                     slice_rank_grid, slice_rank_report)
 from statements import (beta_p_alpha_q, chart_j_pattern, kernel_slice_basis,
                         left_mul, projection_truncated, xi_leading,
                         xi_operator)
@@ -199,6 +200,48 @@ class TestBuildOps:
     def test_unknown_chart_rejected(self):
         with pytest.raises(ADHMError, match="unknown chart"):
             build_q_ops(stable_not_semiregular(), "K")
+
+
+def _oracle_data():
+    """Seeded stable, planted non-stable and non-solution data, c <= 3."""
+    out = []
+    for seed in range(2):
+        for r, c in [(2, 1), (2, 2), (1, 3), (3, 3)]:
+            if r >= 2:
+                out.append(random_stable_solution(r, c, seed))
+            out.append(random_nonstable_solution(r, c, seed)[0])
+            out.append(random_complex_datum(r, c, seed))
+    return out
+
+
+def _entries(op):
+    """Every entry of an operator as its (monomial, coefficient) terms, in
+    the order the entry keeps them."""
+    return [[list(p.terms.items()) for p in row] for row in op.a]
+
+
+class TestPencilSubstitution:
+    """build_q_ops reads the operators off the monad pencils; the oracle
+    writes them block by block, with one sign table per chart."""
+
+    @pytest.mark.parametrize("chart", ["I", "J"])
+    def test_operators_match_the_block_tables(self, chart):
+        data = _oracle_data()
+        assert {is_complex_solution(d) for d in data} == {True, False}
+        for d in data:
+            new = build_q_ops(d, chart)
+            old = build_q_ops_by_blocks(d, chart)
+            assert len(new) == len(old) == 4
+            for a, b in zip(new, old):
+                assert (a.rows, a.cols) == (b.rows, b.cols)
+                assert _entries(a) == _entries(b)
+                assert {p.chart for row in a.a for p in row} == {chart}
+
+    def test_unknown_chart_is_refused_alike(self):
+        d = random_stable_solution(2, 2, 0)
+        for build in (build_q_ops, build_q_ops_by_blocks):
+            with pytest.raises(ADHMError, match="^unknown chart 'K'$"):
+                build(d, "K")
 
 
 def ids_hold(d, chart="I"):
@@ -631,7 +674,7 @@ class TestCurvature:
                                                  tmp_path, capsys):
         # doubling one generator entry of alpha-bar makes the first block of
         # d(alpha) ^ d(beta-bar) not scalar: a failed internal check, which
-        # cli.run does not report as a refused input
+        # cli.run reports with exit status 3, not as a refused input
         bars = qadhm.qinstanton._bars
 
         def doubled(*ops):
@@ -647,9 +690,10 @@ class TestCurvature:
             curvature_asd(d)
         f = tmp_path / "d.json"
         f.write_text(json.dumps(d.to_json()), encoding="utf-8")
-        with pytest.raises(CalculusError, match="not block-scalar"):
-            run(["inst", "curvature", str(f)])
-        assert capsys.readouterr().out == ""
+        assert run(["inst", "curvature", str(f)]) == 3
+        assert json.loads(capsys.readouterr().out) == {"error": {
+            "type": "CalculusError",
+            "message": "curvature product is not block-scalar"}}
 
     def test_block_sizes_and_json(self):
         d = random_stable_solution(2, 2, 0)

@@ -289,7 +289,6 @@ def test_random_gauss_matches_the_fraction_draws(height, complex_parts):
 @pytest.mark.parametrize("text", [
     "0", "-0", "+7", "6/4", "-6/4", "3/9+12/8*i", "0/5-0/3*i", "-1/1-1/1*i",
     " 2/3-5/7*i ", "10000000000000000000001/3+1/99999999999999999999*i",
-    "\u0663/4",       # digits the regular expression and int() both accept
 ])
 def test_parse_gauss_matches_fraction_parsing(text):
     body = text.strip()
@@ -299,6 +298,14 @@ def test_parse_gauss_matches_fraction_parsing(text):
         re_text, sign, im_text = body[:cut], body[cut], body[cut + 1:-2]
     im = Fraction(im_text) * (-1 if sign == "-" else 1)
     agree(parse_gauss(text), PairGauss(Fraction(re_text), im))
+
+
+# int() and a regular expression's \d read digits of any script
+@pytest.mark.parametrize("text", ["\u0663/4", "1/\u0662", "\u0663",
+                                  "1+\uff12*i"])
+def test_parse_gauss_refuses_non_ascii_digits(text):
+    with pytest.raises(ValueError, match="malformed GaussRational string"):
+        parse_gauss(text)
 
 
 @pytest.mark.parametrize("text", ["1/0", "1/2+1/0*i", "0/0", "1/00-3/1*i"])

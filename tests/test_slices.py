@@ -18,8 +18,7 @@ import qadhm.krylov as krylov
 from qadhm.adhm import (classify, random_nonstable_solution,
                         random_stable_solution)
 from qadhm.cli import MAX_DEGREE_CAP, MAX_GRID_SIZE, run
-from qadhm.datum import ADHMError, ComplexADHMDatum
-from qadhm.exactcore import Matrix
+from qadhm.exactcore import ADHMError, ComplexADHMDatum, Matrix
 from qadhm.qinstanton import build_q_ops
 from qadhm.qspacetime import NCPoly, X_NAMES
 from qadhm.scalars import GaussRational, QLaurent, parse_gauss

@@ -27,7 +27,8 @@ from collections import deque
 from math import comb, prod
 
 from .exactcore import ADHMError, Matrix
-from .scalars import _QL_ONE, GaussRational, QLaurent, _ql_divmod
+from .scalars import (_QL_ONE, GaussRational, QLaurent, _ql_divmod,
+                      coeff_str)
 
 __all__ = ["is_stable", "gcd_projective_roots", "line_side", "stable_side_of",
            "holds_everywhere"]
@@ -115,7 +116,7 @@ def _gcd_str(g, v):
         if b:
             parts.append("w" if b == 1 else f"w^{b}")
         return "*".join(parts) or "1"
-    return " + ".join(f"({c})*{mono(a, n - a)}"
+    return " + ".join(f"({coeff_str(c)})*{mono(a, n - a)}"
                       for a, c in sorted(g.terms.items(), reverse=True))
 
 

@@ -92,10 +92,13 @@ class Monad(Immutable):
 
 
 def build_monad(d):
-    """Monad of a solution datum; rejects non-solutions, reporting which of
-    the three residuals are nonzero."""
-    d.require_solution()
-    return Monad(d.r, d.c, *monad_pencils(d))
+    """Monad of a solution datum; ``Monad``'s check refuses a non-solution,
+    which is then named by its nonzero residuals."""
+    try:
+        return Monad(d.r, d.c, *monad_pencils(d))
+    except ADHMError:
+        d.require_solution()
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .qcalculus import CalculusError
 from .qspacetime import NCPoly, SparseTerms, X_NAMES, add_to, engine
 
 _ONE = QLaurent.one()
-_ZERO = QLaurent.zero()
 _ENG = engine("I")
 
 
@@ -155,37 +154,28 @@ def sd_asd_split(omega: NCForm):
 
     Basis: SD = <dx11^dx12, dx21^dx22, dx11^dx22 - dx12^dx21>,
            ASD = <dx11^dx21, dx12^dx22, dx11^dx22 + dx12^dx21>.
+    Term by term: c.dx11^dx22 is c/2 on each mixed vector, c.dx12^dx21
+    is -c/2 on the SD one and c/2 on the ASD one.
     """
     if omega.degree != 2:
         raise ValueError("sd_asd_split expects a 2-form")
-    table = omega.table
     half = _ONE / 2
     sd = {}
     asd = {}
-    polys = {}
     for (w, m), c in omega.terms.items():
-        polys.setdefault(m, {})[w] = c
-    for m, coords in polys.items():
-        for w in _SD_WORDS:
-            c = coords.get(w)
-            if c:
-                sd[(w, m)] = c
-        for w in _ASD_WORDS:
-            c = coords.get(w)
-            if c:
-                asd[(w, m)] = c
-        cp = coords.get(_MIX_PLUS, _ZERO)
-        cm = coords.get(_MIX_MINUS, _ZERO)
-        alpha = (cp - cm) * half   # along dx11^dx22 - dx12^dx21 (SD)
-        beta = (cp + cm) * half    # along dx11^dx22 + dx12^dx21 (ASD)
-        if alpha:
-            sd[(_MIX_PLUS, m)] = sd.get((_MIX_PLUS, m), _ZERO) + alpha
-            sd[(_MIX_MINUS, m)] = sd.get((_MIX_MINUS, m), _ZERO) - alpha
-        if beta:
-            asd[(_MIX_PLUS, m)] = asd.get((_MIX_PLUS, m), _ZERO) + beta
-            asd[(_MIX_MINUS, m)] = asd.get((_MIX_MINUS, m), _ZERO) + beta
-    sd_form = NCForm(table, 2, sd)
-    asd_form = NCForm(table, 2, asd)
+        if w in _SD_WORDS:
+            add_to(sd, (w, m), c)
+        elif w in _ASD_WORDS:
+            add_to(asd, (w, m), c)
+        else:
+            h = c * half
+            s = h if w == _MIX_PLUS else -h
+            add_to(sd, (_MIX_PLUS, m), s)
+            add_to(sd, (_MIX_MINUS, m), -s)
+            add_to(asd, (_MIX_PLUS, m), h)
+            add_to(asd, (_MIX_MINUS, m), h)
+    sd_form = NCForm(omega.table, 2, sd)
+    asd_form = NCForm(omega.table, 2, asd)
     if sd_form + asd_form != omega:
         raise CalculusError("SD/ASD split failed to reassemble")
     return sd_form, asd_form

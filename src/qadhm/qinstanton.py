@@ -158,41 +158,24 @@ def _bars(a1, a2, b1, b2):
 # curvature
 # ---------------------------------------------------------------------------
 
-def _form_from_words(table, coeffs):
-    """2-form with constant coefficients: {word: QLaurent}."""
-    from .qforms import NCForm
-    return NCForm(table, 2, {(w, _ZMONO): c for w, c in coeffs.items()})
-
-
-def _quoted_display(table):
-    """The quoted curvature block matrix, as constant-coefficient 2-forms."""
-    e03, e12 = (0, 3), (1, 2)
-    e02, e13 = (0, 2), (1, 3)
-    one = QLaurent.one()
-    two = QLaurent.from_scalar(2)
-    zero = _form_from_words(table, {})
-    return [
-        [_form_from_words(table, {e03: -one, e12: -one}),
-         _form_from_words(table, {e02: two}), zero],
-        [_form_from_words(table, {e13: -two}),
-         _form_from_words(table, {e03: one, e12: one}), zero],
-        [zero, zero, zero],
-    ]
+# The quoted curvature block matrix: {wedge word: integer} per block.
+_QUOTED = (({(0, 3): -1, (1, 2): -1}, {(0, 2): 2}, {}),
+           ({(1, 3): -2}, {(0, 3): 1, (1, 2): 1}, {}),
+           ({}, {}, {}))
 
 
 def curvature_asd(d, p_choice="q"):
     """Audit of the curvature block matrix d(alpha) ^ d(beta-bar).
 
     Differentiation kills every constant block, so each block of the
-    product is a single 2-form times an identity matrix; the block
-    structure is verified entry by entry before the 3x3 block scalars are
-    extracted.  Each block scalar is then split into self-dual and
-    anti-self-dual parts and compared against the quoted display both
-    directly and with the global sign flipped (the quoted second factor is
-    the negative of d(beta-bar)).  The (1,1) block keeps a self-dual
-    remainder with coefficient proportional to q^2 - 1 under the derived
-    wedge rules; nothing here depends on the datum beyond it being a
-    solution."""
+    product is a single 2-form times an identity matrix.  One pass over
+    the 3x3 blocks verifies each block's structure entry by entry, splits
+    its scalar into self-dual and anti-self-dual parts and compares it
+    against the quoted display ``_QUOTED`` both directly and with the
+    global sign flipped (the quoted second factor is the negative of
+    d(beta-bar)).  The (1,1) block keeps a self-dual remainder with
+    coefficient proportional to q^2 - 1 under the derived wedge rules;
+    nothing here depends on the datum beyond it being a solution."""
     from .qcalculus import CalculusError, derive_table
     from .qforms import NCForm, asd_membership, d as exterior_d
     d.require_solution()
@@ -205,33 +188,23 @@ def curvature_asd(d, p_choice="q"):
     prod = abar.map(dform) * bbar.map(dform)
 
     bounds = [0, d.c, 2 * d.c, prod.rows]
-    zero = NCForm(table, 2, {})
-    blocks = []
+    zero = NCForm(table, 2)
+    entries = []
     for a in range(3):
-        brow = []
+        row = []
         for b in range(3):
-            scalar = prod[bounds[a], bounds[b]] \
+            comp = prod[bounds[a], bounds[b]] \
                 if bounds[a] < bounds[a + 1] and bounds[b] < bounds[b + 1] \
                 else zero
             for i in range(bounds[a], bounds[a + 1]):
                 for j in range(bounds[b], bounds[b + 1]):
-                    want = scalar if i - bounds[a] == j - bounds[b] else zero
+                    want = comp if i - bounds[a] == j - bounds[b] else zero
                     if prod[i, j] != want:
                         raise CalculusError(
                             "curvature product is not block-scalar")
-            brow.append(scalar)
-        blocks.append(brow)
-
-    quoted = _quoted_display(table)
-    entries = []
-    all_asd = True
-    for a in range(3):
-        row = []
-        for b in range(3):
-            comp, quo = blocks[a][b], quoted[a][b]
+            quo = NCForm(table, 2, {(w, _ZMONO): QLaurent({0: n})
+                                    for w, n in _QUOTED[a][b].items()})
             split = asd_membership(comp)
-            if split["verdict"] not in ("zero", "ASD"):
-                all_asd = False
             row.append({
                 "computed": comp,
                 "quoted": quo,
@@ -249,7 +222,8 @@ def curvature_asd(d, p_choice="q"):
         "p_choice": p_choice,
         "block_sizes": [d.c, d.c, d.r],
         "entries": entries,
-        "all_asd": all_asd,
+        "all_asd": all(e["verdict"] in ("zero", "ASD")
+                       for row in entries for e in row),
         "matches_quoted": all(e["match"] for row in entries for e in row),
         "matches_quoted_up_to_sign": not sign_defects,
         "sign_adjusted_defects": sign_defects,

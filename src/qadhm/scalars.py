@@ -8,7 +8,8 @@
   recognised by ``_is_fraction``, and hashes follow the numeric hash of the
   language reference.
 * ``QLaurent``      -- Laurent polynomials in a formal parameter q with
-  GaussRational coefficients, stored sparsely as {exponent: coefficient}.
+  coefficients in Q(i), stored sparsely as {exponent: coefficient}; an
+  integral coefficient may be a plain ``int``, printed by ``coeff_str``.
   With no negative exponent they are also the polynomials in t of the
   Krylov reduction in ``krylov``, divided by ``_ql_divmod``.
 
@@ -25,7 +26,8 @@ import re
 from math import gcd, lcm
 from sys import hash_info, modules as _modules
 
-__all__ = ["Immutable", "GaussRational", "QLaurent", "qint", "parse_gauss"]
+__all__ = ["Immutable", "GaussRational", "QLaurent", "qint", "parse_gauss",
+           "coeff_str"]
 
 
 class Immutable:
@@ -132,6 +134,8 @@ class GaussRational:
         return _rational_hash(self._a, self._d)
 
     def __add__(self, other):
+        if type(other) is int:      # a + n*d keeps gcd(a, b, d) = 1
+            return _reduced(self._a + other * self._d, self._b, self._d)
         if not isinstance(other, GaussRational):
             other = _as_gauss(other)
             if other is NotImplemented:
@@ -162,6 +166,9 @@ class GaussRational:
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is int:
+            return _gauss(self._a * other, self._b * other, self._d) \
+                if other else _GR_ZERO
         if not isinstance(other, GaussRational):
             other = _as_gauss(other)
             if other is NotImplemented:
@@ -295,7 +302,9 @@ def _parse_ratio(text):
 # ---------------------------------------------------------------------------
 
 class QLaurent(Immutable):
-    """Laurent polynomial in q over Q(i): {exponent: GaussRational}, no zeros."""
+    """Laurent polynomial in q over Q(i): {exponent: coefficient}, no zeros.
+    A coefficient is a GaussRational or an int; the constructor stores a
+    rational integer as an int."""
 
     __slots__ = ("terms",)
 
@@ -303,9 +312,12 @@ class QLaurent(Immutable):
         clean = {}
         if terms:
             for e, c in terms.items():
-                c = _as_gauss(c)
-                if c is NotImplemented:
-                    raise TypeError(f"bad coefficient {terms[e]!r}")
+                if type(c) is not int:
+                    c = _as_gauss(c)
+                    if c is NotImplemented:
+                        raise TypeError(f"bad coefficient {terms[e]!r}")
+                    if not c._b and c._d == 1:
+                        c = c._a
                 if c:
                     clean[int(e)] = c
         object.__setattr__(self, "terms", clean)
@@ -386,7 +398,7 @@ class QLaurent(Immutable):
 
     def __mul__(self, other):
         if not isinstance(other, QLaurent):
-            g = _as_gauss(other)
+            g = other if type(other) is int else _as_gauss(other)
             if g is NotImplemented:
                 return NotImplemented
             if not g:
@@ -455,7 +467,7 @@ class QLaurent(Immutable):
         return out
 
     def coeff(self, e):
-        return self.terms.get(e, _GR_ZERO)
+        return _as_gauss(self.terms.get(e, _GR_ZERO))
 
     def subs_q1(self) -> GaussRational:
         """Classical limit q = 1."""
@@ -465,7 +477,7 @@ class QLaurent(Immutable):
         return acc
 
     def to_json(self):
-        return {str(e): str(c) for e, c in sorted(self.terms.items())}
+        return {str(e): coeff_str(c) for e, c in sorted(self.terms.items())}
 
     def __repr__(self):
         return f"QLaurent({self.terms!r})"
@@ -475,8 +487,7 @@ class QLaurent(Immutable):
             return "0"
         parts = []
         for e in sorted(self.terms):
-            c = self.terms[e]
-            cs = str(c)
+            cs = coeff_str(self.terms[e])
             if "+" in cs[1:] or "-" in cs[1:] or "*" in cs:
                 cs = f"({cs})"
             if e == 0:
@@ -486,6 +497,12 @@ class QLaurent(Immutable):
             else:
                 parts.append(f"{cs}*q^{e}")
         return "+".join(parts).replace("+-", "-")
+
+
+def coeff_str(c):
+    """A QLaurent coefficient as ``str(GaussRational)`` writes it, so an
+    int n as "n/1"."""
+    return f"{c}/1" if type(c) is int else str(c)
 
 
 def _as_qlaurent(x):
@@ -511,7 +528,7 @@ def _ql_divmod(a: QLaurent, b: QLaurent):
     if not b.terms:
         raise ZeroDivisionError("QLaurent division by zero")
     db = max(b.terms)
-    lead_b = b.terms[db]
+    lead_b = _as_gauss(b.terms[db])
     quo = {}
     rem = dict(a.terms)
     while rem and max(rem) >= db:

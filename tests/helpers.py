@@ -557,3 +557,50 @@ def alpha_slice_report(d, Q, dmax, chart="I"):
         "injective": rank == full,
         "method": "exact sparse echelon over the rational function field",
     }
+
+
+# ---------------------------------------------------------------------------
+# reference SD/ASD split and quoted curvature display
+# ---------------------------------------------------------------------------
+
+def grouped_sd_asd_split(omega):
+    """Reference for ``qforms.sd_asd_split``: regroup the 2-form by
+    monomial, then split each monomial's six coordinates, the mixed pair
+    (c+, c-) on dx11^dx22, dx12^dx21 into (c+ - c-)/2 along the SD vector
+    dx11^dx22 - dx12^dx21 and (c+ + c-)/2 along the ASD vector
+    dx11^dx22 + dx12^dx21."""
+    from qadhm.qforms import NCForm
+    zero, half = QLaurent.zero(), QLaurent.one() / 2
+    mix_plus, mix_minus = (0, 3), (1, 2)
+    sd, asd, polys = {}, {}, {}
+    for (w, m), c in omega.terms.items():
+        polys.setdefault(m, {})[w] = c
+    for m, coords in polys.items():
+        for words, part in ((((0, 1), (2, 3)), sd), (((0, 2), (1, 3)), asd)):
+            for w in words:
+                if coords.get(w):
+                    part[(w, m)] = coords[w]
+        cp = coords.get(mix_plus, zero)
+        cm = coords.get(mix_minus, zero)
+        alpha, beta = (cp - cm) * half, (cp + cm) * half
+        if alpha:
+            sd[(mix_plus, m)] = alpha
+            sd[(mix_minus, m)] = -alpha
+        if beta:
+            asd[(mix_plus, m)] = beta
+            asd[(mix_minus, m)] = beta
+    return NCForm(omega.table, 2, sd), NCForm(omega.table, 2, asd)
+
+
+def quoted_display_reference(table):
+    """The quoted curvature block matrix, written out as constant-coefficient
+    2-forms with GaussRational-valued Laurent coefficients."""
+    from qadhm.qforms import NCForm
+
+    def form(coeffs):
+        return NCForm(table, 2, {(w, (0, 0, 0, 0)): QLaurent.from_scalar(
+            GaussRational(c)) for w, c in coeffs.items()})
+    zero = form({})
+    return [[form({(0, 3): -1, (1, 2): -1}), form({(0, 2): 2}), zero],
+            [form({(1, 3): -2}), form({(0, 3): 1, (1, 2): 1}), zero],
+            [zero, zero, zero]]

@@ -23,7 +23,7 @@ from qadhm.exactcore import (
     random_gauss,
 )
 from qadhm.krylov import is_stable
-from qadhm.scalars import GaussRational, QLaurent
+from qadhm.scalars import GaussRational, QLaurent, _as_gauss
 
 from helpers import (
     c1_generator,
@@ -1044,7 +1044,7 @@ def _as_pair(g):
 
 def _as_dict(g, v):
     n = g.deg() + v
-    return {(a, n - a): c for a, c in g.terms.items()}
+    return {(a, n - a): _as_gauss(c) for a, c in g.terms.items()}
 
 
 def _oracle_gcd(*args):

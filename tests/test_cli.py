@@ -1152,9 +1152,9 @@ _LINE_BUDGET = {
     ("q", "eigen"): 1920,
     ("q", "table"): 1920,
     ("q", "penrose"): 1920,
-    ("inst", "verify"): 2047,
+    ("inst", "verify"): 2038,
     ("inst", "slices"): 1784,
-    ("inst", "curvature"): 2751,
+    ("inst", "curvature"): 2731,
 }
 
 

@@ -25,7 +25,8 @@ from qadhm.monad import VARS, build_monad, check_exactness_at, classify_sheaf
 from qadhm.qcalculus import derive_table
 from qadhm.qforms import NCForm
 from qadhm.qspacetime import HarmonicIndex, NCPoly
-from qadhm.scalars import GaussRational, QLaurent, _ql_divmod, parse_gauss, qint
+from qadhm.scalars import (GaussRational, QLaurent, _as_gauss, _ql_divmod,
+                           parse_gauss, qint)
 
 from helpers import (complex_residuals_by_commutators, matrix_from_rows,
                      qbinom, qbrace, qfact, ql_evaluate, qrat_as_qlaurent,
@@ -227,8 +228,8 @@ def _shifted_divmod(a, b):
     if not a.terms:
         return QLaurent(), QLaurent()
     va, vb = a.val(), b.val()
-    ad = {e - va: c for e, c in a.terms.items()}
-    bd = {e - vb: c for e, c in b.terms.items()}
+    ad = {e - va: _as_gauss(c) for e, c in a.terms.items()}
+    bd = {e - vb: _as_gauss(c) for e, c in b.terms.items()}
     db = max(bd)
     lead_b = bd[db]
     quo = {}

@@ -20,7 +20,7 @@ from qadhm.exactcore import (
     is_complex_solution,
 )
 from qadhm.qcalculus import CalculusError, derive_table
-from qadhm.qforms import NCForm
+from qadhm.qforms import NCForm, sd_asd_split
 from qadhm.qinstanton import (build_q_ops, curvature_asd,
                               curvature_report_json, identity_products,
                               ids_report, scalar_operator, truncated_matrix)
@@ -29,7 +29,8 @@ from qadhm.echelon import QRat
 from qadhm.scalars import GaussRational, QLaurent
 
 from helpers import (_sparse_containment, alpha_slice_report,
-                     build_q_ops_by_blocks, matrix_from_rows,
+                     build_q_ops_by_blocks, grouped_sd_asd_split,
+                     matrix_from_rows, quoted_display_reference,
                      random_c1r1_solution, random_complex_datum,
                      slice_rank_grid, slice_rank_report)
 from statements import (beta_p_alpha_q, chart_j_pattern, kernel_slice_basis,
@@ -806,3 +807,52 @@ class TestJSONReports:
         json.dumps(chart_j_pattern(d))
         json.dumps(curvature_report_json(curvature_asd(d)))
         json.dumps(build_q_ops(d)[0].to_json())
+
+
+_WORDS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _seeded_two_form(rng, table):
+    """A 2-form over a few monomials with integer or Gaussian Laurent
+    coefficients on random words; some monomials carry mixed pairs
+    c.dx11^dx22 +- c.dx12^dx21 whose SD or ASD part cancels."""
+    monos = [tuple(rng.randint(0, 2) for _ in range(4))
+             for _ in range(rng.randint(1, 4))]
+    terms = {}
+    for m in monos:
+        for w in rng.sample(_WORDS, rng.randint(1, 6)):
+            c = GaussRational(rng.randint(-3, 3), rng.choice((0, 0, 1, -2)))
+            terms[(w, m)] = QLaurent({rng.randint(-2, 2): c,
+                                      rng.randint(-2, 2): rng.randint(-2, 2)})
+        if rng.random() < 0.5:
+            c = QLaurent({rng.randint(-2, 2): rng.randint(1, 3)})
+            terms[((0, 3), m)] = c
+            terms[((1, 2), m)] = c if rng.random() < 0.5 else -c
+    return NCForm(table, 2, terms)
+
+
+class TestSdAsdSplitOracle:
+    @pytest.mark.parametrize("p_choice", ["q", "qinv"])
+    def test_term_split_matches_the_grouped_split(self, p_choice):
+        table = derive_table(p_choice)
+        rng = random.Random(f"sd-asd:{p_choice}")
+        cancelled = 0
+        for _ in range(200):
+            omega = _seeded_two_form(rng, table)
+            sd, asd = sd_asd_split(omega)
+            assert (sd, asd) == grouped_sd_asd_split(omega)
+            assert str(sd) == str(grouped_sd_asd_split(omega)[0])
+            cancelled += any(not sd.terms.get(((0, 3), m)) and
+                             asd.terms.get(((0, 3), m))
+                             for _, m in omega.terms)
+        assert cancelled >= 20
+
+    @pytest.mark.parametrize("p_choice", ["q", "qinv"])
+    def test_quoted_blocks_match_the_written_display(self, p_choice):
+        rep = curvature_asd(one_instanton(), p_choice)
+        want = quoted_display_reference(derive_table(p_choice))
+        for a in range(3):
+            for b in range(3):
+                quo = rep["entries"][a][b]["quoted"]
+                assert quo == want[a][b]
+                assert str(quo) == str(want[a][b])

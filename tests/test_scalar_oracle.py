@@ -385,3 +385,75 @@ def test_float_operands_are_refused():
                    lambda x: 0.5 - x):
             with pytest.raises(TypeError):
                 op(x)
+
+
+# ---------------------------------------------------------------------------
+# integral Laurent coefficients kept as int
+# ---------------------------------------------------------------------------
+
+def _raw_laurent(terms):
+    """A QLaurent holding exactly these coefficients, with no coercion."""
+    out = QLaurent.__new__(QLaurent)
+    object.__setattr__(out, "terms", dict(terms))
+    return out
+
+
+def _laurent_forms(rng):
+    """One seeded Laurent polynomial whose integral coefficients are given
+    as int, as boxed GaussRational and mixed, with Gaussian ones kept."""
+    terms = {}
+    for e in rng.sample(range(-3, 4), rng.randint(1, 4)):
+        terms[e] = rng.choice((rng.randint(-4, 4) or 1,
+                               GaussRational(rng.randint(-3, 3),
+                                             rng.randint(-2, 2))))
+    ints = {e: c if type(c) is int or c._b or c._d != 1 else c._a
+            for e, c in terms.items() if c}
+    boxed = {e: GaussRational(c) if type(c) is int else c
+             for e, c in ints.items()}
+    mixed = {e: (ints if k % 2 else boxed)[e]
+             for k, e in enumerate(sorted(ints))}
+    return [_raw_laurent(t) for t in (ints, boxed, mixed)]
+
+
+def test_int_and_boxed_coefficients_agree():
+    from qadhm import krylov
+    from qadhm.scalars import _ql_divmod
+    rng = random.Random(13)
+    for _ in range(150):
+        fs, gs = _laurent_forms(rng), _laurent_forms(rng)
+        for f in fs[1:]:
+            assert f == fs[0] and hash(f) == hash(fs[0])
+            assert str(f) == str(fs[0]) and f.to_json() == fs[0].to_json()
+        if fs[0].val() >= 0:
+            outs = {krylov._gcd_str(f, 1) for f in fs}
+            assert len(outs) == 1
+        results = []
+        for f, g in zip(fs, gs):
+            out = [f + g, f - g, f * g, f.shift(2), f * 3, g * 0,
+                   f * g / g, *_ql_divmod(f, g)]
+            assert out[6] == f
+            try:
+                out.append(f / g)
+            except ValueError:      # g does not divide f
+                pass
+            for x in out:
+                assert all(type(c) is not float for c in x.terms.values())
+            results.append([str(x) for x in out])
+        assert results[0] == results[1] == results[2]
+
+
+def test_the_q_algebra_keeps_integer_coefficients_as_int():
+    from qadhm.qcalculus import derive_table
+    from qadhm.qspacetime import HarmonicIndex, basis_element, harmonic
+    coeffs = [c for p in ("q", "qinv")
+              for terms in derive_table(p).x_rules.values()
+              for ql, _ in terms for c in ql.terms.values()]
+    for two_l in range(9):
+        for two_m in range(-two_l, two_l + 1, 2):
+            for two_n in range(-two_l, two_l + 1, 2):
+                polys = [harmonic(HarmonicIndex(two_l, two_m, two_n))]
+                polys += [basis_element(HarmonicIndex(two_l, two_m, two_n, k))
+                          for k in (1, 2)]
+                coeffs += [c for p in polys for ql in p.terms.values()
+                           for c in ql.terms.values()]
+    assert coeffs and all(type(c) is int for c in coeffs)

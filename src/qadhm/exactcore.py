@@ -308,6 +308,8 @@ def _check_counts(c, r):
 def _as_matrix(m, rows, cols, name):
     entries = m.a if isinstance(m, Matrix) else m
     try:
+        if not all(isinstance(x, (list, tuple)) for x in (entries, *entries)):
+            raise TypeError("expected a list of rows, each a list")
         return Matrix(rows, cols,
                       [[_scalar(x) for x in row] for row in entries])
     except (ValueError, TypeError) as exc:

@@ -24,11 +24,11 @@ here, so ``inst slices`` does not load ``adhm``.
 """
 
 from collections import deque
-from math import comb, prod
+from math import prod
 
 from .exactcore import ADHMError, Matrix
 from .scalars import (_QL_ONE, GaussRational, QLaurent, _ql_divmod,
-                      coeff_str)
+                      coeff_str, mono_str)
 
 __all__ = ["is_stable", "gcd_projective_roots", "line_side", "stable_side_of",
            "holds_everywhere"]
@@ -108,15 +108,7 @@ def is_stable(B1, B2, i):
 def _gcd_str(g, v):
     """The gcd (g, v) as ``(c)*z^a*w^b + ...``, highest power of z first."""
     n = g.deg() + v
-
-    def mono(a, b):
-        parts = []
-        if a:
-            parts.append("z" if a == 1 else f"z^{a}")
-        if b:
-            parts.append("w" if b == 1 else f"w^{b}")
-        return "*".join(parts) or "1"
-    return " + ".join(f"({coeff_str(c)})*{mono(a, n - a)}"
+    return " + ".join(f"({coeff_str(c)})*{mono_str((a, n - a), 'zw') or '1'}"
                       for a, c in sorted(g.terms.items(), reverse=True))
 
 
@@ -135,9 +127,9 @@ def gcd_projective_roots(g, v):
     GaussRational coordinates, z = 0 first (multiplicity g.val()), then
     w = 0 (multiplicity v), then the rest; leftovers are strings for
     factors with no Q(i) root.  The rest, g shifted to valuation 0, is
-    checked exactly against lc*(t - a)^d with a = -g_(d-1)/(d*g_d), which
-    gives its one root without sympy; any other rest is factored by sympy
-    over QQ_I.
+    compared exactly with lc*(t - a)^d, multiplied out, where
+    a = -g_(d-1)/(d*g_d); a match gives its one root without sympy, and any
+    other rest is factored by sympy over QQ_I.
     """
     if not g:
         raise ValueError("zero polynomial has every root")
@@ -153,8 +145,10 @@ def gcd_projective_roots(g, v):
     coeffs = [g.coeff(za + k) for k in range(d + 1)]
     lead = coeffs[d]
     root = -coeffs[d - 1] / (lead * d)
-    if all(coeffs[k] == lead * comb(d, k) * (-root) ** (d - k)
-           for k in range(d - 1)):
+    power = QLaurent({0: lead})
+    for _ in range(d):
+        power = power * QLaurent({1: 1, 0: -root})
+    if power == g.shift(-za):
         roots.append(((root, GaussRational(1)), d))
         return roots, []
 

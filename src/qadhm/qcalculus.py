@@ -66,7 +66,7 @@ from functools import cache, partial
 
 from .qspacetime import (CHART_I_RULES, HarmonicIndex, NCPoly, X_NAMES,
                          add_to, apply_rule, det_x, engine, feed, harmonic,
-                         split_first)
+                         split_first, times_det)
 from .scalars import GaussRational, QLaurent, qint
 
 _ONE = QLaurent.one()
@@ -409,11 +409,6 @@ def laplacian(f: NCPoly, table) -> NCPoly:
     return first
 
 
-def det_right(f: NCPoly) -> NCPoly:
-    """f . det(x)."""
-    return f * det_x()
-
-
 def tilde_laplacian(f: NCPoly, table) -> NCPoly:
     """f -> (box f) . det: box followed by right multiplication by det.
 
@@ -421,7 +416,7 @@ def tilde_laplacian(f: NCPoly, table) -> NCPoly:
     p^(2k+2l-3) [k] [k+2l+1], independent of m and n; composing with det on
     the left instead would multiply the eigenvalue by q^(2(m-n)).
     """
-    return det_right(laplacian(f, table))
+    return times_det(laplacian(f, table), left=False)
 
 
 # ---------------------------------------------------------------------------

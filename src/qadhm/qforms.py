@@ -10,32 +10,14 @@ Conventions:
     in left-coefficient normal form (ordered monomial times strictly sorted
     wedge word), with Laurent coefficients: the table rules, the products
     of monomials and the 1/2 of the split all are.
-
-The products (wedge word) . monomial of each table are cached for the life
-of the process.
 """
 
-from functools import cache
-
-from .scalars import QLaurent
+from .scalars import QLaurent, mono_str
 from .qcalculus import CalculusError
-from .qspacetime import NCPoly, SparseTerms, X_NAMES, add_to, engine
+from .qspacetime import NCPoly, SparseTerms, X_NAMES, add_to, engine, feed
 
 _ONE = QLaurent.one()
 _ENG = engine("I")
-
-
-@cache
-def _word_past_mono(table, word, mono):
-    """(wedge word) . mono as {(mono', word'): QLaurent}, words unsorted."""
-    if not word:
-        return {(mono, ()): _ONE}
-    head, last = word[:-1], word[-1]
-    acc = {}
-    for (m1, e), c1 in table.cross(last, mono).items():
-        for (m0, w0), c0 in _word_past_mono(table, head, m1).items():
-            add_to(acc, (m0, w0 + (e,)), c1 * c0)
-    return {k: c for k, c in acc.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +69,17 @@ class NCForm(SparseTerms):
         if deg > 4:
             return NCForm(self.table, 4)
         table = self.table
+
+        def insert(g, key):             # dx_g . (mono . word)
+            m, w = key
+            return {(m1, (e,) + w): c
+                    for (m1, e), c in table.cross(g, m).items()}
         acc = {}
         for (w1, m1), c1 in self.terms.items():
             for (w2, m2), c2 in other.terms.items():
                 c12 = c1 * c2
-                for (mm, w1p), cm in _word_past_mono(table, w1, m2).items():
+                past = feed(insert, w1, {(m2, ()): _ONE})   # w1 . m2
+                for (mm, w1p), cm in past.items():
                     for wn, cw in table.wedge_norm(w1p + w2).items():
                         base = c12 * (cm * cw)
                         for mn, cx in _ENG.mul_mono_mono(m1, mm).items():
@@ -105,8 +93,7 @@ class NCForm(SparseTerms):
             return "0"
         bits = []
         for (w, m), c in sorted(self.terms.items()):
-            mono = "*".join(f"{X_NAMES[g]}^{m[g]}" if m[g] > 1 else X_NAMES[g]
-                            for g in range(4) if m[g])
+            mono = mono_str(m, X_NAMES)
             word = "^".join("d" + X_NAMES[g] for g in w)
             parts = [p for p in (f"({c})", mono, word) if p]
             bits.append("*".join(parts))

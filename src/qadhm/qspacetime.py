@@ -29,12 +29,12 @@ denote the zero element.
 
 from functools import cache
 
-from .scalars import Immutable, QLaurent, _as_qlaurent
+from .scalars import Immutable, QLaurent, _as_qlaurent, mono_str
 
 __all__ = [
     "SparseTerms", "NCPoly", "HarmonicIndex", "SortEngine",
     "X_NAMES", "Y_NAMES", "normalize", "monomials_of_degree",
-    "det_x",
+    "det_x", "times_det",
     "harmonic", "basis_element", "engine",
 ]
 
@@ -283,12 +283,8 @@ class NCPoly(SparseTerms):
         names = X_NAMES if self.chart == "I" else Y_NAMES
         parts = []
         for m in sorted(self.terms):
-            c = self.terms[m]
-            mono = "*".join(
-                (names[i] if e == 1 else f"{names[i]}^{e}")
-                for i, e in enumerate(m) if e
-            )
-            cs = str(c)
+            mono = mono_str(m, names)
+            cs = str(self.terms[m])
             if "+" in cs[1:] or "-" in cs[1:]:
                 cs = f"({cs})"
             parts.append(f"{cs}*{mono}" if mono else cs)
@@ -345,6 +341,21 @@ def monomials_of_degree(d):
 def det_x() -> NCPoly:
     """det(x) = x11x22 - x12x21 (the normal form of both of its displays)."""
     return NCPoly("I", {(1, 0, 0, 1): _ONE, (0, 1, 1, 0): QLaurent({0: -1})})
+
+
+def times_det(f: NCPoly, left=True) -> NCPoly:
+    """det(x) . f (left) or f . det(x), with no rewriting.  det commutes
+    with x11 and x22, det x12 = q^2 x12 det and x21 det = q^2 det x21, so
+    det . x^(a,b,c,d) = q^(2b) (x^(a+1,b,c,d+1) - x^(a,b+1,c+1,d)), and
+    x^(a,b,c,d) . det is the same difference times q^(2c)."""
+    if f.chart != "I":
+        raise ValueError("det(x) lives on chart I")
+    acc = {}
+    for (a, b, c, d), coeff in f.terms.items():
+        u = coeff.shift(2 * (b if left else c))
+        add_to(acc, (a + 1, b, c, d + 1), u)
+        add_to(acc, (a, b + 1, c + 1, d), -u)
+    return NCPoly("I", acc)
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +446,7 @@ def basis_element(idx: HarmonicIndex) -> NCPoly:
     """det(x)^k X^l_{m,n} (k >= 0), as a chart-I normal form."""
     if idx.k < 0:
         raise ValueError("chart I needs k >= 0")
-    h = harmonic(HarmonicIndex(idx.two_l, idx.two_m, idx.two_n))
-    d = det_x()
-    out = h
+    out = harmonic(HarmonicIndex(idx.two_l, idx.two_m, idx.two_n))
     for _ in range(idx.k):
-        out = d * out
+        out = times_det(out)
     return out

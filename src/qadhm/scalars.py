@@ -13,10 +13,11 @@
   With no negative exponent they are also the polynomials in t of the
   Krylov reduction in ``krylov``, divided by ``_ql_divmod``.
 
-Plus the quantum integers [n] and ``parse_gauss``.  Their fraction field
-``QRat`` and the sparse echelon are in ``echelon``, which only the commands
-that eliminate load.  The ``q`` commands need nothing else, so they load
-this module and not ``exactcore``.
+Plus the quantum integers [n], ``parse_gauss`` and the one monomial
+printer ``mono_str``.  Their fraction field ``QRat`` and the sparse
+echelon are in ``echelon``, which only the commands that eliminate load.
+The ``q`` commands need nothing else, so they load this module and not
+``exactcore``.
 
 Equal scalars hash alike across types: a GaussRational with zero imaginary
 part hashes as its real part, and a constant QLaurent as its coefficient.
@@ -27,7 +28,7 @@ from math import gcd, lcm
 from sys import hash_info, modules as _modules
 
 __all__ = ["Immutable", "GaussRational", "QLaurent", "qint", "parse_gauss",
-           "coeff_str"]
+           "coeff_str", "mono_str"]
 
 
 class Immutable:
@@ -201,20 +202,6 @@ class GaussRational:
         if other is NotImplemented:
             return NotImplemented
         return other / self
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("GaussRational power needs an integer")
-        if n < 0:
-            return _GR_ONE / (self ** (-n))
-        out = _GR_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def conjugate(self):
         return _reduced(self._a, -self._b, self._d)
@@ -503,6 +490,13 @@ def coeff_str(c):
     """A QLaurent coefficient as ``str(GaussRational)`` writes it, so an
     int n as "n/1"."""
     return f"{c}/1" if type(c) is int else str(c)
+
+
+def mono_str(exps, names):
+    """The monomial prod names[g]^exps[g] as "x11^2*x22": exponent 1 is not
+    written and exponent 0 drops its letter, so 1 is the empty string."""
+    return "*".join(n if e == 1 else f"{n}^{e}"
+                    for n, e in zip(names, exps) if e)
 
 
 def _as_qlaurent(x):

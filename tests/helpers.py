@@ -5,7 +5,9 @@ them.  The generators are deterministic in their seed, like
 ``adhm.random_stable_solution`` (which ``adhm random`` runs) and
 ``adhm.random_nonstable_solution`` (which the benchmark uses).  The slice
 echelons over Q(i)(q) at the end are the oracle of ``slices.slice_verdict``,
-and the pencil expansion before them that of the harmonic closed forms.
+and the pencil expansion before them that of the harmonic closed forms,
+as the engine products with det(x) are that of ``basis_element``.  The
+locally free and reflexive generators give solutions with j != 0.
 The residuals by commutators and the module operators block by block, with
 one sign table per chart, are the oracles of ``exactcore.complex_residuals``
 and ``qinstanton.build_q_ops``, which read both off the monad pencils.
@@ -15,14 +17,15 @@ The paper statements that only the tests check are in ``statements.py``.
 import itertools
 import random
 
-from qadhm.adhm import classify
+from qadhm.adhm import _commuting_draw, classify
 from qadhm.echelon import _as_qrat, _echelon
 from qadhm.exactcore import (ADHMError, ComplexADHMDatum, Matrix,
                              RealADHMDatum, is_complex_solution, random_gauss)
 from qadhm.krylov import _closure_basis
 from qadhm.qinstanton import (_monomials_upto, _slice_rows, build_q_ops,
                               scalar_operator, truncated_matrix)
-from qadhm.qspacetime import NCPoly, X_NAMES, Y_NAMES
+from qadhm.qspacetime import (HarmonicIndex, NCPoly, X_NAMES, Y_NAMES,
+                              det_x, harmonic)
 from qadhm.real import real_residuals
 from qadhm.scalars import _QL_ONE, GaussRational, QLaurent, _as_gauss, _gauss
 
@@ -242,6 +245,86 @@ def gl_action(g, d):
         g * d.i1, g * d.i2, d.j1 * ginv, d.j2 * ginv)
 
 
+def gl_r_action(h, d):
+    """(i, j) -> (i h^-1, h j) on every block of a complex datum, the B's
+    kept: i~j~ is unchanged, so solutions map to solutions."""
+    hinv = h.solve(Matrix.identity(d.r, _ONE, _ZERO))
+    if hinv is None:
+        raise ADHMError("gl_r_action: matrix is not invertible")
+    return ComplexADHMDatum(d.c, d.r, d.B11, d.B12, d.B21, d.B22,
+                            d.i1 * hinv, d.i2 * hinv, h * d.j1, h * d.j2)
+
+
+def _dense_change_of_basis(d, rng):
+    """d moved by a seeded dense element of GL(c) x GL(r), which hides its
+    block structure."""
+    return gl_r_action(random_invertible(d.r, rng),
+                       gl_action(random_invertible(d.c, rng), d))
+
+
+def semiregular_not_regular():
+    """c=1, r=3: zero B's, independent i-rows, j1 = e3, j2 = 0.  Stable
+    everywhere and costable everywhere but at [0:1], where j~ = z*e3
+    vanishes."""
+    return ComplexADHMDatum(1, 3, [[0]], [[0]], [[0]], [[0]],
+                            [[1, 0, 0]], [[0, 1, 0]],
+                            [[0], [0], [1]], [[0], [0], [0]])
+
+
+def _locally_free(c, rng):
+    """The r = 2 datum of ``random_locally_free_solution`` before its
+    change of basis."""
+    blocks, _ = _commuting_draw(rng, c, 2)
+
+    def draw(n, keep):
+        while True:
+            x = [random_gauss(rng) for _ in range(n)]
+            if keep(x):
+                return x
+    # f = fz*z + fw*w and g = gz*z + gw*w, independent
+    fz, fw, gz, gw = draw(4, lambda x: x[0] * x[3] != x[1] * x[2])
+    v = draw(c, lambda x: x[0])         # cyclic for the shift N
+    h = draw(c, lambda x: x[-1])        # cyclic for its transpose
+    return ComplexADHMDatum(
+        c, 2, *blocks,
+        [[x * fz, x * gz] for x in v], [[x * fw, x * gw] for x in v],
+        [[gz * y for y in h], [-fz * y for y in h]],
+        [[gw * y for y in h], [-fw * y for y in h]])
+
+
+def random_locally_free_solution(c, seed, dense=True):
+    """Seeded regular solution with r = 2 and j != 0, whose sheaf is
+    locally free (Barth and Hulek, Manuscripta Math. 25, 1978).
+
+    The B's are those of ``adhm._commuting_draw``; i~ = v (f, g) for two
+    independent linear forms f, g in (z, w) and v[0] != 0, and
+    j~ = (g h^T; -f h^T) with h[c-1] != 0, so i~j~ = v(fg - gf)h^T = 0.
+    Span v generates V under B~ at every point, and ker j~ = ker h^T holds
+    no B~-invariant subspace ker N^k.  A seeded dense GL(c) x GL(r) change
+    of basis follows unless not ``dense``."""
+    rng = random.Random(seed)
+    d = _locally_free(c, rng)
+    return _dense_change_of_basis(d, rng) if dense else d
+
+
+def _block_diagonal(a, b):
+    return Matrix.vstack([
+        Matrix.hstack([a, Matrix.zero(a.rows, b.cols, _ZERO)]),
+        Matrix.hstack([Matrix.zero(b.rows, a.cols, _ZERO), b])])
+
+
+def random_reflexive_solution(c, seed, dense=True):
+    """Seeded semiregular solution with r = 5 and c >= 2 whose sheaf is
+    reflexive with its singular locus over [0:1]: the direct sum of the
+    charge-(c-1) datum of ``random_locally_free_solution`` with
+    ``semiregular_not_regular``, then (if ``dense``) a seeded dense
+    GL(c) x GL(r) change of basis.  A direct sum is stable where both
+    summands are, and costable where both are."""
+    rng = random.Random(seed)
+    a, b = _locally_free(c - 1, rng), semiregular_not_regular()
+    d = ComplexADHMDatum(c, 5, *(_block_diagonal(getattr(a, n), getattr(b, n))
+                                 for n, _, _ in ComplexADHMDatum._BLOCKS))
+    return _dense_change_of_basis(d, rng) if dense else d
 
 
 def grid_points():
@@ -310,9 +393,26 @@ def ncpoly_power(p, n):
     return out
 
 
+def basis_element_by_products(idx):
+    """det(x)^k X^l_{m,n} as k engine products of det_x() with harmonic(),
+    the oracle of ``qspacetime.basis_element``."""
+    out = harmonic(HarmonicIndex(idx.two_l, idx.two_m, idx.two_n))
+    for _ in range(idx.k):
+        out = det_x() * out
+    return out
+
+
+def gauss_power(x, n):
+    """x^n for a GaussRational x and an int n, one product at a time."""
+    out = _ONE
+    for _ in range(abs(n)):
+        out = out * x
+    return out if n >= 0 else _ONE / out
+
+
 def ql_evaluate(f: QLaurent, q0: GaussRational) -> GaussRational:
     """The value of the Laurent polynomial f at q = q0."""
-    return sum((c * q0 ** e for e, c in f.terms.items()), _ZERO)
+    return sum((c * gauss_power(q0, e) for e, c in f.terms.items()), _ZERO)
 
 
 def ncpoly_q1(f):

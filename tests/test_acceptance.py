@@ -41,7 +41,8 @@ from qadhm.scalars import GaussRational, QLaurent, qint
 
 from calculus_oracle import _solve_x_rules
 from helpers import (ql_evaluate, random_c1r1_solution,
-                     random_complex_datum, slice_rank_report)
+                     random_complex_datum, semiregular_not_regular,
+                     slice_rank_report)
 from statements import (ChernClass, anticommutation_audit, appendix_b_suite,
                         basis_independence, basis_indices_for_degree,
                         beta_p_alpha_q, cech_exponents,
@@ -49,8 +50,7 @@ from statements import (ChernClass, anticommutation_audit, appendix_b_suite,
                         det_mult_rank, dimension_of_degree, laplace_via_star,
                         normalize_monad, oast_check, slice_matrix, xi_leading)
 from test_adhm import proj_equal
-from test_monad import (BASE_POINTS, SEEDED_LOCUS_DATA,
-                        semiregular_not_regular, shifted_line_ranks,
+from test_monad import (BASE_POINTS, SEEDED_LOCUS_DATA, shifted_line_ranks,
                         stable_not_semiregular)
 from test_qcalculus import (HAND_WEDGE_RULES, HAND_X_RULES_Q,
                             HAND_X_RULES_QINV, gen_poly, qp)

@@ -36,6 +36,7 @@ from helpers import (
     random_complex_datum,
     random_invertible,
     random_real_solution,
+    semiregular_not_regular,
     stabilizer_dim,
     submatrix,
 )
@@ -57,13 +58,6 @@ def stable_not_semiregular():
     """c=1, r=2: zero B's, i-rows the coordinate vectors, j = 0."""
     return ComplexADHMDatum(1, 2, [[0]], [[0]], [[0]], [[0]],
                             [[1, 0]], [[0, 1]], [[0], [0]], [[0], [0]])
-
-
-def semiregular_not_regular():
-    """c=1, r=3: zero B's, independent i-rows, j1 = e3, j2 = 0."""
-    return ComplexADHMDatum(1, 3, [[0]], [[0]], [[0]], [[0]],
-                            [[1, 0, 0]], [[0, 1, 0]],
-                            [[0], [0], [1]], [[0], [0], [0]])
 
 
 def one_instanton_real():

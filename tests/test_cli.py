@@ -831,6 +831,23 @@ class TestDatumSizeGuard:
             "message": f"{f}: {block} must be a 1x1 matrix: cannot coerce "
                        "True to a Gaussian rational"}
 
+    @pytest.mark.parametrize("datum,block,size,value", [
+        (_zero_datum_json(1, 2), "B11", 2, ["12", "34"]),
+        (_zero_datum_json(1, 1), "B11", 1, "1"),
+        (_zero_datum_json(1, 1), "i1", 1, [{"1": 0}]),
+        (RealADHMDatum(1, 1, [[0]], [[0]], [[0]], [[0]]).to_json(), "B1", 1,
+         ["1"]),
+    ], ids=["string-rows", "string-block", "object-row", "real"])
+    def test_a_block_that_is_no_list_of_lists_is_refused(
+            self, datum, block, size, value, tmp_path, capsys):
+        # a string row was read character by character and an object row
+        # by its keys, so each of these data passed for a solution
+        f = write_json(tmp_path / "d.json", {**datum, block: value})
+        assert _error(["adhm", "check", f], capsys) == {
+            "type": "CLIError",
+            "message": f"{f}: {block} must be a {size}x{size} matrix: "
+                       "expected a list of rows, each a list"}
+
     def test_a_datum_that_is_no_object_is_an_error(self, tmp_path, capsys):
         f = write_json(tmp_path / "list.json", [1, 2])
         code, out = invoke(["adhm", "check", f], capsys)
@@ -1154,7 +1171,7 @@ _LINE_BUDGET = {
     ("q", "penrose"): 1920,
     ("inst", "verify"): 2038,
     ("inst", "slices"): 1784,
-    ("inst", "curvature"): 2731,
+    ("inst", "curvature"): 2717,
 }
 
 

@@ -28,9 +28,9 @@ from qadhm.qspacetime import HarmonicIndex, NCPoly
 from qadhm.scalars import (GaussRational, QLaurent, _as_gauss, _ql_divmod,
                            parse_gauss, qint)
 
-from helpers import (complex_residuals_by_commutators, matrix_from_rows,
-                     qbinom, qbrace, qfact, ql_evaluate, qrat_as_qlaurent,
-                     random_complex_datum, small_gauss)
+from helpers import (complex_residuals_by_commutators, gauss_power,
+                     matrix_from_rows, qbinom, qbrace, qfact, ql_evaluate,
+                     qrat_as_qlaurent, random_complex_datum, small_gauss)
 
 
 def G(re, im=0):
@@ -754,7 +754,8 @@ def test_projective_roots_single_root_powers_match_sympy():
     for _ in range(30):
         d, za, wb = rng.randint(1, 4), rng.randint(0, 2), rng.randint(0, 2)
         a, lc = random_gauss(rng), random_gauss(rng) or G(1)
-        coeffs = [lc * comb(d, k) * (-a) ** (d - k) for k in range(d + 1)]
+        coeffs = [lc * comb(d, k) * gauss_power(-a, d - k)
+                  for k in range(d + 1)]
         p = QLaurent({za + k: x for k, x in enumerate(coeffs)}), wb
         roots, leftovers = gcd_projective_roots(*p)
         poly = sympy.Poly(sum(to_sympy(x) * t ** k

@@ -21,6 +21,7 @@ from helpers import (
     random_complex_datum,
     random_invertible,
     seeded_points,
+    semiregular_not_regular,
     small_gauss,
 )
 from statements import (ChernClass, appendix_b_suite, chern_of_monad,
@@ -40,13 +41,6 @@ def stable_not_semiregular():
     """c=1, r=2: zero B's, i-rows the coordinate vectors, j = 0."""
     return ComplexADHMDatum(1, 2, [[0]], [[0]], [[0]], [[0]],
                             [[1, 0]], [[0, 1]], [[0], [0]], [[0], [0]])
-
-
-def semiregular_not_regular():
-    """c=1, r=3: zero B's, independent i-rows, j1 = e3, j2 = 0."""
-    return ComplexADHMDatum(1, 3, [[0]], [[0]], [[0]], [[0]],
-                            [[1, 0, 0]], [[0, 1, 0]],
-                            [[0], [0], [1]], [[0], [0], [0]])
 
 
 def one_instanton_complex():

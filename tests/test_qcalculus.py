@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import qadhm.qcalculus as qcalculus
-from qadhm import echelon, qforms
+from qadhm import echelon
 from qadhm.adhm import random_stable_solution
 from qadhm.cli import run
 from qadhm.echelon import QRat
@@ -996,7 +996,7 @@ class TestFormAlgebra:
 
 # every function the q engines cache for the life of the process
 _CACHED = (SortEngine.mul_gen_mono, CalculusTable.cross, CalculusTable.d_mono,
-           CalculusTable.insert_wedge, qforms._word_past_mono)
+           CalculusTable.insert_wedge)
 
 
 class TestMemoTransparency:

@@ -9,12 +9,12 @@ import pytest
 
 from qadhm.qspacetime import (HarmonicIndex, NCPoly, X_NAMES, Y_NAMES,
                               basis_element, det_x, harmonic,
-                              monomials_of_degree, normalize)
+                              monomials_of_degree, normalize, times_det)
 from qadhm.echelon import QRat
 from qadhm.scalars import GaussRational, QLaurent
 
-from helpers import (harmonic_by_pencils, ncpoly_power, ncpoly_q1, qbinom,
-                     qfact)
+from helpers import (basis_element_by_products, harmonic_by_pencils,
+                     ncpoly_power, ncpoly_q1, qbinom, qfact)
 from statements import (basis_independence, basis_indices_for_degree,
                         det_commutators, det_mult_rank, dimension_of_degree,
                         harmonic_Y, oast_check, y_mono_to_x)
@@ -311,6 +311,46 @@ class TestDeterminant:
         assert NCPoly("I", acc) == det_x()
 
 
+class TestTimesDet:
+    """The closed form of a product with det(x) against the engine."""
+
+    @staticmethod
+    def cancelling_poly(rng):
+        """u.m + q^2 u.m' with m' = m + (1, -1, -1, 1): the x^(a+1,b,c,d+1)
+        term of det . m and the -x^(a,b+1,c+1,d) term of det . m' cancel,
+        and so do those of m . det and m' . det."""
+        a, b, c, d = (rng.randint(0, 2) for _ in range(4))
+        u = QLaurent({rng.randint(-2, 2): GaussRational(rng.randint(1, 3),
+                                                        rng.randint(-2, 2))})
+        return NCPoly("I", {(a, b + 1, c + 1, d): u,
+                            (a + 1, b, c, d + 1): u.shift(2)})
+
+    @pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+    def test_matches_the_engine(self, left):
+        rng = random.Random(37)
+        det = det_x()
+        for trial in range(200):
+            f = random_poly(rng, max_terms=5, max_deg=4)
+            if trial % 2:
+                f = f + self.cancelling_poly(rng)
+            want = det * f if left else f * det
+            assert times_det(f, left) == want, (trial, str(f))
+        assert times_det(NCPoly.zero("I"), left) == NCPoly.zero("I")
+
+    @pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+    def test_cancelling_terms_drop(self, left):
+        rng = random.Random(41)
+        for _ in range(20):
+            f = self.cancelling_poly(rng)
+            out = times_det(f, left)
+            assert len(out.terms) == 2
+            assert out == (det_x() * f if left else f * det_x())
+
+    def test_chart_j_is_refused(self):
+        with pytest.raises(ValueError):
+            times_det(NCPoly.gen("J", "y11"))
+
+
 class TestDetMultRank:
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_full_rank(self, d):
@@ -578,6 +618,13 @@ class TestBasis:
         idx = HarmonicIndex(2, 0, 0, k=2)
         e = basis_element(idx)
         assert is_homogeneous(e) and e.degree() == 6
+
+    def test_basis_element_matches_engine_products(self):
+        for idx in indices_upto(8):
+            for k in range(5):
+                idx_k = HarmonicIndex(idx.two_l, idx.two_m, idx.two_n, k)
+                assert basis_element(idx_k) == \
+                    basis_element_by_products(idx_k), idx_k
 
     def test_basis_element_negative_k_rejected(self):
         with pytest.raises(ValueError):

@@ -79,14 +79,6 @@ class PairGauss:
     def __rtruediv__(self, other):
         return _as_pair(other) / self
 
-    def __pow__(self, n):
-        if n < 0:
-            return PairGauss(1) / (self ** (-n))
-        out = PairGauss(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def conjugate(self):
         return PairGauss(self.re, -self.im)
 
@@ -206,17 +198,6 @@ def test_int_and_fraction_operands_on_either_side(a, b, k):
     assert (x == k) == (ox == k)
     assert (k == x) == (k == ox)
     assert (x != k) == (ox != k)
-
-
-@given(part_st, part_st, st.integers(min_value=-4, max_value=5))
-@settings(max_examples=150, deadline=None)
-def test_powers(a, b, n):
-    x, ox = both(a, b)
-    if n < 0 and not ox:
-        with pytest.raises(ZeroDivisionError):
-            x ** n
-    else:
-        agree(x ** n, ox ** n)
 
 
 def test_constructor_types():

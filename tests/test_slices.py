@@ -24,7 +24,7 @@ from qadhm.qspacetime import NCPoly, X_NAMES
 from qadhm.scalars import GaussRational, QLaurent, parse_gauss
 from qadhm.slices import _charpoly, pencil_grid, slice_line, slice_verdict
 
-from helpers import least_covering_cap, random_c1r1_solution
+from helpers import gauss_power, least_covering_cap, random_c1r1_solution
 from test_adhm import proj_equal
 from test_qinstanton import dual_costable_solution
 from test_qspacetime import random_poly
@@ -97,7 +97,7 @@ def evaluate_chi(chi, p):
     for mono, coeff in p.terms.items():
         val = ONE
         for x, e in zip(chi, mono):
-            val = val * x ** e
+            val = val * gauss_power(x, e)
         out = out + coeff * QLaurent.from_scalar(val)
     return out
 

@@ -33,15 +33,12 @@ import random
 from .exactcore import (ADHMError, ComplexADHMDatum, Matrix,
                         is_complex_solution, random_gauss)
 from .krylov import holds_everywhere, is_stable, line_side, stable_side_of
-from .scalars import GaussRational, Immutable
+from .scalars import _GR_ONE, _GR_ZERO, Immutable
 
 __all__ = [
     "StabilityReport", "is_costable", "classify", "derivative_rank",
     "random_stable_solution", "random_nonstable_solution",
 ]
-
-_ZERO = GaussRational(0)
-_ONE = GaussRational(1)
 
 
 class StabilityReport(Immutable):
@@ -119,7 +116,7 @@ def is_costable(B1, B2, j):
         return True, None
     c = B1.rows
     if dual_wit.cols == 0:
-        return False, Matrix.identity(c, _ONE, _ZERO)
+        return False, Matrix.identity(c, _GR_ONE, _GR_ZERO)
     return False, dual_wit.transpose().kernel()
 
 
@@ -162,7 +159,7 @@ def derivative_rank(d):
     the expected parameter count of the quotient.
     """
     c, r = d.c, d.r
-    eye = Matrix.identity(c, _ONE, _ZERO)
+    eye = Matrix.identity(c, _GR_ONE, _GR_ZERO)
 
     def right(x):   # E -> E*x
         return eye.kron(x.transpose())
@@ -173,7 +170,7 @@ def derivative_rank(d):
     a11, a12, a21, a22 = (right(x) - left(x)   # E -> [E, x]
                           for x in (d.B11, d.B12, d.B21, d.B22))
     ej1, ej2, i1e, i2e = right(d.j1), right(d.j2), left(d.i1), left(d.i2)
-    o, p = Matrix.zero(c * c, c * c, _ZERO), Matrix.zero(c * c, c * r, _ZERO)
+    o, p = (Matrix.zero(c * c, n, _GR_ZERO) for n in (c * c, c * r))
     return Matrix.vstack([Matrix.hstack(row) for row in (
         [a12, -a11, o, o, ej1, p, i1e, p],
         [o, o, a22, -a21, p, ej2, p, i2e],
@@ -196,9 +193,9 @@ def _commuting_draw(rng, c, r):
     b = [random_gauss(rng) for _ in range(4)]  # identity coefficients
     i1 = Matrix(c, r, [[random_gauss(rng) for _ in range(r)]
                        for _ in range(c)])
-    n = Matrix(c, c, [[_ONE if k == i + 1 else _ZERO for i in range(c)]
+    n = Matrix(c, c, [[_GR_ONE if k == i + 1 else _GR_ZERO for i in range(c)]
                       for k in range(c)])
-    ident = Matrix.identity(c, _ONE, _ZERO)
+    ident = Matrix.identity(c, _GR_ONE, _GR_ZERO)
     return [n.scale(x) + ident.scale(y) for x, y in zip(a, b)], i1
 
 
@@ -227,7 +224,7 @@ def random_stable_solution(r, c, seed):
         if not any(a[k] * b[m] != a[m] * b[k]   # some 2 x 2 minor
                    for k in range(r) for m in range(k)):
             continue
-        j = Matrix.zero(r, c, _ZERO)
+        j = Matrix.zero(r, c, _GR_ZERO)
         d = ComplexADHMDatum(c, r, *blocks, i1, i2, j, j)
         assert is_complex_solution(d)
         if holds_everywhere(stable_side_of(d)):
@@ -248,9 +245,9 @@ def random_nonstable_solution(r, c, seed):
         if all(not x for x in i1.a[0]):
             continue
         lam = random_gauss(rng)
-        j = Matrix.zero(r, c, _ZERO)
+        j = Matrix.zero(r, c, _GR_ZERO)
         d = ComplexADHMDatum(c, r, *blocks, i1, i1.scale(lam), j, j)
         assert is_complex_solution(d)
-        return d, (-lam, _ONE)
+        return d, (-lam, _GR_ONE)
 
 

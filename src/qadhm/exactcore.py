@@ -29,17 +29,14 @@ read, by the module ``__getattr__`` (PEP 562), so that importing this module
 does not load ``echelon``.  No ``q`` command loads this module.
 """
 
-from .scalars import (GaussRational, Immutable, QLaurent, _as_gauss, _gauss,
-                      parse_gauss)
+from .scalars import (_GR_ONE, _GR_ZERO, GaussRational, Immutable, QLaurent,
+                      _as_gauss, _gauss, parse_gauss)
 
 __all__ = [
     "GaussRational", "QLaurent", "QRat", "Matrix", "random_gauss",
     "ADHMError", "ComplexADHMDatum", "RealADHMDatum", "datum_from_json",
     "monad_pencils", "complex_residuals", "is_complex_solution",
 ]
-
-_ZERO = GaussRational(0)
-_ONE = GaussRational(1)
 
 
 def __getattr__(name):
@@ -161,8 +158,6 @@ class Matrix:
         return self.map(lambda x: x * c)
 
     def __mul__(self, other):
-        if not isinstance(other, Matrix):
-            return self.scale(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
         if not self.cols:
@@ -271,10 +266,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
-
-    def __str__(self):
-        return "\n".join("[" + ", ".join(str(x) for x in r) + "]"
-                         for r in self.a)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +393,7 @@ def datum_from_json(obj):
 
 def _unit_column_block(total, offset, c):
     """total x c matrix holding an identity block at the given row offset."""
-    return Matrix(total, c, [[_ONE if i == offset + k else _ZERO
+    return Matrix(total, c, [[_GR_ONE if i == offset + k else _GR_ZERO
                               for k in range(c)] for i in range(total)])
 
 

@@ -88,7 +88,7 @@ class ExprParser:
         if tok is None:
             raise CLIError("expression ended where a factor was expected")
         if isinstance(tok, int):
-            return NCPoly("I", {(0, 0, 0, 0): QLaurent.from_scalar(tok)})
+            return NCPoly.scalar("I", tok)
         if tok == "(":
             inner = self._expr()
             if self._next() != ")":
@@ -99,7 +99,7 @@ class ExprParser:
             if self._peek() == "^":
                 self._next()
                 exp = self._signed_int()
-            return NCPoly("I", {(0, 0, 0, 0): QLaurent.q_power(exp)})
+            return NCPoly.scalar("I", QLaurent.q_power(exp))
         if tok == "det":
             return det_x()
         if tok in X_NAMES:

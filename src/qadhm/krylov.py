@@ -27,14 +27,11 @@ from collections import deque
 from math import prod
 
 from .exactcore import ADHMError, Matrix
-from .scalars import (_QL_ONE, GaussRational, QLaurent, _ql_divmod,
-                      coeff_str, mono_str)
+from .scalars import (_GR_ONE, _GR_ZERO, _QL_ONE, GaussRational, QLaurent,
+                      _ql_divmod, coeff_str, mono_str)
 
 __all__ = ["is_stable", "gcd_projective_roots", "line_side", "stable_side_of",
            "holds_everywhere"]
-
-_ZERO = GaussRational(0)
-_ONE = GaussRational(1)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +40,7 @@ _ONE = GaussRational(1)
 
 def _apply(m, col):
     """The column m * col, with col a list."""
-    return [sum((x * y for x, y in zip(row, col) if x and y), _ZERO)
+    return [sum((x * y for x, y in zip(row, col) if x and y), _GR_ZERO)
             for row in m.a]
 
 
@@ -75,7 +72,7 @@ def _closure_basis(ops, seed):
         p = next((k for k, x in enumerate(rest) if x), None)
         if p is None:
             continue
-        inv = _ONE / rest[p]
+        inv = _GR_ONE / rest[p]
         echelon.append((p, [x * inv if x else x for x in rest]))
         basis.append(col)
         words.append((t, w))
@@ -136,9 +133,9 @@ def gcd_projective_roots(g, v):
     za = g.val()
     roots = []
     if za:
-        roots.append(((GaussRational(0), GaussRational(1)), za))  # z = 0
+        roots.append(((_GR_ZERO, _GR_ONE), za))  # z = 0
     if v:
-        roots.append(((GaussRational(1), GaussRational(0)), v))   # w = 0
+        roots.append(((_GR_ONE, _GR_ZERO), v))   # w = 0
     d = g.deg() - za
     if d == 0:
         return roots, []
@@ -149,7 +146,7 @@ def gcd_projective_roots(g, v):
     for _ in range(d):
         power = power * QLaurent({1: 1, 0: -root})
     if power == g.shift(-za):
-        roots.append(((root, GaussRational(1)), d))
+        roots.append(((root, _GR_ONE), d))
         return roots, []
 
     import sympy
@@ -166,7 +163,7 @@ def gcd_projective_roots(g, v):
     for fac, mult in factors:
         if fac.degree() == 1:
             c1, c0 = (_gauss_from_sympy(x) for x in fac.all_coeffs())
-            roots.append(((-c0 / c1, GaussRational(1)), mult))
+            roots.append(((-c0 / c1, _GR_ONE), mult))
         else:
             leftovers.append(sympy.sstr(fac.as_expr()))
     return roots, leftovers
@@ -184,7 +181,7 @@ def _lead(e):
 
 def _monic(col, p):
     """col scaled to make its entry at p monic."""
-    inv = _ONE / _lead(col[p])
+    inv = _GR_ONE / _lead(col[p])
     return [x * inv if x else x for x in col]
 
 

@@ -25,7 +25,7 @@ need no matrix; they are in ``chern``.
 """
 
 from .exactcore import ADHMError, Matrix, monad_pencils
-from .scalars import GaussRational, Immutable
+from .scalars import _GR_ZERO, Immutable
 
 __all__ = [
     "Monad", "SheafClassification", "VARS", "product_coefficients",
@@ -33,8 +33,6 @@ __all__ = [
 ]
 
 VARS = ("x", "y", "z", "w")
-
-_ZERO = GaussRational(0)
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +57,7 @@ def _pencil_json(pencil):
     """A pencil as ``monad build`` writes it, with its zero constant term."""
     m = pencil["x"]
     return {**{v: pencil[v].to_json() for v in VARS},
-            "const": Matrix.zero(m.rows, m.cols, _ZERO).to_json()}
+            "const": Matrix.zero(m.rows, m.cols, _GR_ZERO).to_json()}
 
 
 class Monad(Immutable):

@@ -48,6 +48,8 @@ the process before it is used: ``derive_table`` checks the x rules against
 their classical limit, the closed form of d(det) and their 19 constraints;
 a table checks the wedge rules, which most commands never read, on their
 first read, against their classical limit and the 16 d^2 = 0 constraints.
+The p = q^-1 x rules are kept as the image of the p = q ones under the
+automorphism sigma of chart I, and checked like them.
 
 Differential forms and the exterior derivative on them are in ``qforms``.
 
@@ -64,14 +66,12 @@ Conventions:
 
 from functools import cache, partial
 
-from .qspacetime import (CHART_I_RULES, HarmonicIndex, NCPoly, X_NAMES,
-                         add_to, apply_rule, det_x, engine, feed, harmonic,
-                         split_first, times_det)
-from .scalars import GaussRational, QLaurent, qint
+from .qspacetime import (_ZMONO, CHART_I_RULES, HarmonicIndex, NCPoly,
+                         X_NAMES, _gen_mono, add_to, apply_rule, det_x,
+                         engine, feed, harmonic, split_first, times_det)
+from .scalars import _QL_ONE, GaussRational, QLaurent, qint
 
-_ONE = QLaurent.one()
 _ENG = engine("I")
-_ZMONO = (0, 0, 0, 0)
 
 # dx_g . det = p^2 q^DX_DET_TWIST[g] det . dx_g
 DX_DET_TWIST = (0, -2, 2, 0)
@@ -89,8 +89,8 @@ class CalculusError(Exception):
 
 # generator g = 2*(row-1) + (col-1): x11, x12, x21, x22.  Rule (g, a) is
 # dx_g . x_a = sum coeff * x_c . dx_d as ((coeff, (c, d)), ...), each coeff
-# an integer Laurent dict {exponent: coefficient}, the terms in the order
-# the solver gives them (``q table`` prints that order).
+# an integer Laurent dict {exponent: coefficient}, the terms sorted by pair,
+# the order the solver gives them (``q table`` prints that order).
 _X_RULES = {
     "q": {
         (0, 0): (({2: 1}, (0, 0)),),
@@ -111,26 +111,17 @@ _X_RULES = {
         (3, 2): (({0: 1}, (2, 3)), ({0: -1, 2: 1}, (3, 2))),
         (3, 3): (({2: 1}, (3, 3)),),
     },
-    "qinv": {
-        (0, 0): (({-2: 1}, (0, 0)),),
-        (0, 1): (({0: -1, -2: 1}, (0, 1)), ({0: 1}, (1, 0))),
-        (0, 2): (({0: -1, -2: 1}, (0, 2)), ({-2: 1}, (2, 0))),
-        (0, 3): (({2: 1, 0: -2, -2: 1}, (0, 3)), ({2: -1, 0: 1}, (1, 2)),
-                 ({0: -1, -2: 1}, (2, 1)), ({0: 1}, (3, 0))),
-        (1, 0): (({-2: 1}, (0, 1)),),
-        (1, 1): (({-2: 1}, (1, 1)),),
-        (1, 2): (({0: -1, -2: 1}, (0, 3)), ({-2: 1}, (2, 1))),
-        (1, 3): (({0: -1, -2: 1}, (1, 3)), ({-2: 1}, (3, 1))),
-        (2, 0): (({0: 1}, (0, 2)),),
-        (2, 1): (({2: -1, 0: 1}, (0, 3)), ({2: 1}, (1, 2))),
-        (2, 2): (({-2: 1}, (2, 2)),),
-        (2, 3): (({0: -1, -2: 1}, (2, 3)), ({0: 1}, (3, 2))),
-        (3, 0): (({0: 1}, (0, 3)),),
-        (3, 1): (({0: 1}, (1, 3)),),
-        (3, 2): (({-2: 1}, (2, 3)),),
-        (3, 3): (({-2: 1}, (3, 3)),),
-    },
 }
+
+# sigma: x_g -> x_(3-g), q -> q^-1 is an automorphism of chart I that fixes
+# det (it maps x21 x11 = q^2 x11 x21 to x12 x22 = q^-2 x22 x12), so it maps
+# the constraints for p onto those for p^-1: the p = q rule (g, a) onto the
+# p = q^-1 rule (3-g, 3-a), with x_c . dx_d -> x_(3-c) . dx_(3-d).
+_X_RULES["qinv"] = {
+    (3 - g, 3 - a): tuple(sorted(
+        (({-e: n for e, n in coeff.items()}, (3 - c, 3 - d))
+         for coeff, (c, d) in terms), key=lambda term: term[1]))
+    for (g, a), terms in reversed(_X_RULES["q"].items())}
 
 # dx_b ^ dx_a = sum coeff * dx_c ^ dx_d for b >= a, the same for both
 # p-choices; every square is zero.
@@ -151,11 +142,6 @@ _WEDGE_RULES = {
 # ---------------------------------------------------------------------------
 # the defining constraints, as residuals expanded by a table's engines
 # ---------------------------------------------------------------------------
-
-def _gen_mono(g):
-    """The ordered monomial x_g."""
-    return tuple(int(i == g) for i in range(4))
-
 
 def _cross_residual(crossed, plain, t):
     """sum coeff * dx_g . mono over ``crossed`` [(coeff, g, mono)] plus
@@ -189,11 +175,12 @@ def _x_constraints(p_exp):
                              ("s", ((g1, a2), (g2, a1))),
                              ("s^0", ((g2, a2),))):
             out.append((f"{tag}[{which}]", partial(
-                _cross_residual, [(_ONE, g, _gen_mono(a)) for g, a in pairs],
+                _cross_residual,
+                [(_QL_ONE, g, _gen_mono(a)) for g, a in pairs],
                 [(-p2, _gen_mono(a), g) for g, a in pairs])))
-    for b, a in sorted(CHART_I_RULES):
+    for (b, a), rule in sorted(CHART_I_RULES.items()):
         # d(x_b x_a - sum coeff x_u x_v) for the sorting relation of (b, a)
-        terms = [(_ONE, (b, a))] + [(-c, w) for c, w in CHART_I_RULES[(b, a)]]
+        terms = [(_QL_ONE, (b, a))] + [(-c, w) for c, w in rule]
         out.append((f"d[{X_NAMES[b]}*{X_NAMES[a]} relation]", partial(
             _cross_residual, [(c, u, _gen_mono(v)) for c, (u, v) in terms],
             [(c, _gen_mono(u), v) for c, (u, v) in terms])))
@@ -216,7 +203,7 @@ def _d2_constraints():
     """
     return [(f"d^2[{X_NAMES[a]}*{X_NAMES[b]}]",
              lambda t, a=a, b=b: apply_rule(
-                 t.insert_wedge, t.x_rules[(a, b)] + ((_ONE, (a, b)),), ()))
+                 t.insert_wedge, t.x_rules[(a, b)] + ((_QL_ONE, (a, b)),), ()))
             for a in range(4) for b in range(4)]
 
 
@@ -256,7 +243,7 @@ class CalculusTable:
         """dx_g . mono as {(mono', e): QLaurent} (x moved to the left)."""
         split = split_first(mono)
         if split is None:
-            return {(_ZMONO, g): _ONE}
+            return {(_ZMONO, g): _QL_ONE}
         first, rest = split
         acc = {}
         for coeff, (c, d) in self.x_rules[(g, first)]:
@@ -284,7 +271,7 @@ class CalculusTable:
     def insert_wedge(self, g, word):
         """dx_g ^ (strictly sorted word) as {sorted word: QLaurent}."""
         if not word or g < word[0]:
-            return {(g,) + word: _ONE}
+            return {(g,) + word: _QL_ONE}
         if g == word[0]:
             return {}
         return apply_rule(self.insert_wedge, self.wedge_rules[(g, word[0])],
@@ -292,7 +279,7 @@ class CalculusTable:
 
     def wedge_norm(self, word):
         """Any wedge word as {strictly sorted word: QLaurent}."""
-        return feed(self.insert_wedge, word, {(): _ONE})
+        return feed(self.insert_wedge, word, {(): _QL_ONE})
 
     # -- reports --------------------------------------------------------------
 

@@ -12,11 +12,10 @@ Conventions:
     of monomials and the 1/2 of the split all are.
 """
 
-from .scalars import QLaurent, mono_str
+from .scalars import _QL_ONE, mono_str
 from .qcalculus import CalculusError
 from .qspacetime import NCPoly, SparseTerms, X_NAMES, add_to, engine, feed
 
-_ONE = QLaurent.one()
 _ENG = engine("I")
 
 
@@ -78,7 +77,7 @@ class NCForm(SparseTerms):
         for (w1, m1), c1 in self.terms.items():
             for (w2, m2), c2 in other.terms.items():
                 c12 = c1 * c2
-                past = feed(insert, w1, {(m2, ()): _ONE})   # w1 . m2
+                past = feed(insert, w1, {(m2, ()): _QL_ONE})   # w1 . m2
                 for (mm, w1p), cm in past.items():
                     for wn, cw in table.wedge_norm(w1p + w2).items():
                         base = c12 * (cm * cw)
@@ -146,7 +145,7 @@ def sd_asd_split(omega: NCForm):
     """
     if omega.degree != 2:
         raise ValueError("sd_asd_split expects a 2-form")
-    half = _ONE / 2
+    half = _QL_ONE / 2
     sd = {}
     asd = {}
     for (w, m), c in omega.terms.items():

@@ -31,15 +31,13 @@ solves the matrix equations.  On top of that this module provides:
 
 from .exactcore import (ADHMError, Matrix, is_complex_solution,
                         monad_pencils)
-from .qspacetime import NCPoly, monomials_of_degree
-from .scalars import QLaurent
+from .qspacetime import _ZMONO, NCPoly, monomials_of_degree
+from .scalars import _QL_ONE, QLaurent
 
 __all__ = [
     "build_q_ops", "scalar_operator", "identity_products", "ids_report",
     "truncated_matrix", "curvature_asd", "curvature_report_json",
 ]
-
-_ZMONO = (0, 0, 0, 0)
 
 
 def scalar_operator(m, chart="I"):
@@ -120,12 +118,11 @@ def _slice_rows(op, src_degree, tgt_degree):
     tgt = _monomials_upto(tgt_degree)
     tpos = {m: k for k, m in enumerate(tgt)}
     rows = [{} for _ in range(op.rows * len(tgt))]
-    one = QLaurent.one()
     chart = op[0, 0].chart
     for a in range(op.cols):
         for s, mono in enumerate(src):
             col = a * len(src) + s
-            basis = NCPoly(chart, {mono: one})
+            basis = NCPoly(chart, {mono: _QL_ONE})
             for v in range(op.rows):
                 p = op[v, a]
                 if p.is_zero():

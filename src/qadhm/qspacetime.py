@@ -29,7 +29,7 @@ denote the zero element.
 
 from functools import cache
 
-from .scalars import Immutable, QLaurent, _as_qlaurent, mono_str
+from .scalars import _QL_ONE, Immutable, QLaurent, _as_qlaurent, mono_str
 
 __all__ = [
     "SparseTerms", "NCPoly", "HarmonicIndex", "SortEngine",
@@ -41,7 +41,7 @@ __all__ = [
 X_NAMES = ("x11", "x12", "x21", "x22")
 Y_NAMES = ("y11", "y12", "y21", "y22")
 
-_ONE = QLaurent.one()
+_ZMONO = (0, 0, 0, 0)                 # the ordered monomial 1
 _Q2 = QLaurent({2: 1})
 _QM2 = QLaurent({-2: 1})
 
@@ -49,22 +49,27 @@ _QM2 = QLaurent({-2: 1})
 # replacement pairs are already in nondecreasing generator order.  Generator
 # indices: 0,1,2,3 in the name order above.
 CHART_I_RULES = {
-    (1, 0): [(_ONE, (0, 1))],
+    (1, 0): [(_QL_ONE, (0, 1))],
     (2, 0): [(_Q2, (0, 2))],
     (2, 1): [(_Q2, (1, 2))],
-    (3, 0): [(_ONE, (0, 3)), (QLaurent({2: 1, 0: -1}), (1, 2))],
+    (3, 0): [(_QL_ONE, (0, 3)), (QLaurent({2: 1, 0: -1}), (1, 2))],
     (3, 1): [(_Q2, (1, 3))],
-    (3, 2): [(_ONE, (2, 3))],
+    (3, 2): [(_QL_ONE, (2, 3))],
 }
 
 CHART_J_RULES = {
     (1, 0): [(_Q2, (0, 1))],
-    (2, 0): [(_ONE, (0, 2))],
+    (2, 0): [(_QL_ONE, (0, 2))],
     (2, 1): [(_QM2, (1, 2))],
-    (3, 0): [(_ONE, (0, 3)), (QLaurent({0: 1, -2: -1}), (1, 2))],
-    (3, 1): [(_ONE, (1, 3))],
+    (3, 0): [(_QL_ONE, (0, 3)), (QLaurent({0: 1, -2: -1}), (1, 2))],
+    (3, 1): [(_QL_ONE, (1, 3))],
     (3, 2): [(_Q2, (2, 3))],
 }
+
+
+def _gen_mono(g):
+    """The ordered monomial x_g."""
+    return tuple(int(i == g) for i in range(4))
 
 
 def _inc(mono, g):
@@ -130,17 +135,17 @@ class SortEngine:
         """x_g * (ordered monomial) as {ordered monomial: QLaurent}."""
         split = split_first(mono)
         if split is None or g <= split[0]:
-            return {_inc(mono, g): _ONE}
+            return {_inc(mono, g): _QL_ONE}
         first, rest = split
         return apply_rule(self.mul_gen_mono, self.rules[(g, first)], rest)
 
     def mul_mono_mono(self, m1, m2):
         """(ordered m1) * (ordered m2) as {ordered monomial: QLaurent}."""
-        return feed(self.mul_gen_mono, mono_word(m1), {m2: _ONE})
+        return feed(self.mul_gen_mono, mono_word(m1), {m2: _QL_ONE})
 
     def normalize_word(self, word):
         """A word (tuple of generator indices) as {ordered monomial: QLaurent}."""
-        return feed(self.mul_gen_mono, word, {(0, 0, 0, 0): _ONE})
+        return feed(self.mul_gen_mono, word, {_ZMONO: _QL_ONE})
 
 
 _ENGINES = {"I": SortEngine(CHART_I_RULES), "J": SortEngine(CHART_J_RULES)}
@@ -232,19 +237,18 @@ class NCPoly(SparseTerms):
 
     @classmethod
     def one(cls, chart="I"):
-        return cls(chart, {(0, 0, 0, 0): _ONE})
+        return cls(chart, {_ZMONO: _QL_ONE})
 
     @classmethod
     def gen(cls, chart, which):
         names = X_NAMES if chart == "I" else Y_NAMES
         idx = which if isinstance(which, int) else names.index(which)
-        mono = tuple(1 if i == idx else 0 for i in range(4))
-        return cls(chart, {mono: _ONE})
+        return cls(chart, {_gen_mono(idx): _QL_ONE})
 
     @classmethod
     def scalar(cls, chart, c):
         c = c if isinstance(c, QLaurent) else QLaurent({0: c})
-        return cls(chart, {(0, 0, 0, 0): c})
+        return cls(chart, {_ZMONO: c})
 
     # -- ring structure ------------------------------------------------------
 
@@ -340,7 +344,7 @@ def monomials_of_degree(d):
 
 def det_x() -> NCPoly:
     """det(x) = x11x22 - x12x21 (the normal form of both of its displays)."""
-    return NCPoly("I", {(1, 0, 0, 1): _ONE, (0, 1, 1, 0): QLaurent({0: -1})})
+    return NCPoly("I", {(1, 0, 0, 1): _QL_ONE, (0, 1, 1, 0): -_QL_ONE})
 
 
 def times_det(f: NCPoly, left=True) -> NCPoly:
@@ -412,10 +416,10 @@ def _gauss_row(n):
     """The Gaussian binomials [n, 0..n] in q^2, by the q-Pascal rule
     [n, k] = [n-1, k-1] + q^(2k) [n-1, k]."""
     if n == 0:
-        return (_ONE,)
+        return (_QL_ONE,)
     prev = _gauss_row(n - 1)
-    return (_ONE, *(prev[k - 1] + prev[k].shift(2 * k) for k in range(1, n)),
-            _ONE)
+    return (_QL_ONE, *(prev[k - 1] + prev[k].shift(2 * k)
+                       for k in range(1, n)), _QL_ONE)
 
 
 def harmonic(idx: HarmonicIndex) -> NCPoly:

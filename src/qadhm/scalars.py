@@ -321,10 +321,6 @@ class QLaurent(Immutable):
     def q_power(cls, n, coeff=1):
         return cls({n: coeff})
 
-    @classmethod
-    def from_scalar(cls, c):
-        return cls({0: c})
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -363,16 +359,12 @@ class QLaurent(Immutable):
                     t[e] = s
                 else:
                     del t[e]
-        out = QLaurent.__new__(QLaurent)
-        object.__setattr__(out, "terms", t)
-        return out
+        return _ql(t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = QLaurent.__new__(QLaurent)
-        object.__setattr__(out, "terms", {e: -c for e, c in self.terms.items()})
-        return out
+        return _ql({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = _as_qlaurent(other)
@@ -390,17 +382,11 @@ class QLaurent(Immutable):
                 return NotImplemented
             if not g:
                 return _QL_ZERO
-            out = QLaurent.__new__(QLaurent)
-            object.__setattr__(out, "terms",
-                               {e: c * g for e, c in self.terms.items()})
-            return out
+            return _ql({e: c * g for e, c in self.terms.items()})
         a, b = self.terms, other.terms
         if len(a) == 1:                       # fast path: monomial factor
             (ea, ca), = a.items()
-            out = QLaurent.__new__(QLaurent)
-            object.__setattr__(out, "terms",
-                               {ea + e: ca * c for e, c in b.items()})
-            return out
+            return _ql({ea + e: ca * c for e, c in b.items()})
         t = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
@@ -416,9 +402,7 @@ class QLaurent(Immutable):
                         t[e] = s
                     else:
                         del t[e]
-        out = QLaurent.__new__(QLaurent)
-        object.__setattr__(out, "terms", t)
-        return out
+        return _ql(t)
 
     __rmul__ = __mul__
 
@@ -428,7 +412,7 @@ class QLaurent(Immutable):
             g = _as_gauss(other)
             if g is NotImplemented:
                 return NotImplemented
-            return self * (GaussRational(1) / g)
+            return self * (_GR_ONE / g)
         # units q^n divide everything: divide the valuation-0 parts
         va, vb = self.val(), other.val()
         q, r = _ql_divmod(self.shift(-va), other.shift(-vb))
@@ -448,10 +432,7 @@ class QLaurent(Immutable):
         """Multiply by q^n."""
         if not n or not self.terms:
             return self
-        out = QLaurent.__new__(QLaurent)
-        object.__setattr__(out, "terms",
-                           {e + n: c for e, c in self.terms.items()})
-        return out
+        return _ql({e + n: c for e, c in self.terms.items()})
 
     def coeff(self, e):
         return _as_gauss(self.terms.get(e, _GR_ZERO))
@@ -484,6 +465,17 @@ class QLaurent(Immutable):
             else:
                 parts.append(f"{cs}*q^{e}")
         return "+".join(parts).replace("+-", "-")
+
+
+_set_terms = QLaurent.terms.__set__     # the slot, past Immutable's guard
+
+
+def _ql(terms):
+    """The QLaurent of a dict {exponent: nonzero coefficient}, taken as it
+    is: an integral GaussRational coefficient stays boxed."""
+    out = QLaurent.__new__(QLaurent)
+    _set_terms(out, terms)
+    return out
 
 
 def coeff_str(c):

@@ -18,12 +18,9 @@ from math import comb
 from .exactcore import ADHMError, Matrix, _scalar, is_complex_solution
 from .krylov import (_closure_basis, gcd_projective_roots, holds_everywhere,
                      stable_side_of)
-from .scalars import GaussRational, QLaurent
+from .scalars import _GR_ONE, _GR_ZERO, GaussRational, QLaurent
 
 __all__ = ["pencil_grid", "slice_verdict", "slice_line"]
-
-_ZERO = GaussRational(0)
-_ONE = GaussRational(1)
 
 
 def pencil_grid(n=12):
@@ -31,13 +28,13 @@ def pencil_grid(n=12):
     then (1, t) over Gaussian integers t ordered by height."""
     if n < 1:
         raise ADHMError("grid size must be positive")
-    pts = [(_ONE, _ZERO), (_ZERO, _ONE)]
+    pts = [(_GR_ONE, _GR_ZERO), (_GR_ZERO, _GR_ONE)]
     h = 1
     while len(pts) < n:
         for a in range(-h, h + 1):
             rem = h - abs(a)
             for b in sorted({-rem, rem}):
-                pts.append((_ONE, GaussRational(a, b)))
+                pts.append((_GR_ONE, GaussRational(a, b)))
         h += 1
     return pts[:n]
 
@@ -46,12 +43,12 @@ def _charpoly(B):
     """det(t - B) as a polynomial in t, by Faddeev-LeVerrier: with M_0 = 0
     and a_c = 1, M_k = B M_(k-1) + a_(c-k+1) I and a_(c-k) = -tr(B M_k)/k."""
     c = B.rows
-    ident = Matrix.identity(c, _ONE, _ZERO)
-    m, a, coeffs = Matrix.zero(c, c, _ZERO), _ONE, {c: _ONE}
+    ident = Matrix.identity(c, _GR_ONE, _GR_ZERO)
+    m, a, coeffs = Matrix.zero(c, c, _GR_ZERO), _GR_ONE, {c: _GR_ONE}
     for k in range(1, c + 1):
         m = B * m + ident.scale(a)
         bm = B * m
-        a = -sum((bm[t, t] for t in range(c)), _ZERO) / GaussRational(k)
+        a = -sum((bm[t, t] for t in range(c)), _GR_ZERO) / GaussRational(k)
         if a:
             coeffs[c - k] = a
     return QLaurent(coeffs)
@@ -72,14 +69,15 @@ def _eigen_covector(B1, B2, S):
     c, mu = B1.rows, []
     for B in (B1, B2):
         on_s = S.solve(B * S) if S.cols else S   # S on_s = B S
-        trace = sum((B[k, k] for k in range(c)), _ZERO) \
-            - sum((on_s[k, k] for k in range(S.cols)), _ZERO)
+        trace = sum((B[k, k] for k in range(c)), _GR_ZERO) \
+            - sum((on_s[k, k] for k in range(S.cols)), _GR_ZERO)
         mu.append(trace / GaussRational(c - S.cols))
 
     def covector(mu1, mu2):
         ker = Matrix.vstack(
-            [S.transpose()] + [(B - Matrix.identity(c, m, _ZERO)).transpose()
-                               for B, m in ((B1, mu1), (B2, mu2))]).kernel()
+            [S.transpose()]
+            + [(B - Matrix.identity(c, m, _GR_ZERO)).transpose()
+               for B, m in ((B1, mu1), (B2, mu2))]).kernel()
         return (ker.col(0), mu1, mu2) if ker.cols else None
 
     found = covector(*mu)
@@ -121,7 +119,7 @@ def slice_verdict(d, P, dmax):
         return report
     xi, mu1, mu2 = found
     lead = p1 if p1 else p2
-    chi = [mu1 / lead, mu2 / lead, _ZERO, _ZERO]
+    chi = [mu1 / lead, mu2 / lead, _GR_ZERO, _GR_ZERO]
     if not p1:
         chi = chi[2:] + chi[:2]
     report.update(

@@ -327,6 +327,44 @@ def random_reflexive_solution(c, seed, dense=True):
     return _dense_change_of_basis(d, rng) if dense else d
 
 
+def random_generic_solution(r, c, seed):
+    """Seeded dense solution with r >= 2c: the four B's, i1 and i2 drawn
+    dense, then (j1, j2) solved from the three residuals, which are linear
+    in j: i1 j1 = -[B11,B12], i2 j2 = -[B21,B22] and i1 j2 + i2 j1 =
+    -[B11,B22] - [B21,B12], 3c^2 equations in 2rc unknowns.  With rows
+    read row-major, i j is (i (x) 1_c) vec(j).  ``solve`` sets the free
+    unknowns to zero, which at c = 1 gives j = 0; a seeded combination of
+    the kernel columns is added to the particular solution."""
+    if r < 2 * c:
+        raise ADHMError("a generic solution needs r >= 2c")
+    rng = random.Random(seed)
+
+    def dense(rows, cols):
+        return Matrix(rows, cols, [[random_gauss(rng) for _ in range(cols)]
+                                   for _ in range(rows)])
+    B11, B12, B21, B22 = (dense(c, c) for _ in range(4))
+    i1, i2 = dense(c, r), dense(c, r)
+    eye = Matrix.identity(c, _ONE, _ZERO)
+    k1, k2 = i1.kron(eye), i2.kron(eye)
+    zero = Matrix.zero(c * c, r * c, _ZERO)
+    system = Matrix.vstack([Matrix.hstack(row) for row in (
+        [k1, zero], [zero, k2], [k2, k1])])
+    rhs = Matrix(3 * c * c, 1, [[-x] for m in (
+        B11.commutator(B12), B21.commutator(B22),
+        B11.commutator(B22) + B21.commutator(B12))
+        for row in m.a for x in row])
+    x = system.solve(rhs)
+    if x is None:
+        raise ADHMError("the j equations have no solution for this draw")
+    kernel = system.kernel()
+    if kernel.cols:
+        x = x + kernel * dense(kernel.cols, 1)
+    v = [row[0] for row in x.a]
+    j1, j2 = (Matrix(r, c, [v[k + i * c:k + (i + 1) * c] for i in range(r)])
+              for k in (0, r * c))
+    return ComplexADHMDatum(c, r, B11, B12, B21, B22, i1, i2, j1, j2)
+
+
 def grid_points():
     """Deterministic grid: all points of P^3 with coordinates in
     {0, 1, -1, i}, deduplicated up to scaling (first nonzero coordinate
@@ -698,8 +736,8 @@ def quoted_display_reference(table):
     from qadhm.qforms import NCForm
 
     def form(coeffs):
-        return NCForm(table, 2, {(w, (0, 0, 0, 0)): QLaurent.from_scalar(
-            GaussRational(c)) for w, c in coeffs.items()})
+        return NCForm(table, 2, {(w, (0, 0, 0, 0)): QLaurent(
+            {0: GaussRational(c)}) for w, c in coeffs.items()})
     zero = form({})
     return [[form({(0, 3): -1, (1, 2): -1}), form({(0, 2): 2}), zero],
             [form({(1, 3): -2}), form({(0, 3): 1, (1, 2): 1}), zero],

@@ -420,7 +420,7 @@ def test_criterion_9_quantum_instanton():
         rep = curvature_asd(one_instanton(), pc)
         ent = rep["entries"]
         q2 = -table.wedge_norm((2, 1))[(1, 2)]
-        one, two = QLaurent.one(), QLaurent.from_scalar(2)
+        one, two = QLaurent.one(), QLaurent({0: 2})
         assert ent[0][0]["computed"] == wform(
             table, {(0, 3): two - q2, (1, 2): q2})
         assert ent[0][1]["computed"] == wform(table, {(0, 2): -two})

@@ -23,9 +23,9 @@ from qadhm.qcalculus import (CalculusError, CalculusTable, P_EXPONENTS,
                              tilde_laplacian)
 from qadhm.qforms import NCForm, asd_membership, d, sd_asd_split
 from qadhm.qinstanton import curvature_asd
-from qadhm.qspacetime import (HarmonicIndex, NCPoly, SortEngine,
-                              basis_element, det_x, engine, harmonic,
-                              monomials_of_degree)
+from qadhm.qspacetime import (CHART_I_RULES, X_NAMES, HarmonicIndex, NCPoly,
+                              SortEngine, basis_element, det_x, engine,
+                              harmonic, monomials_of_degree, normalize)
 from qadhm.scalars import GaussRational, QLaurent, qint
 
 import calculus_oracle
@@ -992,6 +992,166 @@ class TestFormAlgebra:
             a + b
         with pytest.raises(ValueError):
             a.wedge(b)
+
+
+# ---------------------------------------------------------------------------
+# the chart-I automorphism sigma that maps the p = q calculus onto p = q^-1
+# ---------------------------------------------------------------------------
+
+def sigma_ql(c):
+    """q -> q^-1 on a Laurent polynomial."""
+    return QLaurent({-e: x for e, x in c.terms.items()})
+
+
+def sigma_poly(f):
+    """sigma(f) for x_g -> x_(3-g), q -> q^-1: the ordered monomial
+    x11^a x12^b x21^c x22^d goes to the word x22^a x21^b x12^c x11^d."""
+    return normalize([(sigma_ql(coeff), (3,) * a + (2,) * b + (1,) * c
+                       + (0,) * e) for (a, b, c, e), coeff in f.terms.items()])
+
+
+def sigma_form(omega, table):
+    """sigma of a form over the p = q table, as a form over ``table``:
+    mono . dx_w goes to sigma(mono) . dx_(3-w), the word wedge-normalized."""
+    acc = {}
+    for (w, m), c in omega.terms.items():
+        image = sigma_poly(NCPoly("I", {m: c})).terms
+        for wn, cw in table.wedge_norm(tuple(3 - g for g in w)).items():
+            for mn, cm in image.items():
+                key = (wn, mn)
+                acc[key] = acc.get(key, QLaurent.zero()) + cm * cw
+    return NCForm(table, omega.degree, acc)
+
+
+def _sigma_rules(rules):
+    """The x rules of a ``q table`` report relabelled by sigma, with the
+    exponents of every coefficient negated and each term list sorted."""
+    names = {d_ + n: d_ + m for d_ in ("", "d")
+             for n, m in zip(X_NAMES, reversed(X_NAMES))}
+    out = {}
+    for key, terms in rules.items():
+        left, right = key.split("*")
+        out[f"{names[left]}*{names[right]}"] = sorted(
+            ({"coeff": {str(-int(e)): c for e, c in t["coeff"].items()},
+              "left": names[t["left"]], "right": names[t["right"]]}
+             for t in terms), key=lambda t: (t["left"], t["right"]))
+    return out
+
+
+class TestSigmaSymmetry:
+    """sigma: x_g -> x_(3-g), q -> q^-1 is an automorphism of chart I that
+    carries the p = q calculus onto the p = q^-1 one; the p = q^-1 x rules
+    are computed from the p = q ones by it, so its consequences are pinned
+    here."""
+
+    def test_sigma_fixes_det_and_the_relations(self):
+        assert sigma_poly(det_x()) == det_x()
+        for (b, a), rule in CHART_I_RULES.items():
+            lhs = normalize([(ONE, (3 - b, 3 - a))])
+            rhs = normalize([(sigma_ql(c), (3 - u, 3 - v))
+                             for c, (u, v) in rule])
+            assert lhs == rhs
+
+    def test_sigma_is_an_involution_and_multiplicative(self):
+        rng = random.Random(37)
+        for _ in range(20):
+            f, g = random_poly(rng), random_poly(rng)
+            assert sigma_poly(sigma_poly(f)) == f
+            assert sigma_poly(f * g) == sigma_poly(f) * sigma_poly(g)
+
+    def test_harmonics_go_to_their_mirror(self):
+        idxs = [HarmonicIndex(two_l, two_m, two_n)
+                for two_l in range(9) for two_m in range(-two_l, two_l + 1, 2)
+                for two_n in range(-two_l, two_l + 1, 2)]
+        assert len(idxs) == 285
+        for i in idxs:
+            mirror = HarmonicIndex(i.two_l, -i.two_m, -i.two_n)
+            assert sigma_poly(harmonic(i)) == harmonic(mirror)
+
+    def test_partials_and_laplacian_commute_with_sigma(self):
+        tq, ti = derive_table("q"), derive_table("qinv")
+        rng = random.Random(2024)
+        for _ in range(40):
+            f = random_poly(rng, max_deg=4, nterms=5)
+            sf = sigma_poly(f)
+            assert partials(sf, ti) == tuple(
+                sigma_poly(p) for p in reversed(partials(f, tq)))
+            assert laplacian(sf, ti) == sigma_poly(laplacian(f, tq))
+
+    def test_exterior_derivative_commutes_with_sigma(self):
+        tq, ti = derive_table("q"), derive_table("qinv")
+        rng = random.Random(2025)
+        for _ in range(25):
+            f = random_poly(rng, max_deg=3, nterms=4)
+            omega = NCForm(tq, 1, {
+                ((g,), m): c for g in range(4)
+                for m, c in random_poly(rng, 2, 2).terms.items()})
+            df = d(f, tq)
+            assert d(sigma_poly(f), ti) == sigma_form(df, ti)
+            assert d(sigma_form(omega, ti)) == sigma_form(d(omega), ti)
+            for a, b in ((df, omega), (omega, df), (omega, omega)):
+                w = a.wedge(b)
+                sw = sigma_form(w, ti)
+                assert sw == sigma_form(a, ti).wedge(sigma_form(b, ti))
+                assert (asd_membership(sw)["verdict"]
+                        == asd_membership(w)["verdict"])
+                sd = asd_membership(sigma_form(sd_asd_split(w)[0], ti))
+                assert sd["verdict"] in ("SD", "zero")
+        # the wedges of two generators: zero, SD, ASD and mixed ones
+        verdicts = set()
+        for a in range(4):
+            for b in range(4):
+                w = d(gen_poly(a), tq).wedge(d(gen_poly(b), tq))
+                verdicts.add(asd_membership(w)["verdict"])
+                assert (asd_membership(sigma_form(w, ti))["verdict"]
+                        == asd_membership(w)["verdict"])
+        assert verdicts == {"zero", "SD", "ASD", "mixed"}
+
+    def test_sigma_keeps_the_sd_forms_but_not_the_mixed_asd_vector(self):
+        tq, ti = derive_table("q"), derive_table("qinv")
+        basis = {w: NCForm(tq, 2, {(w, mono(0, 0, 0, 0)): 1})
+                 for w in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))}
+        sd = [basis[(0, 1)], basis[(2, 3)], basis[(0, 3)] - basis[(1, 2)]]
+        asd = [basis[(0, 2)], basis[(1, 3)]]
+        for w in sd:
+            assert asd_membership(sigma_form(w, ti))["verdict"] == "SD"
+        for w in asd:
+            assert asd_membership(sigma_form(w, ti))["verdict"] == "ASD"
+        # dx22^dx11 + dx21^dx12 = (q^2 - 2) dx11^dx22 - q^2 dx12^dx21
+        image = sigma_form(basis[(0, 3)] + basis[(1, 2)], ti)
+        one = mono(0, 0, 0, 0)
+        assert image == NCForm(ti, 2, {((0, 3), one): Q2 - 2 * ONE,
+                                       ((1, 2), one): -Q2})
+        assert asd_membership(image)["verdict"] == "mixed"
+
+    def test_eigenvalue_is_sigma_of_the_p_equals_q_one(self):
+        for k in range(6):
+            for two_l in range(9):
+                assert eigenvalue_tilde(k, two_l, "qinv") == sigma_ql(
+                    eigenvalue_tilde(k, two_l, "q"))
+
+    def test_q_table_reports_are_sigma_of_each_other(self, capsys):
+        reports = {}
+        for pc in P_CHOICES:
+            assert run(["q", "table", "--p-choice", pc]) == 0
+            reports[pc] = json.loads(capsys.readouterr().out)
+        q, qinv = reports["q"], reports["qinv"]
+        assert qinv["x_rules"] == _sigma_rules(q["x_rules"])
+        assert list(qinv["x_rules"]) == sorted(qinv["x_rules"])
+        assert qinv["wedge_rules"] == q["wedge_rules"]
+        assert (q["p_choice"], qinv["p_choice"]) == P_CHOICES
+
+    @pytest.mark.parametrize("k,two_l", [(0, 0), (1, 2), (3, 1), (16, 32)])
+    def test_q_eigen_reports_are_sigma_of_each_other(self, k, two_l, capsys):
+        reports = {}
+        for pc in P_CHOICES:
+            assert run(["q", "eigen", "-k", str(k), "-l", str(two_l),
+                        "--p-choice", pc]) == 0
+            reports[pc] = json.loads(capsys.readouterr().out)
+        q, qinv = reports["q"], reports["qinv"]
+        assert qinv["eigenvalue"] == {str(-int(e)): c
+                                      for e, c in q["eigenvalue"].items()}
+        assert q["verified_on_witness"] and qinv["verified_on_witness"]
 
 
 # every function the q engines cache for the life of the process

@@ -603,7 +603,7 @@ class TestCurvature:
         ent = rep["entries"]
         wn = table.wedge_norm((2, 1))
         one = QLaurent.one()
-        two = QLaurent.from_scalar(2)
+        two = QLaurent({0: 2})
         q2 = -wn[(1, 2)]
         # (1,1): dx11^dx22 minus the normal form of dx21^dx12
         assert ent[0][0]["computed"] == wform(
@@ -743,7 +743,7 @@ class TestProjection:
             for m in [ZMONO] + monomials_of_degree(1):
                 coef = rng.randint(-3, 3)
                 if coef:
-                    terms[m] = QLaurent.from_scalar(coef)
+                    terms[m] = QLaurent({0: coef})
             psi.append(NCPoly("I", terms))
         dmax = 4
         out = projection_truncated(d, psi, dmax)

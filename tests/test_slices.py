@@ -98,7 +98,7 @@ def evaluate_chi(chi, p):
         val = ONE
         for x, e in zip(chi, mono):
             val = val * gauss_power(x, e)
-        out = out + coeff * QLaurent.from_scalar(val)
+        out = out + coeff * QLaurent({0: val})
     return out
 
 
@@ -117,7 +117,7 @@ def check_refutation(d, P, report):
         total = QLaurent.zero()
         for v in range(d.c):
             total = total + evaluate_chi(chi, bp[v, a]) \
-                * QLaurent.from_scalar(xi[v])
+                * QLaurent({0: xi[v]})
         assert total.is_zero()
 
 

@@ -60,7 +60,7 @@ def _load_datum(path, real=False):
         _check_size(r, c, f"{path}: ")
     try:
         d = datum_from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise CLIError(f"{path}: {exc}") from exc
     if not isinstance(d, RealADHMDatum if real else ComplexADHMDatum):
         raise CLIError(f"{path}: expected a real datum" if real else

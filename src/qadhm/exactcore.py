@@ -382,8 +382,11 @@ def datum_from_json(obj):
     kind = obj.get("kind")
     for cls in (ComplexADHMDatum, RealADHMDatum):
         if kind == cls._KIND:
-            return cls(obj["c"], obj["r"],
-                       *(obj[name] for name, _, _ in cls._BLOCKS))
+            keys = ["c", "r", *(name for name, _, _ in cls._BLOCKS)]
+            missing = [k for k in keys if k not in obj]
+            if missing:
+                raise ADHMError(f"missing keys: {', '.join(missing)}")
+            return cls(*(obj[k] for k in keys))
     raise ADHMError(f"unknown datum kind {kind!r}")
 
 

@@ -10,7 +10,10 @@ as the engine products with det(x) are that of ``basis_element``.  The
 locally free and reflexive generators give solutions with j != 0.
 The residuals by commutators and the module operators block by block, with
 one sign table per chart, are the oracles of ``exactcore.complex_residuals``
-and ``qinstanton.build_q_ops``, which read both off the monad pencils.
+and ``qinstanton.build_q_ops``, which read both off the monad pencils;
+the full curvature product of a datum, audited entry by entry, is that of
+``qinstanton.curvature_asd``, which reads the blocks off the 1 x 1 zero
+datum.
 The paper statements that only the tests check are in ``statements.py``.
 """
 
@@ -253,6 +256,14 @@ def gl_r_action(h, d):
         raise ADHMError("gl_r_action: matrix is not invertible")
     return ComplexADHMDatum(d.c, d.r, d.B11, d.B12, d.B21, d.B22,
                             d.i1 * hinv, d.i2 * hinv, h * d.j1, h * d.j2)
+
+
+def transpose_dual(d):
+    """(B12^T, B11^T, B22^T, B21^T, j1^T, j2^T, i1^T, i2^T): its residuals
+    are the transposes of those of d, and it swaps the stable and costable
+    sides."""
+    return ComplexADHMDatum(d.c, d.r, *(m.transpose() for m in (
+        d.B12, d.B11, d.B22, d.B21, d.j1, d.j2, d.i1, d.i2)))
 
 
 def _dense_change_of_basis(d, rng):
@@ -698,8 +709,42 @@ def alpha_slice_report(d, Q, dmax, chart="I"):
 
 
 # ---------------------------------------------------------------------------
-# reference SD/ASD split and quoted curvature display
+# reference curvature product, SD/ASD split and quoted curvature display
 # ---------------------------------------------------------------------------
+
+def curvature_by_datum_product(d, p_choice="q"):
+    """Reference for the blocks of ``qinstanton.curvature_asd``: the full
+    (2c+r) x (2c+r) product d(alpha-bar) ^ d(beta-bar) of the datum's own
+    operators, audited entry by entry to be one 2-form times an identity
+    matrix in each of the 3x3 blocks; returns the nine block 2-forms."""
+    from qadhm.qcalculus import derive_table
+    from qadhm.qforms import NCForm, d as exterior_d
+    from qadhm.qinstanton import _bars
+    table = derive_table(p_choice)
+
+    def dform(p):
+        return exterior_d(p, table)
+
+    abar, bbar = _bars(*build_q_ops(d))
+    prod = abar.map(dform) * bbar.map(dform)
+    bounds = [0, d.c, 2 * d.c, prod.rows]
+    zero = NCForm(table, 2)
+    blocks = []
+    for a in range(3):
+        row = []
+        for b in range(3):
+            comp = prod[bounds[a], bounds[b]]
+            for i in range(bounds[a], bounds[a + 1]):
+                for j in range(bounds[b], bounds[b + 1]):
+                    want = comp if i - bounds[a] == j - bounds[b] else zero
+                    if prod[i, j] != want:
+                        raise AssertionError(
+                            f"curvature block ({a}, {b}) is not scalar at "
+                            f"entry ({i}, {j})")
+            row.append(comp)
+        blocks.append(row)
+    return blocks
+
 
 def grouped_sd_asd_split(omega):
     """Reference for ``qforms.sd_asd_split``: regroup the 2-form by

@@ -39,6 +39,7 @@ from helpers import (
     semiregular_not_regular,
     stabilizer_dim,
     submatrix,
+    transpose_dual,
 )
 from statements import real_stratify
 
@@ -368,13 +369,6 @@ class TestDerivativeRank:
                 assert not classify(d2).stable_everywhere
                 assert derivative_rank(d2) < 3 * c * c
 
-    @staticmethod
-    def transpose_dual(d):
-        """(B12^T, B11^T, B22^T, B21^T, j1^T, j2^T, i1^T, i2^T): its
-        residuals are the transposes of those of d."""
-        return ComplexADHMDatum(d.c, d.r, *(m.transpose() for m in (
-            d.B12, d.B11, d.B22, d.B21, d.j1, d.j2, d.i1, d.i2)))
-
     @pytest.mark.parametrize("r,c", [(2, 2), (2, 3), (3, 3)])
     def test_full_rank_does_not_imply_stability(self, r, c):
         # the transpose dual keeps the rank and swaps i with j^T, so the
@@ -384,10 +378,10 @@ class TestDerivativeRank:
             stable = random_stable_solution(r, c, seed)
             planted, _ = random_nonstable_solution(r, c, seed)
             for d in (stable, planted):
-                dual = self.transpose_dual(d)
+                dual = transpose_dual(d)
                 assert is_complex_solution(dual)
                 assert derivative_rank(dual) == derivative_rank(d)
-            dual = self.transpose_dual(stable)
+            dual = transpose_dual(stable)
             assert derivative_rank(dual) == 3 * c * c
             rep = classify(dual)
             assert not rep.stable_everywhere
@@ -643,7 +637,7 @@ class TestStableSide:
     stable side alone; it must agree with the two-sided taxonomy."""
 
     def test_flag_matches_classify(self):
-        dual = TestDerivativeRank.transpose_dual
+        dual = transpose_dual
         flags = set()
         for seed in range(3):
             for r, c in [(2, 1), (2, 2), (3, 2), (2, 3)]:
@@ -658,7 +652,7 @@ class TestStableSide:
 
     def test_adhm_rank_reports_the_flag(self, tmp_path, capsys):
         stable = random_stable_solution(2, 2, 1)
-        for d in (stable, TestDerivativeRank.transpose_dual(stable)):
+        for d in (stable, transpose_dual(stable)):
             f = tmp_path / "d.json"
             f.write_text(json.dumps(d.to_json()), encoding="utf-8")
             assert run(["adhm", "rank", str(f)]) == 0
@@ -827,6 +821,24 @@ class TestJSON:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ADHMError):
             datum_from_json({"kind": "other"})
+
+    def test_missing_count_is_refused_by_name(self):
+        obj = random_complex_datum(2, 2, seed=21).to_json()
+        del obj["c"]
+        with pytest.raises(ADHMError, match="^missing keys: c$"):
+            datum_from_json(obj)
+
+    def test_missing_blocks_are_refused_by_name(self):
+        obj = random_complex_datum(2, 2, seed=21).to_json()
+        del obj["j2"], obj["B12"]
+        with pytest.raises(ADHMError, match="^missing keys: B12, j2$"):
+            datum_from_json(obj)
+
+    def test_wrong_kind_names_the_blocks_of_its_kind(self):
+        obj = {**random_complex_datum(2, 2, seed=21).to_json(),
+               "kind": "real"}
+        with pytest.raises(ADHMError, match="^missing keys: B1, B2, i, j$"):
+            datum_from_json(obj)
 
 
 # ---------------------------------------------------------------------------

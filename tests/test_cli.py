@@ -848,6 +848,21 @@ class TestDatumSizeGuard:
             "message": f"{f}: {block} must be a {size}x{size} matrix: "
                        "expected a list of rows, each a list"}
 
+    @pytest.mark.parametrize("kind,dropped,missing", [
+        ("complex", ["j2"], "j2"), ("complex", ["c"], "c"),
+        ("real", [], "B1, B2, i, j")], ids=["block", "count", "kind"])
+    def test_a_missing_key_is_refused_by_name(self, kind, dropped, missing,
+                                              tmp_path, capsys):
+        # a missing key was reported as the repr of a bare KeyError
+        obj = {**_zero_datum_json(1, 1), "kind": kind}
+        for key in dropped:
+            del obj[key]
+        f = write_json(tmp_path / "d.json", obj)
+        code, out = invoke(["adhm", "check", f], capsys)
+        assert code == 2
+        assert json.loads(out) == {"error": {
+            "type": "CLIError", "message": f"{f}: missing keys: {missing}"}}
+
     def test_a_datum_that_is_no_object_is_an_error(self, tmp_path, capsys):
         f = write_json(tmp_path / "list.json", [1, 2])
         code, out = invoke(["adhm", "check", f], capsys)

@@ -3,9 +3,11 @@
 import json
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
+import qadhm.qforms
 import qadhm.qinstanton
 from qadhm.adhm import random_nonstable_solution, random_stable_solution
 from qadhm.cli import run
@@ -29,10 +31,12 @@ from qadhm.echelon import QRat
 from qadhm.scalars import GaussRational, QLaurent
 
 from helpers import (_sparse_containment, alpha_slice_report,
-                     build_q_ops_by_blocks, grouped_sd_asd_split,
-                     matrix_from_rows, quoted_display_reference,
-                     random_c1r1_solution, random_complex_datum,
-                     slice_rank_grid, slice_rank_report)
+                     build_q_ops_by_blocks, curvature_by_datum_product,
+                     grouped_sd_asd_split, matrix_from_rows,
+                     quoted_display_reference, random_c1r1_solution,
+                     random_complex_datum, random_generic_solution,
+                     random_locally_free_solution, random_reflexive_solution,
+                     slice_rank_grid, slice_rank_report, transpose_dual)
 from statements import (beta_p_alpha_q, chart_j_pattern, kernel_slice_basis,
                         left_mul, projection_truncated, xi_leading,
                         xi_operator)
@@ -596,6 +600,29 @@ class TestKernelSliceBasis:
         assert (mat.rows, mat.cols) == (2 * 15, 4 * 5)
 
 
+CURVATURE_DATA = {
+    "one_instanton": one_instanton,
+    "zero_b_c1r2": zero_b_solution,
+    "stable_c2r2": lambda: random_stable_solution(2, 2, 0),
+    "stable_c1r3": lambda: random_stable_solution(3, 1, 1),
+    "stable_c2r3": lambda: random_stable_solution(3, 2, 5),
+    "stable_c3r3": lambda: random_stable_solution(3, 3, 1),
+    "planted_c3r3": lambda: random_nonstable_solution(3, 3, 4)[0],
+    "locally_free_c2": lambda: random_locally_free_solution(2, 0),
+    "locally_free_c3": lambda: random_locally_free_solution(3, 1),
+    "reflexive_c2": lambda: random_reflexive_solution(2, 0),
+    "reflexive_c4": lambda: random_reflexive_solution(4, 2),
+    "generic_c2r4": lambda: random_generic_solution(4, 2, 0),
+    "dual_of_stable_c2r3": lambda: transpose_dual(
+        random_stable_solution(3, 2, 5)),
+}
+
+
+@cache
+def product_blocks(name, p_choice):
+    return curvature_by_datum_product(CURVATURE_DATA[name](), p_choice)
+
+
 class TestCurvature:
     def test_exact_block_values(self):
         table = derive_table("q")
@@ -656,14 +683,21 @@ class TestCurvature:
             table, {(0, 3): one - q2, (1, 2): q2 - one})
 
     def test_datum_independent(self):
-        base = curvature_asd(one_instanton(), "q")["entries"]
-        for d in (random_stable_solution(2, 2, 0),
-                  random_stable_solution(3, 1, 1),
-                  zero_b_solution()):
-            ent = curvature_asd(d, "q")["entries"]
-            for a in range(3):
-                for b in range(3):
-                    assert ent[a][b]["computed"] == base[a][b]["computed"]
+        for p_choice in ("q", "qinv"):
+            base = product_blocks("one_instanton", p_choice)
+            for name in CURVATURE_DATA:
+                assert product_blocks(name, p_choice) == base, name
+
+    @pytest.mark.parametrize("p_choice", ["q", "qinv"])
+    @pytest.mark.parametrize("name", CURVATURE_DATA)
+    def test_blocks_match_the_datum_product(self, name, p_choice):
+        # the oracle audits the full product of the datum's own operators
+        ent = curvature_asd(CURVATURE_DATA[name](), p_choice)["entries"]
+        computed = [[e["computed"] for e in row] for row in ent]
+        want = product_blocks(name, p_choice)
+        assert computed == want
+        assert [[str(f) for f in row] for row in computed] == \
+            [[str(f) for f in row] for row in want]
 
     def test_requires_solution(self):
         d = random_complex_datum(2, 1, 0)
@@ -673,28 +707,20 @@ class TestCurvature:
 
     def test_failed_block_audit_is_not_a_refusal(self, monkeypatch,
                                                  tmp_path, capsys):
-        # doubling one generator entry of alpha-bar makes the first block of
-        # d(alpha) ^ d(beta-bar) not scalar: a failed internal check, which
-        # cli.run reports with exit status 3, not as a refused input
-        bars = qadhm.qinstanton._bars
-
-        def doubled(*ops):
-            abar, bbar = bars(*ops)
-            rows = [list(row) for row in abar.a]
-            rows[0][0] = rows[0][0] + rows[0][0]
-            return Matrix(abar.rows, abar.cols, rows), bbar
-
-        monkeypatch.setattr(qadhm.qinstanton, "_bars", doubled)
+        # an SD vector with a wrong word no longer reassembles the (1,1)
+        # block: a failed internal check, which cli.run reports with exit
+        # status 3, not as a refused input
+        monkeypatch.setattr(qadhm.qforms, "_MIX_MINUS", (0, 1))
         d = random_stable_solution(2, 2, 3)
-        with pytest.raises(CalculusError, match="^curvature product is not "
-                           "block-scalar$"):
+        with pytest.raises(CalculusError, match="^SD/ASD split failed to "
+                           "reassemble$"):
             curvature_asd(d)
         f = tmp_path / "d.json"
         f.write_text(json.dumps(d.to_json()), encoding="utf-8")
         assert run(["inst", "curvature", str(f)]) == 3
         assert json.loads(capsys.readouterr().out) == {"error": {
             "type": "CalculusError",
-            "message": "curvature product is not block-scalar"}}
+            "message": "SD/ASD split failed to reassemble"}}
 
     def test_block_sizes_and_json(self):
         d = random_stable_solution(2, 2, 0)

@@ -1,6 +1,7 @@
 """Seeded solutions with j != 0 for the locally free and reflexive sheaf
-classes, and the GL(c) x GL(r) covariance of every report that reads a
-datum (ROADMAP items 14 and 18).
+classes, the GL(c) x GL(r), GL(2) and transpose-dual covariance of the
+reports that read a datum, the r = 2 check (ROADMAP items 14 and 18), and
+the deformation complex of a datum (item 10).
 
 The locally free data have r = 2 and the reflexive data r = 5 with their
 singular locus over [0:1]; both come with a seeded dense change of basis
@@ -17,7 +18,8 @@ from qadhm.adhm import (classify, derivative_rank, random_nonstable_solution,
                         random_stable_solution)
 from qadhm.cli import run
 from qadhm.exactcore import (ADHMError, ComplexADHMDatum, Matrix,
-                             is_complex_solution, random_gauss)
+                             complex_residuals, is_complex_solution,
+                             random_gauss)
 from qadhm.monad import build_monad, classify_sheaf
 from qadhm.qinstanton import curvature_asd, ids_report
 from qadhm.scalars import GaussRational, mono_str, parse_gauss
@@ -25,7 +27,7 @@ from qadhm.slices import pencil_grid, slice_line, slice_verdict
 
 from helpers import (gl_action, gl_r_action, random_generic_solution,
                      random_invertible, random_locally_free_solution,
-                     random_reflexive_solution)
+                     random_reflexive_solution, transpose_dual)
 
 _GENERATORS = {"locally_free": random_locally_free_solution,
                "reflexive": random_reflexive_solution}
@@ -403,3 +405,200 @@ class TestLineCovariance:
         assert rep["classification"]["failing_points"] == [
             {"side": "stable", "z": "0/1+1/1*i", "w": "1/1",
              "multiplicity": 3}]
+
+
+# ---------------------------------------------------------------------------
+# transpose duality
+# ---------------------------------------------------------------------------
+
+DUAL_DATA = {
+    "stable_c2r3": lambda: random_stable_solution(3, 2, 5),
+    "planted_c3r3": lambda: random_nonstable_solution(3, 3, 4)[0],
+    "locally_free_c3r2": lambda: random_locally_free_solution(3, 1),
+    "reflexive_c4r5": lambda: random_reflexive_solution(4, 2),
+    "generic_c2r4": lambda: random_generic_solution(4, 2, 0),
+}
+_SWAPPED = {"stable": "costable", "costable": "stable"}
+
+
+@cache
+def dual_pair(name):
+    d = DUAL_DATA[name]()
+    return d, transpose_dual(d)
+
+
+class TestTransposeDuality:
+    """d* = (B12^T, B11^T, B22^T, B21^T, j1^T, j2^T, i1^T, i2^T) solves the
+    equations with d and swaps the stable and costable sides."""
+
+    @pytest.mark.parametrize("name", DUAL_DATA)
+    def test_adhm_check_swaps_the_sides(self, name, report):
+        (code, before), (code_dual, after) = (
+            report(["adhm", "check"], x) for x in dual_pair(name))
+        assert code == code_dual == 0 and after["solution"]
+        before, after = before["classification"], after["classification"]
+        for key, dual_key in (("stable_everywhere", "costable_everywhere"),
+                              ("stability_gcd", "costability_gcd")):
+            assert after[key] == before[dual_key]
+            assert after[dual_key] == before[key]
+        assert _points(after["failing_points"]) == _points(
+            {**p, "side": _SWAPPED[p["side"]]}
+            for p in before["failing_points"])
+
+    @pytest.mark.parametrize("name", DUAL_DATA)
+    def test_rank_and_monad(self, name, report):
+        (_, before), (_, after) = (
+            report(["adhm", "rank"], x) for x in dual_pair(name))
+        assert after["rank"] == before["rank"]
+        assert all(report(["monad", "build"], x)[0] == 0
+                   for x in dual_pair(name))
+
+    @pytest.mark.parametrize("name", DUAL_DATA)
+    def test_monad_classify(self, name, report):
+        (code, before), (code_dual, after) = (
+            report(["monad", "classify"], x) for x in dual_pair(name))
+        if code == 0 and before["kind"] == "locally_free":
+            assert code_dual == 0 and after["kind"] == "locally_free"
+        else:       # torsion-free, reflexive or refused: the dual is refused
+            assert code_dual == 2
+            assert after["error"]["message"] == (
+                "datum is not stable everywhere: no sheaf to classify")
+
+    @pytest.mark.parametrize("name", DUAL_DATA)
+    def test_inst_verify(self, name, report):
+        for code, rep in (report(["inst", "verify"], x)
+                          for x in dual_pair(name)):
+            assert code == 0
+            assert rep["I"]["all_zero"] and rep["J"]["all_zero"]
+
+    @pytest.mark.parametrize("name", DUAL_DATA)
+    def test_inst_slices_line_reads_the_costable_side(self, name, report):
+        d, dual = dual_pair(name)
+        _, check = report(["adhm", "check"], d)
+        _, rep = report(["inst", "slices", "--dmax", "2", "--grid-size", "4"],
+                        dual)
+        check = check["classification"]
+        assert rep["line"]["stability_gcd"] == check["costability_gcd"]
+        assert rep["line"]["onto_everywhere"] == check["costable_everywhere"]
+
+
+def _r2_draws():
+    for s in range(50):
+        for c in range(1, 5):
+            yield "stable", random_stable_solution(2, c, s)
+            yield "locally_free", random_locally_free_solution(c, s)
+    for s in range(200):
+        yield "generic", random_generic_solution(2, 1, s)
+
+
+def test_no_rank_two_solution_is_reflexive():
+    # the monads have total Chern class (1 - h^2)^-c, so c3 = 0, and a
+    # rank-2 reflexive sheaf with c3 = 0 is locally free (Hartshorne,
+    # "Stable reflexive sheaves", 1980, section 2)
+    kinds = {}
+    for family, d in _r2_draws():
+        assert d.r == 2
+        kind = classify_sheaf(d).to_json()["kind"]
+        kinds.setdefault(family, set()).add(kind)
+    assert set().union(*kinds.values()) <= {"torsion_free", "locally_free"}
+    assert kinds["locally_free"] == {"locally_free"}
+    assert kinds["stable"] == {"torsion_free"}
+
+
+# ---------------------------------------------------------------------------
+# the deformation complex gl(c) --a--> T --dmu--> End(V)^3
+# ---------------------------------------------------------------------------
+
+def action_matrix(d):
+    """a: X -> ([X,B11], [X,B12], [X,B21], [X,B22], X i1, X i2, -j1 X,
+    -j2 X) on row-major vectors, (4c^2 + 4cr) x c^2: X B is I (x) B^T and
+    B X is B (x) I."""
+    eye = Matrix.identity(d.c, GaussRational(1), GaussRational(0))
+    return Matrix.vstack(
+        [eye.kron(b.transpose()) - b.kron(eye)
+         for b in (d.B11, d.B12, d.B21, d.B22)]
+        + [eye.kron(i.transpose()) for i in (d.i1, d.i2)]
+        + [-j.kron(eye) for j in (d.j1, d.j2)])
+
+
+def residual_derivative(d):
+    """dmu by central differences: the residuals are quadratic, so their
+    derivative along a unit change E of one entry is (mu(d + E) -
+    mu(d - E)) / 2.  Columns by block (B11, ..., j2), rows by residual, each
+    block row-major, as in ``adhm.derivative_rank``."""
+    blocks = [d.B11, d.B12, d.B21, d.B22, d.i1, d.i2, d.j1, d.j2]
+    half = GaussRational(1) / 2
+    cols = []
+    for k, m in enumerate(blocks):
+        for i in range(m.rows):
+            for j in range(m.cols):
+                def mu(step):
+                    rows = [list(row) for row in m.a]
+                    rows[i][j] = rows[i][j] + step
+                    return complex_residuals(ComplexADHMDatum(
+                        d.c, d.r, *blocks[:k], rows, *blocks[k + 1:]))
+                cols.append([x for p, n in zip(mu(1), mu(-1))
+                             for row in (p - n).scale(half).a for x in row])
+    return Matrix(len(cols[0]), len(cols), [list(r) for r in zip(*cols)])
+
+
+DEFORMATION_DATA = {
+    **{f"locally_free_c{c}_s{s}": (lambda c=c, s=s: seeded("locally_free",
+                                                           c, s))
+       for c in (1, 2, 3, 4) for s in (0, 1)},
+    **{f"reflexive_c{c}": (lambda c=c: seeded("reflexive", c, 0))
+       for c in (2, 4)},
+    **{f"generic_r{r}_c{c}": (lambda r=r, c=c: generic(r, c, 0))
+       for r, c in ((2, 1), (4, 2), (6, 3))},
+    "stable_c2r3": lambda: random_stable_solution(3, 2, 5),
+}
+
+
+@cache
+def deformation(name, dual):
+    """(d, a, dmu, rank dmu) for the named datum or its transpose dual."""
+    d = DEFORMATION_DATA[name]()
+    d = transpose_dual(d) if dual else d
+    dmu = residual_derivative(d)
+    return d, action_matrix(d), dmu, dmu.rank()
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["d", "dual"])
+@pytest.mark.parametrize("name", DEFORMATION_DATA)
+class TestDeformationComplex:
+    """Nakajima, Lectures on Hilbert Schemes of Points on Surfaces (1999),
+    ch. 3: h0 = c^2 - rank a is the stabiliser, h2 = 3c^2 - rank dmu the
+    obstruction space."""
+
+    def test_dmu_is_the_derivative_adhm_rank_ranks(self, name, dual):
+        d, _, _, rank_dmu = deformation(name, dual)
+        assert rank_dmu == derivative_rank(d)
+
+    def test_the_action_is_tangent_to_the_solutions(self, name, dual):
+        _, a, dmu, _ = deformation(name, dual)
+        assert (dmu * a).is_zero()
+
+    def test_stable_and_dual_data_are_smooth_points(self, name, dual):
+        d, a, _, rank_dmu = deformation(name, dual)
+        rep = classify(d)
+        assert rep.costable_everywhere if dual else rep.stable_everywhere
+        assert d.c * d.c - a.rank() == 0
+        assert 3 * d.c * d.c - rank_dmu == 0
+
+
+def test_planted_data_are_tangent_but_obstructed():
+    d = random_nonstable_solution(3, 3, 4)[0]
+    dmu = residual_derivative(d)
+    assert (dmu * action_matrix(d)).is_zero()
+    assert 3 * d.c * d.c - dmu.rank() == 3
+
+
+def test_a_stabiliser_gives_h0():
+    # zero B's, i1 = e1, i2 = 0, j = 0: X fixes the datum iff X e1 = 0
+    e1 = [[1], [0]]
+    zero = [[0, 0], [0, 0]]
+    d = ComplexADHMDatum(2, 1, zero, zero, zero, zero, e1, [[0], [0]],
+                         [[0, 0]], [[0, 0]])
+    a, dmu = action_matrix(d), residual_derivative(d)
+    assert (dmu * a).is_zero()
+    assert d.c * d.c - a.rank() == 2

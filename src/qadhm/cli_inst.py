@@ -14,9 +14,8 @@ def _cmd_inst_verify(args):
 
 
 def _cmd_inst_curvature(args):
-    from .qinstanton import curvature_asd, curvature_report_json
-    report = curvature_asd(_load_datum(args.file), args.p_choice)
-    return curvature_report_json(report), True
+    from .qinstanton import curvature_asd
+    return curvature_asd(_load_datum(args.file), args.p_choice), True
 
 
 def _cmd_inst_slices(args):

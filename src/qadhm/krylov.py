@@ -27,7 +27,7 @@ from collections import deque
 from math import prod
 
 from .exactcore import ADHMError, Matrix
-from .scalars import (_GR_ONE, _GR_ZERO, _QL_ONE, GaussRational, QLaurent,
+from .scalars import (_GR_ONE, _GR_ZERO, _QL_ONE, QLaurent, _gauss,
                       _ql_divmod, coeff_str, mono_str)
 
 __all__ = ["is_stable", "gcd_projective_roots", "line_side", "stable_side_of",
@@ -110,10 +110,9 @@ def _gcd_str(g, v):
 
 
 def _gauss_from_sympy(x):
-    from fractions import Fraction
     re_, im_ = x.as_real_imag()
-    return GaussRational(Fraction(int(re_.p), int(re_.q)),
-                         Fraction(int(im_.p), int(im_.q)))
+    p1, q1, p2, q2 = (int(v) for v in (re_.p, re_.q, im_.p, im_.q))
+    return _gauss(p1 * q2, p2 * q1, q1 * q2)
 
 
 def gcd_projective_roots(g, v):

@@ -51,7 +51,11 @@ first read, against their classical limit and the 16 d^2 = 0 constraints.
 The p = q^-1 x rules are kept as the image of the p = q ones under the
 automorphism sigma of chart I, and checked like them.
 
-Differential forms and the exterior derivative on them are in ``qforms``.
+The curvature audit of ``qinstanton`` reads its constant 2-forms off
+``partials`` and ``wedge_norm``; forms over the algebra, with their wedge
+product and exterior derivative, are the test oracle
+``tests/forms_oracle.py``, built on ``cross``, ``d_mono`` and
+``wedge_norm``.
 
 Conventions:
   * d(fg) = (df) g + f (dg).
@@ -309,7 +313,7 @@ def derive_table(p_choice="q") -> CalculusTable:
     """The (cached) calculus table for p = q or p = q^-1.
 
     The stored x rules are checked here; the wedge relations, which only
-    ``q table`` and the forms read, on their first read.
+    ``q table`` and ``inst curvature`` read, on their first read.
     """
     if p_choice not in P_EXPONENTS:
         raise ValueError(f"unknown p_choice {p_choice!r}")

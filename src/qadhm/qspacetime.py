@@ -32,7 +32,7 @@ from functools import cache
 from .scalars import _QL_ONE, Immutable, QLaurent, _as_qlaurent, mono_str
 
 __all__ = [
-    "SparseTerms", "NCPoly", "HarmonicIndex", "SortEngine",
+    "NCPoly", "HarmonicIndex", "SortEngine",
     "X_NAMES", "Y_NAMES", "normalize", "monomials_of_degree",
     "det_x", "times_det",
     "harmonic", "basis_element", "engine",
@@ -155,53 +155,7 @@ def engine(chart: str) -> SortEngine:
     return _ENGINES[chart]
 
 
-class SparseTerms(Immutable):
-    """A sum {key: QLaurent} with no zero coefficient, over one setting
-    that a sum must share: the chart of an ``NCPoly``, the table and degree
-    of a ``qforms.NCForm``.  A subclass gives ``_like(terms)`` (the sum of
-    these terms in its own setting), ``_key()`` (its setting, for ``==`` and
-    ``hash``) and ``_check(other)`` (refuses a sum across settings)."""
-
-    __slots__ = ()
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._key() == other._key() and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self._key(), frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        self._check(other)
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            add_to(t, k, c)
-        return self._like(t)
-
-    def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        """Multiply by a central scalar (QLaurent / GaussRational / int)."""
-        if not isinstance(c, QLaurent):
-            c = QLaurent({0: c})
-        return self._like({k: cc * c for k, cc in self.terms.items()}
-                          if c else {})
-
-
-class NCPoly(SparseTerms):
+class NCPoly(Immutable):
     """Normal-form element of a chart algebra: {exponent 4-tuple: QLaurent}."""
 
     __slots__ = ("chart", "terms")
@@ -219,11 +173,43 @@ class NCPoly(SparseTerms):
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "terms", clean)
 
-    def _like(self, terms):
-        return NCPoly(self.chart, terms)
+    # -- sums and equality ---------------------------------------------------
 
-    def _key(self):
-        return self.chart
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if not isinstance(other, NCPoly):
+            return NotImplemented
+        return self.chart == other.chart and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.chart, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        if not isinstance(other, NCPoly):
+            return NotImplemented
+        self._check(other)
+        t = dict(self.terms)
+        for k, c in other.terms.items():
+            add_to(t, k, c)
+        return NCPoly(self.chart, t)
+
+    def __neg__(self):
+        return NCPoly(self.chart, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        """Multiply by a central scalar (QLaurent / GaussRational / int)."""
+        if not isinstance(c, QLaurent):
+            c = QLaurent({0: c})
+        return NCPoly(self.chart, {k: cc * c for k, cc in self.terms.items()}
+                      if c else {})
 
     def _check(self, other):
         if self.chart != other.chart:

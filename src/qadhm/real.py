@@ -15,7 +15,7 @@ the images of real data.
 
 from .exactcore import (ADHMError, ComplexADHMDatum, Matrix, _scalar,
                         is_complex_solution)
-from .scalars import GaussRational
+from .scalars import _GR_ONE, _GR_ZERO
 
 __all__ = ["real_residuals", "embed_real"]
 
@@ -26,8 +26,7 @@ def real_residuals(d, xi):
     r1 = d.B1.commutator(d.B2) + d.i * d.j
     r2 = (d.B1.commutator(d.B1.dagger()) + d.B2.commutator(d.B2.dagger())
           + d.i * d.i.dagger() - d.j.dagger() * d.j
-          - Matrix.identity(d.c, GaussRational(1), GaussRational(0))
-          .scale(xi))
+          - Matrix.identity(d.c, _GR_ONE, _GR_ZERO).scale(xi))
     return r1, r2
 
 

@@ -1,9 +1,13 @@
-"""Differential forms over the chart-I calculus: the exterior derivative and
-the self-dual / anti-self-dual split of 2-forms.
+"""Differential forms over the chart-I calculus: the wedge product, the
+exterior derivative and the self-dual / anti-self-dual split of 2-forms.
 
-Only the curvature audit of ``qinstanton`` uses forms; the ``q`` commands
-work with the partial derivatives of ``qcalculus`` and never load this
-module.
+No command needs forms over the algebra: ``qinstanton.curvature_asd`` reads
+its constant 2-forms off ``qcalculus.partials`` and the table's
+``wedge_norm``.  These forms are the oracle the tests check it and the
+calculus against (d^2 = 0, Leibniz, the chart automorphism, the Hodge
+star, the curvature product of a datum's own operators).  They run the
+``qcalculus`` engines: ``cross`` moves dx past monomials, ``d_mono``
+differentiates one and ``wedge_norm`` orders the wedge words.
 
 Conventions:
   * d(fg) = (df) g + f (dg), and d(f . dx-word) = df ^ dx-word; forms are kept
@@ -12,9 +16,9 @@ Conventions:
     of monomials and the 1/2 of the split all are.
 """
 
-from .scalars import _QL_ONE, mono_str
-from .qcalculus import CalculusError
-from .qspacetime import NCPoly, SparseTerms, X_NAMES, add_to, engine, feed
+from qadhm.qcalculus import CalculusError
+from qadhm.qspacetime import NCPoly, X_NAMES, add_to, engine, feed
+from qadhm.scalars import _QL_ONE, Immutable, QLaurent, mono_str
 
 _ENG = engine("I")
 
@@ -23,8 +27,9 @@ _ENG = engine("I")
 # forms
 # ---------------------------------------------------------------------------
 
-class NCForm(SparseTerms):
-    """Left-coefficient differential form: {(sorted word, mono): QLaurent}."""
+class NCForm(Immutable):
+    """Left-coefficient differential form: {(sorted word, mono): QLaurent},
+    with no zero coefficient; sums are within one table and degree."""
 
     __slots__ = ("table", "degree", "terms")
 
@@ -48,11 +53,44 @@ class NCForm(SparseTerms):
     def _key(self):
         return id(self.table), self.degree
 
-    def _check(self, other):
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if not isinstance(other, NCForm):
+            return NotImplemented
+        return self._key() == other._key() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._key(), frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        if not isinstance(other, NCForm):
+            return NotImplemented
         if self.table is not other.table:
             raise ValueError("cannot mix calculus tables")
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
+        t = dict(self.terms)
+        for k, c in other.terms.items():
+            add_to(t, k, c)
+        return self._like(t)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        """Multiply by a central scalar (QLaurent / GaussRational / int)."""
+        if not isinstance(c, QLaurent):
+            c = QLaurent({0: c})
+        return self._like({k: cc * c for k, cc in self.terms.items()}
+                          if c else {})
 
     @classmethod
     def from_poly(cls, table, poly):

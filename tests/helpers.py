@@ -11,9 +11,9 @@ locally free and reflexive generators give solutions with j != 0.
 The residuals by commutators and the module operators block by block, with
 one sign table per chart, are the oracles of ``exactcore.complex_residuals``
 and ``qinstanton.build_q_ops``, which read both off the monad pencils;
-the full curvature product of a datum, audited entry by entry, is that of
-``qinstanton.curvature_asd``, which reads the blocks off the 1 x 1 zero
-datum.
+the full curvature product of a datum in the forms of
+``forms_oracle.py``, audited entry by entry, is that of
+``qinstanton.curvature_asd``, which reads the blocks off the wedge table.
 The paper statements that only the tests check are in ``statements.py``.
 """
 
@@ -31,6 +31,8 @@ from qadhm.qspacetime import (HarmonicIndex, NCPoly, X_NAMES, Y_NAMES,
                               det_x, harmonic)
 from qadhm.real import real_residuals
 from qadhm.scalars import _QL_ONE, GaussRational, QLaurent, _as_gauss, _gauss
+
+from forms_oracle import NCForm, d as exterior_d
 
 _ZERO = GaussRational(0)
 _ONE = GaussRational(1)
@@ -582,6 +584,13 @@ def build_q_ops_by_blocks(d, chart="I"):
             op(Matrix.hstack, b1, d.i1), op(Matrix.hstack, b2, d.i2))
 
 
+def bars(a1, a2, b1, b2):
+    """(alpha-bar, beta-bar) from one build of the four operators: the
+    joined (alpha_1 | alpha_2) : V|V -> V|V|W and the stacked
+    (-beta_2 ; beta_1) : V|V|W -> V|V."""
+    return Matrix.hstack([a1, a2]), Matrix.vstack([-b2, b1])
+
+
 # ---------------------------------------------------------------------------
 # the containment echelon over Q(i)(q): the oracle of adhm.slice_verdict
 # ---------------------------------------------------------------------------
@@ -715,17 +724,16 @@ def alpha_slice_report(d, Q, dmax, chart="I"):
 def curvature_by_datum_product(d, p_choice="q"):
     """Reference for the blocks of ``qinstanton.curvature_asd``: the full
     (2c+r) x (2c+r) product d(alpha-bar) ^ d(beta-bar) of the datum's own
-    operators, audited entry by entry to be one 2-form times an identity
-    matrix in each of the 3x3 blocks; returns the nine block 2-forms."""
+    operators, in the forms of ``forms_oracle``, audited entry by entry to
+    be one 2-form times an identity matrix in each of the 3x3 blocks;
+    returns the nine block 2-forms."""
     from qadhm.qcalculus import derive_table
-    from qadhm.qforms import NCForm, d as exterior_d
-    from qadhm.qinstanton import _bars
     table = derive_table(p_choice)
 
     def dform(p):
         return exterior_d(p, table)
 
-    abar, bbar = _bars(*build_q_ops(d))
+    abar, bbar = bars(*build_q_ops(d))
     prod = abar.map(dform) * bbar.map(dform)
     bounds = [0, d.c, 2 * d.c, prod.rows]
     zero = NCForm(table, 2)
@@ -747,39 +755,34 @@ def curvature_by_datum_product(d, p_choice="q"):
 
 
 def grouped_sd_asd_split(omega):
-    """Reference for ``qforms.sd_asd_split``: regroup the 2-form by
-    monomial, then split each monomial's six coordinates, the mixed pair
-    (c+, c-) on dx11^dx22, dx12^dx21 into (c+ - c-)/2 along the SD vector
-    dx11^dx22 - dx12^dx21 and (c+ + c-)/2 along the ASD vector
-    dx11^dx22 + dx12^dx21."""
-    from qadhm.qforms import NCForm
+    """Reference for ``qinstanton.sd_asd_split`` on a constant 2-form
+    {word: QLaurent}: split its six coordinates, the mixed pair (c+, c-) on
+    dx11^dx22, dx12^dx21 into (c+ - c-)/2 along the SD vector dx11^dx22 -
+    dx12^dx21 and (c+ + c-)/2 along the ASD vector dx11^dx22 +
+    dx12^dx21."""
     zero, half = QLaurent.zero(), QLaurent.one() / 2
     mix_plus, mix_minus = (0, 3), (1, 2)
-    sd, asd, polys = {}, {}, {}
-    for (w, m), c in omega.terms.items():
-        polys.setdefault(m, {})[w] = c
-    for m, coords in polys.items():
-        for words, part in ((((0, 1), (2, 3)), sd), (((0, 2), (1, 3)), asd)):
-            for w in words:
-                if coords.get(w):
-                    part[(w, m)] = coords[w]
-        cp = coords.get(mix_plus, zero)
-        cm = coords.get(mix_minus, zero)
-        alpha, beta = (cp - cm) * half, (cp + cm) * half
-        if alpha:
-            sd[(mix_plus, m)] = alpha
-            sd[(mix_minus, m)] = -alpha
-        if beta:
-            asd[(mix_plus, m)] = beta
-            asd[(mix_minus, m)] = beta
-    return NCForm(omega.table, 2, sd), NCForm(omega.table, 2, asd)
+    sd, asd = {}, {}
+    for words, part in ((((0, 1), (2, 3)), sd), (((0, 2), (1, 3)), asd)):
+        for w in words:
+            if omega.get(w):
+                part[w] = omega[w]
+    cp = omega.get(mix_plus, zero)
+    cm = omega.get(mix_minus, zero)
+    alpha, beta = (cp - cm) * half, (cp + cm) * half
+    if alpha:
+        sd[mix_plus] = alpha
+        sd[mix_minus] = -alpha
+    if beta:
+        asd[mix_plus] = beta
+        asd[mix_minus] = beta
+    return sd, asd
 
 
 def quoted_display_reference(table):
     """The quoted curvature block matrix, written out as constant-coefficient
-    2-forms with GaussRational-valued Laurent coefficients."""
-    from qadhm.qforms import NCForm
-
+    2-forms of ``forms_oracle`` with GaussRational-valued Laurent
+    coefficients."""
     def form(coeffs):
         return NCForm(table, 2, {(w, (0, 0, 0, 0)): QLaurent(
             {0: GaussRational(c)}) for w, c in coeffs.items()})

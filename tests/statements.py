@@ -24,15 +24,15 @@ from qadhm.krylov import is_stable
 from qadhm.monad import VARS, product_coefficients
 from qadhm.qcalculus import (CalculusError, P_EXPONENTS, derive_table,
                              eigenvalue_tilde, partials)
-from qadhm.qforms import NCForm, d as exterior_d
-from qadhm.qinstanton import (_bars, _monomials_upto, build_q_ops,
+from qadhm.qinstanton import (_monomials_upto, build_q_ops,
                               truncated_matrix)
 from qadhm.qspacetime import (HarmonicIndex, NCPoly, X_NAMES, Y_NAMES,
                               add_to, basis_element, det_x, engine,
                               harmonic, monomials_of_degree)
 from qadhm.scalars import GaussRational, QLaurent, qint
 
-from helpers import (is_real_solution, pencil_residue, pencil_scalar,
+from forms_oracle import NCForm, d as exterior_d
+from helpers import (bars, is_real_solution, pencil_residue, pencil_scalar,
                      qrat_as_qlaurent, small_gauss, submatrix)
 
 _ZERO = GaussRational(0)
@@ -707,7 +707,7 @@ def kernel_slice_basis(d, dmax, chart="I"):
     the truncated matrix is the exact degree-capped kernel of the module
     map.  Vectors are returned with coefficients cleared to Laurent
     polynomials."""
-    _, bbar = _bars(*build_q_ops(d, chart))
+    _, bbar = bars(*build_q_ops(d, chart))
     mat = truncated_matrix(bbar, dmax, dmax + 1)
     ker = mat.kernel()
     src = _monomials_upto(dmax)
@@ -745,7 +745,7 @@ def chart_j_pattern(d):
     operators is a scalar block plus a single signed generator (or
     constant), the W row and column carry no generators, and the patterns
     match the chart-J operator layout."""
-    abar, bbar = _bars(*build_q_ops(d, "J"))
+    abar, bbar = bars(*build_q_ops(d, "J"))
     y11, y12, y21, y22 = Y_NAMES
     want_a = [[(y22, -1), (y21, 1)], [(y12, 1), (y11, -1)], [None, None]]
     want_b = [[(y11, -1), (y21, -1), None], [(y12, -1), (y22, -1), None]]
@@ -838,7 +838,7 @@ def projection_truncated(d, psi, dmax):
         raise ADHMError("projection input has the wrong length")
 
     a1, a2, b1, b2 = build_q_ops(d, "I")
-    abar, bbar = _bars(a1, a2, b1, b2)
+    abar, bbar = bars(a1, a2, b1, b2)
     xi = b1 * a2    # Xi, as xi_operator builds it
     rhs = [sum((left_mul(comps[j], bbar[v, j])
                 for j in range(bbar.cols)), NCForm(table, 0, {}))

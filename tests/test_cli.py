@@ -1127,7 +1127,7 @@ _MODULES_BY_COMMAND = {
     ("inst", "verify", DATUM): _INST,
     ("inst", "slices", DATUM, "--dmax", "0", "--grid-size", "2"):
         {"cli", "cli_inst", "krylov", "slices"} | _MATRIX,
-    ("inst", "curvature", DATUM): _INST | {"qcalculus", "qforms"},
+    ("inst", "curvature", DATUM): _INST | {"qcalculus"},
 }
 
 
@@ -1142,7 +1142,7 @@ def _pinned_argv(command, tmp_path):
             for a in command]
 
 
-# the only commands that load the expression parser and the forms
+# the only commands that load the expression parser
 _WITH_EXPR = {("q", "normalize"), ("q", "partial"), ("q", "laplace")}
 # the commands that build no matrix: the q commands need only the scalars
 # (the calculus tables are stored, not solved), and monad chern computes in
@@ -1150,7 +1150,6 @@ _WITH_EXPR = {("q", "normalize"), ("q", "partial"), ("q", "laplace")}
 _WITHOUT_MATRIX = {("q", s) for s in ("normalize", "partial", "laplace",
                                       "harmonic", "eigen", "table",
                                       "penrose")} | {("monad", "chern")}
-_WITH_FORMS = {("inst", "curvature")}
 # the only command that eliminates, and so loads ``echelon``: the derivative
 # rank (``classify`` of a stable datum takes no kernel, since it has no
 # witness to find, and the seeded generator tests its two top rows of i by
@@ -1186,7 +1185,7 @@ _LINE_BUDGET = {
     ("q", "penrose"): 1918,
     ("inst", "verify"): 2024,
     ("inst", "slices"): 1779,
-    ("inst", "curvature"): 2685,
+    ("inst", "curvature"): 2528,
 }
 
 
@@ -1220,7 +1219,6 @@ class TestImportDiscipline:
         if command[:2] in _WITHOUT_MATRIX:
             assert "exactcore" not in loaded
         assert ("expr" in loaded) == (command[:2] in _WITH_EXPR)
-        assert ("qforms" in loaded) == (command[:2] in _WITH_FORMS)
         assert ("echelon" in loaded) == (command[:2] in _WITH_ECHELON)
         for module, owner in _OWN_MODULES.items():
             assert (module in loaded) == (command[:2] == owner), module

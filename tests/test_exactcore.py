@@ -23,11 +23,11 @@ from qadhm.exactcore import (Matrix, RealADHMDatum, complex_residuals,
 from qadhm.krylov import gcd_projective_roots
 from qadhm.monad import VARS, build_monad, check_exactness_at, classify_sheaf
 from qadhm.qcalculus import derive_table
-from qadhm.qforms import NCForm
 from qadhm.qspacetime import HarmonicIndex, NCPoly
 from qadhm.scalars import (GaussRational, QLaurent, _as_gauss, _ql_divmod,
                            parse_gauss, qint)
 
+from forms_oracle import NCForm
 from helpers import (complex_residuals_by_commutators, gauss_power,
                      matrix_from_rows, qbinom, qbrace, qfact, ql_evaluate,
                      qrat_as_qlaurent, random_complex_datum, small_gauss)

@@ -21,7 +21,6 @@ from qadhm.qcalculus import (CalculusError, CalculusTable, P_EXPONENTS,
                              cech_index, derive_table, eigenvalue_tilde,
                              laplacian, partials, penrose_scalar,
                              tilde_laplacian)
-from qadhm.qforms import NCForm, asd_membership, d, sd_asd_split
 from qadhm.qinstanton import curvature_asd
 from qadhm.qspacetime import (CHART_I_RULES, X_NAMES, HarmonicIndex, NCPoly,
                               SortEngine, basis_element, det_x, engine,
@@ -30,6 +29,7 @@ from qadhm.scalars import GaussRational, QLaurent, qint
 
 import calculus_oracle
 from calculus_oracle import _solve_system, _solve_wedge_rules, _solve_x_rules
+from forms_oracle import NCForm, asd_membership, d, sd_asd_split
 from helpers import ncpoly_power
 from statements import (VOL_WORD, anticommutation_audit, cech_exponents,
                         conjugation_identity_check, delta_eigenvalue,

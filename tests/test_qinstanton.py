@@ -7,7 +7,7 @@ from functools import cache
 
 import pytest
 
-import qadhm.qforms
+import qadhm.qcalculus
 import qadhm.qinstanton
 from qadhm.adhm import random_nonstable_solution, random_stable_solution
 from qadhm.cli import run
@@ -22,15 +22,16 @@ from qadhm.exactcore import (
     is_complex_solution,
 )
 from qadhm.qcalculus import CalculusError, derive_table
-from qadhm.qforms import NCForm, sd_asd_split
-from qadhm.qinstanton import (build_q_ops, curvature_asd,
-                              curvature_report_json, identity_products,
-                              ids_report, scalar_operator, truncated_matrix)
+from qadhm.qinstanton import (build_q_ops, curvature_asd, form_str,
+                              identity_products, ids_report, scalar_operator,
+                              sd_asd_split, truncated_matrix)
 from qadhm.qspacetime import NCPoly, det_x, monomials_of_degree
 from qadhm.echelon import QRat
 from qadhm.scalars import GaussRational, QLaurent
 
-from helpers import (_sparse_containment, alpha_slice_report,
+from forms_oracle import NCForm, asd_membership
+from forms_oracle import sd_asd_split as form_sd_asd_split
+from helpers import (_sparse_containment, alpha_slice_report, bars,
                      build_q_ops_by_blocks, curvature_by_datum_product,
                      grouped_sd_asd_split, matrix_from_rows,
                      quoted_display_reference, random_c1r1_solution,
@@ -586,17 +587,15 @@ class TestKernelSliceBasis:
         assert [len(kernel_slice_basis(d, k)) for k in range(3)] == [0, 2, 10]
 
     def test_vectors_annihilated_exactly(self):
-        from qadhm.qinstanton import _bars
         d = one_instanton()
-        _, bbar = _bars(*build_q_ops(d))
+        _, bbar = bars(*build_q_ops(d))
         for vec in kernel_slice_basis(d, 2):
             assert (bbar * column(*vec)).is_zero()
             assert any(not p.is_zero() for p in vec)
 
     def test_truncated_matrix_shape(self):
         d = one_instanton()
-        from qadhm.qinstanton import _bars
-        mat = truncated_matrix(_bars(*build_q_ops(d))[1], 1, 2)
+        mat = truncated_matrix(bars(*build_q_ops(d))[1], 1, 2)
         assert (mat.rows, mat.cols) == (2 * 15, 4 * 5)
 
 
@@ -632,19 +631,19 @@ class TestCurvature:
         one = QLaurent.one()
         two = QLaurent({0: 2})
         q2 = -wn[(1, 2)]
-        # (1,1): dx11^dx22 minus the normal form of dx21^dx12
-        assert ent[0][0]["computed"] == wform(
-            table, {(0, 3): two - q2, (1, 2): q2})
-        assert ent[0][1]["computed"] == wform(table, {(0, 2): -two})
-        assert ent[1][0]["computed"] == wform(table, {(1, 3): two})
-        assert ent[1][1]["computed"] == wform(
-            table, {(0, 3): -one, (1, 2): -one})
+        # [0, 0]: dx11^dx22 minus the normal form of dx21^dx12
+        assert ent[0][0]["computed"] == str(wform(
+            table, {(0, 3): two - q2, (1, 2): q2}))
+        assert ent[0][1]["computed"] == str(wform(table, {(0, 2): -two}))
+        assert ent[1][0]["computed"] == str(wform(table, {(1, 3): two}))
+        assert ent[1][1]["computed"] == str(wform(
+            table, {(0, 3): -one, (1, 2): -one}))
         for k in range(3):
-            assert ent[2][k]["computed"].is_zero()
-            assert ent[k][2]["computed"].is_zero()
+            assert ent[2][k]["computed"] == "0"
+            assert ent[k][2]["computed"] == "0"
 
     def test_p_independent_oracle(self):
-        # The (1,1) block is dx11^dx22 - (normal form of dx21^dx12) under
+        # The [0, 0] block is dx11^dx22 - (normal form of dx21^dx12) under
         # either calculus convention.
         for p_choice in ("q", "qinv"):
             table = derive_table(p_choice)
@@ -653,7 +652,15 @@ class TestCurvature:
                 - NCForm(table, 2,
                          {(w, ZMONO): QRat(c)
                           for w, c in table.wedge_norm((2, 1)).items()})
-            assert rep["entries"][0][0]["computed"] == expected
+            assert rep["entries"][0][0]["computed"] == str(expected)
+
+    def test_blocks_do_not_depend_on_the_p_choice(self):
+        # the wedge rules are shared and d x_g = dx_g under either calculus
+        rep_q, rep_qinv = (curvature_asd(one_instanton(), p)
+                           for p in ("q", "qinv"))
+        assert rep_q.pop("p_choice") == "q"
+        assert rep_qinv.pop("p_choice") == "qinv"
+        assert rep_q == rep_qinv
 
     def test_verdicts_and_defect_location(self):
         for p_choice in ("q", "qinv"):
@@ -679,8 +686,8 @@ class TestCurvature:
         rep = curvature_asd(one_instanton(), "q")
         q2 = -table.wedge_norm((2, 1))[(1, 2)]
         one = QLaurent.one()
-        assert rep["entries"][0][0]["sd_part"] == wform(
-            table, {(0, 3): one - q2, (1, 2): q2 - one})
+        assert rep["entries"][0][0]["sd_part"] == str(wform(
+            table, {(0, 3): one - q2, (1, 2): q2 - one}))
 
     def test_datum_independent(self):
         for p_choice in ("q", "qinv"):
@@ -691,13 +698,19 @@ class TestCurvature:
     @pytest.mark.parametrize("p_choice", ["q", "qinv"])
     @pytest.mark.parametrize("name", CURVATURE_DATA)
     def test_blocks_match_the_datum_product(self, name, p_choice):
-        # the oracle audits the full product of the datum's own operators
-        ent = curvature_asd(CURVATURE_DATA[name](), p_choice)["entries"]
-        computed = [[e["computed"] for e in row] for row in ent]
-        want = product_blocks(name, p_choice)
-        assert computed == want
-        assert [[str(f) for f in row] for row in computed] == \
-            [[str(f) for f in row] for row in want]
+        # the oracle audits the full product of the datum's own operators,
+        # and the forms' own split gives the verdicts and parts
+        d = CURVATURE_DATA[name]()
+        rep = curvature_asd(d, p_choice)
+        assert rep["block_sizes"] == [d.c, d.c, d.r]
+        for row, want_row in zip(rep["entries"], product_blocks(name,
+                                                                p_choice)):
+            for e, want in zip(row, want_row):
+                split = asd_membership(want)
+                assert e["computed"] == str(want)
+                assert e["verdict"] == split["verdict"]
+                assert e["sd_part"] == str(split["sd_part"])
+                assert e["asd_part"] == str(split["asd_part"])
 
     def test_requires_solution(self):
         d = random_complex_datum(2, 1, 0)
@@ -707,10 +720,10 @@ class TestCurvature:
 
     def test_failed_block_audit_is_not_a_refusal(self, monkeypatch,
                                                  tmp_path, capsys):
-        # an SD vector with a wrong word no longer reassembles the (1,1)
+        # an SD vector with a wrong word no longer reassembles the [0, 0]
         # block: a failed internal check, which cli.run reports with exit
         # status 3, not as a refused input
-        monkeypatch.setattr(qadhm.qforms, "_MIX_MINUS", (0, 1))
+        monkeypatch.setattr(qadhm.qinstanton, "_MIX_MINUS", (0, 1))
         d = random_stable_solution(2, 2, 3)
         with pytest.raises(CalculusError, match="^SD/ASD split failed to "
                            "reassemble$"):
@@ -722,11 +735,30 @@ class TestCurvature:
             "type": "CalculusError",
             "message": "SD/ASD split failed to reassemble"}}
 
+    @pytest.mark.parametrize("p_choice, first_broken", [
+        ("q", "x12*x21"),
+        # dx11 . x22 crosses to x12 . dx21 and x21 . dx12 under p = q^-1
+        ("qinv", "x11*x22")])
+    def test_reads_the_verified_wedge_table(self, p_choice, first_broken,
+                                            monkeypatch, tmp_path, capsys):
+        # the naive anticommutation dx21^dx12 = -dx12^dx21 breaks d^2 = 0,
+        # and the curvature reads the wedge rules only through the check
+        monkeypatch.setitem(qadhm.qcalculus._WEDGE_RULES, (2, 1),
+                            (({0: -1}, (1, 2)),))
+        monkeypatch.setattr(qadhm.qcalculus, "_TABLE_CACHE", {})
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps(random_stable_solution(2, 2, 3).to_json()),
+                     encoding="utf-8")
+        assert run(["inst", "curvature", str(f), "--p-choice", p_choice]) == 3
+        assert json.loads(capsys.readouterr().out) == {"error": {
+            "type": "CalculusError",
+            "message": f"constraint broken by the table: d^2[{first_broken}]"}}
+
     def test_block_sizes_and_json(self):
         d = random_stable_solution(2, 2, 0)
         rep = curvature_asd(d)
         assert rep["block_sizes"] == [2, 2, 2]
-        json.dumps(curvature_report_json(rep))
+        assert json.loads(json.dumps(rep)) == rep
 
     def test_chart_j_mirror(self):
         for d in (one_instanton(), random_stable_solution(2, 2, 0)):
@@ -749,19 +781,17 @@ class TestProjection:
                 assert comp == NCForm.from_poly(table, orig)
 
     def test_kills_image_vectors_exactly(self):
-        from qadhm.qinstanton import _bars
         d = one_instanton()
-        abar, _ = _bars(*build_q_ops(d))
+        abar, _ = bars(*build_q_ops(d))
         v = [NCPoly.scalar("I", GaussRational(3)),
              NCPoly.scalar("I", GaussRational(-2))]
         out = projection_truncated(d, (abar * column(*v)).col(0), 3)
         assert all(f.is_zero() for f in out)
 
     def test_generic_input_projected_into_kernel_window(self):
-        from qadhm.qinstanton import _bars
         d = one_instanton()
         table = derive_table("q")
-        _, bbar = _bars(*build_q_ops(d))
+        _, bbar = bars(*build_q_ops(d))
         rng = random.Random(7)
         psi = []
         for _ in range(4):
@@ -831,30 +861,27 @@ class TestJSONReports:
         json.dumps(slice_rank_report(d, (1, 0), 1))
         json.dumps(alpha_slice_report(d, (0, 1), 1))
         json.dumps(chart_j_pattern(d))
-        json.dumps(curvature_report_json(curvature_asd(d)))
+        json.dumps(curvature_asd(d))
         json.dumps(build_q_ops(d)[0].to_json())
 
 
 _WORDS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _seeded_two_form(rng, table):
-    """A 2-form over a few monomials with integer or Gaussian Laurent
-    coefficients on random words; some monomials carry mixed pairs
-    c.dx11^dx22 +- c.dx12^dx21 whose SD or ASD part cancels."""
-    monos = [tuple(rng.randint(0, 2) for _ in range(4))
-             for _ in range(rng.randint(1, 4))]
+def _seeded_two_form(rng):
+    """A constant 2-form {word: QLaurent} with integer or Gaussian Laurent
+    coefficients on random words; half carry a mixed pair c.dx11^dx22 +-
+    c.dx12^dx21 whose SD or ASD part cancels."""
     terms = {}
-    for m in monos:
-        for w in rng.sample(_WORDS, rng.randint(1, 6)):
-            c = GaussRational(rng.randint(-3, 3), rng.choice((0, 0, 1, -2)))
-            terms[(w, m)] = QLaurent({rng.randint(-2, 2): c,
-                                      rng.randint(-2, 2): rng.randint(-2, 2)})
-        if rng.random() < 0.5:
-            c = QLaurent({rng.randint(-2, 2): rng.randint(1, 3)})
-            terms[((0, 3), m)] = c
-            terms[((1, 2), m)] = c if rng.random() < 0.5 else -c
-    return NCForm(table, 2, terms)
+    for w in rng.sample(_WORDS, rng.randint(1, 6)):
+        c = GaussRational(rng.randint(-3, 3), rng.choice((0, 0, 1, -2)))
+        terms[w] = QLaurent({rng.randint(-2, 2): c,
+                             rng.randint(-2, 2): rng.randint(-2, 2)})
+    if rng.random() < 0.5:
+        c = QLaurent({rng.randint(-2, 2): rng.randint(1, 3)})
+        terms[(0, 3)] = c
+        terms[(1, 2)] = c if rng.random() < 0.5 else -c
+    return {w: c for w, c in terms.items() if c}
 
 
 class TestSdAsdSplitOracle:
@@ -864,13 +891,15 @@ class TestSdAsdSplitOracle:
         rng = random.Random(f"sd-asd:{p_choice}")
         cancelled = 0
         for _ in range(200):
-            omega = _seeded_two_form(rng, table)
+            omega = _seeded_two_form(rng)
             sd, asd = sd_asd_split(omega)
             assert (sd, asd) == grouped_sd_asd_split(omega)
-            assert str(sd) == str(grouped_sd_asd_split(omega)[0])
-            cancelled += any(not sd.terms.get(((0, 3), m)) and
-                             asd.terms.get(((0, 3), m))
-                             for _, m in omega.terms)
+            form = NCForm(table, 2, {(w, ZMONO): c for w, c in omega.items()})
+            # the forms oracle splits and prints it to the same bytes
+            for mine, theirs in zip((omega, sd, asd),
+                                    (form, *form_sd_asd_split(form))):
+                assert form_str(mine) == str(theirs)
+            cancelled += (0, 3) in omega and not sd.get((0, 3))
         assert cancelled >= 20
 
     @pytest.mark.parametrize("p_choice", ["q", "qinv"])
@@ -879,6 +908,4 @@ class TestSdAsdSplitOracle:
         want = quoted_display_reference(derive_table(p_choice))
         for a in range(3):
             for b in range(3):
-                quo = rep["entries"][a][b]["quoted"]
-                assert quo == want[a][b]
-                assert str(quo) == str(want[a][b])
+                assert rep["entries"][a][b]["quoted"] == str(want[a][b])

@@ -10,8 +10,8 @@ and the three complex residuals are exactly the (z^2, zw, w^2) coefficients of
 is invariant under both B's and contains the image of i; *costable* is the
 transpose-dual notion with ker j.  ``krylov`` decides stability at every
 point [z:w] from the homogeneous gcd of the Krylov minors of the pencil, and
-costability from that of the transposed pencil.  The taxonomy reported by
-``classify`` is:
+costability from that of the transposed pencil.  ``classify`` returns the
+taxonomy as the dict that ``adhm check`` prints, with these flags:
 
   stable_everywhere    minor gcd has degree 0
   semistable           some minor is not identically zero
@@ -33,74 +33,12 @@ import random
 from .exactcore import (ADHMError, ComplexADHMDatum, Matrix,
                         is_complex_solution, random_gauss)
 from .krylov import holds_everywhere, is_stable, line_side, stable_side_of
-from .scalars import _GR_ONE, _GR_ZERO, Immutable
+from .scalars import _GR_ONE, _GR_ZERO
 
 __all__ = [
-    "StabilityReport", "is_costable", "classify", "derivative_rank",
+    "is_costable", "classify", "derivative_rank",
     "random_stable_solution", "random_nonstable_solution",
 ]
-
-
-class StabilityReport(Immutable):
-    """Outcome of ``classify``, derived from its two ``krylov.line_side``
-    tuples: ``stable_side`` of the pencil acting on i~, ``costable_side`` of
-    the transposed pencil acting on j~^T.
-
-    failing_points lists (side, (z0, w0), multiplicity) with side "stable" or
-    "costable"; points outside Q(i) appear in leftover_factors as (side,
-    factor string).  The gcd strings record the minor gcd of each side,
-    monic in z: the product of the pivots of a Hermite basis of the Krylov
-    module in the chart w = 1, times w^v for the multiplicity v of [1:0]
-    found in the chart z = 1.  "0" means every minor vanishes identically
-    (the basis has fewer than c pivots: that side fails at every point, and
-    no individual points are enumerated).  witness_subspace, when
-    present, is a column basis of a violating invariant subspace at the first
-    recorded failing point.
-    """
-
-    __slots__ = ("stable_everywhere", "costable_everywhere", "semistable",
-                 "semiregular", "regular", "failing_points",
-                 "witness_subspace", "stability_gcd", "costability_gcd",
-                 "leftover_factors")
-
-    def __init__(self, stable_side, costable_side, witness_subspace):
-        s_fail, s_gcd, s_roots, s_lefts = stable_side
-        c_fail, c_gcd, c_roots, c_lefts = costable_side
-        stable, costable = map(holds_everywhere, (stable_side, costable_side))
-        for name, value in zip(self.__slots__, (
-                stable, costable, not s_fail,   # semistable
-                stable and not c_fail,          # semiregular
-                stable and costable,            # regular
-                [("stable", pt, m) for pt, m in s_roots]
-                + [("costable", pt, m) for pt, m in c_roots],
-                witness_subspace, s_gcd, c_gcd,
-                [("stable", f) for f in s_lefts]
-                + [("costable", f) for f in c_lefts])):
-            object.__setattr__(self, name, value)
-
-    def __repr__(self):
-        flags = [n for n in ("stable_everywhere", "costable_everywhere",
-                             "semistable", "semiregular", "regular")
-                 if getattr(self, n)]
-        return f"StabilityReport({', '.join(flags) or 'nothing holds'})"
-
-    def to_json(self):
-        return {
-            "stable_everywhere": self.stable_everywhere,
-            "costable_everywhere": self.costable_everywhere,
-            "semistable": self.semistable,
-            "semiregular": self.semiregular,
-            "regular": self.regular,
-            "stability_gcd": self.stability_gcd,
-            "costability_gcd": self.costability_gcd,
-            "failing_points": [
-                {"side": side, "z": str(z0), "w": str(w0), "multiplicity": m}
-                for side, (z0, w0), m in self.failing_points],
-            "leftover_factors": [
-                {"side": side, "factor": f} for side, f in self.leftover_factors],
-            "witness_subspace": (None if self.witness_subspace is None
-                                 else self.witness_subspace.to_json()),
-        }
 
 
 def is_costable(B1, B2, j):
@@ -121,27 +59,46 @@ def is_costable(B1, B2, j):
 
 
 def classify(d):
-    """Full stability taxonomy of a complex datum (see the module docstring).
+    """Full stability taxonomy of a complex datum (see the module
+    docstring): the dict that ``adhm check`` prints as its classification.
 
-    The stable side analyses the pencil (B~1, B~2) acting on i~; the costable
-    side analyses the transposed pencil acting on j~^T.  Failing points are
-    the Q(i)-rational projective roots of the respective minor gcds;
-    irreducible factors without rational roots are reported as strings.
+    The stable side is the ``krylov.line_side`` of the pencil (B~1, B~2)
+    acting on i~, the costable side that of the transposed pencil acting on
+    j~^T.  failing_points are the Q(i)-rational roots [z:w] of each side's
+    minor gcd, leftover_factors its factors with no root in Q(i).  A gcd
+    string is monic in z: the pivot product of a Hermite basis of the
+    Krylov module in the chart w = 1, times w^v for the multiplicity v of
+    [1:0]; "0" means every minor vanishes (the side fails at every point).
+    witness_subspace is a column basis of a violating invariant subspace
+    where a side first fails, the stable side first: at [1:0] when it fails
+    everywhere, else at its first failing point; None when neither fails.
     """
     sides = (stable_side_of(d),
              line_side(d.B11.transpose(), d.B21.transpose(),
                        d.B12.transpose(), d.B22.transpose(),
                        d.j1.transpose(), d.j2.transpose()))
-    # the witness is at the first place a side fails, the stable side first:
-    # [1:0] when the side fails everywhere, else its first failing point
     witness = None
     for costable, (fails, _gcd, roots, _lefts) in enumerate(sides):
         if fails or roots:
             B1p, B2p, ip, jp = d.evaluate(*(roots[0][0] if roots else (1, 0)))
             witness = (is_costable(B1p, B2p, jp) if costable
-                       else is_stable(B1p, B2p, ip))[1]
+                       else is_stable(B1p, B2p, ip))[1].to_json()
             break
-    return StabilityReport(*sides, witness)
+    (s_fail, s_gcd, _, _), (c_fail, c_gcd, _, _) = sides
+    stable, costable = map(holds_everywhere, sides)
+    named = list(zip(("stable", "costable"), sides))
+    return {
+        "stable_everywhere": stable, "costable_everywhere": costable,
+        "semistable": not s_fail, "semiregular": stable and not c_fail,
+        "regular": stable and costable,
+        "stability_gcd": s_gcd, "costability_gcd": c_gcd,
+        "failing_points": [
+            {"side": name, "z": str(z0), "w": str(w0), "multiplicity": m}
+            for name, (_, _, roots, _) in named for (z0, w0), m in roots],
+        "leftover_factors": [{"side": name, "factor": f}
+                             for name, (*_, lefts) in named for f in lefts],
+        "witness_subspace": witness,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ def _cmd_adhm_check(args):
     res = complex_residuals(d)
     report = {"r": d.r, "c": d.c, "solution": all(m.is_zero() for m in res),
               "residuals": [m.to_json() for m in res],
-              "classification": classify(d).to_json()}
+              "classification": classify(d)}
     return report, report["solution"]
 
 

@@ -11,7 +11,7 @@ def _cmd_monad_build(args):
 
 def _cmd_monad_classify(args):
     from .monad import classify_sheaf
-    return classify_sheaf(_load_datum(args.file)).to_json(), True
+    return classify_sheaf(_load_datum(args.file)), True
 
 
 def _cmd_monad_chern(args):

@@ -115,11 +115,15 @@ def _cmd_q_penrose(args):
     pairs = []
     for item in items:
         try:
+            if not isinstance(item, dict):
+                raise TypeError("an item must be an object")
+            if "exponents" not in item:
+                raise ValueError('an item must have "exponents"')
             exps = tuple(item["exponents"])
             if any(type(e) is not int for e in exps):
                 raise TypeError("exponents must be integers")
             coeff = parse_gauss(str(item.get("coeff", "1")))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise CLIError(f"bad cocycle item {item!r}: {exc}") from exc
         if len(exps) != 4:
             raise CLIError("cocycle exponents must have four entries")

@@ -13,7 +13,8 @@ ker j~ has B~1 v = -x v and B~2 v = -y v.  On a solution B~1 and B~2
 commute on the largest B~-invariant subspace inside ker j~, so they have a
 joint eigenvector there iff it is nonzero: some X over [z:w] is singular
 iff the triple is not costable at [z:w].  So the singular locus is read off
-the stability taxonomy, with no point evaluated:
+the stability taxonomy, with no point evaluated; ``classify_sheaf``
+returns the class as the dict that ``monad classify`` prints:
 
   regular everywhere      -> locally free   (no singular point)
   semiregular             -> reflexive      (finitely many points, over the
@@ -28,7 +29,7 @@ from .exactcore import ADHMError, Matrix, monad_pencils
 from .scalars import _GR_ZERO, Immutable
 
 __all__ = [
-    "Monad", "SheafClassification", "VARS", "product_coefficients",
+    "Monad", "VARS", "product_coefficients",
     "build_monad", "check_exactness_at", "classify_sheaf",
 ]
 
@@ -122,57 +123,31 @@ _LOCUS_METHOD = (
     "not costable at [z:w]")
 
 
-class SheafClassification(Immutable):
-    """The sheaf class read off the ``adhm.classify`` report of a datum that
-    is stable everywhere (see the module docstring).  kind is one of
-    torsion_free / reflexive / locally_free.  For a reflexive sheaf, over
-    lists the points [z:w] over which the singular locus lies and
-    over_factors the factors (in t = z/w) of the costability gcd with no
-    root in Q(i); over is None for a torsion-free sheaf, whose locus lies
-    over every [z:w]; a locally free sheaf has neither."""
-
-    __slots__ = ("kind", "over", "over_factors")
-
-    def __init__(self, report):
-        if report.regular:
-            kind, over, over_factors = "locally_free", [], []
-        elif report.semiregular:
-            kind = "reflexive"
-            over = [pt for side, pt, _ in report.failing_points
-                    if side == "costable"]
-            over_factors = [f for side, f in report.leftover_factors
-                            if side == "costable"]
-        else:
-            kind, over, over_factors = "torsion_free", None, []
-        for name, value in zip(self.__slots__, (kind, over, over_factors)):
-            object.__setattr__(self, name, value)
-
-    def __repr__(self):
-        return f"SheafClassification({self.kind})"
-
-    @property
-    def dimension(self):
-        """Dimension of the singular locus, -1 when it is empty."""
-        return _LOCUS_DIMENSION[self.kind]
-
-    def to_json(self):
-        return {"kind": self.kind,
-                "singular_locus": {
-                    "dimension": self.dimension,
-                    "over": None if self.over is None else [
-                        {"z": str(z0), "w": str(w0)} for z0, w0 in self.over],
-                    "over_factors": self.over_factors,
-                    "method": _LOCUS_METHOD}}
-
-
 def classify_sheaf(d):
     """Sheaf type and singular locus of the monad cohomology of a solution
-    that is stable everywhere, both read off ``adhm.classify`` (see the
-    module docstring); other data are rejected."""
+    that is stable everywhere: the dict that ``monad classify`` prints, read
+    off the ``adhm.classify`` dict (see the module docstring); other data
+    are rejected.  kind is torsion_free, reflexive or locally_free;
+    dimension is that of the singular locus, -1 when it is empty.  For a
+    reflexive sheaf, over lists the points [z:w] over which the locus lies
+    and over_factors the factors (in t = z/w) of the costability gcd with
+    no root in Q(i); over is None for a torsion-free sheaf, whose locus
+    lies over every [z:w]; a locally free sheaf has neither."""
     from .adhm import classify
     d.require_solution()
     rep = classify(d)
-    if not rep.stable_everywhere:
+    if not rep["stable_everywhere"]:
         raise ADHMError("datum is not stable everywhere: no sheaf to "
                         "classify")
-    return SheafClassification(rep)
+    kind = ("locally_free" if rep["regular"] else
+            "reflexive" if rep["semiregular"] else "torsion_free")
+    # the stable side holds everywhere, so every failing point and leftover
+    # factor is a costable one, and a torsion-free datum has neither
+    over = [{"z": p["z"], "w": p["w"]} for p in rep["failing_points"]]
+    return {"kind": kind,
+            "singular_locus": {
+                "dimension": _LOCUS_DIMENSION[kind],
+                "over": None if kind == "torsion_free" else over,
+                "over_factors": [f["factor"]
+                                 for f in rep["leftover_factors"]],
+                "method": _LOCUS_METHOD}}

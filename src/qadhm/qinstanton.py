@@ -173,7 +173,11 @@ def sd_asd_split(omega):
     Basis: SD = <dx11^dx12, dx21^dx22, dx11^dx22 - dx12^dx21>,
            ASD = <dx11^dx21, dx12^dx22, dx11^dx22 + dx12^dx21>.
     Term by term: c.dx11^dx22 is c/2 on each mixed vector, c.dx12^dx21
-    is -c/2 on the SD one and c/2 on the ASD one.
+    is -c/2 on the SD one and c/2 on the ASD one.  This basis is not
+    stable under the automorphism sigma carrying p = q onto p = q^-1: it
+    sends the mixed ASD vector to (q^2 - 2) dx11^dx22 - q^2 dx12^dx21,
+    which is mixed, so a p = q^-1 verdict is not the sigma-image of the
+    p = q one.
     """
     half = _QL_ONE / 2
     sd, asd = {}, {}

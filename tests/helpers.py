@@ -14,6 +14,8 @@ and ``qinstanton.build_q_ops``, which read both off the monad pencils;
 the full curvature product of a datum in the forms of
 ``forms_oracle.py``, audited entry by entry, is that of
 ``qinstanton.curvature_asd``, which reads the blocks off the wedge table.
+The readers of an ``adhm.classify`` dict parse its points and witness
+back into Gaussian rationals and a Matrix.
 The paper statements that only the tests check are in ``statements.py``.
 """
 
@@ -30,7 +32,8 @@ from qadhm.qinstanton import (_monomials_upto, _slice_rows, build_q_ops,
 from qadhm.qspacetime import (HarmonicIndex, NCPoly, X_NAMES, Y_NAMES,
                               det_x, harmonic)
 from qadhm.real import real_residuals
-from qadhm.scalars import _QL_ONE, GaussRational, QLaurent, _as_gauss, _gauss
+from qadhm.scalars import (_QL_ONE, GaussRational, QLaurent, _as_gauss, _gauss,
+                           parse_gauss)
 
 from forms_oracle import NCForm, d as exterior_d
 
@@ -51,6 +54,26 @@ def small_gauss(rng, height, complex_parts=True):
 def matrix_from_rows(entries):
     """The Matrix with these rows."""
     return Matrix(len(entries), len(entries[0]) if entries else 0, entries)
+
+
+def read_point(p):
+    """The point (z0, w0) of a report entry {"z": ..., "w": ...}."""
+    return parse_gauss(p["z"]), parse_gauss(p["w"])
+
+
+def failing_points(rep):
+    """The failing points of an ``adhm.classify`` dict as (side, (z0, w0),
+    multiplicity) triples."""
+    return [(p["side"], read_point(p), p["multiplicity"])
+            for p in rep["failing_points"]]
+
+
+def witness_matrix(rep):
+    """The witness subspace of an ``adhm.classify`` dict as a Matrix, None
+    when it has none."""
+    rows = rep["witness_subspace"]
+    return None if rows is None else matrix_from_rows(
+        [[parse_gauss(x) for x in row] for row in rows])
 
 
 def submatrix(m, rows, cols):
@@ -148,7 +171,7 @@ def c1_generator(r, seed):
             [[zw[k]] for k in range(r)], [[zw[r + k]] for k in range(r)])
         if not is_complex_solution(d):
             continue
-        if classify(d).stable_everywhere:
+        if classify(d)["stable_everywhere"]:
             return d
 
 

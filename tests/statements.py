@@ -830,7 +830,7 @@ def projection_truncated(d, psi, dmax):
     P(psi).  Components come back as 0-forms with exact rational-function
     coefficients."""
     rep = classify(d)
-    if not rep.regular:
+    if not rep["regular"]:
         raise ADHMError("projection requires a regular datum")
     table = derive_table("q")
     comps = [_as_zero_form(table, c) for c in psi]

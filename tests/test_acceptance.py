@@ -40,9 +40,9 @@ from qadhm.scalars import GaussRational, QLaurent, qint
 
 from calculus_oracle import _solve_x_rules
 from forms_oracle import d
-from helpers import (ql_evaluate, random_c1r1_solution,
-                     random_complex_datum, semiregular_not_regular,
-                     slice_rank_report)
+from helpers import (failing_points, ql_evaluate, random_c1r1_solution,
+                     random_complex_datum, read_point,
+                     semiregular_not_regular, slice_rank_report)
 from statements import (ChernClass, anticommutation_audit, appendix_b_suite,
                         basis_independence, basis_indices_for_degree,
                         beta_p_alpha_q, cech_exponents,
@@ -77,19 +77,20 @@ def _perturb_j1(dat):
 
 def test_criterion_1_stability_taxonomy():
     rep2 = classify(stable_not_semiregular())
-    assert rep2.stable_everywhere and rep2.semistable
-    assert not rep2.semiregular and not rep2.regular
+    assert rep2["stable_everywhere"] and rep2["semistable"]
+    assert not rep2["semiregular"] and not rep2["regular"]
 
     rep3 = classify(semiregular_not_regular())
-    assert rep3.stable_everywhere and rep3.semiregular
-    assert not rep3.regular
+    assert rep3["stable_everywhere"] and rep3["semiregular"]
+    assert not rep3["regular"]
 
     for seed in range(100):
         dat = random_c1r1_solution(seed)
         assert is_complex_solution(dat)
         rep = classify(dat)
-        assert not rep.stable_everywhere
-        roots = [pt for side, pt, _ in rep.failing_points if side == "stable"]
+        assert not rep["stable_everywhere"]
+        roots = [pt for side, pt, _ in failing_points(rep)
+                 if side == "stable"]
         assert len(roots) == 1
         assert proj_equal(roots[0], (-dat.i2[0, 0], dat.i1[0, 0]))
 
@@ -141,15 +142,18 @@ def test_criterion_3_monad_equivalence():
     # the singular locus: the line {x = y = 0} over every [z:w], and the
     # point [0:0:0:1] over [0:1]; each is re-checked by the rank of alpha_X
     repA = classify_sheaf(stable_not_semiregular())
-    assert repA.kind == "torsion_free"
-    assert repA.dimension == 1 and repA.over is None
+    locusA = repA["singular_locus"]
+    assert repA["kind"] == "torsion_free"
+    assert locusA["dimension"] == 1 and locusA["over"] is None
     mA = build_monad(stable_not_semiregular())
     for z0, w0 in BASE_POINTS:
         assert check_exactness_at(mA, (0, 0, z0, w0))[0] == 0
         assert check_exactness_at(mA, (1, 0, z0, w0))[0] == 1
     repB = classify_sheaf(semiregular_not_regular())
-    assert repB.kind == "reflexive" and repB.dimension == 0
-    assert repB.over == [(Z, ONE)] and repB.over_factors == []
+    locusB = repB["singular_locus"]
+    assert repB["kind"] == "reflexive" and locusB["dimension"] == 0
+    assert [read_point(p) for p in locusB["over"]] == [(Z, ONE)]
+    assert locusB["over_factors"] == []
     mB = build_monad(semiregular_not_regular())
     assert check_exactness_at(mB, (0, 0, 0, 1))[0] == 0
     assert check_exactness_at(mB, (1, 0, 0, 1))[0] == 1
@@ -157,7 +161,8 @@ def test_criterion_3_monad_equivalence():
     for r, c, seed in SEEDED_LOCUS_DATA:
         dat = random_stable_solution(r, c, seed)
         rep = classify_sheaf(dat)
-        assert rep.kind == "torsion_free" and rep.over is None
+        assert rep["kind"] == "torsion_free"
+        assert rep["singular_locus"]["over"] is None
         assert shifted_line_ranks(dat) == [(c - 1, c)] * len(BASE_POINTS)
 
     for n in range(20):

@@ -29,6 +29,7 @@ from helpers import (
     c1_generator,
     closure_rank,
     dagger_involution,
+    failing_points,
     gl_action,
     is_dagger_fixed,
     quadratic_pencil_value,
@@ -40,6 +41,7 @@ from helpers import (
     stabilizer_dim,
     submatrix,
     transpose_dual,
+    witness_matrix,
 )
 from statements import real_stratify
 
@@ -261,24 +263,24 @@ class TestIncrementalClosure:
 class TestClassify:
     def test_stable_not_semiregular(self):
         rep = classify(stable_not_semiregular())
-        assert rep.stable_everywhere
-        assert rep.semistable
-        assert not rep.costable_everywhere
-        assert not rep.semiregular
-        assert not rep.regular
+        assert rep["stable_everywhere"]
+        assert rep["semistable"]
+        assert not rep["costable_everywhere"]
+        assert not rep["semiregular"]
+        assert not rep["regular"]
         # j~ = 0: the costable side fails at every point, no single root.
-        assert rep.costability_gcd == "0"
-        assert rep.failing_points == []
+        assert rep["costability_gcd"] == "0"
+        assert failing_points(rep) == []
         # the witness is all of V (any subspace sits inside ker 0)
-        assert rep.witness_subspace == Matrix.identity(1, ONE, Z)
+        assert witness_matrix(rep) == Matrix.identity(1, ONE, Z)
 
     def test_semiregular_not_regular(self):
         rep = classify(semiregular_not_regular())
-        assert rep.stable_everywhere
-        assert rep.semiregular
-        assert not rep.costable_everywhere
-        assert not rep.regular
-        pts = [(side, pt, m) for side, pt, m in rep.failing_points]
+        assert rep["stable_everywhere"]
+        assert rep["semiregular"]
+        assert not rep["costable_everywhere"]
+        assert not rep["regular"]
+        pts = [(side, pt, m) for side, pt, m in failing_points(rep)]
         assert len(pts) == 1
         side, pt, mult = pts[0]
         assert side == "costable" and mult == 1
@@ -290,9 +292,9 @@ class TestClassify:
             d = random_c1r1_solution(seed)
             assert is_complex_solution(d)
             rep = classify(d)
-            assert not rep.stable_everywhere
-            assert rep.semistable
-            stable_pts = [pt for side, pt, _ in rep.failing_points
+            assert not rep["stable_everywhere"]
+            assert rep["semistable"]
+            stable_pts = [pt for side, pt, _ in failing_points(rep)
                           if side == "stable"]
             assert len(stable_pts) == 1
             # i~ = z*i1 + w*i2 vanishes at [-i2 : i1]
@@ -302,24 +304,24 @@ class TestClassify:
         d = ComplexADHMDatum(1, 1, [[0]], [[0]], [[0]], [[0]],
                              [[0]], [[0]], [[0]], [[0]])
         rep = classify(d)
-        assert not rep.semistable
-        assert rep.stability_gcd == "0"
-        assert rep.witness_subspace.cols == 0
+        assert not rep["semistable"]
+        assert rep["stability_gcd"] == "0"
+        assert witness_matrix(rep).cols == 0
 
     def test_regular_example(self):
         rep = classify(embed_real(one_instanton_real()))
-        assert rep.regular
-        assert rep.stable_everywhere and rep.costable_everywhere
-        assert rep.failing_points == []
-        assert rep.witness_subspace is None
+        assert rep["regular"]
+        assert rep["stable_everywhere"] and rep["costable_everywhere"]
+        assert failing_points(rep) == []
+        assert witness_matrix(rep) is None
 
     def test_planted_root_is_found(self):
         for seed in (3, 14, 15):
             d, pt = random_nonstable_solution(2, 2, seed)
             rep = classify(d)
-            assert not rep.stable_everywhere
-            assert rep.semistable
-            stable_pts = [(p, m) for side, p, m in rep.failing_points
+            assert not rep["stable_everywhere"]
+            assert rep["semistable"]
+            stable_pts = [(p, m) for side, p, m in failing_points(rep)
                           if side == "stable"]
             assert any(proj_equal(p, pt) for p, _ in stable_pts)
             # each minor carries the planted linear factor to the power c
@@ -328,17 +330,17 @@ class TestClassify:
     def test_report_invariants_enforced(self):
         for seed in range(4):
             rep = classify(random_stable_solution(2, 2, seed))
-            assert rep.regular == (rep.stable_everywhere
-                                   and rep.costable_everywhere)
-            assert not rep.semiregular or rep.stable_everywhere
+            assert rep["regular"] == (rep["stable_everywhere"]
+                                      and rep["costable_everywhere"])
+            assert not rep["semiregular"] or rep["stable_everywhere"]
 
     def test_root_count_bounded_by_c_squared(self):
         for seed in range(6):
             for (r, c) in [(2, 2), (2, 3)]:
                 d, _ = random_nonstable_solution(r, c, seed)
                 rep = classify(d)
-                assert rep.semistable
-                total = sum(m for side, _, m in rep.failing_points
+                assert rep["semistable"]
+                total = sum(m for side, _, m in failing_points(rep)
                             if side == "stable")
                 assert total <= c * c
 
@@ -366,7 +368,7 @@ class TestDerivativeRank:
                 d = random_stable_solution(r, c, seed)
                 assert derivative_rank(d) == 3 * c * c
                 d2, _ = random_nonstable_solution(r, c, seed)
-                assert not classify(d2).stable_everywhere
+                assert not classify(d2)["stable_everywhere"]
                 assert derivative_rank(d2) < 3 * c * c
 
     @pytest.mark.parametrize("r,c", [(2, 2), (2, 3), (3, 3)])
@@ -384,8 +386,8 @@ class TestDerivativeRank:
             dual = transpose_dual(stable)
             assert derivative_rank(dual) == 3 * c * c
             rep = classify(dual)
-            assert not rep.stable_everywhere
-            assert rep.costable_everywhere
+            assert not rep["stable_everywhere"]
+            assert rep["costable_everywhere"]
 
 
 class TestStabilizer:
@@ -570,8 +572,8 @@ class TestInvolutionAndRealData:
             rd, _ = random_real_solution(2, seed, kind="regular")
             assert real_stratify(rd, 0) == "regular"
             rep = classify(embed_real(rd))
-            assert rep.stable_everywhere
-            assert rep.regular
+            assert rep["stable_everywhere"]
+            assert rep["regular"]
 
 
 class TestRealStratify:
@@ -610,14 +612,14 @@ class TestC1Generator:
                 d = c1_generator(r, seed)
                 assert d.c == 1 and d.r == r
                 assert is_complex_solution(d)
-                assert classify(d).stable_everywhere
+                assert classify(d)["stable_everywhere"]
 
     def test_quadric_example_solution(self):
         # x=(1,0), y=(0,1), z=(0,1), w=(-1,0) satisfies all three equations
         d = ComplexADHMDatum(1, 2, [[0]], [[0]], [[0]], [[0]],
                              [[1, 0]], [[0, 1]], [[0], [1]], [[-1], [0]])
         assert is_complex_solution(d)
-        assert classify(d).regular
+        assert classify(d)["regular"]
 
     def test_quadric_counterexample_rejected(self):
         # x=(1,0), y=(0,1), z=(0,1), w=(1,0) violates the mixed equation
@@ -644,7 +646,7 @@ class TestStableSide:
                 stable = random_stable_solution(r, c, seed)
                 planted, _ = random_nonstable_solution(r, c, seed)
                 for d in (stable, planted, dual(stable), dual(planted)):
-                    flag = classify(d).stable_everywhere
+                    flag = classify(d)["stable_everywhere"]
                     assert krylov.holds_everywhere(
                         krylov.stable_side_of(d)) == flag
                     flags.add(flag)
@@ -657,7 +659,7 @@ class TestStableSide:
             f.write_text(json.dumps(d.to_json()), encoding="utf-8")
             assert run(["adhm", "rank", str(f)]) == 0
             rep = json.loads(capsys.readouterr().out)
-            assert rep["stable_everywhere"] == classify(d).stable_everywhere
+            assert rep["stable_everywhere"] == classify(d)["stable_everywhere"]
 
 
 class TestGenerators:
@@ -666,7 +668,7 @@ class TestGenerators:
             for (r, c) in [(2, 1), (2, 2), (3, 1), (2, 3)]:
                 d = random_stable_solution(r, c, seed)
                 assert is_complex_solution(d)
-                assert classify(d).stable_everywhere
+                assert classify(d)["stable_everywhere"]
 
     def test_nonstable_solutions(self):
         for seed in (0, 1):
@@ -726,14 +728,14 @@ class TestGLInvariance:
             a, b = classify(d), classify(moved)
             for flag in ("stable_everywhere", "costable_everywhere",
                          "semistable", "semiregular", "regular"):
-                assert getattr(a, flag) == getattr(b, flag)
+                assert a[flag] == b[flag]
 
     def test_classification_of_failing_points_preserved(self):
         rng = random.Random(7)
         d, pt = random_nonstable_solution(2, 2, 13)
         g = random_invertible(2, rng)
         rep = classify(gl_action(g, d))
-        stable_pts = [p for side, p, _ in rep.failing_points
+        stable_pts = [p for side, p, _ in failing_points(rep)
                       if side == "stable"]
         assert any(proj_equal(p, pt) for p in stable_pts)
 
@@ -809,8 +811,7 @@ class TestJSON:
         assert datum_from_json(obj) == d
 
     def test_report_serialization(self):
-        rep = classify(semiregular_not_regular())
-        obj = rep.to_json()
+        obj = classify(semiregular_not_regular())
         assert obj["semiregular"] is True
         assert obj["regular"] is False
         assert obj["failing_points"][0]["side"] == "costable"
@@ -1112,22 +1113,22 @@ class TestKrylovMinorGcd:
         data += [embed_real(random_real_solution(2, s, "regular")[0])
                  for s in range(2)]
         data += [stable_not_semiregular(), semiregular_not_regular()]
-        reports = [classify(d).to_json() for d in data]
+        reports = [classify(d) for d in data]
         monkeypatch.setattr(krylov, "_krylov_minor_gcd", _oracle_gcd)
-        assert reports == [classify(d).to_json() for d in data]
+        assert reports == [classify(d) for d in data]
 
     def test_c1r1_gcd_is_monic_in_z(self):
         for seed in range(4):
             d = random_c1r1_solution(seed)
             a = d.i2[0, 0] / d.i1[0, 0]
             rep = classify(d)
-            assert rep.stability_gcd == f"(1/1)*z + ({a})*w"
-            assert rep.failing_points == [("stable", (-a, ONE), 1)]
+            assert rep["stability_gcd"] == f"(1/1)*z + ({a})*w"
+            assert failing_points(rep) == [("stable", (-a, ONE), 1)]
 
     def test_planted_root_beyond_c3(self):
         for r, c in ((2, 4), (2, 5)):
             d, pt = random_nonstable_solution(r, c, 1)
             rep = classify(d)
-            assert not rep.stable_everywhere and rep.semistable
+            assert not rep["stable_everywhere"] and rep["semistable"]
             assert any(side == "stable" and proj_equal(p, pt) and m >= c
-                       for side, p, m in rep.failing_points)
+                       for side, p, m in failing_points(rep))

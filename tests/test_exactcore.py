@@ -15,13 +15,12 @@ from hypothesis import given, settings, strategies as st
 import qadhm
 
 from qadhm import echelon, scalars
-from qadhm.adhm import (classify, random_nonstable_solution,
-                        random_stable_solution)
+from qadhm.adhm import random_nonstable_solution, random_stable_solution
 from qadhm.echelon import QRat, _echelon
 from qadhm.exactcore import (Matrix, RealADHMDatum, complex_residuals,
                              is_complex_solution, random_gauss)
 from qadhm.krylov import gcd_projective_roots
-from qadhm.monad import VARS, build_monad, check_exactness_at, classify_sheaf
+from qadhm.monad import VARS, build_monad, check_exactness_at
 from qadhm.qcalculus import derive_table
 from qadhm.qspacetime import HarmonicIndex, NCPoly
 from qadhm.scalars import (GaussRational, QLaurent, _as_gauss, _ql_divmod,
@@ -326,8 +325,7 @@ def test_value_types_are_immutable():
     d = random_stable_solution(2, 1, 0)
     values = [QLaurent({1: 1}), QRat(1, QLaurent({0: 1, 1: 1})),
               NCPoly.one(), HarmonicIndex(2, 0, 0),
-              NCForm(derive_table("q"), 0), classify(d), build_monad(d),
-              classify_sheaf(d), d,
+              NCForm(derive_table("q"), 0), build_monad(d), d,
               RealADHMDatum(1, 1, [[0]], [[0]], [[0]], [[0]])]
     for value in values:
         name = type(value).__slots__[-1]

@@ -9,9 +9,8 @@ import pytest
 from qadhm.adhm import random_nonstable_solution, random_stable_solution
 from qadhm.real import embed_real
 from qadhm.exactcore import ADHMError, ComplexADHMDatum, Matrix, monad_pencils
-from qadhm.monad import (Monad, SheafClassification, VARS, build_monad,
-                         check_exactness_at, classify_sheaf,
-                         product_coefficients)
+from qadhm.monad import (Monad, VARS, build_monad, check_exactness_at,
+                         classify_sheaf, product_coefficients)
 from qadhm.chern import chi_line, chi_twist
 from qadhm.scalars import GaussRational
 
@@ -20,6 +19,7 @@ from helpers import (
     matrix_from_rows,
     random_complex_datum,
     random_invertible,
+    read_point,
     seeded_points,
     semiregular_not_regular,
     small_gauss,
@@ -218,8 +218,9 @@ def shifted_line_ranks(d):
 class TestClassifySheaf:
     def test_stable_not_semiregular_is_torsion_free(self):
         rep = classify_sheaf(stable_not_semiregular())
-        assert rep.kind == "torsion_free"
-        assert rep.dimension == 1 and rep.over is None
+        locus = rep["singular_locus"]
+        assert rep["kind"] == "torsion_free"
+        assert locus["dimension"] == 1 and locus["over"] is None
         # alpha = (x, y, 0, 0)^T drops rank exactly on the line {x = y = 0},
         # which lies over every [z:w]
         m = build_monad(stable_not_semiregular())
@@ -229,9 +230,11 @@ class TestClassifySheaf:
 
     def test_semiregular_example_is_reflexive(self):
         rep = classify_sheaf(semiregular_not_regular())
-        assert rep.kind == "reflexive"
-        assert rep.dimension == 0
-        assert rep.over == [point(0, 1)] and rep.over_factors == []
+        locus = rep["singular_locus"]
+        assert rep["kind"] == "reflexive"
+        assert locus["dimension"] == 0
+        assert [read_point(p) for p in locus["over"]] == [point(0, 1)]
+        assert locus["over_factors"] == []
         # alpha = (x, y, 0, 0, z)^T drops rank exactly at [0:0:0:1]
         m = build_monad(semiregular_not_regular())
         assert check_exactness_at(m, point(0, 0, 0, 1))[0] == 0
@@ -240,16 +243,18 @@ class TestClassifySheaf:
 
     def test_regular_datum_is_locally_free(self):
         rep = classify_sheaf(one_instanton_complex())
-        assert rep.kind == "locally_free"
-        assert rep.dimension == -1
-        assert rep.over == [] and rep.over_factors == []
+        locus = rep["singular_locus"]
+        assert rep["kind"] == "locally_free"
+        assert locus["dimension"] == -1
+        assert locus["over"] == [] and locus["over_factors"] == []
 
     def test_irrational_base_points_are_reported_as_factors(self):
         d = stable_with_irrational_costable_points()
         rep = classify_sheaf(d)
-        assert rep.kind == "reflexive" and rep.dimension == 0
-        assert rep.over == [point(1, 0)]
-        assert rep.over_factors == ["t**2 - 1/2"]  # t = z/w
+        locus = rep["singular_locus"]
+        assert rep["kind"] == "reflexive" and locus["dimension"] == 0
+        assert [read_point(p) for p in locus["over"]] == [point(1, 0)]
+        assert locus["over_factors"] == ["t**2 - 1/2"]  # t = z/w
         # over [1:0], v = (0, 1) spans ker j~ and B~1 v = B~2 v = 0
         m = build_monad(d)
         assert check_exactness_at(m, point(0, 0, 1, 0))[0] < d.c
@@ -262,8 +267,9 @@ class TestClassifySheaf:
         for r, c, seed in SEEDED_LOCUS_DATA:
             d = random_stable_solution(r, c, seed)
             rep = classify_sheaf(d)
-            assert rep.kind == "torsion_free"
-            assert rep.dimension == 1 and rep.over is None
+            locus = rep["singular_locus"]
+            assert rep["kind"] == "torsion_free"
+            assert locus["dimension"] == 1 and locus["over"] is None
             # alpha_X is (a1*N; a2*N; 0) with (a1, a2) != 0: rank c - 1
             assert shifted_line_ranks(d) == [(c - 1, c)] * len(BASE_POINTS)
 
@@ -279,15 +285,13 @@ class TestClassifySheaf:
         with pytest.raises(ADHMError, match="residual"):
             classify_sheaf(bad)
 
-    def test_classification_is_immutable_and_validated(self):
+    def test_classification_is_read_off_the_taxonomy(self):
         # the class is read off the taxonomy, so an inconsistent (kind, over)
-        # pair cannot be built, and a built one cannot be changed
+        # pair cannot be built
         rep = classify_sheaf(random_stable_solution(2, 1, 0))
-        assert isinstance(rep, SheafClassification)
-        assert (rep.kind, rep.over, rep.over_factors) == \
+        locus = rep["singular_locus"]
+        assert (rep["kind"], locus["over"], locus["over_factors"]) == \
             ("torsion_free", None, [])
-        with pytest.raises(AttributeError, match="immutable"):
-            rep.kind = "reflexive"
 
 
 class TestSurjectivityRanks:
@@ -602,8 +606,7 @@ class TestAppendixSuite:
 
 class TestJSON:
     def test_classification_json(self):
-        rep = classify_sheaf(semiregular_not_regular())
-        obj = rep.to_json()
+        obj = classify_sheaf(semiregular_not_regular())
         assert obj["kind"] == "reflexive"
         locus = obj["singular_locus"]
         assert locus["dimension"] == 0
@@ -611,6 +614,5 @@ class TestJSON:
         assert locus["over_factors"] == []
         assert "joint eigenvector" in locus["method"]
         json.dumps(obj)
-        locus = classify_sheaf(stable_not_semiregular()).to_json()[
-            "singular_locus"]
+        locus = classify_sheaf(stable_not_semiregular())["singular_locus"]
         assert locus["dimension"] == 1 and locus["over"] is None

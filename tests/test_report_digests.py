@@ -1,6 +1,7 @@
 """The stdout bytes and exit code of one command line per subcommand, plus
 two failed identities and one refusal, on seeded inputs, and the same bytes
-written to a file with ``--output``.
+written to a file with ``--output``.  ``adhm check`` and ``monad classify``
+run on a locally free and a reflexive datum too, whose j is not zero.
 
 Each report is pinned by its sha256, so any change to a report's bytes
 fails here and not only in the benchmark.  The inputs come from the seeded
@@ -18,7 +19,8 @@ import pytest
 from qadhm.adhm import random_nonstable_solution, random_stable_solution
 from qadhm.cli import _GROUPS, commands, run
 
-from helpers import random_complex_datum, random_real_solution
+from helpers import (random_complex_datum, random_locally_free_solution,
+                     random_real_solution, random_reflexive_solution)
 
 
 def write_inputs():
@@ -28,6 +30,9 @@ def write_inputs():
         "nonstable.json": random_nonstable_solution(2, 2, 5)[0].to_json(),
         "real.json": random_real_solution(2, 7, "regular")[0].to_json(),
         "raw.json": random_complex_datum(2, 2, 1).to_json(),
+        # j != 0: regular, and semiregular but not regular
+        "locfree.json": random_locally_free_solution(2, 1).to_json(),
+        "reflexive.json": random_reflexive_solution(2, 1).to_json(),
         "cocycle.json": {"cocycle": [
             {"exponents": [1, 0, -2, -1], "coeff": "1"},
             {"exponents": [0, 2, -1, -3], "coeff": "2/3-1/2*i"}]},
@@ -43,6 +48,11 @@ DIGESTS = {
         0, "52b7fbbaabaea66b9688f9b2367420f0227d474602264729fd2c9d245c96dfe9"),
     "adhm check raw.json": (
         1, "e87fd1712e35b5dce8044cf77f761401924c6158fe8013243e48932007d5066d"),
+    "adhm check locfree.json": (
+        0, "9bf968fd42b7769e62394fe87eb80d4534ee10c91802164d304d2344d2743448"),
+    # the witness comes from the costable side
+    "adhm check reflexive.json": (
+        0, "657f76222353fa4f8fa3682bb3ab0b6780715c5989110cb21ac6a65a6b1a6e18"),
     "adhm embed real.json": (
         0, "5fd354f78a78603f5aa2592782edcf6df108bde097220ccb00302db7b40666ed"),
     "adhm random -r 2 -c 3 --seed 5": (
@@ -53,6 +63,10 @@ DIGESTS = {
         0, "d41ede9d8d2d3dae26eed75ce999082ce0b06131019dfa974e223e6e03d43c37"),
     "monad classify stable.json": (
         0, "bc8fc4ffe43cb1cd72b327e49bf681157e23db4d4d535c097425ec659c942f29"),
+    "monad classify locfree.json": (
+        0, "eae2aa73f35a5f658bd80a76a36fae2579385586e1508660035d2f4bcd8c5fc7"),
+    "monad classify reflexive.json": (
+        0, "5b337e5ba7175a1a8933ba2a6d6ec43036a5ba46aa39bf894265db07eb6e2010"),
     "monad chern -r 2 -c 1 -k -1": (
         0, "ee3aa64bb94a50845d5024cd4bd20202a4567aed5cd5328c0d97e9920775fc28"),
     "q normalize x21*x12+q^-2*x12*x21": (

@@ -24,7 +24,8 @@ from qadhm.qspacetime import NCPoly, X_NAMES
 from qadhm.scalars import GaussRational, QLaurent, parse_gauss
 from qadhm.slices import _charpoly, pencil_grid, slice_line, slice_verdict
 
-from helpers import gauss_power, least_covering_cap, random_c1r1_solution
+from helpers import (failing_points, gauss_power, least_covering_cap,
+                     random_c1r1_solution)
 from test_adhm import proj_equal
 from test_qinstanton import dual_costable_solution
 from test_qspacetime import random_poly
@@ -268,8 +269,8 @@ class TestLine:
                   for p in line["failing_points"]]
         assert any(proj_equal(planted, p) for p in points)
         rep = classify(d)
-        assert line["stability_gcd"] == rep.stability_gcd
-        assert points == [pt for side, pt, _ in rep.failing_points
+        assert line["stability_gcd"] == rep["stability_gcd"]
+        assert points == [pt for side, pt, _ in failing_points(rep)
                           if side == "stable"]
         for P in pencil_grid(12) + points:
             failing = any(proj_equal(P, p) for p in points)

@@ -117,8 +117,8 @@ def _cmd_q_penrose(args):
         try:
             if not isinstance(item, dict):
                 raise TypeError("an item must be an object")
-            if "exponents" not in item:
-                raise ValueError('an item must have "exponents"')
+            if not isinstance(item.get("exponents"), list):
+                raise TypeError('an item must have an "exponents" list')
             exps = tuple(item["exponents"])
             if any(type(e) is not int for e in exps):
                 raise TypeError("exponents must be integers")

@@ -496,7 +496,9 @@ class TestQCommands:
 
     @pytest.mark.parametrize("item,problem", [
         (5, "an item must be an object"),
-        ({"coeff": "1"}, 'an item must have "exponents"')], ids=repr)
+        ({"coeff": "1"}, 'an item must have an "exponents" list'),
+        ({"exponents": 5}, 'an item must have an "exponents" list')],
+        ids=repr)
     def test_penrose_names_a_malformed_item(self, item, problem, tmp_path,
                                             capsys):
         f = write_json(tmp_path / "c.json", {"cocycle": [item]})
